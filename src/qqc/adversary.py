@@ -155,7 +155,7 @@ def make_dual_witness(p: QueryProblem, gamma, q: int, eps: float) -> dict[str, n
         u[i, i] = u[j, j] = a
         u[i, j] = u[j, i] = -a
         witness[f"pair_dual_{pair_name(p, pr)}"] = u
-    rep = verify_point(build_dual_relaxed(p, q, eps), witness)
+    rep = verify_point(build_dual_relaxed(p, q, eps, c), witness)
     if rep.max_residual > _WITNESS_TOL or not (rep.strict_slack and rep.strict_slack > 0):
         worst = max(rep.row_residuals, key=rep.row_residuals.get)
         raise WitnessError(

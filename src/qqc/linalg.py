@@ -16,7 +16,6 @@ __all__ = [
     "schur",
     "partial_trace",
     "eig_hermitian",
-    "gram_factor",
     "purify",
     "conditional_vectors",
     "align_purifications",
@@ -85,25 +84,6 @@ def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise RuntimeError(f"eigendecomposition failed to converge: {exc}") from exc
     order = np.argsort(w)[::-1]
     return w[order], _phase_fix(v[:, order])
-
-
-def gram_factor(g: np.ndarray, rank_tol: float | None = None) -> np.ndarray:
-    """Vectors (rows) whose pairwise inner products reproduce a PSD Gram matrix.
-
-    Returns an (n, r) array with r the numerical rank; row x is the ket for
-    index x, and <row x|row y> == g[x, y] (conjugation on the first slot) up
-    to the stated tolerance. Eigenvalues in [-rank_tol, rank_tol] are treated
-    as zero; anything below -rank_tol is an error.
-    """
-    w, v = eig_hermitian(g)
-    top = max(float(w[0]), 0.0) if w.size else 0.0
-    if rank_tol is None:
-        rank_tol = 1e-10 * max(top, 1e-300)
-    if w.size and float(w[-1]) < -rank_tol:
-        raise ValueError(f"matrix is not PSD within tolerance: min eigenvalue {w[-1]:.3e}")
-    keep = w > rank_tol
-    # rows are vectors: row x, component k = sqrt(w_k) * conj(v[x, k])
-    return (v[:, keep].conj() * np.sqrt(w[keep])).astype(complex)
 
 
 def purify(rho: np.ndarray, env_dim: int, rank_tol: float | None = None) -> np.ndarray:

@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import kron
-
 UNITARITY_TOL = 1e-9
 
 __all__ = [
@@ -43,12 +41,6 @@ class QueryProblem:
     @property
     def size(self) -> int:
         return len(self.labels)
-
-    def index(self, label: str) -> int:
-        return self.labels.index(label)
-
-    def output_index(self, z: str) -> int:
-        return self.outputs.index(z)
 
     def class_indices(self, z: str) -> list[int]:
         return [i for i, lab in enumerate(self.labels) if self.g[lab] == z]
@@ -111,6 +103,10 @@ def _require_valid(p: QueryProblem) -> None:
 def build_omega(p: QueryProblem) -> np.ndarray:
     """Block-diagonal oracle, one n x n block per label in label order."""
     _require_valid(p)
+    return _omega(p)
+
+
+def _omega(p: QueryProblem) -> np.ndarray:
     s, n = p.size, p.n
     omega = np.zeros((s * n, s * n), dtype=complex)
     for i in range(s):
@@ -156,7 +152,7 @@ def build_constants(p: QueryProblem) -> DerivedConstants:
             v_mats[(i, j)] = v
             w_mats[(i, j)] = w
     return DerivedConstants(
-        omega=build_omega(p),
+        omega=_omega(p),
         deltas=deltas,
         pairs=tuple(pairs),
         v_mats=v_mats,
@@ -218,8 +214,3 @@ def problem_from_dict(data: dict) -> QueryProblem:
         raise ValueError(f"unitary shapes {shapes} do not match n = {n}")
     unitaries = np.stack(mats) if mats else np.zeros((0, n, n), dtype=complex)
     return QueryProblem(n=n, labels=labels, unitaries=unitaries, outputs=outputs, g=g)
-
-
-def extend_registers(p: QueryProblem, w_dim: int) -> np.ndarray:
-    """Oracle on (input, query, workspace) with the workspace fast-running."""
-    return kron(build_omega(p), np.eye(w_dim))

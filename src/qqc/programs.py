@@ -10,8 +10,8 @@ list of named matrix rows, and a sense:
   value must be negative.
 
 Rows are sums of structured linear maps applied to the blocks. Each map kind
-carries an exact adjoint, so generic Farkas-type certificates and the SDPA
-export can be produced without any numerical differentiation.
+carries an exact adjoint, so generic Farkas-type certificates can be
+produced without any numerical differentiation.
 
 Block layout convention: joint-register blocks live on (input, query) with the
 query register fast-running; the oracle conjugation map uses the instance's
@@ -33,13 +33,10 @@ __all__ = [
     "Block",
     "Row",
     "ConicFeasibilityProgram",
-    "apply_map",
-    "apply_adjoint",
     "build_primal",
     "build_primal_relaxed",
     "build_dual",
     "build_dual_relaxed",
-    "build_output_program",
     "check_p0_condition",
     "certificate_to_dual_point",
     "pair_name",
@@ -111,14 +108,6 @@ class BlockMap:
         raise ValueError(f"unknown map kind {k!r}")
 
 
-def apply_map(m: BlockMap, x: np.ndarray) -> np.ndarray:
-    return m.apply(np.asarray(x, dtype=complex))
-
-
-def apply_adjoint(m: BlockMap, y: np.ndarray) -> np.ndarray:
-    return m.adjoint().apply(np.asarray(y, dtype=complex))
-
-
 def _pt_q(s: int, n: int) -> BlockMap:
     return BlockMap("conj_pt", d_in=s * n, d_out=s, split=(s, n))
 
@@ -165,12 +154,6 @@ class ConicFeasibilityProgram:
     sense: str  # "primal" | "dual"
     meta: dict = field(default_factory=dict)
 
-    def block_index(self, name: str) -> int:
-        for i, b in enumerate(self.blocks):
-            if b.name == name:
-                return i
-        raise KeyError(name)
-
     def row_value(self, row: Row, point: dict[str, np.ndarray]) -> np.ndarray:
         out = np.zeros((row.dim, row.dim), dtype=complex)
         for bi, m in row.terms:
@@ -186,6 +169,41 @@ def _all_ones(s: int) -> np.ndarray:
     return np.ones((s, s))
 
 
+def _query_chain(p: QueryProblem, q: int, c: DerivedConstants) -> tuple[list[Block], list[Row]]:
+    """Blocks and rows of the query chain that opens both existence programs.
+
+    Blocks: the joint-register states after t queries (t < q), then the
+    final Gram matrix; they come first, so their indices are final. Rows:
+    the initial condition and the query-update chain into the final Gram
+    matrix.
+    """
+    s, n = p.size, p.n
+    blocks = [Block(f"state_iq_{t}", s * n, True) for t in range(q)]
+    blocks.append(Block("final_gram", s, True))
+    gram = q  # index of final_gram
+    if q == 0:
+        return blocks, [Row("init", s, [(gram, _ident(s))], _all_ones(s).astype(complex))]
+    rows = [Row("init", s, [(0, _pt_q(s, n))], _all_ones(s).astype(complex))]
+    for t in range(1, q):
+        rows.append(
+            Row(
+                f"chain_{t}",
+                s,
+                [(t, _pt_q(s, n)), (t - 1, _conj_pt(c.omega, s, n, -1.0))],
+                np.zeros((s, s), dtype=complex),
+            )
+        )
+    rows.append(
+        Row(
+            "final_gram_def",
+            s,
+            [(gram, _ident(s)), (q - 1, _conj_pt(c.omega, s, n, -1.0))],
+            np.zeros((s, s), dtype=complex),
+        )
+    )
+    return blocks, rows
+
+
 def build_primal(p: QueryProblem, q: int, eps: float, c: DerivedConstants | None = None) -> ConicFeasibilityProgram:
     """Existence program for a q-query protocol with per-instance success >= 1 - eps.
 
@@ -196,45 +214,11 @@ def build_primal(p: QueryProblem, q: int, eps: float, c: DerivedConstants | None
     """
     _check_q_eps(q, eps)
     c = c or build_constants(p)
-    s, n = p.size, p.n
-    blocks: list[Block] = []
-    for t in range(q):
-        blocks.append(Block(f"state_iq_{t}", s * n, True))
-    blocks.append(Block("final_gram", s, True))
-    for z in p.outputs:
-        blocks.append(Block(f"output_part_{z}", s, True))
-    for z in p.outputs:
-        blocks.append(Block(f"output_slack_{z}", s, True))
+    s = p.size
+    blocks, rows = _query_chain(p, q, c)
+    blocks += [Block(f"output_part_{z}", s, True) for z in p.outputs]
+    blocks += [Block(f"output_slack_{z}", s, True) for z in p.outputs]
     bi = {b.name: i for i, b in enumerate(blocks)}
-
-    rows: list[Row] = []
-    if q == 0:
-        rows.append(Row("init", s, [(bi["final_gram"], _ident(s))], _all_ones(s).astype(complex)))
-    else:
-        rows.append(Row("init", s, [(bi["state_iq_0"], _pt_q(s, n))], _all_ones(s).astype(complex)))
-        for t in range(1, q):
-            rows.append(
-                Row(
-                    f"chain_{t}",
-                    s,
-                    [
-                        (bi[f"state_iq_{t}"], _pt_q(s, n)),
-                        (bi[f"state_iq_{t-1}"], _conj_pt(c.omega, s, n, -1.0)),
-                    ],
-                    np.zeros((s, s), dtype=complex),
-                )
-            )
-        rows.append(
-            Row(
-                "final_gram_def",
-                s,
-                [
-                    (bi["final_gram"], _ident(s)),
-                    (bi[f"state_iq_{q-1}"], _conj_pt(c.omega, s, n, -1.0)),
-                ],
-                np.zeros((s, s), dtype=complex),
-            )
-        )
     decompose_terms = [(bi["final_gram"], _ident(s, -1.0))]
     decompose_terms += [(bi[f"output_part_{z}"], _ident(s)) for z in p.outputs]
     rows.append(Row("decompose", s, decompose_terms, np.zeros((s, s), dtype=complex)))
@@ -265,41 +249,10 @@ def build_primal_relaxed(p: QueryProblem, q: int, eps: float, c: DerivedConstant
     """
     _check_q_eps(q, eps)
     c = c or build_constants(p)
-    s, n = p.size, p.n
-    blocks: list[Block] = [Block(f"state_iq_{t}", s * n, True) for t in range(q)]
-    blocks.append(Block("final_gram", s, True))
-    for pr in c.pairs:
-        blocks.append(Block(f"pair_slack_{pair_name(p, pr)}", s, True))
+    s = p.size
+    blocks, rows = _query_chain(p, q, c)
+    blocks += [Block(f"pair_slack_{pair_name(p, pr)}", s, True) for pr in c.pairs]
     bi = {b.name: i for i, b in enumerate(blocks)}
-
-    rows: list[Row] = []
-    if q == 0:
-        rows.append(Row("init", s, [(bi["final_gram"], _ident(s))], _all_ones(s).astype(complex)))
-    else:
-        rows.append(Row("init", s, [(bi["state_iq_0"], _pt_q(s, n))], _all_ones(s).astype(complex)))
-        for t in range(1, q):
-            rows.append(
-                Row(
-                    f"chain_{t}",
-                    s,
-                    [
-                        (bi[f"state_iq_{t}"], _pt_q(s, n)),
-                        (bi[f"state_iq_{t-1}"], _conj_pt(c.omega, s, n, -1.0)),
-                    ],
-                    np.zeros((s, s), dtype=complex),
-                )
-            )
-        rows.append(
-            Row(
-                "final_gram_def",
-                s,
-                [
-                    (bi["final_gram"], _ident(s)),
-                    (bi[f"state_iq_{q-1}"], _conj_pt(c.omega, s, n, -1.0)),
-                ],
-                np.zeros((s, s), dtype=complex),
-            )
-        )
     margin = 2.0 * math.sqrt(eps * (1.0 - eps))
     for pr in c.pairs:
         name = pair_name(p, pr)
@@ -429,42 +382,6 @@ def build_dual_relaxed(p: QueryProblem, q: int, eps: float, c: DerivedConstants 
     rows.append(Row("strict", 1, strict_terms, np.zeros((1, 1), dtype=complex), sense="strict"))
     return ConicFeasibilityProgram(
         blocks, rows, "dual", meta={"kind": "dual_relaxed", "q": q, "eps": eps}
-    )
-
-
-def build_output_program(p: QueryProblem, eps: float, m: np.ndarray, c: DerivedConstants | None = None) -> ConicFeasibilityProgram:
-    """Split a final Gram matrix into per-output shares meeting the success floor."""
-    _check_q_eps(0, eps)
-    c = c or build_constants(p)
-    s = p.size
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (s, s):
-        raise ValueError(f"Gram matrix shape {m.shape} != ({s}, {s})")
-    blocks = [Block(f"output_part_{z}", s, True) for z in p.outputs]
-    blocks += [Block(f"output_slack_{z}", s, True) for z in p.outputs]
-    bi = {b.name: i for i, b in enumerate(blocks)}
-    rows = [
-        Row(
-            "decompose",
-            s,
-            [(bi[f"output_part_{z}"], _ident(s)) for z in p.outputs],
-            m.copy(),
-        )
-    ]
-    for z in p.outputs:
-        rows.append(
-            Row(
-                f"output_{z}",
-                s,
-                [
-                    (bi[f"output_part_{z}"], _schur(c.deltas[z])),
-                    (bi[f"output_slack_{z}"], _ident(s, -1.0)),
-                ],
-                ((1.0 - eps) * c.deltas[z]).astype(complex),
-            )
-        )
-    return ConicFeasibilityProgram(
-        blocks, rows, "primal", meta={"kind": "output", "eps": eps}
     )
 
 

@@ -24,14 +24,13 @@ from .linalg import (
     purify,
 )
 from .problem import QueryProblem, build_omega
-from .programs import build_output_program, build_primal
+from .programs import build_primal
 from .solver import FeasibilityOutcome, SolverConfig, solve
 
 __all__ = [
     "ReconstructionError",
     "QuantumQueryAlgorithm",
     "validate_algorithm",
-    "solve_output_sdp",
     "output_shares",
     "extract_final_states",
     "backward_chain",
@@ -116,18 +115,6 @@ def validate_algorithm(alg: QuantumQueryAlgorithm, tol: float = _ALG_TOL) -> dic
     if bad:
         raise ReconstructionError(f"algorithm fails structural checks: {bad}")
     return res
-
-
-def solve_output_sdp(
-    p: QueryProblem, eps: float, m: np.ndarray, config: SolverConfig | None = None
-) -> FeasibilityOutcome:
-    """Feasibility of splitting Gram matrix m into per-output success shares."""
-    m = hermitize(np.asarray(m, dtype=complex))
-    w, _ = eig_hermitian(m)
-    top = max(float(w[0]), 0.0) if w.size else 0.0
-    if w.size and float(w[-1]) < -1e-8 * max(top, 1.0):
-        raise ValueError(f"Gram matrix is not PSD: min eigenvalue {w[-1]:.3e}")
-    return solve(build_output_program(p, eps, m), config or SolverConfig())
 
 
 def output_shares(p: QueryProblem, point: dict[str, np.ndarray]) -> dict[str, np.ndarray]:

@@ -3,8 +3,11 @@
 A program {A(x) = b, x in PSD product} is written in the SDPA dual
 convention: one scalar constraint tr(F_k Y) = c_k per real coordinate of
 each matrix row, with Y the block-diagonal variable and F_0 = 0 (pure
-feasibility). Complex Hermitian blocks of dimension > 1 are emitted at
-doubled size through the real-symmetric embedding
+feasibility). The F_k come from the solver's dense operator assembly: on
+block j, F_k is unhvec of row k of A restricted to block j's columns, so
+the export and the solver see one linear map. Complex Hermitian blocks of
+dimension > 1 are emitted at doubled size through the real-symmetric
+embedding
 
     H -> [[Re H, -Im H], [Im H, Re H]] / 2
 
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .programs import Block, BlockMap, ConicFeasibilityProgram, Row
-from .solver import hvec, unhvec
+from .solver import assemble, unhvec
 
 __all__ = ["SdpaData", "export_sdpa", "parse_sdpa", "write_sdpa", "sdpa_to_program"]
 
@@ -48,34 +51,20 @@ def _doubled(h: np.ndarray) -> np.ndarray:
 
 
 def _constraint_matrices(prog: ConicFeasibilityProgram) -> SdpaData:
-    sizes = [b.dim if b.dim == 1 else 2 * b.dim for b in prog.blocks]
-    rhs: list[float] = []
+    """One SDPA constraint per row of the shared assembly (A, b)."""
+    a, b, block_off, row_off = assemble(prog.blocks, prog.rows)
+    sizes = [blk.dim if blk.dim == 1 else 2 * blk.dim for blk in prog.blocks]
     entries: list[tuple[int, int, int, int, float]] = []
-    k = 0
-    for row in prog.rows:
-        d = row.dim
-        for comp in range(d * d):
-            k += 1
-            e = np.zeros(d * d)
-            e[comp] = 1.0
-            basis = unhvec(e, d)
-            rhs.append(float(hvec(np.asarray(row.rhs, dtype=complex))[comp]))
-            per_block: dict[int, np.ndarray] = {}
-            for bj, m in row.terms:
-                img = m.adjoint().apply(basis)
-                per_block[bj] = per_block.get(bj, 0) + img
-            for bj in sorted(per_block):
-                h = per_block[bj]
-                if prog.blocks[bj].dim == 1:
-                    v = float(h[0, 0].real)
-                    if v != 0.0:
-                        entries.append((k, bj + 1, 1, 1, v))
-                    continue
-                f = _doubled(h)
-                nz_i, nz_j = np.nonzero(np.triu(f) != 0.0)
-                for i, j in zip(nz_i, nz_j):
-                    entries.append((k, bj + 1, int(i) + 1, int(j) + 1, float(f[i, j])))
-    return SdpaData(k, sizes, rhs, entries)
+    for r, r0 in zip(prog.rows, row_off):
+        found = []
+        for bj, (blk, off) in enumerate(zip(prog.blocks, block_off)):
+            h = unhvec(a[r0 : r0 + r.dim * r.dim, off : off + blk.dim * blk.dim], blk.dim)
+            f = h.real if blk.dim == 1 else _doubled(h)
+            for k, i, j in zip(*np.nonzero(np.triu(f) != 0.0)):
+                found.append((r0 + int(k) + 1, bj + 1, int(i) + 1, int(j) + 1, float(f[k, i, j])))
+        found.sort(key=lambda e: e[0])  # stable: keeps block order and row-major (i, j) per k
+        entries += found
+    return SdpaData(a.shape[0], sizes, b.tolist(), entries)
 
 
 def write_sdpa(data: SdpaData, path: str) -> str:

@@ -3,10 +3,13 @@
 The method is relaxed alternating projections between the affine set
 {A x = b} and the product of PSD cones, in a real coordinate system where
 each Hermitian block is flattened isometrically (trace pairing = dot
-product). Equality-sense programs run directly; inequality-sense programs
-are first slackened to equality form, with the strict scalar row pinned to
--1 (all assembled inequality programs are homogeneous, so the pin loses no
-generality).
+product). `assemble` builds the dense A and b from the program rows; the
+SDPA export reads its constraint matrices from the same assembly. The
+coordinate maps `hvec`/`unhvec` behind both read their triangle indices
+from one cache per matrix dimension. Equality-sense programs run
+directly; inequality-sense programs are first slackened to equality form,
+with the strict scalar row pinned to -1 (all assembled inequality programs
+are homogeneous, so the pin loses no generality).
 
 Infeasibility is reported only with a Farkas-style certificate: one
 multiplier matrix per row whose adjoint image is PSD on PSD blocks, zero on
@@ -25,6 +28,8 @@ on; failed guesses are discarded.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -40,7 +45,6 @@ __all__ = [
     "SolverError",
     "solve",
     "verify_point",
-    "weak_duality_check",
 ]
 
 _CHECK_EVERY = 100
@@ -112,11 +116,19 @@ class FeasibilityOutcome:
 # ---------------------------------------------------------------------------
 # Isometric real coordinates for Hermitian matrices.
 
+@functools.lru_cache(maxsize=None)
+def _upper(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Strict upper-triangle indices of a d x d matrix, computed once per d."""
+    iu = np.triu_indices(d, 1)
+    for idx in iu:
+        idx.flags.writeable = False
+    return iu
+
+
 def hvec(m: np.ndarray) -> np.ndarray:
     """Flatten a Hermitian matrix so that tr(XY) becomes a real dot product."""
     m = np.asarray(m, dtype=complex)
-    d = m.shape[0]
-    iu = np.triu_indices(d, 1)
+    iu = _upper(m.shape[0])
     return np.concatenate([
         np.diag(m).real,
         math.sqrt(2.0) * m[iu].real,
@@ -125,17 +137,50 @@ def hvec(m: np.ndarray) -> np.ndarray:
 
 
 def unhvec(v: np.ndarray, d: int) -> np.ndarray:
+    """Inverse of hvec, applied along the last axis of v."""
     v = np.asarray(v, dtype=float)
-    if v.size != d * d:
-        raise ValueError(f"coordinate vector of size {v.size} is not {d}x{d}")
-    out = np.zeros((d, d), dtype=complex)
-    np.fill_diagonal(out, v[:d])
-    iu = np.triu_indices(d, 1)
+    if v.shape[-1:] != (d * d,):
+        raise ValueError(f"coordinate vector of shape {v.shape} is not {d}x{d}")
+    out = np.zeros(v.shape[:-1] + (d, d), dtype=complex)
+    diag = np.arange(d)
+    out[..., diag, diag] = v[..., :d]
+    iu = _upper(d)
     k = len(iu[0])
-    off = (v[d : d + k] + 1j * v[d + k :]) / math.sqrt(2.0)
-    out[iu] = off
-    out[(iu[1], iu[0])] = off.conj()
+    off = (v[..., d : d + k] + 1j * v[..., d + k :]) / math.sqrt(2.0)
+    out[..., iu[0], iu[1]] = off
+    out[..., iu[1], iu[0]] = off.conj()
     return out
+
+
+def assemble(
+    blocks: list[Block], rows: list[Row]
+) -> tuple[np.ndarray, np.ndarray, list[int], list[int]]:
+    """Dense coordinate form of the rows: (A, b, block offsets, row offsets).
+
+    Column block j holds hvec coordinates of block j, row slice i those of
+    row i, so A x - b stacks hvec(row value - rhs) over the rows. Column k
+    of a term is the image of the k-th Hermitian basis matrix, unhvec(e_k).
+    """
+    block_off = list(itertools.accumulate((blk.dim**2 for blk in blocks), initial=0))
+    row_off = list(itertools.accumulate((r.dim**2 for r in rows), initial=0))
+    a = np.zeros((row_off[-1], block_off[-1]))
+    b = np.zeros(row_off[-1])
+    for ri, r in enumerate(rows):
+        sl = slice(row_off[ri], row_off[ri + 1])
+        b[sl] = hvec(r.rhs)
+        for bj, m in r.terms:
+            d = blocks[bj].dim
+            if m.d_in != d or m.d_out != r.dim:
+                raise SolverError(
+                    f"row {r.name!r}: map dims {m.d_in}->{m.d_out} clash with "
+                    f"block {blocks[bj].name!r} ({d}) or row dim {r.dim}"
+                )
+            co = block_off[bj]
+            for k in range(d * d):
+                e = np.zeros(d * d)
+                e[k] = 1.0
+                a[sl, co + k] += hvec(m.apply(unhvec(e, d)))
+    return a, b, block_off[:-1], row_off[:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -147,38 +192,9 @@ class _Engine:
     def __init__(self, blocks: list[Block], rows: list[Row]):
         self.blocks = blocks
         self.rows = rows
-        self.block_off: list[int] = []
-        off = 0
-        for b in blocks:
-            self.block_off.append(off)
-            off += b.dim * b.dim
-        self.n_cols = off
-        self.row_off: list[int] = []
-        off = 0
-        for r in rows:
-            self.row_off.append(off)
-            off += r.dim * r.dim
-        self.n_rows = off
-
-        a = np.zeros((self.n_rows, self.n_cols))
-        b_vec = np.zeros(self.n_rows)
-        for ri, r in enumerate(rows):
-            sl = slice(self.row_off[ri], self.row_off[ri] + r.dim * r.dim)
-            b_vec[sl] = hvec(r.rhs)
-            for bj, m in r.terms:
-                d = blocks[bj].dim
-                if m.d_in != d or m.d_out != r.dim:
-                    raise SolverError(
-                        f"row {r.name!r}: map dims {m.d_in}->{m.d_out} clash with "
-                        f"block {blocks[bj].name!r} ({d}) or row dim {r.dim}"
-                    )
-                co = self.block_off[bj]
-                for k in range(d * d):
-                    e = np.zeros(d * d)
-                    e[k] = 1.0
-                    a[sl, co + k] += hvec(m.apply(unhvec(e, d)))
+        a, self.b, self.block_off, self.row_off = assemble(blocks, rows)
         self.a = a
-        self.b = b_vec
+        self.n_rows, self.n_cols = a.shape
 
         gram = a @ a.T
         if self.n_rows:
@@ -227,12 +243,6 @@ class _Engine:
         for b, off in zip(self.blocks, self.block_off):
             out[b.name] = unhvec(x[off : off + b.dim * b.dim], b.dim)
         return out
-
-    def join_blocks(self, point: dict[str, np.ndarray]) -> np.ndarray:
-        x = np.zeros(self.n_cols)
-        for b, off in zip(self.blocks, self.block_off):
-            x[off : off + b.dim * b.dim] = hvec(np.asarray(point[b.name], dtype=complex))
-        return x
 
     def split_rows(self, y: np.ndarray) -> dict[str, np.ndarray]:
         out = {}
@@ -626,46 +636,3 @@ def verify_point(prog: ConicFeasibilityProgram, point: dict[str, np.ndarray]) ->
             w, _ = np.linalg.eigh(hermitize(vals[b.name]))
             block_min_eigs[b.name] = float(w[0])
     return PointReport(row_residuals, block_min_eigs, strict_slack)
-
-
-def weak_duality_check(
-    primal_point: dict[str, np.ndarray],
-    dual_point: dict[str, np.ndarray],
-    primal_prog: ConicFeasibilityProgram,
-) -> float:
-    """Pairing (b, y) of the primal right-hand side with row multipliers.
-
-    Nonnegative whenever the primal is feasible and the multipliers satisfy
-    the adjoint cone conditions; a verified certificate drives it to -1.
-    Accepts either row-keyed multipliers or a point of the paired named
-    witness program (recognized by block names).
-    """
-    del primal_point  # feasibility of the primal side is the caller's claim
-    row_names = {r.name for r in primal_prog.rows}
-    if set(dual_point) <= row_names:
-        mult = dual_point
-    else:
-        kind = primal_prog.meta.get("kind")
-        q = primal_prog.meta.get("q", 0)
-        mult = {}
-        if kind == "primal":
-            for r in primal_prog.rows:
-                if r.name == "init":
-                    mult[r.name] = dual_point["chain_dual_0"]
-                elif r.name.startswith("output_"):
-                    mult[r.name] = -np.asarray(dual_point["output_dual_" + r.name[len("output_") :]])
-        elif kind == "primal_relaxed":
-            for r in primal_prog.rows:
-                if r.name == "init":
-                    mult[r.name] = -np.asarray(dual_point[f"step_{q}"])
-                elif r.name.startswith("pair_"):
-                    mult[r.name] = dual_point["pair_dual_" + r.name[len("pair_") :]]
-        else:
-            raise ValueError("dual point keys match neither rows nor a known witness layout")
-    total = 0.0
-    for r in primal_prog.rows:
-        y = mult.get(r.name)
-        if y is None:
-            continue
-        total += float(np.trace(np.asarray(r.rhs, dtype=complex) @ np.asarray(y, dtype=complex)).real)
-    return total

@@ -6,7 +6,6 @@ from qqc.linalg import (
     complete_to_unitary,
     conditional_vectors,
     eig_hermitian,
-    gram_factor,
     hermitize,
     kron,
     naimark_extend,
@@ -99,23 +98,6 @@ def test_eig_hermitian_deterministic_phases():
     w2, v2 = eig_hermitian(m.copy())
     assert np.array_equal(w1, w2)
     assert np.array_equal(v1, v2)
-
-
-def test_gram_factor_inner_products():
-    # row x is a ket; <row x | row y> must reproduce the Gram entry
-    rng = np.random.default_rng(21)
-    for _ in range(20):
-        vecs = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-        g = vecs @ vecs.conj().T
-        g = hermitize(g)
-        rows = gram_factor(g)
-        assert rows.shape[1] <= 3
-        assert np.allclose(rows.conj() @ rows.T, g, atol=1e-9)
-
-
-def test_gram_factor_rejects_indefinite():
-    with pytest.raises(ValueError):
-        gram_factor(np.diag([1.0, -0.5]))
 
 
 def test_purify_partial_trace_round_trip():

@@ -5,7 +5,6 @@ from qqc.problem import (
     QueryProblem,
     build_constants,
     build_omega,
-    extend_registers,
     phase_query_problem,
     problem_from_dict,
     problem_to_dict,
@@ -167,17 +166,7 @@ def test_problem_from_dict_malformed():
         problem_from_dict({"n": 2})
 
 
-def test_extend_registers_matches_kron():
-    p = _ok_problem()
-    wide = extend_registers(p, 3)
-    assert wide.shape == (12, 12)
-    assert np.allclose(wide, np.kron(build_omega(p), np.eye(3)))
-    assert np.allclose(wide.conj().T @ wide, np.eye(12))
-
-
 def test_indexing_helpers():
     p = phase_query_problem(2, {"00": "0", "11": "0", "01": "1", "10": "1"})
     assert p.size == 4
-    assert p.index("01") == 1
-    assert p.output_index("1") == 1
     assert p.class_indices("0") == [0, 3]

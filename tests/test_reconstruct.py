@@ -11,7 +11,6 @@ from qqc.reconstruct import (
     extract_final_states,
     output_shares,
     reconstruct_algorithm,
-    solve_output_sdp,
     validate_algorithm,
 )
 from qqc.simulate import run, success_report
@@ -51,18 +50,9 @@ def test_reconstruct_infeasible_carries_status(pname, q):
 def test_output_sdp_shares(deutsch, cached_solve):
     out = cached_solve("deutsch", "primal", 1, 0.0)
     m = out.point["final_gram"]
-    split = solve_output_sdp(deutsch, 0.0, m)
-    assert split.status == "FEASIBLE"
-    shares = output_shares(deutsch, split.point)
+    shares = output_shares(deutsch, out.point)
     assert set(shares) == set(deutsch.outputs)
-    total = sum(shares.values())
-    assert np.allclose(total, m, atol=1e-6)
-
-
-def test_output_sdp_rejects_indefinite(deutsch):
-    m = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
-    with pytest.raises(ValueError, match="not PSD"):
-        solve_output_sdp(deutsch, 0.0, m)
+    assert np.allclose(sum(shares.values()), m, atol=1e-6)
 
 
 def test_extract_final_states_contract(deutsch, cached_solve):

@@ -97,8 +97,7 @@ def test_trace_to_primal_point_slack_grows_with_eps(deutsch):
     p1 = trace_to_primal_point(deutsch, alg, 0.2)
     gap = p1["output_slack_0"] - p0["output_slack_0"]
     # success stays 1, so lowering the floor adds eps to the slack diagonal
-    on_class = [deutsch.index(lab) for lab in deutsch.labels if deutsch.g[lab] == "0"]
-    for i in on_class:
+    for i in deutsch.class_indices("0"):
         assert gap[i, i].real == pytest.approx(0.2, abs=1e-12)
 
 

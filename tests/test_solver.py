@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
 
+from qqc.problem import QueryProblem
 from qqc.programs import Block, BlockMap, ConicFeasibilityProgram, Row
 from qqc.solver import (
     FeasibilityOutcome,
     SolverConfig,
     SolverError,
+    assemble,
     hvec,
     solve,
     unhvec,
     verify_point,
-    weak_duality_check,
 )
+
+from conftest import BUILDERS, PROBLEMS
 
 
 def random_hermitian(rng, d):
@@ -40,6 +43,34 @@ def test_hvec_round_trip_and_isometry():
         assert np.allclose(unhvec(va, d), a)
         # real coordinates preserve the trace pairing
         assert np.isclose(float(va @ vb), np.trace(a @ b).real)
+
+
+def _pauli_identification():
+    paulis = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
+                       [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
+    labels = ("I", "X", "Y", "Z")
+    return QueryProblem(2, labels, paulis, labels, {z: z for z in labels})
+
+
+_ASSEMBLY_CASES = [(pname, builder, q) for pname in PROBLEMS for builder in BUILDERS
+                   for q in (0, 1, 2)] + [("pauli_id", "primal", 1)]
+
+
+@pytest.mark.parametrize("pname,builder,q", _ASSEMBLY_CASES)
+def test_assemble_matches_row_values(pname, builder, q):
+    # A x - b stacks hvec(row value - rhs) at any point, block and row offsets
+    # following program order
+    p = _pauli_identification() if pname == "pauli_id" else PROBLEMS[pname]
+    prog = BUILDERS[builder](p, q, 0.1)
+    a, b, block_off, row_off = assemble(prog.blocks, prog.rows)
+    assert block_off == list(np.cumsum([0] + [blk.dim ** 2 for blk in prog.blocks])[:-1])
+    assert row_off == list(np.cumsum([0] + [r.dim ** 2 for r in prog.rows])[:-1])
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        point = {blk.name: random_hermitian(rng, blk.dim) for blk in prog.blocks}
+        x = np.concatenate([hvec(point[blk.name]) for blk in prog.blocks])
+        want = np.concatenate([hvec(prog.row_value(r, point) - r.rhs) for r in prog.rows])
+        assert np.max(np.abs(a @ x - b - want)) <= 1e-12
 
 
 def test_solve_small_feasible_program():
@@ -132,9 +163,12 @@ def test_weak_duality_pairing_is_negative_on_certificates(deutsch, cached_solve)
     from qqc.programs import build_primal
 
     out = cached_solve("deutsch", "primal", 0, 0.0)
+    assert out.status == "INFEASIBLE_WITH_CERTIFICATE"
+    # a verified certificate pairs with the right-hand side to -1
     prog = build_primal(deutsch, 0, 0.0)
-    val = weak_duality_check({}, out.certificate, prog)
-    assert val == pytest.approx(-1.0, abs=1e-6)
+    pairing = sum(np.trace(r.rhs @ out.certificate[r.name]).real
+                  for r in prog.rows)
+    assert pairing == pytest.approx(-1.0, abs=1e-6)
 
 
 def test_outcome_shape():
