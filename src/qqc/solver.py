@@ -6,7 +6,11 @@ each Hermitian block is flattened isometrically (trace pairing = dot
 product). `assemble` builds the dense A and b from the program rows; the
 SDPA export reads its constraint matrices from the same assembly. The
 coordinate maps `hvec`/`unhvec` behind both read their triangle indices
-from one cache per matrix dimension. Equality-sense programs run
+from one cache per matrix dimension, and act on stacks of matrices and
+vectors along the leading axes. The cone step groups the PSD blocks by
+dimension once and projects each group with one stacked `eigh`: a gather
+of the group's coordinates, eigenvalue clipping, and a scatter back.
+Equality-sense programs run
 directly; inequality-sense programs are first slackened to equality form,
 with the strict scalar row pinned to -1 (all assembled inequality programs
 are homogeneous, so the pin loses no generality).
@@ -21,9 +25,12 @@ re-verified from scratch before anything is reported.
 Near-feasible points are polished by rank-restricted Gauss-Newton: each
 block's rank is guessed from its spectrum with a residual-scaled cut, PSD
 blocks are refactored as Y Y-adjoint, and the factors are refined against
-the equality rows. Candidates lie in the cone by construction, so success
-lands equality residuals near 1e-14, which downstream extraction steps rely
-on; failed guesses are discarded.
+the equality rows. The Jacobian of each factor is built in closed form, as
+one stack of the derivative matrices of Y -> Y Y-adjoint (the Burer-Monteiro
+factorization) mapped through hvec and the block's columns of A.
+Candidates lie in the cone by construction, so success lands equality
+residuals near 1e-14, which downstream extraction steps rely on; failed
+guesses are discarded.
 """
 
 from __future__ import annotations
@@ -126,14 +133,19 @@ def _upper(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def hvec(m: np.ndarray) -> np.ndarray:
-    """Flatten a Hermitian matrix so that tr(XY) becomes a real dot product."""
+    """Flatten a Hermitian matrix so that tr(XY) becomes a real dot product.
+
+    Applies to the last two axes of m, so a stack of matrices gives the
+    stack of their coordinate vectors.
+    """
     m = np.asarray(m, dtype=complex)
-    iu = _upper(m.shape[0])
+    iu = _upper(m.shape[-1])
+    off = m[..., iu[0], iu[1]]
     return np.concatenate([
-        np.diag(m).real,
-        math.sqrt(2.0) * m[iu].real,
-        math.sqrt(2.0) * m[iu].imag,
-    ])
+        np.diagonal(m, axis1=-2, axis2=-1).real,
+        math.sqrt(2.0) * off.real,
+        math.sqrt(2.0) * off.imag,
+    ], axis=-1)
 
 
 def unhvec(v: np.ndarray, d: int) -> np.ndarray:
@@ -195,6 +207,14 @@ class _Engine:
         a, self.b, self.block_off, self.row_off = assemble(blocks, rows)
         self.a = a
         self.n_rows, self.n_cols = a.shape
+        # PSD blocks grouped by dimension: one (k, d*d) gather index per d.
+        groups: dict[int, list[int]] = {}
+        for b, off in zip(blocks, self.block_off):
+            if b.psd:
+                groups.setdefault(b.dim, []).append(off)
+        self._cone_groups = [
+            (d, np.add.outer(offs, np.arange(d * d))) for d, offs in groups.items()
+        ]
 
         gram = a @ a.T
         if self.n_rows:
@@ -220,14 +240,12 @@ class _Engine:
         return x + self._lift @ (self.b - self.a @ x)
 
     def project_cone(self, x: np.ndarray) -> np.ndarray:
+        """Clip the spectrum of every PSD block, one stacked eigh per dimension."""
         out = x.copy()
-        for b, off in zip(self.blocks, self.block_off):
-            if not b.psd:
-                continue
-            m = unhvec(x[off : off + b.dim * b.dim], b.dim)
-            w, v = np.linalg.eigh(hermitize(m))
+        for d, idx in self._cone_groups:
+            w, v = np.linalg.eigh(unhvec(x[idx], d))
             np.clip(w, 0.0, None, out=w)
-            out[off : off + b.dim * b.dim] = hvec((v * w) @ v.conj().T)
+            out[idx] = hvec((v * w[..., None, :]) @ v.conj().swapaxes(-1, -2))
         return out
 
     def row_residuals(self, x: np.ndarray) -> dict[str, float]:
@@ -278,6 +296,23 @@ def _step_factors(
     return out
 
 
+def _factor_jacobian(y: np.ndarray, a_blk: np.ndarray) -> np.ndarray:
+    """Jacobian of Y -> a_blk hvec(Y Y^H) for one d x r factor Y.
+
+    The derivative along unit * e_k e_l^T is unit e_k y_l^H + conj(unit)
+    y_l e_k^H; columns run over l, then k, then the real and imaginary unit,
+    the order `_step_factors` reads a step in.
+    """
+    d, r = y.shape
+    units = np.array([1.0, 1j])
+    # t[l, k, u] = units[u] * e_k y_l^H
+    t = (units[None, None, :, None, None]
+         * np.eye(d)[None, :, None, :, None]
+         * y.T.conj()[:, None, None, None, :])
+    dm = t + t.conj().swapaxes(-1, -2)
+    return a_blk @ hvec(dm).reshape(2 * d * r, d * d).T
+
+
 def _gauss_newton(eng: _Engine, ys: list[tuple[bool, np.ndarray]], max_steps: int = 40) -> np.ndarray:
     """Refine block factors against the equality rows; returns flat coords.
 
@@ -291,27 +326,16 @@ def _gauss_newton(eng: _Engine, ys: list[tuple[bool, np.ndarray]], max_steps: in
     r = eng.a @ x - eng.b
     rn = float(np.linalg.norm(r))
     floor = 1e-15 * max(1.0, float(np.linalg.norm(eng.b)))
+    a_blks = [eng.a[:, off : off + b.dim * b.dim] for b, off in zip(eng.blocks, eng.block_off)]
     for _ in range(max_steps):
         if rn <= floor:
             break
-        cols = []
-        for (psd, y), b, off in zip(ys, eng.blocks, eng.block_off):
-            a_blk = eng.a[:, off : off + b.dim * b.dim]
-            if not psd:
-                cols.append(a_blk)
-                continue
-            d, rk = y.shape
-            for l in range(rk):
-                for k in range(d):
-                    e = np.zeros((d, rk), dtype=complex)
-                    for unit in (1.0, 1j):
-                        e[k, l] = unit
-                        dm = e @ y.conj().T + y @ e.conj().T
-                        cols.append((a_blk @ hvec(dm))[:, None])
-                    e[k, l] = 0.0
-        if not cols:
+        jac = np.hstack([np.zeros((eng.n_rows, 0))] + [
+            _factor_jacobian(y, a_blk) if psd else a_blk
+            for (psd, y), a_blk in zip(ys, a_blks)
+        ])
+        if not jac.shape[1]:
             break
-        jac = np.hstack(cols)
         step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         t = 1.0
         improved = False
@@ -347,7 +371,7 @@ def _guess_factors(
         if not b.psd:
             ys.append((False, m))
             continue
-        w, v = np.linalg.eigh(hermitize(m))
+        w, v = np.linalg.eigh(m)
         cut = max(max(w[-1], 0.0) * _FACE_REL_TOL + _FACE_ABS_FLOOR, scale)
         keep = w > cut
         y = v[:, keep] * np.sqrt(w[keep])

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from qqc.adversary import make_dual_witness, search_gamma, spectral_bound
+from qqc.adversary import make_dual_witness, spectral_bound
 from qqc.adversary import check_block_schur_identity
 from qqc.cli import main
 from qqc.problem import build_omega, problem_to_dict
@@ -22,7 +22,6 @@ from qqc.simulate import extended_state, run, success_report, trace_to_primal_po
 from qqc.solver import verify_point
 
 from conftest import (
-    BUILDERS,
     FEASIBLE_CELLS,
     PROBLEMS,
     hand_deutsch_algorithm,

@@ -4,7 +4,6 @@ import pytest
 from conftest import random_valid_gamma
 from qqc import QueryProblem, build_dual_relaxed, verify_point
 from qqc.adversary import (
-    WitnessError,
     check_block_schur_identity,
     make_dual_witness,
     perron_vector,

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qqc.reconstruct import (
-    QuantumQueryAlgorithm,
     ReconstructionError,
     algorithm_from_dict,
     algorithm_to_dict,

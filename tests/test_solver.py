@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
 
+from qqc.linalg import hermitize
 from qqc.problem import QueryProblem
 from qqc.programs import Block, BlockMap, ConicFeasibilityProgram, Row
 from qqc.solver import (
     FeasibilityOutcome,
     SolverConfig,
     SolverError,
+    _Engine,
+    _equality_form,
+    _factor_jacobian,
+    _step_factors,
     assemble,
     hvec,
     solve,
@@ -43,6 +48,24 @@ def test_hvec_round_trip_and_isometry():
         assert np.allclose(unhvec(va, d), a)
         # real coordinates preserve the trace pairing
         assert np.isclose(float(va @ vb), np.trace(a @ b).real)
+        # a stack of matrices maps to the stack of their coordinate vectors
+        stack = np.array([[random_hermitian(rng, d) for _ in range(2)] for _ in range(3)])
+        vs = hvec(stack)
+        assert vs.shape == (3, 2, d * d)
+        for i in range(3):
+            for j in range(2):
+                assert np.array_equal(vs[i, j], hvec(stack[i, j]))
+        assert np.allclose(unhvec(vs, d), stack)
+
+
+def _weyl3_identification():
+    # the nine qutrit Weyl operators, asked for their shift index
+    shift = np.roll(np.eye(3), 1, axis=0).astype(complex)
+    clock = np.diag(np.exp(2j * np.pi * np.arange(3) / 3))
+    labels = tuple(f"{a}{b}" for a in range(3) for b in range(3))
+    ops = np.stack([np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)
+                    for a in range(3) for b in range(3)])
+    return QueryProblem(3, labels, ops, ("0", "1", "2"), {z: z[0] for z in labels})
 
 
 def _pauli_identification():
@@ -71,6 +94,79 @@ def test_assemble_matches_row_values(pname, builder, q):
         x = np.concatenate([hvec(point[blk.name]) for blk in prog.blocks])
         want = np.concatenate([hvec(prog.row_value(r, point) - r.rhs) for r in prog.rows])
         assert np.max(np.abs(a @ x - b - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["deutsch_dual_relaxed", "weyl3_primal"])
+def test_project_cone_matches_per_block_reference(case):
+    # deutsch mixes 4x4 and 8x8 PSD blocks with free blocks; weyl3 has a 27x27
+    # state block next to 9x9 ones
+    if case == "deutsch_dual_relaxed":
+        prog = BUILDERS["dual_relaxed"](PROBLEMS["deutsch"], 1, 0.1)
+    else:
+        prog = BUILDERS["primal"](_weyl3_identification(), 1, 0.1)
+    blocks, rows, _ = _equality_form(prog)
+    eng = _Engine(blocks, rows)
+    assert len({b.dim for b in blocks if b.psd}) == 2
+
+    def per_block(x):
+        out = x.copy()
+        for b, off in zip(blocks, eng.block_off):
+            if b.psd:
+                w, v = np.linalg.eigh(hermitize(unhvec(x[off : off + b.dim**2], b.dim)))
+                out[off : off + b.dim**2] = hvec((v * np.clip(w, 0.0, None)) @ v.conj().T)
+        return out
+
+    free = [i for b, off in zip(blocks, eng.block_off) if not b.psd
+            for i in range(off, off + b.dim**2)]
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        x = rng.standard_normal(eng.n_cols)
+        px = eng.project_cone(x)
+        assert np.max(np.abs(px - per_block(x))) <= 1e-12
+        assert np.array_equal(px[free], x[free])
+        assert np.max(np.abs(eng.project_cone(px) - px)) <= 1e-12
+
+
+def _hvec_gram(y):
+    return hvec(y @ y.conj().T)
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_factor_jacobian_matches_central_differences(d):
+    # columns run over l, then k, then the real and imaginary unit
+    rng = np.random.default_rng(d)
+    h = 1e-4
+    for r in range(1, d + 1):
+        y = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
+        jac = _factor_jacobian(y, np.eye(d * d))
+        assert jac.shape == (d * d, 2 * d * r)
+        cols = []
+        for l in range(r):
+            for k in range(d):
+                for unit in (1.0, 1j):
+                    e = np.zeros((d, r), dtype=complex)
+                    e[k, l] = unit * h
+                    cols.append((_hvec_gram(y + e) - _hvec_gram(y - e)) / (2 * h))
+        fd = np.stack(cols, axis=1)
+        assert np.linalg.norm(jac - fd) <= 1e-7 * np.linalg.norm(fd)
+
+
+def test_factor_jacobian_columns_follow_step_factors():
+    # a step along one Jacobian column, taken by _step_factors, moves
+    # hvec(Y Y^H) along that column to first order
+    rng = np.random.default_rng(2)
+    d, r, h = 3, 2, 1e-4
+    y = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
+    free = random_hermitian(rng, 2)
+    jac = _factor_jacobian(y, np.eye(d * d))
+    for c in range(2 * d * r):
+        step = np.zeros(2 * d * r + 4)
+        step[c] = h
+        (_, yp), (_, fp) = _step_factors([(True, y), (False, free)], step)
+        (_, ym), _ = _step_factors([(True, y), (False, free)], -step)
+        assert np.array_equal(fp, free)
+        fd = (_hvec_gram(yp) - _hvec_gram(ym)) / (2 * h)
+        assert np.linalg.norm(jac[:, c] - fd) <= 1e-7 * np.linalg.norm(fd)
 
 
 def test_solve_small_feasible_program():
