@@ -44,6 +44,9 @@ _RANK_REL_TOL = 1e-8
 _RANK_WINDOW = 5.0
 _ALIGN_TOL = 1e-4
 _ALG_TOL = 1e-8
+# Allowed row miss of the PSD-cleaned chain blocks; FEASIBLE points meet
+# their rows to 1e-10 before cleaning.
+_CHAIN_TOL = 1e-6
 
 
 class ReconstructionError(RuntimeError):
@@ -206,7 +209,6 @@ def backward_chain(
     q: int,
     chain: dict[str, np.ndarray],
     finals: tuple[np.ndarray, dict[str, np.ndarray], int],
-    feas_tol: float = 1e-7,
 ) -> QuantumQueryAlgorithm:
     """Assemble the protocol whose run reproduces a feasible query chain.
 
@@ -230,7 +232,6 @@ def backward_chain(
     m_final = _psd_project(hermitize(np.asarray(chain["final_gram"], dtype=complex)))
 
     # re-verify the equality rows on the cleaned blocks at a looser tolerance
-    loose = 10.0 * feas_tol
     checks = []
     if q == 0:
         checks.append(("init", float(np.linalg.norm(m_final - ones))))
@@ -246,9 +247,9 @@ def backward_chain(
         gap = m_final - partial_trace(prev, (s, n), "fast")
         checks.append(("final_gram_def", float(np.linalg.norm(gap))))
     for name, res in checks:
-        if res > loose:
+        if res > _CHAIN_TOL:
             raise ReconstructionError(
-                f"cleaned chain violates row {name!r} by {res:.3e} (allowed {loose:.3e})"
+                f"cleaned chain violates row {name!r} by {res:.3e} (allowed {_CHAIN_TOL:.3e})"
             )
 
     vectors, proj_map, d_cap = finals
@@ -327,15 +328,14 @@ def reconstruct_algorithm(
     p: QueryProblem, q: int, eps: float, config: SolverConfig | None = None
 ) -> ReconstructionResult:
     """End-to-end: solve the existence program and build a protocol from it."""
-    cfg = config or SolverConfig()
-    out = solve(build_primal(p, q, eps), cfg)
+    out = solve(build_primal(p, q, eps), config)
     if out.status != "FEASIBLE":
         raise ReconstructionError(
             f"existence program at q={q}, eps={eps} is {out.status}", status=out.status
         )
     shares = output_shares(p, out.point)
     finals = extract_final_states(p, out.point["final_gram"], shares, eps)
-    alg = backward_chain(p, q, out.point, finals, feas_tol=cfg.feas_tol)
+    alg = backward_chain(p, q, out.point, finals)
     return ReconstructionResult(algorithm=alg, outcome=out, extracted_dim=finals[2])
 
 

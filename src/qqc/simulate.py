@@ -157,8 +157,8 @@ def trace_to_primal_point(
     return point
 
 
-def trace_to_dict(trace: SimulationTrace, include_states: bool = False) -> dict:
-    out = {
+def trace_to_dict(trace: SimulationTrace) -> dict:
+    return {
         "q": trace.q,
         "labels": list(trace.labels),
         "grams": [
@@ -167,12 +167,3 @@ def trace_to_dict(trace: SimulationTrace, include_states: bool = False) -> dict:
         ],
         "probabilities": {lab: dict(probs) for lab, probs in trace.probabilities.items()},
     }
-    if include_states:
-        out["states"] = {
-            lab: [
-                {"re": trace.states[lab][t].real.tolist(), "im": trace.states[lab][t].imag.tolist()}
-                for t in range(trace.q + 1)
-            ]
-            for lab in trace.labels
-        }
-    return out

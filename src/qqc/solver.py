@@ -17,10 +17,12 @@ are homogeneous, so the pin loses no generality).
 
 Infeasibility is reported only with a Farkas-style certificate: one
 multiplier matrix per row whose adjoint image is PSD on PSD blocks, zero on
-free blocks, and whose pairing with the right-hand side is -1. Certificates
-are searched for by running the same projection engine on that adjoint
-system, seeded from the residual displacement of the main iteration, and are
-re-verified from scratch before anything is reported.
+free blocks, and whose pairing with the right-hand side is -1. In hvec
+coordinates the adjoint is the transpose, so the certificate search runs the
+same projection engine on a system read from the same A and b: A^T y is a
+cone slack on PSD blocks and zero on free ones, and b^T y = -1. It is seeded
+from the residual displacement of the main iteration, and every certificate
+is re-verified from the program's block maps before anything is reported.
 
 Near-feasible points are polished by rank-restricted Gauss-Newton: each
 block's rank is guessed from its spectrum with a residual-scaled cut, PSD
@@ -30,7 +32,8 @@ one stack of the derivative matrices of Y -> Y Y-adjoint (the Burer-Monteiro
 factorization) mapped through hvec and the block's columns of A.
 Candidates lie in the cone by construction, so success lands equality
 residuals near 1e-14, which downstream extraction steps rely on; failed
-guesses are discarded.
+guesses are discarded. FEASIBLE is reported only for a polished point; a
+point the polish cannot finish is swept further.
 """
 
 from __future__ import annotations
@@ -54,11 +57,28 @@ __all__ = [
     "verify_point",
 ]
 
+# Sweeps between residual checks: a check costs one cone projection.
 _CHECK_EVERY = 100
+# Sweep budget before UNDECIDED: fifty times the first certificate attempt.
+_MAX_ITERS = 50000
+# Relaxation of both projection steps, in (0, 2); at 2 each step reflects.
+_OVER_RELAXATION = 1.8
+# Feasible fixture cells are polished within 900 sweeps, so certificate
+# search is spent only on programs still open at 1000; later attempts come
+# at doubling sweep counts.
 _FIRST_CERT_ATTEMPT = 1000
+# Farkas sweeps per certificate round; two rounds make one attempt.
 _CERT_ROUND_ITERS = 2500
+_CERT_ROUNDS = 2
+# Room a certificate's adjoint image may leave outside the cone, per unit
+# of its pairing.
+_CERT_TOL = 1e-7
 _CERT_NORM_CAP = 1e8
+# Residual below which the face polish is tried at a check.
 _POLISH_GATE = 1e-2
+# FEASIBLE means polished: reconstruction's 1e-6 Gram check turned a 3e-8
+# unpolished residual into a 2.8e-5 miss.
+_POLISHED_TOL = 1e-10
 _FACE_REL_TOL = 1e-5
 _FACE_ABS_FLOOR = 1e-7
 _FACE_RES_FACTOR = 10.0
@@ -72,19 +92,9 @@ class SolverError(RuntimeError):
 
 @dataclass
 class SolverConfig:
-    max_iters: int = 50000
-    feas_tol: float = 1e-7
-    cert_margin: float = 1e-6
-    over_relaxation: float = 1.8
-    seed: int = 0
+    """Seed of the random starting point; everything else is fixed."""
 
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
-        if self.feas_tol <= 0 or self.cert_margin <= 0:
-            raise ValueError("tolerances must be positive")
-        if not 0.0 < self.over_relaxation < 2.0:
-            raise ValueError("over_relaxation must lie in (0, 2)")
+    seed: int = 0
 
 
 @dataclass
@@ -103,12 +113,8 @@ class PointReport:
     def min_block_eig(self) -> float:
         return min(self.block_min_eigs.values(), default=0.0)
 
-    def within(self, feas_tol: float, cert_margin: float | None = None) -> bool:
-        if self.max_residual > feas_tol or self.min_block_eig < -feas_tol:
-            return False
-        if self.strict_slack is not None and cert_margin is not None:
-            return self.strict_slack >= cert_margin
-        return True
+    def within(self, tol: float) -> bool:
+        return self.max_residual <= tol and self.min_block_eig >= -tol
 
 
 @dataclass
@@ -198,20 +204,36 @@ def assemble(
 # ---------------------------------------------------------------------------
 # Equality-form engine.
 
-class _Engine:
-    """Dense assembly of one equality-form program plus its projections."""
+def _split(items: list, v: np.ndarray) -> dict[str, np.ndarray]:
+    """Cut coordinates into one Hermitian matrix per block or row, by name."""
+    out = {}
+    offs = itertools.accumulate((it.dim**2 for it in items), initial=0)
+    for it, off in zip(items, offs):
+        out[it.name] = unhvec(v[off : off + it.dim**2], it.dim)
+    return out
 
-    def __init__(self, blocks: list[Block], rows: list[Row]):
+
+def _row_residuals(rows: list[Row], r: np.ndarray) -> dict[str, float]:
+    """Norm of each row's slice of the residual A x - b."""
+    offs = itertools.accumulate((row.dim**2 for row in rows), initial=0)
+    return {row.name: float(np.linalg.norm(r[off : off + row.dim**2]))
+            for row, off in zip(rows, offs)}
+
+
+class _Engine:
+    """Projections for one equality-form system A x = b over the given blocks."""
+
+    def __init__(self, blocks: list[Block], a: np.ndarray, b: np.ndarray):
         self.blocks = blocks
-        self.rows = rows
-        a, self.b, self.block_off, self.row_off = assemble(blocks, rows)
         self.a = a
+        self.b = b
+        self.block_off = list(itertools.accumulate((blk.dim**2 for blk in blocks), initial=0))[:-1]
         self.n_rows, self.n_cols = a.shape
         # PSD blocks grouped by dimension: one (k, d*d) gather index per d.
         groups: dict[int, list[int]] = {}
-        for b, off in zip(blocks, self.block_off):
-            if b.psd:
-                groups.setdefault(b.dim, []).append(off)
+        for blk, off in zip(blocks, self.block_off):
+            if blk.psd:
+                groups.setdefault(blk.dim, []).append(off)
         self._cone_groups = [
             (d, np.add.outer(offs, np.arange(d * d))) for d, offs in groups.items()
         ]
@@ -248,26 +270,23 @@ class _Engine:
             out[idx] = hvec((v * w[..., None, :]) @ v.conj().swapaxes(-1, -2))
         return out
 
-    def row_residuals(self, x: np.ndarray) -> dict[str, float]:
-        r = self.a @ x - self.b
-        out = {}
-        for ri, row in enumerate(self.rows):
-            sl = slice(self.row_off[ri], self.row_off[ri] + row.dim * row.dim)
-            out[row.name] = float(np.linalg.norm(r[sl]))
-        return out
+    def farkas(self, rows: list[Row]) -> _Engine:
+        """The Farkas system of A x = b over the cone, in the same coordinates.
 
-    def split_blocks(self, x: np.ndarray) -> dict[str, np.ndarray]:
-        out = {}
-        for b, off in zip(self.blocks, self.block_off):
-            out[b.name] = unhvec(x[off : off + b.dim * b.dim], b.dim)
-        return out
-
-    def split_rows(self, y: np.ndarray) -> dict[str, np.ndarray]:
-        out = {}
-        for ri, row in enumerate(self.rows):
-            sl = slice(self.row_off[ri], self.row_off[ri] + row.dim * row.dim)
-            out[row.name] = unhvec(y[sl], row.dim)
-        return out
+        Columns are one free multiplier block per row, then one slack block
+        per PSD block; rows read A^T y - E s = 0 and b^T y = -1, where E
+        places each slack on its block's coordinates.
+        """
+        psd = [(blk, off) for blk, off in zip(self.blocks, self.block_off) if blk.psd]
+        cols = [off + k for blk, off in psd for k in range(blk.dim**2)]
+        a = np.zeros((self.n_cols + 1, self.n_rows + len(cols)))
+        a[:-1, : self.n_rows] = self.a.T
+        a[cols, self.n_rows + np.arange(len(cols))] = -1.0
+        a[-1, : self.n_rows] = self.b
+        b = np.zeros(self.n_cols + 1)
+        b[-1] = -1.0
+        blocks = [Block(r.name, r.dim, False) for r in rows] + [blk for blk, _ in psd]
+        return _Engine(blocks, a, b)
 
 
 def _assemble_factors(eng: _Engine, ys: list[tuple[bool, np.ndarray]]) -> np.ndarray:
@@ -451,42 +470,7 @@ def _equality_form(prog: ConicFeasibilityProgram) -> tuple[list[Block], list[Row
     return blocks, rows, slack_names
 
 
-def _adjoint_system(prog: ConicFeasibilityProgram) -> tuple[list[Block], list[Row]]:
-    """Farkas system for an equality-form program: multipliers whose adjoint
-    image is PSD on PSD blocks, zero on free blocks, pairing with rhs = -1."""
-    blocks = [Block(f"mult_{r.name}", r.dim, False) for r in prog.rows]
-    grid: dict[int, list[tuple[int, BlockMap]]] = {j: [] for j in range(len(prog.blocks))}
-    for ri, r in enumerate(prog.rows):
-        for bj, m in r.terms:
-            grid[bj].append((ri, m.adjoint()))
-    rows = []
-    slack_blocks = []
-    for j, b in enumerate(prog.blocks):
-        if b.psd:
-            sname = f"image_slack_{b.name}"
-            slack_blocks.append(Block(sname, b.dim, True))
-            terms = list(grid[j]) + [
-                (
-                    len(prog.rows) + len(slack_blocks) - 1,
-                    BlockMap("id", d_in=b.dim, d_out=b.dim, scale=-1.0),
-                )
-            ]
-        else:
-            terms = list(grid[j])
-        rows.append(Row(f"adjoint_{b.name}", b.dim, terms, np.zeros((b.dim, b.dim), dtype=complex)))
-    pair_terms = []
-    for ri, r in enumerate(prog.rows):
-        if np.linalg.norm(r.rhs) > 0:
-            pair_terms.append(
-                (ri, BlockMap("trace_against", d_in=r.dim, d_out=1, mat=np.asarray(r.rhs)))
-            )
-    rows.append(Row("pairing", 1, pair_terms, -np.ones((1, 1), dtype=complex)))
-    return blocks + slack_blocks, rows
-
-
-def _verify_certificate(
-    blocks: list[Block], rows: list[Row], cert: dict[str, np.ndarray], cfg: SolverConfig
-) -> bool:
+def _verify_certificate(blocks: list[Block], rows: list[Row], cert: dict[str, np.ndarray]) -> bool:
     pairing = 0.0
     scale = 0.0
     for r in rows:
@@ -502,7 +486,7 @@ def _verify_certificate(
         y = np.asarray(cert[r.name], dtype=complex)
         for bj, m in r.terms:
             images[bj] = images.get(bj, 0) + m.adjoint().apply(y)
-    tol = cfg.feas_tol * max(1.0, -pairing)
+    tol = _CERT_TOL * max(1.0, -pairing)
     for j, b in enumerate(blocks):
         img = images.get(j)
         if img is None:
@@ -529,105 +513,81 @@ def _normalize_certificate(rows: list[Row], cert: dict[str, np.ndarray]) -> dict
 # ---------------------------------------------------------------------------
 # The decision loop.
 
-def _run_ap(eng: _Engine, x: np.ndarray, iters: int, relax: float) -> np.ndarray:
+def _run_ap(eng: _Engine, x: np.ndarray, iters: int) -> np.ndarray:
     for _ in range(iters):
-        y = x + relax * (eng.project_affine(x) - x)
-        x = y + relax * (eng.project_cone(y) - y)
+        y = x + _OVER_RELAXATION * (eng.project_affine(x) - x)
+        x = y + _OVER_RELAXATION * (eng.project_cone(y) - y)
     return x
 
 
 def solve(prog: ConicFeasibilityProgram, cfg: SolverConfig | None = None) -> FeasibilityOutcome:
     """Decide feasibility; deterministic for a fixed config seed.
 
-    FEASIBLE comes with a point meeting every row within feas_tol (strict
-    rows by at least cert_margin); INFEASIBLE_WITH_CERTIFICATE comes with
-    verified Farkas multipliers keyed by row name. UNDECIDED is returned
-    only once the iteration budget is exhausted with neither witness.
+    FEASIBLE comes with a polished point meeting every row within
+    _POLISHED_TOL; INFEASIBLE_WITH_CERTIFICATE comes with verified Farkas
+    multipliers keyed by row name. UNDECIDED is returned only once the
+    iteration budget is exhausted with neither witness.
     """
     cfg = cfg or SolverConfig()
     blocks, rows, slack_names = _equality_form(prog)
-    eng = _Engine(blocks, rows)
+    a, b, _, _ = assemble(blocks, rows)
+    eng = _Engine(blocks, a, b)
     rng = np.random.default_rng(cfg.seed)
 
-    def finish_feasible(x: np.ndarray, iterations: int) -> FeasibilityOutcome:
-        x = _face_polish(eng, eng.project_cone(x))
-        point = eng.split_blocks(x)
-        for name in slack_names:
-            point.pop(name, None)
-        res = eng.row_residuals(x)
-        return FeasibilityOutcome("FEASIBLE", point, None, res, iterations)
+    def residuals(x: np.ndarray) -> dict[str, float]:
+        return _row_residuals(rows, eng.a @ x - eng.b)
 
     # Right-hand side off the affine range is already a finished certificate.
     r0 = eng.range_residual()
     nr0 = float(np.linalg.norm(r0))
     if nr0 > _RANGE_TOL * max(1.0, float(np.linalg.norm(eng.b))):
-        cert = eng.split_rows(-r0 / nr0**2)
-        if _verify_certificate(blocks, rows, cert, cfg):
+        cert = _split(rows, -r0 / nr0**2)
+        if _verify_certificate(blocks, rows, cert):
             return FeasibilityOutcome(
-                "INFEASIBLE_WITH_CERTIFICATE", None, cert, eng.row_residuals(np.zeros(eng.n_cols)), 0
+                "INFEASIBLE_WITH_CERTIFICATE", None, cert, residuals(np.zeros(eng.n_cols)), 0
             )
 
-    dual_eng: _Engine | None = None
-    dual_blocks: list[Block] = []
-    dual_rows: list[Row] = []
+    farkas: _Engine | None = None
 
     def attempt_certificate(cand: np.ndarray) -> dict[str, np.ndarray] | None:
-        nonlocal dual_eng, dual_blocks, dual_rows
-        if dual_eng is None:
-            dual_blocks, dual_rows = _adjoint_system(
-                ConicFeasibilityProgram(blocks, rows, "primal")
-            )
-            dual_eng = _Engine(dual_blocks, dual_rows)
-        w = eng.pinv_gram(eng.a @ cand - eng.b)
-        for sign in (1.0, -1.0):
-            seed_rows = eng.split_rows(sign * w)
-            y0 = np.zeros(dual_eng.n_cols)
-            for b, off in zip(dual_eng.blocks, dual_eng.block_off):
-                if b.name.startswith("mult_"):
-                    y0[off : off + b.dim * b.dim] = hvec(seed_rows[b.name[len("mult_") :]])
-            y = y0
-            for _ in range(2):
-                y = _run_ap(dual_eng, y, _CERT_ROUND_ITERS, cfg.over_relaxation)
-                y = dual_eng.project_cone(y)
-                y = _face_polish(dual_eng, y, rounds=2)
-                cert_full = dual_eng.split_blocks(y)
-                cert = {
-                    r.name: cert_full[f"mult_{r.name}"] for r in rows
-                }
-                cert = _normalize_certificate(rows, cert)
-                if cert is not None and _verify_certificate(blocks, rows, cert, cfg):
-                    return cert
+        # P_L(cand) - cand = -A^T w tends to the minimal gap vector v from the
+        # affine set to the cone (Bauschke & Borwein 1993), so A^T w sits near
+        # -v, inside the cone, and b^T w is near -|v|^2 < 0: +w is the seed.
+        nonlocal farkas
+        farkas = farkas or eng.farkas(rows)
+        y = np.zeros(farkas.n_cols)
+        y[: eng.n_rows] = eng.pinv_gram(eng.a @ cand - eng.b)
+        for _ in range(_CERT_ROUNDS):
+            y = _run_ap(farkas, y, _CERT_ROUND_ITERS)
+            y = _face_polish(farkas, farkas.project_cone(y), rounds=2)
+            cert = _normalize_certificate(rows, _split(rows, y[: eng.n_rows]))
+            if cert is not None and _verify_certificate(blocks, rows, cert):
+                return cert
         return None
 
     x = 0.1 * rng.standard_normal(eng.n_cols)
-    best_res = math.inf
     next_cert = _FIRST_CERT_ATTEMPT
     it = 0
-    while it < cfg.max_iters:
-        chunk = min(_CHECK_EVERY, cfg.max_iters - it)
-        x = _run_ap(eng, x, chunk, cfg.over_relaxation)
+    while it < _MAX_ITERS:
+        chunk = min(_CHECK_EVERY, _MAX_ITERS - it)
+        x = _run_ap(eng, x, chunk)
         it += chunk
         cand = eng.project_cone(x)
-        res = max(eng.row_residuals(cand).values(), default=0.0)
-        best_res = min(best_res, res)
-        if res <= cfg.feas_tol:
-            return finish_feasible(cand, it)
-        if res <= max(_POLISH_GATE, 100.0 * cfg.feas_tol):
+        res = residuals(cand)
+        if max(res.values(), default=0.0) <= _POLISH_GATE:
             polished = _face_polish(eng, cand)
-            pres = max(eng.row_residuals(polished).values(), default=0.0)
-            if pres <= cfg.feas_tol:
-                return finish_feasible(polished, it)
-            if pres < 0.5 * res:
-                x = polished
+            pres = residuals(polished)
+            if max(pres.values(), default=0.0) <= _POLISHED_TOL:
+                point = _split(blocks, polished)
+                for name in slack_names:
+                    del point[name]
+                return FeasibilityOutcome("FEASIBLE", point, None, pres, it)
         if it >= next_cert:
             next_cert = it * 2
             cert = attempt_certificate(cand)
             if cert is not None:
-                return FeasibilityOutcome(
-                    "INFEASIBLE_WITH_CERTIFICATE", None, cert, eng.row_residuals(cand), it
-                )
-    cand = eng.project_cone(x)
-    return FeasibilityOutcome("UNDECIDED", None, None, eng.row_residuals(cand), it)
+                return FeasibilityOutcome("INFEASIBLE_WITH_CERTIFICATE", None, cert, res, it)
+    return FeasibilityOutcome("UNDECIDED", None, None, residuals(eng.project_cone(x)), it)
 
 
 def verify_point(prog: ConicFeasibilityProgram, point: dict[str, np.ndarray]) -> PointReport:

@@ -14,6 +14,8 @@ from qqc.programs import (
 )
 from qqc.solver import verify_point
 
+from conftest import PROBLEMS
+
 
 def random_hermitian(rng, d):
     a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -171,9 +173,25 @@ def test_check_p0_condition_on_deutsch(deutsch):
     assert check_p0_condition(build_primal(deutsch, 1, 0.0)) is True
 
 
-def test_certificate_to_dual_point_keys(deutsch, cached_solve):
-    out = cached_solve("deutsch", "primal", 0, 0.0)
-    assert out.status == "INFEASIBLE_WITH_CERTIFICATE"
-    point = certificate_to_dual_point(deutsch, 0, 0.0, out.certificate)
-    prog = build_dual(deutsch, 0, 0.0)
-    assert set(point) == {b.name for b in prog.blocks}
+def test_certificate_to_dual_point_keys(cached_solve):
+    # every existence certificate of the criterion-01 grid relabels to a
+    # strictly feasible point of the matching witness program
+    seen = 0
+    for pname, p in PROBLEMS.items():
+        for q in (0, 1, 2):
+            for eps in (0.0, 0.1):
+                for builder, build, relaxed in (("primal", build_dual, False),
+                                                ("primal_relaxed", build_dual_relaxed, True)):
+                    out = cached_solve(pname, builder, q, eps)
+                    if out.status != "INFEASIBLE_WITH_CERTIFICATE":
+                        continue
+                    seen += 1
+                    point = certificate_to_dual_point(p, q, eps, out.certificate, relaxed=relaxed)
+                    prog = build(p, q, eps)
+                    assert set(point) == {b.name for b in prog.blocks}
+                    rep = verify_point(prog, point)
+                    case = (pname, builder, q, eps)
+                    assert rep.max_residual <= 1e-8, case
+                    assert rep.min_block_eig >= -1e-8, case
+                    assert rep.strict_slack > 0, case
+    assert seen == 20

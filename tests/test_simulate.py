@@ -107,6 +107,3 @@ def test_trace_to_dict_output_shapes(deutsch):
     lean = trace_to_dict(trace)
     assert set(lean) == {"labels", "q", "grams", "probabilities"}
     assert len(lean["grams"]) == trace.q + 1
-    full = trace_to_dict(trace, include_states=True)
-    assert "states" in full
-    assert len(full["states"][deutsch.labels[0]]) == trace.q + 1

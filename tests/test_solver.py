@@ -4,6 +4,7 @@ import pytest
 from qqc.linalg import hermitize
 from qqc.problem import QueryProblem
 from qqc.programs import Block, BlockMap, ConicFeasibilityProgram, Row
+from qqc.reconstruct import reconstruct_algorithm
 from qqc.solver import (
     FeasibilityOutcome,
     SolverConfig,
@@ -19,7 +20,7 @@ from qqc.solver import (
     verify_point,
 )
 
-from conftest import BUILDERS, PROBLEMS
+from conftest import BUILDERS, FEASIBLE_CELLS, PROBLEMS
 
 
 def random_hermitian(rng, d):
@@ -94,6 +95,14 @@ def test_assemble_matches_row_values(pname, builder, q):
         x = np.concatenate([hvec(point[blk.name]) for blk in prog.blocks])
         want = np.concatenate([hvec(prog.row_value(r, point) - r.rhs) for r in prog.rows])
         assert np.max(np.abs(a @ x - b - want)) <= 1e-12
+        # A^T is the adjoint: A^T hvec(Y) stacks hvec of each block's sum of
+        # adjoint images, the transpose the Farkas system is read from
+        ys = [random_hermitian(rng, r.dim) for r in prog.rows]
+        image = a.T @ np.concatenate([hvec(y) for y in ys])
+        for j, (blk, off) in enumerate(zip(prog.blocks, block_off)):
+            want = sum((m.adjoint().apply(y) for r, y in zip(prog.rows, ys)
+                        for bj, m in r.terms if bj == j), np.zeros((blk.dim, blk.dim)))
+            assert np.max(np.abs(image[off : off + blk.dim**2] - hvec(want))) <= 1e-12
 
 
 @pytest.mark.parametrize("case", ["deutsch_dual_relaxed", "weyl3_primal"])
@@ -105,7 +114,8 @@ def test_project_cone_matches_per_block_reference(case):
     else:
         prog = BUILDERS["primal"](_weyl3_identification(), 1, 0.1)
     blocks, rows, _ = _equality_form(prog)
-    eng = _Engine(blocks, rows)
+    a, b, _, _ = assemble(blocks, rows)
+    eng = _Engine(blocks, a, b)
     assert len({b.dim for b in blocks if b.psd}) == 2
 
     def per_block(x):
@@ -219,10 +229,27 @@ def test_solve_rejects_inequality_rows_in_primal_sense():
         solve(prog)
 
 
-def test_solve_polish_reaches_machine_precision(deutsch, cached_solve):
-    out = cached_solve("deutsch", "primal", 1, 0.0)
-    assert out.status == "FEASIBLE"
-    assert max(out.residuals.values()) <= 1e-12
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("pname,q,eps", FEASIBLE_CELLS)
+def test_feasible_means_polished_at_every_seed(pname, q, eps, seed):
+    # a FEASIBLE point is polished at every solver seed, and reconstruction
+    # can use it; deutsch q=1 eps=0.1 once stopped unpolished at seeds 4 and 5.
+    # FEASIBLE promises 1e-10; the polish itself lands near 1e-14.
+    res = reconstruct_algorithm(PROBLEMS[pname], q, eps, SolverConfig(seed=seed))
+    assert max(res.outcome.residuals.values(), default=0.0) <= 1e-12
+
+
+def test_solve_certificate_for_rhs_off_the_affine_range():
+    # tr x = 1 and tr x = 2 clash before any cone enters
+    blocks = [Block("x", 2, True)]
+    rows = [_trace_row("one", 0, 2, 1.0), _trace_row("two", 0, 2, 2.0)]
+    out = solve(ConicFeasibilityProgram(blocks, rows, "primal"))
+    assert out.status == "INFEASIBLE_WITH_CERTIFICATE"
+    assert out.iterations == 0
+    pairing = sum(np.trace(r.rhs @ out.certificate[r.name]).real for r in rows)
+    assert pairing == pytest.approx(-1.0, abs=1e-12)
+    assert np.allclose(out.certificate["one"], [[1.0]], atol=1e-12)
+    assert np.allclose(out.certificate["two"], [[-1.0]], atol=1e-12)
 
 
 def test_free_block_program_with_strict_row():
