@@ -12,7 +12,6 @@ import numpy as np
 
 __all__ = [
     "hermitize",
-    "kron",
     "schur",
     "partial_trace",
     "eig_hermitian",
@@ -27,11 +26,6 @@ __all__ = [
 def hermitize(a: np.ndarray) -> np.ndarray:
     """Nearest Hermitian matrix, (a + a†) / 2."""
     return 0.5 * (a + a.conj().T)
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with b fast-running."""
-    return np.kron(a, b)
 
 
 def schur(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -18,7 +18,6 @@ from .linalg import (
     conditional_vectors,
     eig_hermitian,
     hermitize,
-    kron,
     naimark_extend,
     partial_trace,
     purify,
@@ -272,7 +271,7 @@ def backward_chain(
                 "the chain point is likely not feasible enough"
             ) from exc
         unitaries[t] = u_t
-        psi = kron(omega.conj().T, eye_w) @ xi
+        psi = np.kron(omega.conj().T, eye_w) @ xi
         red = partial_trace(np.outer(psi, psi.conj()), (s * n, w_dim), "fast")
         back_gap = float(np.linalg.norm(red - rhos[t - 1]))
         if back_gap > 1e-6:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import kron, partial_trace
+from .linalg import partial_trace
 from .problem import QueryProblem, build_constants, build_omega
 from .reconstruct import QuantumQueryAlgorithm
 
@@ -66,7 +66,7 @@ def run(alg: QuantumQueryAlgorithm, p: QueryProblem) -> SimulationTrace:
     start[0] = 1.0
     states: dict[str, np.ndarray] = {}
     for i, lab in enumerate(p.labels):
-        oracle = kron(p.unitaries[i], eye_w)
+        oracle = np.kron(p.unitaries[i], eye_w)
         hist = np.zeros((q + 1, d), dtype=complex)
         phi = alg.unitaries[0] @ start
         hist[0] = phi
@@ -119,13 +119,13 @@ def extended_state(
         raise ValueError(f"step {t} outside 0..{alg.q}")
     s, n, w = p.size, p.n, alg.w_dim
     eye_s = np.eye(s)
-    oracle_ext = kron(build_omega(p), np.eye(w))
+    oracle_ext = np.kron(build_omega(p), np.eye(w))
     start = np.zeros(s * n * w, dtype=complex)
     for x in range(s):
         start[x * n * w] = 1.0
-    psi = kron(eye_s, alg.unitaries[0]) @ start
+    psi = np.kron(eye_s, alg.unitaries[0]) @ start
     for step in range(1, t + 1):
-        psi = kron(eye_s, alg.unitaries[step]) @ (oracle_ext @ psi)
+        psi = np.kron(eye_s, alg.unitaries[step]) @ (oracle_ext @ psi)
     dens = np.outer(psi, psi.conj())
     rho_iq = partial_trace(dens, (s * n, w), "fast")
     rho_i = partial_trace(rho_iq, (s, n), "fast")

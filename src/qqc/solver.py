@@ -18,11 +18,14 @@ are homogeneous, so the pin loses no generality).
 Infeasibility is reported only with a Farkas-style certificate: one
 multiplier matrix per row whose adjoint image is PSD on PSD blocks, zero on
 free blocks, and whose pairing with the right-hand side is -1. In hvec
-coordinates the adjoint is the transpose, so the certificate search runs the
-same projection engine on a system read from the same A and b: A^T y is a
-cone slack on PSD blocks and zero on free ones, and b^T y = -1. It is seeded
-from the residual displacement of the main iteration, and every certificate
-is re-verified from the program's block maps before anything is reported.
+coordinates the adjoint is the transpose, so the image s = A^T y is a point
+of the row space of A, and for b in the range of A, b^T y = x0^T s with
+x0 = A^T (A A^T)^+ b. The certificate search is then the same relaxed
+alternating projection, on the same pseudo-inverse, between
+{s in range(A^T): x0^T s = -1} and the dual cone (PSD blocks clipped, free
+blocks zero). It is seeded from the displacement of the main iteration, and
+y = (A A^T)^+ A s is re-verified from the program's block maps before
+anything is reported.
 
 Near-feasible points are polished by rank-restricted Gauss-Newton: each
 block's rank is guessed from its spectrum with a residual-scaled cut, PSD
@@ -41,6 +44,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,22 +71,34 @@ _OVER_RELAXATION = 1.8
 # search is spent only on programs still open at 1000; later attempts come
 # at doubling sweep counts.
 _FIRST_CERT_ATTEMPT = 1000
-# Farkas sweeps per certificate round; two rounds make one attempt.
-_CERT_ROUND_ITERS = 2500
-_CERT_ROUNDS = 2
+# Dual sweeps per certificate attempt, checked every _CHECK_EVERY: 52 of the
+# 54 fixture and family certificates verify at the first check.
+_CERT_SWEEPS = 5000
 # Room a certificate's adjoint image may leave outside the cone, per unit
 # of its pairing.
 _CERT_TOL = 1e-7
+# Largest multiplier norm per unit of pairing: beyond it _CERT_TOL's room is
+# below the double-precision rounding of the adjoint image (1e-7 / 1e8).
 _CERT_NORM_CAP = 1e8
 # Residual below which the face polish is tried at a check.
 _POLISH_GATE = 1e-2
 # FEASIBLE means polished: reconstruction's 1e-6 Gram check turned a 3e-8
 # unpolished residual into a 2.8e-5 miss.
 _POLISHED_TOL = 1e-10
+# Rank guess: eigenvalues below this fraction of a block's largest are
+# taken as spurious.
 _FACE_REL_TOL = 1e-5
+# Absolute floor of that cut, so a block near zero guesses rank zero.
 _FACE_ABS_FLOOR = 1e-7
+# The cut also sits at this multiple of the residual, since spurious
+# eigenvalues shrink with the residual while true ones stay put.
 _FACE_RES_FACTOR = 10.0
-_POLISH_ROUNDS = 4
+# Gauss-Newton steps per rank guess: converging guesses on the fixture grid
+# take at most 25, so the cap only stops a guess that creeps.
+_GN_MAX_STEPS = 40
+# Relative distance of b from the range of A that makes the program
+# infeasible outright: far above the rounding of the 1e-12-cut Gram
+# pseudo-inverse.
 _RANGE_TOL = 1e-9
 
 
@@ -221,7 +237,7 @@ def _row_residuals(rows: list[Row], r: np.ndarray) -> dict[str, float]:
 
 
 class _Engine:
-    """Projections for one equality-form system A x = b over the given blocks."""
+    """Primal and Farkas projections for A x = b over the blocks, on one Gram pseudo-inverse."""
 
     def __init__(self, blocks: list[Block], a: np.ndarray, b: np.ndarray):
         self.blocks = blocks
@@ -229,34 +245,33 @@ class _Engine:
         self.b = b
         self.block_off = list(itertools.accumulate((blk.dim**2 for blk in blocks), initial=0))[:-1]
         self.n_rows, self.n_cols = a.shape
-        # PSD blocks grouped by dimension: one (k, d*d) gather index per d.
+        # PSD blocks grouped by dimension: one (k, d*d) gather index per d;
+        # the free blocks' coordinates, which the dual cone pins to zero.
         groups: dict[int, list[int]] = {}
+        self._free = np.zeros(self.n_cols, dtype=bool)
         for blk, off in zip(blocks, self.block_off):
             if blk.psd:
                 groups.setdefault(blk.dim, []).append(off)
+            else:
+                self._free[off : off + blk.dim**2] = True
         self._cone_groups = [
             (d, np.add.outer(offs, np.arange(d * d))) for d, offs in groups.items()
         ]
 
-        gram = a @ a.T
-        if self.n_rows:
-            w, v = np.linalg.eigh(gram)
-            cut = max(w[-1], 0.0) * 1e-12 + 1e-300
-            inv_w = np.where(w > cut, 1.0 / np.where(w > cut, w, 1.0), 0.0)
-            self._pinv_v = v
-            self._pinv_w = inv_w
-            # x + A^T (A A^T)^+ (b - A x) projects onto {A x = b}
-            self._lift = a.T @ (v * inv_w) @ v.T
-        else:
-            self._pinv_v = np.zeros((0, 0))
-            self._pinv_w = np.zeros(0)
-            self._lift = np.zeros((self.n_cols, 0))
+        w, v = np.linalg.eigh(a @ a.T)
+        cut = w.max(initial=0.0) * 1e-12 + 1e-300
+        self._pinv_v = v
+        self._pinv_w = np.where(w > cut, 1.0 / np.where(w > cut, w, 1.0), 0.0)
+        # x + A^T (A A^T)^+ (b - A x) projects onto {A x = b}
+        self._lift = a.T @ (v * self._pinv_w) @ v.T
+        # The row-space point whose pairing with A^T y is b^T y.
+        self._x0 = self._lift @ b
 
     def pinv_gram(self, r: np.ndarray) -> np.ndarray:
         return self._pinv_v @ ((self._pinv_v.T @ r) * self._pinv_w)
 
     def range_residual(self) -> np.ndarray:
-        return self.b - self.a @ (self._lift @ self.b)
+        return self.b - self.a @ self._x0
 
     def project_affine(self, x: np.ndarray) -> np.ndarray:
         return x + self._lift @ (self.b - self.a @ x)
@@ -270,23 +285,16 @@ class _Engine:
             out[idx] = hvec((v * w[..., None, :]) @ v.conj().swapaxes(-1, -2))
         return out
 
-    def farkas(self, rows: list[Row]) -> _Engine:
-        """The Farkas system of A x = b over the cone, in the same coordinates.
+    def project_dual_affine(self, s: np.ndarray) -> np.ndarray:
+        """Project onto {s in range(A^T): x0^T s = -1}."""
+        r = self._lift @ (self.a @ s)
+        return r - ((1.0 + self._x0 @ r) / (self._x0 @ self._x0)) * self._x0
 
-        Columns are one free multiplier block per row, then one slack block
-        per PSD block; rows read A^T y - E s = 0 and b^T y = -1, where E
-        places each slack on its block's coordinates.
-        """
-        psd = [(blk, off) for blk, off in zip(self.blocks, self.block_off) if blk.psd]
-        cols = [off + k for blk, off in psd for k in range(blk.dim**2)]
-        a = np.zeros((self.n_cols + 1, self.n_rows + len(cols)))
-        a[:-1, : self.n_rows] = self.a.T
-        a[cols, self.n_rows + np.arange(len(cols))] = -1.0
-        a[-1, : self.n_rows] = self.b
-        b = np.zeros(self.n_cols + 1)
-        b[-1] = -1.0
-        blocks = [Block(r.name, r.dim, False) for r in rows] + [blk for blk, _ in psd]
-        return _Engine(blocks, a, b)
+    def project_dual_cone(self, s: np.ndarray) -> np.ndarray:
+        """Clip the PSD blocks and zero the free ones."""
+        out = self.project_cone(s)
+        out[self._free] = 0.0
+        return out
 
 
 def _assemble_factors(eng: _Engine, ys: list[tuple[bool, np.ndarray]]) -> np.ndarray:
@@ -332,7 +340,7 @@ def _factor_jacobian(y: np.ndarray, a_blk: np.ndarray) -> np.ndarray:
     return a_blk @ hvec(dm).reshape(2 * d * r, d * d).T
 
 
-def _gauss_newton(eng: _Engine, ys: list[tuple[bool, np.ndarray]], max_steps: int = 40) -> np.ndarray:
+def _gauss_newton(eng: _Engine, ys: list[tuple[bool, np.ndarray]]) -> np.ndarray:
     """Refine block factors against the equality rows; returns flat coords.
 
     PSD blocks are parametrized as Y Y-adjoint at fixed rank (free blocks
@@ -346,7 +354,7 @@ def _gauss_newton(eng: _Engine, ys: list[tuple[bool, np.ndarray]], max_steps: in
     rn = float(np.linalg.norm(r))
     floor = 1e-15 * max(1.0, float(np.linalg.norm(eng.b)))
     a_blks = [eng.a[:, off : off + b.dim * b.dim] for b, off in zip(eng.blocks, eng.block_off)]
-    for _ in range(max_steps):
+    for _ in range(_GN_MAX_STEPS):
         if rn <= floor:
             break
         jac = np.hstack([np.zeros((eng.n_rows, 0))] + [
@@ -404,7 +412,7 @@ def _guess_factors(
     return ys
 
 
-def _face_polish(eng: _Engine, x: np.ndarray, rounds: int = _POLISH_ROUNDS) -> np.ndarray:
+def _face_polish(eng: _Engine, x: np.ndarray) -> np.ndarray:
     """Polish a near-feasible point to machine precision at guessed block ranks.
 
     Attempts walk a ladder of rank guesses, leanest first: exact guesses give
@@ -418,7 +426,7 @@ def _face_polish(eng: _Engine, x: np.ndarray, rounds: int = _POLISH_ROUNDS) -> n
 
     best, best_res = x, residual(x)
     ladder = ((_FACE_RES_FACTOR, 0), (_FACE_RES_FACTOR, 1), (0.1, 1), (0.1, 2))
-    for fac, extra in ladder[:rounds]:
+    for fac, extra in ladder:
         if best_res < 1e-13:
             break
         ys = _guess_factors(eng, best, fac * best_res, extra, best_res)
@@ -513,10 +521,13 @@ def _normalize_certificate(rows: list[Row], cert: dict[str, np.ndarray]) -> dict
 # ---------------------------------------------------------------------------
 # The decision loop.
 
-def _run_ap(eng: _Engine, x: np.ndarray, iters: int) -> np.ndarray:
+_Projection = Callable[[np.ndarray], np.ndarray]
+
+
+def _run_ap(affine: _Projection, cone: _Projection, x: np.ndarray, iters: int) -> np.ndarray:
     for _ in range(iters):
-        y = x + _OVER_RELAXATION * (eng.project_affine(x) - x)
-        x = y + _OVER_RELAXATION * (eng.project_cone(y) - y)
+        y = x + _OVER_RELAXATION * (affine(x) - x)
+        x = y + _OVER_RELAXATION * (cone(y) - y)
     return x
 
 
@@ -547,20 +558,15 @@ def solve(prog: ConicFeasibilityProgram, cfg: SolverConfig | None = None) -> Fea
                 "INFEASIBLE_WITH_CERTIFICATE", None, cert, residuals(np.zeros(eng.n_cols)), 0
             )
 
-    farkas: _Engine | None = None
-
     def attempt_certificate(cand: np.ndarray) -> dict[str, np.ndarray] | None:
-        # P_L(cand) - cand = -A^T w tends to the minimal gap vector v from the
-        # affine set to the cone (Bauschke & Borwein 1993), so A^T w sits near
-        # -v, inside the cone, and b^T w is near -|v|^2 < 0: +w is the seed.
-        nonlocal farkas
-        farkas = farkas or eng.farkas(rows)
-        y = np.zeros(farkas.n_cols)
-        y[: eng.n_rows] = eng.pinv_gram(eng.a @ cand - eng.b)
-        for _ in range(_CERT_ROUNDS):
-            y = _run_ap(farkas, y, _CERT_ROUND_ITERS)
-            y = _face_polish(farkas, farkas.project_cone(y), rounds=2)
-            cert = _normalize_certificate(rows, _split(rows, y[: eng.n_rows]))
+        # cand - P_L(cand) = A^T w tends to -v for the minimal gap vector v
+        # from the affine set to the cone (Bauschke & Borwein 1993), so it
+        # sits near the dual cone with pairing b^T w near -|v|^2 < 0.
+        s = cand - eng.project_affine(cand)
+        for _ in range(_CERT_SWEEPS // _CHECK_EVERY):
+            s = _run_ap(eng.project_dual_affine, eng.project_dual_cone, s, _CHECK_EVERY)
+            y = eng.pinv_gram(eng.a @ eng.project_dual_cone(s))
+            cert = _normalize_certificate(rows, _split(rows, y))
             if cert is not None and _verify_certificate(blocks, rows, cert):
                 return cert
         return None
@@ -570,7 +576,7 @@ def solve(prog: ConicFeasibilityProgram, cfg: SolverConfig | None = None) -> Fea
     it = 0
     while it < _MAX_ITERS:
         chunk = min(_CHECK_EVERY, _MAX_ITERS - it)
-        x = _run_ap(eng, x, chunk)
+        x = _run_ap(eng.project_affine, eng.project_cone, x, chunk)
         it += chunk
         cand = eng.project_cone(x)
         res = residuals(cand)
@@ -601,10 +607,7 @@ def verify_point(prog: ConicFeasibilityProgram, point: dict[str, np.ndarray]) ->
     row_residuals = {}
     strict_slack = None
     for r in prog.rows:
-        acc = np.zeros((r.dim, r.dim), dtype=complex)
-        for bj, m in r.terms:
-            acc += m.apply(vals[prog.blocks[bj].name])
-        diff = acc - np.asarray(r.rhs, dtype=complex)
+        diff = prog.row_value(r, vals) - np.asarray(r.rhs, dtype=complex)
         if r.sense == "eq":
             row_residuals[r.name] = float(np.linalg.norm(diff))
         elif r.sense == "psd":

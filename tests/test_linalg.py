@@ -7,7 +7,6 @@ from qqc.linalg import (
     conditional_vectors,
     eig_hermitian,
     hermitize,
-    kron,
     naimark_extend,
     partial_trace,
     purify,
@@ -44,7 +43,7 @@ def test_kron_right_factor_fast():
     # composite index (i, k) -> i * d_fast + k
     a = np.arange(4.0).reshape(2, 2)
     b = np.arange(9.0).reshape(3, 3) + 5.0
-    m = kron(a, b)
+    m = np.kron(a, b)
     for i in range(2):
         for j in range(2):
             for k in range(3):
@@ -62,7 +61,7 @@ def test_partial_trace_on_product_states(da, db):
     rng = np.random.default_rng(da * 10 + db)
     a = random_hermitian(rng, da)
     b = random_hermitian(rng, db)
-    m = kron(a, b)
+    m = np.kron(a, b)
     assert np.allclose(partial_trace(m, (da, db), "fast"), a * np.trace(b))
     assert np.allclose(partial_trace(m, (da, db), "slow"), b * np.trace(a))
 
@@ -130,9 +129,9 @@ def test_align_purifications_connects_two_purifications():
         rho = random_density(rng, 3, 2)
         psi = purify(rho, 3)
         spin = random_unitary(rng, 3)
-        target = kron(np.eye(3), spin) @ psi
+        target = np.kron(np.eye(3), spin) @ psi
         u = align_purifications(psi, target, 3, 3)
-        moved = kron(np.eye(3), u) @ psi
+        moved = np.kron(np.eye(3), u) @ psi
         assert np.linalg.norm(moved - target) < 1e-8
         assert np.allclose(u.conj().T @ u, np.eye(3), atol=1e-10)
 

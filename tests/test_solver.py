@@ -3,7 +3,15 @@ import pytest
 
 from qqc.linalg import hermitize
 from qqc.problem import QueryProblem
-from qqc.programs import Block, BlockMap, ConicFeasibilityProgram, Row
+from qqc.programs import (
+    Block,
+    BlockMap,
+    ConicFeasibilityProgram,
+    Row,
+    build_dual,
+    build_primal,
+    certificate_to_dual_point,
+)
 from qqc.reconstruct import reconstruct_algorithm
 from qqc.solver import (
     FeasibilityOutcome,
@@ -137,6 +145,40 @@ def test_project_cone_matches_per_block_reference(case):
         assert np.max(np.abs(eng.project_cone(px) - px)) <= 1e-12
 
 
+@pytest.mark.parametrize("case", ["deutsch_dual_relaxed", "weyl3_primal"])
+def test_dual_projections_land_in_their_sets(case):
+    # the Farkas pair: row-space points of pairing -1, and the dual cone
+    # (PSD blocks clipped, free blocks zero)
+    if case == "deutsch_dual_relaxed":
+        prog = BUILDERS["dual_relaxed"](PROBLEMS["deutsch"], 1, 0.1)
+    else:
+        prog = BUILDERS["primal"](_weyl3_identification(), 1, 0.1)
+    blocks, rows, _ = _equality_form(prog)
+    a, b, _, _ = assemble(blocks, rows)
+    eng = _Engine(blocks, a, b)
+    free = [i for blk, off in zip(blocks, eng.block_off) if not blk.psd
+            for i in range(off, off + blk.dim**2)]
+    rng = np.random.default_rng(13)
+    for _ in range(3):
+        s = eng.project_dual_affine(rng.standard_normal(eng.n_cols))
+        norm = np.linalg.norm(s)
+        assert np.linalg.norm(s - eng._lift @ (a @ s)) <= 1e-10 * norm
+        assert eng._x0 @ s == pytest.approx(-1.0, abs=1e-10)
+        assert np.linalg.norm(eng.project_dual_affine(s) - s) <= 1e-10 * norm
+        # the multipliers behind s pair with b to -1
+        y = eng.pinv_gram(a @ s)
+        assert np.linalg.norm(a.T @ y - s) <= 1e-10 * norm
+        assert b @ y == pytest.approx(-1.0, abs=1e-10)
+
+        c = eng.project_dual_cone(rng.standard_normal(eng.n_cols))
+        assert not c[free].any()
+        for blk, off in zip(blocks, eng.block_off):
+            if blk.psd:
+                w = np.linalg.eigvalsh(unhvec(c[off : off + blk.dim**2], blk.dim))
+                assert w[0] >= -1e-12
+        assert np.max(np.abs(eng.project_dual_cone(c) - c)) <= 1e-12
+
+
 def _hvec_gram(y):
     return hvec(y @ y.conj().T)
 
@@ -252,6 +294,31 @@ def test_solve_certificate_for_rhs_off_the_affine_range():
     assert np.allclose(out.certificate["two"], [[-1.0]], atol=1e-12)
 
 
+def _haar_pairs():
+    # four Haar-random qubit unitaries, asked which pair each belongs to
+    rng = np.random.default_rng(1)
+    us = []
+    for _ in range(4):
+        z = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) / np.sqrt(2)
+        q, r = np.linalg.qr(z)
+        us.append(q * (np.diag(r) / np.abs(np.diag(r))))
+    labels = ("a", "b", "c", "d")
+    return QueryProblem(2, labels, np.stack(us), ("0", "1"),
+                        {"a": "0", "b": "0", "c": "1", "d": "1"})
+
+
+def test_certificate_for_haar_pairs_at_two_queries():
+    # the witness program is feasible, so this existence program is
+    # infeasible; its certificate must come within the sweep budget
+    p = _haar_pairs()
+    out = solve(build_primal(p, 2, 0.1))
+    assert out.status == "INFEASIBLE_WITH_CERTIFICATE"
+    rep = verify_point(build_dual(p, 2, 0.1), certificate_to_dual_point(p, 2, 0.1, out.certificate))
+    assert rep.max_residual <= 1e-8
+    assert rep.min_block_eig >= -1e-8
+    assert rep.strict_slack > 0
+
+
 def test_free_block_program_with_strict_row():
     # find Hermitian y with y PSD and tr(-y) < 0; any positive multiple of I
     blocks = [Block("y", 2, False)]
@@ -283,8 +350,6 @@ def test_verify_point_flags_violations():
 
 
 def test_weak_duality_pairing_is_negative_on_certificates(deutsch, cached_solve):
-    from qqc.programs import build_primal
-
     out = cached_solve("deutsch", "primal", 0, 0.0)
     assert out.status == "INFEASIBLE_WITH_CERTIFICATE"
     # a verified certificate pairs with the right-hand side to -1
