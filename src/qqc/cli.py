@@ -109,10 +109,6 @@ def _seed(args) -> int:
     return int(args.seed)
 
 
-def _config(args) -> SolverConfig:
-    return SolverConfig(seed=_seed(args))
-
-
 def _point_summary(point: dict[str, np.ndarray]) -> dict:
     return {name: float(np.linalg.norm(block)) for name, block in sorted(point.items())}
 
@@ -146,7 +142,7 @@ def cmd_feasible(args) -> tuple[int, str, dict]:
         except ValueError as exc:
             raise _CommandFailure(_EXIT_SEMANTIC, "INVALID", str(exc)) from exc
         payload["sdpa_path"] = args.export_sdpa
-    out = solve(prog, _config(args))
+    out = solve(prog, SolverConfig(seed=args.seed))
     payload["iterations"] = out.iterations
     payload["residuals"] = {k: float(v) for k, v in sorted(out.residuals.items())}
     if out.status == "FEASIBLE":
@@ -220,7 +216,7 @@ def cmd_estimate(args) -> tuple[int, str, dict]:
     _require_valid_problem(p)
     if args.qmax < 0:
         raise _CommandFailure(_EXIT_SEMANTIC, "INVALID", f"qmax must be >= 0, got {args.qmax}")
-    cfg = _config(args)
+    cfg = SolverConfig(seed=args.seed)
     statuses: dict[str, str] = {}
     qqc: int | None = None
     saw_undecided = False
@@ -258,7 +254,7 @@ def cmd_reconstruct(args) -> tuple[int, str, dict]:
     p = _load_problem(args.problem)
     _require_valid_problem(p)
     try:
-        result = reconstruct_algorithm(p, args.q, args.eps, _config(args))
+        result = reconstruct_algorithm(p, args.q, args.eps, SolverConfig(seed=args.seed))
     except ValueError as exc:
         raise _CommandFailure(_EXIT_SEMANTIC, "INVALID", str(exc)) from exc
     except ReconstructionError as exc:
@@ -378,17 +374,11 @@ def main(argv: list[str] | None = None) -> int:
         "parameters": {
             k: v for k, v in sorted(vars(args).items()) if k not in ("fn", "command")
         },
+        "seed": None,
     }
     try:
-        report["seed"] = _seed(args)
-    except _CommandFailure as fail:
-        report["seed"] = None
-        report["status"] = fail.status
-        report["error"] = str(fail)
-        report["elapsed_s"] = time.perf_counter() - start
-        print(json.dumps(report, sort_keys=True, indent=2, default=_coerce))
-        return fail.code
-    try:
+        # the commands read the resolved seed; "parameters" keeps --seed
+        args.seed = report["seed"] = _seed(args)
         code, status, payload = args.fn(args)
         report["status"] = status
         report["results"] = payload

@@ -37,7 +37,6 @@ __all__ = [
     "build_primal_relaxed",
     "build_dual",
     "build_dual_relaxed",
-    "check_p0_condition",
     "certificate_to_dual_point",
     "pair_name",
 ]
@@ -54,7 +53,6 @@ class BlockMap:
       schur         x -> c * x  (entrywise; c real symmetric)
       trace_against x -> [[Re tr(c x)]]       (1x1 output)
       const_embed   [[t]] -> t * c            (adjoint of trace_against)
-      zero          x -> 0
 
     All kinds scale by `scale`.
     """
@@ -84,8 +82,6 @@ class BlockMap:
             out = np.array([[np.trace(self.mat @ x).real]], dtype=complex)
         elif k == "const_embed":
             out = x[0, 0].real * self.mat.astype(complex)
-        elif k == "zero":
-            out = np.zeros((self.d_out, self.d_out), dtype=complex)
         else:
             raise ValueError(f"unknown map kind {k!r}")
         return self.scale * out
@@ -103,8 +99,6 @@ class BlockMap:
             return replace(self, kind="const_embed", **flip)
         if k == "const_embed":
             return replace(self, kind="trace_against", **flip)
-        if k == "zero":
-            return replace(self, **flip)
         raise ValueError(f"unknown map kind {k!r}")
 
 
@@ -383,37 +377,6 @@ def build_dual_relaxed(p: QueryProblem, q: int, eps: float, c: DerivedConstants 
     return ConicFeasibilityProgram(
         blocks, rows, "dual", meta={"kind": "dual_relaxed", "q": q, "eps": eps}
     )
-
-
-def check_p0_condition(prog: ConicFeasibilityProgram) -> bool:
-    """True when the homogeneous version of a primal program has only the zero point.
-
-    Decided by solving for a trace-normalized feasible point of the
-    homogeneous system; raises RuntimeError if that solve is undecided.
-    """
-    if prog.sense != "primal":
-        raise ValueError("exclusivity precondition applies to primal-sense programs")
-    from .solver import SolverConfig, solve  # local import to avoid a cycle
-
-    rows = [
-        Row(r.name, r.dim, list(r.terms), np.zeros_like(r.rhs), sense="eq") for r in prog.rows
-    ]
-    trace_terms = [
-        (i, _trace_against(np.eye(b.dim))) for i, b in enumerate(prog.blocks)
-    ]
-    rows.append(Row("trace_norm", 1, trace_terms, np.ones((1, 1), dtype=complex)))
-    homog = ConicFeasibilityProgram(
-        [Block(b.name, b.dim, b.psd) for b in prog.blocks],
-        rows,
-        "primal",
-        meta={"kind": "homogeneous"},
-    )
-    out = solve(homog, SolverConfig())
-    if out.status == "FEASIBLE":
-        return False
-    if out.status == "INFEASIBLE_WITH_CERTIFICATE":
-        return True
-    raise RuntimeError("homogeneous trace-normalized solve did not converge")
 
 
 def _compress_to_pattern(y: np.ndarray, pair: tuple[int, int]) -> np.ndarray:

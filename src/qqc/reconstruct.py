@@ -22,7 +22,7 @@ from .linalg import (
     partial_trace,
     purify,
 )
-from .problem import QueryProblem, build_omega
+from .problem import QueryProblem, build_constants
 from .programs import build_primal
 from .solver import FeasibilityOutcome, SolverConfig, solve
 
@@ -218,37 +218,25 @@ def backward_chain(
     matrix, so a workspace unitary aligns them.
     """
     s, n = p.size, p.n
-    omega = build_omega(p)
-    ones = np.ones((s, s), dtype=complex)
-    rhos = []
-    for t in range(q):
-        name = f"state_iq_{t}"
+    cleaned = {}
+    for name in [f"state_iq_{t}" for t in range(q)] + ["final_gram"]:
         if name not in chain:
             raise ReconstructionError(f"chain point is missing block {name!r}")
-        rhos.append(_psd_project(hermitize(np.asarray(chain[name], dtype=complex))))
-    if "final_gram" not in chain:
-        raise ReconstructionError("chain point is missing block 'final_gram'")
-    m_final = _psd_project(hermitize(np.asarray(chain["final_gram"], dtype=complex)))
+        cleaned[name] = _psd_project(hermitize(np.asarray(chain[name], dtype=complex)))
+    rhos = [cleaned[f"state_iq_{t}"] for t in range(q)]
+    m_final = cleaned["final_gram"]
 
-    # re-verify the equality rows on the cleaned blocks at a looser tolerance
-    checks = []
-    if q == 0:
-        checks.append(("init", float(np.linalg.norm(m_final - ones))))
-    else:
-        checks.append(
-            ("init", float(np.linalg.norm(partial_trace(rhos[0], (s, n), "fast") - ones)))
-        )
-        for t in range(1, q):
-            prev = omega @ rhos[t - 1] @ omega.conj().T
-            gap = partial_trace(rhos[t], (s, n), "fast") - partial_trace(prev, (s, n), "fast")
-            checks.append((f"chain_{t}", float(np.linalg.norm(gap))))
-        prev = omega @ rhos[q - 1] @ omega.conj().T
-        gap = m_final - partial_trace(prev, (s, n), "fast")
-        checks.append(("final_gram_def", float(np.linalg.norm(gap))))
-    for name, res in checks:
+    # re-verify the existence program's chain rows (init, chain_t,
+    # final_gram_def: its first q + 1, which read no other block and no eps)
+    # on the cleaned blocks, at a looser tolerance
+    c = build_constants(p)
+    omega = c.omega
+    prog = build_primal(p, q, 0.0, c)
+    for row in prog.rows[: q + 1]:
+        res = float(np.linalg.norm(prog.row_value(row, cleaned) - row.rhs))
         if res > _CHAIN_TOL:
             raise ReconstructionError(
-                f"cleaned chain violates row {name!r} by {res:.3e} (allowed {_CHAIN_TOL:.3e})"
+                f"cleaned chain violates row {row.name!r} by {res:.3e} (allowed {_CHAIN_TOL:.3e})"
             )
 
     vectors, proj_map, d_cap = finals

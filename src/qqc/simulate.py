@@ -1,8 +1,10 @@
 """Execute explicit protocols and expose their exact statistics.
 
 Runs are dense statevector evolutions, one per black-box input; nothing is
-sampled. The extended-register view (input register kept coherent) is
-assembled on demand and is the bridge back to the existence program.
+sampled. The existence-program point of a protocol is read from one run:
+stacking the per-input states gives the extended-register view (input
+register kept coherent), which `extended_state` also evolves directly, as
+an independent reference.
 """
 
 from __future__ import annotations
@@ -138,16 +140,20 @@ def trace_to_primal_point(
     """Blocks of the existence program induced by running the protocol.
 
     The joint states fill the chain blocks, the final Gram matrix and the
-    measurement cross-Grams fill the output blocks; the returned point is
-    feasible exactly when the protocol meets the success floor.
+    measurement cross-Grams fill the output blocks, all read from one run;
+    the returned point is feasible exactly when the protocol meets the
+    success floor.
     """
     q = alg.q
+    trace = run(alg, p)
+    states = np.stack([trace.states[lab] for lab in p.labels], axis=1)
     point: dict[str, np.ndarray] = {}
     for t in range(q):
-        point[f"state_iq_{t}"] = extended_state(p, alg, t)[1]
-    point["final_gram"] = extended_state(p, alg, q)[2]
-    trace = run(alg, p)
-    finals = np.stack([trace.states[lab][q] for lab in p.labels])
+        # rows (input, query), workspace columns: the extended state's layout
+        phi = states[t].reshape(-1, alg.w_dim)
+        point[f"state_iq_{t}"] = phi @ phi.conj().T
+    point["final_gram"] = trace.grams[q]
+    finals = states[q]
     deltas = build_constants(p).deltas
     for z in p.outputs:
         # conjugation on the second index, as in the trace's Gram matrices

@@ -23,9 +23,12 @@ of the row space of A, and for b in the range of A, b^T y = x0^T s with
 x0 = A^T (A A^T)^+ b. The certificate search is then the same relaxed
 alternating projection, on the same pseudo-inverse, between
 {s in range(A^T): x0^T s = -1} and the dual cone (PSD blocks clipped, free
-blocks zero). It is seeded from the displacement of the main iteration, and
-y = (A A^T)^+ A s is re-verified from the program's block maps before
-anything is reported.
+blocks zero). Both searches run in one loop: once the primal iterate has
+swept _FIRST_CERT_ATTEMPT times, a Farkas iterate s is seeded once from its
+displacement from the affine set and advances _CHECK_EVERY sweeps beside it.
+Each check tries the polished point first and the certificate second, and
+y = (A A^T)^+ A s is scaled to pairing -1 and re-verified from the program's
+block maps before anything is reported.
 
 Near-feasible points are polished by rank-restricted Gauss-Newton: each
 block's rank is guessed from its spectrum with a residual-scaled cut, PSD
@@ -63,17 +66,15 @@ __all__ = [
 
 # Sweeps between residual checks: a check costs one cone projection.
 _CHECK_EVERY = 100
-# Sweep budget before UNDECIDED: fifty times the first certificate attempt.
+# Primal sweep budget before UNDECIDED: fifty times the Farkas iterate's start.
 _MAX_ITERS = 50000
 # Relaxation of both projection steps, in (0, 2); at 2 each step reflects.
 _OVER_RELAXATION = 1.8
-# Feasible fixture cells are polished within 900 sweeps, so certificate
-# search is spent only on programs still open at 1000; later attempts come
-# at doubling sweep counts.
+# Feasible fixture cells are polished within 900 sweeps, so the Farkas
+# iterate starts only on programs still open at 1000; from then on it takes
+# _CHECK_EVERY sweeps per check, and 52 of the 54 fixture and family
+# certificates verify at its first check.
 _FIRST_CERT_ATTEMPT = 1000
-# Dual sweeps per certificate attempt, checked every _CHECK_EVERY: 52 of the
-# 54 fixture and family certificates verify at the first check.
-_CERT_SWEEPS = 5000
 # Room a certificate's adjoint image may leave outside the cone, per unit
 # of its pairing.
 _CERT_TOL = 1e-7
@@ -269,9 +270,6 @@ class _Engine:
 
     def pinv_gram(self, r: np.ndarray) -> np.ndarray:
         return self._pinv_v @ ((self._pinv_v.T @ r) * self._pinv_w)
-
-    def range_residual(self) -> np.ndarray:
-        return self.b - self.a @ self._x0
 
     def project_affine(self, x: np.ndarray) -> np.ndarray:
         return x + self._lift @ (self.b - self.a @ x)
@@ -478,44 +476,33 @@ def _equality_form(prog: ConicFeasibilityProgram) -> tuple[list[Block], list[Row
     return blocks, rows, slack_names
 
 
-def _verify_certificate(blocks: list[Block], rows: list[Row], cert: dict[str, np.ndarray]) -> bool:
-    pairing = 0.0
-    scale = 0.0
-    for r in rows:
-        y = np.asarray(cert[r.name], dtype=complex)
-        if y.shape != (r.dim, r.dim):
-            return False
-        pairing += float(np.trace(np.asarray(r.rhs) @ y).real)
-        scale = max(scale, float(np.linalg.norm(y)))
-    if not pairing < 0 or scale > _CERT_NORM_CAP * max(1.0, -pairing):
-        return False
-    images: dict[int, np.ndarray] = {}
-    for ri, r in enumerate(rows):
-        y = np.asarray(cert[r.name], dtype=complex)
-        for bj, m in r.terms:
-            images[bj] = images.get(bj, 0) + m.adjoint().apply(y)
-    tol = _CERT_TOL * max(1.0, -pairing)
-    for j, b in enumerate(blocks):
-        img = images.get(j)
-        if img is None:
-            continue
-        if b.psd:
-            w, _ = np.linalg.eigh(hermitize(img))
-            if w[0] < -tol:
-                return False
-        elif np.linalg.norm(img) > tol:
-            return False
-    return True
+def _certify(
+    blocks: list[Block], rows: list[Row], multipliers: dict[str, np.ndarray]
+) -> dict[str, np.ndarray] | None:
+    """Scale multipliers to pairing -1 and re-verify them from the block maps.
 
-
-def _normalize_certificate(rows: list[Row], cert: dict[str, np.ndarray]) -> dict[str, np.ndarray] | None:
-    pairing = sum(
-        float(np.trace(np.asarray(r.rhs) @ np.asarray(cert[r.name], dtype=complex)).real)
-        for r in rows
-    )
+    Returns the scaled certificate, or None when the pairing with the
+    right-hand side is not negative, a scaled multiplier's norm exceeds
+    _CERT_NORM_CAP, or an adjoint image leaves the dual cone (PSD on PSD
+    blocks, zero on free blocks) by more than _CERT_TOL.
+    """
+    pairing = sum(float(np.trace(np.asarray(r.rhs) @ multipliers[r.name]).real) for r in rows)
     if pairing >= -1e-15:
         return None
-    return {k: hermitize(np.asarray(v, dtype=complex)) / (-pairing) for k, v in cert.items()}
+    cert = {r.name: multipliers[r.name] / -pairing for r in rows}
+    if max(float(np.linalg.norm(y)) for y in cert.values()) > _CERT_NORM_CAP:
+        return None
+    images: dict[int, np.ndarray] = {}
+    for r in rows:
+        for bj, m in r.terms:
+            images[bj] = images.get(bj, 0) + m.adjoint().apply(cert[r.name])
+    for j, img in images.items():
+        if blocks[j].psd:
+            if np.linalg.eigvalsh(hermitize(img))[0] < -_CERT_TOL:
+                return None
+        elif np.linalg.norm(img) > _CERT_TOL:
+            return None
+    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -549,35 +536,19 @@ def solve(prog: ConicFeasibilityProgram, cfg: SolverConfig | None = None) -> Fea
         return _row_residuals(rows, eng.a @ x - eng.b)
 
     # Right-hand side off the affine range is already a finished certificate.
-    r0 = eng.range_residual()
+    r0 = eng.b - eng.a @ eng._x0
     nr0 = float(np.linalg.norm(r0))
     if nr0 > _RANGE_TOL * max(1.0, float(np.linalg.norm(eng.b))):
-        cert = _split(rows, -r0 / nr0**2)
-        if _verify_certificate(blocks, rows, cert):
+        cert = _certify(blocks, rows, _split(rows, -r0 / nr0**2))
+        if cert is not None:
             return FeasibilityOutcome(
                 "INFEASIBLE_WITH_CERTIFICATE", None, cert, residuals(np.zeros(eng.n_cols)), 0
             )
 
-    def attempt_certificate(cand: np.ndarray) -> dict[str, np.ndarray] | None:
-        # cand - P_L(cand) = A^T w tends to -v for the minimal gap vector v
-        # from the affine set to the cone (Bauschke & Borwein 1993), so it
-        # sits near the dual cone with pairing b^T w near -|v|^2 < 0.
-        s = cand - eng.project_affine(cand)
-        for _ in range(_CERT_SWEEPS // _CHECK_EVERY):
-            s = _run_ap(eng.project_dual_affine, eng.project_dual_cone, s, _CHECK_EVERY)
-            y = eng.pinv_gram(eng.a @ eng.project_dual_cone(s))
-            cert = _normalize_certificate(rows, _split(rows, y))
-            if cert is not None and _verify_certificate(blocks, rows, cert):
-                return cert
-        return None
-
     x = 0.1 * rng.standard_normal(eng.n_cols)
-    next_cert = _FIRST_CERT_ATTEMPT
-    it = 0
-    while it < _MAX_ITERS:
-        chunk = min(_CHECK_EVERY, _MAX_ITERS - it)
-        x = _run_ap(eng.project_affine, eng.project_cone, x, chunk)
-        it += chunk
+    s = None  # the Farkas iterate, swept beside x once started
+    for it in range(_CHECK_EVERY, _MAX_ITERS + 1, _CHECK_EVERY):
+        x = _run_ap(eng.project_affine, eng.project_cone, x, _CHECK_EVERY)
         cand = eng.project_cone(x)
         res = residuals(cand)
         if max(res.values(), default=0.0) <= _POLISH_GATE:
@@ -588,12 +559,18 @@ def solve(prog: ConicFeasibilityProgram, cfg: SolverConfig | None = None) -> Fea
                 for name in slack_names:
                     del point[name]
                 return FeasibilityOutcome("FEASIBLE", point, None, pres, it)
-        if it >= next_cert:
-            next_cert = it * 2
-            cert = attempt_certificate(cand)
-            if cert is not None:
-                return FeasibilityOutcome("INFEASIBLE_WITH_CERTIFICATE", None, cert, res, it)
-    return FeasibilityOutcome("UNDECIDED", None, None, residuals(eng.project_cone(x)), it)
+        if it < _FIRST_CERT_ATTEMPT:
+            continue
+        if s is None:
+            # cand - P_L(cand) = A^T w tends to -v for the minimal gap vector
+            # v from the affine set to the cone (Bauschke & Borwein 1993), so
+            # it sits near the dual cone with pairing b^T w near -|v|^2 < 0.
+            s = cand - eng.project_affine(cand)
+        s = _run_ap(eng.project_dual_affine, eng.project_dual_cone, s, _CHECK_EVERY)
+        cert = _certify(blocks, rows, _split(rows, eng.pinv_gram(eng.a @ eng.project_dual_cone(s))))
+        if cert is not None:
+            return FeasibilityOutcome("INFEASIBLE_WITH_CERTIFICATE", None, cert, res, it)
+    return FeasibilityOutcome("UNDECIDED", None, None, residuals(eng.project_cone(x)), _MAX_ITERS)
 
 
 def verify_point(prog: ConicFeasibilityProgram, point: dict[str, np.ndarray]) -> PointReport:

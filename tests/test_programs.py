@@ -9,7 +9,6 @@ from qqc.programs import (
     build_primal,
     build_primal_relaxed,
     certificate_to_dual_point,
-    check_p0_condition,
     pair_name,
 )
 from qqc.solver import verify_point
@@ -38,7 +37,6 @@ def _map_inventory(rng, s, n):
         BlockMap("schur", d_in=s, d_out=s, mat=sym),
         BlockMap("trace_against", d_in=s, d_out=1, mat=c),
         BlockMap("const_embed", d_in=1, d_out=s, scale=2.0, mat=c),
-        BlockMap("zero", d_in=s, d_out=s * n),
     ]
 
 
@@ -166,11 +164,6 @@ def test_row_value_evaluates_terms(deutsch):
 
 def test_pair_name_uses_labels(deutsch):
     assert pair_name(deutsch, (0, 1)) == "00|01"
-
-
-def test_check_p0_condition_on_deutsch(deutsch):
-    # zero is the only trace-normalizable solution of the homogenized chain
-    assert check_p0_condition(build_primal(deutsch, 1, 0.0)) is True
 
 
 def test_certificate_to_dual_point_keys(cached_solve):

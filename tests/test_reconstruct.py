@@ -7,6 +7,7 @@ from qqc.reconstruct import (
     ReconstructionError,
     algorithm_from_dict,
     algorithm_to_dict,
+    backward_chain,
     extract_final_states,
     output_shares,
     reconstruct_algorithm,
@@ -83,6 +84,16 @@ def test_extract_rejects_zero_gram(deutsch):
     shares = {z: np.zeros((s, s), dtype=complex) for z in deutsch.outputs}
     with pytest.raises(ReconstructionError, match="zero"):
         extract_final_states(deutsch, np.zeros((s, s), dtype=complex), shares, 0.0)
+
+
+def test_backward_chain_checks_the_program_rows(deutsch, cached_solve):
+    # a chain block off its row is caught before any unitary is chosen
+    out = cached_solve("deutsch", "primal", 1, 0.0)
+    assert out.status == "FEASIBLE"
+    point = dict(out.point, state_iq_0=1.01 * out.point["state_iq_0"])
+    finals = extract_final_states(deutsch, point["final_gram"], output_shares(deutsch, point), 0.0)
+    with pytest.raises(ReconstructionError, match="'init'"):
+        backward_chain(deutsch, 1, point, finals)
 
 
 def test_validate_algorithm_accepts_hand_circuit():

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import hand_deutsch_algorithm
 from qqc import build_primal, verify_point
-from qqc.reconstruct import QuantumQueryAlgorithm
+from qqc.reconstruct import QuantumQueryAlgorithm, reconstruct_algorithm
 from qqc.simulate import (
     extended_state,
     run,
@@ -89,6 +89,19 @@ def test_trace_to_primal_point_is_feasible(deutsch):
     rep = verify_point(prog, point)
     assert rep.max_residual <= 1e-10
     assert rep.min_block_eig >= -1e-10
+
+
+def test_trace_to_primal_point_matches_extended_state(deutsch):
+    # a reconstructed two-query protocol with an 8-dimensional workspace, so
+    # the (input, query) x workspace layout of the chain blocks is exercised
+    alg = reconstruct_algorithm(deutsch, 2, 0.1).algorithm
+    assert alg.w_dim == 8
+    point = trace_to_primal_point(deutsch, alg, 0.1)
+    for t in range(alg.q):
+        rho_iq = extended_state(deutsch, alg, t)[1]
+        assert np.max(np.abs(point[f"state_iq_{t}"] - rho_iq)) <= 1e-12
+    rho_i = extended_state(deutsch, alg, alg.q)[2]
+    assert np.max(np.abs(point["final_gram"] - rho_i)) <= 1e-12
 
 
 def test_trace_to_primal_point_slack_grows_with_eps(deutsch):
