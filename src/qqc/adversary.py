@@ -151,10 +151,8 @@ def make_dual_witness(p: QueryProblem, gamma, q: int, eps: float) -> dict[str, n
     for pr in c.pairs:
         i, j = pr
         a = g[i, j] * v[i] * v[j]
-        u = np.zeros((s, s), dtype=complex)
-        u[i, i] = u[j, j] = a
-        u[i, j] = u[j, i] = -a
-        witness[f"pair_dual_{pair_name(p, pr)}"] = u
+        u = a * (c.w_mats[pr] - c.v_mats[pr])
+        witness[f"pair_dual_{pair_name(p, pr)}"] = u.astype(complex)
     rep = verify_point(build_dual_relaxed(p, q, eps, c), witness)
     if rep.max_residual > _WITNESS_TOL or not (rep.strict_slack and rep.strict_slack > 0):
         worst = max(rep.row_residuals, key=rep.row_residuals.get)

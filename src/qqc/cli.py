@@ -97,6 +97,14 @@ def _require_valid_problem(p: QueryProblem) -> None:
         )
 
 
+def _build(builder, p: QueryProblem, q: int, eps: float):
+    """Build one program; a bad query count or error tolerance is INVALID input."""
+    try:
+        return builder(p, q, eps)
+    except ValueError as exc:
+        raise _CommandFailure(_EXIT_SEMANTIC, "INVALID", str(exc)) from exc
+
+
 def _seed(args) -> int:
     env = os.environ.get("QQC_SEED")
     if env is not None:
@@ -131,10 +139,7 @@ def cmd_feasible(args) -> tuple[int, str, dict]:
         (False, True): build_dual,
         (True, True): build_dual_relaxed,
     }
-    try:
-        prog = builders[(bool(args.relaxed), bool(args.dual))](p, args.q, args.eps)
-    except ValueError as exc:
-        raise _CommandFailure(_EXIT_SEMANTIC, "INVALID", str(exc)) from exc
+    prog = _build(builders[(bool(args.relaxed), bool(args.dual))], p, args.q, args.eps)
     payload: dict = {"program_rows": [r.name for r in prog.rows]}
     if args.export_sdpa:
         try:
@@ -221,7 +226,7 @@ def cmd_estimate(args) -> tuple[int, str, dict]:
     qqc: int | None = None
     saw_undecided = False
     for q in range(args.qmax + 1):
-        out = solve(build_primal(p, q, args.eps), cfg)
+        out = solve(_build(build_primal, p, q, args.eps), cfg)
         statuses[str(q)] = out.status
         if out.status == "FEASIBLE":
             qqc = q
@@ -293,10 +298,10 @@ def cmd_simulate(args) -> tuple[int, str, dict]:
             "INVALID",
             f"algorithm register dimension {alg.n} != problem dimension {p.n}",
         )
+    prog = _build(build_primal, p, alg.q, args.eps)
     trace = run(alg, p)
     rep = success_report(trace, p, args.eps)
-    point = trace_to_primal_point(p, alg, args.eps)
-    check = verify_point(build_primal(p, alg.q, args.eps), point)
+    check = verify_point(prog, trace_to_primal_point(p, alg, args.eps))
     payload = {
         "trace": trace_to_dict(trace),
         "success": {

@@ -37,21 +37,15 @@ def schur(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a * b
 
 
-def partial_trace(m: np.ndarray, dims: tuple[int, int], which: str = "fast") -> np.ndarray:
-    """Trace out one tensor factor of a (d1*d2) x (d1*d2) matrix.
+def partial_trace(m: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
+    """Trace out the fast tensor factor of a (d1*d2) x (d1*d2) matrix.
 
-    dims = (d_slow, d_fast). Tracing the fast factor leaves the matrix of
-    per-block traces; tracing the slow factor sums the diagonal blocks.
+    dims = (d_slow, d_fast); the result is the matrix of per-block traces.
     """
     d1, d2 = dims
     if m.shape != (d1 * d2, d1 * d2):
         raise ValueError(f"matrix shape {m.shape} does not match dims {dims}")
-    t = m.reshape(d1, d2, d1, d2)
-    if which == "fast":
-        return np.einsum("iaja->ij", t)
-    if which == "slow":
-        return np.einsum("aiaj->ij", t)
-    raise ValueError("which must be 'fast' or 'slow'")
+    return np.einsum("iaja->ij", m.reshape(d1, d2, d1, d2))
 
 
 def _phase_fix(vecs: np.ndarray) -> np.ndarray:
@@ -80,13 +74,14 @@ def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[order], _phase_fix(v[:, order])
 
 
-def purify(rho: np.ndarray, env_dim: int, rank_tol: float | None = None) -> np.ndarray:
-    """State vector on (system, env) whose env partial trace equals rho."""
+def purify(rho: np.ndarray, env_dim: int) -> np.ndarray:
+    """State vector on (system, env) whose env partial trace equals rho.
+
+    Eigenvalues below 1e-10 of the largest count as zero.
+    """
     w, v = eig_hermitian(rho)
     top = max(float(w[0]), 0.0) if w.size else 0.0
-    if rank_tol is None:
-        rank_tol = 1e-10 * max(top, 1e-300)
-    keep = np.nonzero(w > rank_tol)[0]
+    keep = np.nonzero(w > 1e-10 * max(top, 1e-300))[0]
     if len(keep) > env_dim:
         raise ValueError(f"environment dimension {env_dim} below rank {len(keep)}")
     d = rho.shape[0]
@@ -141,14 +136,16 @@ def align_purifications(
 
 
 def naimark_extend(
-    povm: list[np.ndarray], rank_tol: float | None = None, tol: float = 1e-8
+    povm: list[np.ndarray], rank_tol: float | None = None
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Dilate a POVM on C^d to orthogonal projectors on C^D.
 
     Returns (projectors, isometry v) with D = sum of element ranks, the
     projectors mutually orthogonal and summing to the identity, and
-    v† P_z v == povm[z] for every z. v has shape (D, d).
+    v† P_z v == povm[z] for every z. v has shape (D, d). The elements must
+    be PSD and sum to the identity within 1e-8.
     """
+    tol = 1e-8
     povm = [np.asarray(r, dtype=complex) for r in povm]
     d = povm[0].shape[0]
     total = sum(povm)
@@ -177,11 +174,11 @@ def naimark_extend(
     return projectors, iso
 
 
-def complete_to_unitary(cols: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def complete_to_unitary(cols: np.ndarray) -> np.ndarray:
     """Extend orthonormal columns to a full unitary, deterministically.
 
     Sweeps the standard basis in order, keeping each vector whose residual
-    after projecting out the current span is larger than tol.
+    after projecting out the current span is larger than 1e-8.
     """
     d, k = cols.shape
     gram = cols.conj().T @ cols
@@ -195,7 +192,7 @@ def complete_to_unitary(cols: np.ndarray, tol: float = 1e-8) -> np.ndarray:
         for b in basis:
             cand = cand - b * (b.conj() @ cand)
         norm = np.linalg.norm(cand)
-        if norm > tol:
+        if norm > 1e-8:
             basis.append(cand / norm)
     if len(basis) != d:
         raise ValueError("could not complete the basis")

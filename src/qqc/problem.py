@@ -182,12 +182,23 @@ def phase_query_problem(m: int, g_classical: dict[str, str]) -> QueryProblem:
     return QueryProblem(n=m, labels=tuple(labels), unitaries=unitaries, outputs=outputs, g=g)
 
 
+def matrix_to_dict(m: np.ndarray) -> dict:
+    """JSON form of a complex matrix: real and imaginary parts as nested lists."""
+    return {"re": m.real.tolist(), "im": m.imag.tolist()}
+
+
+def matrix_from_dict(e: dict) -> np.ndarray:
+    """Inverse of matrix_to_dict; a missing "im" reads as zero."""
+    re = np.asarray(e["re"], dtype=float)
+    im = np.asarray(e.get("im", np.zeros_like(re)), dtype=float)
+    return re + 1j * im
+
+
 def problem_to_dict(p: QueryProblem) -> dict:
     return {
         "n": p.n,
         "unitaries": [
-            {"label": lab, "re": p.unitaries[i].real.tolist(), "im": p.unitaries[i].imag.tolist()}
-            for i, lab in enumerate(p.labels)
+            {"label": lab, **matrix_to_dict(p.unitaries[i])} for i, lab in enumerate(p.labels)
         ],
         "outputs": list(p.outputs),
         "g": dict(p.g),
@@ -200,14 +211,10 @@ def problem_from_dict(data: dict) -> QueryProblem:
         n = int(data["n"])
         entries = data["unitaries"]
         labels = tuple(str(e["label"]) for e in entries)
-        mats = []
-        for e in entries:
-            re = np.asarray(e["re"], dtype=float)
-            im = np.asarray(e.get("im", np.zeros_like(re)), dtype=float)
-            mats.append(re + 1j * im)
+        mats = [matrix_from_dict(e) for e in entries]
         outputs = tuple(str(z) for z in data["outputs"])
         g = {str(k): str(v) for k, v in data["g"].items()}
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed problem description: {exc}") from exc
     shapes = {m.shape for m in mats}
     if shapes and shapes != {(n, n)}:

@@ -1,13 +1,12 @@
 """Conic feasibility programs over Hermitian matrix blocks.
 
-A program is a list of named variable blocks (each free-Hermitian or PSD), a
-list of named matrix rows, and a sense:
-
-* "primal": every row is an equality A(x) = rhs and a point is feasible when
-  all PSD blocks are PSD and every row holds.
-* "dual": rows are PSD inequalities A(y) >= 0 (sense "psd"), equalities
-  (sense "eq"), and exactly one scalar strict row (sense "strict") whose
-  value must be negative.
+A program is a list of named variable blocks (each free-Hermitian or PSD)
+and a list of named matrix rows, each with its own sense: an equality
+A(x) = rhs ("eq"), a PSD inequality A(y) >= rhs ("psd"), or a scalar strict
+row whose value must be negative ("strict"). The row senses decide the kind
+of program: the existence programs have equality rows only, and a point is
+feasible when all PSD blocks are PSD and every row holds; the witness
+programs add PSD rows and exactly one strict row.
 
 Rows are sums of structured linear maps applied to the blocks. Each map kind
 carries an exact adjoint, so generic Farkas-type certificates can be
@@ -21,7 +20,7 @@ block-diagonal oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -70,7 +69,7 @@ class BlockMap:
         k = self.kind
         if k == "conj_pt":
             y = x if self.mat is None else self.mat @ x @ self.mat.conj().T
-            out = partial_trace(y, self.split, "fast")
+            out = partial_trace(y, self.split)
         elif k == "conj_tensor":
             wide = np.kron(x, np.eye(self.split[1]))
             out = wide if self.mat is None else self.mat.conj().T @ wide @ self.mat
@@ -145,8 +144,6 @@ class Row:
 class ConicFeasibilityProgram:
     blocks: list[Block]
     rows: list[Row]
-    sense: str  # "primal" | "dual"
-    meta: dict = field(default_factory=dict)
 
     def row_value(self, row: Row, point: dict[str, np.ndarray]) -> np.ndarray:
         out = np.zeros((row.dim, row.dim), dtype=complex)
@@ -229,9 +226,7 @@ def build_primal(p: QueryProblem, q: int, eps: float, c: DerivedConstants | None
             )
         )
 
-    return ConicFeasibilityProgram(
-        blocks, rows, "primal", meta={"kind": "primal", "q": q, "eps": eps}
-    )
+    return ConicFeasibilityProgram(blocks, rows)
 
 
 def build_primal_relaxed(p: QueryProblem, q: int, eps: float, c: DerivedConstants | None = None) -> ConicFeasibilityProgram:
@@ -262,9 +257,7 @@ def build_primal_relaxed(p: QueryProblem, q: int, eps: float, c: DerivedConstant
             )
         )
 
-    return ConicFeasibilityProgram(
-        blocks, rows, "primal", meta={"kind": "primal_relaxed", "q": q, "eps": eps}
-    )
+    return ConicFeasibilityProgram(blocks, rows)
 
 
 def build_dual(p: QueryProblem, q: int, eps: float, c: DerivedConstants | None = None) -> ConicFeasibilityProgram:
@@ -313,9 +306,7 @@ def build_dual(p: QueryProblem, q: int, eps: float, c: DerivedConstants | None =
         (bi[f"output_dual_{z}"], _trace_against(c.deltas[z], -(1.0 - eps))) for z in p.outputs
     ]
     rows.append(Row("strict", 1, strict_terms, np.zeros((1, 1), dtype=complex), sense="strict"))
-    return ConicFeasibilityProgram(
-        blocks, rows, "dual", meta={"kind": "dual", "q": q, "eps": eps}
-    )
+    return ConicFeasibilityProgram(blocks, rows)
 
 
 def build_dual_relaxed(p: QueryProblem, q: int, eps: float, c: DerivedConstants | None = None) -> ConicFeasibilityProgram:
@@ -354,16 +345,11 @@ def build_dual_relaxed(p: QueryProblem, q: int, eps: float, c: DerivedConstants 
         )
     for pr in c.pairs:
         name = pair_name(p, pr)
-        mask = np.ones((s, s))
-        i, j = pr
-        for a in (i, j):
-            for b in (i, j):
-                mask[a, b] = 0.0
         rows.append(
             Row(
                 f"pattern_{name}",
                 s,
-                [(bi[f"pair_dual_{name}"], _schur(mask))],
+                [(bi[f"pair_dual_{name}"], _schur(1.0 - c.v_mats[pr] - c.w_mats[pr]))],
                 np.zeros((s, s), dtype=complex),
                 sense="eq",
             )
@@ -374,18 +360,7 @@ def build_dual_relaxed(p: QueryProblem, q: int, eps: float, c: DerivedConstants 
         (bi[f"pair_dual_{pair_name(p, pr)}"], _trace_against(np.eye(s), margin)) for pr in c.pairs
     ]
     rows.append(Row("strict", 1, strict_terms, np.zeros((1, 1), dtype=complex), sense="strict"))
-    return ConicFeasibilityProgram(
-        blocks, rows, "dual", meta={"kind": "dual_relaxed", "q": q, "eps": eps}
-    )
-
-
-def _compress_to_pattern(y: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
-    out = np.zeros_like(y)
-    i, j = pair
-    for a in (i, j):
-        for b in (i, j):
-            out[a, b] = y[a, b]
-    return out
+    return ConicFeasibilityProgram(blocks, rows)
 
 
 def certificate_to_dual_point(
@@ -422,9 +397,8 @@ def certificate_to_dual_point(
             point[f"step_{t}"] = -chain_multiplier(q - t)
         for pr in c.pairs:
             name = pair_name(p, pr)
-            point[f"pair_dual_{name}"] = _compress_to_pattern(
-                np.asarray(certificate[f"pair_{name}"]), pr
-            )
+            pattern = c.v_mats[pr] + c.w_mats[pr]
+            point[f"pair_dual_{name}"] = np.asarray(certificate[f"pair_{name}"]) * pattern
     return point
 
 

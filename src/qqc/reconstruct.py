@@ -22,7 +22,7 @@ from .linalg import (
     partial_trace,
     purify,
 )
-from .problem import QueryProblem, build_constants
+from .problem import QueryProblem, build_constants, matrix_from_dict, matrix_to_dict
 from .programs import build_primal
 from .solver import FeasibilityOutcome, SolverConfig, solve
 
@@ -82,10 +82,10 @@ class QuantumQueryAlgorithm:
         return self.n * self.w_dim
 
 
-def validate_algorithm(alg: QuantumQueryAlgorithm, tol: float = _ALG_TOL) -> dict[str, float]:
+def validate_algorithm(alg: QuantumQueryAlgorithm) -> dict[str, float]:
     """Check unitarity and measurement structure; returns the residuals.
 
-    Raises ReconstructionError if any residual exceeds tol.
+    Raises ReconstructionError if any residual exceeds _ALG_TOL.
     """
     d = alg.dim
     eye = np.eye(d)
@@ -113,7 +113,7 @@ def validate_algorithm(alg: QuantumQueryAlgorithm, tol: float = _ALG_TOL) -> dic
                 float(np.linalg.norm(alg.projectors[labels[a]] @ alg.projectors[labels[b]])),
             )
     res["completeness"] = float(np.linalg.norm(total - eye))
-    bad = {k: v for k, v in res.items() if v > tol}
+    bad = {k: v for k, v in res.items() if v > _ALG_TOL}
     if bad:
         raise ReconstructionError(f"algorithm fails structural checks: {bad}")
     return res
@@ -260,7 +260,7 @@ def backward_chain(
             ) from exc
         unitaries[t] = u_t
         psi = np.kron(omega.conj().T, eye_w) @ xi
-        red = partial_trace(np.outer(psi, psi.conj()), (s * n, w_dim), "fast")
+        red = partial_trace(np.outer(psi, psi.conj()), (s * n, w_dim))
         back_gap = float(np.linalg.norm(red - rhos[t - 1]))
         if back_gap > 1e-6:
             raise ReconstructionError(
@@ -330,11 +330,8 @@ def algorithm_to_dict(alg: QuantumQueryAlgorithm) -> dict:
     return {
         "n": alg.n,
         "w_dim": alg.w_dim,
-        "unitaries": [{"re": u.real.tolist(), "im": u.imag.tolist()} for u in alg.unitaries],
-        "projectors": {
-            z: {"re": pz.real.tolist(), "im": pz.imag.tolist()}
-            for z, pz in alg.projectors.items()
-        },
+        "unitaries": [matrix_to_dict(u) for u in alg.unitaries],
+        "projectors": {z: matrix_to_dict(pz) for z, pz in alg.projectors.items()},
     }
 
 
@@ -343,17 +340,9 @@ def algorithm_from_dict(data: dict) -> QuantumQueryAlgorithm:
     try:
         n = int(data["n"])
         w_dim = int(data["w_dim"])
-        unitaries = []
-        for e in data["unitaries"]:
-            re = np.asarray(e["re"], dtype=float)
-            im = np.asarray(e.get("im", np.zeros_like(re)), dtype=float)
-            unitaries.append(re + 1j * im)
-        projectors = {}
-        for z, e in data["projectors"].items():
-            re = np.asarray(e["re"], dtype=float)
-            im = np.asarray(e.get("im", np.zeros_like(re)), dtype=float)
-            projectors[str(z)] = re + 1j * im
-    except (KeyError, TypeError, ValueError) as exc:
+        unitaries = [matrix_from_dict(e) for e in data["unitaries"]]
+        projectors = {str(z): matrix_from_dict(e) for z, e in data["projectors"].items()}
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed algorithm description: {exc}") from exc
     if not unitaries:
         raise ValueError("algorithm must contain at least one unitary")

@@ -83,7 +83,7 @@ def write_sdpa(data: SdpaData, path: str) -> str:
 
 def export_sdpa(prog: ConicFeasibilityProgram, path: str) -> str:
     """Write an equality-sense program as an SDPA sparse feasibility file."""
-    if prog.sense != "primal":
+    if any(r.sense != "eq" for r in prog.rows):
         raise ValueError("only equality-sense programs can be exported")
     for b in prog.blocks:
         if not b.psd:
@@ -150,4 +150,4 @@ def sdpa_to_program(data: SdpaData) -> ConicFeasibilityProgram:
                     (b - 1, BlockMap("trace_against", d_in=f.shape[0], d_out=1, mat=f.astype(complex)))
                 )
         rows.append(Row(f"c_{k}", 1, terms, np.array([[data.rhs[k - 1]]], dtype=complex)))
-    return ConicFeasibilityProgram(blocks, rows, "primal", meta={"kind": "sdpa_import"})
+    return ConicFeasibilityProgram(blocks, rows)

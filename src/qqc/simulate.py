@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import partial_trace
-from .problem import QueryProblem, build_constants, build_omega
+from .problem import QueryProblem, build_constants, build_omega, matrix_to_dict
 from .reconstruct import QuantumQueryAlgorithm
 
 __all__ = [
@@ -129,8 +129,8 @@ def extended_state(
     for step in range(1, t + 1):
         psi = np.kron(eye_s, alg.unitaries[step]) @ (oracle_ext @ psi)
     dens = np.outer(psi, psi.conj())
-    rho_iq = partial_trace(dens, (s * n, w), "fast")
-    rho_i = partial_trace(rho_iq, (s, n), "fast")
+    rho_iq = partial_trace(dens, (s * n, w))
+    rho_i = partial_trace(rho_iq, (s, n))
     return psi, rho_iq, rho_i
 
 
@@ -167,9 +167,6 @@ def trace_to_dict(trace: SimulationTrace) -> dict:
     return {
         "q": trace.q,
         "labels": list(trace.labels),
-        "grams": [
-            {"re": trace.grams[t].real.tolist(), "im": trace.grams[t].imag.tolist()}
-            for t in range(trace.q + 1)
-        ],
+        "grams": [matrix_to_dict(gram) for gram in trace.grams],
         "probabilities": {lab: dict(probs) for lab, probs in trace.probabilities.items()},
     }

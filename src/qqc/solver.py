@@ -10,10 +10,10 @@ from one cache per matrix dimension, and act on stacks of matrices and
 vectors along the leading axes. The cone step groups the PSD blocks by
 dimension once and projects each group with one stacked `eigh`: a gather
 of the group's coordinates, eigenvalue clipping, and a scatter back.
-Equality-sense programs run
-directly; inequality-sense programs are first slackened to equality form,
-with the strict scalar row pinned to -1 (all assembled inequality programs
-are homogeneous, so the pin loses no generality).
+Programs whose rows are all equalities run directly; PSD rows are first
+slackened to equalities, with the strict scalar row pinned to -1 (all
+assembled inequality programs are homogeneous, so the pin loses no
+generality).
 
 Infeasibility is reported only with a Farkas-style certificate: one
 multiplier matrix per row whose adjoint image is PSD on PSD blocks, zero on
@@ -295,28 +295,26 @@ class _Engine:
         return out
 
 
-def _assemble_factors(eng: _Engine, ys: list[tuple[bool, np.ndarray]]) -> np.ndarray:
+def _assemble_factors(eng: _Engine, ys: list[np.ndarray]) -> np.ndarray:
     x = np.zeros(eng.n_cols)
-    for (psd, y), b, off in zip(ys, eng.blocks, eng.block_off):
-        m = y @ y.conj().T if psd else y
+    for y, b, off in zip(ys, eng.blocks, eng.block_off):
+        m = y @ y.conj().T if b.psd else y
         x[off : off + b.dim * b.dim] = hvec(m)
     return x
 
 
-def _step_factors(
-    ys: list[tuple[bool, np.ndarray]], step: np.ndarray
-) -> list[tuple[bool, np.ndarray]]:
+def _step_factors(blocks: list[Block], ys: list[np.ndarray], step: np.ndarray) -> list[np.ndarray]:
     out = []
     k = 0
-    for psd, y in ys:
-        if psd:
+    for b, y in zip(blocks, ys):
+        if b.psd:
             d, r = y.shape
             seq = step[k : k + 2 * d * r].reshape(r, d, 2)
-            out.append((True, y + (seq[..., 0] + 1j * seq[..., 1]).T))
+            out.append(y + (seq[..., 0] + 1j * seq[..., 1]).T)
             k += 2 * d * r
         else:
             d = y.shape[0]
-            out.append((False, y + unhvec(step[k : k + d * d], d)))
+            out.append(y + unhvec(step[k : k + d * d], d))
             k += d * d
     return out
 
@@ -338,7 +336,7 @@ def _factor_jacobian(y: np.ndarray, a_blk: np.ndarray) -> np.ndarray:
     return a_blk @ hvec(dm).reshape(2 * d * r, d * d).T
 
 
-def _gauss_newton(eng: _Engine, ys: list[tuple[bool, np.ndarray]]) -> np.ndarray:
+def _gauss_newton(eng: _Engine, ys: list[np.ndarray]) -> np.ndarray:
     """Refine block factors against the equality rows; returns flat coords.
 
     PSD blocks are parametrized as Y Y-adjoint at fixed rank (free blocks
@@ -356,8 +354,8 @@ def _gauss_newton(eng: _Engine, ys: list[tuple[bool, np.ndarray]]) -> np.ndarray
         if rn <= floor:
             break
         jac = np.hstack([np.zeros((eng.n_rows, 0))] + [
-            _factor_jacobian(y, a_blk) if psd else a_blk
-            for (psd, y), a_blk in zip(ys, a_blks)
+            _factor_jacobian(y, a_blk) if b.psd else a_blk
+            for b, y, a_blk in zip(eng.blocks, ys, a_blks)
         ])
         if not jac.shape[1]:
             break
@@ -365,7 +363,7 @@ def _gauss_newton(eng: _Engine, ys: list[tuple[bool, np.ndarray]]) -> np.ndarray
         t = 1.0
         improved = False
         for _ in range(8):
-            trial = _step_factors(ys, t * step)
+            trial = _step_factors(eng.blocks, ys, t * step)
             xt = _assemble_factors(eng, trial)
             rt = eng.a @ xt - eng.b
             rtn = float(np.linalg.norm(rt))
@@ -381,7 +379,7 @@ def _gauss_newton(eng: _Engine, ys: list[tuple[bool, np.ndarray]]) -> np.ndarray
 
 def _guess_factors(
     eng: _Engine, x: np.ndarray, scale: float, extra: int, res: float
-) -> list[tuple[bool, np.ndarray]]:
+) -> list[np.ndarray]:
     """Factor each block at the rank its spectrum suggests, plus headroom.
 
     Spurious eigenvalues shrink along with the residual while true ones stay
@@ -390,11 +388,11 @@ def _guess_factors(
     from just below the cut; refinement can always shrink them back to zero,
     but a missing direction leaves a rank-deficient dead end.
     """
-    ys: list[tuple[bool, np.ndarray]] = []
+    ys: list[np.ndarray] = []
     for b, off in zip(eng.blocks, eng.block_off):
         m = unhvec(x[off : off + b.dim * b.dim], b.dim)
         if not b.psd:
-            ys.append((False, m))
+            ys.append(m)
             continue
         w, v = np.linalg.eigh(m)
         cut = max(max(w[-1], 0.0) * _FACE_REL_TOL + _FACE_ABS_FLOOR, scale)
@@ -406,7 +404,7 @@ def _guess_factors(
             if take.size:
                 seed = math.sqrt(max(res, 1e-12))
                 y = np.concatenate([y, v[:, take] * seed], axis=1)
-        ys.append((True, y))
+        ys.append(y)
     return ys
 
 
@@ -438,25 +436,20 @@ def _face_polish(eng: _Engine, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Program transforms.
 
-def _equality_form(prog: ConicFeasibilityProgram) -> tuple[list[Block], list[Row], list[str]]:
-    """Slacken PSD rows and pin the strict row; returns (blocks, rows, slack names)."""
-    if prog.sense == "primal":
-        for r in prog.rows:
-            if r.sense != "eq":
-                raise SolverError(f"primal-sense program has non-equality row {r.name!r}")
-        return list(prog.blocks), list(prog.rows), []
+def _equality_form(prog: ConicFeasibilityProgram) -> tuple[list[Block], list[Row]]:
+    """Slacken PSD rows and pin the strict row; returns (blocks, rows).
 
-    blocks = [Block(b.name, b.dim, b.psd) for b in prog.blocks]
+    The slack blocks follow the program's own blocks, so a program whose
+    rows are all equalities comes back unchanged.
+    """
+    blocks = list(prog.blocks)
     rows: list[Row] = []
-    slack_names = []
     strict_seen = False
     for r in prog.rows:
         if r.sense == "eq":
             rows.append(r)
         elif r.sense == "psd":
-            sname = f"row_slack_{r.name}"
-            blocks.append(Block(sname, r.dim, True))
-            slack_names.append(sname)
+            blocks.append(Block(f"row_slack_{r.name}", r.dim, True))
             terms = list(r.terms) + [
                 (len(blocks) - 1, BlockMap("id", d_in=r.dim, d_out=r.dim, scale=-1.0))
             ]
@@ -473,7 +466,7 @@ def _equality_form(prog: ConicFeasibilityProgram) -> tuple[list[Block], list[Row
     for r in prog.rows:
         if r.sense != "strict" and np.linalg.norm(r.rhs) > 0 and strict_seen:
             raise SolverError("strict-row pinning requires all other rows homogeneous")
-    return blocks, rows, slack_names
+    return blocks, rows
 
 
 def _certify(
@@ -527,7 +520,7 @@ def solve(prog: ConicFeasibilityProgram, cfg: SolverConfig | None = None) -> Fea
     iteration budget is exhausted with neither witness.
     """
     cfg = cfg or SolverConfig()
-    blocks, rows, slack_names = _equality_form(prog)
+    blocks, rows = _equality_form(prog)
     a, b, _, _ = assemble(blocks, rows)
     eng = _Engine(blocks, a, b)
     rng = np.random.default_rng(cfg.seed)
@@ -555,9 +548,8 @@ def solve(prog: ConicFeasibilityProgram, cfg: SolverConfig | None = None) -> Fea
             polished = _face_polish(eng, cand)
             pres = residuals(polished)
             if max(pres.values(), default=0.0) <= _POLISHED_TOL:
-                point = _split(blocks, polished)
-                for name in slack_names:
-                    del point[name]
+                # the slack blocks come last, so the program's own blocks cut first
+                point = _split(prog.blocks, polished)
                 return FeasibilityOutcome("FEASIBLE", point, None, pres, it)
         if it < _FIRST_CERT_ATTEMPT:
             continue

@@ -205,6 +205,41 @@ def test_simulate_dimension_mismatch(problem_file, tmp_path, capsys):
     assert rep["status"] in ("INPUT_ERROR", "INVALID")
 
 
+@pytest.mark.parametrize("command,eps", [("estimate", "1.5"), ("estimate", "-0.1"),
+                                         ("simulate", "1.5")])
+def test_error_tolerance_out_of_range_is_invalid(problem_file, tmp_path, capsys, command, eps):
+    argv = [command, problem_file("deutsch"), "--eps", eps]
+    if command == "simulate":
+        path = tmp_path / "alg.json"
+        path.write_text(json.dumps(algorithm_to_dict(hand_deutsch_algorithm())))
+        argv += ["--alg", str(path)]
+    code = main(argv)
+    rep = _report(capsys)
+    assert code == 2
+    assert rep["status"] == "INVALID"
+    assert "error tolerance" in rep["error"]
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_list_in_place_of_a_mapping_is_input_error(problem_file, tmp_path, capsys, command):
+    if command == "validate":
+        data = problem_to_dict(PROBLEMS["deutsch"])
+        data["g"] = ["0"]
+        path = tmp_path / "listed_g.json"
+        path.write_text(json.dumps(data))
+        argv = ["validate", str(path)]
+    else:
+        data = algorithm_to_dict(hand_deutsch_algorithm())
+        data["projectors"] = [1]
+        path = tmp_path / "listed_projectors.json"
+        path.write_text(json.dumps(data))
+        argv = ["simulate", problem_file("deutsch"), "--alg", str(path)]
+    code = main(argv)
+    rep = _report(capsys)
+    assert code == 1
+    assert rep["status"] == "INPUT_ERROR"
+
+
 def test_seed_env_override(problem_file, capsys, monkeypatch):
     monkeypatch.setenv("QQC_SEED", "11")
     code = main(["feasible", problem_file("deutsch"), "--q", "1", "--eps", "0", "--seed", "3"])

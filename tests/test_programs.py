@@ -85,7 +85,6 @@ def test_primal_structure(deutsch):
     assert np.array_equal(rows["init"].rhs, np.ones((4, 4)))
     c = build_constants(deutsch)
     assert np.array_equal(rows["output_0"].rhs, 0.9 * c.deltas["0"])
-    assert prog.meta["kind"] == "primal"
 
 
 def test_primal_q0_pins_final_gram(const):

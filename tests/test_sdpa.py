@@ -72,7 +72,6 @@ def test_export_rejects_dual_sense_and_free_blocks(tmp_path):
         [Row("r", 1, [(0, BlockMap("trace_against", d_in=2, d_out=1,
                                    mat=np.eye(2, dtype=complex)))],
              np.ones((1, 1), dtype=complex))],
-        "primal",
     )
     with pytest.raises(ValueError):
         export_sdpa(free, str(tmp_path / "free.dat-s"))
@@ -81,7 +80,6 @@ def test_export_rejects_dual_sense_and_free_blocks(tmp_path):
         [Block("x", 2, True)],
         [Row("r", 2, [(0, BlockMap("id", d_in=2, d_out=2))],
              np.zeros((2, 2), dtype=complex), sense="psd")],
-        "dual",
     )
     with pytest.raises(ValueError):
         export_sdpa(dual, str(tmp_path / "dual.dat-s"))
@@ -94,12 +92,10 @@ def test_sdpa_to_program_solvable(tmp_path):
         [Row("trace", 1, [(0, BlockMap("trace_against", d_in=2, d_out=1,
                                        mat=np.eye(2, dtype=complex)))],
              np.ones((1, 1), dtype=complex))],
-        "primal",
     )
     path = str(tmp_path / "imported.dat-s")
     export_sdpa(prog, path)
     imported = sdpa_to_program(parse_sdpa(path))
-    assert imported.meta["kind"] == "sdpa_import"
     assert [b.dim for b in imported.blocks] == [4]
     from qqc.solver import solve
 

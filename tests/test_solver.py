@@ -16,7 +16,6 @@ from qqc.reconstruct import reconstruct_algorithm
 from qqc.solver import (
     FeasibilityOutcome,
     SolverConfig,
-    SolverError,
     _Engine,
     _equality_form,
     _factor_jacobian,
@@ -121,7 +120,7 @@ def test_project_cone_matches_per_block_reference(case):
         prog = BUILDERS["dual_relaxed"](PROBLEMS["deutsch"], 1, 0.1)
     else:
         prog = BUILDERS["primal"](_weyl3_identification(), 1, 0.1)
-    blocks, rows, _ = _equality_form(prog)
+    blocks, rows = _equality_form(prog)
     a, b, _, _ = assemble(blocks, rows)
     eng = _Engine(blocks, a, b)
     assert len({b.dim for b in blocks if b.psd}) == 2
@@ -153,7 +152,7 @@ def test_dual_projections_land_in_their_sets(case):
         prog = BUILDERS["dual_relaxed"](PROBLEMS["deutsch"], 1, 0.1)
     else:
         prog = BUILDERS["primal"](_weyl3_identification(), 1, 0.1)
-    blocks, rows, _ = _equality_form(prog)
+    blocks, rows = _equality_form(prog)
     a, b, _, _ = assemble(blocks, rows)
     eng = _Engine(blocks, a, b)
     free = [i for blk, off in zip(blocks, eng.block_off) if not blk.psd
@@ -211,11 +210,12 @@ def test_factor_jacobian_columns_follow_step_factors():
     y = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
     free = random_hermitian(rng, 2)
     jac = _factor_jacobian(y, np.eye(d * d))
+    blocks = [Block("y", d, True), Block("free", 2, False)]
     for c in range(2 * d * r):
         step = np.zeros(2 * d * r + 4)
         step[c] = h
-        (_, yp), (_, fp) = _step_factors([(True, y), (False, free)], step)
-        (_, ym), _ = _step_factors([(True, y), (False, free)], -step)
+        yp, fp = _step_factors(blocks, [y, free], step)
+        ym, _ = _step_factors(blocks, [y, free], -step)
         assert np.array_equal(fp, free)
         fd = (_hvec_gram(yp) - _hvec_gram(ym)) / (2 * h)
         assert np.linalg.norm(jac[:, c] - fd) <= 1e-7 * np.linalg.norm(fd)
@@ -230,7 +230,7 @@ def test_solve_small_feasible_program():
                                     mat=np.diag([1.0, -1.0]).astype(complex)))],
             np.array([[1.0]], dtype=complex)),
     ]
-    prog = ConicFeasibilityProgram(blocks, rows, "primal")
+    prog = ConicFeasibilityProgram(blocks, rows)
     out = solve(prog)
     assert out.status == "FEASIBLE"
     assert np.allclose(out.point["x"], np.diag([1.0, 0.0]), atol=1e-6)
@@ -241,7 +241,7 @@ def test_solve_reports_infeasibility_certificate():
     # tr x = -1 with x PSD has no solution
     blocks = [Block("x", 2, True)]
     rows = [_trace_row("trace", 0, 2, -1.0)]
-    prog = ConicFeasibilityProgram(blocks, rows, "primal")
+    prog = ConicFeasibilityProgram(blocks, rows)
     out = solve(prog)
     assert out.status == "INFEASIBLE_WITH_CERTIFICATE"
     assert set(out.certificate) == {"trace"}
@@ -255,20 +255,12 @@ def test_solve_reports_infeasibility_certificate():
 def test_solve_is_deterministic():
     blocks = [Block("x", 3, True)]
     rows = [_trace_row("trace", 0, 3, 1.0)]
-    prog = ConicFeasibilityProgram(blocks, rows, "primal")
+    prog = ConicFeasibilityProgram(blocks, rows)
     a = solve(prog, SolverConfig(seed=7))
     b = solve(prog, SolverConfig(seed=7))
     assert a.status == b.status == "FEASIBLE"
     assert a.iterations == b.iterations
     assert np.array_equal(a.point["x"], b.point["x"])
-
-
-def test_solve_rejects_inequality_rows_in_primal_sense():
-    blocks = [Block("x", 2, True)]
-    rows = [Row("bad", 2, [(0, _ident(2))], np.zeros((2, 2), complex), sense="psd")]
-    prog = ConicFeasibilityProgram(blocks, rows, "primal")
-    with pytest.raises(SolverError):
-        solve(prog)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -285,7 +277,7 @@ def test_solve_certificate_for_rhs_off_the_affine_range():
     # tr x = 1 and tr x = 2 clash before any cone enters
     blocks = [Block("x", 2, True)]
     rows = [_trace_row("one", 0, 2, 1.0), _trace_row("two", 0, 2, 2.0)]
-    out = solve(ConicFeasibilityProgram(blocks, rows, "primal"))
+    out = solve(ConicFeasibilityProgram(blocks, rows))
     assert out.status == "INFEASIBLE_WITH_CERTIFICATE"
     assert out.iterations == 0
     pairing = sum(np.trace(r.rhs @ out.certificate[r.name]).real for r in rows)
@@ -330,9 +322,10 @@ def test_free_block_program_with_strict_row():
                           mat=np.eye(2, dtype=complex)))],
             np.zeros((1, 1), dtype=complex), sense="strict"),
     ]
-    prog = ConicFeasibilityProgram(blocks, rows, "dual")
+    prog = ConicFeasibilityProgram(blocks, rows)
     out = solve(prog)
     assert out.status == "FEASIBLE"
+    assert set(out.point) == {"y"}  # the row slack is not a program block
     rep = verify_point(prog, out.point)
     assert rep.max_residual <= 1e-7
     assert rep.strict_slack > 0
@@ -341,7 +334,7 @@ def test_free_block_program_with_strict_row():
 def test_verify_point_flags_violations():
     blocks = [Block("x", 2, True)]
     rows = [_trace_row("trace", 0, 2, 1.0)]
-    prog = ConicFeasibilityProgram(blocks, rows, "primal")
+    prog = ConicFeasibilityProgram(blocks, rows)
     rep = verify_point(prog, {"x": np.diag([2.0, 0.0]).astype(complex)})
     assert rep.row_residuals["trace"] == pytest.approx(1.0)
     assert not rep.within(1e-7)
@@ -362,7 +355,7 @@ def test_weak_duality_pairing_is_negative_on_certificates(deutsch, cached_solve)
 def test_outcome_shape():
     blocks = [Block("x", 2, True)]
     rows = [_trace_row("trace", 0, 2, 1.0)]
-    out = solve(ConicFeasibilityProgram(blocks, rows, "primal"))
+    out = solve(ConicFeasibilityProgram(blocks, rows))
     assert isinstance(out, FeasibilityOutcome)
     assert out.certificate is None
     assert out.iterations >= 1
