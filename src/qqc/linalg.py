@@ -105,20 +105,17 @@ def conditional_vectors(psi: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
 
 
 def align_purifications(
-    psi: np.ndarray,
-    target: np.ndarray,
-    dim_a: int,
-    dim_b: int,
-    tol: float = 1e-7,
+    psi: np.ndarray, target: np.ndarray, dim_a: int, dim_b: int
 ) -> np.ndarray:
     """Unitary u on the B factor with (I_A x u) psi == target.
 
     Both arguments are purifications over the same A|B split and must have
     matching reduced states on A (their B-conditioned Gram matrices agree
-    within tol, relative to the larger norm); the connecting unitary is built
+    within 1e-4, relative to the larger norm); the connecting unitary is built
     from the polar factor of the overlap matrix, so it is the best aligner
     even when the Grams agree only approximately.
     """
+    tol = 1e-4
     rows_p = conditional_vectors(psi, dim_a, dim_b)
     rows_t = conditional_vectors(target, dim_a, dim_b)
     g_p = rows_p @ rows_p.conj().T
@@ -135,15 +132,14 @@ def align_purifications(
     return u_l @ v_h
 
 
-def naimark_extend(
-    povm: list[np.ndarray], rank_tol: float | None = None
-) -> tuple[list[np.ndarray], np.ndarray]:
+def naimark_extend(povm: list[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
     """Dilate a POVM on C^d to orthogonal projectors on C^D.
 
     Returns (projectors, isometry v) with D = sum of element ranks, the
     projectors mutually orthogonal and summing to the identity, and
     v† P_z v == povm[z] for every z. v has shape (D, d). The elements must
-    be PSD and sum to the identity within 1e-8.
+    be PSD and sum to the identity within 1e-8, and an element's rank counts
+    its eigenvalues above 1e-8.
     """
     tol = 1e-8
     povm = [np.asarray(r, dtype=complex) for r in povm]
@@ -158,8 +154,7 @@ def naimark_extend(
         w, v = eig_hermitian(r)
         if w.size and float(w[-1]) < -tol:
             raise ValueError(f"POVM element not PSD within tolerance: {w[-1]:.3e}")
-        cut = rank_tol if rank_tol is not None else 1e-10 * max(float(w[0]), 1e-300)
-        keep = w > cut
+        keep = w > tol
         factors.append(v[:, keep] * np.sqrt(np.clip(w[keep], 0.0, None)))
     ranks = [f.shape[1] for f in factors]
     big = int(sum(ranks))

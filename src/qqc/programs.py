@@ -20,6 +20,7 @@ block-diagonal oracle.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -403,7 +404,7 @@ def certificate_to_dual_point(
 
 
 def _check_q_eps(q: int, eps: float) -> None:
-    if q < 0 or int(q) != q:
+    if isinstance(q, bool) or not isinstance(q, numbers.Integral) or q < 0:
         raise ValueError(f"query count must be a nonnegative integer, got {q}")
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"error tolerance must lie in [0, 1), got {eps}")

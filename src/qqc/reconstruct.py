@@ -175,7 +175,7 @@ def extract_final_states(
         rank_sum += _checked_rank(f"output share {z!r}", wz, cut)
         rz = inv_root[:, None] * (basis.conj().T @ gz @ basis) * inv_root[None, :]
         povm.append(hermitize(rz.conj()))
-    projectors, iso = naimark_extend(povm, rank_tol=_RANK_REL_TOL)
+    projectors, iso = naimark_extend(povm)
     d = iso.shape[0]
     if d > rank_sum:
         raise ReconstructionError(
@@ -252,7 +252,7 @@ def backward_chain(
         sigma = omega @ rhos[t - 1] @ omega.conj().T
         xi = purify(sigma, w_dim)
         try:
-            u_t = align_purifications(xi, psi, s, dim_c, tol=_ALIGN_TOL)
+            u_t = align_purifications(xi, psi, s, dim_c)
         except ValueError as exc:
             raise ReconstructionError(
                 f"purification alignment failed at step {t}: {exc}; "

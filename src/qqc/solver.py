@@ -23,12 +23,12 @@ of the row space of A, and for b in the range of A, b^T y = x0^T s with
 x0 = A^T (A A^T)^+ b. The certificate search is then the same relaxed
 alternating projection, on the same pseudo-inverse, between
 {s in range(A^T): x0^T s = -1} and the dual cone (PSD blocks clipped, free
-blocks zero). Both searches run in one loop: once the primal iterate has
-swept _FIRST_CERT_ATTEMPT times, a Farkas iterate s is seeded once from its
-displacement from the affine set and advances _CHECK_EVERY sweeps beside it.
-Each check tries the polished point first and the certificate second, and
-y = (A A^T)^+ A s is scaled to pairing -1 and re-verified from the program's
-block maps before anything is reported.
+blocks zero). Both searches run in one loop with no schedule: at the first
+check a Farkas iterate s is seeded once from the primal iterate's
+displacement from the affine set, and every check, the first included, tries
+the polished point first and otherwise advances s by _CHECK_EVERY sweeps and
+tries the certificate y = (A A^T)^+ A s, scaled to pairing -1 and
+re-verified from the program's block maps before anything is reported.
 
 Near-feasible points are polished by rank-restricted Gauss-Newton: each
 block's rank is guessed from its spectrum with a residual-scaled cut, PSD
@@ -64,25 +64,25 @@ __all__ = [
     "verify_point",
 ]
 
-# Sweeps between residual checks: a check costs one cone projection.
+# Primal sweeps between checks, and the Farkas iterate's dual sweeps at each
+# check the polish does not end.
 _CHECK_EVERY = 100
-# Primal sweep budget before UNDECIDED: fifty times the Farkas iterate's start.
+# Primal sweep budget before UNDECIDED: over ten times the 4 300 sweeps of
+# the slowest certificate in the tests (four Haar qubit unitaries, q = 2).
 _MAX_ITERS = 50000
 # Relaxation of both projection steps, in (0, 2); at 2 each step reflects.
 _OVER_RELAXATION = 1.8
-# Feasible fixture cells are polished within 900 sweeps, so the Farkas
-# iterate starts only on programs still open at 1000; from then on it takes
-# _CHECK_EVERY sweeps per check, and 52 of the 54 fixture and family
-# certificates verify at its first check.
-_FIRST_CERT_ATTEMPT = 1000
 # Room a certificate's adjoint image may leave outside the cone, per unit
 # of its pairing.
 _CERT_TOL = 1e-7
 # Largest multiplier norm per unit of pairing: beyond it _CERT_TOL's room is
 # below the double-precision rounding of the adjoint image (1e-7 / 1e8).
 _CERT_NORM_CAP = 1e8
-# Residual below which the face polish is tried at a check.
-_POLISH_GATE = 1e-2
+# Cone-projected residual at or below which a check tries the face polish: at
+# the first check most feasible fixture cells sit at 0.8-1.5e-2 (weyl3 near
+# 3e-2) and polish there, while certificate cells stay above 0.6 and the
+# Haar-pairs instance near 0.14.
+_POLISH_GATE = 1e-1
 # FEASIBLE means polished: reconstruction's 1e-6 Gram check turned a 3e-8
 # unpolished residual into a 2.8e-5 miss.
 _POLISHED_TOL = 1e-10
@@ -377,16 +377,15 @@ def _gauss_newton(eng: _Engine, ys: list[np.ndarray]) -> np.ndarray:
     return x
 
 
-def _guess_factors(
-    eng: _Engine, x: np.ndarray, scale: float, extra: int, res: float
-) -> list[np.ndarray]:
+def _guess_factors(eng: _Engine, x: np.ndarray, extra: int, res: float) -> list[np.ndarray]:
     """Factor each block at the rank its spectrum suggests, plus headroom.
 
     Spurious eigenvalues shrink along with the residual while true ones stay
-    put, so a residual-scaled cut separates them long before the iterates
-    themselves converge. `extra` appends that many gently seeded directions
-    from just below the cut; refinement can always shrink them back to zero,
-    but a missing direction leaves a rank-deficient dead end.
+    put, so a cut at _FACE_RES_FACTOR times the residual separates them long
+    before the iterates themselves converge. `extra` appends that many gently
+    seeded directions from just below the cut; refinement can always shrink
+    them back to zero, but a missing direction leaves a rank-deficient dead
+    end.
     """
     ys: list[np.ndarray] = []
     for b, off in zip(eng.blocks, eng.block_off):
@@ -395,7 +394,7 @@ def _guess_factors(
             ys.append(m)
             continue
         w, v = np.linalg.eigh(m)
-        cut = max(max(w[-1], 0.0) * _FACE_REL_TOL + _FACE_ABS_FLOOR, scale)
+        cut = max(max(w[-1], 0.0) * _FACE_REL_TOL + _FACE_ABS_FLOOR, _FACE_RES_FACTOR * res)
         keep = w > cut
         y = v[:, keep] * np.sqrt(w[keep])
         if extra:
@@ -411,21 +410,20 @@ def _guess_factors(
 def _face_polish(eng: _Engine, x: np.ndarray) -> np.ndarray:
     """Polish a near-feasible point to machine precision at guessed block ranks.
 
-    Attempts walk a ladder of rank guesses, leanest first: exact guesses give
-    quadratic convergence, while the padded ones cost more per step but avoid
-    the rank-deficient local minima a too-lean factorization can wedge into.
-    A wrong guess is harmless because only improvements are kept.
+    Two rank guesses, leanest first: the exact guess gives quadratic
+    convergence, while the one padded by a direction costs more per step but
+    avoids the rank-deficient local minima a too-lean factorization can wedge
+    into. A wrong guess is harmless because only improvements are kept.
     """
 
     def residual(v: np.ndarray) -> float:
         return float(np.linalg.norm(eng.a @ v - eng.b, ord=np.inf))
 
     best, best_res = x, residual(x)
-    ladder = ((_FACE_RES_FACTOR, 0), (_FACE_RES_FACTOR, 1), (0.1, 1), (0.1, 2))
-    for fac, extra in ladder:
+    for extra in (0, 1):
         if best_res < 1e-13:
             break
-        ys = _guess_factors(eng, best, fac * best_res, extra, best_res)
+        ys = _guess_factors(eng, best, extra, best_res)
         cand = _gauss_newton(eng, ys)
         res = residual(cand)
         if res < best_res:
@@ -539,7 +537,7 @@ def solve(prog: ConicFeasibilityProgram, cfg: SolverConfig | None = None) -> Fea
             )
 
     x = 0.1 * rng.standard_normal(eng.n_cols)
-    s = None  # the Farkas iterate, swept beside x once started
+    s = None  # the Farkas iterate, seeded at the first check
     for it in range(_CHECK_EVERY, _MAX_ITERS + 1, _CHECK_EVERY):
         x = _run_ap(eng.project_affine, eng.project_cone, x, _CHECK_EVERY)
         cand = eng.project_cone(x)
@@ -551,8 +549,6 @@ def solve(prog: ConicFeasibilityProgram, cfg: SolverConfig | None = None) -> Fea
                 # the slack blocks come last, so the program's own blocks cut first
                 point = _split(prog.blocks, polished)
                 return FeasibilityOutcome("FEASIBLE", point, None, pres, it)
-        if it < _FIRST_CERT_ATTEMPT:
-            continue
         if s is None:
             # cand - P_L(cand) = A^T w tends to -v for the minimal gap vector
             # v from the affine set to the cone (Bauschke & Borwein 1993), so

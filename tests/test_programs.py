@@ -144,7 +144,9 @@ def test_dual_relaxed_structure(deutsch):
     assert all(r.sense == "eq" for r in patterns)
 
 
-@pytest.mark.parametrize("q,eps", [(-1, 0.0), (0, -0.1), (0, 1.0), (1.5, 0.0)])
+@pytest.mark.parametrize(
+    "q,eps", [(-1, 0.0), (0, -0.1), (0, 1.0), (1.5, 0.0), (1.0, 0.0), (True, 0.0)]
+)
 def test_builders_reject_bad_parameters(deutsch, q, eps):
     with pytest.raises(ValueError):
         build_primal(deutsch, q, eps)

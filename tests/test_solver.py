@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -350,6 +352,17 @@ def test_weak_duality_pairing_is_negative_on_certificates(deutsch, cached_solve)
     pairing = sum(np.trace(r.rhs @ out.certificate[r.name]).real
                   for r in prog.rows)
     assert pairing == pytest.approx(-1.0, abs=1e-6)
+
+
+def test_certificates_start_at_the_first_check(cached_solve):
+    # the Farkas iterate sweeps from the first check on, so no certificate of
+    # the criterion-01 grid waits 1000 primal sweeps for its search to start
+    late = []
+    for cell in itertools.product(PROBLEMS, BUILDERS, (0, 1, 2), (0.0, 0.1)):
+        out = cached_solve(*cell)
+        if out.status == "INFEASIBLE_WITH_CERTIFICATE" and out.iterations >= 1000:
+            late.append((*cell, out.iterations))
+    assert late == []
 
 
 def test_outcome_shape():
