@@ -24,7 +24,6 @@ from .linalg import (
     conditional_vectors,
     eig_hermitian,
     hermitize,
-    naimark_extend,
     partial_trace,
     purify,
     schur,
@@ -53,7 +52,6 @@ from .programs import (
     pair_name,
 )
 from .reconstruct import (
-    QuantumQueryAlgorithm,
     ReconstructionError,
     ReconstructionResult,
     algorithm_from_dict,
@@ -66,6 +64,7 @@ from .reconstruct import (
 )
 from .sdpa import SdpaData, export_sdpa, parse_sdpa, sdpa_to_program, write_sdpa
 from .simulate import (
+    QuantumQueryAlgorithm,
     SimulationTrace,
     SuccessReport,
     extended_state,
@@ -97,7 +96,6 @@ __all__ = [
     "conditional_vectors",
     "eig_hermitian",
     "hermitize",
-    "naimark_extend",
     "partial_trace",
     "purify",
     "schur",
@@ -120,7 +118,6 @@ __all__ = [
     "build_primal_relaxed",
     "certificate_to_dual_point",
     "pair_name",
-    "QuantumQueryAlgorithm",
     "ReconstructionError",
     "ReconstructionResult",
     "algorithm_from_dict",
@@ -135,6 +132,7 @@ __all__ = [
     "parse_sdpa",
     "sdpa_to_program",
     "write_sdpa",
+    "QuantumQueryAlgorithm",
     "SimulationTrace",
     "SuccessReport",
     "extended_state",

@@ -61,16 +61,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(_EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
-def _coerce(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    raise TypeError(f"not JSON-serializable: {type(obj)!r}")
-
-
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -393,7 +383,7 @@ def main(argv: list[str] | None = None) -> int:
         report["results"] = fail.extra
         code = fail.code
     report["elapsed_s"] = time.perf_counter() - start
-    print(json.dumps(report, sort_keys=True, indent=2, default=_coerce))
+    print(json.dumps(report, sort_keys=True, indent=2))
     return code
 
 

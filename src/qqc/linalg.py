@@ -18,7 +18,6 @@ __all__ = [
     "purify",
     "conditional_vectors",
     "align_purifications",
-    "naimark_extend",
     "complete_to_unitary",
 ]
 
@@ -77,24 +76,17 @@ def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def purify(rho: np.ndarray, env_dim: int) -> np.ndarray:
     """State vector on (system, env) whose env partial trace equals rho.
 
-    Eigenvalues below 1e-10 of the largest count as zero.
+    Eigenvalues below 1e-10 of the largest count as zero; the coefficient
+    matrix (system rows, env columns) holds V√w in its leading columns.
     """
     w, v = eig_hermitian(rho)
     top = max(float(w[0]), 0.0) if w.size else 0.0
-    keep = np.nonzero(w > 1e-10 * max(top, 1e-300))[0]
-    if len(keep) > env_dim:
-        raise ValueError(f"environment dimension {env_dim} below rank {len(keep)}")
-    d = rho.shape[0]
-    psi = np.zeros(d * env_dim, dtype=complex)
-    for slot, k in enumerate(keep):
-        psi += np.sqrt(w[k]) * np.kron(v[:, k], _basis(env_dim, slot))
-    return psi
-
-
-def _basis(d: int, i: int) -> np.ndarray:
-    e = np.zeros(d, dtype=complex)
-    e[i] = 1.0
-    return e
+    r = int(np.sum(w > 1e-10 * max(top, 1e-300)))
+    if r > env_dim:
+        raise ValueError(f"environment dimension {env_dim} below rank {r}")
+    coeffs = np.zeros((rho.shape[0], env_dim), dtype=complex)
+    coeffs[:, :r] = v[:, :r] * np.sqrt(w[:r])
+    return coeffs.reshape(-1)
 
 
 def conditional_vectors(psi: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
@@ -132,63 +124,19 @@ def align_purifications(
     return u_l @ v_h
 
 
-def naimark_extend(povm: list[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
-    """Dilate a POVM on C^d to orthogonal projectors on C^D.
+def complete_to_unitary(phi: np.ndarray) -> np.ndarray:
+    """Unitary whose first column is the unit vector phi, deterministically.
 
-    Returns (projectors, isometry v) with D = sum of element ranks, the
-    projectors mutually orthogonal and summing to the identity, and
-    v† P_z v == povm[z] for every z. v has shape (D, d). The elements must
-    be PSD and sum to the identity within 1e-8, and an element's rank counts
-    its eigenvalues above 1e-8.
+    Returns c·H, where c is the phase of phi[0] (1 when phi[0] is zero) and H
+    is the Householder reflection taking e_0 to phi / c; H = I when phi = c·e_0.
     """
-    tol = 1e-8
-    povm = [np.asarray(r, dtype=complex) for r in povm]
-    d = povm[0].shape[0]
-    total = sum(povm)
-    if np.linalg.norm(total - np.eye(d)) > tol * d:
-        raise ValueError("POVM elements do not sum to the identity within tolerance")
-    factors = []
-    for r in povm:
-        if r.shape != (d, d):
-            raise ValueError("POVM elements must share one square shape")
-        w, v = eig_hermitian(r)
-        if w.size and float(w[-1]) < -tol:
-            raise ValueError(f"POVM element not PSD within tolerance: {w[-1]:.3e}")
-        keep = w > tol
-        factors.append(v[:, keep] * np.sqrt(np.clip(w[keep], 0.0, None)))
-    ranks = [f.shape[1] for f in factors]
-    big = int(sum(ranks))
-    iso = np.vstack([f.conj().T for f in factors]) if big else np.zeros((0, d), dtype=complex)
-    projectors = []
-    off = 0
-    for r_z in ranks:
-        p = np.zeros((big, big), dtype=complex)
-        p[off : off + r_z, off : off + r_z] = np.eye(r_z)
-        projectors.append(p)
-        off += r_z
-    return projectors, iso
-
-
-def complete_to_unitary(cols: np.ndarray) -> np.ndarray:
-    """Extend orthonormal columns to a full unitary, deterministically.
-
-    Sweeps the standard basis in order, keeping each vector whose residual
-    after projecting out the current span is larger than 1e-8.
-    """
-    d, k = cols.shape
-    gram = cols.conj().T @ cols
-    if np.linalg.norm(gram - np.eye(k)) > 1e-7 * max(1, k):
-        raise ValueError("input columns are not orthonormal")
-    basis = [cols[:, i] for i in range(k)]
-    for i in range(d):
-        if len(basis) == d:
-            break
-        cand = _basis(d, i)
-        for b in basis:
-            cand = cand - b * (b.conj() @ cand)
-        norm = np.linalg.norm(cand)
-        if norm > 1e-8:
-            basis.append(cand / norm)
-    if len(basis) != d:
-        raise ValueError("could not complete the basis")
-    return np.stack(basis, axis=1)
+    if abs(np.linalg.norm(phi) - 1.0) > 1e-7:
+        raise ValueError("input vector is not a unit vector")
+    phase = phi[0] / abs(phi[0]) if phi[0] != 0 else 1.0
+    v = -phi / phase
+    v[0] += 1.0
+    u = phase * np.eye(phi.size, dtype=complex)
+    nv = float(np.vdot(v, v).real)
+    if nv > 0:
+        u -= (2.0 * phase / nv) * np.outer(v, v.conj())
+    return u

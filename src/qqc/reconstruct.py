@@ -1,7 +1,8 @@
 """Turn a feasible existence-program point into an explicit protocol.
 
-Three stages: split the final Gram matrix into per-output shares, realize
-the shares as concrete state vectors plus a projective measurement, then
+Three stages: split the final Gram matrix into per-output shares, factor
+each share G_z = F_z F_z† so that the final states are the rows of
+[F_z1 | F_z2 | ...] and P_z is the identity on the coordinates of F_z, then
 walk the query chain backwards, choosing each unitary as the aligner
 between two purifications of the same reduced state.
 """
@@ -18,12 +19,11 @@ from .linalg import (
     conditional_vectors,
     eig_hermitian,
     hermitize,
-    naimark_extend,
-    partial_trace,
     purify,
 )
 from .problem import QueryProblem, build_constants, matrix_from_dict, matrix_to_dict
 from .programs import build_primal
+from .simulate import QuantumQueryAlgorithm, run
 from .solver import FeasibilityOutcome, SolverConfig, solve
 
 __all__ = [
@@ -58,28 +58,6 @@ class ReconstructionError(RuntimeError):
     def __init__(self, message: str, status: str | None = None):
         super().__init__(message)
         self.status = status
-
-
-@dataclass
-class QuantumQueryAlgorithm:
-    """Concrete protocol: unitaries on query x workspace plus a measurement.
-
-    unitaries[t] acts between the t-th and (t+1)-th oracle application;
-    projectors map each output label to a projector on the same space.
-    """
-
-    n: int
-    w_dim: int
-    unitaries: list[np.ndarray]
-    projectors: dict[str, np.ndarray]
-
-    @property
-    def q(self) -> int:
-        return len(self.unitaries) - 1
-
-    @property
-    def dim(self) -> int:
-        return self.n * self.w_dim
 
 
 def validate_algorithm(alg: QuantumQueryAlgorithm) -> dict[str, float]:
@@ -144,49 +122,34 @@ def extract_final_states(
 
     Returns (vectors, projectors, d) where vectors is an (|S|, d) array whose
     row for input X is the final state, and the projectors act on dim d.
-    The construction compresses everything to the support of m: there the
-    shares conjugated by the inverse square root form a measurement that is
-    dilated to projectors; the orthogonal complement of the support carries
-    no state weight, so its projector completion is deferred to the embedding
-    into the full computer space.
+    Each share is factored as G_z = F_z F_z† at its rank; vectors is
+    [F_z1 | F_z2 | ...], and P_z is the identity on the coordinates of F_z.
+    The vectors' Gram matrix is then the sum of the shares, which the
+    program sets equal to m, P_z's cross-Gram matrix is G_z itself, and d
+    is the total share rank.
     """
     s = p.size
     m = hermitize(np.asarray(m, dtype=complex))
     if m.shape != (s, s):
         raise ValueError(f"Gram matrix shape {m.shape} != ({s}, {s})")
-    w, v = eig_hermitian(m)
+    w, _ = eig_hermitian(m)
     top = max(float(w[0]), 0.0) if w.size else 0.0
     cut = _RANK_REL_TOL * max(top, 1e-300)
-    r = _checked_rank("final Gram matrix", w, cut)
-    if r == 0:
+    if top <= cut:
         raise ReconstructionError("final Gram matrix is numerically zero")
-    basis = v[:, :r]
-    lam = w[:r]
-    # columns are the extracted vectors in support coordinates; the pairwise
-    # overlaps carry the conjugation on the second index, matching how the
-    # Gram matrix arises as an input-register reduction
-    theta = np.sqrt(lam)[:, None] * basis.T
-    inv_root = 1.0 / np.sqrt(lam)
-    povm = []
-    rank_sum = 0
+    factors = []
     for z in p.outputs:
-        gz = hermitize(np.asarray(shares[z], dtype=complex))
-        wz, _ = eig_hermitian(gz)
-        rank_sum += _checked_rank(f"output share {z!r}", wz, cut)
-        rz = inv_root[:, None] * (basis.conj().T @ gz @ basis) * inv_root[None, :]
-        povm.append(hermitize(rz.conj()))
-    projectors, iso = naimark_extend(povm)
-    d = iso.shape[0]
-    if d > rank_sum:
-        raise ReconstructionError(
-            f"dilation dimension {d} exceeds the total share rank {rank_sum}"
-        )
-    vectors = (iso @ theta).T
-    gram = vectors @ vectors.conj().T
-    gram_gap = float(np.linalg.norm(gram - m))
+        wz, vz = eig_hermitian(shares[z])
+        rz = _checked_rank(f"output share {z!r}", wz, cut)
+        factors.append(vz[:, :rz] * np.sqrt(wz[:rz]))
+    vectors = np.hstack(factors)
+    d = vectors.shape[1]
+    gram_gap = float(np.linalg.norm(vectors @ vectors.conj().T - m))
     if gram_gap > 1e-6 * max(1.0, top):
         raise ReconstructionError(f"extracted vectors mismatch the Gram matrix by {gram_gap:.3e}")
-    proj_map = {z: projectors[k] for k, z in enumerate(p.outputs)}
+    # coordinate k belongs to the share whose factor supplied column k
+    owner = np.concatenate([np.full(f.shape[1], k) for k, f in enumerate(factors)])
+    proj_map = {z: np.diag((owner == k).astype(complex)) for k, z in enumerate(p.outputs)}
     for i, lab in enumerate(p.labels):
         pz = proj_map[p.g[lab]]
         succ = float(np.real(np.vdot(vectors[i], pz @ vectors[i])))
@@ -247,7 +210,6 @@ def backward_chain(
     psi = padded.reshape(-1)
 
     unitaries: list[np.ndarray | None] = [None] * (q + 1)
-    eye_w = np.eye(w_dim)
     for t in range(q, 0, -1):
         sigma = omega @ rhos[t - 1] @ omega.conj().T
         xi = purify(sigma, w_dim)
@@ -259,8 +221,11 @@ def backward_chain(
                 "the chain point is likely not feasible enough"
             ) from exc
         unitaries[t] = u_t
-        psi = np.kron(omega.conj().T, eye_w) @ xi
-        red = partial_trace(np.outer(psi, psi.conj()), (s * n, w_dim))
+        # undo the oracle and reduce, both on the (input·query, workspace)
+        # coefficient matrix of the state
+        coeffs = omega.conj().T @ conditional_vectors(xi, s * n, w_dim)
+        psi = coeffs.reshape(-1)
+        red = coeffs @ coeffs.conj().T
         back_gap = float(np.linalg.norm(red - rhos[t - 1]))
         if back_gap > 1e-6:
             raise ReconstructionError(
@@ -278,7 +243,7 @@ def backward_chain(
     nrm = float(np.linalg.norm(phi))
     if nrm < 0.5:
         raise ReconstructionError(f"initial state collapsed to norm {nrm:.3e}")
-    unitaries[0] = complete_to_unitary((phi / nrm)[:, None])
+    unitaries[0] = complete_to_unitary(phi / nrm)
 
     proj_full = {}
     carrier = np.zeros((dim_c, dim_c), dtype=complex)
@@ -292,9 +257,6 @@ def backward_chain(
 
     alg = QuantumQueryAlgorithm(n=n, w_dim=w_dim, unitaries=list(unitaries), projectors=proj_full)
     validate_algorithm(alg)
-
-    from .simulate import run  # deferred to keep module loading one-way
-
     final_gram = run(alg, p).grams[-1]
     gram_gap = float(np.linalg.norm(final_gram - m_final))
     if gram_gap > 1e-6 * max(1.0, float(np.linalg.norm(m_final))):

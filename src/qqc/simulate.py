@@ -1,4 +1,4 @@
-"""Execute explicit protocols and expose their exact statistics.
+"""Explicit protocols: their description, their runs and exact statistics.
 
 Runs are dense statevector evolutions, one per black-box input; nothing is
 sampled. The existence-program point of a protocol is read from one run:
@@ -15,9 +15,9 @@ import numpy as np
 
 from .linalg import partial_trace
 from .problem import QueryProblem, build_constants, build_omega, matrix_to_dict
-from .reconstruct import QuantumQueryAlgorithm
 
 __all__ = [
+    "QuantumQueryAlgorithm",
     "SimulationTrace",
     "SuccessReport",
     "run",
@@ -26,6 +26,28 @@ __all__ = [
     "trace_to_primal_point",
     "trace_to_dict",
 ]
+
+
+@dataclass
+class QuantumQueryAlgorithm:
+    """Concrete protocol: unitaries on query x workspace plus a measurement.
+
+    unitaries[t] acts between the t-th and (t+1)-th oracle application;
+    projectors map each output label to a projector on the same space.
+    """
+
+    n: int
+    w_dim: int
+    unitaries: list[np.ndarray]
+    projectors: dict[str, np.ndarray]
+
+    @property
+    def q(self) -> int:
+        return len(self.unitaries) - 1
+
+    @property
+    def dim(self) -> int:
+        return self.n * self.w_dim
 
 
 @dataclass

@@ -240,6 +240,70 @@ def test_list_in_place_of_a_mapping_is_input_error(problem_file, tmp_path, capsy
     assert rep["status"] == "INPUT_ERROR"
 
 
+def _write_json(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _register_mismatch(tmp_path):
+    # consistent shapes (n * w_dim = 2), but a one-dimensional query register
+    data = algorithm_to_dict(hand_deutsch_algorithm())
+    data["n"], data["w_dim"] = 1, 2
+    return _write_json(tmp_path, "one_register.json", data)
+
+
+# (argv from the deutsch problem path and tmp_path, exit code, status)
+BAD_INPUTS = {
+    "validate-missing-file": (lambda d, t: ["validate", str(t / "missing.json")], 1, "INPUT_ERROR"),
+    "feasible-dual-export": (
+        lambda d, t: ["feasible", d, "--q", "1", "--dual", "--export-sdpa", str(t / "p.dat-s")],
+        2, "INVALID"),
+    "adversary-1d-gamma": (
+        lambda d, t: ["adversary", d, "--gamma", _write_json(t, "g.json", [0.0, 1.0])],
+        1, "INPUT_ERROR"),
+    "adversary-text-gamma": (
+        lambda d, t: ["adversary", d, "--gamma", _write_json(t, "g.json", [["a", "b"], ["c", "d"]])],
+        1, "INPUT_ERROR"),
+    "estimate-negative-qmax": (lambda d, t: ["estimate", d, "--qmax", "-1"], 2, "INVALID"),
+    "reconstruct-eps-above-one": (
+        lambda d, t: ["reconstruct", d, "--q", "1", "--eps", "1.5", "--out", str(t / "alg.json")],
+        2, "INVALID"),
+    "reconstruct-missing-directory": (
+        lambda d, t: ["reconstruct", d, "--q", "1", "--eps", "0", "--out", str(t / "no" / "a.json")],
+        1, "INPUT_ERROR"),
+    "simulate-register-mismatch": (
+        lambda d, t: ["simulate", d, "--alg", _register_mismatch(t)], 2, "INVALID"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_bad_input_exit_codes(problem_file, tmp_path, capsys, case):
+    argv, code, status = BAD_INPUTS[case]
+    assert main(argv(problem_file("deutsch"), tmp_path)) == code
+    rep = _report(capsys)
+    assert rep["status"] == status
+    assert rep["error"]
+
+
+def test_missing_required_option_exits_with_input_code(problem_file, capsys):
+    # argparse errors go through _Parser.error, which exits with code 1
+    with pytest.raises(SystemExit) as info:
+        main(["feasible", problem_file("deutsch")])
+    assert info.value.code == 1
+    assert "--q" in capsys.readouterr().err
+
+
+def test_feasible_on_invalid_problem_lists_the_issues(tmp_path, capsys):
+    data = problem_to_dict(PROBLEMS["deutsch"])
+    data["unitaries"][0]["re"] = [[1.0, 0.0], [1.0, 1.0]]
+    code = main(["feasible", _write_json(tmp_path, "broken.json", data), "--q", "1"])
+    rep = _report(capsys)
+    assert code == 2
+    assert rep["status"] == "INVALID"
+    assert any(issue["code"] == "not-unitary" for issue in rep["results"]["issues"])
+
+
 def test_seed_env_override(problem_file, capsys, monkeypatch):
     monkeypatch.setenv("QQC_SEED", "11")
     code = main(["feasible", problem_file("deutsch"), "--q", "1", "--eps", "0", "--seed", "3"])

@@ -1,4 +1,5 @@
-"""Every imported name, and every private module-level name of the package, is read somewhere."""
+"""Every imported name, and every private module-level name of the package, is read
+somewhere; the package imports only at module level."""
 
 import ast
 from pathlib import Path
@@ -97,3 +98,24 @@ def test_private_name_check_flags_an_unread_name():
     assert not {"_LIMIT", "_helper"} & read_names(source)
     assert "_helper" in read_names("from m import _helper\n")
     assert "_helper" in read_names("import m\nm._helper()\n")
+
+
+def nested_imports(source: str) -> list[int]:
+    """Lines of the import statements that are not top-level statements."""
+    tree = ast.parse(source)
+    top = {id(node) for node in tree.body}
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
+    )
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_package_imports_only_at_module_level(path):
+    assert nested_imports(path.read_text()) == []
+
+
+def test_nested_import_check_flags_a_deferred_import():
+    source = "import math\n\n\ndef f():\n    from os import path\n    return path\n"
+    assert nested_imports(source) == [5]
+    assert nested_imports("import math\nfrom os import path\n") == []

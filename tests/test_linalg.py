@@ -7,7 +7,6 @@ from qqc.linalg import (
     conditional_vectors,
     eig_hermitian,
     hermitize,
-    naimark_extend,
     partial_trace,
     purify,
     schur,
@@ -140,51 +139,24 @@ def test_align_purifications_rejects_mismatched_reductions():
         align_purifications(psi, phi, 3, 3)
 
 
-def test_naimark_extend_projective_model():
-    rng = np.random.default_rng(61)
-    for _ in range(10):
-        parts = [random_density(rng, 3, 2) for _ in range(3)]
-        total = sum(parts)
-        w, v = np.linalg.eigh(total)
-        root = v @ np.diag(w ** -0.5) @ v.conj().T
-        povm = [hermitize(root @ r @ root) for r in parts]
-        projectors, iso = naimark_extend(povm)
-        big = iso.shape[0]
-        assert big == sum(np.linalg.matrix_rank(r, tol=1e-9) for r in povm)
-        assert np.allclose(iso.conj().T @ iso, np.eye(3), atol=1e-8)
-        acc = np.zeros((big, big), dtype=complex)
-        for proj, elem in zip(projectors, povm):
-            assert np.allclose(proj @ proj, proj, atol=1e-10)
-            assert np.allclose(proj, proj.conj().T, atol=1e-10)
-            assert np.allclose(iso.conj().T @ proj @ iso, elem, atol=1e-8)
-            acc += proj
-        assert np.allclose(acc, np.eye(big), atol=1e-10)
-
-
-def test_naimark_extend_rejects_non_povm():
-    with pytest.raises(ValueError):
-        naimark_extend([np.eye(2), np.eye(2)])
-
-
 def test_complete_to_unitary_keeps_prefix():
     rng = np.random.default_rng(71)
-    for k in (1, 2, 3):
-        u = random_unitary(rng, 4)
-        cols = u[:, :k]
-        full = complete_to_unitary(cols)
-        assert np.allclose(full[:, :k], cols)
+    vecs = [random_unitary(rng, 4)[:, 0] for _ in range(5)]
+    vecs.append(np.array([0.0, 0.6, 0.0, 0.8j]))  # first entry zero
+    for phi in vecs:
+        full = complete_to_unitary(phi)
+        assert np.allclose(full[:, 0], phi)
         assert np.allclose(full.conj().T @ full, np.eye(4), atol=1e-10)
 
 
 def test_complete_to_unitary_deterministic():
-    cols = np.array([[1.0], [0.0], [0.0]], dtype=complex)
-    a = complete_to_unitary(cols)
-    b = complete_to_unitary(cols)
+    phi = np.array([1.0, 0.0, 0.0], dtype=complex)
+    a = complete_to_unitary(phi)
+    b = complete_to_unitary(phi)
     assert np.array_equal(a, b)
     assert np.allclose(a, np.eye(3))
 
 
 def test_complete_to_unitary_rejects_skewed_columns():
-    cols = np.array([[1.0], [1.0]], dtype=complex)
     with pytest.raises(ValueError):
-        complete_to_unitary(cols)
+        complete_to_unitary(np.array([1.0, 1.0], dtype=complex))

@@ -15,7 +15,7 @@ from qqc.reconstruct import (
 )
 from qqc.simulate import run, success_report
 
-from conftest import hand_deutsch_algorithm
+from conftest import FEASIBLE_CELLS, PROBLEMS, hand_deutsch_algorithm
 
 
 def test_reconstruct_deutsch_round_trip(deutsch):
@@ -40,8 +40,6 @@ def test_reconstruct_with_error_budget(deutsch):
 
 @pytest.mark.parametrize("pname,q", [("deutsch", 0), ("ix", 0)])
 def test_reconstruct_infeasible_carries_status(pname, q):
-    from conftest import PROBLEMS
-
     with pytest.raises(ReconstructionError) as info:
         reconstruct_algorithm(PROBLEMS[pname], q, 0.0)
     assert info.value.status == "INFEASIBLE_WITH_CERTIFICATE"
@@ -71,6 +69,22 @@ def test_extract_final_states_contract(deutsch, cached_solve):
         pz = projectors[deutsch.g[lab]]
         succ = np.real(np.vdot(vectors[i], pz @ vectors[i]))
         assert succ >= 1.0 - 1e-6
+
+
+@pytest.mark.parametrize("pname,q,eps", FEASIBLE_CELLS)
+def test_extracted_vectors_factor_every_share(pname, q, eps, cached_solve):
+    # d is the total share rank at the cut 1e-8 x the top eigenvalue of m,
+    # and the vectors give back each share through the simulator's formula
+    p = PROBLEMS[pname]
+    out = cached_solve(pname, "primal", q, eps)
+    m = out.point["final_gram"]
+    shares = output_shares(p, out.point)
+    vectors, projectors, d = extract_final_states(p, m, shares, eps)
+    cut = 1e-8 * np.linalg.eigvalsh(m)[-1]
+    assert d == sum(int(np.sum(np.linalg.eigvalsh(g) > cut)) for g in shares.values())
+    assert vectors.shape == (p.size, d)
+    for z, pz in projectors.items():
+        assert np.linalg.norm(vectors @ pz.conj() @ vectors.conj().T - shares[z]) <= 1e-10
 
 
 def test_extract_rejects_wrong_shape(deutsch):

@@ -19,6 +19,7 @@ from qqc.solver import (
     FeasibilityOutcome,
     SolverConfig,
     _Engine,
+    _certify,
     _equality_form,
     _factor_jacobian,
     _step_factors,
@@ -286,6 +287,30 @@ def test_solve_certificate_for_rhs_off_the_affine_range():
     assert pairing == pytest.approx(-1.0, abs=1e-12)
     assert np.allclose(out.certificate["one"], [[1.0]], atol=1e-12)
     assert np.allclose(out.certificate["two"], [[-1.0]], atol=1e-12)
+
+
+def test_certify_rejects_an_image_outside_the_dual_cone(deutsch, cached_solve):
+    # I on the decompose multiplier keeps the pairing (its right-hand side is
+    # zero) but adds -I to the image on the PSD final Gram block
+    blocks, rows = _equality_form(build_primal(deutsch, 0, 0.0))
+    cert = cached_solve("deutsch", "primal", 0, 0.0).certificate
+    assert _certify(blocks, rows, cert) is not None
+    bent = dict(cert, decompose=cert["decompose"] + np.eye(4))
+    assert _certify(blocks, rows, bent) is None
+
+
+def test_certify_rejects_multipliers_over_the_norm_cap():
+    # x = 1 and -x = 1 on one 1x1 PSD block: both multiplier sets pair to -1
+    # with a PSD image, but the first one's norm is 1e9
+    blocks = [Block("x", 1, True)]
+    rows = [Row("a", 1, [(0, _ident(1))], np.ones((1, 1), dtype=complex)),
+            Row("b", 1, [(0, _ident(1, -1.0))], np.ones((1, 1), dtype=complex))]
+    big = {"a": np.array([[1e9]], dtype=complex), "b": np.array([[-1e9 - 1]], dtype=complex)}
+    assert _certify(blocks, rows, big) is None
+    small = {"a": np.zeros((1, 1), dtype=complex), "b": -np.ones((1, 1), dtype=complex)}
+    cert = _certify(blocks, rows, small)
+    assert cert is not None
+    assert np.allclose(cert["b"], -1.0)
 
 
 def _haar_pairs():
