@@ -26,7 +26,6 @@ from .linalg import (
     hermitize,
     partial_trace,
     purify,
-    schur,
 )
 from .problem import (
     DerivedConstants,
@@ -98,7 +97,6 @@ __all__ = [
     "hermitize",
     "partial_trace",
     "purify",
-    "schur",
     "DerivedConstants",
     "QueryProblem",
     "ValidationReport",

@@ -133,9 +133,10 @@ def make_dual_witness(p: QueryProblem, gamma, q: int, eps: float) -> dict[str, n
 
     Step matrices are (gamma - t alpha I) entrywise-scaled by the outer
     square of the principal eigenvector; each pair multiplier is the 2x2
-    pattern [[a, -a], [-a, a]] with a = the step-0 entry of that pair. The
-    result is verified against every program row and returned only if all
-    residuals stay within 1e-8 and the strict row has positive slack.
+    matrix a·[[1, -1], [-1, 1]] on the pair's principal submatrix, with a the
+    step-0 entry of that pair. The result is verified against every program
+    row and returned only if all residuals stay within 1e-8 and the strict
+    row has positive slack.
     """
     report = spectral_bound(p, gamma, eps)
     if not q < report.bound:
@@ -148,11 +149,9 @@ def make_dual_witness(p: QueryProblem, gamma, q: int, eps: float) -> dict[str, n
     for t in range(q + 1):
         witness[f"step_{t}"] = ((g - t * report.alpha * np.eye(s)) * proj).astype(complex)
     c = build_constants(p)
-    for pr in c.pairs:
-        i, j = pr
+    for i, j in c.pairs:
         a = g[i, j] * v[i] * v[j]
-        u = a * (c.w_mats[pr] - c.v_mats[pr])
-        witness[f"pair_dual_{pair_name(p, pr)}"] = u.astype(complex)
+        witness[f"pair_dual_{pair_name(p, (i, j))}"] = a * np.array([[1, -1], [-1, 1]], dtype=complex)
     rep = verify_point(build_dual_relaxed(p, q, eps, c), witness)
     if rep.max_residual > _WITNESS_TOL or not (rep.strict_slack and rep.strict_slack > 0):
         worst = max(rep.row_residuals, key=rep.row_residuals.get)

@@ -12,7 +12,6 @@ import numpy as np
 
 __all__ = [
     "hermitize",
-    "schur",
     "partial_trace",
     "eig_hermitian",
     "purify",
@@ -27,24 +26,16 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-def schur(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Entrywise product; shapes must match exactly."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch for entrywise product: {a.shape} vs {b.shape}")
-    return a * b
-
-
 def partial_trace(m: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     """Trace out the fast tensor factor of a (d1*d2) x (d1*d2) matrix.
 
     dims = (d_slow, d_fast); the result is the matrix of per-block traces.
+    Applies to the last two axes of m, so a stack gives the stack of results.
     """
     d1, d2 = dims
-    if m.shape != (d1 * d2, d1 * d2):
+    if m.shape[-2:] != (d1 * d2, d1 * d2):
         raise ValueError(f"matrix shape {m.shape} does not match dims {dims}")
-    return np.einsum("iaja->ij", m.reshape(d1, d2, d1, d2))
+    return np.einsum("...iaja->...ij", m.reshape(m.shape[:-2] + (d1, d2, d1, d2)))
 
 
 def _phase_fix(vecs: np.ndarray) -> np.ndarray:

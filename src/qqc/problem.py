@@ -118,16 +118,14 @@ def _omega(p: QueryProblem) -> np.ndarray:
 class DerivedConstants:
     """Per-instance matrices shared by the program builders.
 
-    pairs lists index pairs (i, j), i < j, whose labels map to different
-    outputs. v_mats[(i, j)] has ones at (i, j) and (j, i); w_mats[(i, j)] has
-    ones at (i, i) and (j, j).
+    omega is the block oracle; deltas[z] is the diagonal 0/1 mask of the
+    inputs with output z; pairs lists index pairs (i, j), i < j, whose labels
+    map to different outputs.
     """
 
     omega: np.ndarray
     deltas: dict[str, np.ndarray]
     pairs: tuple[tuple[int, int], ...]
-    v_mats: dict[tuple[int, int], np.ndarray]
-    w_mats: dict[tuple[int, int], np.ndarray]
 
 
 def build_constants(p: QueryProblem) -> DerivedConstants:
@@ -139,25 +137,11 @@ def build_constants(p: QueryProblem) -> DerivedConstants:
         for i in p.class_indices(z):
             d[i, i] = 1.0
         deltas[z] = d
-    pairs = []
-    v_mats = {}
-    w_mats = {}
-    for i, j in itertools.combinations(range(s), 2):
-        if p.g[p.labels[i]] != p.g[p.labels[j]]:
-            v = np.zeros((s, s))
-            v[i, j] = v[j, i] = 1.0
-            w = np.zeros((s, s))
-            w[i, i] = w[j, j] = 1.0
-            pairs.append((i, j))
-            v_mats[(i, j)] = v
-            w_mats[(i, j)] = w
-    return DerivedConstants(
-        omega=_omega(p),
-        deltas=deltas,
-        pairs=tuple(pairs),
-        v_mats=v_mats,
-        w_mats=w_mats,
+    pairs = tuple(
+        (i, j) for i, j in itertools.combinations(range(s), 2)
+        if p.g[p.labels[i]] != p.g[p.labels[j]]
     )
+    return DerivedConstants(omega=_omega(p), deltas=deltas, pairs=pairs)
 
 
 def phase_query_problem(m: int, g_classical: dict[str, str]) -> QueryProblem:

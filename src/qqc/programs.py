@@ -14,7 +14,8 @@ produced without any numerical differentiation.
 
 Block layout convention: joint-register blocks live on (input, query) with the
 query register fast-running; the oracle conjugation map uses the instance's
-block-diagonal oracle.
+block-diagonal oracle. The pairwise programs state each pair's row, slack
+and multiplier as a 2x2 matrix on the pair's principal submatrix.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import partial_trace, schur
+from .linalg import partial_trace
 from .problem import QueryProblem, build_constants, DerivedConstants
 
 __all__ = [
@@ -54,7 +55,10 @@ class BlockMap:
       trace_against x -> [[Re tr(c x)]]       (1x1 output)
       const_embed   [[t]] -> t * c            (adjoint of trace_against)
 
-    All kinds scale by `scale`.
+    All kinds scale by `scale`. With split (d_out, 1) the conj kinds are
+    plain congruences: a d_out x d_in matrix u gives x -> u x u† and its
+    adjoint y -> u† y u. `apply` maps a stack of matrices along the
+    leading axes.
     """
 
     kind: str
@@ -65,23 +69,26 @@ class BlockMap:
     split: tuple[int, int] | None = None  # (slow, fast) for conj kinds
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        if x.shape != (self.d_in, self.d_in):
+        if x.shape[-2:] != (self.d_in, self.d_in):
             raise ValueError(f"map expects {self.d_in}x{self.d_in} input, got {x.shape}")
         k = self.kind
         if k == "conj_pt":
             y = x if self.mat is None else self.mat @ x @ self.mat.conj().T
             out = partial_trace(y, self.split)
         elif k == "conj_tensor":
-            wide = np.kron(x, np.eye(self.split[1]))
+            slow, fast = self.split
+            # x ⊗ I_fast, broadcast on the (slow, fast, slow, fast) axes
+            wide = (x[..., :, None, :, None] * np.eye(fast)[:, None, :]).reshape(
+                x.shape[:-2] + (slow * fast, slow * fast))
             out = wide if self.mat is None else self.mat.conj().T @ wide @ self.mat
         elif k == "id":
             out = x
         elif k == "schur":
-            out = schur(self.mat, x)
+            out = self.mat * x
         elif k == "trace_against":
-            out = np.array([[np.trace(self.mat @ x).real]], dtype=complex)
+            out = np.einsum("ij,...ji->...", self.mat, x).real[..., None, None].astype(complex)
         elif k == "const_embed":
-            out = x[0, 0].real * self.mat.astype(complex)
+            out = x[..., :1, :1].real * self.mat.astype(complex)
         else:
             raise ValueError(f"unknown map kind {k!r}")
         return self.scale * out
@@ -123,6 +130,17 @@ def _schur(c: np.ndarray, scale: float = 1.0) -> BlockMap:
 
 def _trace_against(c: np.ndarray, scale: float = 1.0) -> BlockMap:
     return BlockMap("trace_against", d_in=c.shape[0], d_out=1, scale=scale, mat=np.asarray(c, dtype=complex))
+
+def _pair_off_diagonal(s: int, pair: tuple[int, int]) -> list[BlockMap]:
+    """x -> -V∘(E† x E), minus the off-diagonal part of the pair's 2x2 principal
+    submatrix, with E = [e_i e_j]: V∘P = ½(P - Z P Z) for Z = diag(1, -1), so
+    it is the sum of two congruences."""
+    e_adj = np.zeros((2, s))
+    e_adj[0, pair[0]] = e_adj[1, pair[1]] = 1.0
+    return [
+        BlockMap("conj_pt", d_in=s, d_out=2, scale=scale, mat=u, split=(2, 1))
+        for scale, u in ((-0.5, e_adj), (0.5, np.diag([1.0, -1.0]) @ e_adj))
+    ]
 
 
 @dataclass
@@ -234,29 +252,23 @@ def build_primal_relaxed(p: QueryProblem, q: int, eps: float, c: DerivedConstant
     """Necessary-condition program: pairwise near-orthogonality at the end.
 
     Shares the query chain with the exact program; the output rows are
-    replaced by one row per unordered pair of instances with different
-    outputs, bounding the magnitude of the final Gram entry on that pair.
+    replaced by one 2x2 row per unordered pair of instances with different
+    outputs, on the pair's principal submatrix of the final Gram matrix:
+    the 2x2 slack margin·I + V∘(E† G E) is PSD exactly when the pair's Gram
+    entry has magnitude at most the margin 2√(eps(1-eps)).
     """
     _check_q_eps(q, eps)
     c = c or build_constants(p)
     s = p.size
     blocks, rows = _query_chain(p, q, c)
-    blocks += [Block(f"pair_slack_{pair_name(p, pr)}", s, True) for pr in c.pairs]
+    blocks += [Block(f"pair_slack_{pair_name(p, pr)}", 2, True) for pr in c.pairs]
     bi = {b.name: i for i, b in enumerate(blocks)}
     margin = 2.0 * math.sqrt(eps * (1.0 - eps))
     for pr in c.pairs:
         name = pair_name(p, pr)
-        rows.append(
-            Row(
-                f"pair_{name}",
-                s,
-                [
-                    (bi["final_gram"], _schur(c.v_mats[pr], -1.0)),
-                    (bi[f"pair_slack_{name}"], _ident(s)),
-                ],
-                (margin * c.w_mats[pr]).astype(complex),
-            )
-        )
+        terms = [(bi["final_gram"], m) for m in _pair_off_diagonal(s, pr)]
+        terms.append((bi[f"pair_slack_{name}"], _ident(2)))
+        rows.append(Row(f"pair_{name}", 2, terms, margin * np.eye(2, dtype=complex)))
 
     return ConicFeasibilityProgram(blocks, rows)
 
@@ -313,8 +325,9 @@ def build_dual(p: QueryProblem, q: int, eps: float, c: DerivedConstants | None =
 def build_dual_relaxed(p: QueryProblem, q: int, eps: float, c: DerivedConstants | None = None) -> ConicFeasibilityProgram:
     """Witness program paired with the relaxed (pairwise) existence program.
 
-    Free Hermitian step matrices K_0..K_q and one PSD pair multiplier per
-    differing pair, supported on the pair's 2x2 pattern. The step rows keep
+    Free Hermitian step matrices K_0..K_q and one 2x2 PSD pair multiplier D
+    per differing pair, on the pair's principal submatrix. The anchor row
+    keeps -K_0 - sum E (V∘D) E† PSD; the step rows keep
     K_{t-1} ⊗ I - Omega (K_t ⊗ I) Omega† PSD, matching the adjoint of the
     query-update map used by the existence chain.
     """
@@ -322,13 +335,14 @@ def build_dual_relaxed(p: QueryProblem, q: int, eps: float, c: DerivedConstants 
     c = c or build_constants(p)
     s, n = p.size, p.n
     blocks = [Block(f"step_{t}", s, False) for t in range(q + 1)]
-    blocks += [Block(f"pair_dual_{pair_name(p, pr)}", s, True) for pr in c.pairs]
+    blocks += [Block(f"pair_dual_{pair_name(p, pr)}", 2, True) for pr in c.pairs]
     bi = {b.name: i for i, b in enumerate(blocks)}
 
     rows: list[Row] = []
     anchor_terms = [(bi["step_0"], _ident(s, -1.0))]
     anchor_terms += [
-        (bi[f"pair_dual_{pair_name(p, pr)}"], _schur(c.v_mats[pr], -1.0)) for pr in c.pairs
+        (bi[f"pair_dual_{pair_name(p, pr)}"], m.adjoint())
+        for pr in c.pairs for m in _pair_off_diagonal(s, pr)
     ]
     rows.append(Row("anchor", s, anchor_terms, np.zeros((s, s), dtype=complex), sense="psd"))
     for t in range(1, q + 1):
@@ -344,21 +358,10 @@ def build_dual_relaxed(p: QueryProblem, q: int, eps: float, c: DerivedConstants 
                 sense="psd",
             )
         )
-    for pr in c.pairs:
-        name = pair_name(p, pr)
-        rows.append(
-            Row(
-                f"pattern_{name}",
-                s,
-                [(bi[f"pair_dual_{name}"], _schur(1.0 - c.v_mats[pr] - c.w_mats[pr]))],
-                np.zeros((s, s), dtype=complex),
-                sense="eq",
-            )
-        )
     margin = 2.0 * math.sqrt(eps * (1.0 - eps))
     strict_terms = [(bi[f"step_{q}"], _trace_against(_all_ones(s), -1.0))]
     strict_terms += [
-        (bi[f"pair_dual_{pair_name(p, pr)}"], _trace_against(np.eye(s), margin)) for pr in c.pairs
+        (bi[f"pair_dual_{pair_name(p, pr)}"], _trace_against(np.eye(2), margin)) for pr in c.pairs
     ]
     rows.append(Row("strict", 1, strict_terms, np.zeros((1, 1), dtype=complex), sense="strict"))
     return ConicFeasibilityProgram(blocks, rows)
@@ -375,8 +378,8 @@ def certificate_to_dual_point(
 
     The certificate keys are the existence program's row names. For the exact
     pair, chain multipliers map to L_t and output multipliers flip sign; for
-    the relaxed pair, chain multipliers map to K_t = -L_{q-t} and pair
-    multipliers are compressed to their 2x2 pattern.
+    the relaxed pair, chain multipliers map to K_t = -L_{q-t} and the 2x2
+    pair multipliers are copied as they are.
     """
     c = build_constants(p)
 
@@ -398,8 +401,7 @@ def certificate_to_dual_point(
             point[f"step_{t}"] = -chain_multiplier(q - t)
         for pr in c.pairs:
             name = pair_name(p, pr)
-            pattern = c.v_mats[pr] + c.w_mats[pr]
-            point[f"pair_dual_{name}"] = np.asarray(certificate[f"pair_{name}"]) * pattern
+            point[f"pair_dual_{name}"] = np.asarray(certificate[f"pair_{name}"])
     return point
 
 

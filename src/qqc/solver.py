@@ -194,7 +194,8 @@ def assemble(
 
     Column block j holds hvec coordinates of block j, row slice i those of
     row i, so A x - b stacks hvec(row value - rhs) over the rows. Column k
-    of a term is the image of the k-th Hermitian basis matrix, unhvec(e_k).
+    of a term is the image of the k-th Hermitian basis matrix, unhvec(e_k);
+    each map call takes a stack of d of them.
     """
     block_off = list(itertools.accumulate((blk.dim**2 for blk in blocks), initial=0))
     row_off = list(itertools.accumulate((r.dim**2 for r in rows), initial=0))
@@ -211,10 +212,9 @@ def assemble(
                     f"block {blocks[bj].name!r} ({d}) or row dim {r.dim}"
                 )
             co = block_off[bj]
-            for k in range(d * d):
-                e = np.zeros(d * d)
-                e[k] = 1.0
-                a[sl, co + k] += hvec(m.apply(unhvec(e, d)))
+            # d basis matrices per call; a stack of all d*d raises peak memory
+            for k in range(0, d * d, d):
+                a[sl, co + k : co + k + d] += hvec(m.apply(unhvec(np.eye(d, d * d, k), d))).T
     return a, b, block_off[:-1], row_off[:-1]
 
 

@@ -9,7 +9,6 @@ from qqc.linalg import (
     hermitize,
     partial_trace,
     purify,
-    schur,
 )
 
 
@@ -48,11 +47,6 @@ def test_kron_right_factor_fast():
             for k in range(3):
                 for l in range(3):
                     assert m[i * 3 + k, j * 3 + l] == a[i, j] * b[k, l]
-
-
-def test_schur_shape_mismatch():
-    with pytest.raises(ValueError):
-        schur(np.eye(2), np.eye(3))
 
 
 @pytest.mark.parametrize("da,db", [(2, 3), (3, 2), (4, 2)])

@@ -28,11 +28,18 @@ def _map_inventory(rng, s, n):
     sym = rng.standard_normal((s, s))
     sym = sym + sym.T
     c = random_hermitian(rng, s)
+    # the pair congruences of the relaxed programs: E† = [e_0 e_{s-1}]† and
+    # Z E† with Z = diag(1, -1), as plain congruences with split (2, 1)
+    face = np.zeros((2, s))
+    face[0, 0] = face[1, s - 1] = 1.0
     return [
         BlockMap("conj_pt", d_in=s * n, d_out=s, split=(s, n)),
         BlockMap("conj_pt", d_in=s * n, d_out=s, scale=-2.0, mat=u, split=(s, n)),
+        BlockMap("conj_pt", d_in=s, d_out=2, scale=0.5, mat=face, split=(2, 1)),
         BlockMap("conj_tensor", d_in=s, d_out=s * n, split=(s, n)),
         BlockMap("conj_tensor", d_in=s, d_out=s * n, scale=0.7, mat=u, split=(s, n)),
+        BlockMap("conj_tensor", d_in=2, d_out=s, scale=-0.5, mat=np.diag([1.0, -1.0]) @ face,
+                 split=(2, 1)),
         BlockMap("id", d_in=s, d_out=s, scale=-1.5),
         BlockMap("schur", d_in=s, d_out=s, mat=sym),
         BlockMap("trace_against", d_in=s, d_out=1, mat=c),
@@ -61,6 +68,33 @@ def test_block_map_adjoint_is_involutive():
         assert back.kind == m.kind
         assert back.d_in == m.d_in and back.d_out == m.d_out
         assert back.scale == m.scale
+
+
+def test_block_map_applies_to_stacks():
+    # a (2, 3) stack of inputs maps to the stack of the six single images
+    rng = np.random.default_rng(4)
+    for m in _map_inventory(rng, 3, 2):
+        xs = np.array([[random_hermitian(rng, m.d_in) for _ in range(3)] for _ in range(2)])
+        out = m.apply(xs)
+        assert out.shape == (2, 3, m.d_out, m.d_out), m.kind
+        for i in range(2):
+            for j in range(3):
+                assert np.max(np.abs(out[i, j] - m.apply(xs[i, j]))) <= 1e-12, m.kind
+
+
+def test_pair_rows_read_the_pair_entry(deutsch):
+    # with a zero slack the pair row reads -[[0, G_ij], [G_ji, 0]] off G, so
+    # the row = margin·I has a PSD slack exactly when |G_ij| <= margin
+    prog = build_primal_relaxed(deutsch, 0, 0.1)
+    c = build_constants(deutsch)
+    rng = np.random.default_rng(5)
+    g = random_hermitian(rng, 4)
+    point = {b.name: np.zeros((b.dim, b.dim), dtype=complex) for b in prog.blocks}
+    point["final_gram"] = g
+    for i, j in c.pairs:
+        row = next(r for r in prog.rows if r.name == f"pair_{pair_name(deutsch, (i, j))}")
+        want = -np.array([[0.0, g[i, j]], [g[j, i], 0.0]])
+        assert np.max(np.abs(prog.row_value(row, point) - want)) <= 1e-15
 
 
 def test_block_map_rejects_bad_input_shape():
@@ -112,10 +146,12 @@ def test_primal_relaxed_structure(deutsch):
     c = build_constants(deutsch)
     slack_names = {f"pair_slack_{pair_name(deutsch, pr)}" for pr in c.pairs}
     assert {b.name for b in prog.blocks} == {"state_iq_0", "final_gram"} | slack_names
+    assert all(b.dim == 2 for b in prog.blocks if b.name in slack_names)
     margin = 2.0 * np.sqrt(0.1 * 0.9)
     for pr in c.pairs:
         row = next(r for r in prog.rows if r.name == f"pair_{pair_name(deutsch, pr)}")
-        assert np.allclose(row.rhs, margin * c.w_mats[pr])
+        assert row.dim == 2
+        assert np.array_equal(row.rhs, margin * np.eye(2))
 
 
 def test_dual_structure(deutsch):
@@ -136,12 +172,10 @@ def test_dual_relaxed_structure(deutsch):
     prog = build_dual_relaxed(deutsch, 1, 0.1)
     c = build_constants(deutsch)
     assert [b.name for b in prog.blocks if not b.psd] == ["step_0", "step_1"]
-    assert len([b for b in prog.blocks if b.psd]) == len(c.pairs)
-    names = {r.name for r in prog.rows}
-    assert "anchor" in names and "query_1" in names and "strict" in names
-    patterns = [r for r in prog.rows if r.name.startswith("pattern_")]
-    assert len(patterns) == len(c.pairs)
-    assert all(r.sense == "eq" for r in patterns)
+    pair_blocks = {f"pair_dual_{pair_name(deutsch, pr)}": 2 for pr in c.pairs}
+    assert {b.name: b.dim for b in prog.blocks if b.psd} == pair_blocks
+    senses = {r.name: r.sense for r in prog.rows}
+    assert senses == {"anchor": "psd", "query_1": "psd", "strict": "strict"}
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,9 @@ from qqc.programs import (
     ConicFeasibilityProgram,
     Row,
     build_dual,
+    build_dual_relaxed,
     build_primal,
+    build_primal_relaxed,
     certificate_to_dual_point,
 )
 from qqc.reconstruct import reconstruct_algorithm
@@ -117,16 +119,18 @@ def test_assemble_matches_row_values(pname, builder, q):
 
 @pytest.mark.parametrize("case", ["deutsch_dual_relaxed", "weyl3_primal"])
 def test_project_cone_matches_per_block_reference(case):
-    # deutsch mixes 4x4 and 8x8 PSD blocks with free blocks; weyl3 has a 27x27
-    # state block next to 9x9 ones
+    # deutsch mixes 2x2, 4x4 and 8x8 PSD blocks with free blocks; weyl3 has a
+    # 27x27 state block next to 9x9 ones
     if case == "deutsch_dual_relaxed":
         prog = BUILDERS["dual_relaxed"](PROBLEMS["deutsch"], 1, 0.1)
+        dims = {2, 4, 8}
     else:
         prog = BUILDERS["primal"](_weyl3_identification(), 1, 0.1)
+        dims = {9, 27}
     blocks, rows = _equality_form(prog)
     a, b, _, _ = assemble(blocks, rows)
     eng = _Engine(blocks, a, b)
-    assert len({b.dim for b in blocks if b.psd}) == 2
+    assert {b.dim for b in blocks if b.psd} == dims
 
     def per_block(x):
         out = x.copy()
@@ -336,6 +340,18 @@ def test_certificate_for_haar_pairs_at_two_queries():
     assert rep.max_residual <= 1e-8
     assert rep.min_block_eig >= -1e-8
     assert rep.strict_slack > 0
+
+
+@pytest.mark.parametrize("q", [0, 1])
+def test_weyl3_relaxed_pair_is_exclusive(q):
+    # one side of the relaxed pair is FEASIBLE and the other certified: the
+    # relaxed floor of qutrit Weyl identification is 1
+    p = _weyl3_identification()
+    exist = solve(build_primal_relaxed(p, q, 0.1))
+    witness = solve(build_dual_relaxed(p, q, 0.1))
+    want = ("INFEASIBLE_WITH_CERTIFICATE", "FEASIBLE") if q == 0 else (
+        "FEASIBLE", "INFEASIBLE_WITH_CERTIFICATE")
+    assert (exist.status, witness.status) == want
 
 
 def test_free_block_program_with_strict_row():
