@@ -61,6 +61,8 @@ def _check_weight(p: QueryProblem, gamma) -> np.ndarray:
     s = p.size
     if g.shape != (s, s):
         raise ValueError(f"weight matrix shape {g.shape} != ({s}, {s})")
+    if not np.isfinite(g).all():
+        raise ValueError("weight matrix entries must be finite")
     if np.linalg.norm(g - g.T) > 1e-12 * (1.0 + np.linalg.norm(g)):
         raise ValueError("weight matrix must be symmetric")
     if g.min() < 0:
@@ -152,7 +154,7 @@ def make_dual_witness(p: QueryProblem, gamma, q: int, eps: float) -> dict[str, n
     for i, j in c.pairs:
         a = g[i, j] * v[i] * v[j]
         witness[f"pair_dual_{pair_name(p, (i, j))}"] = a * np.array([[1, -1], [-1, 1]], dtype=complex)
-    rep = verify_point(build_dual_relaxed(p, q, eps, c), witness)
+    rep = verify_point(build_dual_relaxed(p, q, eps), witness)
     if rep.max_residual > _WITNESS_TOL or not (rep.strict_slack and rep.strict_slack > 0):
         worst = max(rep.row_residuals, key=rep.row_residuals.get)
         raise WitnessError(

@@ -62,7 +62,7 @@ class ValidationReport:
 
 
 def validate(p: QueryProblem) -> ValidationReport:
-    """Check shapes, unitarity, label uniqueness, and totality of g."""
+    """Check shapes, finiteness, unitarity, label uniqueness, and totality of g."""
     rep = ValidationReport()
     if p.n < 1:
         rep.add("bad-n", f"query register dimension must be >= 1, got {p.n}")
@@ -77,6 +77,11 @@ def validate(p: QueryProblem) -> ValidationReport:
     arr = np.asarray(p.unitaries)
     if arr.shape != (len(p.labels), p.n, p.n):
         rep.add("bad-shape", f"unitary array shape {arr.shape} != ({len(p.labels)}, {p.n}, {p.n})")
+        return rep
+    # NaN fails every comparison, so it would pass the unitarity check below
+    bad = [lab for lab, m in zip(p.labels, arr) if not np.isfinite(m).all()]
+    if bad:
+        rep.add("non-finite", f"matrices {bad} have non-finite entries")
         return rep
     eye = np.eye(p.n)
     for i, lab in enumerate(p.labels):
@@ -118,30 +123,21 @@ def _omega(p: QueryProblem) -> np.ndarray:
 class DerivedConstants:
     """Per-instance matrices shared by the program builders.
 
-    omega is the block oracle; deltas[z] is the diagonal 0/1 mask of the
-    inputs with output z; pairs lists index pairs (i, j), i < j, whose labels
-    map to different outputs.
+    omega is the block oracle; pairs lists index pairs (i, j), i < j, whose
+    labels map to different outputs.
     """
 
     omega: np.ndarray
-    deltas: dict[str, np.ndarray]
     pairs: tuple[tuple[int, int], ...]
 
 
 def build_constants(p: QueryProblem) -> DerivedConstants:
     _require_valid(p)
-    s = p.size
-    deltas = {}
-    for z in p.outputs:
-        d = np.zeros((s, s))
-        for i in p.class_indices(z):
-            d[i, i] = 1.0
-        deltas[z] = d
     pairs = tuple(
-        (i, j) for i, j in itertools.combinations(range(s), 2)
+        (i, j) for i, j in itertools.combinations(range(p.size), 2)
         if p.g[p.labels[i]] != p.g[p.labels[j]]
     )
-    return DerivedConstants(omega=_omega(p), deltas=deltas, pairs=pairs)
+    return DerivedConstants(omega=_omega(p), pairs=pairs)
 
 
 def phase_query_problem(m: int, g_classical: dict[str, str]) -> QueryProblem:

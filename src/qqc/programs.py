@@ -14,8 +14,10 @@ produced without any numerical differentiation.
 
 Block layout convention: joint-register blocks live on (input, query) with the
 query register fast-running; the oracle conjugation map uses the instance's
-block-diagonal oracle. The pairwise programs state each pair's row, slack
-and multiplier as a 2x2 matrix on the pair's principal submatrix.
+block-diagonal oracle. The exact programs state each input's success row,
+slack and multiplier as a 1x1 matrix on its diagonal entry; the pairwise
+programs state each pair's as a 2x2 matrix on the pair's principal
+submatrix.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ class BlockMap:
       conj_pt       x -> tr_fast(u x u†)      (u = None means plain partial trace)
       conj_tensor   y -> u† (y ⊗ I_fast) u    (adjoint of conj_pt)
       id            x -> x
-      schur         x -> c * x  (entrywise; c real symmetric)
       trace_against x -> [[Re tr(c x)]]       (1x1 output)
       const_embed   [[t]] -> t * c            (adjoint of trace_against)
 
@@ -83,8 +84,6 @@ class BlockMap:
             out = wide if self.mat is None else self.mat.conj().T @ wide @ self.mat
         elif k == "id":
             out = x
-        elif k == "schur":
-            out = self.mat * x
         elif k == "trace_against":
             out = np.einsum("ij,...ji->...", self.mat, x).real[..., None, None].astype(complex)
         elif k == "const_embed":
@@ -100,7 +99,7 @@ class BlockMap:
             return replace(self, kind="conj_tensor", **flip)
         if k == "conj_tensor":
             return replace(self, kind="conj_pt", **flip)
-        if k in ("id", "schur"):
+        if k == "id":
             return self
         if k == "trace_against":
             return replace(self, kind="const_embed", **flip)
@@ -123,10 +122,6 @@ def _conj_tensor(u: np.ndarray, s: int, n: int, scale: float = 1.0) -> BlockMap:
 
 def _ident(d: int, scale: float = 1.0) -> BlockMap:
     return BlockMap("id", d_in=d, d_out=d, scale=scale)
-
-def _schur(c: np.ndarray, scale: float = 1.0) -> BlockMap:
-    d = c.shape[0]
-    return BlockMap("schur", d_in=d, d_out=d, scale=scale, mat=np.asarray(c, dtype=float))
 
 def _trace_against(c: np.ndarray, scale: float = 1.0) -> BlockMap:
     return BlockMap("trace_against", d_in=c.shape[0], d_out=1, scale=scale, mat=np.asarray(c, dtype=complex))
@@ -175,10 +170,6 @@ def pair_name(p: QueryProblem, pair: tuple[int, int]) -> str:
     return f"{p.labels[pair[0]]}|{p.labels[pair[1]]}"
 
 
-def _all_ones(s: int) -> np.ndarray:
-    return np.ones((s, s))
-
-
 def _query_chain(p: QueryProblem, q: int, c: DerivedConstants) -> tuple[list[Block], list[Row]]:
     """Blocks and rows of the query chain that opens both existence programs.
 
@@ -192,8 +183,8 @@ def _query_chain(p: QueryProblem, q: int, c: DerivedConstants) -> tuple[list[Blo
     blocks.append(Block("final_gram", s, True))
     gram = q  # index of final_gram
     if q == 0:
-        return blocks, [Row("init", s, [(gram, _ident(s))], _all_ones(s).astype(complex))]
-    rows = [Row("init", s, [(0, _pt_q(s, n))], _all_ones(s).astype(complex))]
+        return blocks, [Row("init", s, [(gram, _ident(s))], np.ones((s, s), dtype=complex))]
+    rows = [Row("init", s, [(0, _pt_q(s, n))], np.ones((s, s), dtype=complex))]
     for t in range(1, q):
         rows.append(
             Row(
@@ -214,41 +205,37 @@ def _query_chain(p: QueryProblem, q: int, c: DerivedConstants) -> tuple[list[Blo
     return blocks, rows
 
 
-def build_primal(p: QueryProblem, q: int, eps: float, c: DerivedConstants | None = None) -> ConicFeasibilityProgram:
+def build_primal(p: QueryProblem, q: int, eps: float) -> ConicFeasibilityProgram:
     """Existence program for a q-query protocol with per-instance success >= 1 - eps.
 
     Variables: joint-register states after t queries (t < q), the final Gram
-    matrix on the input register, and one output share plus slack per output
-    label. Rows: the initial condition, the query-update chain, the share
-    decomposition, and the per-output success floor.
+    matrix on the input register, one output share per output label, and one
+    1x1 success slack per input. Rows: the initial condition, the
+    query-update chain, the share decomposition, and one 1x1 success row per
+    input i, tr(E_ii G_{g(i)}) - slack = 1 - eps, where E_ii is the unit
+    matrix at (i, i): entry (i, i) of its class's share.
     """
     _check_q_eps(q, eps)
-    c = c or build_constants(p)
+    c = build_constants(p)
     s = p.size
     blocks, rows = _query_chain(p, q, c)
     blocks += [Block(f"output_part_{z}", s, True) for z in p.outputs]
-    blocks += [Block(f"output_slack_{z}", s, True) for z in p.outputs]
+    blocks += [Block(f"success_slack_{lab}", 1, True) for lab in p.labels]
     bi = {b.name: i for i, b in enumerate(blocks)}
     decompose_terms = [(bi["final_gram"], _ident(s, -1.0))]
     decompose_terms += [(bi[f"output_part_{z}"], _ident(s)) for z in p.outputs]
     rows.append(Row("decompose", s, decompose_terms, np.zeros((s, s), dtype=complex)))
-    for z in p.outputs:
-        rows.append(
-            Row(
-                f"output_{z}",
-                s,
-                [
-                    (bi[f"output_part_{z}"], _schur(c.deltas[z])),
-                    (bi[f"output_slack_{z}"], _ident(s, -1.0)),
-                ],
-                ((1.0 - eps) * c.deltas[z]).astype(complex),
-            )
-        )
+    for i, lab in enumerate(p.labels):
+        terms = [
+            (bi[f"output_part_{p.g[lab]}"], _trace_against(np.diag(np.eye(s)[i]))),
+            (bi[f"success_slack_{lab}"], _ident(1, -1.0)),
+        ]
+        rows.append(Row(f"success_{lab}", 1, terms, np.full((1, 1), 1.0 - eps, dtype=complex)))
 
     return ConicFeasibilityProgram(blocks, rows)
 
 
-def build_primal_relaxed(p: QueryProblem, q: int, eps: float, c: DerivedConstants | None = None) -> ConicFeasibilityProgram:
+def build_primal_relaxed(p: QueryProblem, q: int, eps: float) -> ConicFeasibilityProgram:
     """Necessary-condition program: pairwise near-orthogonality at the end.
 
     Shares the query chain with the exact program; the output rows are
@@ -258,7 +245,7 @@ def build_primal_relaxed(p: QueryProblem, q: int, eps: float, c: DerivedConstant
     entry has magnitude at most the margin 2√(eps(1-eps)).
     """
     _check_q_eps(q, eps)
-    c = c or build_constants(p)
+    c = build_constants(p)
     s = p.size
     blocks, rows = _query_chain(p, q, c)
     blocks += [Block(f"pair_slack_{pair_name(p, pr)}", 2, True) for pr in c.pairs]
@@ -273,18 +260,19 @@ def build_primal_relaxed(p: QueryProblem, q: int, eps: float, c: DerivedConstant
     return ConicFeasibilityProgram(blocks, rows)
 
 
-def build_dual(p: QueryProblem, q: int, eps: float, c: DerivedConstants | None = None) -> ConicFeasibilityProgram:
+def build_dual(p: QueryProblem, q: int, eps: float) -> ConicFeasibilityProgram:
     """Infeasibility-witness program paired with the exact existence program.
 
-    Free Hermitian multipliers L_0..L_q on the input register, one PSD
-    multiplier per output label; a witness must keep each query step and each
-    output comparison PSD while making the strict scalar row negative.
+    Free Hermitian multipliers L_0..L_q on the input register and one 1x1 PSD
+    success multiplier y_i per input. A witness must keep each query step PSD
+    and each output comparison L_q - sum over the class of y_i E_ii PSD, while
+    making the strict row tr(J L_0) - (1 - eps) sum y_i negative.
     """
     _check_q_eps(q, eps)
-    c = c or build_constants(p)
+    c = build_constants(p)
     s, n = p.size, p.n
     blocks = [Block(f"chain_dual_{t}", s, False) for t in range(q + 1)]
-    blocks += [Block(f"output_dual_{z}", s, True) for z in p.outputs]
+    blocks += [Block(f"success_dual_{lab}", 1, True) for lab in p.labels]
     bi = {b.name: i for i, b in enumerate(blocks)}
 
     rows: list[Row] = []
@@ -302,27 +290,19 @@ def build_dual(p: QueryProblem, q: int, eps: float, c: DerivedConstants | None =
             )
         )
     for z in p.outputs:
-        rows.append(
-            Row(
-                f"dominate_{z}",
-                s,
-                [
-                    (bi[f"chain_dual_{q}"], _ident(s)),
-                    (bi[f"output_dual_{z}"], _schur(c.deltas[z], -1.0)),
-                ],
-                np.zeros((s, s), dtype=complex),
-                sense="psd",
-            )
-        )
-    strict_terms = [(bi["chain_dual_0"], _trace_against(_all_ones(s)))]
-    strict_terms += [
-        (bi[f"output_dual_{z}"], _trace_against(c.deltas[z], -(1.0 - eps))) for z in p.outputs
-    ]
+        terms = [(bi[f"chain_dual_{q}"], _ident(s))]
+        terms += [
+            (bi[f"success_dual_{p.labels[i]}"], _trace_against(np.diag(np.eye(s)[i]), -1.0).adjoint())
+            for i in p.class_indices(z)
+        ]
+        rows.append(Row(f"dominate_{z}", s, terms, np.zeros((s, s), dtype=complex), sense="psd"))
+    strict_terms = [(bi["chain_dual_0"], _trace_against(np.ones((s, s))))]
+    strict_terms += [(bi[f"success_dual_{lab}"], _ident(1, -(1.0 - eps))) for lab in p.labels]
     rows.append(Row("strict", 1, strict_terms, np.zeros((1, 1), dtype=complex), sense="strict"))
     return ConicFeasibilityProgram(blocks, rows)
 
 
-def build_dual_relaxed(p: QueryProblem, q: int, eps: float, c: DerivedConstants | None = None) -> ConicFeasibilityProgram:
+def build_dual_relaxed(p: QueryProblem, q: int, eps: float) -> ConicFeasibilityProgram:
     """Witness program paired with the relaxed (pairwise) existence program.
 
     Free Hermitian step matrices K_0..K_q and one 2x2 PSD pair multiplier D
@@ -332,7 +312,7 @@ def build_dual_relaxed(p: QueryProblem, q: int, eps: float, c: DerivedConstants 
     query-update map used by the existence chain.
     """
     _check_q_eps(q, eps)
-    c = c or build_constants(p)
+    c = build_constants(p)
     s, n = p.size, p.n
     blocks = [Block(f"step_{t}", s, False) for t in range(q + 1)]
     blocks += [Block(f"pair_dual_{pair_name(p, pr)}", 2, True) for pr in c.pairs]
@@ -359,7 +339,7 @@ def build_dual_relaxed(p: QueryProblem, q: int, eps: float, c: DerivedConstants 
             )
         )
     margin = 2.0 * math.sqrt(eps * (1.0 - eps))
-    strict_terms = [(bi[f"step_{q}"], _trace_against(_all_ones(s), -1.0))]
+    strict_terms = [(bi[f"step_{q}"], _trace_against(np.ones((s, s)), -1.0))]
     strict_terms += [
         (bi[f"pair_dual_{pair_name(p, pr)}"], _trace_against(np.eye(2), margin)) for pr in c.pairs
     ]
@@ -377,9 +357,9 @@ def certificate_to_dual_point(
     """Relabel a generic infeasibility certificate as a witness-program point.
 
     The certificate keys are the existence program's row names. For the exact
-    pair, chain multipliers map to L_t and output multipliers flip sign; for
-    the relaxed pair, chain multipliers map to K_t = -L_{q-t} and the 2x2
-    pair multipliers are copied as they are.
+    pair, chain multipliers map to L_t and each input's 1x1 success
+    multiplier flips sign to y_i; for the relaxed pair, chain multipliers map
+    to K_t = -L_{q-t} and the 2x2 pair multipliers are copied as they are.
     """
     c = build_constants(p)
 
@@ -394,8 +374,8 @@ def certificate_to_dual_point(
     if not relaxed:
         for t in range(q + 1):
             point[f"chain_dual_{t}"] = chain_multiplier(t)
-        for z in p.outputs:
-            point[f"output_dual_{z}"] = -np.asarray(certificate[f"output_{z}"])
+        for lab in p.labels:
+            point[f"success_dual_{lab}"] = -np.asarray(certificate[f"success_{lab}"])
     else:
         for t in range(q + 1):
             point[f"step_{t}"] = -chain_multiplier(q - t)

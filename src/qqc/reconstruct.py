@@ -21,7 +21,7 @@ from .linalg import (
     hermitize,
     purify,
 )
-from .problem import QueryProblem, build_constants, matrix_from_dict, matrix_to_dict
+from .problem import QueryProblem, build_omega, matrix_from_dict, matrix_to_dict
 from .programs import build_primal
 from .simulate import QuantumQueryAlgorithm, run
 from .solver import FeasibilityOutcome, SolverConfig, solve
@@ -192,9 +192,8 @@ def backward_chain(
     # re-verify the existence program's chain rows (init, chain_t,
     # final_gram_def: its first q + 1, which read no other block and no eps)
     # on the cleaned blocks, at a looser tolerance
-    c = build_constants(p)
-    omega = c.omega
-    prog = build_primal(p, q, 0.0, c)
+    omega = build_omega(p)
+    prog = build_primal(p, q, 0.0)
     for row in prog.rows[: q + 1]:
         res = float(np.linalg.norm(prog.row_value(row, cleaned) - row.rhs))
         if res > _CHAIN_TOL:

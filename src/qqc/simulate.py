@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import partial_trace
-from .problem import QueryProblem, build_constants, build_omega, matrix_to_dict
+from .problem import QueryProblem, build_omega, matrix_to_dict
 
 __all__ = [
     "QuantumQueryAlgorithm",
@@ -162,9 +162,10 @@ def trace_to_primal_point(
     """Blocks of the existence program induced by running the protocol.
 
     The joint states fill the chain blocks, the final Gram matrix and the
-    measurement cross-Grams fill the output blocks, all read from one run;
-    the returned point is feasible exactly when the protocol meets the
-    success floor.
+    measurement cross-Grams fill the output shares, all read from one run;
+    each input's 1x1 success slack is its share entry minus 1 - eps, so the
+    returned point is feasible exactly when the protocol meets the success
+    floor.
     """
     q = alg.q
     trace = run(alg, p)
@@ -176,12 +177,12 @@ def trace_to_primal_point(
         point[f"state_iq_{t}"] = phi @ phi.conj().T
     point["final_gram"] = trace.grams[q]
     finals = states[q]
-    deltas = build_constants(p).deltas
     for z in p.outputs:
         # conjugation on the second index, as in the trace's Gram matrices
-        share = finals @ alg.projectors[z].conj() @ finals.conj().T
-        point[f"output_part_{z}"] = share
-        point[f"output_slack_{z}"] = deltas[z] * share - (1.0 - eps) * deltas[z]
+        point[f"output_part_{z}"] = finals @ alg.projectors[z].conj() @ finals.conj().T
+    for i, lab in enumerate(p.labels):
+        share = point[f"output_part_{p.g[lab]}"]
+        point[f"success_slack_{lab}"] = np.full((1, 1), share[i, i] - (1.0 - eps))
     return point
 
 

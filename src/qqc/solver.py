@@ -278,6 +278,10 @@ class _Engine:
         """Clip the spectrum of every PSD block, one stacked eigh per dimension."""
         out = x.copy()
         for d, idx in self._cone_groups:
+            if d == 1:
+                # a 1x1 PSD block is the half-line
+                out[idx] = np.maximum(x[idx], 0.0)
+                continue
             w, v = np.linalg.eigh(unhvec(x[idx], d))
             np.clip(w, 0.0, None, out=w)
             out[idx] = hvec((v * w[..., None, :]) @ v.conj().swapaxes(-1, -2))

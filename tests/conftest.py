@@ -1,4 +1,5 @@
-"""Shared fixtures: the four reference problems and a session-wide solve cache."""
+"""Shared fixtures: the four reference problems, the three non-commuting
+families and a session-wide solve cache."""
 
 import numpy as np
 import pytest
@@ -29,6 +30,28 @@ PROBLEMS = {
     "or2": phase_query_problem(2, {"00": "0", "01": "1", "10": "1", "11": "1"}),
     "ix": _distinguish_i_x(),
 }
+
+
+def _families() -> dict[str, QueryProblem]:
+    # Pauli identification and classification, and the nine qutrit Weyl
+    # operators asked for their shift index
+    paulis = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
+                       [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
+    labels = ("I", "X", "Y", "Z")
+    shift = np.roll(np.eye(3), 1, axis=0).astype(complex)
+    clock = np.diag(np.exp(2j * np.pi * np.arange(3) / 3))
+    weyl = tuple(f"{a}{b}" for a in range(3) for b in range(3))
+    ops = np.stack([np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)
+                    for a in range(3) for b in range(3)])
+    return {
+        "pauli_id": QueryProblem(2, labels, paulis, labels, {z: z for z in labels}),
+        "pauli_class": QueryProblem(2, labels, paulis, ("0", "1"),
+                                    {"I": "0", "Z": "0", "X": "1", "Y": "1"}),
+        "weyl3": QueryProblem(3, weyl, ops, ("0", "1", "2"), {z: z[0] for z in weyl}),
+    }
+
+
+FAMILIES = _families()
 
 BUILDERS = {
     "primal": build_primal,

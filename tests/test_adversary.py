@@ -68,6 +68,14 @@ def test_spectral_bound_rejects_invalid_weights(deutsch):
         spectral_bound(deutsch, same_class, 0.0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_spectral_bound_rejects_non_finite_weights(deutsch, value):
+    gamma = np.zeros((4, 4))
+    gamma[0, 1] = gamma[1, 0] = value
+    with pytest.raises(ValueError, match="finite"):
+        spectral_bound(deutsch, gamma, 0.0)
+
+
 def test_spectral_bound_unbounded_for_indistinguishable_family():
     # two identical oracles with different target outputs: no query helps
     eye = np.eye(2, dtype=complex)

@@ -304,6 +304,18 @@ def test_feasible_on_invalid_problem_lists_the_issues(tmp_path, capsys):
     assert any(issue["code"] == "not-unitary" for issue in rep["results"]["issues"])
 
 
+def test_feasible_on_non_finite_problem_is_invalid(tmp_path, capsys):
+    data = problem_to_dict(PROBLEMS["deutsch"])
+    data["unitaries"][0]["re"][0][0] = float("nan")
+    code = main(["feasible", _write_json(tmp_path, "nan.json", data), "--q", "1"])
+    out = capsys.readouterr().out
+    assert "NaN" not in out
+    rep = json.loads(out)
+    assert code == 2
+    assert rep["status"] == "INVALID"
+    assert [issue["code"] for issue in rep["results"]["issues"]] == ["non-finite"]
+
+
 def test_seed_env_override(problem_file, capsys, monkeypatch):
     monkeypatch.setenv("QQC_SEED", "11")
     code = main(["feasible", problem_file("deutsch"), "--q", "1", "--eps", "0", "--seed", "3"])

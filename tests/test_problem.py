@@ -63,6 +63,18 @@ def test_validate_bad_shape_short_circuits():
     assert codes == {"bad-shape"}
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_validate_non_finite_short_circuits(value):
+    # NaN fails every comparison, so it must be caught before unitarity
+    p = _ok_problem()
+    bad = p.unitaries.copy()
+    bad[1, 0, 1] = value
+    p.unitaries = bad
+    rep = validate(p)
+    assert {issue["code"] for issue in rep.issues} == {"non-finite"}
+    assert "'b'" in rep.issues[0]["message"]
+
+
 def test_validate_not_unitary_reports_residual():
     p = _ok_problem()
     bad = p.unitaries.copy()
@@ -103,7 +115,7 @@ def test_build_omega_rejects_invalid():
         build_omega(p)
 
 
-def test_build_constants_pairs_and_deltas():
+def test_build_constants_pairs():
     p = phase_query_problem(2, {"00": "0", "11": "0", "01": "1", "10": "1"})
     c = build_constants(p)
     # pairs cross the output classes only
@@ -111,15 +123,6 @@ def test_build_constants_pairs_and_deltas():
         assert p.g[p.labels[i]] != p.g[p.labels[j]]
         assert i < j
     assert len(c.pairs) == 4
-    # class masks partition the diagonal
-    acc = np.zeros((4, 4))
-    for z in p.outputs:
-        mask = c.deltas[z]
-        assert np.array_equal(mask, mask.T)
-        acc += mask
-    for i, j in c.pairs:
-        assert acc[i, j] == 0
-    assert np.array_equal(np.diag(acc), np.ones(4))
 
 
 def test_phase_query_problem_unitaries():

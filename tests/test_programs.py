@@ -11,9 +11,9 @@ from qqc.programs import (
     certificate_to_dual_point,
     pair_name,
 )
-from qqc.solver import verify_point
+from qqc.solver import assemble, verify_point
 
-from conftest import PROBLEMS
+from conftest import FAMILIES, PROBLEMS
 
 
 def random_hermitian(rng, d):
@@ -25,8 +25,6 @@ def _map_inventory(rng, s, n):
     """One instance of every map kind, sized for an (s, n) split."""
     u = np.linalg.qr(rng.standard_normal((s * n, s * n))
                      + 1j * rng.standard_normal((s * n, s * n)))[0]
-    sym = rng.standard_normal((s, s))
-    sym = sym + sym.T
     c = random_hermitian(rng, s)
     # the pair congruences of the relaxed programs: E† = [e_0 e_{s-1}]† and
     # Z E† with Z = diag(1, -1), as plain congruences with split (2, 1)
@@ -41,7 +39,6 @@ def _map_inventory(rng, s, n):
         BlockMap("conj_tensor", d_in=2, d_out=s, scale=-0.5, mat=np.diag([1.0, -1.0]) @ face,
                  split=(2, 1)),
         BlockMap("id", d_in=s, d_out=s, scale=-1.5),
-        BlockMap("schur", d_in=s, d_out=s, mat=sym),
         BlockMap("trace_against", d_in=s, d_out=1, mat=c),
         BlockMap("const_embed", d_in=1, d_out=s, scale=2.0, mat=c),
     ]
@@ -97,6 +94,33 @@ def test_pair_rows_read_the_pair_entry(deutsch):
         assert np.max(np.abs(prog.row_value(row, point) - want)) <= 1e-15
 
 
+def test_success_rows_read_the_share_entry(deutsch):
+    # with zero slacks each input's success row reads entry (i, i) of its
+    # class's share and nothing else
+    prog = build_primal(deutsch, 0, 0.1)
+    rng = np.random.default_rng(6)
+    point = {b.name: np.zeros((b.dim, b.dim), dtype=complex) for b in prog.blocks}
+    for z in deutsch.outputs:
+        point[f"output_part_{z}"] = random_hermitian(rng, 4)
+    point["final_gram"] = random_hermitian(rng, 4)
+    for i, lab in enumerate(deutsch.labels):
+        row = next(r for r in prog.rows if r.name == f"success_{lab}")
+        assert row.dim == 1
+        want = point[f"output_part_{deutsch.g[lab]}"][i, i]
+        assert abs(prog.row_value(row, point)[0, 0] - want) <= 1e-15
+
+
+@pytest.mark.parametrize("pname", sorted(PROBLEMS) + sorted(FAMILIES))
+@pytest.mark.parametrize("q", [0, 1])
+def test_dual_reads_every_coordinate(pname, q):
+    # no witness coordinate is pinned by structure alone: every column of
+    # the assembled A is read by some row
+    p = FAMILIES[pname] if pname in FAMILIES else PROBLEMS[pname]
+    prog = build_dual(p, q, 0.1)
+    a, _, _, _ = assemble(prog.blocks, prog.rows)
+    assert a.any(axis=0).all()
+
+
 def test_block_map_rejects_bad_input_shape():
     m = BlockMap("id", d_in=3, d_out=3)
     with pytest.raises(ValueError):
@@ -106,36 +130,38 @@ def test_block_map_rejects_bad_input_shape():
 def test_primal_structure(deutsch):
     prog = build_primal(deutsch, 2, 0.1)
     names = [b.name for b in prog.blocks]
+    slacks = [f"success_slack_{lab}" for lab in deutsch.labels]
     assert names == ["state_iq_0", "state_iq_1", "final_gram",
-                     "output_part_0", "output_part_1",
-                     "output_slack_0", "output_slack_1"]
+                     "output_part_0", "output_part_1"] + slacks
     dims = {b.name: b.dim for b in prog.blocks}
     assert dims["state_iq_0"] == 8 and dims["final_gram"] == 4
+    assert all(dims[name] == 1 for name in slacks)
     assert all(b.psd for b in prog.blocks)
     rows = {r.name: r for r in prog.rows}
-    assert set(rows) == {"init", "chain_1", "final_gram_def", "decompose",
-                         "output_0", "output_1"}
+    success = {f"success_{lab}" for lab in deutsch.labels}
+    assert set(rows) == {"init", "chain_1", "final_gram_def", "decompose"} | success
     assert all(r.sense == "eq" for r in prog.rows)
     assert np.array_equal(rows["init"].rhs, np.ones((4, 4)))
-    c = build_constants(deutsch)
-    assert np.array_equal(rows["output_0"].rhs, 0.9 * c.deltas["0"])
+    for name in success:
+        assert rows[name].dim == 1
+        assert np.array_equal(rows[name].rhs, [[0.9]])
 
 
 def test_primal_q0_pins_final_gram(const):
     prog = build_primal(const, 0, 0.0)
-    assert [b.name for b in prog.blocks] == ["final_gram", "output_part_0",
-                                             "output_slack_0"]
+    assert [b.name for b in prog.blocks] == ["final_gram", "output_part_0"] + [
+        f"success_slack_{lab}" for lab in const.labels]
     rows = {r.name for r in prog.rows}
-    assert rows == {"init", "decompose", "output_0"}
+    assert rows == {"init", "decompose"} | {f"success_{lab}" for lab in const.labels}
 
 
 def test_primal_q0_constant_hand_point(const):
-    # all-ones Gram splits into one full share; slack diag = eps
+    # all-ones Gram splits into one full share; every success slack = eps
     eps = 0.25
     prog = build_primal(const, 0, eps)
     ones = np.ones((4, 4), dtype=complex)
-    point = {"final_gram": ones, "output_part_0": ones,
-             "output_slack_0": eps * np.eye(4, dtype=complex)}
+    point = {"final_gram": ones, "output_part_0": ones}
+    point.update({f"success_slack_{lab}": np.full((1, 1), eps) for lab in const.labels})
     rep = verify_point(prog, point)
     assert rep.max_residual <= 1e-12
     assert rep.min_block_eig >= -1e-12
@@ -157,9 +183,9 @@ def test_primal_relaxed_structure(deutsch):
 def test_dual_structure(deutsch):
     prog = build_dual(deutsch, 2, 0.0)
     free = [b.name for b in prog.blocks if not b.psd]
-    psd = [b.name for b in prog.blocks if b.psd]
+    psd = {b.name: b.dim for b in prog.blocks if b.psd}
     assert free == ["chain_dual_0", "chain_dual_1", "chain_dual_2"]
-    assert psd == ["output_dual_0", "output_dual_1"]
+    assert psd == {f"success_dual_{lab}": 1 for lab in deutsch.labels}
     senses = {r.name: r.sense for r in prog.rows}
     assert senses == {"query_1": "psd", "query_2": "psd",
                       "dominate_0": "psd", "dominate_1": "psd",
@@ -190,9 +216,8 @@ def test_row_value_evaluates_terms(deutsch):
     prog = build_primal(deutsch, 0, 0.0)
     point = {"final_gram": np.eye(4, dtype=complex),
              "output_part_0": np.eye(4, dtype=complex),
-             "output_part_1": np.zeros((4, 4), dtype=complex),
-             "output_slack_0": np.zeros((4, 4), dtype=complex),
-             "output_slack_1": np.zeros((4, 4), dtype=complex)}
+             "output_part_1": np.zeros((4, 4), dtype=complex)}
+    point.update({f"success_slack_{lab}": np.zeros((1, 1)) for lab in deutsch.labels})
     row = next(r for r in prog.rows if r.name == "decompose")
     assert np.allclose(prog.row_value(row, point), 0.0)
 

@@ -62,7 +62,9 @@ def test_export_doubles_hermitian_blocks(deutsch, tmp_path):
     path = str(tmp_path / "dims.dat-s")
     export_sdpa(prog, path)
     data = parse_sdpa(path)
-    assert data.block_sizes == [2 * b.dim for b in prog.blocks]
+    # the 1x1 success slacks are real already and stay 1x1
+    assert data.block_sizes == [b.dim if b.dim == 1 else 2 * b.dim for b in prog.blocks]
+    assert data.block_sizes.count(1) == deutsch.size
     assert data.n_constraints == sum(r.dim ** 2 for r in prog.rows)
 
 

@@ -108,10 +108,11 @@ def test_trace_to_primal_point_slack_grows_with_eps(deutsch):
     alg = hand_deutsch_algorithm()
     p0 = trace_to_primal_point(deutsch, alg, 0.0)
     p1 = trace_to_primal_point(deutsch, alg, 0.2)
-    gap = p1["output_slack_0"] - p0["output_slack_0"]
-    # success stays 1, so lowering the floor adds eps to the slack diagonal
-    for i in deutsch.class_indices("0"):
-        assert gap[i, i].real == pytest.approx(0.2, abs=1e-12)
+    # success stays 1, so lowering the floor adds eps to every success slack
+    for lab in deutsch.labels:
+        gap = p1[f"success_slack_{lab}"] - p0[f"success_slack_{lab}"]
+        assert gap.shape == (1, 1)
+        assert gap[0, 0].real == pytest.approx(0.2, abs=1e-12)
 
 
 def test_trace_to_dict_output_shapes(deutsch):

@@ -32,7 +32,7 @@ from qqc.solver import (
     verify_point,
 )
 
-from conftest import BUILDERS, FEASIBLE_CELLS, PROBLEMS
+from conftest import BUILDERS, FAMILIES, FEASIBLE_CELLS, PROBLEMS
 
 
 def random_hermitian(rng, d):
@@ -71,23 +71,6 @@ def test_hvec_round_trip_and_isometry():
         assert np.allclose(unhvec(vs, d), stack)
 
 
-def _weyl3_identification():
-    # the nine qutrit Weyl operators, asked for their shift index
-    shift = np.roll(np.eye(3), 1, axis=0).astype(complex)
-    clock = np.diag(np.exp(2j * np.pi * np.arange(3) / 3))
-    labels = tuple(f"{a}{b}" for a in range(3) for b in range(3))
-    ops = np.stack([np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)
-                    for a in range(3) for b in range(3)])
-    return QueryProblem(3, labels, ops, ("0", "1", "2"), {z: z[0] for z in labels})
-
-
-def _pauli_identification():
-    paulis = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
-                       [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
-    labels = ("I", "X", "Y", "Z")
-    return QueryProblem(2, labels, paulis, labels, {z: z for z in labels})
-
-
 _ASSEMBLY_CASES = [(pname, builder, q) for pname in PROBLEMS for builder in BUILDERS
                    for q in (0, 1, 2)] + [("pauli_id", "primal", 1)]
 
@@ -96,7 +79,7 @@ _ASSEMBLY_CASES = [(pname, builder, q) for pname in PROBLEMS for builder in BUIL
 def test_assemble_matches_row_values(pname, builder, q):
     # A x - b stacks hvec(row value - rhs) at any point, block and row offsets
     # following program order
-    p = _pauli_identification() if pname == "pauli_id" else PROBLEMS[pname]
+    p = FAMILIES[pname] if pname in FAMILIES else PROBLEMS[pname]
     prog = BUILDERS[builder](p, q, 0.1)
     a, b, block_off, row_off = assemble(prog.blocks, prog.rows)
     assert block_off == list(np.cumsum([0] + [blk.dim ** 2 for blk in prog.blocks])[:-1])
@@ -120,13 +103,14 @@ def test_assemble_matches_row_values(pname, builder, q):
 @pytest.mark.parametrize("case", ["deutsch_dual_relaxed", "weyl3_primal"])
 def test_project_cone_matches_per_block_reference(case):
     # deutsch mixes 2x2, 4x4 and 8x8 PSD blocks with free blocks; weyl3 has a
-    # 27x27 state block next to 9x9 ones
+    # 27x27 state block next to 9x9 shares and 1x1 success slacks, which
+    # take the clipping path
     if case == "deutsch_dual_relaxed":
         prog = BUILDERS["dual_relaxed"](PROBLEMS["deutsch"], 1, 0.1)
         dims = {2, 4, 8}
     else:
-        prog = BUILDERS["primal"](_weyl3_identification(), 1, 0.1)
-        dims = {9, 27}
+        prog = BUILDERS["primal"](FAMILIES["weyl3"], 1, 0.1)
+        dims = {1, 9, 27}
     blocks, rows = _equality_form(prog)
     a, b, _, _ = assemble(blocks, rows)
     eng = _Engine(blocks, a, b)
@@ -158,7 +142,7 @@ def test_dual_projections_land_in_their_sets(case):
     if case == "deutsch_dual_relaxed":
         prog = BUILDERS["dual_relaxed"](PROBLEMS["deutsch"], 1, 0.1)
     else:
-        prog = BUILDERS["primal"](_weyl3_identification(), 1, 0.1)
+        prog = BUILDERS["primal"](FAMILIES["weyl3"], 1, 0.1)
     blocks, rows = _equality_form(prog)
     a, b, _, _ = assemble(blocks, rows)
     eng = _Engine(blocks, a, b)
@@ -346,7 +330,7 @@ def test_certificate_for_haar_pairs_at_two_queries():
 def test_weyl3_relaxed_pair_is_exclusive(q):
     # one side of the relaxed pair is FEASIBLE and the other certified: the
     # relaxed floor of qutrit Weyl identification is 1
-    p = _weyl3_identification()
+    p = FAMILIES["weyl3"]
     exist = solve(build_primal_relaxed(p, q, 0.1))
     witness = solve(build_dual_relaxed(p, q, 0.1))
     want = ("INFEASIBLE_WITH_CERTIFICATE", "FEASIBLE") if q == 0 else (
