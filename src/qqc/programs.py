@@ -14,10 +14,11 @@ produced without any numerical differentiation.
 
 Block layout convention: joint-register blocks live on (input, query) with the
 query register fast-running; the oracle conjugation map uses the instance's
-block-diagonal oracle. The exact programs state each input's success row,
-slack and multiplier as a 1x1 matrix on its diagonal entry; the pairwise
-programs state each pair's as a 2x2 matrix on the pair's principal
-submatrix.
+block-diagonal oracle. Every input starts from the same state, so the
+existence programs hold the first joint state on its face J ⊗ rho_0 as one
+n x n block rho_0. The exact programs state each input's success row, slack
+and multiplier as a 1x1 matrix on its diagonal entry; the pairwise programs
+state each pair's as a 2x2 matrix on the pair's principal submatrix.
 """
 
 from __future__ import annotations
@@ -111,8 +112,8 @@ class BlockMap:
 def _pt_q(s: int, n: int) -> BlockMap:
     return BlockMap("conj_pt", d_in=s * n, d_out=s, split=(s, n))
 
-def _conj_pt(omega: np.ndarray, s: int, n: int, scale: float = 1.0) -> BlockMap:
-    return BlockMap("conj_pt", d_in=s * n, d_out=s, scale=scale, mat=omega, split=(s, n))
+def _conj_pt(mat: np.ndarray, s: int, n: int, scale: float = 1.0) -> BlockMap:
+    return BlockMap("conj_pt", d_in=mat.shape[1], d_out=s, scale=scale, mat=mat, split=(s, n))
 
 def _tensor_id(s: int, n: int, scale: float = 1.0) -> BlockMap:
     return BlockMap("conj_tensor", d_in=s, d_out=s * n, scale=scale, split=(s, n))
@@ -173,45 +174,43 @@ def pair_name(p: QueryProblem, pair: tuple[int, int]) -> str:
 def _query_chain(p: QueryProblem, q: int, c: DerivedConstants) -> tuple[list[Block], list[Row]]:
     """Blocks and rows of the query chain that opens both existence programs.
 
-    Blocks: the joint-register states after t queries (t < q), then the
-    final Gram matrix; they come first, so their indices are final. Rows:
-    the initial condition and the query-update chain into the final Gram
-    matrix.
+    Every input starts from the same state, so the first joint state has
+    input marginal J, and a PSD matrix with that marginal is J ⊗ rho_0.
+    Blocks: at q >= 1 the start state rho_0 on the query register, then the
+    joint-register states after t queries (0 < t < q), then the final Gram
+    matrix; they come first, so their indices are final. Rows: the initial
+    condition (tr rho_0 = 1, or final_gram = J at q = 0) and the
+    query-update chain into the final Gram matrix. J ⊗ rho_0 is
+    (1_s ⊗ I_n) rho_0 (1_s ⊗ I_n)†, so the first query reads rho_0 through
+    the (s·n) x n matrix Omega (1_s ⊗ I_n).
     """
     s, n = p.size, p.n
-    blocks = [Block(f"state_iq_{t}", s * n, True) for t in range(q)]
-    blocks.append(Block("final_gram", s, True))
-    gram = q  # index of final_gram
+    zeros = np.zeros((s, s), dtype=complex)
     if q == 0:
-        return blocks, [Row("init", s, [(gram, _ident(s))], np.ones((s, s), dtype=complex))]
-    rows = [Row("init", s, [(0, _pt_q(s, n))], np.ones((s, s), dtype=complex))]
-    for t in range(1, q):
-        rows.append(
-            Row(
-                f"chain_{t}",
-                s,
-                [(t, _pt_q(s, n)), (t - 1, _conj_pt(c.omega, s, n, -1.0))],
-                np.zeros((s, s), dtype=complex),
-            )
-        )
-    rows.append(
-        Row(
-            "final_gram_def",
-            s,
-            [(gram, _ident(s)), (q - 1, _conj_pt(c.omega, s, n, -1.0))],
-            np.zeros((s, s), dtype=complex),
-        )
-    )
+        init = Row("init", s, [(0, _ident(s))], np.ones((s, s), dtype=complex))
+        return [Block("final_gram", s, True)], [init]
+    blocks = [Block("rho_0", n, True)]
+    blocks += [Block(f"state_iq_{t}", s * n, True) for t in range(1, q)]
+    blocks.append(Block("final_gram", s, True))
+    first = c.omega @ np.kron(np.ones((s, 1)), np.eye(n))
+    rows = [Row("init", 1, [(0, _trace_against(np.eye(n)))], np.ones((1, 1), dtype=complex))]
+    for t in range(1, q + 1):
+        prev = (t - 1, _conj_pt(first if t == 1 else c.omega, s, n, -1.0))
+        if t < q:
+            rows.append(Row(f"chain_{t}", s, [(t, _pt_q(s, n)), prev], zeros))
+        else:
+            rows.append(Row("final_gram_def", s, [(q, _ident(s)), prev], zeros))
     return blocks, rows
 
 
 def build_primal(p: QueryProblem, q: int, eps: float) -> ConicFeasibilityProgram:
     """Existence program for a q-query protocol with per-instance success >= 1 - eps.
 
-    Variables: joint-register states after t queries (t < q), the final Gram
-    matrix on the input register, one output share per output label, and one
-    1x1 success slack per input. Rows: the initial condition, the
-    query-update chain, the share decomposition, and one 1x1 success row per
+    Variables: the query chain's states (at q >= 1 the n x n start state
+    rho_0 and the joint-register states after t queries, 0 < t < q), the
+    final Gram matrix on the input register, one output share per output
+    label, and one 1x1 success slack per input. Rows: the initial condition,
+    the query-update chain, the share decomposition, and one 1x1 success row per
     input i, tr(E_ii G_{g(i)}) - slack = 1 - eps, where E_ii is the unit
     matrix at (i, i): entry (i, i) of its class's share.
     """
@@ -360,12 +359,25 @@ def certificate_to_dual_point(
     pair, chain multipliers map to L_t and each input's 1x1 success
     multiplier flips sign to y_i; for the relaxed pair, chain multipliers map
     to K_t = -L_{q-t} and the 2x2 pair multipliers are copied as they are.
+
+    At q >= 1 the multiplier of tr rho_0 = 1 is a scalar tau, lifted to
+    L_0 = (tau + 1/2) J/s^2 + c (I - J/s). With A = Omega†(L_1 ⊗ I)Omega and
+    P = (1_s/√s) ⊗ I_n, the certificate keeps tau I - s P†AP PSD, so L_0 ⊗ I
+    - A is at least I/(2s) on the range of P and c I - A on its complement;
+    a Schur complement with |A| <= w = |L_1|_2 shows c = w (1 + 2 s w) makes
+    it PSD. tr(J L_0) = tau + 1/2, so the strict row keeps slack 1/2.
     """
     c = build_constants(p)
+    s = p.size
 
     def chain_multiplier(t: int) -> np.ndarray:
-        if q == 0 or t == 0:
+        if q == 0:
             return np.asarray(certificate["init"])
+        if t == 0:
+            tau = float(np.asarray(certificate["init"])[0, 0].real)
+            w = float(np.linalg.norm(chain_multiplier(1), 2))
+            avg = np.ones((s, s), dtype=complex) / s
+            return (tau + 0.5) * avg / s + w * (1.0 + 2.0 * s * w) * (np.eye(s) - avg)
         if t < q:
             return np.asarray(certificate[f"chain_{t}"])
         return np.asarray(certificate["final_gram_def"])

@@ -3,8 +3,9 @@
 Three stages: split the final Gram matrix into per-output shares, factor
 each share G_z = F_z F_z† so that the final states are the rows of
 [F_z1 | F_z2 | ...] and P_z is the identity on the coordinates of F_z, then
-walk the query chain backwards, choosing each unitary as the aligner
-between two purifications of the same reduced state.
+walk the query chain forward from the shared start state rho_0, choosing
+each later unitary as the aligner between two purifications of the same
+reduced state.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import numpy as np
 from .linalg import (
     align_purifications,
     complete_to_unitary,
-    conditional_vectors,
     eig_hermitian,
     hermitize,
     purify,
@@ -40,8 +40,6 @@ __all__ = [
 ]
 
 _RANK_REL_TOL = 1e-8
-_RANK_WINDOW = 5.0
-_ALIGN_TOL = 1e-4
 _ALG_TOL = 1e-8
 # Allowed row miss of the PSD-cleaned chain blocks; FEASIBLE points meet
 # their rows to 1e-10 before cleaning.
@@ -102,16 +100,6 @@ def output_shares(p: QueryProblem, point: dict[str, np.ndarray]) -> dict[str, np
     return {z: np.asarray(point[f"output_part_{z}"]) for z in p.outputs}
 
 
-def _checked_rank(name: str, eigs: np.ndarray, cut: float) -> int:
-    near = [lam for lam in eigs if cut / _RANK_WINDOW <= lam < cut * _RANK_WINDOW]
-    if near:
-        raise ReconstructionError(
-            f"ambiguous numerical rank for {name}: eigenvalue {near[0]:.3e} sits "
-            f"within a factor {_RANK_WINDOW:g} of the cutoff {cut:.3e}"
-        )
-    return int(np.sum(eigs > cut))
-
-
 def extract_final_states(
     p: QueryProblem,
     m: np.ndarray,
@@ -140,7 +128,7 @@ def extract_final_states(
     factors = []
     for z in p.outputs:
         wz, vz = eig_hermitian(shares[z])
-        rz = _checked_rank(f"output share {z!r}", wz, cut)
+        rz = int(np.sum(wz > cut))
         factors.append(vz[:, :rz] * np.sqrt(wz[:rz]))
     vectors = np.hstack(factors)
     d = vectors.shape[1]
@@ -174,26 +162,28 @@ def backward_chain(
 ) -> QuantumQueryAlgorithm:
     """Assemble the protocol whose run reproduces a feasible query chain.
 
-    chain holds the existence-program point blocks (state_iq_t, final_gram);
-    finals is the triple from extract_final_states. Unitaries are chosen from
-    the last query backwards: the state after query t and any purification of
-    the propagated previous state are purifications of the same input-side
-    matrix, so a workspace unitary aligns them.
+    chain holds the existence-program point blocks (rho_0 and state_iq_t at
+    q >= 1, final_gram); finals is the triple from extract_final_states. The
+    walk runs forward from the start state every input shares: u_0 prepares
+    a purification of rho_0 (at q = 0, the common final vector), and each
+    later u_t aligns the state after query t to a purification of
+    state_iq_t, or at t = q to the final vectors. The chain rows make both
+    purifications of the same input-side matrix, so a workspace unitary
+    aligns them.
     """
     s, n = p.size, p.n
+    # the existence program's chain blocks and rows are its first q + 1: they
+    # read no other block and no eps
+    prog = build_primal(p, q, 0.0)
     cleaned = {}
-    for name in [f"state_iq_{t}" for t in range(q)] + ["final_gram"]:
-        if name not in chain:
-            raise ReconstructionError(f"chain point is missing block {name!r}")
-        cleaned[name] = _psd_project(hermitize(np.asarray(chain[name], dtype=complex)))
-    rhos = [cleaned[f"state_iq_{t}"] for t in range(q)]
+    for blk in prog.blocks[: q + 1]:
+        if blk.name not in chain:
+            raise ReconstructionError(f"chain point is missing block {blk.name!r}")
+        cleaned[blk.name] = _psd_project(hermitize(np.asarray(chain[blk.name], dtype=complex)))
     m_final = cleaned["final_gram"]
 
-    # re-verify the existence program's chain rows (init, chain_t,
-    # final_gram_def: its first q + 1, which read no other block and no eps)
-    # on the cleaned blocks, at a looser tolerance
+    # re-verify the chain rows on the cleaned blocks, at a looser tolerance
     omega = build_omega(p)
-    prog = build_primal(p, q, 0.0)
     for row in prog.rows[: q + 1]:
         res = float(np.linalg.norm(prog.row_value(row, cleaned) - row.rhs))
         if res > _CHAIN_TOL:
@@ -206,43 +196,23 @@ def backward_chain(
     dim_c = n * w_dim
     padded = np.zeros((s, dim_c), dtype=complex)
     padded[:, : vectors.shape[1]] = vectors
-    psi = padded.reshape(-1)
 
-    unitaries: list[np.ndarray | None] = [None] * (q + 1)
-    for t in range(q, 0, -1):
-        sigma = omega @ rhos[t - 1] @ omega.conj().T
-        xi = purify(sigma, w_dim)
+    phi = purify(cleaned["rho_0"], w_dim) if q else padded[0]
+    unitaries = [complete_to_unitary(phi / np.linalg.norm(phi))]
+    # rows: the per-input states on (query, workspace)
+    psi = np.tile(unitaries[0][:, 0], (s, 1))
+    for t in range(1, q + 1):
+        queried = (omega @ psi.reshape(s * n, w_dim)).reshape(s, dim_c)
+        target = purify(cleaned[f"state_iq_{t}"], w_dim) if t < q else padded.reshape(-1)
         try:
-            u_t = align_purifications(xi, psi, s, dim_c)
+            u_t = align_purifications(queried.reshape(-1), target, s, dim_c)
         except ValueError as exc:
             raise ReconstructionError(
                 f"purification alignment failed at step {t}: {exc}; "
                 "the chain point is likely not feasible enough"
             ) from exc
-        unitaries[t] = u_t
-        # undo the oracle and reduce, both on the (input·query, workspace)
-        # coefficient matrix of the state
-        coeffs = omega.conj().T @ conditional_vectors(xi, s * n, w_dim)
-        psi = coeffs.reshape(-1)
-        red = coeffs @ coeffs.conj().T
-        back_gap = float(np.linalg.norm(red - rhos[t - 1]))
-        if back_gap > 1e-6:
-            raise ReconstructionError(
-                f"propagated state at step {t} misses its reduction by {back_gap:.3e}"
-            )
-
-    rows0 = conditional_vectors(psi, s, dim_c)
-    phi = rows0.mean(axis=0)
-    spread = float(max(np.linalg.norm(rows0[i] - phi) for i in range(s)))
-    if spread > _ALIGN_TOL:
-        raise ReconstructionError(
-            f"initial conditional states disagree by {spread:.3e}; "
-            "the chain point is likely not feasible enough"
-        )
-    nrm = float(np.linalg.norm(phi))
-    if nrm < 0.5:
-        raise ReconstructionError(f"initial state collapsed to norm {nrm:.3e}")
-    unitaries[0] = complete_to_unitary(phi / nrm)
+        unitaries.append(u_t)
+        psi = queried @ u_t.T
 
     proj_full = {}
     carrier = np.zeros((dim_c, dim_c), dtype=complex)
@@ -254,7 +224,7 @@ def backward_chain(
     # the measured subspace is completed on one fixed output label
     proj_full[p.outputs[0]] = proj_full[p.outputs[0]] + (np.eye(dim_c) - carrier)
 
-    alg = QuantumQueryAlgorithm(n=n, w_dim=w_dim, unitaries=list(unitaries), projectors=proj_full)
+    alg = QuantumQueryAlgorithm(n=n, w_dim=w_dim, unitaries=unitaries, projectors=proj_full)
     validate_algorithm(alg)
     final_gram = run(alg, p).grams[-1]
     gram_gap = float(np.linalg.norm(final_gram - m_final))

@@ -161,8 +161,9 @@ def trace_to_primal_point(
 ) -> dict[str, np.ndarray]:
     """Blocks of the existence program induced by running the protocol.
 
-    The joint states fill the chain blocks, the final Gram matrix and the
-    measurement cross-Grams fill the output shares, all read from one run;
+    The start state, which all inputs share, fills rho_0; the joint states
+    fill the later chain blocks, the final Gram matrix and the measurement
+    cross-Grams fill the output shares, all read from one run;
     each input's 1x1 success slack is its share entry minus 1 - eps, so the
     returned point is feasible exactly when the protocol meets the success
     floor.
@@ -171,7 +172,10 @@ def trace_to_primal_point(
     trace = run(alg, p)
     states = np.stack([trace.states[lab] for lab in p.labels], axis=1)
     point: dict[str, np.ndarray] = {}
-    for t in range(q):
+    if q:
+        phi = states[0, 0].reshape(alg.n, alg.w_dim)
+        point["rho_0"] = phi @ phi.conj().T
+    for t in range(1, q):
         # rows (input, query), workspace columns: the extended state's layout
         phi = states[t].reshape(-1, alg.w_dim)
         point[f"state_iq_{t}"] = phi @ phi.conj().T

@@ -30,9 +30,13 @@ def _map_inventory(rng, s, n):
     # Z E† with Z = diag(1, -1), as plain congruences with split (2, 1)
     face = np.zeros((2, s))
     face[0, 0] = face[1, s - 1] = 1.0
+    # the existence programs' first query, which reads the n x n start state
+    # through the (s·n) x n matrix Omega (1_s ⊗ I_n), with u for Omega
+    first = u @ np.kron(np.ones((s, 1)), np.eye(n))
     return [
         BlockMap("conj_pt", d_in=s * n, d_out=s, split=(s, n)),
         BlockMap("conj_pt", d_in=s * n, d_out=s, scale=-2.0, mat=u, split=(s, n)),
+        BlockMap("conj_pt", d_in=n, d_out=s, scale=-1.0, mat=first, split=(s, n)),
         BlockMap("conj_pt", d_in=s, d_out=2, scale=0.5, mat=face, split=(2, 1)),
         BlockMap("conj_tensor", d_in=s, d_out=s * n, split=(s, n)),
         BlockMap("conj_tensor", d_in=s, d_out=s * n, scale=0.7, mat=u, split=(s, n)),
@@ -131,17 +135,18 @@ def test_primal_structure(deutsch):
     prog = build_primal(deutsch, 2, 0.1)
     names = [b.name for b in prog.blocks]
     slacks = [f"success_slack_{lab}" for lab in deutsch.labels]
-    assert names == ["state_iq_0", "state_iq_1", "final_gram",
+    assert names == ["rho_0", "state_iq_1", "final_gram",
                      "output_part_0", "output_part_1"] + slacks
     dims = {b.name: b.dim for b in prog.blocks}
-    assert dims["state_iq_0"] == 8 and dims["final_gram"] == 4
+    assert dims["rho_0"] == 2 and dims["state_iq_1"] == 8 and dims["final_gram"] == 4
     assert all(dims[name] == 1 for name in slacks)
     assert all(b.psd for b in prog.blocks)
     rows = {r.name: r for r in prog.rows}
     success = {f"success_{lab}" for lab in deutsch.labels}
     assert set(rows) == {"init", "chain_1", "final_gram_def", "decompose"} | success
     assert all(r.sense == "eq" for r in prog.rows)
-    assert np.array_equal(rows["init"].rhs, np.ones((4, 4)))
+    assert rows["init"].dim == 1
+    assert np.array_equal(rows["init"].rhs, [[1.0]])
     for name in success:
         assert rows[name].dim == 1
         assert np.array_equal(rows[name].rhs, [[0.9]])
@@ -171,7 +176,7 @@ def test_primal_relaxed_structure(deutsch):
     prog = build_primal_relaxed(deutsch, 1, 0.1)
     c = build_constants(deutsch)
     slack_names = {f"pair_slack_{pair_name(deutsch, pr)}" for pr in c.pairs}
-    assert {b.name for b in prog.blocks} == {"state_iq_0", "final_gram"} | slack_names
+    assert {b.name for b in prog.blocks} == {"rho_0", "final_gram"} | slack_names
     assert all(b.dim == 2 for b in prog.blocks if b.name in slack_names)
     margin = 2.0 * np.sqrt(0.1 * 0.9)
     for pr in c.pairs:

@@ -104,7 +104,7 @@ def test_backward_chain_checks_the_program_rows(deutsch, cached_solve):
     # a chain block off its row is caught before any unitary is chosen
     out = cached_solve("deutsch", "primal", 1, 0.0)
     assert out.status == "FEASIBLE"
-    point = dict(out.point, state_iq_0=1.01 * out.point["state_iq_0"])
+    point = dict(out.point, rho_0=1.01 * out.point["rho_0"])
     finals = extract_final_states(deutsch, point["final_gram"], output_shares(deutsch, point), 0.0)
     with pytest.raises(ReconstructionError, match="'init'"):
         backward_chain(deutsch, 1, point, finals)

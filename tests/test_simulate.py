@@ -97,7 +97,10 @@ def test_trace_to_primal_point_matches_extended_state(deutsch):
     alg = reconstruct_algorithm(deutsch, 2, 0.1).algorithm
     assert alg.w_dim == 8
     point = trace_to_primal_point(deutsch, alg, 0.1)
-    for t in range(alg.q):
+    # the shared start state: the first joint state is J ⊗ rho_0
+    rho_iq = extended_state(deutsch, alg, 0)[1]
+    assert np.max(np.abs(np.kron(np.ones((4, 4)), point["rho_0"]) - rho_iq)) <= 1e-12
+    for t in range(1, alg.q):
         rho_iq = extended_state(deutsch, alg, t)[1]
         assert np.max(np.abs(point[f"state_iq_{t}"] - rho_iq)) <= 1e-12
     rho_i = extended_state(deutsch, alg, alg.q)[2]

@@ -102,15 +102,15 @@ def test_assemble_matches_row_values(pname, builder, q):
 
 @pytest.mark.parametrize("case", ["deutsch_dual_relaxed", "weyl3_primal"])
 def test_project_cone_matches_per_block_reference(case):
-    # deutsch mixes 2x2, 4x4 and 8x8 PSD blocks with free blocks; weyl3 has a
-    # 27x27 state block next to 9x9 shares and 1x1 success slacks, which
-    # take the clipping path
+    # deutsch mixes 2x2, 4x4 and 8x8 PSD blocks with free blocks; weyl3 at
+    # q=2 has a 27x27 state block next to the 3x3 start state, 9x9 shares
+    # and 1x1 success slacks, which take the clipping path
     if case == "deutsch_dual_relaxed":
         prog = BUILDERS["dual_relaxed"](PROBLEMS["deutsch"], 1, 0.1)
         dims = {2, 4, 8}
     else:
-        prog = BUILDERS["primal"](FAMILIES["weyl3"], 1, 0.1)
-        dims = {1, 9, 27}
+        prog = BUILDERS["primal"](FAMILIES["weyl3"], 2, 0.1)
+        dims = {1, 3, 9, 27}
     blocks, rows = _equality_form(prog)
     a, b, _, _ = assemble(blocks, rows)
     eng = _Engine(blocks, a, b)

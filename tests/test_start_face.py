@@ -1,0 +1,48 @@
+"""Two 3-bit phase-query problems on which the start-state face matters.
+
+xor12 (g = x1 ⊕ x2) and all-equal (g = 1 exactly when x1 = x2 = x3) are
+feasible at q=1, eps 0.1, and their existence programs must say so at
+solver seeds 0-9; all-equal at eps 0 is infeasible, and its certificate must lift
+to a strictly feasible witness point at s=8, n=3. Both problems stay out of
+the shared FAMILIES, so the per-family tests do not grow.
+"""
+
+import itertools
+
+import pytest
+
+from qqc import phase_query_problem
+from qqc.programs import build_dual, build_primal, certificate_to_dual_point
+from qqc.reconstruct import reconstruct_algorithm
+from qqc.simulate import run, success_report, trace_to_primal_point
+from qqc.solver import SolverConfig, solve, verify_point
+
+_BITS = ["".join(b) for b in itertools.product("01", repeat=3)]
+START_FACE_PROBLEMS = {
+    "xor12": phase_query_problem(3, {x: str(int(x[0]) ^ int(x[1])) for x in _BITS}),
+    "all_equal": phase_query_problem(3, {x: str(int(len(set(x)) == 1)) for x in _BITS}),
+}
+
+
+@pytest.mark.parametrize("pname", sorted(START_FACE_PROBLEMS))
+@pytest.mark.parametrize("seed", range(10))
+def test_one_query_protocol_is_found_and_rebuilt(pname, seed):
+    p = START_FACE_PROBLEMS[pname]
+    res = reconstruct_algorithm(p, 1, 0.1, SolverConfig(seed=seed))
+    assert res.outcome.status == "FEASIBLE"
+    report = success_report(run(res.algorithm, p), p, 0.1)
+    assert report.min_success >= 0.9 - 1e-6
+    rep = verify_point(build_primal(p, 1, 0.1), trace_to_primal_point(p, res.algorithm, 0.1))
+    assert rep.max_residual <= 1e-6
+    assert rep.min_block_eig >= -1e-6
+
+
+def test_all_equal_exact_certificate_lifts_to_a_witness():
+    p = START_FACE_PROBLEMS["all_equal"]
+    out = solve(build_primal(p, 1, 0.0))
+    assert out.status == "INFEASIBLE_WITH_CERTIFICATE"
+    assert out.certificate["init"].shape == (1, 1)
+    rep = verify_point(build_dual(p, 1, 0.0), certificate_to_dual_point(p, 1, 0.0, out.certificate))
+    assert rep.max_residual <= 1e-8
+    assert rep.min_block_eig >= -1e-8
+    assert rep.strict_slack > 0
