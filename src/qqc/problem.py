@@ -79,13 +79,13 @@ def validate(p: QueryProblem) -> ValidationReport:
         rep.add("bad-shape", f"unitary array shape {arr.shape} != ({len(p.labels)}, {p.n}, {p.n})")
         return rep
     # NaN fails every comparison, so it would pass the unitarity check below
-    bad = [lab for lab, m in zip(p.labels, arr) if not np.isfinite(m).all()]
-    if bad:
+    finite = np.isfinite(arr).all(axis=(1, 2))
+    if not finite.all():
+        bad = [lab for lab, ok in zip(p.labels, finite) if not ok]
         rep.add("non-finite", f"matrices {bad} have non-finite entries")
         return rep
-    eye = np.eye(p.n)
-    for i, lab in enumerate(p.labels):
-        res = float(np.linalg.norm(arr[i].conj().T @ arr[i] - eye))
+    residuals = np.linalg.norm(arr.conj().transpose(0, 2, 1) @ arr - np.eye(p.n), axis=(1, 2))
+    for lab, res in zip(p.labels, residuals.tolist()):
         if res > UNITARITY_TOL:
             rep.add("not-unitary", f"matrix {lab!r} is not unitary", res)
     for lab in p.labels:

@@ -12,8 +12,12 @@ embedding
     H -> [[Re H, -Im H], [Im H, Re H]] / 2
 
 whose halved entries keep every tr(F_k Y) value unchanged; 1x1 blocks stay
-1x1. Entry lines are "k b i j v" with i <= j and 17 significant digits, in
-a fixed deterministic order, so identical programs produce identical bytes.
+1x1. The export reads A in one stacked pass per block: the columns of
+block j, cut to the rows that read it, become a (rows, d, d) stack of
+constraint matrices, which is doubled and scanned for its upper-triangle
+nonzeros at once. Entry lines are "k b i j v" with i <= j and 17
+significant digits, sorted by constraint k, then block, then (i, j) row by
+row, so identical programs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -51,19 +55,20 @@ def _doubled(h: np.ndarray) -> np.ndarray:
 
 
 def _constraint_matrices(prog: ConicFeasibilityProgram) -> SdpaData:
-    """One SDPA constraint per row of the shared assembly (A, b)."""
-    a, b, block_off, row_off = assemble(prog.blocks, prog.rows)
+    """One SDPA constraint per row of the shared assembly (A, b), one pass per block."""
+    a, b, block_off, _ = assemble(prog.blocks, prog.rows)
     sizes = [blk.dim if blk.dim == 1 else 2 * blk.dim for blk in prog.blocks]
-    entries: list[tuple[int, int, int, int, float]] = []
-    for r, r0 in zip(prog.rows, row_off):
-        found = []
-        for bj, (blk, off) in enumerate(zip(prog.blocks, block_off)):
-            h = unhvec(a[r0 : r0 + r.dim * r.dim, off : off + blk.dim * blk.dim], blk.dim)
-            f = h.real if blk.dim == 1 else _doubled(h)
-            for k, i, j in zip(*np.nonzero(np.triu(f) != 0.0)):
-                found.append((r0 + int(k) + 1, bj + 1, int(i) + 1, int(j) + 1, float(f[k, i, j])))
-        found.sort(key=lambda e: e[0])  # stable: keeps block order and row-major (i, j) per k
-        entries += found
+    parts = []
+    for bj, (blk, off) in enumerate(zip(prog.blocks, block_off)):
+        cols = a[:, off : off + blk.dim * blk.dim]
+        touch = np.flatnonzero(cols.any(axis=1))  # rows that read block j
+        h = unhvec(cols[touch], blk.dim)
+        f = h.real if blk.dim == 1 else _doubled(h)
+        t, i, j = np.nonzero(np.triu(f) != 0.0)
+        parts.append((touch[t], np.full_like(t, bj), i, j, f[t, i, j]))
+    k, bl, i, j, v = (np.concatenate(c) for c in zip(*parts))
+    order = np.lexsort((j, i, bl, k))  # by constraint, then block, then row-major (i, j)
+    entries = list(zip(*(np.stack([k, bl, i, j])[:, order] + 1).tolist(), v[order].tolist()))
     return SdpaData(a.shape[0], sizes, b.tolist(), entries)
 
 

@@ -86,6 +86,31 @@ def test_validate_not_unitary_reports_residual():
     assert hits[0]["residual"] > 1.0
 
 
+def _four_label_problem(mats):
+    labels = ("a", "b", "c", "d")
+    return QueryProblem(2, labels, np.stack(mats), ("0",), {lab: "0" for lab in labels})
+
+
+def test_validate_stacked_checks_keep_label_order():
+    # the finiteness and unitarity checks run on the whole stack at once
+    eye = np.eye(2, dtype=complex)
+    skew = np.array([[1.0, 0.5j], [0.0, 1.0]])
+    scaled = np.array([[0.0, 3.0], [1.0, 0.0]], dtype=complex)
+    rep = validate(_four_label_problem([eye, skew, eye, scaled]))
+    hits = [i for i in rep.issues if i["code"] == "not-unitary"]
+    assert [h["message"] for h in hits] == ["matrix 'b' is not unitary",
+                                            "matrix 'd' is not unitary"]
+    for h, u in zip(hits, (skew, scaled)):
+        assert abs(h["residual"] - np.linalg.norm(u.conj().T @ u - eye)) <= 1e-12
+
+    nan, inf = eye.copy(), eye.copy()
+    nan[0, 1] = np.nan
+    inf[1, 1] = -np.inf
+    rep = validate(_four_label_problem([nan, eye, inf, eye]))
+    assert [i["code"] for i in rep.issues] == ["non-finite"]
+    assert rep.issues[0]["message"] == "matrices ['a', 'c'] have non-finite entries"
+
+
 def test_validate_g_issues():
     p = _ok_problem()
     p.g = {"a": "0"}

@@ -1,8 +1,26 @@
 import numpy as np
 import pytest
 
-from qqc.programs import Block, BlockMap, ConicFeasibilityProgram, Row, build_primal
-from qqc.sdpa import SdpaData, export_sdpa, parse_sdpa, sdpa_to_program, write_sdpa
+from qqc.programs import (
+    Block,
+    BlockMap,
+    ConicFeasibilityProgram,
+    Row,
+    build_primal,
+    build_primal_relaxed,
+)
+from qqc.sdpa import (
+    SdpaData,
+    _constraint_matrices,
+    _doubled,
+    export_sdpa,
+    parse_sdpa,
+    sdpa_to_program,
+    write_sdpa,
+)
+from qqc.solver import assemble, unhvec
+
+from conftest import FAMILIES, PROBLEMS
 
 
 def _entries_map(data):
@@ -110,3 +128,87 @@ def test_parse_rejects_truncated_file(tmp_path):
     path.write_text("2\n1\n{2}\n1.0\n")  # rhs shorter than n_constraints
     with pytest.raises(ValueError):
         parse_sdpa(str(path))
+
+
+def _per_row_reference(prog):
+    # the per-row x per-block loop the stacked export replaced
+    a, b, block_off, row_off = assemble(prog.blocks, prog.rows)
+    sizes = [blk.dim if blk.dim == 1 else 2 * blk.dim for blk in prog.blocks]
+    entries = []
+    for r, r0 in zip(prog.rows, row_off):
+        found = []
+        for bj, (blk, off) in enumerate(zip(prog.blocks, block_off)):
+            h = unhvec(a[r0 : r0 + r.dim * r.dim, off : off + blk.dim * blk.dim], blk.dim)
+            f = h.real if blk.dim == 1 else _doubled(h)
+            for k, i, j in zip(*np.nonzero(np.triu(f) != 0.0)):
+                found.append((r0 + int(k) + 1, bj + 1, int(i) + 1, int(j) + 1, float(f[k, i, j])))
+        found.sort(key=lambda e: e[0])
+        entries += found
+    return SdpaData(a.shape[0], sizes, b.tolist(), entries)
+
+
+def _assert_same_export(prog, tmp_path):
+    got, ref = _constraint_matrices(prog), _per_row_reference(prog)
+    assert (got.n_constraints, got.block_sizes, got.rhs) == (
+        ref.n_constraints, ref.block_sizes, ref.rhs)
+    assert got.entries == ref.entries
+    assert all(type(x) is int for e in got.entries for x in e[:4])
+    paths = [str(tmp_path / name) for name in ("stacked.dat-s", "reference.dat-s")]
+    write_sdpa(got, paths[0])
+    write_sdpa(ref, paths[1])
+    with open(paths[0], "rb") as f1, open(paths[1], "rb") as f2:
+        assert f1.read() == f2.read()
+    return got
+
+
+@pytest.mark.parametrize("builder", [build_primal, build_primal_relaxed])
+@pytest.mark.parametrize("name", [*PROBLEMS, *FAMILIES])
+def test_export_matches_per_row_reference(name, builder, tmp_path):
+    # same tuples in the same order with the same floats, hence the same bytes
+    p = {**PROBLEMS, **FAMILIES}[name]
+    for q in (0, 1):
+        for eps in (0.0, 0.1):
+            data = _assert_same_export(builder(p, q, eps), tmp_path)
+            if name == "pauli_id" and q == 1:
+                _assert_minus_im_corner(builder(p, q, eps), data)
+
+
+def _assert_minus_im_corner(prog, data):
+    # Y has complex entries, so some doubled block has a nonzero upper-right
+    # corner, and it carries -Im H / 2 of the constraint matrix H
+    a, _, block_off, _ = assemble(prog.blocks, prog.rows)
+    corner = [e for e in data.entries
+              if data.block_sizes[e[1] - 1] > 1 and e[2] <= data.block_sizes[e[1] - 1] // 2 < e[3]]
+    assert any(e[4] != 0.0 for e in corner)
+    for k, b, i, j, v in corner:
+        d, off = prog.blocks[b - 1].dim, block_off[b - 1]
+        h = unhvec(a[k - 1, off : off + d * d], d)
+        assert v == -0.5 * h[i - 1, j - 1 - d].imag
+
+
+def test_export_edge_blocks_and_rows(tmp_path):
+    # a 1x1 block, a block no row reads, and a row with no terms
+    c = np.array([[1.0, 2.0 - 0.5j], [2.0 + 0.5j, -1.0]])
+    prog = ConicFeasibilityProgram(
+        [Block("s", 1, True), Block("x", 2, True), Block("unused", 3, True)],
+        [
+            Row("tr_x", 1, [(1, BlockMap("trace_against", d_in=2, d_out=1, mat=c))],
+                np.ones((1, 1), dtype=complex)),
+            Row("empty", 2, [], np.zeros((2, 2), dtype=complex)),
+            Row("s_plus_x", 2, [(0, BlockMap("const_embed", d_in=1, d_out=2,
+                                             mat=np.eye(2, dtype=complex))),
+                                (1, BlockMap("id", d_in=2, d_out=2))],
+                np.eye(2, dtype=complex)),
+        ],
+    )
+    data = _assert_same_export(prog, tmp_path)
+    assert data.block_sizes == [1, 4, 6]
+    assert data.n_constraints == 1 + 4 + 4
+    assert {e[1] for e in data.entries} == {1, 2}
+    assert {e[0] for e in data.entries} == {1, 6, 7, 8, 9}
+    assert [e[0] for e in data.entries] == sorted(e[0] for e in data.entries)
+    path = str(tmp_path / "edge.dat-s")
+    export_sdpa(prog, path)
+    back = parse_sdpa(path)
+    assert back.block_sizes == [1, 4, 6]
+    assert back.entries == data.entries
