@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import QueryProblem, build_constants, build_omega
+from .problem import QueryProblem, build_omega, require_valid
 from .programs import build_dual_relaxed, pair_name
 from .solver import verify_point
 
@@ -150,8 +150,7 @@ def make_dual_witness(p: QueryProblem, gamma, q: int, eps: float) -> dict[str, n
     witness: dict[str, np.ndarray] = {}
     for t in range(q + 1):
         witness[f"step_{t}"] = ((g - t * report.alpha * np.eye(s)) * proj).astype(complex)
-    c = build_constants(p)
-    for i, j in c.pairs:
+    for i, j in p.differing_pairs():
         a = g[i, j] * v[i] * v[j]
         witness[f"pair_dual_{pair_name(p, (i, j))}"] = a * np.array([[1, -1], [-1, 1]], dtype=complex)
     rep = verify_point(build_dual_relaxed(p, q, eps), witness)
@@ -193,19 +192,20 @@ def search_gamma(p: QueryProblem, eps: float, budget: int = 200) -> tuple[np.nda
     factor and keeps it when the bound improves. Never returns less than the
     seed's bound.
     """
-    c = build_constants(p)
-    if not c.pairs:
+    require_valid(p)
+    pairs = p.differing_pairs()
+    if not pairs:
         raise ValueError("no pairs with differing outputs; a constant map needs no queries")
     s = p.size
     gamma = np.zeros((s, s))
-    for i, j in c.pairs:
+    for i, j in pairs:
         gamma[i, j] = gamma[j, i] = 1.0
     best = spectral_bound(p, gamma, eps)
     evals = 1
     improved = True
     while improved and evals < budget:
         improved = False
-        for i, j in c.pairs:
+        for i, j in pairs:
             for factor in (2.0, 0.5):
                 if evals >= budget:
                     break

@@ -32,6 +32,7 @@ from .reconstruct import (
     algorithm_from_dict,
     algorithm_to_dict,
     reconstruct_algorithm,
+    validate_algorithm,
 )
 from .sdpa import export_sdpa
 from .simulate import run, success_report, trace_to_dict, trace_to_primal_point
@@ -289,6 +290,10 @@ def cmd_simulate(args) -> tuple[int, str, dict]:
             f"algorithm register dimension {alg.n} != problem dimension {p.n}",
         )
     prog = _build(build_primal, p, alg.q, args.eps)
+    try:
+        validate_algorithm(alg)
+    except ReconstructionError as exc:
+        raise _CommandFailure(_EXIT_SEMANTIC, "INVALID", str(exc)) from exc
     trace = run(alg, p)
     rep = success_report(trace, p, args.eps)
     check = verify_point(prog, trace_to_primal_point(p, alg, args.eps))

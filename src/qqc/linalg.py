@@ -15,7 +15,6 @@ __all__ = [
     "partial_trace",
     "eig_hermitian",
     "purify",
-    "conditional_vectors",
     "align_purifications",
     "complete_to_unitary",
 ]
@@ -80,13 +79,6 @@ def purify(rho: np.ndarray, env_dim: int) -> np.ndarray:
     return coeffs.reshape(-1)
 
 
-def conditional_vectors(psi: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
-    """Rows are the (unnormalized) B-side vectors conditioned on each A index."""
-    if psi.shape != (dim_a * dim_b,):
-        raise ValueError(f"state shape {psi.shape} does not match dims ({dim_a}, {dim_b})")
-    return psi.reshape(dim_a, dim_b)
-
-
 def align_purifications(
     psi: np.ndarray, target: np.ndarray, dim_a: int, dim_b: int
 ) -> np.ndarray:
@@ -99,8 +91,12 @@ def align_purifications(
     even when the Grams agree only approximately.
     """
     tol = 1e-4
-    rows_p = conditional_vectors(psi, dim_a, dim_b)
-    rows_t = conditional_vectors(target, dim_a, dim_b)
+    for v in (psi, target):
+        if v.shape != (dim_a * dim_b,):
+            raise ValueError(f"state shape {v.shape} does not match dims ({dim_a}, {dim_b})")
+    # row x is the (unnormalized) B-side vector conditioned on A index x
+    rows_p = psi.reshape(dim_a, dim_b)
+    rows_t = target.reshape(dim_a, dim_b)
     g_p = rows_p @ rows_p.conj().T
     g_t = rows_t @ rows_t.conj().T
     scale = max(np.linalg.norm(g_p), np.linalg.norm(g_t), 1.0)

@@ -18,10 +18,8 @@ UNITARITY_TOL = 1e-9
 __all__ = [
     "QueryProblem",
     "ValidationReport",
-    "DerivedConstants",
     "validate",
     "build_omega",
-    "build_constants",
     "phase_query_problem",
     "problem_to_dict",
     "problem_from_dict",
@@ -44,6 +42,13 @@ class QueryProblem:
 
     def class_indices(self, z: str) -> list[int]:
         return [i for i, lab in enumerate(self.labels) if self.g[lab] == z]
+
+    def differing_pairs(self) -> list[tuple[int, int]]:
+        """Index pairs (i, j), i < j, whose labels map to different outputs."""
+        return [
+            (i, j) for i, j in itertools.combinations(range(self.size), 2)
+            if self.g[self.labels[i]] != self.g[self.labels[j]]
+        ]
 
 
 @dataclass
@@ -99,7 +104,8 @@ def validate(p: QueryProblem) -> ValidationReport:
     return rep
 
 
-def _require_valid(p: QueryProblem) -> None:
+def require_valid(p: QueryProblem) -> None:
+    """Raise ValueError listing the issues of an invalid problem."""
     rep = validate(p)
     if not rep.ok:
         raise ValueError(f"invalid problem: {rep.issues}")
@@ -107,37 +113,12 @@ def _require_valid(p: QueryProblem) -> None:
 
 def build_omega(p: QueryProblem) -> np.ndarray:
     """Block-diagonal oracle, one n x n block per label in label order."""
-    _require_valid(p)
-    return _omega(p)
-
-
-def _omega(p: QueryProblem) -> np.ndarray:
+    require_valid(p)
     s, n = p.size, p.n
     omega = np.zeros((s * n, s * n), dtype=complex)
     for i in range(s):
         omega[i * n : (i + 1) * n, i * n : (i + 1) * n] = p.unitaries[i]
     return omega
-
-
-@dataclass
-class DerivedConstants:
-    """Per-instance matrices shared by the program builders.
-
-    omega is the block oracle; pairs lists index pairs (i, j), i < j, whose
-    labels map to different outputs.
-    """
-
-    omega: np.ndarray
-    pairs: tuple[tuple[int, int], ...]
-
-
-def build_constants(p: QueryProblem) -> DerivedConstants:
-    _require_valid(p)
-    pairs = tuple(
-        (i, j) for i, j in itertools.combinations(range(p.size), 2)
-        if p.g[p.labels[i]] != p.g[p.labels[j]]
-    )
-    return DerivedConstants(omega=_omega(p), pairs=pairs)
 
 
 def phase_query_problem(m: int, g_classical: dict[str, str]) -> QueryProblem:
@@ -171,6 +152,8 @@ def matrix_from_dict(e: dict) -> np.ndarray:
     """Inverse of matrix_to_dict; a missing "im" reads as zero."""
     re = np.asarray(e["re"], dtype=float)
     im = np.asarray(e.get("im", np.zeros_like(re)), dtype=float)
+    if im.shape != re.shape:
+        raise ValueError(f'"im" shape {im.shape} differs from "re" shape {re.shape}')
     return re + 1j * im
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linalg import partial_trace
-from .problem import QueryProblem, build_constants, DerivedConstants
+from .problem import QueryProblem, build_omega, require_valid
 
 __all__ = [
     "BlockMap",
@@ -171,7 +171,7 @@ def pair_name(p: QueryProblem, pair: tuple[int, int]) -> str:
     return f"{p.labels[pair[0]]}|{p.labels[pair[1]]}"
 
 
-def _query_chain(p: QueryProblem, q: int, c: DerivedConstants) -> tuple[list[Block], list[Row]]:
+def _query_chain(p: QueryProblem, q: int, omega: np.ndarray) -> tuple[list[Block], list[Row]]:
     """Blocks and rows of the query chain that opens both existence programs.
 
     Every input starts from the same state, so the first joint state has
@@ -192,10 +192,10 @@ def _query_chain(p: QueryProblem, q: int, c: DerivedConstants) -> tuple[list[Blo
     blocks = [Block("rho_0", n, True)]
     blocks += [Block(f"state_iq_{t}", s * n, True) for t in range(1, q)]
     blocks.append(Block("final_gram", s, True))
-    first = c.omega @ np.kron(np.ones((s, 1)), np.eye(n))
+    first = omega @ np.kron(np.ones((s, 1)), np.eye(n))
     rows = [Row("init", 1, [(0, _trace_against(np.eye(n)))], np.ones((1, 1), dtype=complex))]
     for t in range(1, q + 1):
-        prev = (t - 1, _conj_pt(first if t == 1 else c.omega, s, n, -1.0))
+        prev = (t - 1, _conj_pt(first if t == 1 else omega, s, n, -1.0))
         if t < q:
             rows.append(Row(f"chain_{t}", s, [(t, _pt_q(s, n)), prev], zeros))
         else:
@@ -215,9 +215,8 @@ def build_primal(p: QueryProblem, q: int, eps: float) -> ConicFeasibilityProgram
     matrix at (i, i): entry (i, i) of its class's share.
     """
     _check_q_eps(q, eps)
-    c = build_constants(p)
     s = p.size
-    blocks, rows = _query_chain(p, q, c)
+    blocks, rows = _query_chain(p, q, build_omega(p))
     blocks += [Block(f"output_part_{z}", s, True) for z in p.outputs]
     blocks += [Block(f"success_slack_{lab}", 1, True) for lab in p.labels]
     bi = {b.name: i for i, b in enumerate(blocks)}
@@ -244,13 +243,13 @@ def build_primal_relaxed(p: QueryProblem, q: int, eps: float) -> ConicFeasibilit
     entry has magnitude at most the margin 2√(eps(1-eps)).
     """
     _check_q_eps(q, eps)
-    c = build_constants(p)
     s = p.size
-    blocks, rows = _query_chain(p, q, c)
-    blocks += [Block(f"pair_slack_{pair_name(p, pr)}", 2, True) for pr in c.pairs]
+    blocks, rows = _query_chain(p, q, build_omega(p))
+    pairs = p.differing_pairs()
+    blocks += [Block(f"pair_slack_{pair_name(p, pr)}", 2, True) for pr in pairs]
     bi = {b.name: i for i, b in enumerate(blocks)}
     margin = 2.0 * math.sqrt(eps * (1.0 - eps))
-    for pr in c.pairs:
+    for pr in pairs:
         name = pair_name(p, pr)
         terms = [(bi["final_gram"], m) for m in _pair_off_diagonal(s, pr)]
         terms.append((bi[f"pair_slack_{name}"], _ident(2)))
@@ -268,7 +267,7 @@ def build_dual(p: QueryProblem, q: int, eps: float) -> ConicFeasibilityProgram:
     making the strict row tr(J L_0) - (1 - eps) sum y_i negative.
     """
     _check_q_eps(q, eps)
-    c = build_constants(p)
+    omega = build_omega(p)
     s, n = p.size, p.n
     blocks = [Block(f"chain_dual_{t}", s, False) for t in range(q + 1)]
     blocks += [Block(f"success_dual_{lab}", 1, True) for lab in p.labels]
@@ -282,7 +281,7 @@ def build_dual(p: QueryProblem, q: int, eps: float) -> ConicFeasibilityProgram:
                 s * n,
                 [
                     (bi[f"chain_dual_{t-1}"], _tensor_id(s, n)),
-                    (bi[f"chain_dual_{t}"], _conj_tensor(c.omega, s, n, -1.0)),
+                    (bi[f"chain_dual_{t}"], _conj_tensor(omega, s, n, -1.0)),
                 ],
                 np.zeros((s * n, s * n), dtype=complex),
                 sense="psd",
@@ -311,17 +310,18 @@ def build_dual_relaxed(p: QueryProblem, q: int, eps: float) -> ConicFeasibilityP
     query-update map used by the existence chain.
     """
     _check_q_eps(q, eps)
-    c = build_constants(p)
+    omega = build_omega(p)
+    pairs = p.differing_pairs()
     s, n = p.size, p.n
     blocks = [Block(f"step_{t}", s, False) for t in range(q + 1)]
-    blocks += [Block(f"pair_dual_{pair_name(p, pr)}", 2, True) for pr in c.pairs]
+    blocks += [Block(f"pair_dual_{pair_name(p, pr)}", 2, True) for pr in pairs]
     bi = {b.name: i for i, b in enumerate(blocks)}
 
     rows: list[Row] = []
     anchor_terms = [(bi["step_0"], _ident(s, -1.0))]
     anchor_terms += [
         (bi[f"pair_dual_{pair_name(p, pr)}"], m.adjoint())
-        for pr in c.pairs for m in _pair_off_diagonal(s, pr)
+        for pr in pairs for m in _pair_off_diagonal(s, pr)
     ]
     rows.append(Row("anchor", s, anchor_terms, np.zeros((s, s), dtype=complex), sense="psd"))
     for t in range(1, q + 1):
@@ -331,7 +331,7 @@ def build_dual_relaxed(p: QueryProblem, q: int, eps: float) -> ConicFeasibilityP
                 s * n,
                 [
                     (bi[f"step_{t-1}"], _tensor_id(s, n)),
-                    (bi[f"step_{t}"], _conj_tensor(c.omega.conj().T, s, n, -1.0)),
+                    (bi[f"step_{t}"], _conj_tensor(omega.conj().T, s, n, -1.0)),
                 ],
                 np.zeros((s * n, s * n), dtype=complex),
                 sense="psd",
@@ -340,7 +340,7 @@ def build_dual_relaxed(p: QueryProblem, q: int, eps: float) -> ConicFeasibilityP
     margin = 2.0 * math.sqrt(eps * (1.0 - eps))
     strict_terms = [(bi[f"step_{q}"], _trace_against(np.ones((s, s)), -1.0))]
     strict_terms += [
-        (bi[f"pair_dual_{pair_name(p, pr)}"], _trace_against(np.eye(2), margin)) for pr in c.pairs
+        (bi[f"pair_dual_{pair_name(p, pr)}"], _trace_against(np.eye(2), margin)) for pr in pairs
     ]
     rows.append(Row("strict", 1, strict_terms, np.zeros((1, 1), dtype=complex), sense="strict"))
     return ConicFeasibilityProgram(blocks, rows)
@@ -367,7 +367,7 @@ def certificate_to_dual_point(
     a Schur complement with |A| <= w = |L_1|_2 shows c = w (1 + 2 s w) makes
     it PSD. tr(J L_0) = tau + 1/2, so the strict row keeps slack 1/2.
     """
-    c = build_constants(p)
+    require_valid(p)
     s = p.size
 
     def chain_multiplier(t: int) -> np.ndarray:
@@ -391,7 +391,7 @@ def certificate_to_dual_point(
     else:
         for t in range(q + 1):
             point[f"step_{t}"] = -chain_multiplier(q - t)
-        for pr in c.pairs:
+        for pr in p.differing_pairs():
             name = pair_name(p, pr)
             point[f"pair_dual_{name}"] = np.asarray(certificate[f"pair_{name}"])
     return point

@@ -28,9 +28,7 @@ from .solver import FeasibilityOutcome, SolverConfig, solve
 
 __all__ = [
     "ReconstructionError",
-    "QuantumQueryAlgorithm",
     "validate_algorithm",
-    "output_shares",
     "extract_final_states",
     "backward_chain",
     "reconstruct_algorithm",
@@ -93,11 +91,6 @@ def validate_algorithm(alg: QuantumQueryAlgorithm) -> dict[str, float]:
     if bad:
         raise ReconstructionError(f"algorithm fails structural checks: {bad}")
     return res
-
-
-def output_shares(p: QueryProblem, point: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Pull the per-output share blocks out of a solver point."""
-    return {z: np.asarray(point[f"output_part_{z}"]) for z in p.outputs}
 
 
 def extract_final_states(
@@ -251,7 +244,7 @@ def reconstruct_algorithm(
         raise ReconstructionError(
             f"existence program at q={q}, eps={eps} is {out.status}", status=out.status
         )
-    shares = output_shares(p, out.point)
+    shares = {z: np.asarray(out.point[f"output_part_{z}"]) for z in p.outputs}
     finals = extract_final_states(p, out.point["final_gram"], shares, eps)
     alg = backward_chain(p, q, out.point, finals)
     return ReconstructionResult(algorithm=alg, outcome=out, extracted_dim=finals[2])

@@ -56,7 +56,7 @@ def _doubled(h: np.ndarray) -> np.ndarray:
 
 def _constraint_matrices(prog: ConicFeasibilityProgram) -> SdpaData:
     """One SDPA constraint per row of the shared assembly (A, b), one pass per block."""
-    a, b, block_off, _ = assemble(prog.blocks, prog.rows)
+    a, b, block_off = assemble(prog.blocks, prog.rows)
     sizes = [blk.dim if blk.dim == 1 else 2 * blk.dim for blk in prog.blocks]
     parts = []
     for bj, (blk, off) in enumerate(zip(prog.blocks, block_off)):

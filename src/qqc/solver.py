@@ -187,10 +187,8 @@ def unhvec(v: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
-def assemble(
-    blocks: list[Block], rows: list[Row]
-) -> tuple[np.ndarray, np.ndarray, list[int], list[int]]:
-    """Dense coordinate form of the rows: (A, b, block offsets, row offsets).
+def assemble(blocks: list[Block], rows: list[Row]) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Dense coordinate form of the rows: (A, b, block column offsets).
 
     Column block j holds hvec coordinates of block j, row slice i those of
     row i, so A x - b stacks hvec(row value - rhs) over the rows. Column k
@@ -215,7 +213,7 @@ def assemble(
             # d basis matrices per call; a stack of all d*d raises peak memory
             for k in range(0, d * d, d):
                 a[sl, co + k : co + k + d] += hvec(m.apply(unhvec(np.eye(d, d * d, k), d))).T
-    return a, b, block_off[:-1], row_off[:-1]
+    return a, b, block_off[:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -240,11 +238,11 @@ def _row_residuals(rows: list[Row], r: np.ndarray) -> dict[str, float]:
 class _Engine:
     """Primal and Farkas projections for A x = b over the blocks, on one Gram pseudo-inverse."""
 
-    def __init__(self, blocks: list[Block], a: np.ndarray, b: np.ndarray):
+    def __init__(self, blocks: list[Block], a: np.ndarray, b: np.ndarray, block_off: list[int]):
         self.blocks = blocks
         self.a = a
         self.b = b
-        self.block_off = list(itertools.accumulate((blk.dim**2 for blk in blocks), initial=0))[:-1]
+        self.block_off = block_off
         self.n_rows, self.n_cols = a.shape
         # PSD blocks grouped by dimension: one (k, d*d) gather index per d;
         # the free blocks' coordinates, which the dual cone pins to zero.
@@ -523,8 +521,7 @@ def solve(prog: ConicFeasibilityProgram, cfg: SolverConfig | None = None) -> Fea
     """
     cfg = cfg or SolverConfig()
     blocks, rows = _equality_form(prog)
-    a, b, _, _ = assemble(blocks, rows)
-    eng = _Engine(blocks, a, b)
+    eng = _Engine(blocks, *assemble(blocks, rows))
     rng = np.random.default_rng(cfg.seed)
 
     def residuals(x: np.ndarray) -> dict[str, float]:

@@ -4,16 +4,10 @@ families and a session-wide solve cache."""
 import numpy as np
 import pytest
 
-from qqc import (
-    QueryProblem,
-    build_dual,
-    build_dual_relaxed,
-    build_primal,
-    build_primal_relaxed,
-    phase_query_problem,
-    solve,
-)
-from qqc.reconstruct import QuantumQueryAlgorithm
+from qqc.problem import QueryProblem, phase_query_problem
+from qqc.programs import build_dual, build_dual_relaxed, build_primal, build_primal_relaxed
+from qqc.simulate import QuantumQueryAlgorithm
+from qqc.solver import solve
 
 
 def _distinguish_i_x() -> QueryProblem:

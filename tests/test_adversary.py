@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from conftest import random_valid_gamma
-from qqc import QueryProblem, build_dual_relaxed, verify_point
 from qqc.adversary import (
     check_block_schur_identity,
     make_dual_witness,
@@ -10,6 +9,9 @@ from qqc.adversary import (
     search_gamma,
     spectral_bound,
 )
+from qqc.problem import QueryProblem
+from qqc.programs import build_dual_relaxed
+from qqc.solver import verify_point
 
 
 def test_perron_vector_agrees_with_dense_eig():

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from qqc.cli import main
-from qqc.problem import problem_to_dict
+from qqc.problem import QueryProblem, problem_to_dict
 from qqc.reconstruct import algorithm_to_dict
+from qqc.simulate import QuantumQueryAlgorithm
 
 from conftest import PROBLEMS, hand_deutsch_algorithm
 
@@ -191,6 +192,25 @@ def test_simulate_failing_protocol(problem_file, tmp_path, capsys):
     assert rep["results"]["success"]["min_success"] <= 1e-9
 
 
+def test_simulate_rejects_non_projective_protocol(tmp_path, capsys):
+    # I against a real rotation by 0.3 rad is infeasible at q=1, eps 0.1; a
+    # Hermitian "P_a" with a negative eigenvalue would pass the success check
+    # and meet the chain rows, so the protocol's structure is checked first
+    c, s = np.cos(0.3), np.sin(0.3)
+    p = QueryProblem(2, ("i", "r"), np.array([np.eye(2), [[c, -s], [s, c]]], dtype=complex),
+                     ("a", "b"), {"i": "a", "r": "b"})
+    p_a = np.array([[1.0, -1.5], [-1.5, 0.0]], dtype=complex)
+    alg = QuantumQueryAlgorithm(n=2, w_dim=1, unitaries=[np.eye(2, dtype=complex)] * 2,
+                                projectors={"a": p_a, "b": np.eye(2) - p_a})
+    code = main(["simulate", _write_json(tmp_path, "rot.json", problem_to_dict(p)),
+                 "--alg", _write_json(tmp_path, "fake.json", algorithm_to_dict(alg)),
+                 "--eps", "0.1"])
+    rep = _report(capsys)
+    assert code == 2
+    assert rep["status"] == "INVALID"
+    assert "projector" in rep["error"]
+
+
 def test_simulate_dimension_mismatch(problem_file, tmp_path, capsys):
     alg = hand_deutsch_algorithm()
     data = algorithm_to_dict(alg)
@@ -246,6 +266,17 @@ def _write_json(tmp_path, name, data):
     return str(path)
 
 
+def _misshaped_im(tmp_path, kind):
+    # a 1x1 "im" beside a 2x2 "re" must not broadcast over the matrix
+    if kind == "problem":
+        data = problem_to_dict(PROBLEMS["deutsch"])
+        data["unitaries"][0]["im"] = [[0.5]]
+    else:
+        data = algorithm_to_dict(hand_deutsch_algorithm())
+        data["projectors"]["0"]["im"] = [[0.5]]
+    return _write_json(tmp_path, f"im_{kind}.json", data)
+
+
 def _register_mismatch(tmp_path):
     # consistent shapes (n * w_dim = 2), but a one-dimensional query register
     data = algorithm_to_dict(hand_deutsch_algorithm())
@@ -274,6 +305,9 @@ BAD_INPUTS = {
         1, "INPUT_ERROR"),
     "simulate-register-mismatch": (
         lambda d, t: ["simulate", d, "--alg", _register_mismatch(t)], 2, "INVALID"),
+    "validate-misshaped-im": (lambda d, t: ["validate", _misshaped_im(t, "problem")], 1, "INPUT_ERROR"),
+    "simulate-misshaped-im": (
+        lambda d, t: ["simulate", d, "--alg", _misshaped_im(t, "protocol")], 1, "INPUT_ERROR"),
 }
 
 

@@ -9,7 +9,6 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted(ROOT.glob("src/qqc/*.py"))
 READERS = PACKAGE + sorted(ROOT.glob("tests/*.py"))
-FILES = [p for p in READERS if p != ROOT / "src" / "qqc" / "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -35,7 +34,7 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in sorted(bound.items()) if name not in read]
 
 
-@pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
+@pytest.mark.parametrize("path", READERS, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

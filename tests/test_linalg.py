@@ -4,7 +4,6 @@ import pytest
 from qqc.linalg import (
     align_purifications,
     complete_to_unitary,
-    conditional_vectors,
     eig_hermitian,
     hermitize,
     partial_trace,
@@ -103,13 +102,16 @@ def test_purify_env_too_small():
         purify(rho, 2)
 
 
-def test_conditional_vectors_reassemble():
+def test_align_purifications_rejects_wrong_length():
+    # either state must have length dim_a * dim_b before it is cut into rows
     rng = np.random.default_rng(41)
-    rows = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-    psi = rows.reshape(-1)
-    assert np.array_equal(conditional_vectors(psi, 3, 4), rows)
-    with pytest.raises(ValueError):
-        conditional_vectors(psi, 4, 4)
+    psi = purify(random_density(rng, 3, 2), 4)
+    with pytest.raises(ValueError, match="does not match dims"):
+        align_purifications(psi, psi, 4, 4)
+    with pytest.raises(ValueError, match="does not match dims"):
+        align_purifications(psi, psi[:-1], 3, 4)
+    u = align_purifications(psi, psi, 3, 4)
+    assert np.allclose(np.kron(np.eye(3), u) @ psi, psi)
 
 
 def test_align_purifications_connects_two_purifications():

@@ -3,7 +3,6 @@ import pytest
 
 from qqc.problem import (
     QueryProblem,
-    build_constants,
     build_omega,
     phase_query_problem,
     problem_from_dict,
@@ -140,14 +139,14 @@ def test_build_omega_rejects_invalid():
         build_omega(p)
 
 
-def test_build_constants_pairs():
+def test_differing_pairs():
     p = phase_query_problem(2, {"00": "0", "11": "0", "01": "1", "10": "1"})
-    c = build_constants(p)
-    # pairs cross the output classes only
-    for i, j in c.pairs:
+    # pairs cross the output classes only, in lexicographic index order
+    assert p.differing_pairs() == [(0, 1), (0, 2), (1, 3), (2, 3)]
+    for i, j in p.differing_pairs():
         assert p.g[p.labels[i]] != p.g[p.labels[j]]
-        assert i < j
-    assert len(c.pairs) == 4
+    const = phase_query_problem(1, {"0": "0", "1": "0"})
+    assert const.differing_pairs() == []
 
 
 def test_phase_query_problem_unitaries():
@@ -188,6 +187,15 @@ def test_problem_from_dict_complex_entries():
 def test_problem_from_dict_malformed():
     with pytest.raises((KeyError, ValueError, TypeError)):
         problem_from_dict({"n": 2})
+
+
+@pytest.mark.parametrize("im", [[[0.5]], [0.0, 0.0], [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]])
+def test_problem_from_dict_rejects_misshaped_imaginary_part(im):
+    # numpy would broadcast these over the 2x2 real part
+    data = problem_to_dict(phase_query_problem(2, {"00": "0", "11": "0", "01": "1", "10": "1"}))
+    data["unitaries"][0]["im"] = im
+    with pytest.raises(ValueError, match='"im" shape'):
+        problem_from_dict(data)
 
 
 def test_indexing_helpers():

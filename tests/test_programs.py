@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from qqc.problem import build_constants
 from qqc.programs import (
     BlockMap,
     build_dual,
@@ -87,12 +86,11 @@ def test_pair_rows_read_the_pair_entry(deutsch):
     # with a zero slack the pair row reads -[[0, G_ij], [G_ji, 0]] off G, so
     # the row = margin·I has a PSD slack exactly when |G_ij| <= margin
     prog = build_primal_relaxed(deutsch, 0, 0.1)
-    c = build_constants(deutsch)
     rng = np.random.default_rng(5)
     g = random_hermitian(rng, 4)
     point = {b.name: np.zeros((b.dim, b.dim), dtype=complex) for b in prog.blocks}
     point["final_gram"] = g
-    for i, j in c.pairs:
+    for i, j in deutsch.differing_pairs():
         row = next(r for r in prog.rows if r.name == f"pair_{pair_name(deutsch, (i, j))}")
         want = -np.array([[0.0, g[i, j]], [g[j, i], 0.0]])
         assert np.max(np.abs(prog.row_value(row, point) - want)) <= 1e-15
@@ -121,7 +119,7 @@ def test_dual_reads_every_coordinate(pname, q):
     # the assembled A is read by some row
     p = FAMILIES[pname] if pname in FAMILIES else PROBLEMS[pname]
     prog = build_dual(p, q, 0.1)
-    a, _, _, _ = assemble(prog.blocks, prog.rows)
+    a, _, _ = assemble(prog.blocks, prog.rows)
     assert a.any(axis=0).all()
 
 
@@ -174,12 +172,11 @@ def test_primal_q0_constant_hand_point(const):
 
 def test_primal_relaxed_structure(deutsch):
     prog = build_primal_relaxed(deutsch, 1, 0.1)
-    c = build_constants(deutsch)
-    slack_names = {f"pair_slack_{pair_name(deutsch, pr)}" for pr in c.pairs}
+    slack_names = {f"pair_slack_{pair_name(deutsch, pr)}" for pr in deutsch.differing_pairs()}
     assert {b.name for b in prog.blocks} == {"rho_0", "final_gram"} | slack_names
     assert all(b.dim == 2 for b in prog.blocks if b.name in slack_names)
     margin = 2.0 * np.sqrt(0.1 * 0.9)
-    for pr in c.pairs:
+    for pr in deutsch.differing_pairs():
         row = next(r for r in prog.rows if r.name == f"pair_{pair_name(deutsch, pr)}")
         assert row.dim == 2
         assert np.array_equal(row.rhs, margin * np.eye(2))
@@ -201,9 +198,8 @@ def test_dual_structure(deutsch):
 
 def test_dual_relaxed_structure(deutsch):
     prog = build_dual_relaxed(deutsch, 1, 0.1)
-    c = build_constants(deutsch)
     assert [b.name for b in prog.blocks if not b.psd] == ["step_0", "step_1"]
-    pair_blocks = {f"pair_dual_{pair_name(deutsch, pr)}": 2 for pr in c.pairs}
+    pair_blocks = {f"pair_dual_{pair_name(deutsch, pr)}": 2 for pr in deutsch.differing_pairs()}
     assert {b.name: b.dim for b in prog.blocks if b.psd} == pair_blocks
     senses = {r.name: r.sense for r in prog.rows}
     assert senses == {"anchor": "psd", "query_1": "psd", "strict": "strict"}

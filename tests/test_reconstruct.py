@@ -9,13 +9,16 @@ from qqc.reconstruct import (
     algorithm_to_dict,
     backward_chain,
     extract_final_states,
-    output_shares,
     reconstruct_algorithm,
     validate_algorithm,
 )
 from qqc.simulate import run, success_report
 
 from conftest import FEASIBLE_CELLS, PROBLEMS, hand_deutsch_algorithm
+
+
+def _shares(p, point):
+    return {z: point[f"output_part_{z}"] for z in p.outputs}
 
 
 def test_reconstruct_deutsch_round_trip(deutsch):
@@ -46,17 +49,20 @@ def test_reconstruct_infeasible_carries_status(pname, q):
 
 
 def test_output_sdp_shares(deutsch, cached_solve):
+    # the point's output_part blocks sum to the final Gram matrix, and
+    # reconstruct_algorithm factors exactly those shares
     out = cached_solve("deutsch", "primal", 1, 0.0)
     m = out.point["final_gram"]
-    shares = output_shares(deutsch, out.point)
-    assert set(shares) == set(deutsch.outputs)
+    shares = _shares(deutsch, out.point)
     assert np.allclose(sum(shares.values()), m, atol=1e-6)
+    _, _, d = extract_final_states(deutsch, m, shares, 0.0)
+    assert reconstruct_algorithm(deutsch, 1, 0.0).extracted_dim == d
 
 
 def test_extract_final_states_contract(deutsch, cached_solve):
     out = cached_solve("deutsch", "primal", 1, 0.0)
     m = out.point["final_gram"]
-    shares = output_shares(deutsch, out.point)
+    shares = _shares(deutsch, out.point)
     vectors, projectors, d = extract_final_states(deutsch, m, shares, 0.0)
     assert vectors.shape == (deutsch.size, d)
     assert set(projectors) == set(deutsch.outputs)
@@ -78,7 +84,7 @@ def test_extracted_vectors_factor_every_share(pname, q, eps, cached_solve):
     p = PROBLEMS[pname]
     out = cached_solve(pname, "primal", q, eps)
     m = out.point["final_gram"]
-    shares = output_shares(p, out.point)
+    shares = _shares(p, out.point)
     vectors, projectors, d = extract_final_states(p, m, shares, eps)
     cut = 1e-8 * np.linalg.eigvalsh(m)[-1]
     assert d == sum(int(np.sum(np.linalg.eigvalsh(g) > cut)) for g in shares.values())
@@ -105,7 +111,7 @@ def test_backward_chain_checks_the_program_rows(deutsch, cached_solve):
     out = cached_solve("deutsch", "primal", 1, 0.0)
     assert out.status == "FEASIBLE"
     point = dict(out.point, rho_0=1.01 * out.point["rho_0"])
-    finals = extract_final_states(deutsch, point["final_gram"], output_shares(deutsch, point), 0.0)
+    finals = extract_final_states(deutsch, point["final_gram"], _shares(deutsch, point), 0.0)
     with pytest.raises(ReconstructionError, match="'init'"):
         backward_chain(deutsch, 1, point, finals)
 
@@ -149,6 +155,8 @@ def test_algorithm_dict_round_trip():
         lambda d: d.pop("unitaries"),
         lambda d: d["unitaries"].clear(),
         lambda d: d["unitaries"][0]["re"][0].pop(),
+        # a 1x1 "im" must not broadcast over the 4x4 "re"
+        lambda d: d["unitaries"][1].update(im=[[0.5]]),
     ],
 )
 def test_algorithm_from_dict_rejects_malformed(mutate):

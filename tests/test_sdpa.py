@@ -132,7 +132,8 @@ def test_parse_rejects_truncated_file(tmp_path):
 
 def _per_row_reference(prog):
     # the per-row x per-block loop the stacked export replaced
-    a, b, block_off, row_off = assemble(prog.blocks, prog.rows)
+    a, b, block_off = assemble(prog.blocks, prog.rows)
+    row_off = np.cumsum([0] + [r.dim * r.dim for r in prog.rows])[:-1].tolist()
     sizes = [blk.dim if blk.dim == 1 else 2 * blk.dim for blk in prog.blocks]
     entries = []
     for r, r0 in zip(prog.rows, row_off):
@@ -176,7 +177,7 @@ def test_export_matches_per_row_reference(name, builder, tmp_path):
 def _assert_minus_im_corner(prog, data):
     # Y has complex entries, so some doubled block has a nonzero upper-right
     # corner, and it carries -Im H / 2 of the constraint matrix H
-    a, _, block_off, _ = assemble(prog.blocks, prog.rows)
+    a, _, block_off = assemble(prog.blocks, prog.rows)
     corner = [e for e in data.entries
               if data.block_sizes[e[1] - 1] > 1 and e[2] <= data.block_sizes[e[1] - 1] // 2 < e[3]]
     assert any(e[4] != 0.0 for e in corner)

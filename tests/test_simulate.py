@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 
 from conftest import hand_deutsch_algorithm
-from qqc import build_primal, verify_point
-from qqc.reconstruct import QuantumQueryAlgorithm, reconstruct_algorithm
+from qqc.programs import build_primal
+from qqc.reconstruct import reconstruct_algorithm
 from qqc.simulate import (
+    QuantumQueryAlgorithm,
     extended_state,
     run,
     success_report,
     trace_to_dict,
     trace_to_primal_point,
 )
+from qqc.solver import verify_point
 
 
 def test_run_hand_deutsch_is_exact(deutsch):

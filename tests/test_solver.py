@@ -77,13 +77,12 @@ _ASSEMBLY_CASES = [(pname, builder, q) for pname in PROBLEMS for builder in BUIL
 
 @pytest.mark.parametrize("pname,builder,q", _ASSEMBLY_CASES)
 def test_assemble_matches_row_values(pname, builder, q):
-    # A x - b stacks hvec(row value - rhs) at any point, block and row offsets
-    # following program order
+    # A x - b stacks hvec(row value - rhs) at any point, block and row
+    # coordinates following program order
     p = FAMILIES[pname] if pname in FAMILIES else PROBLEMS[pname]
     prog = BUILDERS[builder](p, q, 0.1)
-    a, b, block_off, row_off = assemble(prog.blocks, prog.rows)
+    a, b, block_off = assemble(prog.blocks, prog.rows)
     assert block_off == list(np.cumsum([0] + [blk.dim ** 2 for blk in prog.blocks])[:-1])
-    assert row_off == list(np.cumsum([0] + [r.dim ** 2 for r in prog.rows])[:-1])
     rng = np.random.default_rng(3)
     for _ in range(3):
         point = {blk.name: random_hermitian(rng, blk.dim) for blk in prog.blocks}
@@ -112,8 +111,7 @@ def test_project_cone_matches_per_block_reference(case):
         prog = BUILDERS["primal"](FAMILIES["weyl3"], 2, 0.1)
         dims = {1, 3, 9, 27}
     blocks, rows = _equality_form(prog)
-    a, b, _, _ = assemble(blocks, rows)
-    eng = _Engine(blocks, a, b)
+    eng = _Engine(blocks, *assemble(blocks, rows))
     assert {b.dim for b in blocks if b.psd} == dims
 
     def per_block(x):
@@ -144,8 +142,8 @@ def test_dual_projections_land_in_their_sets(case):
     else:
         prog = BUILDERS["primal"](FAMILIES["weyl3"], 1, 0.1)
     blocks, rows = _equality_form(prog)
-    a, b, _, _ = assemble(blocks, rows)
-    eng = _Engine(blocks, a, b)
+    a, b, block_off = assemble(blocks, rows)
+    eng = _Engine(blocks, a, b, block_off)
     free = [i for blk, off in zip(blocks, eng.block_off) if not blk.psd
             for i in range(off, off + blk.dim**2)]
     rng = np.random.default_rng(13)

@@ -11,7 +11,7 @@ import itertools
 
 import pytest
 
-from qqc import phase_query_problem
+from qqc.problem import phase_query_problem
 from qqc.programs import build_dual, build_primal, certificate_to_dual_point
 from qqc.reconstruct import reconstruct_algorithm
 from qqc.simulate import run, success_report, trace_to_primal_point
