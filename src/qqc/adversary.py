@@ -69,12 +69,11 @@ def _check_weight(p: QueryProblem, gamma) -> np.ndarray:
         raise ValueError("weight matrix entries must be nonnegative")
     if not g.any():
         raise ValueError("weight matrix must be nonzero")
-    for i in range(s):
-        for j in range(s):
-            if g[i, j] != 0.0 and p.g[p.labels[i]] == p.g[p.labels[j]]:
-                raise ValueError(
-                    f"weight at ({p.labels[i]}, {p.labels[j]}) must vanish: equal outputs"
-                )
+    out = np.array([p.outputs.index(p.g[lab]) for lab in p.labels])
+    bad = np.argwhere((g != 0.0) & (out[:, None] == out[None, :]))
+    if len(bad):
+        i, j = bad[0]  # row-major, the first offending pair
+        raise ValueError(f"weight at ({p.labels[i]}, {p.labels[j]}) must vanish: equal outputs")
     return 0.5 * (g + g.T)
 
 
@@ -116,9 +115,9 @@ def spectral_bound(p: QueryProblem, gamma, eps: float) -> AdversaryReport:
     """
     if not 0.0 <= eps < 0.5:
         raise ValueError(f"error tolerance must lie in [0, 1/2), got {eps}")
+    omega = build_omega(p)  # validates p, which _check_weight reads
     g = _check_weight(p, gamma)
     lam, v = perron_vector(g)
-    omega = build_omega(p)
     wide = np.kron(g, np.eye(p.n))
     diff = wide - omega @ wide @ omega.conj().T
     evals = np.linalg.eigvalsh(diff)

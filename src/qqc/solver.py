@@ -5,11 +5,13 @@ The method is relaxed alternating projections between the affine set
 each Hermitian block is flattened isometrically (trace pairing = dot
 product). `assemble` builds the dense A and b from the program rows; the
 SDPA export reads its constraint matrices from the same assembly. The
-coordinate maps `hvec`/`unhvec` behind both read their triangle indices
-from one cache per matrix dimension, and act on stacks of matrices and
-vectors along the leading axes. The cone step groups the PSD blocks by
-dimension once and projects each group with one stacked `eigh`: a gather
-of the group's coordinates, eigenvalue clipping, and a scatter back.
+coordinate maps `hvec`/`unhvec` behind both are one gather each, between
+the coordinates and the float view of the complex matrix, through a table
+of positions and scales built once per matrix dimension; they act on stacks
+of matrices and vectors along the leading axes. The cone step groups the
+PSD blocks by dimension once and projects each group with one stacked
+`eigh`: a gather of the group's coordinates, eigenvalue clipping, and a
+scatter back.
 Programs whose rows are all equalities run directly; PSD rows are first
 slackened to equalities, with the strict scalar row pinned to -1 (all
 assembled inequality programs are homogeneous, so the pin loses no
@@ -49,6 +51,7 @@ import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -146,45 +149,78 @@ class FeasibilityOutcome:
 # ---------------------------------------------------------------------------
 # Isometric real coordinates for Hermitian matrices.
 
+class _Coords(NamedTuple):
+    """Positions and scales between hvec coordinates and a matrix's float view.
+
+    The float view of a C-contiguous d x d complex matrix holds Re m[i, j] at
+    2 (i d + j) and Im m[i, j] right after it. hvec gathers the view at `at`
+    and multiplies by `scale`; unhvec gathers the coordinates at `src`,
+    multiplies by `inv_scale` and zeroes the view at `diag_imag`.
+    """
+
+    at: np.ndarray  # view position of each coordinate: diagonal, upper Re, upper Im
+    scale: np.ndarray  # 1 on the diagonal, sqrt 2 off it
+    src: np.ndarray  # the coordinate behind each view position
+    inv_scale: np.ndarray  # 1 on the diagonal, 1/sqrt 2 off it, -1/sqrt 2 on lower Im
+    diag_imag: np.ndarray  # view positions of the diagonal's imaginary parts
+
+
 @functools.lru_cache(maxsize=None)
-def _upper(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Strict upper-triangle indices of a d x d matrix, computed once per d."""
-    iu = np.triu_indices(d, 1)
-    for idx in iu:
-        idx.flags.writeable = False
-    return iu
+def _coords(d: int) -> _Coords:
+    """The coordinate table of d x d matrices, built once per d."""
+    i, j = np.triu_indices(d, 1)
+    k = len(i)
+    diag = 2 * (d + 1) * np.arange(d)
+    up, low = 2 * (i * d + j), 2 * (j * d + i)
+    off = np.arange(d, d + k)
+    at = np.concatenate([diag, up, up + 1])
+    src = np.zeros(2 * d * d, dtype=np.intp)
+    inv_scale = np.zeros(2 * d * d)
+    # the reciprocal: a multiply by it rounds each part as numpy's complex
+    # division by sqrt 2 does
+    r = 1.0 / math.sqrt(2.0)
+    for pos, coord, c in ((diag, np.arange(d), 1.0), (up, off, r), (up + 1, off + k, r),
+                          (low, off, r), (low + 1, off + k, -r)):
+        src[pos] = coord
+        inv_scale[pos] = c
+    table = _Coords(at, np.concatenate([np.ones(d), np.full(2 * k, math.sqrt(2.0))]),
+                    src, inv_scale, diag + 1)
+    for arr in table:
+        arr.flags.writeable = False
+    return table
 
 
 def hvec(m: np.ndarray) -> np.ndarray:
     """Flatten a Hermitian matrix so that tr(XY) becomes a real dot product.
 
-    Applies to the last two axes of m, so a stack of matrices gives the
-    stack of their coordinate vectors.
+    The coordinates are the diagonal, then sqrt 2 times the real and then the
+    imaginary parts of the strict upper triangle, row-major: one gather of
+    the matrix's float view through the `_coords` table. Applies to the last
+    two axes of m, so a stack of matrices gives the stack of their
+    coordinate vectors.
     """
-    m = np.asarray(m, dtype=complex)
-    iu = _upper(m.shape[-1])
-    off = m[..., iu[0], iu[1]]
-    return np.concatenate([
-        np.diagonal(m, axis1=-2, axis2=-1).real,
-        math.sqrt(2.0) * off.real,
-        math.sqrt(2.0) * off.imag,
-    ], axis=-1)
+    m = np.ascontiguousarray(m, dtype=complex)
+    d = m.shape[-1]
+    t = _coords(d)
+    out = np.take(m.reshape(m.shape[:-2] + (d * d,)).view(float), t.at, axis=-1)
+    out *= t.scale
+    return out
 
 
 def unhvec(v: np.ndarray, d: int) -> np.ndarray:
-    """Inverse of hvec, applied along the last axis of v."""
+    """Inverse of hvec, applied along the last axis of v.
+
+    One gather of v through the `_coords` table fills the float view of the
+    matrix: (a + ib) / sqrt 2 above the diagonal, its conjugate below.
+    """
     v = np.asarray(v, dtype=float)
     if v.shape[-1:] != (d * d,):
         raise ValueError(f"coordinate vector of shape {v.shape} is not {d}x{d}")
-    out = np.zeros(v.shape[:-1] + (d, d), dtype=complex)
-    diag = np.arange(d)
-    out[..., diag, diag] = v[..., :d]
-    iu = _upper(d)
-    k = len(iu[0])
-    off = (v[..., d : d + k] + 1j * v[..., d + k :]) / math.sqrt(2.0)
-    out[..., iu[0], iu[1]] = off
-    out[..., iu[1], iu[0]] = off.conj()
-    return out
+    t = _coords(d)
+    out = np.take(v, t.src, axis=-1)
+    out *= t.inv_scale
+    out[..., t.diag_imag] = 0.0
+    return out.view(complex).reshape(v.shape[:-1] + (d, d))
 
 
 def assemble(blocks: list[Block], rows: list[Row]) -> tuple[np.ndarray, np.ndarray, list[int]]:

@@ -65,9 +65,19 @@ def test_spectral_bound_rejects_invalid_weights(deutsch):
     with pytest.raises(ValueError):
         spectral_bound(deutsch, neg, 0.0)
     same_class = np.zeros((s, s))
-    same_class[0, 3] = same_class[3, 0] = 1.0  # 00 and 11 share an output
-    with pytest.raises(ValueError):
+    same_class[1, 2] = same_class[2, 1] = 1.0  # 01 and 10 share an output
+    same_class[0, 3] = same_class[3, 0] = 1.0  # and so do 00 and 11
+    # the first offending pair in row-major order is named
+    with pytest.raises(ValueError, match=r"weight at \(00, 11\) must vanish: equal outputs"):
         spectral_bound(deutsch, same_class, 0.0)
+
+
+def test_spectral_bound_validates_the_problem_before_the_weights():
+    # g is not total: the weight check would read g(b) before validation did
+    eye = np.eye(2, dtype=complex)
+    p = QueryProblem(2, ("a", "b"), np.stack([eye, eye]), ("0", "1"), {"a": "0"})
+    with pytest.raises(ValueError, match="invalid problem"):
+        spectral_bound(p, np.array([[0.0, 1.0], [1.0, 0.0]]), 0.0)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -71,6 +72,77 @@ def test_hvec_round_trip_and_isometry():
         assert np.allclose(unhvec(vs, d), stack)
 
 
+def _upper_pairs(d):
+    return [(i, j) for i in range(d) for j in range(i + 1, d)]
+
+
+def _hvec_reference(m):
+    """hvec written out: the diagonal, then sqrt 2 Re and sqrt 2 Im of the
+    upper triangle, row-major; one matrix per call."""
+    up = _upper_pairs(m.shape[0])
+    return np.array([m[i, i].real for i in range(m.shape[0])]
+                    + [math.sqrt(2.0) * m[i, j].real for i, j in up]
+                    + [math.sqrt(2.0) * m[i, j].imag for i, j in up])
+
+
+def _unhvec_reference(v, d):
+    """unhvec written out: (a + ib) / sqrt 2 above the diagonal, part by part
+    with the reciprocal, and its conjugate below."""
+    up = _upper_pairs(d)
+    r = 1.0 / math.sqrt(2.0)
+    m = np.zeros((d, d), dtype=complex)
+    for i in range(d):
+        m[i, i] = v[i]
+    for k, (i, j) in enumerate(up):
+        a, b = v[d + k] * r, v[d + len(up) + k] * r
+        m[i, j] = complex(a, b)
+        m[j, i] = complex(a, -b)
+    return m
+
+
+def _same_bits(x, y):
+    return (x.dtype == y.dtype and x.shape == y.shape
+            and np.ascontiguousarray(x).tobytes() == np.ascontiguousarray(y).tobytes())
+
+
+def _with_signed_zeros(rng, shape):
+    # standard normal entries, a quarter of them replaced by +0.0 or -0.0
+    x = rng.standard_normal(shape)
+    zero = rng.random(shape) < 0.25
+    x[zero] = np.where(rng.random(shape) < 0.5, 0.0, -0.0)[zero]
+    return x
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 27])
+@pytest.mark.parametrize("lead", [(), (5,), (3, 4), (0,)], ids=str)
+def test_coordinate_maps_match_written_out_formula_bitwise(d, lead):
+    rng = np.random.default_rng(d)
+    shape = lead + (d, d)
+    m = np.empty(shape, dtype=complex)  # a + 1j * b would lose some -0.0 parts
+    m.real, m.imag = _with_signed_zeros(rng, shape), _with_signed_zeros(rng, shape)
+    read_only = m.copy()
+    read_only.flags.writeable = False
+    inputs = [m, m.swapaxes(-1, -2), m.conj().swapaxes(-1, -2), m.real, read_only]
+    for x in inputs:
+        ref = np.zeros(lead + (d * d,))
+        for idx in np.ndindex(*lead):
+            ref[idx] = _hvec_reference(np.asarray(x[idx], dtype=complex))
+        assert _same_bits(hvec(x), ref)
+    v = _with_signed_zeros(rng, lead + (d * d,))
+    ref = np.zeros(lead + (d, d), dtype=complex)
+    for idx in np.ndindex(*lead):
+        ref[idx] = _unhvec_reference(v[idx], d)
+    wide = np.repeat(v, 2, axis=-1)  # every other entry: a strided view of v
+    frozen = v.copy()
+    frozen.flags.writeable = False
+    for x in (v, wide[..., ::2], frozen):
+        assert _same_bits(unhvec(x, d), ref)
+    with pytest.raises(ValueError, match="coordinate vector"):
+        unhvec(v[..., 1:], d)
+    with pytest.raises(ValueError, match="coordinate vector"):
+        unhvec(np.zeros(lead + (d * d + 1,)), d)
+
+
 _ASSEMBLY_CASES = [(pname, builder, q) for pname in PROBLEMS for builder in BUILDERS
                    for q in (0, 1, 2)] + [("pauli_id", "primal", 1)]
 
@@ -115,11 +187,13 @@ def test_project_cone_matches_per_block_reference(case):
     assert {b.dim for b in blocks if b.psd} == dims
 
     def per_block(x):
+        # from the written-out coordinate formula, not the maps the engine calls
         out = x.copy()
         for b, off in zip(blocks, eng.block_off):
             if b.psd:
-                w, v = np.linalg.eigh(hermitize(unhvec(x[off : off + b.dim**2], b.dim)))
-                out[off : off + b.dim**2] = hvec((v * np.clip(w, 0.0, None)) @ v.conj().T)
+                m = _unhvec_reference(x[off : off + b.dim**2], b.dim)
+                w, v = np.linalg.eigh(hermitize(m))
+                out[off : off + b.dim**2] = _hvec_reference((v * np.clip(w, 0.0, None)) @ v.conj().T)
         return out
 
     free = [i for b, off in zip(blocks, eng.block_off) if not b.psd
