@@ -7,9 +7,11 @@ at error eps is bounded below by
     (1 - 2 sqrt(eps (1 - eps))) * lambda(gamma) / alpha,
 
 where lambda is the largest eigenvalue, alpha = 2 lambda(gamma (x) I -
-Omega (gamma (x) I) Omega†), and Omega is the block-diagonal oracle. The
-bound comes with an explicit feasible point of the relaxed witness program,
-assembled from the weight matrix's principal eigenvector and checked
+Omega (gamma (x) I) Omega†), and Omega is the block-diagonal oracle. Both
+come from the symmetric eigensolver; the principal eigenvector is taken
+entrywise nonnegative, which Perron–Frobenius allows for any nonnegative
+weight matrix. The bound comes with an explicit feasible point of the
+relaxed witness program, assembled from that eigenvector and checked
 row-by-row before it is returned; a failed check raises WitnessError rather
 than returning an unsound witness.
 """
@@ -37,6 +39,9 @@ __all__ = [
 
 _ALPHA_FLOOR = 1e-12
 _WITNESS_TOL = 1e-8
+# A bound within this much above an integer is below it within the rounding
+# of lambda / alpha, so it certifies no further query.
+_CEIL_SLACK = 1e-12
 
 
 class WitnessError(RuntimeError):
@@ -80,30 +85,17 @@ def _check_weight(p: QueryProblem, gamma) -> np.ndarray:
 def perron_vector(gamma: np.ndarray) -> tuple[float, np.ndarray]:
     """Largest eigenvalue and a nonnegative unit eigenvector.
 
-    Power iteration by repeated squaring of the shifted matrix, from the
-    all-ones vector; the shift keeps the dominant eigenvalue ahead of the
-    negative tail, and squaring makes tiny spectral gaps harmless.
+    Takes the entrywise absolute value |v| of the top eigenvector v of the
+    symmetric eigensolver, and lambda = |v|·g·|v|. For entrywise
+    nonnegative g, |v|ᵀ g |v| >= vᵀ g v = lambda_max, and the Rayleigh
+    quotient of a unit vector never exceeds lambda_max, so equality holds
+    and |v| is itself a top eigenvector (Perron–Frobenius). This needs no
+    spectral gap: it holds when lambda_max is repeated (a disconnected
+    weighting) and when -lambda_max is also an eigenvalue (a bipartite one).
     """
     g = np.asarray(gamma, dtype=float)
-    s = g.shape[0]
-    sigma = 0.1 * g.sum(axis=1).max() + 1e-12
-    m = g + sigma * np.eye(s)
-    m /= m.max()
-    for _ in range(64):
-        m = m @ m
-        peak = m.max()
-        if peak <= 0:
-            break
-        m /= peak
-    v = m @ np.ones(s)
-    nv = np.linalg.norm(v)
-    if nv == 0:
-        # dominant projector annihilates the all-ones start; cannot happen for
-        # a nonneg dominant eigenspace, guard anyway
-        raise RuntimeError("power iteration collapsed to zero")
-    v /= nv
-    lam = float(v @ g @ v)
-    return lam, v
+    v = np.abs(np.linalg.eigh(g)[1][:, -1])
+    return float(v @ g @ v), v
 
 
 def spectral_bound(p: QueryProblem, gamma, eps: float) -> AdversaryReport:
@@ -111,7 +103,9 @@ def spectral_bound(p: QueryProblem, gamma, eps: float) -> AdversaryReport:
 
     alpha <= 1e-12 means the weighted difference operator is (numerically)
     never decreased by a query; the bound is then reported as infinite with
-    ceil_bound = None.
+    ceil_bound = None. Otherwise ceil_bound is the least number of queries
+    the bound proves, rounding down a bound that exceeds an integer by no
+    more than _CEIL_SLACK.
     """
     if not 0.0 <= eps < 0.5:
         raise ValueError(f"error tolerance must lie in [0, 1/2), got {eps}")
@@ -126,7 +120,7 @@ def spectral_bound(p: QueryProblem, gamma, eps: float) -> AdversaryReport:
     if alpha <= _ALPHA_FLOOR:
         return AdversaryReport(lam, v, alpha, math.inf, None)
     bound = prefactor * lam / alpha
-    return AdversaryReport(lam, v, alpha, bound, math.ceil(bound))
+    return AdversaryReport(lam, v, alpha, bound, math.ceil(bound - _CEIL_SLACK))
 
 
 def make_dual_witness(p: QueryProblem, gamma, q: int, eps: float) -> dict[str, np.ndarray]:

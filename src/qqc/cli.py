@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -186,10 +185,7 @@ def cmd_adversary(args) -> tuple[int, str, dict]:
         "unbounded": bool(rep.unbounded),
         "ceil_bound": rep.ceil_bound,
     }
-    if rep.unbounded:
-        q_wit = 0
-    else:
-        q_wit = int(math.ceil(rep.bound - 1e-12)) - 1
+    q_wit = 0 if rep.unbounded else rep.ceil_bound - 1
     witness: dict = {"q": q_wit}
     if q_wit < 0:
         witness["checked"] = False
@@ -283,18 +279,12 @@ def cmd_simulate(args) -> tuple[int, str, dict]:
         alg = algorithm_from_dict(data)
     except ValueError as exc:
         raise _CommandFailure(_EXIT_INPUT, "INPUT_ERROR", str(exc)) from exc
-    if alg.n != p.n:
-        raise _CommandFailure(
-            _EXIT_SEMANTIC,
-            "INVALID",
-            f"algorithm register dimension {alg.n} != problem dimension {p.n}",
-        )
     prog = _build(build_primal, p, alg.q, args.eps)
     try:
         validate_algorithm(alg)
-    except ReconstructionError as exc:
+        trace = run(alg, p)
+    except (ReconstructionError, ValueError) as exc:
         raise _CommandFailure(_EXIT_SEMANTIC, "INVALID", str(exc)) from exc
-    trace = run(alg, p)
     rep = success_report(trace, p, args.eps)
     check = verify_point(prog, trace_to_primal_point(p, alg, args.eps))
     payload = {

@@ -258,6 +258,21 @@ def build_primal_relaxed(p: QueryProblem, q: int, eps: float) -> ConicFeasibilit
     return ConicFeasibilityProgram(blocks, rows)
 
 
+def _query_rows(q: int, s: int, n: int, u: np.ndarray) -> list[Row]:
+    """The q witness query rows M_{t-1} ⊗ I - u†(M_t ⊗ I)u >= 0 over the
+    program's first q + 1 blocks M_0..M_q."""
+    return [
+        Row(
+            f"query_{t}",
+            s * n,
+            [(t - 1, _tensor_id(s, n)), (t, _conj_tensor(u, s, n, -1.0))],
+            np.zeros((s * n, s * n), dtype=complex),
+            sense="psd",
+        )
+        for t in range(1, q + 1)
+    ]
+
+
 def build_dual(p: QueryProblem, q: int, eps: float) -> ConicFeasibilityProgram:
     """Infeasibility-witness program paired with the exact existence program.
 
@@ -273,20 +288,7 @@ def build_dual(p: QueryProblem, q: int, eps: float) -> ConicFeasibilityProgram:
     blocks += [Block(f"success_dual_{lab}", 1, True) for lab in p.labels]
     bi = {b.name: i for i, b in enumerate(blocks)}
 
-    rows: list[Row] = []
-    for t in range(1, q + 1):
-        rows.append(
-            Row(
-                f"query_{t}",
-                s * n,
-                [
-                    (bi[f"chain_dual_{t-1}"], _tensor_id(s, n)),
-                    (bi[f"chain_dual_{t}"], _conj_tensor(omega, s, n, -1.0)),
-                ],
-                np.zeros((s * n, s * n), dtype=complex),
-                sense="psd",
-            )
-        )
+    rows = _query_rows(q, s, n, omega)
     for z in p.outputs:
         terms = [(bi[f"chain_dual_{q}"], _ident(s))]
         terms += [
@@ -317,26 +319,13 @@ def build_dual_relaxed(p: QueryProblem, q: int, eps: float) -> ConicFeasibilityP
     blocks += [Block(f"pair_dual_{pair_name(p, pr)}", 2, True) for pr in pairs]
     bi = {b.name: i for i, b in enumerate(blocks)}
 
-    rows: list[Row] = []
     anchor_terms = [(bi["step_0"], _ident(s, -1.0))]
     anchor_terms += [
         (bi[f"pair_dual_{pair_name(p, pr)}"], m.adjoint())
         for pr in pairs for m in _pair_off_diagonal(s, pr)
     ]
-    rows.append(Row("anchor", s, anchor_terms, np.zeros((s, s), dtype=complex), sense="psd"))
-    for t in range(1, q + 1):
-        rows.append(
-            Row(
-                f"query_{t}",
-                s * n,
-                [
-                    (bi[f"step_{t-1}"], _tensor_id(s, n)),
-                    (bi[f"step_{t}"], _conj_tensor(omega.conj().T, s, n, -1.0)),
-                ],
-                np.zeros((s * n, s * n), dtype=complex),
-                sense="psd",
-            )
-        )
+    rows = [Row("anchor", s, anchor_terms, np.zeros((s, s), dtype=complex), sense="psd")]
+    rows += _query_rows(q, s, n, omega.conj().T)
     margin = 2.0 * math.sqrt(eps * (1.0 - eps))
     strict_terms = [(bi[f"step_{q}"], _trace_against(np.ones((s, s)), -1.0))]
     strict_terms += [

@@ -23,7 +23,7 @@ from .linalg import (
 )
 from .problem import QueryProblem, build_omega, matrix_from_dict, matrix_to_dict
 from .programs import build_primal
-from .simulate import QuantumQueryAlgorithm, run
+from .simulate import QuantumQueryAlgorithm, _query, run
 from .solver import FeasibilityOutcome, SolverConfig, solve
 
 __all__ = [
@@ -195,7 +195,7 @@ def backward_chain(
     # rows: the per-input states on (query, workspace)
     psi = np.tile(unitaries[0][:, 0], (s, 1))
     for t in range(1, q + 1):
-        queried = (omega @ psi.reshape(s * n, w_dim)).reshape(s, dim_c)
+        queried = _query(omega, psi, w_dim)
         target = purify(cleaned[f"state_iq_{t}"], w_dim) if t < q else padded.reshape(-1)
         try:
             u_t = align_purifications(queried.reshape(-1), target, s, dim_c)

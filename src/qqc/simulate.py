@@ -1,10 +1,11 @@
 """Explicit protocols: their description, their runs and exact statistics.
 
-Runs are dense statevector evolutions, one per black-box input; nothing is
-sampled. The existence-program point of a protocol is read from one run:
-stacking the per-input states gives the extended-register view (input
-register kept coherent), which `extended_state` also evolves directly, as
-an independent reference.
+A run is one dense evolution of the (s, n·w) stack of per-input states,
+one row per black-box input, through the block-diagonal oracle Omega;
+nothing is sampled. The existence-program point of a protocol is read from
+one run: the stack is the extended-register view (input register kept
+coherent), which `extended_state` also evolves directly, as an independent
+reference.
 """
 
 from __future__ import annotations
@@ -54,14 +55,15 @@ class QuantumQueryAlgorithm:
 class SimulationTrace:
     """Per-input states after every step, Gram matrices, and output statistics.
 
-    states[label][t] is the state right after unitary t. grams[t][i, j] is
-    the overlap of the states for labels i and j with the conjugation on the
-    j side; this index order makes grams[t] equal the input-register
-    reduction of the coherent extended state, entry for entry.
+    states[t, i] is the state of input i (labels[i]) right after unitary t,
+    so states has shape (q + 1, s, n·w). grams[t][i, j] is the overlap of
+    the states for labels i and j with the conjugation on the j side; this
+    index order makes grams[t] equal the input-register reduction of the
+    coherent extended state, entry for entry.
     """
 
     labels: tuple[str, ...]
-    states: dict[str, np.ndarray]
+    states: np.ndarray
     grams: np.ndarray
     probabilities: dict[str, dict[str, float]]
 
@@ -79,36 +81,34 @@ class SuccessReport:
     passed: bool
 
 
+def _query(omega: np.ndarray, psi: np.ndarray, w_dim: int) -> np.ndarray:
+    """One oracle call on the (s, n·w) stack of per-input states."""
+    return (omega @ psi.reshape(-1, w_dim)).reshape(psi.shape)
+
+
 def run(alg: QuantumQueryAlgorithm, p: QueryProblem) -> SimulationTrace:
-    """Alternate the protocol unitaries with each oracle, from the zero state."""
+    """Alternate the protocol unitaries with the oracle, from the zero state."""
     if alg.n != p.n:
         raise ValueError(f"algorithm register dimension {alg.n} != problem dimension {p.n}")
-    d = alg.dim
+    unmeasured = [z for z in p.outputs if z not in alg.projectors]
+    if unmeasured:
+        raise ValueError(f"algorithm has no projector for outputs {unmeasured}")
+    omega = build_omega(p)
     q = alg.q
-    eye_w = np.eye(alg.w_dim)
-    start = np.zeros(d, dtype=complex)
-    start[0] = 1.0
-    states: dict[str, np.ndarray] = {}
-    for i, lab in enumerate(p.labels):
-        oracle = np.kron(p.unitaries[i], eye_w)
-        hist = np.zeros((q + 1, d), dtype=complex)
-        phi = alg.unitaries[0] @ start
-        hist[0] = phi
-        for t in range(1, q + 1):
-            phi = alg.unitaries[t] @ (oracle @ phi)
-            hist[t] = phi
-        states[lab] = hist
-    s = p.size
-    grams = np.zeros((q + 1, s, s), dtype=complex)
-    for t in range(q + 1):
-        stack = np.stack([states[lab][t] for lab in p.labels])
-        grams[t] = stack @ stack.conj().T
-    probabilities = {}
-    for lab in p.labels:
-        phi = states[lab][q]
-        probabilities[lab] = {
-            z: float(np.real(np.vdot(phi, alg.projectors[z] @ phi))) for z in p.outputs
-        }
+    states = np.empty((q + 1, p.size, alg.dim), dtype=complex)
+    # u_0 applied to the zero state is its first column
+    states[0] = alg.unitaries[0][:, 0]
+    for t in range(1, q + 1):
+        states[t] = _query(omega, states[t - 1], alg.w_dim) @ alg.unitaries[t].T
+    grams = states @ states.conj().transpose(0, 2, 1)
+    finals = states[q]
+    # <phi_i|P_z|phi_i> for every input i at once
+    hits = {
+        z: np.sum(finals.conj() * (finals @ alg.projectors[z].T), axis=1).real for z in p.outputs
+    }
+    probabilities = {
+        lab: {z: float(hits[z][i]) for z in p.outputs} for i, lab in enumerate(p.labels)
+    }
     return SimulationTrace(
         labels=tuple(p.labels), states=states, grams=grams, probabilities=probabilities
     )
@@ -170,7 +170,7 @@ def trace_to_primal_point(
     """
     q = alg.q
     trace = run(alg, p)
-    states = np.stack([trace.states[lab] for lab in p.labels], axis=1)
+    states = trace.states
     point: dict[str, np.ndarray] = {}
     if q:
         phi = states[0, 0].reshape(alg.n, alg.w_dim)

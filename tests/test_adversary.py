@@ -33,6 +33,23 @@ def test_perron_vector_survives_tiny_spectral_gap():
     assert np.linalg.norm(v) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize(
+    "g, lam",
+    [
+        # two components: lambda = 1 is repeated
+        (np.kron(np.eye(2), [[0.0, 1.0], [1.0, 0.0]]), 1.0),
+        # the deutsch K_{2,2} weighting: spectrum 2, 0, 0, -2
+        (np.array([[0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0]], dtype=float), 2.0),
+    ],
+)
+def test_perron_vector_without_a_spectral_gap(g, lam):
+    got, v = perron_vector(g)
+    assert got == pytest.approx(lam, abs=1e-12)
+    assert np.all(v >= 0.0)
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(g @ v - got * v) <= 1e-12
+
+
 def test_spectral_bound_pauli_pair_value(ix):
     gamma = np.array([[0.0, 1.0], [1.0, 0.0]])
     rep = spectral_bound(ix, gamma, 0.0)
@@ -105,6 +122,23 @@ def test_make_dual_witness_verifies_on_fixtures(deutsch, ix):
             witness = make_dual_witness(p, gamma, q, 0.0)
             check = verify_point(build_dual_relaxed(p, q, 0.0), witness)
             assert check.max_residual <= 1e-8
+            assert check.strict_slack > 0
+
+
+def test_make_dual_witness_on_a_disconnected_weighting(deutsch):
+    # weights on (00, 01) and (11, 10) only: the top eigenvalue is repeated
+    idx = {lab: i for i, lab in enumerate(deutsch.labels)}
+    gamma = np.zeros((4, 4))
+    for a, b in (("00", "01"), ("11", "10")):
+        gamma[idx[a], idx[b]] = gamma[idx[b], idx[a]] = 1.0
+    for eps in (0.0, 0.1):
+        rep = spectral_bound(deutsch, gamma, eps)
+        assert rep.ceil_bound >= 1
+        for q in range(rep.ceil_bound):
+            witness = make_dual_witness(deutsch, gamma, q, eps)
+            check = verify_point(build_dual_relaxed(deutsch, q, eps), witness)
+            assert check.max_residual <= 1e-8
+            assert check.min_block_eig >= -1e-8
             assert check.strict_slack > 0
 
 

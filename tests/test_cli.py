@@ -132,6 +132,31 @@ def test_adversary_rejects_bad_gamma(problem_file, tmp_path, capsys):
     assert rep["status"] == "INVALID"
 
 
+def test_adversary_ceiling_and_witness_agree_near_an_integer(tmp_path, capsys):
+    # I against a real rotation R(theta) under the swap weighting at eps 0:
+    # the bound crosses 1 at theta = 2 asin(1/4), and one ulp of theta moves
+    # it by less than the rounding of lambda / alpha, so a bound just above 1
+    # proves no second query
+    gam = _write_json(tmp_path, "gamma.json", [[0.0, 1.0], [1.0, 0.0]])
+    theta = 2.0 * np.arcsin(0.25)
+    for _ in range(41):
+        theta = np.nextafter(theta, 0.0)
+    bounds = []
+    for _ in range(82):
+        c, s = np.cos(theta), np.sin(theta)
+        rot = QueryProblem(2, ("a", "b"), np.stack([np.eye(2), [[c, -s], [s, c]]]).astype(complex),
+                           ("a", "b"), {"a": "a", "b": "b"})
+        path = _write_json(tmp_path, "rot.json", problem_to_dict(rot))
+        assert main(["adversary", path, "--eps", "0", "--gamma", gam]) == 0
+        res = _report(capsys)["results"]
+        bounds.append(res["bound"])
+        assert res["ceil_bound"] == 1, res["bound"]
+        assert res["witness"]["q"] == res["ceil_bound"] - 1
+        assert res["witness"]["ok"]
+        theta = np.nextafter(theta, 4.0)
+    assert any(1.0 < b <= 1.0 + 1e-12 for b in bounds)
+
+
 def test_estimate_deutsch(problem_file, capsys):
     code = main(["estimate", problem_file("deutsch"), "--eps", "0", "--qmax", "2"])
     rep = _report(capsys)
@@ -277,6 +302,13 @@ def _misshaped_im(tmp_path, kind):
     return _write_json(tmp_path, f"im_{kind}.json", data)
 
 
+def _unmeasured_output(tmp_path):
+    # a valid measurement whose labels are not the problem's outputs
+    data = algorithm_to_dict(hand_deutsch_algorithm())
+    data["projectors"] = {"zero": data["projectors"]["0"], "one": data["projectors"]["1"]}
+    return _write_json(tmp_path, "unmeasured.json", data)
+
+
 def _register_mismatch(tmp_path):
     # consistent shapes (n * w_dim = 2), but a one-dimensional query register
     data = algorithm_to_dict(hand_deutsch_algorithm())
@@ -305,6 +337,8 @@ BAD_INPUTS = {
         1, "INPUT_ERROR"),
     "simulate-register-mismatch": (
         lambda d, t: ["simulate", d, "--alg", _register_mismatch(t)], 2, "INVALID"),
+    "simulate-unmeasured-output": (
+        lambda d, t: ["simulate", d, "--alg", _unmeasured_output(t)], 2, "INVALID"),
     "validate-misshaped-im": (lambda d, t: ["validate", _misshaped_im(t, "problem")], 1, "INPUT_ERROR"),
     "simulate-misshaped-im": (
         lambda d, t: ["simulate", d, "--alg", _misshaped_im(t, "protocol")], 1, "INPUT_ERROR"),

@@ -39,11 +39,47 @@ def test_run_trace_invariants(deutsch):
         assert np.linalg.eigvalsh(g)[0] >= -1e-10
     # before any query every branch is identical
     assert np.allclose(trace.grams[0], np.ones((s, s)), atol=1e-12)
-    for lab in deutsch.labels:
+    assert trace.states.shape == (trace.q + 1, s, alg.dim)
+    for i, lab in enumerate(deutsch.labels):
         probs = trace.probabilities[lab]
         assert sum(probs.values()) == pytest.approx(1.0, abs=1e-9)
         for t in range(trace.q + 1):
-            assert np.linalg.norm(trace.states[lab][t]) == pytest.approx(1.0, abs=1e-9)
+            assert np.linalg.norm(trace.states[t, i]) == pytest.approx(1.0, abs=1e-9)
+
+
+def _per_input_states(alg, p):
+    """Each input evolved alone through its own oracle U_x ⊗ I_w."""
+    start = np.zeros(alg.dim, dtype=complex)
+    start[0] = 1.0
+    out = np.zeros((alg.q + 1, p.size, alg.dim), dtype=complex)
+    for i, u in enumerate(p.unitaries):
+        oracle = np.kron(u, np.eye(alg.w_dim))
+        phi = alg.unitaries[0] @ start
+        out[0, i] = phi
+        for t in range(1, alg.q + 1):
+            phi = alg.unitaries[t] @ (oracle @ phi)
+            out[t, i] = phi
+    return out
+
+
+def test_run_matches_per_input_evolution(deutsch):
+    # the hand circuit, and a reconstructed protocol with an 8-dimensional
+    # workspace
+    for alg in (hand_deutsch_algorithm(), reconstruct_algorithm(deutsch, 2, 0.1).algorithm):
+        want = _per_input_states(alg, deutsch)
+        trace = run(alg, deutsch)
+        assert trace.states.shape == want.shape
+        assert np.max(np.abs(trace.states - want)) <= 1e-13
+
+
+def test_run_rejects_unmeasured_outputs(deutsch):
+    alg = hand_deutsch_algorithm()
+    renamed = QuantumQueryAlgorithm(
+        n=2, w_dim=1, unitaries=list(alg.unitaries),
+        projectors={"zero": alg.projectors["0"], "one": alg.projectors["1"]},
+    )
+    with pytest.raises(ValueError, match=r"no projector for outputs \['0', '1'\]"):
+        run(renamed, deutsch)
 
 
 def test_run_rejects_dimension_mismatch(deutsch):
