@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import QueryProblem, build_omega, require_valid
+from .problem import QueryProblem, build_omega
 from .programs import build_dual_relaxed, pair_name
 from .solver import verify_point
 
@@ -59,6 +59,11 @@ class AdversaryReport:
     @property
     def unbounded(self) -> bool:
         return not math.isfinite(self.bound)
+
+
+def _check_eps(eps: float) -> None:
+    if not 0.0 <= eps < 0.5:
+        raise ValueError(f"error tolerance must lie in [0, 1/2), got {eps}")
 
 
 def _check_weight(p: QueryProblem, gamma) -> np.ndarray:
@@ -107,10 +112,13 @@ def spectral_bound(p: QueryProblem, gamma, eps: float) -> AdversaryReport:
     the bound proves, rounding down a bound that exceeds an integer by no
     more than _CEIL_SLACK.
     """
-    if not 0.0 <= eps < 0.5:
-        raise ValueError(f"error tolerance must lie in [0, 1/2), got {eps}")
+    _check_eps(eps)
     omega = build_omega(p)  # validates p, which _check_weight reads
-    g = _check_weight(p, gamma)
+    return _bound(p, omega, _check_weight(p, gamma), eps)
+
+
+def _bound(p: QueryProblem, omega: np.ndarray, g: np.ndarray, eps: float) -> AdversaryReport:
+    """The bound of a checked weighting g, on the problem's oracle omega."""
     lam, v = perron_vector(g)
     wide = np.kron(g, np.eye(p.n))
     diff = wide - omega @ wide @ omega.conj().T
@@ -185,15 +193,18 @@ def search_gamma(p: QueryProblem, eps: float, budget: int = 200) -> tuple[np.nda
     factor and keeps it when the bound improves. Never returns less than the
     seed's bound.
     """
-    require_valid(p)
+    omega = build_omega(p)  # validates p once for every candidate
     pairs = p.differing_pairs()
     if not pairs:
         raise ValueError("no pairs with differing outputs; a constant map needs no queries")
+    _check_eps(eps)
     s = p.size
+    # every candidate is symmetric, nonnegative and supported on the
+    # differing pairs, so none needs _check_weight
     gamma = np.zeros((s, s))
     for i, j in pairs:
         gamma[i, j] = gamma[j, i] = 1.0
-    best = spectral_bound(p, gamma, eps)
+    best = _bound(p, omega, gamma, eps)
     evals = 1
     improved = True
     while improved and evals < budget:
@@ -204,7 +215,7 @@ def search_gamma(p: QueryProblem, eps: float, budget: int = 200) -> tuple[np.nda
                     break
                 cand = gamma.copy()
                 cand[i, j] = cand[j, i] = gamma[i, j] * factor
-                rep = spectral_bound(p, cand, eps)
+                rep = _bound(p, omega, cand, eps)
                 evals += 1
                 if rep.bound > best.bound * (1.0 + 1e-12):
                     gamma, best = cand, rep

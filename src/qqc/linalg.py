@@ -13,10 +13,8 @@ import numpy as np
 __all__ = [
     "hermitize",
     "partial_trace",
-    "eig_hermitian",
     "purify",
     "align_purifications",
-    "complete_to_unitary",
 ]
 
 
@@ -37,45 +35,20 @@ def partial_trace(m: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     return np.einsum("...iaja->...ij", m.reshape(m.shape[:-2] + (d1, d2, d1, d2)))
 
 
-def _phase_fix(vecs: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real positive."""
-    out = vecs.copy()
-    for k in range(out.shape[1]):
-        i = int(np.argmax(np.abs(out[:, k])))
-        piv = out[i, k]
-        if abs(piv) > 0:
-            out[:, k] *= piv.conj() / abs(piv)
-    return out
-
-
-def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and matching orthonormal eigenvectors.
-
-    The input is symmetrized first; eigenvector phases are fixed
-    deterministically.
-    """
-    h = hermitize(np.asarray(m, dtype=complex))
-    try:
-        w, v = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - numerical pathology
-        raise RuntimeError(f"eigendecomposition failed to converge: {exc}") from exc
-    order = np.argsort(w)[::-1]
-    return w[order], _phase_fix(v[:, order])
-
-
 def purify(rho: np.ndarray, env_dim: int) -> np.ndarray:
     """State vector on (system, env) whose env partial trace equals rho.
 
-    Eigenvalues below 1e-10 of the largest count as zero; the coefficient
-    matrix (system rows, env columns) holds V√w in its leading columns.
+    Eigenvalues at or below 1e-10 of the largest count as zero; the
+    coefficient matrix (system rows, env columns) holds V√w of the kept ones
+    in its leading columns.
     """
-    w, v = eig_hermitian(rho)
-    top = max(float(w[0]), 0.0) if w.size else 0.0
-    r = int(np.sum(w > 1e-10 * max(top, 1e-300)))
+    w, v = np.linalg.eigh(hermitize(np.asarray(rho, dtype=complex)))
+    keep = w > 1e-10 * max(float(w[-1]), 1e-300)
+    r = int(keep.sum())
     if r > env_dim:
         raise ValueError(f"environment dimension {env_dim} below rank {r}")
     coeffs = np.zeros((rho.shape[0], env_dim), dtype=complex)
-    coeffs[:, :r] = v[:, :r] * np.sqrt(w[:r])
+    coeffs[:, :r] = v[:, keep] * np.sqrt(w[keep])
     return coeffs.reshape(-1)
 
 
@@ -110,20 +83,3 @@ def align_purifications(
     u_l, _, v_h = np.linalg.svd(overlap)
     return u_l @ v_h
 
-
-def complete_to_unitary(phi: np.ndarray) -> np.ndarray:
-    """Unitary whose first column is the unit vector phi, deterministically.
-
-    Returns c·H, where c is the phase of phi[0] (1 when phi[0] is zero) and H
-    is the Householder reflection taking e_0 to phi / c; H = I when phi = c·e_0.
-    """
-    if abs(np.linalg.norm(phi) - 1.0) > 1e-7:
-        raise ValueError("input vector is not a unit vector")
-    phase = phi[0] / abs(phi[0]) if phi[0] != 0 else 1.0
-    v = -phi / phase
-    v[0] += 1.0
-    u = phase * np.eye(phi.size, dtype=complex)
-    nv = float(np.vdot(v, v).real)
-    if nv > 0:
-        u -= (2.0 * phase / nv) * np.outer(v, v.conj())
-    return u

@@ -1,11 +1,12 @@
 """Turn a feasible existence-program point into an explicit protocol.
 
-Three stages: split the final Gram matrix into per-output shares, factor
-each share G_z = F_z F_z† so that the final states are the rows of
-[F_z1 | F_z2 | ...] and P_z is the identity on the coordinates of F_z, then
-walk the query chain forward from the shared start state rho_0, choosing
-each later unitary as the aligner between two purifications of the same
-reduced state.
+Two stages. First, factor each output share G_z = F_z F_z† of the final
+Gram matrix, so that the final states are the rows of [F_z1 | F_z2 | ...]
+and every coordinate has an owner, the output whose factor supplied it;
+P_z is the diagonal projector on the coordinates z owns. Second, walk the
+query chain forward from |0⟩: each unitary u_t is the polar aligner between
+two purifications of the same reduced state (Uhlmann's theorem), the state
+before step t and a purification of the chain's next block.
 """
 
 from __future__ import annotations
@@ -14,15 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    align_purifications,
-    complete_to_unitary,
-    eig_hermitian,
-    hermitize,
-    purify,
-)
+from .linalg import align_purifications, hermitize, purify
 from .problem import QueryProblem, build_omega, matrix_from_dict, matrix_to_dict
-from .programs import build_primal
+from .programs import ConicFeasibilityProgram, _query_chain, build_primal
 from .simulate import QuantumQueryAlgorithm, _query, run
 from .solver import FeasibilityOutcome, SolverConfig, solve
 
@@ -98,52 +93,48 @@ def extract_final_states(
     m: np.ndarray,
     shares: dict[str, np.ndarray],
     eps: float,
-) -> tuple[np.ndarray, dict[str, np.ndarray], int]:
-    """Vectors and a projective measurement realizing the output shares.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Final vectors and the output that owns each of their coordinates.
 
-    Returns (vectors, projectors, d) where vectors is an (|S|, d) array whose
-    row for input X is the final state, and the projectors act on dim d.
-    Each share is factored as G_z = F_z F_z† at its rank; vectors is
-    [F_z1 | F_z2 | ...], and P_z is the identity on the coordinates of F_z.
-    The vectors' Gram matrix is then the sum of the shares, which the
-    program sets equal to m, P_z's cross-Gram matrix is G_z itself, and d
-    is the total share rank.
+    Returns (vectors, owner): vectors is an (|S|, d) array whose row for
+    input X is the final state, and owner[k] is the index in p.outputs of
+    the share that supplied coordinate k. Each share is factored as
+    G_z = F_z F_z† on its eigenvalues above 1e-8 of m's largest; vectors is
+    [F_z1 | F_z2 | ...], so d is the total share rank. With P_z the
+    diagonal projector on the coordinates z owns, the vectors' Gram matrix
+    is the sum of the shares, which the program sets equal to m, and P_z's
+    cross-Gram matrix is G_z itself.
     """
     s = p.size
     m = hermitize(np.asarray(m, dtype=complex))
     if m.shape != (s, s):
         raise ValueError(f"Gram matrix shape {m.shape} != ({s}, {s})")
-    w, _ = eig_hermitian(m)
-    top = max(float(w[0]), 0.0) if w.size else 0.0
+    top = max(float(np.linalg.eigvalsh(m)[-1]), 0.0)
     cut = _RANK_REL_TOL * max(top, 1e-300)
     if top <= cut:
         raise ReconstructionError("final Gram matrix is numerically zero")
     factors = []
     for z in p.outputs:
-        wz, vz = eig_hermitian(shares[z])
-        rz = int(np.sum(wz > cut))
-        factors.append(vz[:, :rz] * np.sqrt(wz[:rz]))
+        wz, vz = np.linalg.eigh(hermitize(np.asarray(shares[z], dtype=complex)))
+        keep = wz > cut
+        factors.append(vz[:, keep] * np.sqrt(wz[keep]))
     vectors = np.hstack(factors)
-    d = vectors.shape[1]
     gram_gap = float(np.linalg.norm(vectors @ vectors.conj().T - m))
     if gram_gap > 1e-6 * max(1.0, top):
         raise ReconstructionError(f"extracted vectors mismatch the Gram matrix by {gram_gap:.3e}")
-    # coordinate k belongs to the share whose factor supplied column k
     owner = np.concatenate([np.full(f.shape[1], k) for k, f in enumerate(factors)])
-    proj_map = {z: np.diag((owner == k).astype(complex)) for k, z in enumerate(p.outputs)}
     for i, lab in enumerate(p.labels):
-        pz = proj_map[p.g[lab]]
-        succ = float(np.real(np.vdot(vectors[i], pz @ vectors[i])))
+        succ = float(np.sum(np.abs(vectors[i, owner == p.outputs.index(p.g[lab])]) ** 2))
         if succ < 1.0 - eps - 1e-6:
             raise ReconstructionError(
                 f"extracted state for {lab!r} succeeds with probability {succ:.9f}, "
                 f"below the floor {1.0 - eps:.9f}"
             )
-    return vectors, proj_map, d
+    return vectors, owner
 
 
 def _psd_project(h: np.ndarray) -> np.ndarray:
-    w, v = eig_hermitian(h)
+    w, v = np.linalg.eigh(h)
     return (v * np.clip(w, 0.0, None)) @ v.conj().T
 
 
@@ -151,73 +142,71 @@ def backward_chain(
     p: QueryProblem,
     q: int,
     chain: dict[str, np.ndarray],
-    finals: tuple[np.ndarray, dict[str, np.ndarray], int],
+    finals: tuple[np.ndarray, np.ndarray],
 ) -> QuantumQueryAlgorithm:
     """Assemble the protocol whose run reproduces a feasible query chain.
 
     chain holds the existence-program point blocks (rho_0 and state_iq_t at
-    q >= 1, final_gram); finals is the triple from extract_final_states. The
-    walk runs forward from the start state every input shares: u_0 prepares
-    a purification of rho_0 (at q = 0, the common final vector), and each
-    later u_t aligns the state after query t to a purification of
-    state_iq_t, or at t = q to the final vectors. The chain rows make both
-    purifications of the same input-side matrix, so a workspace unitary
-    aligns them.
+    q >= 1, final_gram); finals is (vectors, owner) from
+    extract_final_states. Every input starts in |0⟩, and the walk runs
+    forward: u_t aligns the state before step t (|0⟩ at t = 0, the state
+    after query t otherwise) to a purification of the chain's next block,
+    which is rho_0 on every input at t = 0 < q, state_iq_t at 0 < t < q and
+    the final vectors at t = q. The chain rows make both purifications of
+    the same input-side matrix, so a workspace unitary aligns them; at
+    t = 0 the overlap has rank 1 and its polar factor maps |0⟩ to the
+    purification. P_z is the diagonal projector on the coordinates z owns,
+    and the padding coordinates belong to p.outputs[0].
     """
     s, n = p.size, p.n
-    # the existence program's chain blocks and rows are its first q + 1: they
-    # read no other block and no eps
-    prog = build_primal(p, q, 0.0)
+    omega = build_omega(p)
+    prog = ConicFeasibilityProgram(*_query_chain(p, q, omega))
     cleaned = {}
-    for blk in prog.blocks[: q + 1]:
+    for blk in prog.blocks:
         if blk.name not in chain:
             raise ReconstructionError(f"chain point is missing block {blk.name!r}")
         cleaned[blk.name] = _psd_project(hermitize(np.asarray(chain[blk.name], dtype=complex)))
     m_final = cleaned["final_gram"]
 
     # re-verify the chain rows on the cleaned blocks, at a looser tolerance
-    omega = build_omega(p)
-    for row in prog.rows[: q + 1]:
+    for row in prog.rows:
         res = float(np.linalg.norm(prog.row_value(row, cleaned) - row.rhs))
         if res > _CHAIN_TOL:
             raise ReconstructionError(
                 f"cleaned chain violates row {row.name!r} by {res:.3e} (allowed {_CHAIN_TOL:.3e})"
             )
 
-    vectors, proj_map, d_cap = finals
-    w_dim = max(s * n, -(-d_cap // n))
+    vectors, owner = finals
+    w_dim = max(s * n, -(-vectors.shape[1] // n))
     dim_c = n * w_dim
     padded = np.zeros((s, dim_c), dtype=complex)
     padded[:, : vectors.shape[1]] = vectors
+    owner_c = np.pad(owner, (0, dim_c - owner.size))
 
-    phi = purify(cleaned["rho_0"], w_dim) if q else padded[0]
-    unitaries = [complete_to_unitary(phi / np.linalg.norm(phi))]
     # rows: the per-input states on (query, workspace)
-    psi = np.tile(unitaries[0][:, 0], (s, 1))
-    for t in range(1, q + 1):
-        queried = _query(omega, psi, w_dim)
-        target = purify(cleaned[f"state_iq_{t}"], w_dim) if t < q else padded.reshape(-1)
+    psi = np.zeros((s, dim_c), dtype=complex)
+    psi[:, 0] = 1.0
+    unitaries = []
+    for t in range(q + 1):
+        before = _query(omega, psi, w_dim) if t else psi
+        if t == q:
+            target = padded.reshape(-1)
+        elif t == 0:
+            target = np.tile(purify(cleaned["rho_0"], w_dim), s)
+        else:
+            target = purify(cleaned[f"state_iq_{t}"], w_dim)
         try:
-            u_t = align_purifications(queried.reshape(-1), target, s, dim_c)
+            u_t = align_purifications(before.reshape(-1), target, s, dim_c)
         except ValueError as exc:
             raise ReconstructionError(
                 f"purification alignment failed at step {t}: {exc}; "
                 "the chain point is likely not feasible enough"
             ) from exc
         unitaries.append(u_t)
-        psi = queried @ u_t.T
+        psi = before @ u_t.T
 
-    proj_full = {}
-    carrier = np.zeros((dim_c, dim_c), dtype=complex)
-    for z in p.outputs:
-        pz = np.zeros((dim_c, dim_c), dtype=complex)
-        pz[:d_cap, :d_cap] = proj_map[z]
-        proj_full[z] = pz
-        carrier += pz
-    # the measured subspace is completed on one fixed output label
-    proj_full[p.outputs[0]] = proj_full[p.outputs[0]] + (np.eye(dim_c) - carrier)
-
-    alg = QuantumQueryAlgorithm(n=n, w_dim=w_dim, unitaries=unitaries, projectors=proj_full)
+    projectors = {z: np.diag((owner_c == k).astype(complex)) for k, z in enumerate(p.outputs)}
+    alg = QuantumQueryAlgorithm(n=n, w_dim=w_dim, unitaries=unitaries, projectors=projectors)
     validate_algorithm(alg)
     final_gram = run(alg, p).grams[-1]
     gram_gap = float(np.linalg.norm(final_gram - m_final))
@@ -247,7 +236,7 @@ def reconstruct_algorithm(
     shares = {z: np.asarray(out.point[f"output_part_{z}"]) for z in p.outputs}
     finals = extract_final_states(p, out.point["final_gram"], shares, eps)
     alg = backward_chain(p, q, out.point, finals)
-    return ReconstructionResult(algorithm=alg, outcome=out, extracted_dim=finals[2])
+    return ReconstructionResult(algorithm=alg, outcome=out, extracted_dim=finals[0].shape[1])
 
 
 def algorithm_to_dict(alg: QuantumQueryAlgorithm) -> dict:

@@ -401,7 +401,7 @@ def test_seed_env_non_integer(problem_file, capsys, monkeypatch):
     assert rep["seed"] is None
 
 
-def test_reports_deterministic_for_fixed_seed(problem_file, capsys):
+def test_reports_deterministic_for_fixed_seed(problem_file, tmp_path, capsys):
     argv = ["feasible", problem_file("deutsch"), "--q", "1", "--eps", "0.1", "--seed", "5"]
     main(argv)
     first = _report(capsys)
@@ -410,3 +410,14 @@ def test_reports_deterministic_for_fixed_seed(problem_file, capsys):
     first.pop("elapsed_s")
     second.pop("elapsed_s")
     assert first == second
+    # the written protocol is byte-identical too: every unitary, the first
+    # included, comes out of the same deterministic alignment
+    out = tmp_path / "alg.json"
+    argv = ["reconstruct", problem_file("deutsch"), "--q", "1", "--eps", "0.1", "--seed", "5",
+            "--out", str(out)]
+    written = []
+    for _ in range(2):
+        assert main(argv) == 0
+        _report(capsys)
+        written.append(out.read_bytes())
+    assert written[0] == written[1]

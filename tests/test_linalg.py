@@ -3,8 +3,6 @@ import pytest
 
 from qqc.linalg import (
     align_purifications,
-    complete_to_unitary,
-    eig_hermitian,
     hermitize,
     partial_trace,
     purify,
@@ -68,25 +66,6 @@ def test_partial_trace_rejects_bad_arguments():
         partial_trace(np.eye(6), (2, 2))
 
 
-def test_eig_hermitian_descending_and_reconstructs():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        m = random_hermitian(rng, 6)
-        w, v = eig_hermitian(m)
-        assert np.all(np.diff(w) <= 1e-12)
-        assert np.allclose(v @ np.diag(w) @ v.conj().T, m, atol=1e-10)
-        assert np.allclose(v.conj().T @ v, np.eye(6), atol=1e-10)
-
-
-def test_eig_hermitian_deterministic_phases():
-    rng = np.random.default_rng(12)
-    m = random_hermitian(rng, 5)
-    w1, v1 = eig_hermitian(m)
-    w2, v2 = eig_hermitian(m.copy())
-    assert np.array_equal(w1, w2)
-    assert np.array_equal(v1, v2)
-
-
 def test_purify_partial_trace_round_trip():
     rng = np.random.default_rng(31)
     for rank in (1, 2, 4):
@@ -135,24 +114,14 @@ def test_align_purifications_rejects_mismatched_reductions():
         align_purifications(psi, phi, 3, 3)
 
 
-def test_complete_to_unitary_keeps_prefix():
-    rng = np.random.default_rng(71)
-    vecs = [random_unitary(rng, 4)[:, 0] for _ in range(5)]
-    vecs.append(np.array([0.0, 0.6, 0.0, 0.8j]))  # first entry zero
-    for phi in vecs:
-        full = complete_to_unitary(phi)
-        assert np.allclose(full[:, 0], phi)
-        assert np.allclose(full.conj().T @ full, np.eye(4), atol=1e-10)
-
-
-def test_complete_to_unitary_deterministic():
-    phi = np.array([1.0, 0.0, 0.0], dtype=complex)
-    a = complete_to_unitary(phi)
-    b = complete_to_unitary(phi)
-    assert np.array_equal(a, b)
-    assert np.allclose(a, np.eye(3))
-
-
-def test_complete_to_unitary_rejects_skewed_columns():
-    with pytest.raises(ValueError):
-        complete_to_unitary(np.array([1.0, 1.0], dtype=complex))
+def test_align_purifications_rank_one_overlap_maps_zero_to_target():
+    # every input starts in |0>: the overlap with a purification tiled over
+    # the inputs has rank 1, and its polar factor takes |0> to it
+    rng = np.random.default_rng(61)
+    for rank in (1, 2, 3):
+        phi = purify(random_density(rng, 3, rank), 4)
+        zero = np.zeros(12, dtype=complex)
+        zero[0] = 1.0
+        u = align_purifications(np.tile(zero, 5), np.tile(phi, 5), 5, 12)
+        assert np.linalg.norm(u[:, 0] - phi) < 1e-12
+        assert np.allclose(u.conj().T @ u, np.eye(12), atol=1e-12)

@@ -12,6 +12,7 @@ from qqc.reconstruct import (
     reconstruct_algorithm,
     validate_algorithm,
 )
+from qqc.linalg import partial_trace
 from qqc.simulate import run, success_report
 
 from conftest import FEASIBLE_CELLS, PROBLEMS, hand_deutsch_algorithm
@@ -19,6 +20,13 @@ from conftest import FEASIBLE_CELLS, PROBLEMS, hand_deutsch_algorithm
 
 def _shares(p, point):
     return {z: point[f"output_part_{z}"] for z in p.outputs}
+
+
+def _projectors(p, owner, dim):
+    # P_z is the diagonal projector on the coordinates output z owns; the
+    # coordinates past owner are the padding, measured as p.outputs[0]
+    owner_c = np.pad(owner, (0, dim - owner.size))
+    return {z: np.diag((owner_c == k).astype(complex)) for k, z in enumerate(p.outputs)}
 
 
 def test_reconstruct_deutsch_round_trip(deutsch):
@@ -55,22 +63,23 @@ def test_output_sdp_shares(deutsch, cached_solve):
     m = out.point["final_gram"]
     shares = _shares(deutsch, out.point)
     assert np.allclose(sum(shares.values()), m, atol=1e-6)
-    _, _, d = extract_final_states(deutsch, m, shares, 0.0)
-    assert reconstruct_algorithm(deutsch, 1, 0.0).extracted_dim == d
+    vectors, _ = extract_final_states(deutsch, m, shares, 0.0)
+    assert reconstruct_algorithm(deutsch, 1, 0.0).extracted_dim == vectors.shape[1]
 
 
 def test_extract_final_states_contract(deutsch, cached_solve):
     out = cached_solve("deutsch", "primal", 1, 0.0)
     m = out.point["final_gram"]
     shares = _shares(deutsch, out.point)
-    vectors, projectors, d = extract_final_states(deutsch, m, shares, 0.0)
-    assert vectors.shape == (deutsch.size, d)
-    assert set(projectors) == set(deutsch.outputs)
+    vectors, owner = extract_final_states(deutsch, m, shares, 0.0)
+    d = vectors.shape[1]
+    assert owner.shape == (d,)
+    # every coordinate belongs to one output
+    assert set(owner.tolist()) <= set(range(len(deutsch.outputs)))
+    projectors = _projectors(deutsch, owner, d)
+    assert np.array_equal(sum(projectors.values()), np.eye(d))
     # the extracted vectors reproduce the Gram matrix
     assert np.allclose(vectors @ vectors.conj().T, m, atol=1e-6)
-    for z, pz in projectors.items():
-        assert np.allclose(pz, pz.conj().T, atol=1e-10)
-        assert np.allclose(pz @ pz, pz, atol=1e-8)
     for i, lab in enumerate(deutsch.labels):
         pz = projectors[deutsch.g[lab]]
         succ = np.real(np.vdot(vectors[i], pz @ vectors[i]))
@@ -85,11 +94,12 @@ def test_extracted_vectors_factor_every_share(pname, q, eps, cached_solve):
     out = cached_solve(pname, "primal", q, eps)
     m = out.point["final_gram"]
     shares = _shares(p, out.point)
-    vectors, projectors, d = extract_final_states(p, m, shares, eps)
+    vectors, owner = extract_final_states(p, m, shares, eps)
+    d = vectors.shape[1]
     cut = 1e-8 * np.linalg.eigvalsh(m)[-1]
     assert d == sum(int(np.sum(np.linalg.eigvalsh(g) > cut)) for g in shares.values())
-    assert vectors.shape == (p.size, d)
-    for z, pz in projectors.items():
+    assert owner.shape == (d,)
+    for z, pz in _projectors(p, owner, d).items():
         assert np.linalg.norm(vectors @ pz.conj() @ vectors.conj().T - shares[z]) <= 1e-10
 
 
@@ -114,6 +124,31 @@ def test_backward_chain_checks_the_program_rows(deutsch, cached_solve):
     finals = extract_final_states(deutsch, point["final_gram"], _shares(deutsch, point), 0.0)
     with pytest.raises(ReconstructionError, match="'init'"):
         backward_chain(deutsch, 1, point, finals)
+
+
+@pytest.mark.parametrize("pname,q,eps", FEASIBLE_CELLS)
+def test_forward_walk_starts_on_the_chain(pname, q, eps, cached_solve):
+    # the first unitary maps |0> to a purification of the cleaned rho_0 (at
+    # q = 0, to the common final vector), and the measurement is read off
+    # the coordinate owners
+    p = PROBLEMS[pname]
+    point = cached_solve(pname, "primal", q, eps).point
+    vectors, owner = extract_final_states(p, point["final_gram"], _shares(p, point), eps)
+    alg = backward_chain(p, q, point, (vectors, owner))
+    start = run(alg, p).states[0, 0]
+    if q:
+        w, v = np.linalg.eigh(point["rho_0"])
+        rho_0 = (v * np.clip(w, 0.0, None)) @ v.conj().T
+        reduced = partial_trace(np.outer(start, start.conj()), (p.n, alg.w_dim))
+        assert np.linalg.norm(reduced - rho_0) <= 1e-10
+    else:
+        for vec in vectors:
+            assert np.linalg.norm(start[: vec.size] - vec) <= 1e-8
+        assert np.linalg.norm(start[vectors.shape[1]:]) <= 1e-8
+    expected = _projectors(p, owner, alg.dim)
+    assert set(alg.projectors) == set(expected)
+    for z, pz in alg.projectors.items():
+        assert np.array_equal(pz, expected[z])
 
 
 def test_validate_algorithm_accepts_hand_circuit():
