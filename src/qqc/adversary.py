@@ -141,10 +141,12 @@ def make_dual_witness(p: QueryProblem, gamma, q: int, eps: float) -> dict[str, n
     row and returned only if all residuals stay within 1e-8 and the strict
     row has positive slack.
     """
-    report = spectral_bound(p, gamma, eps)
+    _check_eps(eps)
+    omega = build_omega(p)  # validates p, which _check_weight reads
+    g = _check_weight(p, gamma)
+    report = _bound(p, omega, g, eps)
     if not q < report.bound:
         raise ValueError(f"no witness guaranteed at q = {q}, bound = {report.bound:.6g}")
-    g = _check_weight(p, gamma)
     v = report.perron_v
     s = p.size
     proj = np.outer(v, v)

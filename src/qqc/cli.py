@@ -34,7 +34,7 @@ from .reconstruct import (
     validate_algorithm,
 )
 from .sdpa import export_sdpa
-from .simulate import run, success_report, trace_to_dict, trace_to_primal_point
+from .simulate import _primal_point, run, success_report, trace_to_dict
 from .solver import SolverConfig, solve, verify_point
 
 __all__ = ["main"]
@@ -286,7 +286,7 @@ def cmd_simulate(args) -> tuple[int, str, dict]:
     except (ReconstructionError, ValueError) as exc:
         raise _CommandFailure(_EXIT_SEMANTIC, "INVALID", str(exc)) from exc
     rep = success_report(trace, p, args.eps)
-    check = verify_point(prog, trace_to_primal_point(p, alg, args.eps))
+    check = verify_point(prog, _primal_point(trace, p, alg, args.eps))
     payload = {
         "trace": trace_to_dict(trace),
         "success": {

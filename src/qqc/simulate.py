@@ -168,8 +168,14 @@ def trace_to_primal_point(
     returned point is feasible exactly when the protocol meets the success
     floor.
     """
+    return _primal_point(run(alg, p), p, alg, eps)
+
+
+def _primal_point(
+    trace: SimulationTrace, p: QueryProblem, alg: QuantumQueryAlgorithm, eps: float
+) -> dict[str, np.ndarray]:
+    """`trace_to_primal_point` read from a run of alg on p already made."""
     q = alg.q
-    trace = run(alg, p)
     states = trace.states
     point: dict[str, np.ndarray] = {}
     if q:

@@ -8,10 +8,14 @@ SDPA export reads its constraint matrices from the same assembly. The
 coordinate maps `hvec`/`unhvec` behind both are one gather each, between
 the coordinates and the float view of the complex matrix, through a table
 of positions and scales built once per matrix dimension; they act on stacks
-of matrices and vectors along the leading axes. The cone step groups the
-PSD blocks by dimension once and projects each group with one stacked
-`eigh`: a gather of the group's coordinates, eigenvalue clipping, and a
-scatter back.
+of matrices and vectors along the leading axes. The cone step reads every
+PSD block in one gather, through those tables, into one packed buffer of
+complex matrices grouped by dimension; each group is projected by one
+stacked `eigh` on a zero-copy view of its slice, eigenvalue clipping and a
+product written straight into a second packed buffer (1x1 blocks are
+clipped at zero), and one gather and one scatter write the coordinates
+back: the arithmetic of unhvec, eigh and hvec on the same floats, in a
+fixed few numpy calls per step instead of about a dozen per dimension.
 Programs whose rows are all equalities run directly; PSD rows are first
 slackened to equalities, with the strict scalar row pinned to -1 (all
 assembled inequality programs are homogeneous, so the pin loses no
@@ -68,7 +72,11 @@ __all__ = [
 ]
 
 # Primal sweeps between checks, and the Farkas iterate's dual sweeps at each
-# check the polish does not end.
+# check the polish does not end. The Farkas iterate is seeded from the primal
+# displacement at the first check, so a short interval seeds it cruder: at
+# 10, ix q=1 `build_dual` eps 0.1 seed 0 is still UNDECIDED at 5 000 sweeps
+# (certified at 80-100 for 20-100). At 20 and 50 the benchmark's grid round
+# took +2 % and -9 % of its time at 100 (medians of 3): no clear gain.
 _CHECK_EVERY = 100
 # Primal sweep budget before UNDECIDED: over ten times the 4 300 sweeps of
 # the slowest certificate in the tests (four Haar qubit unitaries, q = 2).
@@ -280,8 +288,13 @@ class _Engine:
         self.b = b
         self.block_off = block_off
         self.n_rows, self.n_cols = a.shape
-        # PSD blocks grouped by dimension: one (k, d*d) gather index per d;
-        # the free blocks' coordinates, which the dual cone pins to zero.
+        # The cone step's packed buffer holds the complex matrices of all PSD
+        # blocks, grouped by ascending dimension, so the 1x1 blocks lead. Its
+        # float view is filled from x in one gather through unhvec's `_coords`
+        # table shifted to each block's columns, and read back in one gather
+        # through hvec's table shifted to each matrix's place and one scatter;
+        # a group of k blocks of dimension d is a zero-copy (k, d, d) slice.
+        # The free blocks' coordinates are the ones the dual cone zeroes.
         groups: dict[int, list[int]] = {}
         self._free = np.zeros(self.n_cols, dtype=bool)
         for blk, off in zip(blocks, self.block_off):
@@ -289,9 +302,34 @@ class _Engine:
                 groups.setdefault(blk.dim, []).append(off)
             else:
                 self._free[off : off + blk.dim**2] = True
-        self._cone_groups = [
-            (d, np.add.outer(offs, np.arange(d * d))) for d, offs in groups.items()
-        ]
+        src, inv_scale, diag_imag, at, scale, dst = ([] for _ in range(6))
+        self._cone_slices = []  # (k, d, start, stop) in the buffer, for d > 1
+        self._half_line = 0  # float slots of the 1x1 blocks
+        start = 0
+        for d in sorted(groups):
+            t = _coords(d)
+            offs = np.array(groups[d])[:, None]
+            k, size = len(offs), d * d
+            place = 2 * (start + size * np.arange(k))[:, None]  # each matrix in the float view
+            src.append(offs + t.src)
+            inv_scale.append(np.tile(t.inv_scale, k))
+            diag_imag.append(place + t.diag_imag)
+            at.append(place + t.at)
+            scale.append(np.tile(t.scale, k))
+            dst.append(offs + np.arange(size))
+            if d == 1:
+                self._half_line = 2 * k
+            else:
+                self._cone_slices.append((k, d, start, start + k * size))
+            start += k * size
+
+        def flat(parts: list[np.ndarray], dtype=np.intp) -> np.ndarray:
+            # 1-D, so that every gather returns a contiguous array
+            return np.concatenate([np.zeros(0, dtype)] + [part.ravel() for part in parts])
+
+        self._cone_src, self._cone_diag_imag = flat(src), flat(diag_imag)
+        self._cone_at, self._cone_dst = flat(at), flat(dst)
+        self._cone_inv_scale, self._cone_scale = flat(inv_scale, float), flat(scale, float)
 
         w, v = np.linalg.eigh(a @ a.T)
         cut = w.max(initial=0.0) * 1e-12 + 1e-300
@@ -309,16 +347,22 @@ class _Engine:
         return x + self._lift @ (self.b - self.a @ x)
 
     def project_cone(self, x: np.ndarray) -> np.ndarray:
-        """Clip the spectrum of every PSD block, one stacked eigh per dimension."""
+        """Clip the spectrum of every PSD block: one gather into the packed
+        buffer, one stacked eigh per dimension, one gather and scatter back."""
+        f = x[self._cone_src] * self._cone_inv_scale
+        f[self._cone_diag_imag] = 0.0
+        packed = f.view(complex)
+        g = np.empty_like(f)
+        projected = g.view(complex)
+        # a 1x1 PSD block is the half-line; its imaginary slot is zero
+        np.maximum(f[: self._half_line], 0.0, out=g[: self._half_line])
+        for k, d, lo, hi in self._cone_slices:
+            w, v = np.linalg.eigh(packed[lo:hi].reshape(k, d, d))
+            np.maximum(w, 0.0, out=w)
+            np.matmul(v * w[..., None, :], v.conj().swapaxes(-1, -2),
+                      out=projected[lo:hi].reshape(k, d, d))
         out = x.copy()
-        for d, idx in self._cone_groups:
-            if d == 1:
-                # a 1x1 PSD block is the half-line
-                out[idx] = np.maximum(x[idx], 0.0)
-                continue
-            w, v = np.linalg.eigh(unhvec(x[idx], d))
-            np.clip(w, 0.0, None, out=w)
-            out[idx] = hvec((v * w[..., None, :]) @ v.conj().swapaxes(-1, -2))
+        out[self._cone_dst] = g[self._cone_at] * self._cone_scale
         return out
 
     def project_dual_affine(self, s: np.ndarray) -> np.ndarray:

@@ -5,10 +5,12 @@ import json
 import numpy as np
 import pytest
 
+import qqc.cli
+import qqc.simulate
 from qqc.cli import main
 from qqc.problem import QueryProblem, problem_to_dict
 from qqc.reconstruct import algorithm_to_dict
-from qqc.simulate import QuantumQueryAlgorithm
+from qqc.simulate import QuantumQueryAlgorithm, run
 
 from conftest import PROBLEMS, hand_deutsch_algorithm
 
@@ -203,6 +205,25 @@ def test_reconstruct_infeasible_is_precondition_failure(problem_file, tmp_path, 
     assert code == 4
     assert rep["status"] == "PRECONDITION_FAILED"
     assert not out.exists()
+
+
+def test_simulate_evolves_the_protocol_once(problem_file, tmp_path, capsys, monkeypatch):
+    # the success report and the existence-program point read the same run
+    calls = []
+
+    def counted(alg, p):
+        calls.append(p)
+        return run(alg, p)
+
+    monkeypatch.setattr(qqc.cli, "run", counted)
+    monkeypatch.setattr(qqc.simulate, "run", counted)
+    path = tmp_path / "hand.json"
+    path.write_text(json.dumps(algorithm_to_dict(hand_deutsch_algorithm())))
+    code = main(["simulate", problem_file("deutsch"), "--alg", str(path), "--eps", "0"])
+    rep = _report(capsys)
+    assert (code, rep["status"]) == (0, "PASS")
+    assert len(calls) == 1
+    assert rep["results"]["chain_residual"] <= 1e-12
 
 
 def test_simulate_failing_protocol(problem_file, tmp_path, capsys):

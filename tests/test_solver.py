@@ -241,6 +241,56 @@ def test_dual_projections_land_in_their_sets(case):
         assert np.max(np.abs(eng.project_dual_cone(c) - c)) <= 1e-12
 
 
+# deutsch: PSD dims 2, 4, 8 next to free blocks; weyl3 at q=2: dims 1, 3, 9,
+# 27; then 1x1 PSD blocks only, and free blocks only (empty gathers)
+_PACKED_CASES = {
+    "deutsch_dual_relaxed": lambda: BUILDERS["dual_relaxed"](PROBLEMS["deutsch"], 1, 0.1),
+    "weyl3_primal": lambda: BUILDERS["primal"](FAMILIES["weyl3"], 2, 0.1),
+    "half_lines": lambda: ConicFeasibilityProgram(
+        [Block(f"h{i}", 1, True) for i in range(3)],
+        [Row("sum", 1, [(i, _ident(1)) for i in range(3)], np.ones((1, 1), dtype=complex))]),
+    "free_only": lambda: ConicFeasibilityProgram(
+        [Block("y", 2, False), Block("z", 3, False)],
+        [_trace_row("ty", 0, 2, 1.0), _trace_row("tz", 1, 3, 2.0)]),
+}
+
+
+@pytest.mark.parametrize("case", list(_PACKED_CASES))
+def test_packed_cone_step_matches_grouped_projection_bitwise(case):
+    # the grouped projection written out: per dimension, unhvec of the
+    # gathered coordinates, one stacked eigh, clipping and hvec scattered
+    # back; the 1x1 blocks on the half-line
+    blocks, rows = _equality_form(_PACKED_CASES[case]())
+    eng = _Engine(blocks, *assemble(blocks, rows))
+    groups = {}
+    for blk, off in zip(blocks, eng.block_off):
+        if blk.psd:
+            groups.setdefault(blk.dim, []).append(off)
+    free = np.array([not blk.psd for blk in blocks for _ in range(blk.dim**2)], dtype=bool)
+
+    def grouped(x):
+        out = x.copy()
+        for d, offs in groups.items():
+            idx = np.add.outer(offs, np.arange(d * d))
+            if d == 1:
+                out[idx] = np.maximum(x[idx], 0.0)
+                continue
+            w, v = np.linalg.eigh(unhvec(x[idx], d))
+            np.clip(w, 0.0, None, out=w)
+            out[idx] = hvec((v * w[..., None, :]) @ v.conj().swapaxes(-1, -2))
+        return out
+
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        x = _with_signed_zeros(rng, eng.n_cols)
+        want = grouped(x)
+        got = eng.project_cone(x)
+        assert np.array_equal(got, want) and _same_bits(got, want)
+        want[free] = 0.0
+        got = eng.project_dual_cone(x)
+        assert np.array_equal(got, want) and _same_bits(got, want)
+
+
 def _hvec_gram(y):
     return hvec(y @ y.conj().T)
 
