@@ -212,6 +212,8 @@ def cmd_estimate(args) -> tuple[int, str, dict]:
     statuses: dict[str, str] = {}
     qqc: int | None = None
     saw_undecided = False
+    # infeasibility is monotone in q, so the largest certified q bounds qqc
+    at_least = 0
     for q in range(args.qmax + 1):
         out = solve(_build(build_primal, p, q, args.eps), cfg)
         statuses[str(q)] = out.status
@@ -220,6 +222,8 @@ def cmd_estimate(args) -> tuple[int, str, dict]:
             break
         if out.status == "UNDECIDED":
             saw_undecided = True
+        else:
+            at_least = q + 1
     floor = 0.0
     floor_ceil = 0
     if args.eps < 0.5:
@@ -232,7 +236,7 @@ def cmd_estimate(args) -> tuple[int, str, dict]:
     payload = {
         "per_q_status": statuses,
         "qqc": qqc,
-        "qqc_at_least": (args.qmax + 1) if qqc is None else None,
+        "qqc_at_least": at_least if qqc is None else None,
         "adversary_floor": floor,
         "adversary_floor_ceil": floor_ceil,
     }

@@ -18,7 +18,11 @@ block-diagonal oracle. Every input starts from the same state, so the
 existence programs hold the first joint state on its face J ⊗ rho_0 as one
 n x n block rho_0. The exact programs state each input's success row, slack
 and multiplier as a 1x1 matrix on its diagonal entry; the pairwise programs
-state each pair's as a 2x2 matrix on the pair's principal submatrix.
+state each pair's as a 2x2 matrix on the pair's principal submatrix. At
+eps = 0 the final states of inputs with different outputs are orthogonal,
+so share G_z of the final Gram matrix vanishes outside class z's rows and
+columns: the exact existence program holds it on that face, as a
+c_z x c_z block H_z with G_z = E_z H_z E_z† and E_z = I[:, class z].
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import partial_trace
+from .linalg import hermitize, partial_trace
 from .problem import QueryProblem, build_omega, require_valid
 
 __all__ = [
@@ -203,29 +207,51 @@ def _query_chain(p: QueryProblem, q: int, omega: np.ndarray) -> tuple[list[Block
     return blocks, rows
 
 
+def _share_maps(p: QueryProblem, eps: float) -> dict[str, BlockMap]:
+    """The map from each output's share block to its s x s share G_z.
+
+    At eps = 0 share z lives on its class's face: the block is c_z x c_z and
+    the map is the congruence H -> E_z H E_z† with E_z = I[:, class z]. At
+    eps > 0 the shares are not confined, and each block is the full share.
+    """
+    s = p.size
+    if eps:
+        return {z: _ident(s) for z in p.outputs}
+    return {
+        z: BlockMap("conj_pt", d_in=len(idx), d_out=s, mat=np.eye(s)[:, idx], split=(s, 1))
+        for z, idx in ((z, p.class_indices(z)) for z in p.outputs)
+    }
+
+
 def build_primal(p: QueryProblem, q: int, eps: float) -> ConicFeasibilityProgram:
     """Existence program for a q-query protocol with per-instance success >= 1 - eps.
 
     Variables: the query chain's states (at q >= 1 the n x n start state
     rho_0 and the joint-register states after t queries, 0 < t < q), the
-    final Gram matrix on the input register, one output share per output
-    label, and one 1x1 success slack per input. Rows: the initial condition,
-    the query-update chain, the share decomposition, and one 1x1 success row per
-    input i, tr(E_ii G_{g(i)}) - slack = 1 - eps, where E_ii is the unit
-    matrix at (i, i): entry (i, i) of its class's share.
+    final Gram matrix on the input register, one output share block per
+    output label, and one 1x1 success slack per input. Rows: the initial
+    condition, the query-update chain, the share decomposition, and one 1x1
+    success row per input i, tr(E_ii G_{g(i)}) - slack = 1 - eps, where E_ii
+    is the unit matrix at (i, i): entry (i, i) of its class's share. At
+    eps = 0 the share blocks sit on their class faces (see `_share_maps`):
+    block z is c_z x c_z, the decomposition reads it as E_z H_z E_z†, and
+    each success row reads the input's diagonal entry in class coordinates.
     """
     _check_q_eps(q, eps)
     s = p.size
+    share_maps = _share_maps(p, eps)
     blocks, rows = _query_chain(p, q, build_omega(p))
-    blocks += [Block(f"output_part_{z}", s, True) for z in p.outputs]
+    blocks += [Block(f"output_part_{z}", m.d_in, True) for z, m in share_maps.items()]
     blocks += [Block(f"success_slack_{lab}", 1, True) for lab in p.labels]
     bi = {b.name: i for i, b in enumerate(blocks)}
     decompose_terms = [(bi["final_gram"], _ident(s, -1.0))]
-    decompose_terms += [(bi[f"output_part_{z}"], _ident(s)) for z in p.outputs]
+    decompose_terms += [(bi[f"output_part_{z}"], m) for z, m in share_maps.items()]
     rows.append(Row("decompose", s, decompose_terms, np.zeros((s, s), dtype=complex)))
     for i, lab in enumerate(p.labels):
+        # tr(E_ii M(H)) = tr(M†(E_ii) H) for the share map M
+        unit = share_maps[p.g[lab]].adjoint().apply(np.diag(np.eye(s)[i]))
         terms = [
-            (bi[f"output_part_{p.g[lab]}"], _trace_against(np.diag(np.eye(s)[i]))),
+            (bi[f"output_part_{p.g[lab]}"], _trace_against(unit)),
             (bi[f"success_slack_{lab}"], _ident(1, -1.0)),
         ]
         rows.append(Row(f"success_{lab}", 1, terms, np.full((1, 1), 1.0 - eps, dtype=complex)))
@@ -354,29 +380,56 @@ def certificate_to_dual_point(
     P = (1_s/√s) ⊗ I_n, the certificate keeps tau I - s P†AP PSD, so L_0 ⊗ I
     - A is at least I/(2s) on the range of P and c I - A on its complement;
     a Schur complement with |A| <= w = |L_1|_2 shows c = w (1 + 2 s w) makes
-    it PSD. tr(J L_0) = tau + 1/2, so the strict row keeps slack 1/2.
+    it PSD. tr(J L_0) = tau + 1/2.
+
+    A face certificate (eps = 0, see `build_primal`) keeps L_q - Y_z PSD on
+    class z's block only, Y_z = sum over the class of y_i E_ii. Two shifts
+    that keep every query row make each dominate_z row PSD: L_t += (d + t) I
+    for t >= 1 (on L_0 itself at q = 0) with tau += (d + t) s, and y_i += t.
+    The first, d = 1/(4s), spends a quarter of the strict slack and makes
+    L_q + d I - Y_z positive definite on the class block; the second adds
+    t (I - P_z) to dominate_z and costs t s eps of pairing, nothing at eps = 0.
+    t is twice the least value whose off-class Schur complements are PSD, so
+    a full-block certificate (eps > 0) takes t = 0. The strict row keeps
+    slack 1/4 at q >= 1 and 3/4 at q = 0, plus t s eps.
     """
     require_valid(p)
     s = p.size
+    eye = np.eye(s)
+    chain_shift = success_shift = 0.0
+    if not relaxed:
+        last = np.asarray(certificate["init" if q == 0 else "final_gram_def"])
+        y = np.array([-np.asarray(certificate[f"success_{lab}"])[0, 0].real for lab in p.labels])
+        spend = 1.0 / (4.0 * s)
+        for z in p.outputs:
+            cls = p.class_indices(z)
+            rest = [i for i in range(s) if i not in cls]
+            m = last + spend * eye
+            m[cls, cls] -= y[cls]
+            couple = m[np.ix_(cls, rest)]
+            schur = m[np.ix_(rest, rest)] - couple.conj().T @ np.linalg.solve(m[np.ix_(cls, cls)], couple)
+            least = -np.linalg.eigvalsh(hermitize(schur)).min(initial=0.0)
+            success_shift = max(success_shift, 2.0 * float(least))
+        chain_shift = spend + success_shift
 
     def chain_multiplier(t: int) -> np.ndarray:
         if q == 0:
-            return np.asarray(certificate["init"])
+            return np.asarray(certificate["init"]) + chain_shift * eye
         if t == 0:
-            tau = float(np.asarray(certificate["init"])[0, 0].real)
+            tau = float(np.asarray(certificate["init"])[0, 0].real) + chain_shift * s
             w = float(np.linalg.norm(chain_multiplier(1), 2))
             avg = np.ones((s, s), dtype=complex) / s
-            return (tau + 0.5) * avg / s + w * (1.0 + 2.0 * s * w) * (np.eye(s) - avg)
+            return (tau + 0.5) * avg / s + w * (1.0 + 2.0 * s * w) * (eye - avg)
         if t < q:
-            return np.asarray(certificate[f"chain_{t}"])
-        return np.asarray(certificate["final_gram_def"])
+            return np.asarray(certificate[f"chain_{t}"]) + chain_shift * eye
+        return np.asarray(certificate["final_gram_def"]) + chain_shift * eye
 
     point: dict[str, np.ndarray] = {}
     if not relaxed:
         for t in range(q + 1):
             point[f"chain_dual_{t}"] = chain_multiplier(t)
         for lab in p.labels:
-            point[f"success_dual_{lab}"] = -np.asarray(certificate[f"success_{lab}"])
+            point[f"success_dual_{lab}"] = success_shift - np.asarray(certificate[f"success_{lab}"])
     else:
         for t in range(q + 1):
             point[f"step_{t}"] = -chain_multiplier(q - t)

@@ -227,13 +227,21 @@ class ReconstructionResult:
 def reconstruct_algorithm(
     p: QueryProblem, q: int, eps: float, config: SolverConfig | None = None
 ) -> ReconstructionResult:
-    """End-to-end: solve the existence program and build a protocol from it."""
-    out = solve(build_primal(p, q, eps), config)
+    """End-to-end: solve the existence program and build a protocol from it.
+
+    Each s x s share is the `decompose` row's own term map applied to its
+    block: E_z H_z E_z† on the eps = 0 class face, the block itself otherwise.
+    """
+    prog = build_primal(p, q, eps)
+    out = solve(prog, config)
     if out.status != "FEASIBLE":
         raise ReconstructionError(
             f"existence program at q={q}, eps={eps} is {out.status}", status=out.status
         )
-    shares = {z: np.asarray(out.point[f"output_part_{z}"]) for z in p.outputs}
+    decompose = next(r for r in prog.rows if r.name == "decompose")
+    # the first term is -final_gram, then one term per output, in p.outputs order
+    shares = {z: m.apply(np.asarray(out.point[prog.blocks[bi].name]))
+              for z, (bi, m) in zip(p.outputs, decompose.terms[1:])}
     finals = extract_final_states(p, out.point["final_gram"], shares, eps)
     alg = backward_chain(p, q, out.point, finals)
     return ReconstructionResult(algorithm=alg, outcome=out, extracted_dim=finals[0].shape[1])

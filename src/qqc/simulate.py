@@ -16,6 +16,7 @@ import numpy as np
 
 from .linalg import partial_trace
 from .problem import QueryProblem, build_omega, matrix_to_dict
+from .programs import _share_maps
 
 __all__ = [
     "QuantumQueryAlgorithm",
@@ -163,7 +164,9 @@ def trace_to_primal_point(
 
     The start state, which all inputs share, fills rho_0; the joint states
     fill the later chain blocks, the final Gram matrix and the measurement
-    cross-Grams fill the output shares, all read from one run;
+    cross-Grams fill the output shares, all read from one run (at eps = 0
+    each share restricted to its class's rows and columns, the program's
+    face);
     each input's 1x1 success slack is its share entry minus 1 - eps, so the
     returned point is feasible exactly when the protocol meets the success
     floor.
@@ -187,11 +190,14 @@ def _primal_point(
         point[f"state_iq_{t}"] = phi @ phi.conj().T
     point["final_gram"] = trace.grams[q]
     finals = states[q]
-    for z in p.outputs:
+    shares = {}
+    for z, m in _share_maps(p, eps).items():
         # conjugation on the second index, as in the trace's Gram matrices
-        point[f"output_part_{z}"] = finals @ alg.projectors[z].conj() @ finals.conj().T
+        shares[z] = finals @ alg.projectors[z].conj() @ finals.conj().T
+        # the block the program holds: at eps = 0, the share's class block
+        point[f"output_part_{z}"] = m.adjoint().apply(shares[z])
     for i, lab in enumerate(p.labels):
-        share = point[f"output_part_{p.g[lab]}"]
+        share = shares[p.g[lab]]
         point[f"success_slack_{lab}"] = np.full((1, 1), share[i, i] - (1.0 - eps))
     return point
 

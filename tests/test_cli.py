@@ -11,6 +11,7 @@ from qqc.cli import main
 from qqc.problem import QueryProblem, problem_to_dict
 from qqc.reconstruct import algorithm_to_dict
 from qqc.simulate import QuantumQueryAlgorithm, run
+from qqc.solver import FeasibilityOutcome
 
 from conftest import PROBLEMS, hand_deutsch_algorithm
 
@@ -175,6 +176,32 @@ def test_estimate_exhausts_qmax(problem_file, capsys):
     assert code == 0
     assert rep["results"]["qqc"] is None
     assert rep["results"]["qqc_at_least"] == 1
+
+
+@pytest.mark.parametrize("qmax,undecided,at_least", [(2, 1, 3), (1, 1, 1), (0, 0, 0)])
+def test_estimate_lower_bound_counts_only_certified_q(
+        problem_file, capsys, monkeypatch, qmax, undecided, at_least):
+    # or2 is certified at every q; with one q made UNDECIDED the report may
+    # claim only 1 + the largest certified q (infeasibility is monotone in q)
+    real = qqc.cli.solve
+    scanned = []
+
+    def solve(prog, cfg):
+        q = len(scanned)
+        scanned.append(q)
+        out = real(prog, cfg)
+        return FeasibilityOutcome("UNDECIDED", None, None, out.residuals, 50000) if q == undecided else out
+
+    monkeypatch.setattr(qqc.cli, "solve", solve)
+    code = main(["estimate", problem_file("or2"), "--eps", "0", "--qmax", str(qmax)])
+    rep = _report(capsys)
+    assert (code, rep["status"]) == (3, "INCONCLUSIVE")
+    statuses = rep["results"]["per_q_status"]
+    assert scanned == list(range(qmax + 1))
+    assert statuses[str(undecided)] == "UNDECIDED"
+    assert all(v == "INFEASIBLE_WITH_CERTIFICATE" for q, v in statuses.items() if q != str(undecided))
+    assert rep["results"]["qqc"] is None
+    assert rep["results"]["qqc_at_least"] == at_least
 
 
 def test_reconstruct_writes_protocol(problem_file, tmp_path, capsys):

@@ -214,10 +214,12 @@ def test_builders_reject_bad_parameters(deutsch, q, eps):
 
 
 def test_row_value_evaluates_terms(deutsch):
+    # at eps 0 each share is a 2x2 block on its class, and the two classes
+    # tile the diagonal
     prog = build_primal(deutsch, 0, 0.0)
     point = {"final_gram": np.eye(4, dtype=complex),
-             "output_part_0": np.eye(4, dtype=complex),
-             "output_part_1": np.zeros((4, 4), dtype=complex)}
+             "output_part_0": np.eye(2, dtype=complex),
+             "output_part_1": np.eye(2, dtype=complex)}
     point.update({f"success_slack_{lab}": np.zeros((1, 1)) for lab in deutsch.labels})
     row = next(r for r in prog.rows if r.name == "decompose")
     assert np.allclose(prog.row_value(row, point), 0.0)

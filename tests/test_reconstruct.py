@@ -13,13 +13,16 @@ from qqc.reconstruct import (
     validate_algorithm,
 )
 from qqc.linalg import partial_trace
+from qqc.programs import _share_maps
 from qqc.simulate import run, success_report
 
 from conftest import FEASIBLE_CELLS, PROBLEMS, hand_deutsch_algorithm
 
 
-def _shares(p, point):
-    return {z: point[f"output_part_{z}"] for z in p.outputs}
+def _shares(p, point, eps):
+    # each s x s share as the decompose row reads its block: at eps 0 the
+    # block is the share's class block
+    return {z: m.apply(point[f"output_part_{z}"]) for z, m in _share_maps(p, eps).items()}
 
 
 def _projectors(p, owner, dim):
@@ -61,7 +64,7 @@ def test_output_sdp_shares(deutsch, cached_solve):
     # reconstruct_algorithm factors exactly those shares
     out = cached_solve("deutsch", "primal", 1, 0.0)
     m = out.point["final_gram"]
-    shares = _shares(deutsch, out.point)
+    shares = _shares(deutsch, out.point, 0.0)
     assert np.allclose(sum(shares.values()), m, atol=1e-6)
     vectors, _ = extract_final_states(deutsch, m, shares, 0.0)
     assert reconstruct_algorithm(deutsch, 1, 0.0).extracted_dim == vectors.shape[1]
@@ -70,7 +73,7 @@ def test_output_sdp_shares(deutsch, cached_solve):
 def test_extract_final_states_contract(deutsch, cached_solve):
     out = cached_solve("deutsch", "primal", 1, 0.0)
     m = out.point["final_gram"]
-    shares = _shares(deutsch, out.point)
+    shares = _shares(deutsch, out.point, 0.0)
     vectors, owner = extract_final_states(deutsch, m, shares, 0.0)
     d = vectors.shape[1]
     assert owner.shape == (d,)
@@ -93,7 +96,7 @@ def test_extracted_vectors_factor_every_share(pname, q, eps, cached_solve):
     p = PROBLEMS[pname]
     out = cached_solve(pname, "primal", q, eps)
     m = out.point["final_gram"]
-    shares = _shares(p, out.point)
+    shares = _shares(p, out.point, eps)
     vectors, owner = extract_final_states(p, m, shares, eps)
     d = vectors.shape[1]
     cut = 1e-8 * np.linalg.eigvalsh(m)[-1]
@@ -121,7 +124,7 @@ def test_backward_chain_checks_the_program_rows(deutsch, cached_solve):
     out = cached_solve("deutsch", "primal", 1, 0.0)
     assert out.status == "FEASIBLE"
     point = dict(out.point, rho_0=1.01 * out.point["rho_0"])
-    finals = extract_final_states(deutsch, point["final_gram"], _shares(deutsch, point), 0.0)
+    finals = extract_final_states(deutsch, point["final_gram"], _shares(deutsch, point, 0.0), 0.0)
     with pytest.raises(ReconstructionError, match="'init'"):
         backward_chain(deutsch, 1, point, finals)
 
@@ -133,7 +136,7 @@ def test_forward_walk_starts_on_the_chain(pname, q, eps, cached_solve):
     # the coordinate owners
     p = PROBLEMS[pname]
     point = cached_solve(pname, "primal", q, eps).point
-    vectors, owner = extract_final_states(p, point["final_gram"], _shares(p, point), eps)
+    vectors, owner = extract_final_states(p, point["final_gram"], _shares(p, point, eps), eps)
     alg = backward_chain(p, q, point, (vectors, owner))
     start = run(alg, p).states[0, 0]
     if q:
