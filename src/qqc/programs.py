@@ -47,6 +47,7 @@ __all__ = [
     "build_dual_relaxed",
     "certificate_to_dual_point",
     "pair_name",
+    "share_maps",
 ]
 
 
@@ -207,7 +208,7 @@ def _query_chain(p: QueryProblem, q: int, omega: np.ndarray) -> tuple[list[Block
     return blocks, rows
 
 
-def _share_maps(p: QueryProblem, eps: float) -> dict[str, BlockMap]:
+def share_maps(p: QueryProblem, eps: float) -> dict[str, BlockMap]:
     """The map from each output's share block to its s x s share G_z.
 
     At eps = 0 share z lives on its class's face: the block is c_z x c_z and
@@ -233,23 +234,23 @@ def build_primal(p: QueryProblem, q: int, eps: float) -> ConicFeasibilityProgram
     condition, the query-update chain, the share decomposition, and one 1x1
     success row per input i, tr(E_ii G_{g(i)}) - slack = 1 - eps, where E_ii
     is the unit matrix at (i, i): entry (i, i) of its class's share. At
-    eps = 0 the share blocks sit on their class faces (see `_share_maps`):
+    eps = 0 the share blocks sit on their class faces (see `share_maps`):
     block z is c_z x c_z, the decomposition reads it as E_z H_z E_z†, and
     each success row reads the input's diagonal entry in class coordinates.
     """
     _check_q_eps(q, eps)
     s = p.size
-    share_maps = _share_maps(p, eps)
+    maps = share_maps(p, eps)
     blocks, rows = _query_chain(p, q, build_omega(p))
-    blocks += [Block(f"output_part_{z}", m.d_in, True) for z, m in share_maps.items()]
+    blocks += [Block(f"output_part_{z}", m.d_in, True) for z, m in maps.items()]
     blocks += [Block(f"success_slack_{lab}", 1, True) for lab in p.labels]
     bi = {b.name: i for i, b in enumerate(blocks)}
     decompose_terms = [(bi["final_gram"], _ident(s, -1.0))]
-    decompose_terms += [(bi[f"output_part_{z}"], m) for z, m in share_maps.items()]
+    decompose_terms += [(bi[f"output_part_{z}"], m) for z, m in maps.items()]
     rows.append(Row("decompose", s, decompose_terms, np.zeros((s, s), dtype=complex)))
     for i, lab in enumerate(p.labels):
         # tr(E_ii M(H)) = tr(M†(E_ii) H) for the share map M
-        unit = share_maps[p.g[lab]].adjoint().apply(np.diag(np.eye(s)[i]))
+        unit = maps[p.g[lab]].adjoint().apply(np.diag(np.eye(s)[i]))
         terms = [
             (bi[f"output_part_{p.g[lab]}"], _trace_against(unit)),
             (bi[f"success_slack_{lab}"], _ident(1, -1.0)),
@@ -391,7 +392,7 @@ def certificate_to_dual_point(
     t (I - P_z) to dominate_z and costs t s eps of pairing, nothing at eps = 0.
     t is twice the least value whose off-class Schur complements are PSD, so
     a full-block certificate (eps > 0) takes t = 0. The strict row keeps
-    slack 1/4 at q >= 1 and 3/4 at q = 0, plus t s eps.
+    slack 1/4 at q >= 1 and 3/4 at q = 0, minus t s eps.
     """
     require_valid(p)
     s = p.size

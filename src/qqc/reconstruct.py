@@ -17,7 +17,7 @@ import numpy as np
 
 from .linalg import align_purifications, hermitize, purify
 from .problem import QueryProblem, build_omega, matrix_from_dict, matrix_to_dict
-from .programs import ConicFeasibilityProgram, _query_chain, build_primal
+from .programs import ConicFeasibilityProgram, _query_chain, build_primal, share_maps
 from .simulate import QuantumQueryAlgorithm, _query, run
 from .solver import FeasibilityOutcome, SolverConfig, solve
 
@@ -229,8 +229,9 @@ def reconstruct_algorithm(
 ) -> ReconstructionResult:
     """End-to-end: solve the existence program and build a protocol from it.
 
-    Each s x s share is the `decompose` row's own term map applied to its
-    block: E_z H_z E_z† on the eps = 0 class face, the block itself otherwise.
+    Each s x s share is its block read through `share_maps`, the map the
+    `decompose` row applies: E_z H_z E_z† on the eps = 0 class face, the
+    block itself otherwise.
     """
     prog = build_primal(p, q, eps)
     out = solve(prog, config)
@@ -238,10 +239,8 @@ def reconstruct_algorithm(
         raise ReconstructionError(
             f"existence program at q={q}, eps={eps} is {out.status}", status=out.status
         )
-    decompose = next(r for r in prog.rows if r.name == "decompose")
-    # the first term is -final_gram, then one term per output, in p.outputs order
-    shares = {z: m.apply(np.asarray(out.point[prog.blocks[bi].name]))
-              for z, (bi, m) in zip(p.outputs, decompose.terms[1:])}
+    shares = {z: m.apply(np.asarray(out.point[f"output_part_{z}"]))
+              for z, m in share_maps(p, eps).items()}
     finals = extract_final_states(p, out.point["final_gram"], shares, eps)
     alg = backward_chain(p, q, out.point, finals)
     return ReconstructionResult(algorithm=alg, outcome=out, extracted_dim=finals[0].shape[1])

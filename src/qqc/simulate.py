@@ -16,7 +16,7 @@ import numpy as np
 
 from .linalg import partial_trace
 from .problem import QueryProblem, build_omega, matrix_to_dict
-from .programs import _share_maps
+from .programs import share_maps
 
 __all__ = [
     "QuantumQueryAlgorithm",
@@ -191,7 +191,7 @@ def _primal_point(
     point["final_gram"] = trace.grams[q]
     finals = states[q]
     shares = {}
-    for z, m in _share_maps(p, eps).items():
+    for z, m in share_maps(p, eps).items():
         # conjugation on the second index, as in the trace's Gram matrices
         shares[z] = finals @ alg.projectors[z].conj() @ finals.conj().T
         # the block the program holds: at eps = 0, the share's class block

@@ -253,6 +253,24 @@ def test_simulate_evolves_the_protocol_once(problem_file, tmp_path, capsys, monk
     assert rep["results"]["chain_residual"] <= 1e-12
 
 
+@pytest.mark.parametrize("theta, verdict", [(1e-3, (0, "PASS")), (3e-3, (2, "FAIL"))])
+def test_simulate_verdict_follows_the_success_floor(problem_file, tmp_path, capsys, theta, verdict):
+    # turning the hand circuit's last unitary by theta leaves a success
+    # shortfall of sin(theta)^2: 1.0e-6 (within success_report's tolerance)
+    # at 1e-3 and 9.0e-6 at 3e-3; at eps 0 the shares' off-class part, of
+    # the order of sin(theta), must not decide the verdict in its place
+    alg = hand_deutsch_algorithm()
+    c, s = np.cos(theta), np.sin(theta)
+    alg.unitaries[-1] = np.array([[c, -s], [s, c]], dtype=complex) @ alg.unitaries[-1]
+    path = tmp_path / "turned.json"
+    path.write_text(json.dumps(algorithm_to_dict(alg)))
+    code = main(["simulate", problem_file("deutsch"), "--alg", str(path), "--eps", "0"])
+    rep = _report(capsys)
+    assert (code, rep["status"]) == verdict
+    assert rep["results"]["success"]["passed"] == (verdict[1] == "PASS")
+    assert rep["results"]["chain_residual"] <= 1e-12
+
+
 def test_simulate_failing_protocol(problem_file, tmp_path, capsys):
     alg = hand_deutsch_algorithm()
     alg.projectors["0"], alg.projectors["1"] = alg.projectors["1"], alg.projectors["0"]

@@ -13,7 +13,7 @@ from qqc.reconstruct import (
     validate_algorithm,
 )
 from qqc.linalg import partial_trace
-from qqc.programs import _share_maps
+from qqc.programs import share_maps
 from qqc.simulate import run, success_report
 
 from conftest import FEASIBLE_CELLS, PROBLEMS, hand_deutsch_algorithm
@@ -22,7 +22,7 @@ from conftest import FEASIBLE_CELLS, PROBLEMS, hand_deutsch_algorithm
 def _shares(p, point, eps):
     # each s x s share as the decompose row reads its block: at eps 0 the
     # block is the share's class block
-    return {z: m.apply(point[f"output_part_{z}"]) for z, m in _share_maps(p, eps).items()}
+    return {z: m.apply(point[f"output_part_{z}"]) for z, m in share_maps(p, eps).items()}
 
 
 def _projectors(p, owner, dim):
