@@ -4,20 +4,21 @@ A program {A(x) = b, x in PSD product} is written in the SDPA dual
 convention: one scalar constraint tr(F_k Y) = c_k per real coordinate of
 each matrix row, with Y the block-diagonal variable and F_0 = 0 (pure
 feasibility). The F_k come from the solver's dense operator assembly: on
-block j, F_k is unhvec of row k of A restricted to block j's columns, so
-the export and the solver see one linear map. Complex Hermitian blocks of
-dimension > 1 are emitted at doubled size through the real-symmetric
-embedding
+block j, F_k is unhvec of row k of A restricted to block j's columns. The
+solver's `_row_matrices` builds them for this export and for the face
+polish's Jacobian alike, so the export and the solver see one linear map.
+Complex Hermitian blocks of dimension > 1 are emitted at doubled size
+through the real-symmetric embedding
 
     H -> [[Re H, -Im H], [Im H, Re H]] / 2
 
 whose halved entries keep every tr(F_k Y) value unchanged; 1x1 blocks stay
-1x1. The export reads A in one stacked pass per block: the columns of
-block j, cut to the rows that read it, become a (rows, d, d) stack of
-constraint matrices, which is doubled and scanned for its upper-triangle
-nonzeros at once. Entry lines are "k b i j v" with i <= j and 17
-significant digits, sorted by constraint k, then block, then (i, j) row by
-row, so identical programs produce identical bytes.
+1x1. The export reads A in one stacked pass per block: `_row_matrices` cuts
+the columns of block j to the rows that read it and returns their
+(rows, d, d) stack of constraint matrices, which is doubled and scanned for
+its upper-triangle nonzeros at once. Entry lines are "k b i j v" with
+i <= j and 17 significant digits, sorted by constraint k, then block, then
+(i, j) row by row, so identical programs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .programs import Block, BlockMap, ConicFeasibilityProgram, Row
-from .solver import assemble, unhvec
+from .solver import _row_matrices, assemble
 
 __all__ = ["SdpaData", "export_sdpa", "parse_sdpa", "write_sdpa", "sdpa_to_program"]
 
@@ -60,9 +61,7 @@ def _constraint_matrices(prog: ConicFeasibilityProgram) -> SdpaData:
     sizes = [blk.dim if blk.dim == 1 else 2 * blk.dim for blk in prog.blocks]
     parts = []
     for bj, (blk, off) in enumerate(zip(prog.blocks, block_off)):
-        cols = a[:, off : off + blk.dim * blk.dim]
-        touch = np.flatnonzero(cols.any(axis=1))  # rows that read block j
-        h = unhvec(cols[touch], blk.dim)
+        touch, h = _row_matrices(a[:, off : off + blk.dim * blk.dim], blk.dim)
         f = h.real if blk.dim == 1 else _doubled(h)
         t, i, j = np.nonzero(np.triu(f) != 0.0)
         parts.append((touch[t], np.full_like(t, bj), i, j, f[t, i, j]))
@@ -112,8 +111,8 @@ def parse_sdpa(path: str) -> SdpaData:
     m = int(lines[0].split()[0])
     nblocks = int(lines[1].split()[0])
     sizes = [int(t) for t in lines[2].split()]
-    if len(sizes) != nblocks:
-        raise ValueError(f"{path}: {len(sizes)} block sizes for {nblocks} blocks")
+    if len(sizes) != nblocks or 0 in sizes:  # a negative size is a diagonal block
+        raise ValueError(f"{path}: block sizes {sizes} for {nblocks} blocks")
     rhs = [float(t) for t in lines[3].split()]
     if len(rhs) != m:
         raise ValueError(f"{path}: {len(rhs)} rhs values for {m} constraints")
@@ -123,13 +122,12 @@ def parse_sdpa(path: str) -> SdpaData:
         if len(toks) != 5:
             raise ValueError(f"{path}: malformed entry line {line!r}")
         k, b, i, j = (int(t) for t in toks[:4])
-        v = float(toks[4])
         if not (0 <= k <= m and 1 <= b <= nblocks):
             raise ValueError(f"{path}: entry indices out of range in {line!r}")
         d = abs(sizes[b - 1])
-        if not (1 <= i <= j <= d):
-            raise ValueError(f"{path}: entry position out of range in {line!r}")
-        entries.append((k, b, i, j, v))
+        if not (1 <= i <= j <= d) or (sizes[b - 1] < 0 and i != j):
+            raise ValueError(f"{path}: entry position outside block {b} in {line!r}")
+        entries.append((k, b, i, j, float(toks[4])))
     return SdpaData(m, sizes, rhs, entries)
 
 

@@ -4,8 +4,8 @@ The method is relaxed alternating projections between the affine set
 {A x = b} and the product of PSD cones, in a real coordinate system where
 each Hermitian block is flattened isometrically (trace pairing = dot
 product). `assemble` builds the dense A and b from the program rows; the
-SDPA export reads its constraint matrices from the same assembly. The
-coordinate maps `hvec`/`unhvec` behind both are one gather each, between
+SDPA export and the polish read its row matrices through `_row_matrices`.
+The coordinate maps `hvec`/`unhvec` behind both are one gather each, between
 the coordinates and the float view of the complex matrix, through a table
 of positions and scales built once per matrix dimension; they act on stacks
 of matrices and vectors along the leading axes. The cone step reads every
@@ -38,14 +38,17 @@ re-verified from the program's block maps before anything is reported.
 
 Near-feasible points are polished by rank-restricted Gauss-Newton: each
 block's rank is guessed from its spectrum with a residual-scaled cut, PSD
-blocks are refactored as Y Y-adjoint, and the factors are refined against
-the equality rows. The Jacobian of each factor is built in closed form, as
-one stack of the derivative matrices of Y -> Y Y-adjoint (the Burer-Monteiro
-factorization) mapped through hvec and the block's columns of A.
-Candidates lie in the cone by construction, so success lands equality
-residuals near 1e-14, which downstream extraction steps rely on; failed
-guesses are discarded. FEASIBLE is reported only for a polished point; a
-point the polish cannot finish is swept further.
+blocks are refactored as Y Y-adjoint (the Burer-Monteiro factorization),
+and the factors are refined against the equality rows. The Jacobian reads
+the row side of A: on a PSD block each scalar row is tr(C_k X) with C_k =
+unhvec(row k of the block's columns), the SDPA export's constraint
+matrices, built once per polish by `_row_matrices`; the row's rate along a
+factor step Delta is 2 Re tr(Y-adjoint C_k Delta), so the factor's Jacobian
+is 2 [Re, Im](C_k Y) on the rows that read the block. Free blocks use their
+columns of A as they are. Candidates lie in the cone by construction, so
+success lands equality residuals near 1e-14, which downstream extraction
+steps rely on; failed guesses are discarded. FEASIBLE is reported only for
+a polished point; a point the polish cannot finish is swept further.
 """
 
 from __future__ import annotations
@@ -401,21 +404,31 @@ def _step_factors(blocks: list[Block], ys: list[np.ndarray], step: np.ndarray) -
     return out
 
 
-def _factor_jacobian(y: np.ndarray, a_blk: np.ndarray) -> np.ndarray:
-    """Jacobian of Y -> a_blk hvec(Y Y^H) for one d x r factor Y.
+def _row_matrices(a_blk: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows that read a d x d block, and their constraint matrices on it.
 
-    The derivative along unit * e_k e_l^T is unit e_k y_l^H + conj(unit)
-    y_l e_k^H; columns run over l, then k, then the real and imaginary unit,
-    the order `_step_factors` reads a step in.
+    a_blk is A cut to the block's columns. Returns (touch, C): the indices of
+    its nonzero rows and, for each, the Hermitian C_k = unhvec(a_blk[k]), so
+    that a_blk[k] . hvec(X) = tr(C_k X).
     """
-    d, r = y.shape
-    units = np.array([1.0, 1j])
-    # t[l, k, u] = units[u] * e_k y_l^H
-    t = (units[None, None, :, None, None]
-         * np.eye(d)[None, :, None, :, None]
-         * y.T.conj()[:, None, None, None, :])
-    dm = t + t.conj().swapaxes(-1, -2)
-    return a_blk @ hvec(dm).reshape(2 * d * r, d * d).T
+    touch = np.flatnonzero(a_blk.any(axis=1))
+    return touch, unhvec(a_blk[touch], d)
+
+
+def _factor_jacobian(y: np.ndarray, touch: np.ndarray, c: np.ndarray, n_rows: int) -> np.ndarray:
+    """Jacobian of Y -> (tr(C_k Y Y^H))_k for one d x r factor Y.
+
+    Row k comes from `_row_matrices` and reads tr(C_k X). Along unit * e_i e_l^T
+    it changes at 2 Re(unit * conj((C_k Y)[i, l])), that is 2 Re or 2 Im of
+    (C_k Y)[i, l]; columns run over l, then i, then the real and imaginary
+    unit, the order `_step_factors` reads a step in. Rows outside touch are
+    zero.
+    """
+    (d, r), t = y.shape, len(touch)
+    cy = (c.reshape(t * d, d) @ y).reshape(t, d, r)
+    jac = np.zeros((n_rows, 2 * d * r))
+    jac[touch] = 2.0 * np.ascontiguousarray(cy.swapaxes(1, 2)).view(float).reshape(t, 2 * d * r)
+    return jac
 
 
 def _gauss_newton(eng: _Engine, ys: list[np.ndarray]) -> np.ndarray:
@@ -432,12 +445,13 @@ def _gauss_newton(eng: _Engine, ys: list[np.ndarray]) -> np.ndarray:
     rn = float(np.linalg.norm(r))
     floor = 1e-15 * max(1.0, float(np.linalg.norm(eng.b)))
     a_blks = [eng.a[:, off : off + b.dim * b.dim] for b, off in zip(eng.blocks, eng.block_off)]
+    lin = [_row_matrices(a_blk, b.dim) if b.psd else a_blk for b, a_blk in zip(eng.blocks, a_blks)]
     for _ in range(_GN_MAX_STEPS):
         if rn <= floor:
             break
         jac = np.hstack([np.zeros((eng.n_rows, 0))] + [
-            _factor_jacobian(y, a_blk) if b.psd else a_blk
-            for b, y, a_blk in zip(eng.blocks, ys, a_blks)
+            _factor_jacobian(y, *m, eng.n_rows) if b.psd else m
+            for b, y, m in zip(eng.blocks, ys, lin)
         ])
         if not jac.shape[1]:
             break

@@ -130,6 +130,23 @@ def test_parse_rejects_truncated_file(tmp_path):
         parse_sdpa(str(path))
 
 
+def test_parse_rejects_off_diagonal_entry_in_diagonal_block(tmp_path):
+    # a negative size is a diagonal (LP) block, which has no (1, 2) entry
+    path = tmp_path / "bad.dat-s"
+    path.write_text("1\n1\n-2\n1.0\n1 1 1 1 1.0\n1 1 1 2 1.0\n")
+    with pytest.raises(ValueError):
+        parse_sdpa(str(path))
+    path.write_text("1\n1\n-2\n1.0\n1 1 1 1 1.0\n1 1 2 2 1.0\n")
+    assert parse_sdpa(str(path)).block_sizes == [-2]
+
+
+def test_parse_rejects_zero_block_size(tmp_path):
+    path = tmp_path / "bad.dat-s"
+    path.write_text("1\n2\n2 0\n1.0\n1 1 1 1 1.0\n")
+    with pytest.raises(ValueError):
+        parse_sdpa(str(path))
+
+
 def _per_row_reference(prog):
     # the per-row x per-block loop the stacked export replaced
     a, b, block_off = assemble(prog.blocks, prog.rows)

@@ -18,6 +18,7 @@ from qqc.programs import (
     certificate_to_dual_point,
 )
 from qqc.reconstruct import reconstruct_algorithm
+from qqc.simulate import run, success_report
 from qqc.solver import (
     FeasibilityOutcome,
     SolverConfig,
@@ -25,6 +26,7 @@ from qqc.solver import (
     _certify,
     _equality_form,
     _factor_jacobian,
+    _row_matrices,
     _step_factors,
     assemble,
     hvec,
@@ -295,22 +297,40 @@ def _hvec_gram(y):
     return hvec(y @ y.conj().T)
 
 
-@pytest.mark.parametrize("d", [2, 4, 8])
-def test_factor_jacobian_matches_central_differences(d):
-    # columns run over l, then k, then the real and imaginary unit
+def _pauli_id_state_block():
+    # A cut to the 8x8 state block of pauli_id's exact program at q = 2: the
+    # block is read by only some of the rows
+    blocks, rows = _equality_form(build_primal(FAMILIES["pauli_id"], 2, 0.1))
+    a, _, block_off = assemble(blocks, rows)
+    j = [blk.name for blk in blocks].index("state_iq_1")
+    assert blocks[j].dim == 8
+    return a[:, block_off[j] : block_off[j] + 64]
+
+
+@pytest.mark.parametrize("d,source", [(2, "eye"), (4, "eye"), (8, "eye"), (8, "pauli_id")],
+                         ids=["2", "4", "8", "8-pauli_id"])
+def test_factor_jacobian_matches_central_differences(d, source):
+    # columns run over l, then k, then the real and imaginary unit; rows that
+    # do not read the block stay zero
+    a_blk = np.eye(d * d) if source == "eye" else _pauli_id_state_block()
+    touch, c = _row_matrices(a_blk, d)
+    if source == "pauli_id":
+        assert 0 < len(touch) < a_blk.shape[0]
+    # a rank-zero factor has no columns
+    assert _factor_jacobian(np.zeros((d, 0)), touch, c, a_blk.shape[0]).shape == (a_blk.shape[0], 0)
     rng = np.random.default_rng(d)
     h = 1e-4
     for r in range(1, d + 1):
         y = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
-        jac = _factor_jacobian(y, np.eye(d * d))
-        assert jac.shape == (d * d, 2 * d * r)
+        jac = _factor_jacobian(y, touch, c, a_blk.shape[0])
+        assert jac.shape == (a_blk.shape[0], 2 * d * r)
         cols = []
         for l in range(r):
             for k in range(d):
                 for unit in (1.0, 1j):
                     e = np.zeros((d, r), dtype=complex)
                     e[k, l] = unit * h
-                    cols.append((_hvec_gram(y + e) - _hvec_gram(y - e)) / (2 * h))
+                    cols.append(a_blk @ (_hvec_gram(y + e) - _hvec_gram(y - e)) / (2 * h))
         fd = np.stack(cols, axis=1)
         assert np.linalg.norm(jac - fd) <= 1e-7 * np.linalg.norm(fd)
 
@@ -322,7 +342,7 @@ def test_factor_jacobian_columns_follow_step_factors():
     d, r, h = 3, 2, 1e-4
     y = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
     free = random_hermitian(rng, 2)
-    jac = _factor_jacobian(y, np.eye(d * d))
+    jac = _factor_jacobian(y, *_row_matrices(np.eye(d * d), d), d * d)
     blocks = [Block("y", d, True), Block("free", 2, False)]
     for c in range(2 * d * r):
         step = np.zeros(2 * d * r + 4)
@@ -332,6 +352,26 @@ def test_factor_jacobian_columns_follow_step_factors():
         assert np.array_equal(fp, free)
         fd = (_hvec_gram(yp) - _hvec_gram(ym)) / (2 * h)
         assert np.linalg.norm(jac[:, c] - fd) <= 1e-7 * np.linalg.norm(fd)
+
+
+@pytest.mark.parametrize("builder", ["primal", "dual"])
+@pytest.mark.parametrize("q", [0, 1])
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+def test_row_matrices_read_each_block_of_the_rows(builder, q, eps):
+    # tr(C_k X) is row k's part of A x on the block, and the rows left out
+    # do not read the block at all
+    blocks, rows = _equality_form(BUILDERS[builder](PROBLEMS["deutsch"], q, eps))
+    a, _, block_off = assemble(blocks, rows)
+    rng = np.random.default_rng(q)
+    for blk, off in zip(blocks, block_off):
+        a_blk = a[:, off : off + blk.dim * blk.dim]
+        touch, c = _row_matrices(a_blk, blk.dim)
+        assert c.shape == (len(touch), blk.dim, blk.dim)
+        x = random_hermitian(rng, blk.dim)
+        traces = np.einsum("kij,ji->k", c, x)
+        assert np.allclose(traces.imag, 0.0, atol=1e-12)
+        assert np.allclose(traces.real, (a_blk @ hvec(x))[touch], rtol=1e-12, atol=1e-12)
+        assert not np.delete(a_blk, touch, axis=0).any()
 
 
 def test_solve_small_feasible_program():
@@ -446,6 +486,25 @@ def test_certificate_for_haar_pairs_at_two_queries():
     assert rep.max_residual <= 1e-8
     assert rep.min_block_eig >= -1e-8
     assert rep.strict_slack > 0
+
+
+def test_two_qubit_pauli_identification_needs_one_query():
+    # the 16 two-qubit Paulis, each its own output (s = 16, n = 4): no query
+    # succeeds with at most 1/16, so the exact program is certified at q = 0,
+    # and one query decides with certainty (superdense coding)
+    paulis = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+              np.diag([1, -1])]
+    labels = tuple(a + b for a, b in itertools.product("IXYZ", repeat=2))
+    ops = np.stack([np.kron(a, b) for a, b in itertools.product(paulis, repeat=2)])
+    p = QueryProblem(4, labels, ops.astype(complex), labels, {z: z for z in labels})
+    out = solve(build_primal(p, 0, 0.0))
+    assert out.status == "INFEASIBLE_WITH_CERTIFICATE"
+    rep = verify_point(build_dual(p, 0, 0.0), certificate_to_dual_point(p, 0, 0.0, out.certificate))
+    assert rep.max_residual <= 1e-8
+    assert rep.min_block_eig >= -1e-8
+    assert rep.strict_slack > 0
+    alg = reconstruct_algorithm(p, 1, 0.0).algorithm
+    assert success_report(run(alg, p), p, 0.0).min_success >= 1.0 - 1e-6
 
 
 @pytest.mark.parametrize("q", [0, 1])
