@@ -38,6 +38,11 @@ __all__ = [
 ]
 
 _ALPHA_FLOOR = 1e-12
+# search_gamma stops after this many bound evaluations. The ascent has no
+# convergence guarantee; the cap holds the sixteen two-qubit Paulis (s = 16,
+# n = 4) to about 0.1 s on one core, while every test problem's ascent stops
+# by itself within it (or2 takes the most, 121)
+_SEARCH_EVALS = 200
 _WITNESS_TOL = 1e-8
 # A bound within this much above an integer is below it within the rounding
 # of lambda / alpha, so it certifies no further query.
@@ -188,12 +193,12 @@ def check_block_schur_identity(z: np.ndarray, m: np.ndarray, x: np.ndarray) -> f
     return float(np.linalg.norm(lhs - rhs))
 
 
-def search_gamma(p: QueryProblem, eps: float, budget: int = 200) -> tuple[np.ndarray, AdversaryReport]:
+def search_gamma(p: QueryProblem, eps: float) -> tuple[np.ndarray, AdversaryReport]:
     """Monotone coordinate ascent on the weight entries, from the all-ones seed.
 
     Heuristic only: each accepted step multiplies one pair weight by a fixed
-    factor and keeps it when the bound improves. Never returns less than the
-    seed's bound.
+    factor and keeps it when the bound improves, for at most _SEARCH_EVALS
+    evaluations. Never returns less than the seed's bound.
     """
     omega = build_omega(p)  # validates p once for every candidate
     pairs = p.differing_pairs()
@@ -209,11 +214,11 @@ def search_gamma(p: QueryProblem, eps: float, budget: int = 200) -> tuple[np.nda
     best = _bound(p, omega, gamma, eps)
     evals = 1
     improved = True
-    while improved and evals < budget:
+    while improved and evals < _SEARCH_EVALS:
         improved = False
         for i, j in pairs:
             for factor in (2.0, 0.5):
-                if evals >= budget:
+                if evals >= _SEARCH_EVALS:
                     break
                 cand = gamma.copy()
                 cand[i, j] = cand[j, i] = gamma[i, j] * factor

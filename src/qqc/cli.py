@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -95,18 +94,6 @@ def _build(builder, p: QueryProblem, q: int, eps: float):
         raise _CommandFailure(_EXIT_SEMANTIC, "INVALID", str(exc)) from exc
 
 
-def _seed(args) -> int:
-    env = os.environ.get("QQC_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise _CommandFailure(
-                _EXIT_INPUT, "INPUT_ERROR", f"QQC_SEED must be an integer, got {env!r}"
-            ) from exc
-    return int(args.seed)
-
-
 def _point_summary(point: dict[str, np.ndarray]) -> dict:
     return {name: float(np.linalg.norm(block)) for name, block in sorted(point.items())}
 
@@ -171,7 +158,7 @@ def cmd_adversary(args) -> tuple[int, str, dict]:
     _require_valid_problem(p)
     try:
         if args.gamma == "auto":
-            gamma, rep = search_gamma(p, args.eps, budget=args.budget)
+            gamma, rep = search_gamma(p, args.eps)
         else:
             gamma = _load_gamma(args.gamma)
             rep = spectral_bound(p, gamma, args.eps)
@@ -226,13 +213,12 @@ def cmd_estimate(args) -> tuple[int, str, dict]:
             at_least = q + 1
     floor = 0.0
     floor_ceil = 0
-    if args.eps < 0.5:
-        try:
-            _, adv = search_gamma(p, args.eps, budget=args.budget)
-            floor = None if adv.unbounded else float(adv.bound)
-            floor_ceil = adv.ceil_bound
-        except ValueError:
-            pass  # no pair of inputs with different outputs: the floor stays 0
+    try:
+        _, adv = search_gamma(p, args.eps)
+        floor = None if adv.unbounded else float(adv.bound)
+        floor_ceil = adv.ceil_bound
+    except ValueError:
+        pass  # a constant map, or eps >= 1/2 where no bound applies: the floor stays 0
     payload = {
         "per_q_status": statuses,
         "qqc": qqc,
@@ -320,7 +306,9 @@ def _build_parser() -> _Parser:
 
     def common(sp):
         sp.add_argument("problem", help="path to a problem JSON file")
-        sp.add_argument("--seed", type=int, default=0, help="solver seed (QQC_SEED overrides)")
+
+    def seeded(sp):
+        sp.add_argument("--seed", type=int, default=0, help="solver seed")
 
     sp = sub.add_parser("validate", help="check a problem file")
     common(sp)
@@ -328,6 +316,7 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("feasible", help="decide one existence program")
     common(sp)
+    seeded(sp)
     sp.add_argument("--q", type=int, required=True, help="number of queries")
     sp.add_argument("--eps", type=float, default=0.1, help="allowed error probability")
     sp.add_argument("--relaxed", action="store_true", help="use the pairwise relaxation")
@@ -339,18 +328,18 @@ def _build_parser() -> _Parser:
     common(sp)
     sp.add_argument("--eps", type=float, default=0.1, help="allowed error probability")
     sp.add_argument("--gamma", default="auto", help="weight matrix JSON path, or 'auto'")
-    sp.add_argument("--budget", type=int, default=200, help="evaluations for the auto search")
     sp.set_defaults(fn=cmd_adversary)
 
     sp = sub.add_parser("estimate", help="scan q upward for the least feasible count")
     common(sp)
+    seeded(sp)
     sp.add_argument("--eps", type=float, default=0.1, help="allowed error probability")
     sp.add_argument("--qmax", type=int, default=6, help="largest query count to try")
-    sp.add_argument("--budget", type=int, default=200, help="evaluations for the bound search")
     sp.set_defaults(fn=cmd_estimate)
 
     sp = sub.add_parser("reconstruct", help="build an explicit protocol from a feasible point")
     common(sp)
+    seeded(sp)
     sp.add_argument("--q", type=int, required=True, help="number of queries")
     sp.add_argument("--eps", type=float, default=0.1, help="allowed error probability")
     sp.add_argument("--out", default="alg.json", help="output path for the protocol JSON")
@@ -373,11 +362,8 @@ def main(argv: list[str] | None = None) -> int:
         "parameters": {
             k: v for k, v in sorted(vars(args).items()) if k not in ("fn", "command")
         },
-        "seed": None,
     }
     try:
-        # the commands read the resolved seed; "parameters" keeps --seed
-        args.seed = report["seed"] = _seed(args)
         code, status, payload = args.fn(args)
         report["status"] = status
         report["results"] = payload

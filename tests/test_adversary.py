@@ -117,7 +117,7 @@ def test_spectral_bound_unbounded_for_indistinguishable_family():
 
 def test_make_dual_witness_verifies_on_fixtures(deutsch, ix):
     for p in (deutsch, ix):
-        gamma, rep = search_gamma(p, 0.0, budget=50)
+        gamma, rep = search_gamma(p, 0.0)
         for q in range(int(np.ceil(rep.bound - 1e-12))):
             witness = make_dual_witness(p, gamma, q, 0.0)
             check = verify_point(build_dual_relaxed(p, q, 0.0), witness)

@@ -119,7 +119,7 @@ def test_adversary_with_gamma_file(problem_file, tmp_path, capsys):
 
 
 def test_adversary_auto_search(problem_file, capsys):
-    code = main(["adversary", problem_file("ix"), "--eps", "0", "--budget", "50"])
+    code = main(["adversary", problem_file("ix"), "--eps", "0"])
     rep = _report(capsys)
     assert code == 0
     assert rep["results"]["bound"] >= 0.25 - 1e-9
@@ -168,6 +168,15 @@ def test_estimate_deutsch(problem_file, capsys):
     assert rep["results"]["per_q_status"]["0"] == "INFEASIBLE_WITH_CERTIFICATE"
     assert rep["results"]["per_q_status"]["1"] == "FEASIBLE"
     assert "2" not in rep["results"]["per_q_status"]
+
+
+def test_estimate_without_an_adversary_bound(problem_file, capsys):
+    # the spectral bound needs eps < 1/2; above it the floor stays 0
+    code = main(["estimate", problem_file("deutsch"), "--eps", "0.6", "--qmax", "2"])
+    rep = _report(capsys)
+    assert code == 0
+    assert rep["results"]["adversary_floor"] == 0.0
+    assert rep["results"]["adversary_floor_ceil"] == 0
 
 
 def test_estimate_exhausts_qmax(problem_file, capsys):
@@ -450,21 +459,32 @@ def test_feasible_on_non_finite_problem_is_invalid(tmp_path, capsys):
     assert [issue["code"] for issue in rep["results"]["issues"]] == ["non-finite"]
 
 
-def test_seed_env_override(problem_file, capsys, monkeypatch):
+@pytest.mark.parametrize("argv", [
+    ["validate", "--seed", "1"],
+    ["adversary", "--seed", "1"],
+    ["simulate", "--alg", "alg.json", "--seed", "1"],
+    ["adversary", "--budget", "50"],
+    ["estimate", "--budget", "50"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_unread_settings_are_rejected(problem_file, capsys, argv):
+    # only feasible, estimate and reconstruct solve a program, so only they
+    # take --seed; the adversary search runs a fixed number of evaluations
+    with pytest.raises(SystemExit) as info:
+        main([argv[0], problem_file("deutsch"), *argv[1:]])
+    assert info.value.code == 1
+    assert argv[-2] in capsys.readouterr().err
+
+
+def test_seed_comes_from_the_option_only(problem_file, capsys, monkeypatch):
+    argv = ["feasible", problem_file("deutsch"), "--q", "1", "--eps", "0", "--seed", "3"]
+    assert main(argv) == 0
+    plain = _report(capsys)
     monkeypatch.setenv("QQC_SEED", "11")
-    code = main(["feasible", problem_file("deutsch"), "--q", "1", "--eps", "0", "--seed", "3"])
+    assert main(argv) == 0
     rep = _report(capsys)
-    assert code == 0
-    assert rep["seed"] == 11
-
-
-def test_seed_env_non_integer(problem_file, capsys, monkeypatch):
-    monkeypatch.setenv("QQC_SEED", "eleven")
-    code = main(["validate", problem_file("deutsch")])
-    rep = _report(capsys)
-    assert code == 1
-    assert rep["status"] == "INPUT_ERROR"
-    assert rep["seed"] is None
+    assert "seed" not in rep
+    assert rep["parameters"]["seed"] == 3
+    assert rep["results"]["iterations"] == plain["results"]["iterations"]
 
 
 def test_reports_deterministic_for_fixed_seed(problem_file, tmp_path, capsys):
