@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,9 +84,10 @@ class BlockMap:
             out = partial_trace(y, self.split)
         elif k == "conj_tensor":
             slow, fast = self.split
-            # x ⊗ I_fast, broadcast on the (slow, fast, slow, fast) axes
-            wide = (x[..., :, None, :, None] * np.eye(fast)[:, None, :]).reshape(
-                x.shape[:-2] + (slow * fast, slow * fast))
+            # x ⊗ I_fast, broadcast on the (slow, fast, slow, fast) axes; x ⊗ 1 is x
+            wide = x if fast == 1 else (
+                x[..., :, None, :, None] * np.eye(fast)[:, None, :]
+            ).reshape(x.shape[:-2] + (slow * fast, slow * fast))
             out = wide if self.mat is None else self.mat.conj().T @ wide @ self.mat
         elif k == "id":
             out = x
@@ -99,19 +100,13 @@ class BlockMap:
         return self.scale * out
 
     def adjoint(self) -> "BlockMap":
-        k = self.kind
-        flip = dict(d_in=self.d_out, d_out=self.d_in)
-        if k == "conj_pt":
-            return replace(self, kind="conj_tensor", **flip)
-        if k == "conj_tensor":
-            return replace(self, kind="conj_pt", **flip)
-        if k == "id":
+        if self.kind == "id":
             return self
-        if k == "trace_against":
-            return replace(self, kind="const_embed", **flip)
-        if k == "const_embed":
-            return replace(self, kind="trace_against", **flip)
-        raise ValueError(f"unknown map kind {k!r}")
+        kind = {"conj_pt": "conj_tensor", "conj_tensor": "conj_pt",
+                "trace_against": "const_embed", "const_embed": "trace_against"}.get(self.kind)
+        if kind is None:
+            raise ValueError(f"unknown map kind {self.kind!r}")
+        return BlockMap(kind, self.d_out, self.d_in, self.scale, self.mat, self.split)
 
 
 def _pt_q(s: int, n: int) -> BlockMap:

@@ -68,6 +68,13 @@ def test_block_map_adjoint_is_involutive():
         assert back.kind == m.kind
         assert back.d_in == m.d_in and back.d_out == m.d_out
         assert back.scale == m.scale
+        for flipped in (m.adjoint(), back):
+            assert flipped.mat is m.mat and flipped.split == m.split
+    bogus = BlockMap("bogus", d_in=2, d_out=2)
+    with pytest.raises(ValueError, match="unknown map kind"):
+        bogus.apply(np.eye(2, dtype=complex))
+    with pytest.raises(ValueError, match="unknown map kind"):
+        bogus.adjoint()
 
 
 def test_block_map_applies_to_stacks():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from qqc.programs import (
 )
 from qqc.reconstruct import reconstruct_algorithm
 from qqc.simulate import run, success_report
+from qqc import solver
 from qqc.solver import (
     FeasibilityOutcome,
     SolverConfig,
@@ -171,6 +173,70 @@ def test_assemble_matches_row_values(pname, builder, q):
             want = sum((m.adjoint().apply(y) for r, y in zip(prog.rows, ys)
                         for bj, m in r.terms if bj == j), np.zeros((blk.dim, blk.dim)))
             assert np.max(np.abs(image[off : off + blk.dim**2] - hvec(want))) <= 1e-12
+
+
+def _assemble_by_columns(blocks, rows):
+    """Reference assembly: column k of a term is hvec of its map at the
+    basis matrix B_k = unhvec(e_k), one basis matrix at a time."""
+    block_off = np.cumsum([0] + [blk.dim**2 for blk in blocks])
+    row_off = np.cumsum([0] + [r.dim**2 for r in rows])
+    a = np.zeros((row_off[-1], block_off[-1]))
+    for ri, r in enumerate(rows):
+        for bj, m in r.terms:
+            d = blocks[bj].dim
+            for k in range(d * d):
+                basis = unhvec(np.eye(d * d)[k], d)
+                a[row_off[ri] : row_off[ri + 1], block_off[bj] + k] += hvec(m.apply(basis))
+    b = np.concatenate([hvec(r.rhs) for r in rows])
+    return a, b
+
+
+_REFERENCE_CASES = [(pname, builder, q, eps)
+                    for pname in [*PROBLEMS, *FAMILIES] for builder in BUILDERS
+                    for q in range(2 if pname == "weyl3" else 3) for eps in (0.0, 0.1)]
+
+
+@pytest.mark.parametrize("pname,builder,q,eps", _REFERENCE_CASES)
+def test_assemble_matches_column_reference(pname, builder, q, eps):
+    # a term whose row is smaller than its block is built from the row side,
+    # hvec(m-adjoint(B_k)); on the existence programs that gives the same
+    # bits as the column side, on the witness programs the same numbers to
+    # within two ulps of one (their 1x1 trace rows read all-ones matrices)
+    p = FAMILIES[pname] if pname in FAMILIES else PROBLEMS[pname]
+    blocks, rows = _equality_form(BUILDERS[builder](p, q, eps))
+    a, b, _ = assemble(blocks, rows)
+    ref_a, ref_b = _assemble_by_columns(blocks, rows)
+    assert _same_bits(b, ref_b)
+    if builder.startswith("primal"):
+        assert _same_bits(a, ref_a)
+    else:
+        assert np.max(np.abs(a - ref_a)) <= 4.4e-16
+
+
+@pytest.mark.parametrize("pname,builder,q", [("weyl3", "dual", 1), ("pauli_id", "primal", 2),
+                                             ("deutsch", "primal_relaxed", 2)])
+def test_assemble_chunks_give_the_same_bits(monkeypatch, pname, builder, q):
+    # the budget only cuts the basis stack: one basis matrix per map call
+    # (budget 1) or one stack per term gives the same A, on either side
+    p = FAMILIES[pname] if pname in FAMILIES else PROBLEMS[pname]
+    blocks, rows = _equality_form(BUILDERS[builder](p, q, 0.1))
+    a, _, _ = assemble(blocks, rows)
+    for budget in (1, 1 << 40):
+        monkeypatch.setattr(solver, "_ASSEMBLE_BUDGET", budget)
+        assert _same_bits(assemble(blocks, rows)[0], a)
+
+
+def test_assemble_memory_stays_near_its_budget():
+    # weyl3 q=1 `build_dual` slackens its 27x27 query row; one stack of all
+    # 729 basis matrices of that identity term took 16.2 MB beyond A
+    blocks, rows = _equality_form(build_dual(FAMILIES["weyl3"], 1, 0.1))
+    tracemalloc.start()
+    try:
+        a, _, _ = assemble(blocks, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - a.nbytes <= 10 * 2**20
 
 
 @pytest.mark.parametrize("case", ["deutsch_dual_relaxed", "weyl3_primal"])
@@ -548,6 +614,38 @@ def test_verify_point_flags_violations():
     assert not rep.within(1e-7)
     with pytest.raises(ValueError):
         verify_point(prog, {"x": np.eye(3, dtype=complex)})
+
+
+def test_verify_point_stacks_eigenvalues_in_program_order():
+    # PSD blocks of dimensions 1, 2 and 3 interleave with a free block, and
+    # PSD rows of dimensions 3 and 2 with an equality row: every least
+    # eigenvalue keeps its name and place and equals the per-matrix eigh's
+    rng = np.random.default_rng(12)
+    dims = [2, 1, 3, 1, 2, 3]
+    blocks = [Block(f"b{i}", d, True) for i, d in enumerate(dims)]
+    blocks.insert(3, Block("free", 2, False))
+    rows = [
+        Row("wide", 3, [(2, _ident(3)), (6, _ident(3, -0.5))], random_hermitian(rng, 3), sense="psd"),
+        Row("eq", 2, [(3, _ident(2))], np.zeros((2, 2), dtype=complex)),
+        Row("narrow", 2, [(0, _ident(2)), (5, _ident(2, 2.0))], random_hermitian(rng, 2), sense="psd"),
+        Row("wide_too", 3, [(6, _ident(3))], np.zeros((3, 3), dtype=complex), sense="psd"),
+    ]
+    prog = ConicFeasibilityProgram(blocks, rows)
+    point = {blk.name: random_hermitian(rng, blk.dim) for blk in blocks}
+    rep = verify_point(prog, point)
+    assert list(rep.block_min_eigs) == [blk.name for blk in blocks if blk.psd]
+    assert list(rep.row_residuals) == [r.name for r in rows]
+    for blk in blocks:
+        if blk.psd:
+            assert rep.block_min_eigs[blk.name] == float(np.linalg.eigh(hermitize(point[blk.name]))[0][0])
+    for r in rows:
+        diff = prog.row_value(r, point) - r.rhs
+        if r.sense == "psd":
+            want = float(max(0.0, -np.linalg.eigh(hermitize(diff))[0][0]))
+        else:
+            want = float(np.linalg.norm(diff))
+        assert rep.row_residuals[r.name] == want
+    assert min(rep.row_residuals.values()) > 0.0 and rep.min_block_eig < 0.0
 
 
 def test_weak_duality_pairing_is_negative_on_certificates(deutsch, cached_solve):
