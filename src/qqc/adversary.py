@@ -139,8 +139,12 @@ def _bound(p: QueryProblem, omega: np.ndarray, g: np.ndarray, eps: float) -> Adv
 def make_dual_witness(p: QueryProblem, gamma, q: int, eps: float) -> dict[str, np.ndarray]:
     """Feasible point of the relaxed witness program for any q below the bound.
 
-    Step matrices are (gamma - t alpha I) entrywise-scaled by the outer
-    square of the principal eigenvector; each pair multiplier is the 2x2
+    Step matrices K_t are (gamma - t alpha I) entrywise-scaled by the outer
+    square of the principal eigenvector; at q >= 1 the last one is the 1x1
+    J-trace tr(J K_q), as the program's start face asks: the full row
+    K_{q-1} ⊗ I - Omega (K_q ⊗ I) Omega† >= 0, conjugated by
+    first = Omega (1_s ⊗ I_n), gives first†(K_{q-1} ⊗ I)first >= tr(J K_q) I,
+    and the strict value does not change. Each pair multiplier is the 2x2
     matrix a·[[1, -1], [-1, 1]] on the pair's principal submatrix, with a the
     step-0 entry of that pair. The result is verified against every program
     row and returned only if all residuals stay within 1e-8 and the strict
@@ -157,7 +161,9 @@ def make_dual_witness(p: QueryProblem, gamma, q: int, eps: float) -> dict[str, n
     proj = np.outer(v, v)
     witness: dict[str, np.ndarray] = {}
     for t in range(q + 1):
-        witness[f"step_{t}"] = ((g - t * report.alpha * np.eye(s)) * proj).astype(complex)
+        step = ((g - t * report.alpha * np.eye(s)) * proj).astype(complex)
+        # on the start face K_q is the scalar tr(J K_q)
+        witness[f"step_{t}"] = np.full((1, 1), step.sum()) if t == q > 0 else step
     for i, j in p.differing_pairs():
         a = g[i, j] * v[i] * v[j]
         witness[f"pair_dual_{pair_name(p, (i, j))}"] = a * np.array([[1, -1], [-1, 1]], dtype=complex)

@@ -23,6 +23,12 @@ eps = 0 the final states of inputs with different outputs are orthogonal,
 so share G_z of the final Gram matrix vanishes outside class z's rows and
 columns: the exact existence program holds it on that face, as a
 c_z x c_z block H_z with G_z = E_z H_z E_z† and E_z = I[:, class z].
+
+Each witness program is the Farkas alternative of its existence program on
+the same faces: the multiplier of tr rho_0 = 1 is a scalar tau whose query
+row is n x n, and at eps = 0 each exact output comparison is a c_z x c_z
+row. A certificate of an existence program is then a witness point after
+a relabel (`certificate_to_dual_point`).
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import hermitize, partial_trace
+from .linalg import partial_trace
 from .problem import QueryProblem, build_omega, require_valid
 
 __all__ = [
@@ -114,12 +120,6 @@ def _pt_q(s: int, n: int) -> BlockMap:
 
 def _conj_pt(mat: np.ndarray, s: int, n: int, scale: float = 1.0) -> BlockMap:
     return BlockMap("conj_pt", d_in=mat.shape[1], d_out=s, scale=scale, mat=mat, split=(s, n))
-
-def _tensor_id(s: int, n: int, scale: float = 1.0) -> BlockMap:
-    return BlockMap("conj_tensor", d_in=s, d_out=s * n, scale=scale, split=(s, n))
-
-def _conj_tensor(u: np.ndarray, s: int, n: int, scale: float = 1.0) -> BlockMap:
-    return BlockMap("conj_tensor", d_in=s, d_out=s * n, scale=scale, mat=u, split=(s, n))
 
 def _ident(d: int, scale: float = 1.0) -> BlockMap:
     return BlockMap("id", d_in=d, d_out=d, scale=scale)
@@ -280,64 +280,90 @@ def build_primal_relaxed(p: QueryProblem, q: int, eps: float) -> ConicFeasibilit
     return ConicFeasibilityProgram(blocks, rows)
 
 
-def _query_rows(q: int, s: int, n: int, u: np.ndarray) -> list[Row]:
-    """The q witness query rows M_{t-1} ⊗ I - u†(M_t ⊗ I)u >= 0 over the
-    program's first q + 1 blocks M_0..M_q."""
-    return [
-        Row(
-            f"query_{t}",
-            s * n,
-            [(t - 1, _tensor_id(s, n)), (t, _conj_tensor(u, s, n, -1.0))],
-            np.zeros((s * n, s * n), dtype=complex),
-            sense="psd",
-        )
-        for t in range(1, q + 1)
-    ]
+def _query_rows(p: QueryProblem, q: int, relaxed: bool) -> list[Row]:
+    """The q witness query rows: adjoints of the existence chain's maps.
+
+    Over the program's first q + 1 blocks. For `build_dual` they are tau
+    (1x1, the multiplier of tr rho_0 = 1) and L_1..L_q: row 1 keeps
+    tau I_n - first†(L_1 ⊗ I)first PSD, with first = Omega (1_s ⊗ I_n) as in
+    `_query_chain`, and row t > 1 keeps L_{t-1} ⊗ I - Omega†(L_t ⊗ I)Omega
+    PSD. For `build_dual_relaxed` they are K_t = -L_{q-t}, so K_q = -tau is
+    1x1: row t < q keeps K_{t-1} ⊗ I - Omega (K_t ⊗ I) Omega† PSD (the step
+    above, conjugated by Omega), and row q keeps
+    first†(K_{q-1} ⊗ I)first - K_q I_n PSD.
+    """
+    s, n = p.size, p.n
+    omega = build_omega(p)
+    sign, u, start = (-1.0, omega.conj().T, q) if relaxed else (1.0, omega, 1)
+    rows = []
+    for t in range(1, q + 1):
+        if t == start:  # on the start face: the n x n row of tau and its neighbour
+            tau, chain = (t, t - 1) if relaxed else (t - 1, t)
+            first = omega @ np.kron(np.ones((s, 1)), np.eye(n))
+            terms = [(tau, _trace_against(np.eye(n), sign).adjoint()),
+                     (chain, _conj_pt(first, s, n, -sign).adjoint())]
+            rows.append(Row(f"query_{t}", n, terms, np.zeros((n, n), dtype=complex), sense="psd"))
+        else:
+            terms = [(t - 1, _pt_q(s, n).adjoint()), (t, _conj_pt(u, s, n, -1.0).adjoint())]
+            rows.append(Row(f"query_{t}", s * n, terms, np.zeros((s * n, s * n), dtype=complex),
+                            sense="psd"))
+    return rows
 
 
 def build_dual(p: QueryProblem, q: int, eps: float) -> ConicFeasibilityProgram:
-    """Infeasibility-witness program paired with the exact existence program.
+    """Infeasibility-witness program: the Farkas alternative of `build_primal`.
 
-    Free Hermitian multipliers L_0..L_q on the input register and one 1x1 PSD
-    success multiplier y_i per input. A witness must keep each query step PSD
-    and each output comparison L_q - sum over the class of y_i E_ii PSD, while
-    making the strict row tr(J L_0) - (1 - eps) sum y_i negative.
+    It lives on the existence program's faces. Free Hermitian multipliers of
+    the chain rows: L_0 of `init` (the scalar tau of tr rho_0 = 1 at q >= 1,
+    s x s at q = 0) and L_1..L_q on the input register; one 1x1 PSD success
+    multiplier y_i per input. A witness must keep each query row PSD (see
+    `_query_rows`) and each output comparison M_z†(L_q - sum over the class
+    of y_i E_ii) PSD, for share z's map M_z of `share_maps` (a c_z x c_z row
+    at eps = 0), while making the strict row negative: the pairing of L_0
+    with init's right-hand side (tau, or tr(J L_0) at q = 0) minus
+    (1 - eps) sum y_i. The decompose multiplier needs no block: L_q is one.
     """
     _check_q_eps(q, eps)
-    omega = build_omega(p)
-    s, n = p.size, p.n
-    blocks = [Block(f"chain_dual_{t}", s, False) for t in range(q + 1)]
+    s = p.size
+    rows = _query_rows(p, q, relaxed=False)  # validates p
+    init = np.ones((1, 1) if q else (s, s), dtype=complex)  # init's right-hand side
+    blocks = [Block("chain_dual_0", len(init), False)]
+    blocks += [Block(f"chain_dual_{t}", s, False) for t in range(1, q + 1)]
     blocks += [Block(f"success_dual_{lab}", 1, True) for lab in p.labels]
     bi = {b.name: i for i, b in enumerate(blocks)}
 
-    rows = _query_rows(q, s, n, omega)
-    for z in p.outputs:
-        terms = [(bi[f"chain_dual_{q}"], _ident(s))]
+    for z, m in share_maps(p, eps).items():
+        terms = [(bi[f"chain_dual_{q}"], m.adjoint())]
         terms += [
-            (bi[f"success_dual_{p.labels[i]}"], _trace_against(np.diag(np.eye(s)[i]), -1.0).adjoint())
+            (bi[f"success_dual_{p.labels[i]}"],
+             _trace_against(m.adjoint().apply(np.diag(np.eye(s)[i])), -1.0).adjoint())
             for i in p.class_indices(z)
         ]
-        rows.append(Row(f"dominate_{z}", s, terms, np.zeros((s, s), dtype=complex), sense="psd"))
-    strict_terms = [(bi["chain_dual_0"], _trace_against(np.ones((s, s))))]
+        rows.append(Row(f"dominate_{z}", m.d_in, terms, np.zeros((m.d_in, m.d_in), dtype=complex),
+                        sense="psd"))
+    strict_terms = [(bi["chain_dual_0"], _trace_against(init))]
     strict_terms += [(bi[f"success_dual_{lab}"], _ident(1, -(1.0 - eps))) for lab in p.labels]
     rows.append(Row("strict", 1, strict_terms, np.zeros((1, 1), dtype=complex), sense="strict"))
     return ConicFeasibilityProgram(blocks, rows)
 
 
 def build_dual_relaxed(p: QueryProblem, q: int, eps: float) -> ConicFeasibilityProgram:
-    """Witness program paired with the relaxed (pairwise) existence program.
+    """Witness program: the Farkas alternative of `build_primal_relaxed`.
 
-    Free Hermitian step matrices K_0..K_q and one 2x2 PSD pair multiplier D
-    per differing pair, on the pair's principal submatrix. The anchor row
-    keeps -K_0 - sum E (V∘D) E† PSD; the step rows keep
-    K_{t-1} ⊗ I - Omega (K_t ⊗ I) Omega† PSD, matching the adjoint of the
-    query-update map used by the existence chain.
+    Free Hermitian step matrices K_t = -L_{q-t} for the chain multipliers
+    L_t of `build_dual` (so K_q = -tau is 1x1 at q >= 1) and one 2x2 PSD pair
+    multiplier D per differing pair, on the pair's principal submatrix. The
+    anchor row keeps -K_0 - sum E (V∘D) E† PSD, the query rows are those of
+    `_query_rows`, and the strict row -K_q + margin sum tr D (-tr(J K_0) at
+    q = 0) must be negative.
     """
     _check_q_eps(q, eps)
-    omega = build_omega(p)
+    queries = _query_rows(p, q, relaxed=True)  # validates p
     pairs = p.differing_pairs()
-    s, n = p.size, p.n
-    blocks = [Block(f"step_{t}", s, False) for t in range(q + 1)]
+    s = p.size
+    init = np.ones((1, 1) if q else (s, s), dtype=complex)  # init's right-hand side
+    blocks = [Block(f"step_{t}", s, False) for t in range(q)]
+    blocks.append(Block(f"step_{q}", len(init), False))
     blocks += [Block(f"pair_dual_{pair_name(p, pr)}", 2, True) for pr in pairs]
     bi = {b.name: i for i, b in enumerate(blocks)}
 
@@ -346,10 +372,9 @@ def build_dual_relaxed(p: QueryProblem, q: int, eps: float) -> ConicFeasibilityP
         (bi[f"pair_dual_{pair_name(p, pr)}"], m.adjoint())
         for pr in pairs for m in _pair_off_diagonal(s, pr)
     ]
-    rows = [Row("anchor", s, anchor_terms, np.zeros((s, s), dtype=complex), sense="psd")]
-    rows += _query_rows(q, s, n, omega.conj().T)
+    rows = [Row("anchor", s, anchor_terms, np.zeros((s, s), dtype=complex), sense="psd")] + queries
     margin = 2.0 * math.sqrt(eps * (1.0 - eps))
-    strict_terms = [(bi[f"step_{q}"], _trace_against(np.ones((s, s)), -1.0))]
+    strict_terms = [(bi[f"step_{q}"], _trace_against(init, -1.0))]
     strict_terms += [
         (bi[f"pair_dual_{pair_name(p, pr)}"], _trace_against(np.eye(2), margin)) for pr in pairs
     ]
@@ -364,74 +389,30 @@ def certificate_to_dual_point(
     certificate: dict[str, np.ndarray],
     relaxed: bool = False,
 ) -> dict[str, np.ndarray]:
-    """Relabel a generic infeasibility certificate as a witness-program point.
+    """Relabel an existence-program certificate as a witness-program point.
 
-    The certificate keys are the existence program's row names. For the exact
-    pair, chain multipliers map to L_t and each input's 1x1 success
-    multiplier flips sign to y_i; for the relaxed pair, chain multipliers map
-    to K_t = -L_{q-t} and the 2x2 pair multipliers are copied as they are.
-
-    At q >= 1 the multiplier of tr rho_0 = 1 is a scalar tau, lifted to
-    L_0 = (tau + 1/2) J/s^2 + c (I - J/s). With A = Omega†(L_1 ⊗ I)Omega and
-    P = (1_s/√s) ⊗ I_n, the certificate keeps tau I - s P†AP PSD, so L_0 ⊗ I
-    - A is at least I/(2s) on the range of P and c I - A on its complement;
-    a Schur complement with |A| <= w = |L_1|_2 shows c = w (1 + 2 s w) makes
-    it PSD. tr(J L_0) = tau + 1/2.
-
-    A face certificate (eps = 0, see `build_primal`) keeps L_q - Y_z PSD on
-    class z's block only, Y_z = sum over the class of y_i E_ii. Two shifts
-    that keep every query row make each dominate_z row PSD: L_t += (d + t) I
-    for t >= 1 (on L_0 itself at q = 0) with tau += (d + t) s, and y_i += t.
-    The first, d = 1/(4s), spends a quarter of the strict slack and makes
-    L_q + d I - Y_z positive definite on the class block; the second adds
-    t (I - P_z) to dominate_z and costs t s eps of pairing, nothing at eps = 0.
-    t is twice the least value whose off-class Schur complements are PSD, so
-    a full-block certificate (eps > 0) takes t = 0. The strict row keeps
-    slack 1/4 at q >= 1 and 3/4 at q = 0, minus t s eps.
+    The certificate keys are the existence program's row names. The
+    multipliers of init, chain_t and final_gram_def are L_0..L_q (L_0 is the
+    scalar tau at q >= 1); the exact pair keeps them as L_t and flips each
+    input's 1x1 success multiplier to y_i, the relaxed pair takes
+    K_t = -L_{q-t} and copies each 2x2 pair multiplier. Each witness program
+    is the Farkas alternative of its existence program on the same faces, so
+    a certificate's adjoint images are the witness rows (up to a unitary
+    congruence for the relaxed query rows, and with the decompose multiplier
+    D folded in: M_z†(L_q - Y_z) = M_z†(L_q - D) + M_z†(D - Y_z)).
     """
     require_valid(p)
-    s = p.size
-    eye = np.eye(s)
-    chain_shift = success_shift = 0.0
-    if not relaxed:
-        last = np.asarray(certificate["init" if q == 0 else "final_gram_def"])
-        y = np.array([-np.asarray(certificate[f"success_{lab}"])[0, 0].real for lab in p.labels])
-        spend = 1.0 / (4.0 * s)
-        for z in p.outputs:
-            cls = p.class_indices(z)
-            rest = [i for i in range(s) if i not in cls]
-            m = last + spend * eye
-            m[cls, cls] -= y[cls]
-            couple = m[np.ix_(cls, rest)]
-            schur = m[np.ix_(rest, rest)] - couple.conj().T @ np.linalg.solve(m[np.ix_(cls, cls)], couple)
-            least = -np.linalg.eigvalsh(hermitize(schur)).min(initial=0.0)
-            success_shift = max(success_shift, 2.0 * float(least))
-        chain_shift = spend + success_shift
-
-    def chain_multiplier(t: int) -> np.ndarray:
-        if q == 0:
-            return np.asarray(certificate["init"]) + chain_shift * eye
-        if t == 0:
-            tau = float(np.asarray(certificate["init"])[0, 0].real) + chain_shift * s
-            w = float(np.linalg.norm(chain_multiplier(1), 2))
-            avg = np.ones((s, s), dtype=complex) / s
-            return (tau + 0.5) * avg / s + w * (1.0 + 2.0 * s * w) * (eye - avg)
-        if t < q:
-            return np.asarray(certificate[f"chain_{t}"]) + chain_shift * eye
-        return np.asarray(certificate["final_gram_def"]) + chain_shift * eye
-
-    point: dict[str, np.ndarray] = {}
-    if not relaxed:
-        for t in range(q + 1):
-            point[f"chain_dual_{t}"] = chain_multiplier(t)
-        for lab in p.labels:
-            point[f"success_dual_{lab}"] = success_shift - np.asarray(certificate[f"success_{lab}"])
-    else:
-        for t in range(q + 1):
-            point[f"step_{t}"] = -chain_multiplier(q - t)
+    chain = ["init"] + [f"chain_{t}" for t in range(1, q)] + ["final_gram_def"] * (q > 0)
+    mults = [np.asarray(certificate[name]) for name in chain]
+    if relaxed:
+        point = {f"step_{t}": -mults[q - t] for t in range(q + 1)}
         for pr in p.differing_pairs():
             name = pair_name(p, pr)
             point[f"pair_dual_{name}"] = np.asarray(certificate[f"pair_{name}"])
+    else:
+        point = {f"chain_dual_{t}": m for t, m in enumerate(mults)}
+        for lab in p.labels:
+            point[f"success_dual_{lab}"] = -np.asarray(certificate[f"success_{lab}"])
     return point
 
 

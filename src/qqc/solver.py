@@ -357,15 +357,11 @@ class _Engine:
 
         w, v = np.linalg.eigh(a @ a.T)
         cut = w.max(initial=0.0) * 1e-12 + 1e-300
-        self._pinv_v = v
-        self._pinv_w = np.where(w > cut, 1.0 / np.where(w > cut, w, 1.0), 0.0)
-        # x + A^T (A A^T)^+ (b - A x) projects onto {A x = b}
-        self._lift = a.T @ (v * self._pinv_w) @ v.T
+        # x + A^T (A A^T)^+ (b - A x) projects onto {A x = b}; the transpose
+        # (A A^T)^+ A gives the multipliers y of a row-space point s = A^T y
+        self._lift = a.T @ (v * np.where(w > cut, 1.0 / np.where(w > cut, w, 1.0), 0.0)) @ v.T
         # The row-space point whose pairing with A^T y is b^T y.
         self._x0 = self._lift @ b
-
-    def pinv_gram(self, r: np.ndarray) -> np.ndarray:
-        return self._pinv_v @ ((self._pinv_v.T @ r) * self._pinv_w)
 
     def project_affine(self, x: np.ndarray) -> np.ndarray:
         return x + self._lift @ (self.b - self.a @ x)
@@ -670,7 +666,7 @@ def solve(prog: ConicFeasibilityProgram, cfg: SolverConfig | None = None) -> Fea
             # it sits near the dual cone with pairing b^T w near -|v|^2 < 0.
             s = cand - eng.project_affine(cand)
         s = _run_ap(eng.project_dual_affine, eng.project_dual_cone, s, _CHECK_EVERY)
-        cert = _certify(blocks, rows, _split(rows, eng.pinv_gram(eng.a @ eng.project_dual_cone(s))))
+        cert = _certify(blocks, rows, _split(rows, eng._lift.T @ eng.project_dual_cone(s)))
         if cert is not None:
             return FeasibilityOutcome("INFEASIBLE_WITH_CERTIFICATE", None, cert, res, it)
     return FeasibilityOutcome("UNDECIDED", None, None, residuals(eng.project_cone(x)), _MAX_ITERS)

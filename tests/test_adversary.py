@@ -142,6 +142,33 @@ def test_make_dual_witness_on_a_disconnected_weighting(deutsch):
             assert check.strict_slack > 0
 
 
+def test_make_dual_witness_last_step_is_the_j_trace():
+    # OR of 17 bits under the promise of at most one 1: the star weighting
+    # bounds it at sqrt(17)/4 > 1, so a witness exists at q = 1. On the start
+    # face its last step is the 1x1 J-trace of (gamma - q alpha I)∘vvᵀ, and
+    # the strict slack is that trace, lambda - alpha
+    m = 17
+    labels = ("0",) + tuple(f"e{i}" for i in range(m))
+    flips = [np.eye(m)] + [np.diag(1.0 - 2.0 * np.eye(m)[i]) for i in range(m)]
+    p = QueryProblem(m, labels, np.stack(flips).astype(complex), ("0", "1"),
+                     {lab: str(int(lab != "0")) for lab in labels})
+    gamma = np.zeros((m + 1, m + 1))
+    gamma[0, 1:] = gamma[1:, 0] = 1.0
+    rep = spectral_bound(p, gamma, 0.0)
+    assert rep.ceil_bound == 2
+    witness = make_dual_witness(p, gamma, 1, 0.0)
+    proj = np.outer(rep.perron_v, rep.perron_v)
+    assert np.array_equal(witness["step_0"], gamma * proj)
+    full = (gamma - rep.alpha * np.eye(m + 1)) * proj
+    assert witness["step_1"].shape == (1, 1)
+    assert witness["step_1"][0, 0] == pytest.approx(full.sum(), rel=1e-14)
+    check = verify_point(build_dual_relaxed(p, 1, 0.0), witness)
+    assert check.max_residual <= 1e-8
+    assert check.min_block_eig >= -1e-8
+    assert check.strict_slack == pytest.approx(rep.lambda_gamma - rep.alpha, rel=1e-12)
+    assert check.strict_slack > 0
+
+
 def test_make_dual_witness_rejects_q_at_or_above_bound(ix):
     gamma = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(ValueError):

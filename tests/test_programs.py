@@ -190,26 +190,30 @@ def test_primal_relaxed_structure(deutsch):
 
 
 def test_dual_structure(deutsch):
+    # on the existence program's faces: the multiplier of tr rho_0 = 1 is a
+    # scalar, its query row is n x n, and at eps 0 each output comparison is
+    # a c_z x c_z row
     prog = build_dual(deutsch, 2, 0.0)
-    free = [b.name for b in prog.blocks if not b.psd]
+    free = {b.name: b.dim for b in prog.blocks if not b.psd}
     psd = {b.name: b.dim for b in prog.blocks if b.psd}
-    assert free == ["chain_dual_0", "chain_dual_1", "chain_dual_2"]
+    assert free == {"chain_dual_0": 1, "chain_dual_1": 4, "chain_dual_2": 4}
     assert psd == {f"success_dual_{lab}": 1 for lab in deutsch.labels}
-    senses = {r.name: r.sense for r in prog.rows}
-    assert senses == {"query_1": "psd", "query_2": "psd",
-                      "dominate_0": "psd", "dominate_1": "psd",
-                      "strict": "strict"}
-    strict = next(r for r in prog.rows if r.sense == "strict")
-    assert strict.dim == 1
+    rows = {r.name: (r.dim, r.sense) for r in prog.rows}
+    assert rows == {"query_1": (2, "psd"), "query_2": (8, "psd"),
+                    "dominate_0": (2, "psd"), "dominate_1": (2, "psd"),
+                    "strict": (1, "strict")}
 
 
 def test_dual_relaxed_structure(deutsch):
+    # K_q = -tau is a scalar at q >= 1, and its query row is n x n
     prog = build_dual_relaxed(deutsch, 1, 0.1)
-    assert [b.name for b in prog.blocks if not b.psd] == ["step_0", "step_1"]
+    assert [(b.name, b.dim) for b in prog.blocks if not b.psd] == [("step_0", 4), ("step_1", 1)]
     pair_blocks = {f"pair_dual_{pair_name(deutsch, pr)}": 2 for pr in deutsch.differing_pairs()}
     assert {b.name: b.dim for b in prog.blocks if b.psd} == pair_blocks
-    senses = {r.name: r.sense for r in prog.rows}
-    assert senses == {"anchor": "psd", "query_1": "psd", "strict": "strict"}
+    rows = {r.name: (r.dim, r.sense) for r in prog.rows}
+    assert rows == {"anchor": (4, "psd"), "query_1": (2, "psd"), "strict": (1, "strict")}
+    at_zero = build_dual_relaxed(deutsch, 0, 0.1)
+    assert [(b.name, b.dim) for b in at_zero.blocks if not b.psd] == [("step_0", 4)]
 
 
 @pytest.mark.parametrize(
@@ -249,9 +253,22 @@ def test_certificate_to_dual_point_keys(cached_solve):
                     if out.status != "INFEASIBLE_WITH_CERTIFICATE":
                         continue
                     seen += 1
-                    point = certificate_to_dual_point(p, q, eps, out.certificate, relaxed=relaxed)
+                    cert = out.certificate
+                    point = certificate_to_dual_point(p, q, eps, cert, relaxed=relaxed)
                     prog = build(p, q, eps)
                     assert set(point) == {b.name for b in prog.blocks}
+                    # each witness block is one multiplier, with its sign
+                    chain = ["init"] + [f"chain_{t}" for t in range(1, q)] + ["final_gram_def"] * (q > 0)
+                    if relaxed:
+                        want = {f"step_{t}": -cert[chain[q - t]] for t in range(q + 1)}
+                        want.update({f"pair_dual_{pair_name(p, pr)}": cert[f"pair_{pair_name(p, pr)}"]
+                                     for pr in p.differing_pairs()})
+                    else:
+                        want = {f"chain_dual_{t}": cert[name] for t, name in enumerate(chain)}
+                        want.update({f"success_dual_{lab}": -cert[f"success_{lab}"] for lab in p.labels})
+                    assert set(want) == set(point)
+                    for name, m in want.items():
+                        assert point[name].tobytes() == m.tobytes(), (pname, builder, q, eps, name)
                     rep = verify_point(prog, point)
                     case = (pname, builder, q, eps)
                     assert rep.max_residual <= 1e-8, case

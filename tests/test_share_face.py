@@ -2,9 +2,10 @@
 
 At eps = 0 the final states of inputs with different outputs are
 orthogonal, so share z of the final Gram matrix vanishes outside class z's
-rows and columns, and `build_primal` holds it as a c_z x c_z block. At
-eps > 0 nothing changes. Face certificates lift to witness points of the
-full-block `build_dual`.
+rows and columns, and `build_primal` holds it as a c_z x c_z block;
+`build_dual`, its Farkas alternative, reads each output comparison on the
+same face, as a c_z x c_z row. At eps > 0 nothing changes. Face
+certificates relabel to witness points of `build_dual`.
 """
 
 import numpy as np
@@ -36,12 +37,18 @@ def test_shares_sit_on_their_class_at_eps_zero(pname, q):
 @pytest.mark.parametrize("q", [0, 1])
 def test_only_the_exact_shares_change_with_eps(pname, q):
     # every builder's blocks and rows have the same names, dimensions and
-    # kinds at eps 0 and 0.1, but for build_primal's shares, which are full
-    # s x s blocks at eps 0.1
+    # kinds at eps 0 and 0.1, but for build_primal's shares and build_dual's
+    # dominate rows, which are c_z x c_z at eps 0 and full s x s at eps 0.1
     p = ALL[pname]
+    classes = {f"dominate_{z}": len(p.class_indices(z)) for z in p.outputs}
     for name, build in BUILDERS.items():
         (blocks0, rows0), (blocks1, rows1) = _shape(build(p, q, 0.0)), _shape(build(p, q, 0.1))
-        assert rows0 == rows1, name
+        assert [(r[0], r[2]) for r in rows0] == [(r[0], r[2]) for r in rows1], name
+        for (rname, d0, _), (_, d1, _) in zip(rows0, rows1):
+            if name == "dual" and rname in classes:
+                assert (d0, d1) == (classes[rname], p.size)
+            else:
+                assert d0 == d1, (name, rname)
         assert [b[0] for b in blocks0] == [b[0] for b in blocks1], name
         for (bname, d0, psd0), (_, d1, psd1) in zip(blocks0, blocks1):
             assert psd0 == psd1
@@ -71,7 +78,7 @@ def test_face_polish_finishes_in_a_few_steps(pname, monkeypatch):
 @pytest.mark.parametrize("pname", ["pauli_class", "pauli_id", "weyl3"])
 def test_face_certificates_lift_to_witness_points(pname):
     # the right-hand side falls off the face program's range, so the
-    # certificate comes before any sweep; the lift still meets every
+    # certificate comes before any sweep; relabelled, it meets every
     # build_dual row
     p = FAMILIES[pname]
     out = solve(build_primal(p, 0, 0.0))

@@ -241,11 +241,12 @@ def test_assemble_memory_stays_near_its_budget():
 
 @pytest.mark.parametrize("case", ["deutsch_dual_relaxed", "weyl3_primal"])
 def test_project_cone_matches_per_block_reference(case):
-    # deutsch mixes 2x2, 4x4 and 8x8 PSD blocks with free blocks; weyl3 at
+    # deutsch at q=2 mixes 2x2, 4x4 and 8x8 PSD blocks with free blocks; weyl3 at
     # q=2 has a 27x27 state block next to the 3x3 start state, 9x9 shares
     # and 1x1 success slacks, which take the clipping path
     if case == "deutsch_dual_relaxed":
-        prog = BUILDERS["dual_relaxed"](PROBLEMS["deutsch"], 1, 0.1)
+        # at q=1 the only 8x8 row is the start row, which is 2x2 on the face
+        prog = BUILDERS["dual_relaxed"](PROBLEMS["deutsch"], 2, 0.1)
         dims = {2, 4, 8}
     else:
         prog = BUILDERS["primal"](FAMILIES["weyl3"], 2, 0.1)
@@ -295,8 +296,8 @@ def test_dual_projections_land_in_their_sets(case):
         assert np.linalg.norm(s - eng._lift @ (a @ s)) <= 1e-10 * norm
         assert eng._x0 @ s == pytest.approx(-1.0, abs=1e-10)
         assert np.linalg.norm(eng.project_dual_affine(s) - s) <= 1e-10 * norm
-        # the multipliers behind s pair with b to -1
-        y = eng.pinv_gram(a @ s)
+        # the multipliers (A A^T)^+ A s behind s pair with b to -1
+        y = eng._lift.T @ s
         assert np.linalg.norm(a.T @ y - s) <= 1e-10 * norm
         assert b @ y == pytest.approx(-1.0, abs=1e-10)
 
@@ -309,10 +310,10 @@ def test_dual_projections_land_in_their_sets(case):
         assert np.max(np.abs(eng.project_dual_cone(c) - c)) <= 1e-12
 
 
-# deutsch: PSD dims 2, 4, 8 next to free blocks; weyl3 at q=2: dims 1, 3, 9,
-# 27; then 1x1 PSD blocks only, and free blocks only (empty gathers)
+# deutsch at q=2: PSD dims 2, 4, 8 next to free blocks; weyl3 at q=2: dims 1,
+# 3, 9, 27; then 1x1 PSD blocks only, and free blocks only (empty gathers)
 _PACKED_CASES = {
-    "deutsch_dual_relaxed": lambda: BUILDERS["dual_relaxed"](PROBLEMS["deutsch"], 1, 0.1),
+    "deutsch_dual_relaxed": lambda: BUILDERS["dual_relaxed"](PROBLEMS["deutsch"], 2, 0.1),
     "weyl3_primal": lambda: BUILDERS["primal"](FAMILIES["weyl3"], 2, 0.1),
     "half_lines": lambda: ConicFeasibilityProgram(
         [Block(f"h{i}", 1, True) for i in range(3)],
@@ -557,7 +558,8 @@ def test_certificate_for_haar_pairs_at_two_queries():
 def test_two_qubit_pauli_identification_needs_one_query():
     # the 16 two-qubit Paulis, each its own output (s = 16, n = 4): no query
     # succeeds with at most 1/16, so the exact program is certified at q = 0,
-    # and one query decides with certainty (superdense coding)
+    # and one query decides with certainty (superdense coding), so neither
+    # witness program has a point at q = 1
     paulis = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
               np.diag([1, -1])]
     labels = tuple(a + b for a, b in itertools.product("IXYZ", repeat=2))
@@ -571,6 +573,8 @@ def test_two_qubit_pauli_identification_needs_one_query():
     assert rep.strict_slack > 0
     alg = reconstruct_algorithm(p, 1, 0.0).algorithm
     assert success_report(run(alg, p), p, 0.0).min_success >= 1.0 - 1e-6
+    assert solve(build_dual(p, 1, 0.0)).status == "INFEASIBLE_WITH_CERTIFICATE"
+    assert solve(build_dual_relaxed(p, 1, 0.1)).status == "INFEASIBLE_WITH_CERTIFICATE"
 
 
 @pytest.mark.parametrize("q", [0, 1])
