@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problem import QueryProblem, build_omega
-from .programs import build_dual_relaxed, pair_name
+from .programs import _farkas_alternative, _relaxed, pair_name
 from .solver import verify_point
 
 __all__ = [
@@ -139,19 +139,21 @@ def _bound(p: QueryProblem, omega: np.ndarray, g: np.ndarray, eps: float) -> Adv
 def make_dual_witness(p: QueryProblem, gamma, q: int, eps: float) -> dict[str, np.ndarray]:
     """Feasible point of the relaxed witness program for any q below the bound.
 
-    Step matrices K_t are (gamma - t alpha I) entrywise-scaled by the outer
-    square of the principal eigenvector; at q >= 1 the last one is the 1x1
-    J-trace tr(J K_q), as the program's start face asks: the full row
-    K_{q-1} ⊗ I - Omega (K_q ⊗ I) Omega† >= 0, conjugated by
+    Keyed by the relaxed existence program's rows: the multiplier L_{q-t}
+    of chain row q - t (init, chain_t, final_gram_def) is -K_t, for the step
+    matrices K_t = (gamma - t alpha I) entrywise-scaled by the outer square
+    of the principal eigenvector; at q >= 1 the multiplier of
+    tr rho_0 = 1 is the 1x1 -tr(J K_q), as the program's start face asks:
+    the full row K_{q-1} ⊗ I - Omega (K_q ⊗ I) Omega† >= 0, conjugated by
     first = Omega (1_s ⊗ I_n), gives first†(K_{q-1} ⊗ I)first >= tr(J K_q) I,
-    and the strict value does not change. Each pair multiplier is the 2x2
-    matrix a·[[1, -1], [-1, 1]] on the pair's principal submatrix, with a the
-    step-0 entry of that pair. The result is verified against every program
-    row and returned only if all residuals stay within 1e-8 and the strict
-    row has positive slack.
+    and the strict value does not change. Each pair row's multiplier is the
+    2x2 matrix a·[[1, -1], [-1, 1]] on the pair's principal submatrix, with
+    a the step-0 entry of that pair. The result is verified against every
+    program row and returned only if all residuals stay within 1e-8 and the
+    strict row has positive slack.
     """
     _check_eps(eps)
-    omega = build_omega(p)  # validates p, which _check_weight reads
+    omega = build_omega(p)  # validates p, which _check_weight and the program read
     g = _check_weight(p, gamma)
     report = _bound(p, omega, g, eps)
     if not q < report.bound:
@@ -159,15 +161,16 @@ def make_dual_witness(p: QueryProblem, gamma, q: int, eps: float) -> dict[str, n
     v = report.perron_v
     s = p.size
     proj = np.outer(v, v)
+    chain = ["init"] + [f"chain_{t}" for t in range(1, q)] + ["final_gram_def"] * (q > 0)
     witness: dict[str, np.ndarray] = {}
     for t in range(q + 1):
         step = ((g - t * report.alpha * np.eye(s)) * proj).astype(complex)
         # on the start face K_q is the scalar tr(J K_q)
-        witness[f"step_{t}"] = np.full((1, 1), step.sum()) if t == q > 0 else step
+        witness[chain[q - t]] = -(np.full((1, 1), step.sum()) if t == q > 0 else step)
     for i, j in p.differing_pairs():
         a = g[i, j] * v[i] * v[j]
-        witness[f"pair_dual_{pair_name(p, (i, j))}"] = a * np.array([[1, -1], [-1, 1]], dtype=complex)
-    rep = verify_point(build_dual_relaxed(p, q, eps), witness)
+        witness[f"pair_{pair_name(p, (i, j))}"] = a * np.array([[1, -1], [-1, 1]], dtype=complex)
+    rep = verify_point(_farkas_alternative(_relaxed(p, q, eps, omega)), witness)
     if rep.max_residual > _WITNESS_TOL or not (rep.strict_slack and rep.strict_slack > 0):
         worst = max(rep.row_residuals, key=rep.row_residuals.get)
         raise WitnessError(

@@ -18,8 +18,11 @@ import numpy as np
 
 from . import __version__
 from .adversary import WitnessError, make_dual_witness, search_gamma, spectral_bound
-from .problem import QueryProblem, problem_from_dict, validate
+from .problem import QueryProblem, build_omega, problem_from_dict, validate
 from .programs import (
+    ConicFeasibilityProgram,
+    _check_q_eps,
+    _query_chain,
     build_dual,
     build_dual_relaxed,
     build_primal,
@@ -269,19 +272,18 @@ def cmd_simulate(args) -> tuple[int, str, dict]:
         alg = algorithm_from_dict(data)
     except ValueError as exc:
         raise _CommandFailure(_EXIT_INPUT, "INPUT_ERROR", str(exc)) from exc
-    prog = _build(build_primal, p, alg.q, args.eps)
     try:
+        _check_q_eps(alg.q, args.eps)
         validate_algorithm(alg)
         trace = run(alg, p)
     except (ReconstructionError, ValueError) as exc:
         raise _CommandFailure(_EXIT_SEMANTIC, "INVALID", str(exc)) from exc
     rep = success_report(trace, p, args.eps)
-    check = verify_point(prog, _primal_point(trace, p, alg, args.eps))
-    # the decompose row is left out: the measurement sums to I, so off the
-    # eps = 0 face it holds by construction, and on it its miss is the shares'
-    # off-class part, of the order of the root of the success shortfall that
-    # rep.passed already judges
-    chain_residual = max(v for name, v in check.row_residuals.items() if name != "decompose")
+    # the query chain into the run's own final Gram matrix: how the shares
+    # split it is the success floor's question, which rep.passed judges
+    chain = ConicFeasibilityProgram(*_query_chain(p, alg.q, build_omega(p)))
+    point = dict(_primal_point(trace, p, alg, args.eps), final_gram=trace.grams[alg.q])
+    check = verify_point(chain, point)
     payload = {
         "trace": trace_to_dict(trace),
         "success": {
@@ -290,10 +292,10 @@ def cmd_simulate(args) -> tuple[int, str, dict]:
             "worst_label": rep.worst_label,
             "passed": rep.passed,
         },
-        "chain_residual": chain_residual,
+        "chain_residual": check.max_residual,
         "chain_min_eig": float(check.min_block_eig),
     }
-    ok = rep.passed and chain_residual <= 1e-6
+    ok = rep.passed and check.max_residual <= 1e-6
     if ok:
         return _EXIT_OK, "PASS", payload
     return _EXIT_SEMANTIC, "FAIL", payload

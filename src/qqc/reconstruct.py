@@ -102,8 +102,8 @@ def extract_final_states(
     G_z = F_z F_z† on its eigenvalues above 1e-8 of m's largest; vectors is
     [F_z1 | F_z2 | ...], so d is the total share rank. With P_z the
     diagonal projector on the coordinates z owns, the vectors' Gram matrix
-    is the sum of the shares, which the program sets equal to m, and P_z's
-    cross-Gram matrix is G_z itself.
+    is the sum of the shares, which must match m, and P_z's cross-Gram
+    matrix is G_z itself.
     """
     s = p.size
     m = hermitize(np.asarray(m, dtype=complex))
@@ -146,13 +146,13 @@ def backward_chain(
 ) -> QuantumQueryAlgorithm:
     """Assemble the protocol whose run reproduces a feasible query chain.
 
-    chain holds the existence-program point blocks (rho_0 and state_iq_t at
-    q >= 1, final_gram); finals is (vectors, owner) from
-    extract_final_states. Every input starts in |0⟩, and the walk runs
-    forward: u_t aligns the state before step t (|0⟩ at t = 0, the state
-    after query t otherwise) to a purification of the chain's next block,
-    which is rho_0 on every input at t = 0 < q, state_iq_t at 0 < t < q and
-    the final vectors at t = q. The chain rows make both purifications of
+    chain holds the blocks of the query chain (rho_0 and state_iq_t at
+    q >= 1) and final_gram, the final Gram matrix; finals is (vectors,
+    owner) from extract_final_states. Every input starts in |0⟩, and the
+    walk runs forward: u_t aligns the state before step t (|0⟩ at t = 0,
+    the state after query t otherwise) to a purification of the chain's
+    next block, which is rho_0 on every input at t = 0 < q, state_iq_t at
+    0 < t < q and the final vectors at t = q. The chain rows make both purifications of
     the same input-side matrix, so a workspace unitary aligns them; at
     t = 0 the overlap has rank 1 and its polar factor maps |0⟩ to the
     purification. P_z is the diagonal projector on the coordinates z owns,
@@ -230,8 +230,8 @@ def reconstruct_algorithm(
     """End-to-end: solve the existence program and build a protocol from it.
 
     Each s x s share is its block read through `share_maps`, the map the
-    `decompose` row applies: E_z H_z E_z† on the eps = 0 class face, the
-    block itself otherwise.
+    last chain row applies: E_z H_z E_z† on the eps = 0 class face, the
+    block itself otherwise. The final Gram matrix is the sum of the shares.
     """
     prog = build_primal(p, q, eps)
     out = solve(prog, config)
@@ -241,8 +241,9 @@ def reconstruct_algorithm(
         )
     shares = {z: m.apply(np.asarray(out.point[f"output_part_{z}"]))
               for z, m in share_maps(p, eps).items()}
-    finals = extract_final_states(p, out.point["final_gram"], shares, eps)
-    alg = backward_chain(p, q, out.point, finals)
+    final_gram = sum(shares.values())
+    finals = extract_final_states(p, final_gram, shares, eps)
+    alg = backward_chain(p, q, dict(out.point, final_gram=final_gram), finals)
     return ReconstructionResult(algorithm=alg, outcome=out, extracted_dim=finals[0].shape[1])
 
 

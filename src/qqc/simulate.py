@@ -163,13 +163,12 @@ def trace_to_primal_point(
     """Blocks of the existence program induced by running the protocol.
 
     The start state, which all inputs share, fills rho_0; the joint states
-    fill the later chain blocks, the final Gram matrix and the measurement
+    fill the later chain blocks, and the final states' measurement
     cross-Grams fill the output shares, all read from one run (at eps = 0
     each share restricted to its class's rows and columns, the program's
-    face);
-    each input's 1x1 success slack is its share entry minus 1 - eps, so the
-    returned point is feasible exactly when the protocol meets the success
-    floor.
+    face); each input's 1x1 success slack is its share entry minus 1 - eps,
+    so the returned point is feasible exactly when the protocol meets the
+    success floor.
     """
     return _primal_point(run(alg, p), p, alg, eps)
 
@@ -188,7 +187,6 @@ def _primal_point(
         # rows (input, query), workspace columns: the extended state's layout
         phi = states[t].reshape(-1, alg.w_dim)
         point[f"state_iq_{t}"] = phi @ phi.conj().T
-    point["final_gram"] = trace.grams[q]
     finals = states[q]
     shares = {}
     for z, m in share_maps(p, eps).items():

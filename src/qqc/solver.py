@@ -113,8 +113,13 @@ _FACE_ABS_FLOOR = 1e-7
 # eigenvalues shrink with the residual while true ones stay put.
 _FACE_RES_FACTOR = 10.0
 # Gauss-Newton steps per rank guess: converging guesses on the fixture grid
-# take at most 25, so the cap only stops a guess that creeps.
-_GN_MAX_STEPS = 40
+# take at most 25, so the cap only stops a guess that creeps, and decides
+# how far it gets. A protocol rebuilt from a point loses success roughly in
+# step with the point's residual: on all-equal (3 bits) q=1 eps 0.1, solver
+# seeds 0-19, caps of 40, 60 and 150 leave one seed polished to 3-8e-11,
+# whose protocol succeeds with 0.9 - 1.1e-6 to 0.9 - 1.9e-6; at 100 the
+# worst is 0.9 - 3.7e-7 (seed 4, residual 4e-12).
+_GN_MAX_STEPS = 100
 # Relative distance of b from the range of A that makes the program
 # infeasible outright: far above the rounding of the 1e-12-cut Gram
 # pseudo-inverse.

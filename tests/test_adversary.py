@@ -9,6 +9,7 @@ from qqc.adversary import (
     search_gamma,
     spectral_bound,
 )
+import qqc.problem
 from qqc.problem import QueryProblem
 from qqc.programs import build_dual_relaxed
 from qqc.solver import verify_point
@@ -145,8 +146,9 @@ def test_make_dual_witness_on_a_disconnected_weighting(deutsch):
 def test_make_dual_witness_last_step_is_the_j_trace():
     # OR of 17 bits under the promise of at most one 1: the star weighting
     # bounds it at sqrt(17)/4 > 1, so a witness exists at q = 1. On the start
-    # face its last step is the 1x1 J-trace of (gamma - q alpha I)∘vvᵀ, and
-    # the strict slack is that trace, lambda - alpha
+    # face its last step K_1 is the 1x1 J-trace of (gamma - q alpha I)∘vvᵀ,
+    # held as init's multiplier -K_1, and the strict slack is that trace,
+    # lambda - alpha; final_gram_def's multiplier is -K_0
     m = 17
     labels = ("0",) + tuple(f"e{i}" for i in range(m))
     flips = [np.eye(m)] + [np.diag(1.0 - 2.0 * np.eye(m)[i]) for i in range(m)]
@@ -158,15 +160,30 @@ def test_make_dual_witness_last_step_is_the_j_trace():
     assert rep.ceil_bound == 2
     witness = make_dual_witness(p, gamma, 1, 0.0)
     proj = np.outer(rep.perron_v, rep.perron_v)
-    assert np.array_equal(witness["step_0"], gamma * proj)
+    assert np.array_equal(witness["final_gram_def"], -gamma * proj)
     full = (gamma - rep.alpha * np.eye(m + 1)) * proj
-    assert witness["step_1"].shape == (1, 1)
-    assert witness["step_1"][0, 0] == pytest.approx(full.sum(), rel=1e-14)
+    assert witness["init"].shape == (1, 1)
+    assert witness["init"][0, 0] == pytest.approx(-full.sum(), rel=1e-14)
     check = verify_point(build_dual_relaxed(p, 1, 0.0), witness)
     assert check.max_residual <= 1e-8
     assert check.min_block_eig >= -1e-8
     assert check.strict_slack == pytest.approx(rep.lambda_gamma - rep.alpha, rel=1e-12)
     assert check.strict_slack > 0
+
+
+def test_make_dual_witness_validates_the_problem_once(deutsch, monkeypatch):
+    # the oracle built for the bound also builds the program the witness is
+    # verified against
+    calls = []
+    validate = qqc.problem.validate
+
+    def counted(p):
+        calls.append(p)
+        return validate(p)
+
+    monkeypatch.setattr(qqc.problem, "validate", counted)
+    make_dual_witness(deutsch, random_valid_gamma(deutsch, np.random.default_rng(3)), 0, 0.1)
+    assert len(calls) == 1
 
 
 def test_make_dual_witness_rejects_q_at_or_above_bound(ix):
@@ -183,7 +200,7 @@ def test_random_weights_witness_property(deutsch, or2, ix):
             rep = spectral_bound(p, gamma, 0.1)
             assert rep.bound > 0
             witness = make_dual_witness(p, gamma, 0, 0.1)
-            assert "step_0" in witness
+            assert "init" in witness
 
 
 def test_search_gamma_improves_on_deutsch(deutsch):

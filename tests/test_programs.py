@@ -7,12 +7,13 @@ from qqc.programs import (
     build_dual_relaxed,
     build_primal,
     build_primal_relaxed,
-    certificate_to_dual_point,
     pair_name,
 )
 from qqc.solver import assemble, verify_point
 
 from conftest import FAMILIES, PROBLEMS
+
+ALL = {**PROBLEMS, **FAMILIES}
 
 
 def random_hermitian(rng, d):
@@ -104,18 +105,17 @@ def test_pair_rows_read_the_pair_entry(deutsch):
 
 
 def test_success_rows_read_the_share_entry(deutsch):
-    # with zero slacks each input's success row reads entry (i, i) of its
-    # class's share and nothing else
+    # with zero slacks each input's success row reads minus entry (i, i) of
+    # its class's share and nothing else
     prog = build_primal(deutsch, 0, 0.1)
     rng = np.random.default_rng(6)
     point = {b.name: np.zeros((b.dim, b.dim), dtype=complex) for b in prog.blocks}
     for z in deutsch.outputs:
         point[f"output_part_{z}"] = random_hermitian(rng, 4)
-    point["final_gram"] = random_hermitian(rng, 4)
     for i, lab in enumerate(deutsch.labels):
         row = next(r for r in prog.rows if r.name == f"success_{lab}")
         assert row.dim == 1
-        want = point[f"output_part_{deutsch.g[lab]}"][i, i]
+        want = -point[f"output_part_{deutsch.g[lab]}"][i, i]
         assert abs(prog.row_value(row, point)[0, 0] - want) <= 1e-15
 
 
@@ -137,40 +137,44 @@ def test_block_map_rejects_bad_input_shape():
 
 
 def test_primal_structure(deutsch):
+    # the shares split the final Gram matrix directly: no block of its own
     prog = build_primal(deutsch, 2, 0.1)
     names = [b.name for b in prog.blocks]
     slacks = [f"success_slack_{lab}" for lab in deutsch.labels]
-    assert names == ["rho_0", "state_iq_1", "final_gram",
-                     "output_part_0", "output_part_1"] + slacks
+    assert names == ["rho_0", "state_iq_1", "output_part_0", "output_part_1"] + slacks
     dims = {b.name: b.dim for b in prog.blocks}
-    assert dims["rho_0"] == 2 and dims["state_iq_1"] == 8 and dims["final_gram"] == 4
+    assert dims["rho_0"] == 2 and dims["state_iq_1"] == 8 and dims["output_part_0"] == 4
     assert all(dims[name] == 1 for name in slacks)
     assert all(b.psd for b in prog.blocks)
     rows = {r.name: r for r in prog.rows}
     success = {f"success_{lab}" for lab in deutsch.labels}
-    assert set(rows) == {"init", "chain_1", "final_gram_def", "decompose"} | success
+    assert set(rows) == {"init", "chain_1", "final_gram_def"} | success
     assert all(r.sense == "eq" for r in prog.rows)
     assert rows["init"].dim == 1
     assert np.array_equal(rows["init"].rhs, [[1.0]])
+    final_reads = {prog.blocks[bj].name for bj, _ in rows["final_gram_def"].terms}
+    assert final_reads == {"state_iq_1", "output_part_0", "output_part_1"}
     for name in success:
         assert rows[name].dim == 1
-        assert np.array_equal(rows[name].rhs, [[0.9]])
+        assert rows[name].rhs == pytest.approx(-0.9, abs=1e-15)
 
 
 def test_primal_q0_pins_final_gram(const):
+    # at q = 0 init pins the sum of the shares to J
     prog = build_primal(const, 0, 0.0)
-    assert [b.name for b in prog.blocks] == ["final_gram", "output_part_0"] + [
+    assert [b.name for b in prog.blocks] == ["output_part_0"] + [
         f"success_slack_{lab}" for lab in const.labels]
-    rows = {r.name for r in prog.rows}
-    assert rows == {"init", "decompose"} | {f"success_{lab}" for lab in const.labels}
+    rows = {r.name: r for r in prog.rows}
+    assert set(rows) == {"init"} | {f"success_{lab}" for lab in const.labels}
+    assert np.array_equal(rows["init"].rhs, np.ones((4, 4)))
 
 
 def test_primal_q0_constant_hand_point(const):
-    # all-ones Gram splits into one full share; every success slack = eps
+    # all-ones Gram is one full share; every success slack = eps
     eps = 0.25
     prog = build_primal(const, 0, eps)
     ones = np.ones((4, 4), dtype=complex)
-    point = {"final_gram": ones, "output_part_0": ones}
+    point = {"output_part_0": ones}
     point.update({f"success_slack_{lab}": np.full((1, 1), eps) for lab in const.labels})
     rep = verify_point(prog, point)
     assert rep.max_residual <= 1e-12
@@ -189,31 +193,75 @@ def test_primal_relaxed_structure(deutsch):
         assert np.array_equal(row.rhs, margin * np.eye(2))
 
 
+def _slack_rows(prog):
+    """Each existence block that only one row reads, through +id, and that row."""
+    reads = {}
+    for r in prog.rows:
+        for bj, m in r.terms:
+            reads.setdefault(prog.blocks[bj].name, []).append((r.name, m))
+    return {name: rd[0][0] for name, rd in reads.items()
+            if len(rd) == 1 and rd[0][1].kind == "id" and rd[0][1].scale == 1.0}
+
+
 def test_dual_structure(deutsch):
-    # on the existence program's faces: the multiplier of tr rho_0 = 1 is a
-    # scalar, its query row is n x n, and at eps 0 each output comparison is
-    # a c_z x c_z row
-    prog = build_dual(deutsch, 2, 0.0)
-    free = {b.name: b.dim for b in prog.blocks if not b.psd}
-    psd = {b.name: b.dim for b in prog.blocks if b.psd}
-    assert free == {"chain_dual_0": 1, "chain_dual_1": 4, "chain_dual_2": 4}
-    assert psd == {f"success_dual_{lab}": 1 for lab in deutsch.labels}
-    rows = {r.name: (r.dim, r.sense) for r in prog.rows}
-    assert rows == {"query_1": (2, "psd"), "query_2": (8, "psd"),
-                    "dominate_0": (2, "psd"), "dominate_1": (2, "psd"),
-                    "strict": (1, "strict")}
+    # witness blocks = existence rows, PSD exactly for the rows with a
+    # slack; witness rows = the other existence blocks, plus strict
+    for build, dual in ((build_primal, build_dual), (build_primal_relaxed, build_dual_relaxed)):
+        for q in (0, 1, 2):
+            for eps in (0.0, 0.1):
+                prog, wit = build(deutsch, q, eps), dual(deutsch, q, eps)
+                slack = _slack_rows(prog)
+                assert set(slack) == {b.name for b in prog.blocks
+                                      if b.name.startswith(("success_slack_", "pair_slack_"))}
+                assert [(b.name, b.dim, b.psd) for b in wit.blocks] == [
+                    (r.name, r.dim, r.name in slack.values()) for r in prog.rows]
+                assert [(r.name, r.dim, r.sense) for r in wit.rows] == [
+                    (b.name, b.dim, "psd") for b in prog.blocks if b.name not in slack] + [
+                    ("strict", 1, "strict")]
 
 
 def test_dual_relaxed_structure(deutsch):
-    # K_q = -tau is a scalar at q >= 1, and its query row is n x n
+    # on the start face the multiplier of tr rho_0 = 1 is a scalar and the
+    # rho_0 row is n x n; the final_gram row reads L_q and every pair
+    # multiplier, and at eps 0 the strict row reads only init
     prog = build_dual_relaxed(deutsch, 1, 0.1)
-    assert [(b.name, b.dim) for b in prog.blocks if not b.psd] == [("step_0", 4), ("step_1", 1)]
-    pair_blocks = {f"pair_dual_{pair_name(deutsch, pr)}": 2 for pr in deutsch.differing_pairs()}
-    assert {b.name: b.dim for b in prog.blocks if b.psd} == pair_blocks
-    rows = {r.name: (r.dim, r.sense) for r in prog.rows}
-    assert rows == {"anchor": (4, "psd"), "query_1": (2, "psd"), "strict": (1, "strict")}
-    at_zero = build_dual_relaxed(deutsch, 0, 0.1)
-    assert [(b.name, b.dim) for b in at_zero.blocks if not b.psd] == [("step_0", 4)]
+    pairs = [f"pair_{pair_name(deutsch, pr)}" for pr in deutsch.differing_pairs()]
+    assert [(b.name, b.dim, b.psd) for b in prog.blocks] == [
+        ("init", 1, False), ("final_gram_def", 4, False)] + [(name, 2, True) for name in pairs]
+    rows = {r.name: r for r in prog.rows}
+    assert [(r.name, r.dim) for r in prog.rows] == [("rho_0", 2), ("final_gram", 4), ("strict", 1)]
+    reads = [prog.blocks[bj].name for bj, _ in rows["final_gram"].terms]
+    assert reads == ["final_gram_def"] + [name for name in pairs for _ in range(2)]
+    at_zero = build_dual_relaxed(deutsch, 1, 0.0)
+    assert [at_zero.blocks[bj].name for bj, _ in at_zero.rows[-1].terms] == ["init"]
+
+
+@pytest.mark.parametrize("pname", sorted(ALL))
+@pytest.mark.parametrize("q", [0, 1, 2])
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+@pytest.mark.parametrize("build, dual", [(build_primal, build_dual),
+                                         (build_primal_relaxed, build_dual_relaxed)],
+                         ids=["exact", "relaxed"])
+def test_witness_rows_are_the_adjoint(pname, q, eps, build, dual):
+    # <Y, A(X)> = <A†(Y), X> for random X on the existence blocks and Y on
+    # its rows, with A†(Y) read through the witness rows and each slack
+    # block paired with its row's multiplier; the strict row reads <b, Y>
+    p = ALL[pname]
+    prog, wit = build(p, q, eps), dual(p, q, eps)
+    rng = np.random.default_rng(q)
+    x = {b.name: random_hermitian(rng, b.dim) for b in prog.blocks}
+    y = {r.name: random_hermitian(rng, r.dim) for r in prog.rows}
+
+    def pair(a, b):
+        return float(np.trace(a @ b).real)
+
+    lhs = sum(pair(y[r.name], prog.row_value(r, x)) for r in prog.rows)
+    rows = {r.name: r for r in wit.rows}
+    rhs = sum(pair(wit.row_value(rows[b.name], y), x[b.name]) for b in prog.blocks if b.name in rows)
+    rhs += sum(pair(y[row], x[block]) for block, row in _slack_rows(prog).items())
+    assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+    strict = wit.row_value(rows["strict"], y)[0, 0].real
+    assert strict == pytest.approx(sum(pair(r.rhs, y[r.name]) for r in prog.rows), abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -226,50 +274,34 @@ def test_builders_reject_bad_parameters(deutsch, q, eps):
 
 def test_row_value_evaluates_terms(deutsch):
     # at eps 0 each share is a 2x2 block on its class, and the two classes
-    # tile the diagonal
+    # tile the diagonal of the final Gram matrix, which init reads at q = 0
     prog = build_primal(deutsch, 0, 0.0)
-    point = {"final_gram": np.eye(4, dtype=complex),
-             "output_part_0": np.eye(2, dtype=complex),
+    point = {"output_part_0": np.eye(2, dtype=complex),
              "output_part_1": np.eye(2, dtype=complex)}
     point.update({f"success_slack_{lab}": np.zeros((1, 1)) for lab in deutsch.labels})
-    row = next(r for r in prog.rows if r.name == "decompose")
-    assert np.allclose(prog.row_value(row, point), 0.0)
+    row = next(r for r in prog.rows if r.name == "init")
+    assert np.allclose(prog.row_value(row, point), np.eye(4))
 
 
 def test_pair_name_uses_labels(deutsch):
     assert pair_name(deutsch, (0, 1)) == "00|01"
 
 
-def test_certificate_to_dual_point_keys(cached_solve):
-    # every existence certificate of the criterion-01 grid relabels to a
-    # strictly feasible point of the matching witness program
+def test_certificates_are_witness_points(cached_solve):
+    # every existence certificate of the criterion-01 grid is, as it stands,
+    # a strictly feasible point of the matching witness program
     seen = 0
     for pname, p in PROBLEMS.items():
         for q in (0, 1, 2):
             for eps in (0.0, 0.1):
-                for builder, build, relaxed in (("primal", build_dual, False),
-                                                ("primal_relaxed", build_dual_relaxed, True)):
+                for builder, build in (("primal", build_dual), ("primal_relaxed", build_dual_relaxed)):
                     out = cached_solve(pname, builder, q, eps)
                     if out.status != "INFEASIBLE_WITH_CERTIFICATE":
                         continue
                     seen += 1
-                    cert = out.certificate
-                    point = certificate_to_dual_point(p, q, eps, cert, relaxed=relaxed)
                     prog = build(p, q, eps)
-                    assert set(point) == {b.name for b in prog.blocks}
-                    # each witness block is one multiplier, with its sign
-                    chain = ["init"] + [f"chain_{t}" for t in range(1, q)] + ["final_gram_def"] * (q > 0)
-                    if relaxed:
-                        want = {f"step_{t}": -cert[chain[q - t]] for t in range(q + 1)}
-                        want.update({f"pair_dual_{pair_name(p, pr)}": cert[f"pair_{pair_name(p, pr)}"]
-                                     for pr in p.differing_pairs()})
-                    else:
-                        want = {f"chain_dual_{t}": cert[name] for t, name in enumerate(chain)}
-                        want.update({f"success_dual_{lab}": -cert[f"success_{lab}"] for lab in p.labels})
-                    assert set(want) == set(point)
-                    for name, m in want.items():
-                        assert point[name].tobytes() == m.tobytes(), (pname, builder, q, eps, name)
-                    rep = verify_point(prog, point)
+                    assert set(out.certificate) == {b.name for b in prog.blocks}
+                    rep = verify_point(prog, out.certificate)
                     case = (pname, builder, q, eps)
                     assert rep.max_residual <= 1e-8, case
                     assert rep.min_block_eig >= -1e-8, case

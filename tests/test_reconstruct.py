@@ -13,16 +13,23 @@ from qqc.reconstruct import (
     validate_algorithm,
 )
 from qqc.linalg import partial_trace
-from qqc.programs import share_maps
+from qqc.problem import build_omega
+from qqc.programs import ConicFeasibilityProgram, _query_chain, share_maps
+from qqc.solver import verify_point
 from qqc.simulate import run, success_report
 
 from conftest import FEASIBLE_CELLS, PROBLEMS, hand_deutsch_algorithm
 
 
 def _shares(p, point, eps):
-    # each s x s share as the decompose row reads its block: at eps 0 the
+    # each s x s share as the last chain row reads its block: at eps 0 the
     # block is the share's class block
     return {z: m.apply(point[f"output_part_{z}"]) for z, m in share_maps(p, eps).items()}
+
+
+def _with_final_gram(p, point, eps):
+    # the point with the sum of its shares as final_gram, the chain's last block
+    return dict(point, final_gram=sum(_shares(p, point, eps).values()))
 
 
 def _projectors(p, owner, dim):
@@ -60,20 +67,21 @@ def test_reconstruct_infeasible_carries_status(pname, q):
 
 
 def test_output_sdp_shares(deutsch, cached_solve):
-    # the point's output_part blocks sum to the final Gram matrix, and
-    # reconstruct_algorithm factors exactly those shares
+    # the point's output_part blocks sum to the final Gram matrix of its
+    # query chain, and reconstruct_algorithm factors exactly those shares
     out = cached_solve("deutsch", "primal", 1, 0.0)
-    m = out.point["final_gram"]
     shares = _shares(deutsch, out.point, 0.0)
-    assert np.allclose(sum(shares.values()), m, atol=1e-6)
+    m = sum(shares.values())
+    chain = ConicFeasibilityProgram(*_query_chain(deutsch, 1, build_omega(deutsch)))
+    assert verify_point(chain, dict(out.point, final_gram=m)).max_residual <= 1e-10
     vectors, _ = extract_final_states(deutsch, m, shares, 0.0)
     assert reconstruct_algorithm(deutsch, 1, 0.0).extracted_dim == vectors.shape[1]
 
 
 def test_extract_final_states_contract(deutsch, cached_solve):
     out = cached_solve("deutsch", "primal", 1, 0.0)
-    m = out.point["final_gram"]
     shares = _shares(deutsch, out.point, 0.0)
+    m = sum(shares.values())
     vectors, owner = extract_final_states(deutsch, m, shares, 0.0)
     d = vectors.shape[1]
     assert owner.shape == (d,)
@@ -95,8 +103,8 @@ def test_extracted_vectors_factor_every_share(pname, q, eps, cached_solve):
     # and the vectors give back each share through the simulator's formula
     p = PROBLEMS[pname]
     out = cached_solve(pname, "primal", q, eps)
-    m = out.point["final_gram"]
     shares = _shares(p, out.point, eps)
+    m = sum(shares.values())
     vectors, owner = extract_final_states(p, m, shares, eps)
     d = vectors.shape[1]
     cut = 1e-8 * np.linalg.eigvalsh(m)[-1]
@@ -123,7 +131,7 @@ def test_backward_chain_checks_the_program_rows(deutsch, cached_solve):
     # a chain block off its row is caught before any unitary is chosen
     out = cached_solve("deutsch", "primal", 1, 0.0)
     assert out.status == "FEASIBLE"
-    point = dict(out.point, rho_0=1.01 * out.point["rho_0"])
+    point = _with_final_gram(deutsch, dict(out.point, rho_0=1.01 * out.point["rho_0"]), 0.0)
     finals = extract_final_states(deutsch, point["final_gram"], _shares(deutsch, point, 0.0), 0.0)
     with pytest.raises(ReconstructionError, match="'init'"):
         backward_chain(deutsch, 1, point, finals)
@@ -135,7 +143,7 @@ def test_forward_walk_starts_on_the_chain(pname, q, eps, cached_solve):
     # q = 0, to the common final vector), and the measurement is read off
     # the coordinate owners
     p = PROBLEMS[pname]
-    point = cached_solve(pname, "primal", q, eps).point
+    point = _with_final_gram(p, cached_solve(pname, "primal", q, eps).point, eps)
     vectors, owner = extract_final_states(p, point["final_gram"], _shares(p, point, eps), eps)
     alg = backward_chain(p, q, point, (vectors, owner))
     start = run(alg, p).states[0, 0]

@@ -5,13 +5,13 @@ orthogonal, so share z of the final Gram matrix vanishes outside class z's
 rows and columns, and `build_primal` holds it as a c_z x c_z block;
 `build_dual`, its Farkas alternative, reads each output comparison on the
 same face, as a c_z x c_z row. At eps > 0 nothing changes. Face
-certificates relabel to witness points of `build_dual`.
+certificates are witness points of `build_dual` as they stand.
 """
 
 import numpy as np
 import pytest
 
-from qqc.programs import build_dual, build_primal, certificate_to_dual_point
+from qqc.programs import build_dual, build_primal
 from qqc.solver import solve, verify_point
 
 from conftest import BUILDERS, FAMILIES, PROBLEMS
@@ -38,9 +38,9 @@ def test_shares_sit_on_their_class_at_eps_zero(pname, q):
 def test_only_the_exact_shares_change_with_eps(pname, q):
     # every builder's blocks and rows have the same names, dimensions and
     # kinds at eps 0 and 0.1, but for build_primal's shares and build_dual's
-    # dominate rows, which are c_z x c_z at eps 0 and full s x s at eps 0.1
+    # share rows, which are c_z x c_z at eps 0 and full s x s at eps 0.1
     p = ALL[pname]
-    classes = {f"dominate_{z}": len(p.class_indices(z)) for z in p.outputs}
+    classes = {f"output_part_{z}": len(p.class_indices(z)) for z in p.outputs}
     for name, build in BUILDERS.items():
         (blocks0, rows0), (blocks1, rows1) = _shape(build(p, q, 0.0)), _shape(build(p, q, 0.1))
         assert [(r[0], r[2]) for r in rows0] == [(r[0], r[2]) for r in rows1], name
@@ -78,13 +78,13 @@ def test_face_polish_finishes_in_a_few_steps(pname, monkeypatch):
 @pytest.mark.parametrize("pname", ["pauli_class", "pauli_id", "weyl3"])
 def test_face_certificates_lift_to_witness_points(pname):
     # the right-hand side falls off the face program's range, so the
-    # certificate comes before any sweep; relabelled, it meets every
+    # certificate comes before any sweep; as it stands, it meets every
     # build_dual row
     p = FAMILIES[pname]
     out = solve(build_primal(p, 0, 0.0))
     assert out.status == "INFEASIBLE_WITH_CERTIFICATE"
     assert out.iterations == 0
-    rep = verify_point(build_dual(p, 0, 0.0), certificate_to_dual_point(p, 0, 0.0, out.certificate))
+    rep = verify_point(build_dual(p, 0, 0.0), out.certificate)
     assert rep.max_residual <= 1e-8
     assert rep.min_block_eig >= -1e-8
     assert rep.strict_slack > 0

@@ -16,7 +16,6 @@ from qqc.programs import (
     build_dual_relaxed,
     build_primal,
     build_primal_relaxed,
-    certificate_to_dual_point,
 )
 from qqc.reconstruct import reconstruct_algorithm
 from qqc.simulate import run, success_report
@@ -507,12 +506,13 @@ def test_solve_certificate_for_rhs_off_the_affine_range():
 
 
 def test_certify_rejects_an_image_outside_the_dual_cone(deutsch, cached_solve):
-    # I on the decompose multiplier keeps the pairing (its right-hand side is
-    # zero) but adds -I to the image on the PSD final Gram block
+    # -(I - J/4) on the init multiplier keeps the pairing (its right-hand
+    # side is J, and tr(J (I - J/4)) = 0) but adds -(I - J/4), cut to each
+    # class, to the image on each PSD share block: eigenvalues -1 and -1/2
     blocks, rows = _equality_form(build_primal(deutsch, 0, 0.0))
     cert = cached_solve("deutsch", "primal", 0, 0.0).certificate
     assert _certify(blocks, rows, cert) is not None
-    bent = dict(cert, decompose=cert["decompose"] + np.eye(4))
+    bent = dict(cert, init=cert["init"] - (np.eye(4) - np.ones((4, 4)) / 4))
     assert _certify(blocks, rows, bent) is None
 
 
@@ -549,7 +549,7 @@ def test_certificate_for_haar_pairs_at_two_queries():
     p = _haar_pairs()
     out = solve(build_primal(p, 2, 0.1))
     assert out.status == "INFEASIBLE_WITH_CERTIFICATE"
-    rep = verify_point(build_dual(p, 2, 0.1), certificate_to_dual_point(p, 2, 0.1, out.certificate))
+    rep = verify_point(build_dual(p, 2, 0.1), out.certificate)
     assert rep.max_residual <= 1e-8
     assert rep.min_block_eig >= -1e-8
     assert rep.strict_slack > 0
@@ -567,7 +567,7 @@ def test_two_qubit_pauli_identification_needs_one_query():
     p = QueryProblem(4, labels, ops.astype(complex), labels, {z: z for z in labels})
     out = solve(build_primal(p, 0, 0.0))
     assert out.status == "INFEASIBLE_WITH_CERTIFICATE"
-    rep = verify_point(build_dual(p, 0, 0.0), certificate_to_dual_point(p, 0, 0.0, out.certificate))
+    rep = verify_point(build_dual(p, 0, 0.0), out.certificate)
     assert rep.max_residual <= 1e-8
     assert rep.min_block_eig >= -1e-8
     assert rep.strict_slack > 0

@@ -2,8 +2,8 @@
 
 xor12 (g = x1 ⊕ x2) and all-equal (g = 1 exactly when x1 = x2 = x3) are
 feasible at q=1, eps 0.1, and their existence programs must say so at
-solver seeds 0-9; all-equal at eps 0 is infeasible, and its certificate must lift
-to a strictly feasible witness point at s=8, n=3. Both problems stay out of
+solver seeds 0-9; all-equal at eps 0 is infeasible, and its certificate must be
+a strictly feasible witness point at s=8, n=3. Both problems stay out of
 the shared FAMILIES, so the per-family tests do not grow.
 """
 
@@ -12,7 +12,7 @@ import itertools
 import pytest
 
 from qqc.problem import phase_query_problem
-from qqc.programs import build_dual, build_primal, certificate_to_dual_point
+from qqc.programs import build_dual, build_primal
 from qqc.reconstruct import reconstruct_algorithm
 from qqc.simulate import run, success_report, trace_to_primal_point
 from qqc.solver import SolverConfig, solve, verify_point
@@ -42,7 +42,7 @@ def test_all_equal_exact_certificate_lifts_to_a_witness():
     out = solve(build_primal(p, 1, 0.0))
     assert out.status == "INFEASIBLE_WITH_CERTIFICATE"
     assert out.certificate["init"].shape == (1, 1)
-    rep = verify_point(build_dual(p, 1, 0.0), certificate_to_dual_point(p, 1, 0.0, out.certificate))
+    rep = verify_point(build_dual(p, 1, 0.0), out.certificate)
     assert rep.max_residual <= 1e-8
     assert rep.min_block_eig >= -1e-8
     assert rep.strict_slack > 0
