@@ -29,7 +29,8 @@ Each witness program is generated from its existence program by conic
 duality (`_farkas_alternative`): one multiplier block per existence row,
 one row per existence block, and a slack's row folded into its multiplier.
 A certificate of an existence program is then a witness point as it
-stands, and the witness blocks carry the existence rows' names.
+stands, and the witness blocks carry the existence rows' names; the witness
+program keeps its existence program, which the solver decides in its place.
 """
 
 from __future__ import annotations
@@ -159,6 +160,9 @@ class Row:
 class ConicFeasibilityProgram:
     blocks: list[Block]
     rows: list[Row]
+    # the existence program this one is the witness program of; only
+    # `_farkas_alternative` sets it
+    existence: ConicFeasibilityProgram | None = None
 
     def row_value(self, row: Row, point: dict[str, np.ndarray]) -> np.ndarray:
         out = np.zeros((row.dim, row.dim), dtype=complex)
@@ -301,7 +305,8 @@ def _farkas_alternative(prog: ConicFeasibilityProgram) -> ConicFeasibilityProgra
     keyed by row name, is a witness point as it stands. A PSD block that
     only one row reads, through the identity, is that row's slack: its
     witness row would read Y_r PSD, so Y_r becomes a PSD block and the
-    slack gives no row.
+    slack gives no row. The witness program records `prog` as its
+    `existence`, through which the solver decides it.
     """
     readers: dict[int, list[tuple[int, BlockMap]]] = {}
     for ri, r in enumerate(prog.rows):
@@ -320,7 +325,7 @@ def _farkas_alternative(prog: ConicFeasibilityProgram) -> ConicFeasibilityProgra
     ]
     pairing = [(ri, _trace_against(r.rhs)) for ri, r in enumerate(prog.rows) if r.rhs.any()]
     rows.append(Row("strict", 1, pairing, np.zeros((1, 1), dtype=complex), sense="strict"))
-    return ConicFeasibilityProgram(blocks, rows)
+    return ConicFeasibilityProgram(blocks, rows, existence=prog)
 
 
 def build_dual(p: QueryProblem, q: int, eps: float) -> ConicFeasibilityProgram:

@@ -1,5 +1,14 @@
 """Feasibility decisions for block conic programs.
 
+`solve` decides two kinds of program. An existence program, whose rows are
+all equalities on PSD blocks, is decided directly. A witness program, which
+`programs._farkas_alternative` generates from an existence program, is
+decided through that existence program, and the two answers swap: a
+polished existence point X is a certificate of the witness program
+(multiplier -X_B on the row of each block B, and 1 on the strict row), and
+an existence certificate is a witness point as it stands. Any other program
+is rejected with SolverError.
+
 The method is relaxed alternating projections between the affine set
 {A x = b} and the product of PSD cones, in a real coordinate system where
 each Hermitian block is flattened isometrically (trace pairing = dot
@@ -13,46 +22,44 @@ The coordinate maps `hvec`/`unhvec` behind both are one gather each, between
 the coordinates and the float view of the complex matrix, through a table
 of positions and scales built once per matrix dimension; they act on stacks
 of matrices and vectors along the leading axes. The cone step reads every
-PSD block in one gather, through those tables, into one packed buffer of
+block in one gather, through those tables, into one packed buffer of
 complex matrices grouped by dimension; each group is projected by one
 stacked `eigh` on a zero-copy view of its slice, eigenvalue clipping and a
 product written straight into a second packed buffer (1x1 blocks are
 clipped at zero), and one gather and one scatter write the coordinates
 back: the arithmetic of unhvec, eigh and hvec on the same floats, in a
 fixed few numpy calls per step instead of about a dozen per dimension.
-Programs whose rows are all equalities run directly; PSD rows are first
-slackened to equalities, with the strict scalar row pinned to -1 (all
-assembled inequality programs are homogeneous, so the pin loses no
-generality).
 
-Infeasibility is reported only with a Farkas-style certificate: one
-multiplier matrix per row whose adjoint image is PSD on PSD blocks, zero on
-free blocks, and whose pairing with the right-hand side is -1. In hvec
-coordinates the adjoint is the transpose, so the image s = A^T y is a point
-of the row space of A, and for b in the range of A, b^T y = x0^T s with
-x0 = A^T (A A^T)^+ b. The certificate search is then the same relaxed
+Infeasibility is reported only with a Farkas certificate: one multiplier
+matrix per row whose adjoint image is PSD on every block, and whose pairing
+with the right-hand side is -1; that is a point of the witness program. In
+hvec coordinates the adjoint is the transpose, so the image s = A^T y is a
+point of the row space of A, and for b in the range of A, b^T y = x0^T s
+with x0 = A^T (A A^T)^+ b. The certificate search is then the same relaxed
 alternating projection, on the same pseudo-inverse, between
-{s in range(A^T): x0^T s = -1} and the dual cone (PSD blocks clipped, free
-blocks zero). Both searches run in one loop with no schedule: at the first
-check a Farkas iterate s is seeded once from the primal iterate's
-displacement from the affine set, and every check, the first included, tries
-the polished point first and otherwise advances s by _CHECK_EVERY sweeps and
-tries the certificate y = (A A^T)^+ A s, scaled to pairing -1 and
-re-verified from the program's block maps before anything is reported.
+{s in range(A^T): x0^T s = -1} and the PSD cone, which is its own dual.
+Both searches run in one loop with no schedule: at the first check a Farkas
+iterate s is seeded once from the primal iterate's displacement from the
+affine set, and every check, the first included, tries the polished point
+first and otherwise advances s by _CHECK_EVERY sweeps and tries the
+certificate y = (A A^T)^+ A s, scaled to pairing -1 and re-verified by
+`verify_point` as a point of the witness program before anything is
+reported.
 
 Near-feasible points are polished by rank-restricted Gauss-Newton: each
-block's rank is guessed from its spectrum with a residual-scaled cut, PSD
+block's rank is guessed from its spectrum with a residual-scaled cut, the
 blocks are refactored as Y Y-adjoint (the Burer-Monteiro factorization),
 and the factors are refined against the equality rows. The Jacobian reads
-the row side of A: on a PSD block each scalar row is tr(C_k X) with C_k =
+the row side of A: on a block each scalar row is tr(C_k X) with C_k =
 unhvec(row k of the block's columns), the SDPA export's constraint
 matrices, built once per polish by `_row_matrices`; the row's rate along a
 factor step Delta is 2 Re tr(Y-adjoint C_k Delta), so the factor's Jacobian
-is 2 [Re, Im](C_k Y) on the rows that read the block. Free blocks use their
-columns of A as they are. Candidates lie in the cone by construction, so
-success lands equality residuals near 1e-14, which downstream extraction
-steps rely on; failed guesses are discarded. FEASIBLE is reported only for
-a polished point; a point the polish cannot finish is swept further.
+is 2 [Re, Im](C_k Y) on the rows that read the block. Candidates lie in the
+cone by construction, so success lands equality residuals near 1e-14, which
+downstream extraction steps rely on; failed guesses are discarded. An
+existence program is FEASIBLE only at a polished point; a point the polish
+cannot finish is swept further. A witness program's FEASIBLE point is a
+certificate, so it holds to _CERT_TOL.
 """
 
 from __future__ import annotations
@@ -67,7 +74,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import hermitize
-from .programs import Block, BlockMap, ConicFeasibilityProgram, Row
+from .programs import Block, ConicFeasibilityProgram, Row, _farkas_alternative
 
 __all__ = [
     "SolverConfig",
@@ -90,8 +97,9 @@ _CHECK_EVERY = 100
 _MAX_ITERS = 50000
 # Relaxation of both projection steps, in (0, 2); at 2 each step reflects.
 _OVER_RELAXATION = 1.8
-# Room a certificate's adjoint image may leave outside the cone, per unit
-# of its pairing.
+# Room a certificate, as a point of the witness program, may leave outside
+# its rows and blocks, per unit of its pairing. A witness program's FEASIBLE
+# point is such a certificate, so it holds to this, not to _POLISHED_TOL.
 _CERT_TOL = 1e-7
 # Largest multiplier norm per unit of pairing: beyond it _CERT_TOL's room is
 # below the double-precision rounding of the adjoint image (1e-7 / 1e8).
@@ -125,10 +133,12 @@ _GN_MAX_STEPS = 100
 # pseudo-inverse.
 _RANGE_TOL = 1e-9
 # Complex entries per map call in `assemble`, a basis matrix and its image
-# counted together. The cut bounds the stacks a map call builds: without it,
-# pauli2 `build_dual` at q=1 peaks at 1057 MiB instead of 557 MiB (A itself
-# is 545 MiB) and takes 0.80 s instead of 0.58 s (medians of 10, one BLAS
-# thread), as its 64x64 slack identity term stacks 4096 matrices of 64x64.
+# counted together. The cut bounds the stacks a map call builds: pauli2
+# (two-qubit Pauli identification) `build_primal` at eps 0.1 reads its 64x64
+# state blocks from 16x16 chain rows through the adjoint, one 64x64 image per
+# basis matrix of the row. With one BLAS thread, at q=2 and q=3 assembly
+# peaks 11.7 and 11.5 MiB beyond A with the cut, 49.0 MiB without it, and
+# takes 66-81 and 104-111 ms against 83-100 and 141-145 ms (medians of 15).
 _ASSEMBLE_BUDGET = 1 << 18
 
 
@@ -309,7 +319,7 @@ def _row_residuals(rows: list[Row], r: np.ndarray) -> dict[str, float]:
 
 
 class _Engine:
-    """Primal and Farkas projections for A x = b over the blocks, on one Gram pseudo-inverse."""
+    """Primal and Farkas projections for A x = b over PSD blocks, on one Gram pseudo-inverse."""
 
     def __init__(self, blocks: list[Block], a: np.ndarray, b: np.ndarray, block_off: list[int]):
         self.blocks = blocks
@@ -317,20 +327,15 @@ class _Engine:
         self.b = b
         self.block_off = block_off
         self.n_rows, self.n_cols = a.shape
-        # The cone step's packed buffer holds the complex matrices of all PSD
+        # The cone step's packed buffer holds the complex matrices of all
         # blocks, grouped by ascending dimension, so the 1x1 blocks lead. Its
         # float view is filled from x in one gather through unhvec's `_coords`
         # table shifted to each block's columns, and read back in one gather
         # through hvec's table shifted to each matrix's place and one scatter;
         # a group of k blocks of dimension d is a zero-copy (k, d, d) slice.
-        # The free blocks' coordinates are the ones the dual cone zeroes.
         groups: dict[int, list[int]] = {}
-        self._free = np.zeros(self.n_cols, dtype=bool)
         for blk, off in zip(blocks, self.block_off):
-            if blk.psd:
-                groups.setdefault(blk.dim, []).append(off)
-            else:
-                self._free[off : off + blk.dim**2] = True
+            groups.setdefault(blk.dim, []).append(off)
         src, inv_scale, diag_imag, at, scale, dst = ([] for _ in range(6))
         self._cone_slices = []  # (k, d, start, stop) in the buffer, for d > 1
         self._half_line = 0  # float slots of the 1x1 blocks
@@ -372,8 +377,9 @@ class _Engine:
         return x + self._lift @ (self.b - self.a @ x)
 
     def project_cone(self, x: np.ndarray) -> np.ndarray:
-        """Clip the spectrum of every PSD block: one gather into the packed
-        buffer, one stacked eigh per dimension, one gather and scatter back."""
+        """Clip the spectrum of every block: one gather into the packed
+        buffer, one stacked eigh per dimension, one gather and scatter back.
+        The PSD cone is its own dual, so this is the Farkas cone step too."""
         f = x[self._cone_src] * self._cone_inv_scale
         f[self._cone_diag_imag] = 0.0
         packed = f.view(complex)
@@ -395,34 +401,22 @@ class _Engine:
         r = self._lift @ (self.a @ s)
         return r - ((1.0 + self._x0 @ r) / (self._x0 @ self._x0)) * self._x0
 
-    def project_dual_cone(self, s: np.ndarray) -> np.ndarray:
-        """Clip the PSD blocks and zero the free ones."""
-        out = self.project_cone(s)
-        out[self._free] = 0.0
-        return out
-
 
 def _assemble_factors(eng: _Engine, ys: list[np.ndarray]) -> np.ndarray:
     x = np.zeros(eng.n_cols)
     for y, b, off in zip(ys, eng.blocks, eng.block_off):
-        m = y @ y.conj().T if b.psd else y
-        x[off : off + b.dim * b.dim] = hvec(m)
+        x[off : off + b.dim * b.dim] = hvec(y @ y.conj().T)
     return x
 
 
-def _step_factors(blocks: list[Block], ys: list[np.ndarray], step: np.ndarray) -> list[np.ndarray]:
+def _step_factors(ys: list[np.ndarray], step: np.ndarray) -> list[np.ndarray]:
     out = []
     k = 0
-    for b, y in zip(blocks, ys):
-        if b.psd:
-            d, r = y.shape
-            seq = step[k : k + 2 * d * r].reshape(r, d, 2)
-            out.append(y + (seq[..., 0] + 1j * seq[..., 1]).T)
-            k += 2 * d * r
-        else:
-            d = y.shape[0]
-            out.append(y + unhvec(step[k : k + d * d], d))
-            k += d * d
+    for y in ys:
+        d, r = y.shape
+        seq = step[k : k + 2 * d * r].reshape(r, d, 2)
+        out.append(y + (seq[..., 0] + 1j * seq[..., 1]).T)
+        k += 2 * d * r
     return out
 
 
@@ -456,24 +450,22 @@ def _factor_jacobian(y: np.ndarray, touch: np.ndarray, c: np.ndarray, n_rows: in
 def _gauss_newton(eng: _Engine, ys: list[np.ndarray]) -> np.ndarray:
     """Refine block factors against the equality rows; returns flat coords.
 
-    PSD blocks are parametrized as Y Y-adjoint at fixed rank (free blocks
-    stay linear), so every candidate lies in the cone exactly and only the
-    affine residual is minimized. Steps come from a least-squares Jacobian
-    solve with backtracking; stalls terminate quietly and the caller keeps
-    whatever was best.
+    Blocks are parametrized as Y Y-adjoint at fixed rank, so every candidate
+    lies in the cone exactly and only the affine residual is minimized.
+    Steps come from a least-squares Jacobian solve with backtracking; stalls
+    terminate quietly and the caller keeps whatever was best.
     """
     x = _assemble_factors(eng, ys)
     r = eng.a @ x - eng.b
     rn = float(np.linalg.norm(r))
     floor = 1e-15 * max(1.0, float(np.linalg.norm(eng.b)))
-    a_blks = [eng.a[:, off : off + b.dim * b.dim] for b, off in zip(eng.blocks, eng.block_off)]
-    lin = [_row_matrices(a_blk, b.dim) if b.psd else a_blk for b, a_blk in zip(eng.blocks, a_blks)]
+    lin = [_row_matrices(eng.a[:, off : off + b.dim * b.dim], b.dim)
+           for b, off in zip(eng.blocks, eng.block_off)]
     for _ in range(_GN_MAX_STEPS):
         if rn <= floor:
             break
         jac = np.hstack([np.zeros((eng.n_rows, 0))] + [
-            _factor_jacobian(y, *m, eng.n_rows) if b.psd else m
-            for b, y, m in zip(eng.blocks, ys, lin)
+            _factor_jacobian(y, *m, eng.n_rows) for y, m in zip(ys, lin)
         ])
         if not jac.shape[1]:
             break
@@ -481,7 +473,7 @@ def _gauss_newton(eng: _Engine, ys: list[np.ndarray]) -> np.ndarray:
         t = 1.0
         improved = False
         for _ in range(8):
-            trial = _step_factors(eng.blocks, ys, t * step)
+            trial = _step_factors(ys, t * step)
             xt = _assemble_factors(eng, trial)
             rt = eng.a @ xt - eng.b
             rtn = float(np.linalg.norm(rt))
@@ -507,11 +499,7 @@ def _guess_factors(eng: _Engine, x: np.ndarray, extra: int, res: float) -> list[
     """
     ys: list[np.ndarray] = []
     for b, off in zip(eng.blocks, eng.block_off):
-        m = unhvec(x[off : off + b.dim * b.dim], b.dim)
-        if not b.psd:
-            ys.append(m)
-            continue
-        w, v = np.linalg.eigh(m)
+        w, v = np.linalg.eigh(unhvec(x[off : off + b.dim * b.dim], b.dim))
         cut = max(max(w[-1], 0.0) * _FACE_REL_TOL + _FACE_ABS_FLOOR, _FACE_RES_FACTOR * res)
         keep = w > cut
         y = v[:, keep] * np.sqrt(w[keep])
@@ -550,67 +538,27 @@ def _face_polish(eng: _Engine, x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Program transforms.
-
-def _equality_form(prog: ConicFeasibilityProgram) -> tuple[list[Block], list[Row]]:
-    """Slacken PSD rows and pin the strict row; returns (blocks, rows).
-
-    The slack blocks follow the program's own blocks, so a program whose
-    rows are all equalities comes back unchanged.
-    """
-    blocks = list(prog.blocks)
-    rows: list[Row] = []
-    strict_seen = False
-    for r in prog.rows:
-        if r.sense == "eq":
-            rows.append(r)
-        elif r.sense == "psd":
-            blocks.append(Block(f"row_slack_{r.name}", r.dim, True))
-            terms = list(r.terms) + [
-                (len(blocks) - 1, BlockMap("id", d_in=r.dim, d_out=r.dim, scale=-1.0))
-            ]
-            rows.append(Row(r.name, r.dim, terms, r.rhs, sense="eq"))
-        elif r.sense == "strict":
-            if strict_seen:
-                raise SolverError("more than one strict row")
-            strict_seen = True
-            if np.linalg.norm(r.rhs) > 0:
-                raise SolverError("strict row must be homogeneous")
-            rows.append(Row(r.name, 1, list(r.terms), -np.ones((1, 1), dtype=complex), sense="eq"))
-        else:
-            raise SolverError(f"unknown row sense {r.sense!r}")
-    for r in prog.rows:
-        if r.sense != "strict" and np.linalg.norm(r.rhs) > 0 and strict_seen:
-            raise SolverError("strict-row pinning requires all other rows homogeneous")
-    return blocks, rows
-
+# Certificates.
 
 def _certify(
-    blocks: list[Block], rows: list[Row], multipliers: dict[str, np.ndarray]
+    witness: ConicFeasibilityProgram, multipliers: dict[str, np.ndarray]
 ) -> dict[str, np.ndarray] | None:
-    """Scale multipliers to pairing -1 and re-verify them from the block maps.
+    """Scale multipliers of the existence program's rows to pairing -1 and
+    re-verify them as a point of its witness program.
 
     Returns the scaled certificate, or None when the pairing with the
     right-hand side is not negative, a scaled multiplier's norm exceeds
-    _CERT_NORM_CAP, or an adjoint image leaves the dual cone (PSD on PSD
-    blocks, zero on free blocks) by more than _CERT_TOL.
+    _CERT_NORM_CAP, or the certificate misses a row or a block of the
+    witness program by more than _CERT_TOL.
     """
+    rows = witness.existence.rows
     pairing = sum(float(np.trace(np.asarray(r.rhs) @ multipliers[r.name]).real) for r in rows)
     if pairing >= -1e-15:
         return None
     cert = {r.name: multipliers[r.name] / -pairing for r in rows}
     if max(float(np.linalg.norm(y)) for y in cert.values()) > _CERT_NORM_CAP:
         return None
-    images: dict[int, np.ndarray] = {}
-    for r in rows:
-        for bj, m in r.terms:
-            images[bj] = images.get(bj, 0) + m.adjoint().apply(cert[r.name])
-    if any(np.linalg.norm(img) > _CERT_TOL for j, img in images.items() if not blocks[j].psd):
-        return None
-    psd = [hermitize(img) for j, img in images.items() if blocks[j].psd]
-    if min(_least_eigs(psd, np.linalg.eigvalsh), default=0.0) < -_CERT_TOL:
-        return None
-    return cert
+    return cert if verify_point(witness, cert).within(_CERT_TOL) else None
 
 
 # ---------------------------------------------------------------------------
@@ -629,24 +577,49 @@ def _run_ap(affine: _Projection, cone: _Projection, x: np.ndarray, iters: int) -
 def solve(prog: ConicFeasibilityProgram, cfg: SolverConfig | None = None) -> FeasibilityOutcome:
     """Decide feasibility; deterministic for a fixed config seed.
 
-    FEASIBLE comes with a polished point meeting every row within
-    _POLISHED_TOL; INFEASIBLE_WITH_CERTIFICATE comes with verified Farkas
-    multipliers keyed by row name. UNDECIDED is returned only once the
-    iteration budget is exhausted with neither witness.
+    On an existence program, FEASIBLE comes with a polished point meeting
+    every row within _POLISHED_TOL, and INFEASIBLE_WITH_CERTIFICATE with
+    verified Farkas multipliers keyed by row name. A witness program is
+    decided through its existence program, whose answer swaps sides: its
+    point becomes the multipliers (negated, and 1 on the strict row), and
+    its certificate the witness point, which holds to _CERT_TOL; the
+    iterations, and the residuals but for a witness point's, are the
+    existence solve's. UNDECIDED is returned only once the iteration budget
+    is exhausted with neither.
     """
     cfg = cfg or SolverConfig()
-    blocks, rows = _equality_form(prog)
-    eng = _Engine(blocks, *assemble(blocks, rows))
+    if prog.existence is None:
+        if any(r.sense != "eq" for r in prog.rows) or not all(b.psd for b in prog.blocks):
+            raise SolverError("solve takes equality rows on PSD blocks, or the witness "
+                              "program generated from such a program")
+        return _decide(_farkas_alternative(prog), cfg)
+    out = _decide(prog, cfg)
+    if out.status == "FEASIBLE":
+        cert = {r.name: np.ones((1, 1), dtype=complex) if r.sense == "strict" else -out.point[r.name]
+                for r in prog.rows}
+        return FeasibilityOutcome("INFEASIBLE_WITH_CERTIFICATE", None, cert, out.residuals, out.iterations)
+    if out.status == "INFEASIBLE_WITH_CERTIFICATE":
+        # `_certify` has checked it as a point of this very program
+        res = verify_point(prog, out.certificate).row_residuals
+        return FeasibilityOutcome("FEASIBLE", out.certificate, None, res, out.iterations)
+    return out
+
+
+def _decide(witness: ConicFeasibilityProgram, cfg: SolverConfig) -> FeasibilityOutcome:
+    """`solve` on the existence program of a witness program, whose points
+    check the certificates."""
+    prog = witness.existence
+    eng = _Engine(prog.blocks, *assemble(prog.blocks, prog.rows))
     rng = np.random.default_rng(cfg.seed)
 
     def residuals(x: np.ndarray) -> dict[str, float]:
-        return _row_residuals(rows, eng.a @ x - eng.b)
+        return _row_residuals(prog.rows, eng.a @ x - eng.b)
 
     # Right-hand side off the affine range is already a finished certificate.
     r0 = eng.b - eng.a @ eng._x0
     nr0 = float(np.linalg.norm(r0))
     if nr0 > _RANGE_TOL * max(1.0, float(np.linalg.norm(eng.b))):
-        cert = _certify(blocks, rows, _split(rows, -r0 / nr0**2))
+        cert = _certify(witness, _split(prog.rows, -r0 / nr0**2))
         if cert is not None:
             return FeasibilityOutcome(
                 "INFEASIBLE_WITH_CERTIFICATE", None, cert, residuals(np.zeros(eng.n_cols)), 0
@@ -662,32 +635,29 @@ def solve(prog: ConicFeasibilityProgram, cfg: SolverConfig | None = None) -> Fea
             polished = _face_polish(eng, cand)
             pres = residuals(polished)
             if max(pres.values(), default=0.0) <= _POLISHED_TOL:
-                # the slack blocks come last, so the program's own blocks cut first
-                point = _split(prog.blocks, polished)
-                return FeasibilityOutcome("FEASIBLE", point, None, pres, it)
+                return FeasibilityOutcome("FEASIBLE", _split(prog.blocks, polished), None, pres, it)
         if s is None:
             # cand - P_L(cand) = A^T w tends to -v for the minimal gap vector
             # v from the affine set to the cone (Bauschke & Borwein 1993), so
             # it sits near the dual cone with pairing b^T w near -|v|^2 < 0.
             s = cand - eng.project_affine(cand)
-        s = _run_ap(eng.project_dual_affine, eng.project_dual_cone, s, _CHECK_EVERY)
-        cert = _certify(blocks, rows, _split(rows, eng._lift.T @ eng.project_dual_cone(s)))
+        s = _run_ap(eng.project_dual_affine, eng.project_cone, s, _CHECK_EVERY)
+        cert = _certify(witness, _split(prog.rows, eng._lift.T @ eng.project_cone(s)))
         if cert is not None:
             return FeasibilityOutcome("INFEASIBLE_WITH_CERTIFICATE", None, cert, res, it)
     return FeasibilityOutcome("UNDECIDED", None, None, residuals(eng.project_cone(x)), _MAX_ITERS)
 
 
-def _least_eigs(mats: list[np.ndarray], eigvals: Callable[[np.ndarray], np.ndarray]) -> list[float]:
-    """Least eigenvalue of each Hermitian matrix, in order: one stacked call
-    of `eigvals` (ascending eigenvalues of a stack) per matrix dimension.
-    Each matrix meets the same LAPACK routine as alone, so the bits do not
-    depend on the stacking."""
+def _least_eigs(mats: list[np.ndarray]) -> list[float]:
+    """Least eigenvalue of each Hermitian matrix, in order: one stacked
+    `eigh` per matrix dimension. Each matrix meets the same LAPACK routine
+    as alone, so the bits do not depend on the stacking."""
     by_dim: dict[int, list[int]] = {}
     for i, m in enumerate(mats):
         by_dim.setdefault(m.shape[-1], []).append(i)
     least = [0.0] * len(mats)
     for idx in by_dim.values():
-        for i, w in zip(idx, eigvals(np.stack([mats[i] for i in idx]))[:, 0].tolist()):
+        for i, w in zip(idx, np.linalg.eigh(np.stack([mats[i] for i in idx]))[0][:, 0].tolist()):
             least[i] = w
     return least
 
@@ -719,7 +689,7 @@ def verify_point(prog: ConicFeasibilityProgram, point: dict[str, np.ndarray]) ->
         else:
             raise SolverError(f"unknown row sense {r.sense!r}")
     psd_blocks = {b.name: hermitize(vals[b.name]) for b in prog.blocks if b.psd}
-    least = _least_eigs([*psd_rows.values(), *psd_blocks.values()], lambda m: np.linalg.eigh(m)[0])
+    least = _least_eigs([*psd_rows.values(), *psd_blocks.values()])
     for name, w in zip(psd_rows, least):
         row_residuals[name] = max(0.0, -w)
     block_min_eigs = dict(zip(psd_blocks, least[len(psd_rows):]))

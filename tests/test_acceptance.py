@@ -22,6 +22,7 @@ from qqc.simulate import extended_state, run, success_report, trace_to_primal_po
 from qqc.solver import verify_point
 
 from conftest import (
+    BUILDERS,
     FEASIBLE_CELLS,
     PROBLEMS,
     hand_deutsch_algorithm,
@@ -50,10 +51,30 @@ def _cli_json(capsys, argv):
     return code, json.loads(capsys.readouterr().out)
 
 
+def _existence_point(prog, multipliers):
+    """The existence point behind a witness certificate: minus the multiplier
+    of each block's witness row, and, for a slack block, which has no witness
+    row, what its row leaves of the right-hand side."""
+    point = {b.name: -multipliers[b.name] for b in prog.blocks if b.name in multipliers}
+    for r in prog.rows:
+        rest = r.rhs - sum(m.apply(point[prog.blocks[bj].name])
+                           for bj, m in r.terms if prog.blocks[bj].name in point)
+        for bj, _ in r.terms:
+            point.setdefault(prog.blocks[bj].name, rest)
+    return point
+
+
 def test_criterion_01_duality_exclusivity(cached_solve):
-    # existence and witness programs never both feasible, exact and relaxed
+    # existence and witness programs never both feasible, exact and relaxed.
+    # The solver answers a witness program with its existence program's
+    # answer swapped, so each decided answer is also re-verified from its own
+    # program's data: a point against its program, and a certificate as a
+    # point of the other program. Existence points are held to FEASIBLE's
+    # 1e-10, witness points, which are certificates, to 1e-7
     for pname, q, eps in _GRID:
         for pside, dside in (("primal", "dual"), ("primal_relaxed", "dual_relaxed")):
+            exist = BUILDERS[pside](PROBLEMS[pname], q, eps)
+            witness = BUILDERS[dside](PROBLEMS[pname], q, eps)
             a = cached_solve(pname, pside, q, eps)
             b = cached_solve(pname, dside, q, eps)
             assert a.status in _DECIDED, (pname, pside, q, eps, a.status)
@@ -61,6 +82,16 @@ def test_criterion_01_duality_exclusivity(cached_solve):
             assert not (a.status == "FEASIBLE" and b.status == "FEASIBLE"), (
                 pname, q, eps, pside, dside,
             )
+            if a.status == "FEASIBLE":
+                assert np.array_equal(b.certificate["strict"], [[1.0]]), (pname, dside, q, eps)
+                for point in (a.point, _existence_point(exist, b.certificate)):
+                    check = verify_point(exist, point)
+                    assert check.within(1e-10), (pname, pside, q, eps, check.max_residual)
+            else:
+                for point in (b.point, a.certificate):
+                    check = verify_point(witness, point)
+                    assert check.within(1e-7), (pname, dside, q, eps, check.max_residual)
+                    assert check.strict_slack > 0, (pname, dside, q, eps)
 
 
 def test_criterion_02_deutsch_oracle_equivalence(tmp_path, capsys):

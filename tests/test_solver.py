@@ -16,6 +16,7 @@ from qqc.programs import (
     build_dual_relaxed,
     build_primal,
     build_primal_relaxed,
+    _farkas_alternative,
 )
 from qqc.reconstruct import reconstruct_algorithm
 from qqc.simulate import run, success_report
@@ -23,9 +24,9 @@ from qqc import solver
 from qqc.solver import (
     FeasibilityOutcome,
     SolverConfig,
+    SolverError,
     _Engine,
     _certify,
-    _equality_form,
     _factor_jacobian,
     _row_matrices,
     _step_factors,
@@ -46,6 +47,15 @@ def random_hermitian(rng, d):
 
 def _ident(d, scale=1.0):
     return BlockMap("id", d_in=d, d_out=d, scale=scale)
+
+
+def _pauli2():
+    # the 16 two-qubit Paulis, each its own output (s = 16, n = 4)
+    paulis = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+              np.diag([1, -1])]
+    labels = tuple(a + b for a, b in itertools.product("IXYZ", repeat=2))
+    ops = np.stack([np.kron(a, b) for a, b in itertools.product(paulis, repeat=2)])
+    return QueryProblem(4, labels, ops.astype(complex), labels, {z: z for z in labels})
 
 
 def _trace_row(name, idx, d, rhs, scale=1.0):
@@ -199,10 +209,12 @@ _REFERENCE_CASES = [(pname, builder, q, eps)
 def test_assemble_matches_column_reference(pname, builder, q, eps):
     # a term whose row is smaller than its block is built from the row side,
     # hvec(m-adjoint(B_k)); on the existence programs that gives the same
-    # bits as the column side, on the witness programs the same numbers to
-    # within two ulps of one (their 1x1 trace rows read all-ones matrices)
+    # bits as the column side, on the witness programs' own rows the same
+    # numbers to within two ulps of one (their 1x1 trace rows read all-ones
+    # matrices)
     p = FAMILIES[pname] if pname in FAMILIES else PROBLEMS[pname]
-    blocks, rows = _equality_form(BUILDERS[builder](p, q, eps))
+    prog = BUILDERS[builder](p, q, eps)
+    blocks, rows = prog.blocks, prog.rows
     a, b, _ = assemble(blocks, rows)
     ref_a, ref_b = _assemble_by_columns(blocks, rows)
     assert _same_bits(b, ref_b)
@@ -218,7 +230,8 @@ def test_assemble_chunks_give_the_same_bits(monkeypatch, pname, builder, q):
     # the budget only cuts the basis stack: one basis matrix per map call
     # (budget 1) or one stack per term gives the same A, on either side
     p = FAMILIES[pname] if pname in FAMILIES else PROBLEMS[pname]
-    blocks, rows = _equality_form(BUILDERS[builder](p, q, 0.1))
+    prog = BUILDERS[builder](p, q, 0.1)
+    blocks, rows = prog.blocks, prog.rows
     a, _, _ = assemble(blocks, rows)
     for budget in (1, 1 << 40):
         monkeypatch.setattr(solver, "_ASSEMBLE_BUDGET", budget)
@@ -226,68 +239,62 @@ def test_assemble_chunks_give_the_same_bits(monkeypatch, pname, builder, q):
 
 
 def test_assemble_memory_stays_near_its_budget():
-    # weyl3 q=1 `build_dual` slackens its 27x27 query row; one stack of all
-    # 729 basis matrices of that identity term took 16.2 MB beyond A
-    blocks, rows = _equality_form(build_dual(FAMILIES["weyl3"], 1, 0.1))
+    # pauli2 q=2 `build_primal` reads its 64x64 state block from 16x16 chain
+    # rows through the adjoint; one stack of all 256 images of 64x64 took
+    # 49.0 MiB beyond A, and the budget keeps it near 11.7 MiB
+    prog = build_primal(_pauli2(), 2, 0.1)
     tracemalloc.start()
     try:
-        a, _, _ = assemble(blocks, rows)
+        a, _, _ = assemble(prog.blocks, prog.rows)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - a.nbytes <= 10 * 2**20
+    assert peak - a.nbytes <= 20 * 2**20
 
 
-@pytest.mark.parametrize("case", ["deutsch_dual_relaxed", "weyl3_primal"])
+@pytest.mark.parametrize("case", ["deutsch_primal_relaxed", "weyl3_primal"])
 def test_project_cone_matches_per_block_reference(case):
-    # deutsch at q=2 mixes 2x2, 4x4 and 8x8 PSD blocks with free blocks; weyl3 at
-    # q=2 has a 27x27 state block next to the 3x3 start state, 9x9 shares
-    # and 1x1 success slacks, which take the clipping path
-    if case == "deutsch_dual_relaxed":
-        # at q=1 the only 8x8 row is the start row, which is 2x2 on the face
-        prog = BUILDERS["dual_relaxed"](PROBLEMS["deutsch"], 2, 0.1)
+    # deutsch at q=2 mixes 2x2, 4x4 and 8x8 blocks; weyl3 at q=2 has a 27x27
+    # state block next to the 3x3 start state, 9x9 shares and 1x1 success
+    # slacks, which take the clipping path
+    if case == "deutsch_primal_relaxed":
+        prog = BUILDERS["primal_relaxed"](PROBLEMS["deutsch"], 2, 0.1)
         dims = {2, 4, 8}
     else:
         prog = BUILDERS["primal"](FAMILIES["weyl3"], 2, 0.1)
         dims = {1, 3, 9, 27}
-    blocks, rows = _equality_form(prog)
-    eng = _Engine(blocks, *assemble(blocks, rows))
-    assert {b.dim for b in blocks if b.psd} == dims
+    blocks = prog.blocks
+    eng = _Engine(blocks, *assemble(blocks, prog.rows))
+    assert {b.dim for b in blocks} == dims
 
     def per_block(x):
         # from the written-out coordinate formula, not the maps the engine calls
         out = x.copy()
         for b, off in zip(blocks, eng.block_off):
-            if b.psd:
-                m = _unhvec_reference(x[off : off + b.dim**2], b.dim)
-                w, v = np.linalg.eigh(hermitize(m))
-                out[off : off + b.dim**2] = _hvec_reference((v * np.clip(w, 0.0, None)) @ v.conj().T)
+            m = _unhvec_reference(x[off : off + b.dim**2], b.dim)
+            w, v = np.linalg.eigh(hermitize(m))
+            out[off : off + b.dim**2] = _hvec_reference((v * np.clip(w, 0.0, None)) @ v.conj().T)
         return out
 
-    free = [i for b, off in zip(blocks, eng.block_off) if not b.psd
-            for i in range(off, off + b.dim**2)]
     rng = np.random.default_rng(11)
     for _ in range(3):
         x = rng.standard_normal(eng.n_cols)
         px = eng.project_cone(x)
         assert np.max(np.abs(px - per_block(x))) <= 1e-12
-        assert np.array_equal(px[free], x[free])
         assert np.max(np.abs(eng.project_cone(px) - px)) <= 1e-12
 
 
-@pytest.mark.parametrize("case", ["deutsch_dual_relaxed", "weyl3_primal"])
+@pytest.mark.parametrize("case", ["deutsch_primal_relaxed", "weyl3_primal"])
 def test_dual_projections_land_in_their_sets(case):
-    # the Farkas pair: row-space points of pairing -1, and the dual cone
-    # (PSD blocks clipped, free blocks zero)
-    if case == "deutsch_dual_relaxed":
-        prog = BUILDERS["dual_relaxed"](PROBLEMS["deutsch"], 1, 0.1)
+    # the Farkas pair: row-space points of pairing -1, and the PSD cone,
+    # which is its own dual
+    if case == "deutsch_primal_relaxed":
+        prog = BUILDERS["primal_relaxed"](PROBLEMS["deutsch"], 1, 0.1)
     else:
         prog = BUILDERS["primal"](FAMILIES["weyl3"], 1, 0.1)
-    blocks, rows = _equality_form(prog)
-    a, b, block_off = assemble(blocks, rows)
+    blocks = prog.blocks
+    a, b, block_off = assemble(blocks, prog.rows)
     eng = _Engine(blocks, a, b, block_off)
-    free = [i for blk, off in zip(blocks, eng.block_off) if not blk.psd
-            for i in range(off, off + blk.dim**2)]
     rng = np.random.default_rng(13)
     for _ in range(3):
         s = eng.project_dual_affine(rng.standard_normal(eng.n_cols))
@@ -300,26 +307,21 @@ def test_dual_projections_land_in_their_sets(case):
         assert np.linalg.norm(a.T @ y - s) <= 1e-10 * norm
         assert b @ y == pytest.approx(-1.0, abs=1e-10)
 
-        c = eng.project_dual_cone(rng.standard_normal(eng.n_cols))
-        assert not c[free].any()
+        c = eng.project_cone(rng.standard_normal(eng.n_cols))
         for blk, off in zip(blocks, eng.block_off):
-            if blk.psd:
-                w = np.linalg.eigvalsh(unhvec(c[off : off + blk.dim**2], blk.dim))
-                assert w[0] >= -1e-12
-        assert np.max(np.abs(eng.project_dual_cone(c) - c)) <= 1e-12
+            w = np.linalg.eigvalsh(unhvec(c[off : off + blk.dim**2], blk.dim))
+            assert w[0] >= -1e-12
+        assert np.max(np.abs(eng.project_cone(c) - c)) <= 1e-12
 
 
-# deutsch at q=2: PSD dims 2, 4, 8 next to free blocks; weyl3 at q=2: dims 1,
-# 3, 9, 27; then 1x1 PSD blocks only, and free blocks only (empty gathers)
+# deutsch at q=2: dims 2, 4, 8; weyl3 at q=2: dims 1, 3, 9, 27; then 1x1
+# blocks only
 _PACKED_CASES = {
-    "deutsch_dual_relaxed": lambda: BUILDERS["dual_relaxed"](PROBLEMS["deutsch"], 2, 0.1),
+    "deutsch_primal_relaxed": lambda: BUILDERS["primal_relaxed"](PROBLEMS["deutsch"], 2, 0.1),
     "weyl3_primal": lambda: BUILDERS["primal"](FAMILIES["weyl3"], 2, 0.1),
     "half_lines": lambda: ConicFeasibilityProgram(
         [Block(f"h{i}", 1, True) for i in range(3)],
         [Row("sum", 1, [(i, _ident(1)) for i in range(3)], np.ones((1, 1), dtype=complex))]),
-    "free_only": lambda: ConicFeasibilityProgram(
-        [Block("y", 2, False), Block("z", 3, False)],
-        [_trace_row("ty", 0, 2, 1.0), _trace_row("tz", 1, 3, 2.0)]),
 }
 
 
@@ -328,13 +330,11 @@ def test_packed_cone_step_matches_grouped_projection_bitwise(case):
     # the grouped projection written out: per dimension, unhvec of the
     # gathered coordinates, one stacked eigh, clipping and hvec scattered
     # back; the 1x1 blocks on the half-line
-    blocks, rows = _equality_form(_PACKED_CASES[case]())
-    eng = _Engine(blocks, *assemble(blocks, rows))
+    prog = _PACKED_CASES[case]()
+    eng = _Engine(prog.blocks, *assemble(prog.blocks, prog.rows))
     groups = {}
-    for blk, off in zip(blocks, eng.block_off):
-        if blk.psd:
-            groups.setdefault(blk.dim, []).append(off)
-    free = np.array([not blk.psd for blk in blocks for _ in range(blk.dim**2)], dtype=bool)
+    for blk, off in zip(prog.blocks, eng.block_off):
+        groups.setdefault(blk.dim, []).append(off)
 
     def grouped(x):
         out = x.copy()
@@ -354,9 +354,6 @@ def test_packed_cone_step_matches_grouped_projection_bitwise(case):
         want = grouped(x)
         got = eng.project_cone(x)
         assert np.array_equal(got, want) and _same_bits(got, want)
-        want[free] = 0.0
-        got = eng.project_dual_cone(x)
-        assert np.array_equal(got, want) and _same_bits(got, want)
 
 
 def _hvec_gram(y):
@@ -366,10 +363,10 @@ def _hvec_gram(y):
 def _pauli_id_state_block():
     # A cut to the 8x8 state block of pauli_id's exact program at q = 2: the
     # block is read by only some of the rows
-    blocks, rows = _equality_form(build_primal(FAMILIES["pauli_id"], 2, 0.1))
-    a, _, block_off = assemble(blocks, rows)
-    j = [blk.name for blk in blocks].index("state_iq_1")
-    assert blocks[j].dim == 8
+    prog = build_primal(FAMILIES["pauli_id"], 2, 0.1)
+    a, _, block_off = assemble(prog.blocks, prog.rows)
+    j = [blk.name for blk in prog.blocks].index("state_iq_1")
+    assert prog.blocks[j].dim == 8
     return a[:, block_off[j] : block_off[j] + 64]
 
 
@@ -407,15 +404,12 @@ def test_factor_jacobian_columns_follow_step_factors():
     rng = np.random.default_rng(2)
     d, r, h = 3, 2, 1e-4
     y = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
-    free = random_hermitian(rng, 2)
     jac = _factor_jacobian(y, *_row_matrices(np.eye(d * d), d), d * d)
-    blocks = [Block("y", d, True), Block("free", 2, False)]
     for c in range(2 * d * r):
-        step = np.zeros(2 * d * r + 4)
+        step = np.zeros(2 * d * r)
         step[c] = h
-        yp, fp = _step_factors(blocks, [y, free], step)
-        ym, _ = _step_factors(blocks, [y, free], -step)
-        assert np.array_equal(fp, free)
+        (yp,) = _step_factors([y], step)
+        (ym,) = _step_factors([y], -step)
         fd = (_hvec_gram(yp) - _hvec_gram(ym)) / (2 * h)
         assert np.linalg.norm(jac[:, c] - fd) <= 1e-7 * np.linalg.norm(fd)
 
@@ -426,10 +420,10 @@ def test_factor_jacobian_columns_follow_step_factors():
 def test_row_matrices_read_each_block_of_the_rows(builder, q, eps):
     # tr(C_k X) is row k's part of A x on the block, and the rows left out
     # do not read the block at all
-    blocks, rows = _equality_form(BUILDERS[builder](PROBLEMS["deutsch"], q, eps))
-    a, _, block_off = assemble(blocks, rows)
+    prog = BUILDERS[builder](PROBLEMS["deutsch"], q, eps)
+    a, _, block_off = assemble(prog.blocks, prog.rows)
     rng = np.random.default_rng(q)
-    for blk, off in zip(blocks, block_off):
+    for blk, off in zip(prog.blocks, block_off):
         a_blk = a[:, off : off + blk.dim * blk.dim]
         touch, c = _row_matrices(a_blk, blk.dim)
         assert c.shape == (len(touch), blk.dim, blk.dim)
@@ -509,23 +503,24 @@ def test_certify_rejects_an_image_outside_the_dual_cone(deutsch, cached_solve):
     # -(I - J/4) on the init multiplier keeps the pairing (its right-hand
     # side is J, and tr(J (I - J/4)) = 0) but adds -(I - J/4), cut to each
     # class, to the image on each PSD share block: eigenvalues -1 and -1/2
-    blocks, rows = _equality_form(build_primal(deutsch, 0, 0.0))
+    prog = build_primal(deutsch, 0, 0.0)
     cert = cached_solve("deutsch", "primal", 0, 0.0).certificate
-    assert _certify(blocks, rows, cert) is not None
+    assert _certify(_farkas_alternative(prog), cert) is not None
     bent = dict(cert, init=cert["init"] - (np.eye(4) - np.ones((4, 4)) / 4))
-    assert _certify(blocks, rows, bent) is None
+    assert _certify(_farkas_alternative(prog), bent) is None
 
 
 def test_certify_rejects_multipliers_over_the_norm_cap():
     # x = 1 and -x = 1 on one 1x1 PSD block: both multiplier sets pair to -1
     # with a PSD image, but the first one's norm is 1e9
-    blocks = [Block("x", 1, True)]
-    rows = [Row("a", 1, [(0, _ident(1))], np.ones((1, 1), dtype=complex)),
-            Row("b", 1, [(0, _ident(1, -1.0))], np.ones((1, 1), dtype=complex))]
+    prog = ConicFeasibilityProgram(
+        [Block("x", 1, True)],
+        [Row("a", 1, [(0, _ident(1))], np.ones((1, 1), dtype=complex)),
+         Row("b", 1, [(0, _ident(1, -1.0))], np.ones((1, 1), dtype=complex))])
     big = {"a": np.array([[1e9]], dtype=complex), "b": np.array([[-1e9 - 1]], dtype=complex)}
-    assert _certify(blocks, rows, big) is None
+    assert _certify(_farkas_alternative(prog), big) is None
     small = {"a": np.zeros((1, 1), dtype=complex), "b": -np.ones((1, 1), dtype=complex)}
-    cert = _certify(blocks, rows, small)
+    cert = _certify(_farkas_alternative(prog), small)
     assert cert is not None
     assert np.allclose(cert["b"], -1.0)
 
@@ -556,15 +551,11 @@ def test_certificate_for_haar_pairs_at_two_queries():
 
 
 def test_two_qubit_pauli_identification_needs_one_query():
-    # the 16 two-qubit Paulis, each its own output (s = 16, n = 4): no query
-    # succeeds with at most 1/16, so the exact program is certified at q = 0,
-    # and one query decides with certainty (superdense coding), so neither
-    # witness program has a point at q = 1
-    paulis = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
-              np.diag([1, -1])]
-    labels = tuple(a + b for a, b in itertools.product("IXYZ", repeat=2))
-    ops = np.stack([np.kron(a, b) for a, b in itertools.product(paulis, repeat=2)])
-    p = QueryProblem(4, labels, ops.astype(complex), labels, {z: z for z in labels})
+    # pauli2: no query succeeds with at most 1/16, so the exact program is
+    # certified at q = 0 and both witness programs have a point there, and
+    # one query decides with certainty (superdense coding), so neither
+    # witness program has a point at q = 1, at either eps
+    p = _pauli2()
     out = solve(build_primal(p, 0, 0.0))
     assert out.status == "INFEASIBLE_WITH_CERTIFICATE"
     rep = verify_point(build_dual(p, 0, 0.0), out.certificate)
@@ -573,8 +564,9 @@ def test_two_qubit_pauli_identification_needs_one_query():
     assert rep.strict_slack > 0
     alg = reconstruct_algorithm(p, 1, 0.0).algorithm
     assert success_report(run(alg, p), p, 0.0).min_success >= 1.0 - 1e-6
-    assert solve(build_dual(p, 1, 0.0)).status == "INFEASIBLE_WITH_CERTIFICATE"
-    assert solve(build_dual_relaxed(p, 1, 0.1)).status == "INFEASIBLE_WITH_CERTIFICATE"
+    want = {0: "FEASIBLE", 1: "INFEASIBLE_WITH_CERTIFICATE"}
+    for build, q, eps in itertools.product((build_dual, build_dual_relaxed), (0, 1), (0.0, 0.1)):
+        assert solve(build(p, q, eps)).status == want[q], (build.__name__, q, eps)
 
 
 @pytest.mark.parametrize("q", [0, 1])
@@ -589,24 +581,63 @@ def test_weyl3_relaxed_pair_is_exclusive(q):
     assert (exist.status, witness.status) == want
 
 
-def test_free_block_program_with_strict_row():
-    # find Hermitian y with y PSD and tr(-y) < 0; any positive multiple of I
-    blocks = [Block("y", 2, False)]
-    rows = [
-        Row("floor", 2, [(0, _ident(2))], np.zeros((2, 2), dtype=complex),
-            sense="psd"),
-        Row("strict", 1,
-            [(0, BlockMap("trace_against", d_in=2, d_out=1, scale=-1.0,
-                          mat=np.eye(2, dtype=complex)))],
-            np.zeros((1, 1), dtype=complex), sense="strict"),
-    ]
-    prog = ConicFeasibilityProgram(blocks, rows)
-    out = solve(prog)
-    assert out.status == "FEASIBLE"
-    assert set(out.point) == {"y"}  # the row slack is not a program block
-    rep = verify_point(prog, out.point)
-    assert rep.max_residual <= 1e-7
-    assert rep.strict_slack > 0
+def _negative_trace(d):
+    return Row("strict", 1, [(0, BlockMap("trace_against", d_in=d, d_out=1, scale=-1.0,
+                                          mat=np.eye(d, dtype=complex)))],
+               np.zeros((1, 1), dtype=complex), sense="strict")
+
+
+def _unlinked_witness(wit):
+    # a generated witness program's blocks and rows, without its existence program
+    return ConicFeasibilityProgram(wit.blocks, wit.rows)
+
+
+# Hand-written programs that are neither equality rows on PSD blocks nor a
+# witness program generated from one, each with a strict row or a free block
+_REJECTED = {
+    # Hermitian y with y PSD and tr(-y) < 0
+    "free_block_with_strict_row": lambda: ConicFeasibilityProgram(
+        [Block("y", 2, False)],
+        [Row("floor", 2, [(0, _ident(2))], np.zeros((2, 2), dtype=complex), sense="psd"),
+         _negative_trace(2)]),
+    "strict_row": lambda: ConicFeasibilityProgram(
+        [Block("x", 2, True)], [_trace_row("trace", 0, 2, 1.0), _negative_trace(2)]),
+    "free_only": lambda: ConicFeasibilityProgram(
+        [Block("y", 2, False), Block("z", 3, False)],
+        [_trace_row("ty", 0, 2, 1.0), _trace_row("tz", 1, 3, 2.0)]),
+    "witness_copy": lambda: _unlinked_witness(build_dual(PROBLEMS["deutsch"], 0, 0.0)),
+}
+
+
+@pytest.mark.parametrize("case", list(_REJECTED))
+def test_solve_rejects_programs_outside_its_forms(case):
+    with pytest.raises(SolverError, match="equality rows on PSD blocks"):
+        solve(_REJECTED[case]())
+
+
+def test_witness_answers_swap_the_existence_answers(cached_solve):
+    # a witness certificate is the existence point negated, bit for bit, with
+    # multiplier 1 on the strict row; a witness point is the existence
+    # certificate as it stands
+    for cell in itertools.product(PROBLEMS, (0, 1, 2), (0.0, 0.1)):
+        pname, q, eps = cell
+        for exist_side, wit_side in (("primal", "dual"), ("primal_relaxed", "dual_relaxed")):
+            exist = cached_solve(pname, exist_side, q, eps)
+            wit = cached_solve(pname, wit_side, q, eps)
+            assert wit.iterations == exist.iterations, (*cell, wit_side)
+            if exist.status == "FEASIBLE":
+                assert wit.status == "INFEASIBLE_WITH_CERTIFICATE" and wit.point is None
+                rows = BUILDERS[wit_side](PROBLEMS[pname], q, eps).rows
+                assert set(wit.certificate) == {r.name for r in rows}
+                for name, y in wit.certificate.items():
+                    want = np.ones((1, 1), dtype=complex) if name == "strict" else -exist.point[name]
+                    assert _same_bits(y, want), (*cell, wit_side, name)
+            else:
+                assert exist.status == "INFEASIBLE_WITH_CERTIFICATE"
+                assert wit.status == "FEASIBLE" and wit.certificate is None
+                assert set(wit.point) == set(exist.certificate)
+                for name, y in wit.point.items():
+                    assert _same_bits(y, exist.certificate[name]), (*cell, wit_side, name)
 
 
 def test_verify_point_flags_violations():

@@ -2,7 +2,8 @@
 
 xor12 (g = x1 ⊕ x2) and all-equal (g = 1 exactly when x1 = x2 = x3) are
 feasible at q=1, eps 0.1, and their existence programs must say so at
-solver seeds 0-9; all-equal at eps 0 is infeasible, and its certificate must be
+solver seeds 0-9, and their exact witness programs must be certified at
+seeds 0-2; all-equal at eps 0 is infeasible, and its certificate must be
 a strictly feasible witness point at s=8, n=3. Both problems stay out of
 the shared FAMILIES, so the per-family tests do not grow.
 """
@@ -35,6 +36,15 @@ def test_one_query_protocol_is_found_and_rebuilt(pname, seed):
     rep = verify_point(build_primal(p, 1, 0.1), trace_to_primal_point(p, res.algorithm, 0.1))
     assert rep.max_residual <= 1e-6
     assert rep.min_block_eig >= -1e-6
+
+
+@pytest.mark.parametrize("pname", sorted(START_FACE_PROBLEMS))
+@pytest.mark.parametrize("seed", range(3))
+def test_one_query_witness_program_is_certified(pname, seed):
+    # the witness program is decided through its existence program, which
+    # is FEASIBLE; swept directly, it ran all 50 000 sweeps UNDECIDED
+    out = solve(build_dual(START_FACE_PROBLEMS[pname], 1, 0.1), SolverConfig(seed=seed))
+    assert out.status == "INFEASIBLE_WITH_CERTIFICATE"
 
 
 def test_all_equal_exact_certificate_lifts_to_a_witness():
