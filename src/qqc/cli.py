@@ -121,6 +121,9 @@ def cmd_feasible(args) -> tuple[int, str, dict]:
     }
     prog = _build(builders[(bool(args.relaxed), bool(args.dual))], p, args.q, args.eps)
     payload: dict = {"program_rows": [r.name for r in prog.rows]}
+    if prog.existence is not None:
+        # solved in its place: its rows key an INFEASIBLE answer's residuals
+        payload["existence_rows"] = [r.name for r in prog.existence.rows]
     if args.export_sdpa:
         try:
             export_sdpa(prog, args.export_sdpa)

@@ -35,21 +35,16 @@ def partial_trace(m: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     return np.einsum("...iaja->...ij", m.reshape(m.shape[:-2] + (d1, d2, d1, d2)))
 
 
-def purify(rho: np.ndarray, env_dim: int) -> np.ndarray:
-    """State vector on (system, env) whose env partial trace equals rho.
+def purify(rho: np.ndarray) -> np.ndarray:
+    """Coefficient matrix C (system rows, env columns) with C C† = rho.
 
-    Eigenvalues at or below 1e-10 of the largest count as zero; the
-    coefficient matrix (system rows, env columns) holds V√w of the kept ones
-    in its leading columns.
+    C has one column V√w per eigenvalue above 1e-10 of the largest, so its
+    width is the rank of rho, the least environment a purification needs.
+    Padded with zero columns and read row-major, C purifies rho on (system, env).
     """
     w, v = np.linalg.eigh(hermitize(np.asarray(rho, dtype=complex)))
     keep = w > 1e-10 * max(float(w[-1]), 1e-300)
-    r = int(keep.sum())
-    if r > env_dim:
-        raise ValueError(f"environment dimension {env_dim} below rank {r}")
-    coeffs = np.zeros((rho.shape[0], env_dim), dtype=complex)
-    coeffs[:, :r] = v[:, keep] * np.sqrt(w[keep])
-    return coeffs.reshape(-1)
+    return v[:, keep] * np.sqrt(w[keep])
 
 
 def align_purifications(

@@ -6,7 +6,8 @@ and every coordinate has an owner, the output whose factor supplied it;
 P_z is the diagonal projector on the coordinates z owns. Second, walk the
 query chain forward from |0⟩: each unitary u_t is the polar aligner between
 two purifications of the same reduced state (Uhlmann's theorem), the state
-before step t and a purification of the chain's next block.
+before step t and a purification of the chain's next block at its own
+rank, so the workspace is the widest purification the point needs.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .linalg import align_purifications, hermitize, purify
 from .problem import QueryProblem, build_omega, matrix_from_dict, matrix_to_dict
 from .programs import ConicFeasibilityProgram, _query_chain, build_primal, share_maps
 from .simulate import QuantumQueryAlgorithm, _query, run
-from .solver import FeasibilityOutcome, SolverConfig, solve
+from .solver import FeasibilityOutcome, SolverConfig, solve, verify_point
 
 __all__ = [
     "ReconstructionError",
@@ -152,11 +153,13 @@ def backward_chain(
     walk runs forward: u_t aligns the state before step t (|0⟩ at t = 0,
     the state after query t otherwise) to a purification of the chain's
     next block, which is rho_0 on every input at t = 0 < q, state_iq_t at
-    0 < t < q and the final vectors at t = q. The chain rows make both purifications of
-    the same input-side matrix, so a workspace unitary aligns them; at
-    t = 0 the overlap has rank 1 and its polar factor maps |0⟩ to the
-    purification. P_z is the diagonal projector on the coordinates z owns,
-    and the padding coordinates belong to p.outputs[0].
+    0 < t < q and the final vectors at t = q. The chain rows make both
+    purifications of the same input-side matrix, so a workspace unitary
+    aligns them; at t = 0 the overlap has rank 1 and its polar factor maps
+    |0⟩ to the purification. Each block is purified at its own rank, so
+    w_dim is the largest of those ranks and ⌈d / n⌉, d the vectors' length.
+    P_z is the diagonal projector on the coordinates z owns, and the
+    padding coordinates belong to p.outputs[0].
     """
     s, n = p.size, p.n
     omega = build_omega(p)
@@ -166,37 +169,34 @@ def backward_chain(
         if blk.name not in chain:
             raise ReconstructionError(f"chain point is missing block {blk.name!r}")
         cleaned[blk.name] = _psd_project(hermitize(np.asarray(chain[blk.name], dtype=complex)))
-    m_final = cleaned["final_gram"]
 
     # re-verify the chain rows on the cleaned blocks, at a looser tolerance
-    for row in prog.rows:
-        res = float(np.linalg.norm(prog.row_value(row, cleaned) - row.rhs))
+    for name, res in verify_point(prog, cleaned).row_residuals.items():
         if res > _CHAIN_TOL:
             raise ReconstructionError(
-                f"cleaned chain violates row {row.name!r} by {res:.3e} (allowed {_CHAIN_TOL:.3e})"
+                f"cleaned chain violates row {name!r} by {res:.3e} (allowed {_CHAIN_TOL:.3e})"
             )
 
+    # the chain's first q blocks: the joint states before each query
+    coeffs = [purify(cleaned[blk.name]) for blk in prog.blocks[:q]]
+    if q:
+        coeffs[0] = np.tile(coeffs[0], (s, 1))
     vectors, owner = finals
-    w_dim = max(s * n, -(-vectors.shape[1] // n))
+    w_dim = max([c.shape[1] for c in coeffs] + [-(-vectors.shape[1] // n)])
     dim_c = n * w_dim
-    padded = np.zeros((s, dim_c), dtype=complex)
-    padded[:, : vectors.shape[1]] = vectors
+    # each padded with zero columns to the workspace
+    targets = [np.hstack((c, np.zeros((len(c), w_dim - c.shape[1])))) for c in coeffs]
+    targets.append(np.hstack((vectors, np.zeros((s, dim_c - vectors.shape[1])))))
     owner_c = np.pad(owner, (0, dim_c - owner.size))
 
     # rows: the per-input states on (query, workspace)
     psi = np.zeros((s, dim_c), dtype=complex)
     psi[:, 0] = 1.0
     unitaries = []
-    for t in range(q + 1):
+    for t, target in enumerate(targets):
         before = _query(omega, psi, w_dim) if t else psi
-        if t == q:
-            target = padded.reshape(-1)
-        elif t == 0:
-            target = np.tile(purify(cleaned["rho_0"], w_dim), s)
-        else:
-            target = purify(cleaned[f"state_iq_{t}"], w_dim)
         try:
-            u_t = align_purifications(before.reshape(-1), target, s, dim_c)
+            u_t = align_purifications(before.reshape(-1), target.reshape(-1), s, dim_c)
         except ValueError as exc:
             raise ReconstructionError(
                 f"purification alignment failed at step {t}: {exc}; "
@@ -208,8 +208,8 @@ def backward_chain(
     projectors = {z: np.diag((owner_c == k).astype(complex)) for k, z in enumerate(p.outputs)}
     alg = QuantumQueryAlgorithm(n=n, w_dim=w_dim, unitaries=unitaries, projectors=projectors)
     validate_algorithm(alg)
-    final_gram = run(alg, p).grams[-1]
-    gram_gap = float(np.linalg.norm(final_gram - m_final))
+    m_final = cleaned["final_gram"]
+    gram_gap = float(np.linalg.norm(run(alg, p).grams[-1] - m_final))
     if gram_gap > 1e-6 * max(1.0, float(np.linalg.norm(m_final))):
         raise ReconstructionError(
             f"simulated final Gram matrix misses the chain's by {gram_gap:.3e}"

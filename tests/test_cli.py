@@ -86,6 +86,22 @@ def test_feasible_relaxed_and_dual_flags(problem_file, capsys):
     assert _report(capsys)["status"] == "FEASIBLE"
 
 
+def test_feasible_dual_names_the_existence_rows(problem_file, capsys):
+    # a witness program is decided through its existence program, so an
+    # INFEASIBLE answer's residuals are keyed by that program's rows
+    path = problem_file("deutsch")
+    code = main(["feasible", path, "--q", "1", "--eps", "0", "--dual"])
+    rep = _report(capsys)
+    assert code == 0
+    assert rep["status"] == "INFEASIBLE"
+    results = rep["results"]
+    assert results["residuals"]
+    assert set(results["residuals"]) <= set(results["existence_rows"])
+    assert results["existence_rows"] != results["program_rows"]
+    main(["feasible", path, "--q", "1", "--eps", "0"])
+    assert "existence_rows" not in _report(capsys)["results"]
+
+
 def test_feasible_rejects_bad_parameters(problem_file, capsys):
     code = main(["feasible", problem_file("deutsch"), "--q", "-1"])
     rep = _report(capsys)

@@ -66,25 +66,29 @@ def test_partial_trace_rejects_bad_arguments():
         partial_trace(np.eye(6), (2, 2))
 
 
+def _padded(coeffs, env_dim):
+    # the purification on (system, env) of a coefficient matrix padded with
+    # zero columns to env_dim
+    return np.pad(coeffs, ((0, 0), (0, env_dim - coeffs.shape[1]))).reshape(-1)
+
+
 def test_purify_partial_trace_round_trip():
     rng = np.random.default_rng(31)
     for rank in (1, 2, 4):
         rho = random_density(rng, 4, rank)
-        psi = purify(rho, 4)
+        coeffs = purify(rho)
+        # one column per kept eigenvalue: the environment is the rank
+        assert coeffs.shape == (4, rank)
+        assert np.allclose(coeffs @ coeffs.conj().T, rho, atol=1e-10)
+        psi = _padded(coeffs, 4)
         back = partial_trace(np.outer(psi, psi.conj()), (4, 4))
         assert np.allclose(back, rho, atol=1e-10)
-
-
-def test_purify_env_too_small():
-    rho = np.eye(3) / 3.0
-    with pytest.raises(ValueError):
-        purify(rho, 2)
 
 
 def test_align_purifications_rejects_wrong_length():
     # either state must have length dim_a * dim_b before it is cut into rows
     rng = np.random.default_rng(41)
-    psi = purify(random_density(rng, 3, 2), 4)
+    psi = _padded(purify(random_density(rng, 3, 2)), 4)
     with pytest.raises(ValueError, match="does not match dims"):
         align_purifications(psi, psi, 4, 4)
     with pytest.raises(ValueError, match="does not match dims"):
@@ -97,7 +101,7 @@ def test_align_purifications_connects_two_purifications():
     rng = np.random.default_rng(51)
     for _ in range(10):
         rho = random_density(rng, 3, 2)
-        psi = purify(rho, 3)
+        psi = _padded(purify(rho), 3)
         spin = random_unitary(rng, 3)
         target = np.kron(np.eye(3), spin) @ psi
         u = align_purifications(psi, target, 3, 3)
@@ -108,8 +112,8 @@ def test_align_purifications_connects_two_purifications():
 
 def test_align_purifications_rejects_mismatched_reductions():
     rng = np.random.default_rng(52)
-    psi = purify(random_density(rng, 3, 2), 3)
-    phi = purify(random_density(rng, 3, 2), 3)
+    psi = _padded(purify(random_density(rng, 3, 2)), 3)
+    phi = _padded(purify(random_density(rng, 3, 2)), 3)
     with pytest.raises(ValueError):
         align_purifications(psi, phi, 3, 3)
 
@@ -119,7 +123,7 @@ def test_align_purifications_rank_one_overlap_maps_zero_to_target():
     # the inputs has rank 1, and its polar factor takes |0> to it
     rng = np.random.default_rng(61)
     for rank in (1, 2, 3):
-        phi = purify(random_density(rng, 3, rank), 4)
+        phi = _padded(purify(random_density(rng, 3, rank)), 4)
         zero = np.zeros(12, dtype=complex)
         zero[0] = 1.0
         u = align_purifications(np.tile(zero, 5), np.tile(phi, 5), 5, 12)

@@ -18,7 +18,7 @@ from qqc.programs import ConicFeasibilityProgram, _query_chain, share_maps
 from qqc.solver import verify_point
 from qqc.simulate import run, success_report
 
-from conftest import FEASIBLE_CELLS, PROBLEMS, hand_deutsch_algorithm
+from conftest import FAMILIES, FEASIBLE_CELLS, PROBLEMS, hand_deutsch_algorithm
 
 
 def _shares(p, point, eps):
@@ -160,6 +160,31 @@ def test_forward_walk_starts_on_the_chain(pname, q, eps, cached_solve):
     assert set(alg.projectors) == set(expected)
     for z, pz in alg.projectors.items():
         assert np.array_equal(pz, expected[z])
+
+
+def _rank(m):
+    # eigenvalues above 1e-10 of the largest, the cut purify keeps
+    w = np.linalg.eigvalsh(m)
+    return int(np.sum(w > 1e-10 * max(w[-1], 1e-300)))
+
+
+@pytest.mark.parametrize(
+    "pname,q,eps",
+    FEASIBLE_CELLS + tuple((f, q, eps) for f in FAMILIES for q in (1, 2) for eps in (0.0, 0.1)),
+)
+def test_workspace_is_the_widest_purification_the_point_needs(pname, q, eps):
+    # each chain state before a query is purified at its own rank, and the
+    # final vectors fill n x w_dim coordinates; nothing pads beyond that
+    p = {**PROBLEMS, **FAMILIES}[pname]
+    res = reconstruct_algorithm(p, q, eps)
+    point = res.outcome.point
+    before = ["rho_0"] * (q > 0) + [f"state_iq_{t}" for t in range(1, q)]
+    need = max([_rank(point[b]) for b in before] + [-(-res.extracted_dim // p.n)])
+    assert res.algorithm.w_dim == need
+    # at solver seed 0, reconstruct_algorithm's default
+    seed0 = {("deutsch", 1, 0.0): 2, ("weyl3", 1, 0.0): 3}
+    if (pname, q, eps) in seed0:
+        assert res.algorithm.w_dim == seed0[(pname, q, eps)]
 
 
 def test_validate_algorithm_accepts_hand_circuit():

@@ -130,10 +130,11 @@ def test_trace_to_primal_point_is_feasible(deutsch):
 
 
 def test_trace_to_primal_point_matches_extended_state(deutsch):
-    # a reconstructed two-query protocol with an 8-dimensional workspace, so
-    # the (input, query) x workspace layout of the chain blocks is exercised
+    # a reconstructed two-query protocol with a workspace (4-dimensional at
+    # seed 0), so the (input, query) x workspace layout of the chain blocks
+    # is exercised
     alg = reconstruct_algorithm(deutsch, 2, 0.1).algorithm
-    assert alg.w_dim == 8
+    assert alg.w_dim > 1
     point = trace_to_primal_point(deutsch, alg, 0.1)
     # the shared start state: the first joint state is J ⊗ rho_0
     rho_iq = extended_state(deutsch, alg, 0)[1]

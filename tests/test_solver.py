@@ -563,6 +563,8 @@ def test_two_qubit_pauli_identification_needs_one_query():
     assert rep.min_block_eig >= -1e-8
     assert rep.strict_slack > 0
     alg = reconstruct_algorithm(p, 1, 0.0).algorithm
+    # a 4-dimensional workspace, the ancilla of superdense coding
+    assert alg.w_dim == 4
     assert success_report(run(alg, p), p, 0.0).min_success >= 1.0 - 1e-6
     want = {0: "FEASIBLE", 1: "INFEASIBLE_WITH_CERTIFICATE"}
     for build, q, eps in itertools.product((build_dual, build_dual_relaxed), (0, 1), (0.0, 0.1)):
