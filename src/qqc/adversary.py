@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import QueryProblem, build_omega
-from .programs import _farkas_alternative, _relaxed, pair_name
+from .problem import QueryProblem
+from .programs import build_dual_relaxed, pair_name
 from .solver import verify_point
 
 __all__ = [
@@ -118,15 +118,15 @@ def spectral_bound(p: QueryProblem, gamma, eps: float) -> AdversaryReport:
     more than _CEIL_SLACK.
     """
     _check_eps(eps)
-    omega = build_omega(p)  # validates p, which _check_weight reads
-    return _bound(p, omega, _check_weight(p, gamma), eps)
+    p.omega  # validates p, which _check_weight reads
+    return _bound(p, _check_weight(p, gamma), eps)
 
 
-def _bound(p: QueryProblem, omega: np.ndarray, g: np.ndarray, eps: float) -> AdversaryReport:
-    """The bound of a checked weighting g, on the problem's oracle omega."""
+def _bound(p: QueryProblem, g: np.ndarray, eps: float) -> AdversaryReport:
+    """The bound of a checked weighting g."""
     lam, v = perron_vector(g)
     wide = np.kron(g, np.eye(p.n))
-    diff = wide - omega @ wide @ omega.conj().T
+    diff = wide - p.omega @ wide @ p.omega.conj().T
     evals = np.linalg.eigvalsh(diff)
     alpha = 2.0 * float(evals[-1])
     prefactor = 1.0 - 2.0 * math.sqrt(eps * (1.0 - eps))
@@ -153,9 +153,9 @@ def make_dual_witness(p: QueryProblem, gamma, q: int, eps: float) -> dict[str, n
     strict row has positive slack.
     """
     _check_eps(eps)
-    omega = build_omega(p)  # validates p, which _check_weight and the program read
+    p.omega  # validates p, which _check_weight reads
     g = _check_weight(p, gamma)
-    report = _bound(p, omega, g, eps)
+    report = _bound(p, g, eps)
     if not q < report.bound:
         raise ValueError(f"no witness guaranteed at q = {q}, bound = {report.bound:.6g}")
     v = report.perron_v
@@ -170,7 +170,7 @@ def make_dual_witness(p: QueryProblem, gamma, q: int, eps: float) -> dict[str, n
     for i, j in p.differing_pairs():
         a = g[i, j] * v[i] * v[j]
         witness[f"pair_{pair_name(p, (i, j))}"] = a * np.array([[1, -1], [-1, 1]], dtype=complex)
-    rep = verify_point(_farkas_alternative(_relaxed(p, q, eps, omega)), witness)
+    rep = verify_point(build_dual_relaxed(p, q, eps), witness)
     if rep.max_residual > _WITNESS_TOL or not (rep.strict_slack and rep.strict_slack > 0):
         worst = max(rep.row_residuals, key=rep.row_residuals.get)
         raise WitnessError(
@@ -209,7 +209,7 @@ def search_gamma(p: QueryProblem, eps: float) -> tuple[np.ndarray, AdversaryRepo
     factor and keeps it when the bound improves, for at most _SEARCH_EVALS
     evaluations. Never returns less than the seed's bound.
     """
-    omega = build_omega(p)  # validates p once for every candidate
+    p.omega  # validates p, which differing_pairs reads
     pairs = p.differing_pairs()
     if not pairs:
         raise ValueError("no pairs with differing outputs; a constant map needs no queries")
@@ -220,7 +220,7 @@ def search_gamma(p: QueryProblem, eps: float) -> tuple[np.ndarray, AdversaryRepo
     gamma = np.zeros((s, s))
     for i, j in pairs:
         gamma[i, j] = gamma[j, i] = 1.0
-    best = _bound(p, omega, gamma, eps)
+    best = _bound(p, gamma, eps)
     evals = 1
     improved = True
     while improved and evals < _SEARCH_EVALS:
@@ -231,7 +231,7 @@ def search_gamma(p: QueryProblem, eps: float) -> tuple[np.ndarray, AdversaryRepo
                     break
                 cand = gamma.copy()
                 cand[i, j] = cand[j, i] = gamma[i, j] * factor
-                rep = _bound(p, omega, cand, eps)
+                rep = _bound(p, cand, eps)
                 evals += 1
                 if rep.bound > best.bound * (1.0 + 1e-12):
                     gamma, best = cand, rep

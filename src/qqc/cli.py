@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .adversary import WitnessError, make_dual_witness, search_gamma, spectral_bound
-from .problem import QueryProblem, build_omega, problem_from_dict, validate
+from .problem import QueryProblem, problem_from_dict, validate
 from .programs import (
     ConicFeasibilityProgram,
     _check_q_eps,
@@ -36,7 +36,7 @@ from .reconstruct import (
     validate_algorithm,
 )
 from .sdpa import export_sdpa
-from .simulate import _primal_point, run, success_report, trace_to_dict
+from .simulate import PROTOCOL_TOL, _primal_point, run, success_report, trace_to_dict
 from .solver import SolverConfig, solve, verify_point
 
 __all__ = ["main"]
@@ -81,7 +81,7 @@ def _load_problem(path: str) -> QueryProblem:
         raise _CommandFailure(_EXIT_INPUT, "INPUT_ERROR", str(exc)) from exc
 
 
-def _require_valid_problem(p: QueryProblem) -> None:
+def _reject_invalid(p: QueryProblem) -> None:
     rep = validate(p)
     if not rep.ok:
         raise _CommandFailure(
@@ -112,7 +112,7 @@ def cmd_validate(args) -> tuple[int, str, dict]:
 
 def cmd_feasible(args) -> tuple[int, str, dict]:
     p = _load_problem(args.problem)
-    _require_valid_problem(p)
+    _reject_invalid(p)
     builders = {
         (False, False): build_primal,
         (True, False): build_primal_relaxed,
@@ -161,7 +161,7 @@ def _load_gamma(spec_arg: str) -> np.ndarray:
 
 def cmd_adversary(args) -> tuple[int, str, dict]:
     p = _load_problem(args.problem)
-    _require_valid_problem(p)
+    _reject_invalid(p)
     try:
         if args.gamma == "auto":
             gamma, rep = search_gamma(p, args.eps)
@@ -198,7 +198,7 @@ def cmd_adversary(args) -> tuple[int, str, dict]:
 
 def cmd_estimate(args) -> tuple[int, str, dict]:
     p = _load_problem(args.problem)
-    _require_valid_problem(p)
+    _reject_invalid(p)
     if args.qmax < 0:
         raise _CommandFailure(_EXIT_SEMANTIC, "INVALID", f"qmax must be >= 0, got {args.qmax}")
     cfg = SolverConfig(seed=args.seed)
@@ -240,7 +240,7 @@ def cmd_estimate(args) -> tuple[int, str, dict]:
 
 def cmd_reconstruct(args) -> tuple[int, str, dict]:
     p = _load_problem(args.problem)
-    _require_valid_problem(p)
+    _reject_invalid(p)
     try:
         result = reconstruct_algorithm(p, args.q, args.eps, SolverConfig(seed=args.seed))
     except ValueError as exc:
@@ -269,7 +269,7 @@ def cmd_reconstruct(args) -> tuple[int, str, dict]:
 
 def cmd_simulate(args) -> tuple[int, str, dict]:
     p = _load_problem(args.problem)
-    _require_valid_problem(p)
+    _reject_invalid(p)
     data = _load_json(args.alg)
     try:
         alg = algorithm_from_dict(data)
@@ -284,7 +284,7 @@ def cmd_simulate(args) -> tuple[int, str, dict]:
     rep = success_report(trace, p, args.eps)
     # the query chain into the run's own final Gram matrix: how the shares
     # split it is the success floor's question, which rep.passed judges
-    chain = ConicFeasibilityProgram(*_query_chain(p, alg.q, build_omega(p)))
+    chain = ConicFeasibilityProgram(*_query_chain(p, alg.q))
     point = dict(_primal_point(trace, p, alg, args.eps), final_gram=trace.grams[alg.q])
     check = verify_point(chain, point)
     payload = {
@@ -298,7 +298,7 @@ def cmd_simulate(args) -> tuple[int, str, dict]:
         "chain_residual": check.max_residual,
         "chain_min_eig": float(check.min_block_eig),
     }
-    ok = rep.passed and check.max_residual <= 1e-6
+    ok = rep.passed and check.max_residual <= PROTOCOL_TOL
     if ok:
         return _EXIT_OK, "PASS", payload
     return _EXIT_SEMANTIC, "FAIL", payload

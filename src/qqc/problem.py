@@ -3,11 +3,13 @@
 An instance holds n x n unitaries, one per label, a list of output labels, and
 the function g assigning an output to every unitary. The block oracle is the
 block-diagonal matrix with the instance unitaries as diagonal blocks, acting on
-(input register, query register) with the query register fast-running.
+(input register, query register) with the query register fast-running. A frozen
+instance validates and builds it once, on first use, as its `omega`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -26,15 +28,22 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class QueryProblem:
-    """Immutable-by-convention description of one instance."""
+    """Description of one instance, with fields that cannot be reassigned."""
 
     n: int
     labels: tuple[str, ...]
     unitaries: np.ndarray  # (|S|, n, n) complex
     outputs: tuple[str, ...]
     g: dict[str, str]
+
+    @functools.cached_property
+    def omega(self) -> np.ndarray:
+        """`build_omega(self)`, kept read-only: every caller shares it."""
+        omega = build_omega(self)
+        omega.flags.writeable = False
+        return omega
 
     @property
     def size(self) -> int:
@@ -104,16 +113,11 @@ def validate(p: QueryProblem) -> ValidationReport:
     return rep
 
 
-def require_valid(p: QueryProblem) -> None:
-    """Raise ValueError listing the issues of an invalid problem."""
+def build_omega(p: QueryProblem) -> np.ndarray:
+    """Block-diagonal oracle, one n x n block per label in label order; p must be valid."""
     rep = validate(p)
     if not rep.ok:
         raise ValueError(f"invalid problem: {rep.issues}")
-
-
-def build_omega(p: QueryProblem) -> np.ndarray:
-    """Block-diagonal oracle, one n x n block per label in label order."""
-    require_valid(p)
     s, n = p.size, p.n
     omega = np.zeros((s * n, s * n), dtype=complex)
     for i in range(s):

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import partial_trace
-from .problem import QueryProblem, build_omega
+from .problem import QueryProblem
 
 __all__ = [
     "BlockMap",
@@ -176,8 +176,7 @@ def pair_name(p: QueryProblem, pair: tuple[int, int]) -> str:
 
 
 def _query_chain(
-    p: QueryProblem, q: int, omega: np.ndarray,
-    last: list[tuple[Block, BlockMap]] | None = None,
+    p: QueryProblem, q: int, last: list[tuple[Block, BlockMap]] | None = None
 ) -> tuple[list[Block], list[Row]]:
     """Blocks and rows of the query chain that opens both existence programs.
 
@@ -192,7 +191,7 @@ def _query_chain(
     matrix. J ⊗ rho_0 is (1_s ⊗ I_n) rho_0 (1_s ⊗ I_n)†, so the first query
     reads rho_0 through the (s·n) x n matrix Omega (1_s ⊗ I_n).
     """
-    s, n = p.size, p.n
+    s, n, omega = p.size, p.n, p.omega
     last = last or [(Block("final_gram", s, True), _ident(s))]
     blocks = [Block("rho_0", n, True)] * (q > 0)
     blocks += [Block(f"state_iq_{t}", s * n, True) for t in range(1, q)]
@@ -245,9 +244,10 @@ def build_primal(p: QueryProblem, q: int, eps: float) -> ConicFeasibilityProgram
     """
     _check_q_eps(q, eps)
     s = p.size
+    p.omega  # validates p, whose g share_maps reads
     maps = share_maps(p, eps)
     shares = [(Block(f"output_part_{z}", m.d_in, True), m) for z, m in maps.items()]
-    blocks, rows = _query_chain(p, q, build_omega(p), shares)
+    blocks, rows = _query_chain(p, q, shares)
     blocks += [Block(f"success_slack_{lab}", 1, True) for lab in p.labels]
     bi = {b.name: i for i, b in enumerate(blocks)}
     for i, lab in enumerate(p.labels):
@@ -271,14 +271,9 @@ def build_primal_relaxed(p: QueryProblem, q: int, eps: float) -> ConicFeasibilit
     is PSD exactly when the pair's Gram entry has magnitude at most the
     margin 2√(eps(1-eps)).
     """
-    return _relaxed(p, q, eps, build_omega(p))
-
-
-def _relaxed(p: QueryProblem, q: int, eps: float, omega: np.ndarray) -> ConicFeasibilityProgram:
-    """`build_primal_relaxed` on the problem's oracle omega, already built."""
     _check_q_eps(q, eps)
     s = p.size
-    blocks, rows = _query_chain(p, q, omega)
+    blocks, rows = _query_chain(p, q)
     pairs = p.differing_pairs()
     blocks += [Block(f"pair_slack_{pair_name(p, pr)}", 2, True) for pr in pairs]
     bi = {b.name: i for i, b in enumerate(blocks)}

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import align_purifications, hermitize, purify
-from .problem import QueryProblem, build_omega, matrix_from_dict, matrix_to_dict
+from .problem import QueryProblem, matrix_from_dict, matrix_to_dict
 from .programs import ConicFeasibilityProgram, _query_chain, build_primal, share_maps
-from .simulate import QuantumQueryAlgorithm, _query, run
+from .simulate import PROTOCOL_TOL, QuantumQueryAlgorithm, _query
 from .solver import FeasibilityOutcome, SolverConfig, solve, verify_point
 
 __all__ = [
@@ -35,9 +35,6 @@ __all__ = [
 
 _RANK_REL_TOL = 1e-8
 _ALG_TOL = 1e-8
-# Allowed row miss of the PSD-cleaned chain blocks; FEASIBLE points meet
-# their rows to 1e-10 before cleaning.
-_CHAIN_TOL = 1e-6
 
 
 class ReconstructionError(RuntimeError):
@@ -121,12 +118,12 @@ def extract_final_states(
         factors.append(vz[:, keep] * np.sqrt(wz[keep]))
     vectors = np.hstack(factors)
     gram_gap = float(np.linalg.norm(vectors @ vectors.conj().T - m))
-    if gram_gap > 1e-6 * max(1.0, top):
+    if gram_gap > PROTOCOL_TOL * max(1.0, top):
         raise ReconstructionError(f"extracted vectors mismatch the Gram matrix by {gram_gap:.3e}")
     owner = np.concatenate([np.full(f.shape[1], k) for k, f in enumerate(factors)])
     for i, lab in enumerate(p.labels):
         succ = float(np.sum(np.abs(vectors[i, owner == p.outputs.index(p.g[lab])]) ** 2))
-        if succ < 1.0 - eps - 1e-6:
+        if succ < 1.0 - eps - PROTOCOL_TOL:
             raise ReconstructionError(
                 f"extracted state for {lab!r} succeeds with probability {succ:.9f}, "
                 f"below the floor {1.0 - eps:.9f}"
@@ -162,8 +159,7 @@ def backward_chain(
     padding coordinates belong to p.outputs[0].
     """
     s, n = p.size, p.n
-    omega = build_omega(p)
-    prog = ConicFeasibilityProgram(*_query_chain(p, q, omega))
+    prog = ConicFeasibilityProgram(*_query_chain(p, q))
     cleaned = {}
     for blk in prog.blocks:
         if blk.name not in chain:
@@ -172,9 +168,9 @@ def backward_chain(
 
     # re-verify the chain rows on the cleaned blocks, at a looser tolerance
     for name, res in verify_point(prog, cleaned).row_residuals.items():
-        if res > _CHAIN_TOL:
+        if res > PROTOCOL_TOL:
             raise ReconstructionError(
-                f"cleaned chain violates row {name!r} by {res:.3e} (allowed {_CHAIN_TOL:.3e})"
+                f"cleaned chain violates row {name!r} by {res:.3e} (allowed {PROTOCOL_TOL:.3e})"
             )
 
     # the chain's first q blocks: the joint states before each query
@@ -194,7 +190,7 @@ def backward_chain(
     psi[:, 0] = 1.0
     unitaries = []
     for t, target in enumerate(targets):
-        before = _query(omega, psi, w_dim) if t else psi
+        before = _query(p.omega, psi, w_dim) if t else psi
         try:
             u_t = align_purifications(before.reshape(-1), target.reshape(-1), s, dim_c)
         except ValueError as exc:
@@ -208,12 +204,11 @@ def backward_chain(
     projectors = {z: np.diag((owner_c == k).astype(complex)) for k, z in enumerate(p.outputs)}
     alg = QuantumQueryAlgorithm(n=n, w_dim=w_dim, unitaries=unitaries, projectors=projectors)
     validate_algorithm(alg)
+    # the walk is the protocol's run, so psi holds its final states
     m_final = cleaned["final_gram"]
-    gram_gap = float(np.linalg.norm(run(alg, p).grams[-1] - m_final))
-    if gram_gap > 1e-6 * max(1.0, float(np.linalg.norm(m_final))):
-        raise ReconstructionError(
-            f"simulated final Gram matrix misses the chain's by {gram_gap:.3e}"
-        )
+    gap = float(np.linalg.norm(psi @ psi.conj().T - m_final))
+    if gap > PROTOCOL_TOL * max(1.0, float(np.linalg.norm(m_final))):
+        raise ReconstructionError(f"simulated final Gram matrix misses the chain's by {gap:.3e}")
     return alg
 
 

@@ -108,6 +108,8 @@ def parse_sdpa(path: str) -> SdpaData:
         lines = list(_data_tokens(fh.read()))
     if len(lines) < 4:
         raise ValueError(f"{path}: truncated SDPA file")
+    if not (lines[0].split() and lines[1].split()):
+        raise ValueError(f"{path}: SDPA header line without a count")
     m = int(lines[0].split()[0])
     nblocks = int(lines[1].split()[0])
     sizes = [int(t) for t in lines[2].split()]

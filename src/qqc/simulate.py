@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import partial_trace
-from .problem import QueryProblem, build_omega, matrix_to_dict
+from .problem import QueryProblem, matrix_to_dict
 from .programs import share_maps
 
 __all__ = [
@@ -28,6 +28,10 @@ __all__ = [
     "trace_to_primal_point",
     "trace_to_dict",
 ]
+
+# How far a protocol may miss its success floor, or a reconstructed one its chain's
+# rows and final Gram matrix: FEASIBLE points meet their rows to 1e-10 before cleaning.
+PROTOCOL_TOL = 1e-6
 
 
 @dataclass
@@ -78,7 +82,6 @@ class SuccessReport:
     per_input: dict[str, float]
     min_success: float
     worst_label: str
-    eps: float
     passed: bool
 
 
@@ -94,7 +97,7 @@ def run(alg: QuantumQueryAlgorithm, p: QueryProblem) -> SimulationTrace:
     unmeasured = [z for z in p.outputs if z not in alg.projectors]
     if unmeasured:
         raise ValueError(f"algorithm has no projector for outputs {unmeasured}")
-    omega = build_omega(p)
+    omega = p.omega
     q = alg.q
     states = np.empty((q + 1, p.size, alg.dim), dtype=complex)
     # u_0 applied to the zero state is its first column
@@ -124,8 +127,7 @@ def success_report(trace: SimulationTrace, p: QueryProblem, eps: float) -> Succe
         per_input=per_input,
         min_success=min_success,
         worst_label=worst_label,
-        eps=eps,
-        passed=bool(min_success >= 1.0 - eps - 1e-6),
+        passed=bool(min_success >= 1.0 - eps - PROTOCOL_TOL),
     )
 
 
@@ -144,7 +146,7 @@ def extended_state(
         raise ValueError(f"step {t} outside 0..{alg.q}")
     s, n, w = p.size, p.n, alg.w_dim
     eye_s = np.eye(s)
-    oracle_ext = np.kron(build_omega(p), np.eye(w))
+    oracle_ext = np.kron(p.omega, np.eye(w))
     start = np.zeros(s * n * w, dtype=complex)
     for x in range(s):
         start[x * n * w] = 1.0

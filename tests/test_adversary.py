@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,9 @@ from qqc.adversary import (
 )
 import qqc.problem
 from qqc.problem import QueryProblem
-from qqc.programs import build_dual_relaxed
+from qqc.programs import build_dual_relaxed, build_primal
+from qqc.reconstruct import reconstruct_algorithm
+from qqc.simulate import run
 from qqc.solver import verify_point
 
 
@@ -171,19 +175,27 @@ def test_make_dual_witness_last_step_is_the_j_trace():
     assert check.strict_slack > 0
 
 
-def test_make_dual_witness_validates_the_problem_once(deutsch, monkeypatch):
-    # the oracle built for the bound also builds the program the witness is
-    # verified against
+def test_validate_runs_once_per_problem(deutsch, monkeypatch):
+    # a fresh copy of the problem builds its oracle once, on first use, and
+    # every later program, bound, witness, reconstruction and run reads it
+    p = dataclasses.replace(deutsch)
     calls = []
     validate = qqc.problem.validate
 
-    def counted(p):
-        calls.append(p)
-        return validate(p)
+    def counted(problem):
+        calls.append(problem)
+        return validate(problem)
 
     monkeypatch.setattr(qqc.problem, "validate", counted)
-    make_dual_witness(deutsch, random_valid_gamma(deutsch, np.random.default_rng(3)), 0, 0.1)
-    assert len(calls) == 1
+    gamma = random_valid_gamma(p, np.random.default_rng(3))
+    build_primal(p, 1, 0.0)
+    build_dual_relaxed(p, 1, 0.1)
+    spectral_bound(p, gamma, 0.1)
+    make_dual_witness(p, gamma, 0, 0.1)
+    search_gamma(p, 0.0)
+    alg = reconstruct_algorithm(p, 1, 0.0).algorithm
+    run(alg, p)
+    assert len(calls) == 1 and calls[0] is p
 
 
 def test_make_dual_witness_rejects_q_at_or_above_bound(ix):

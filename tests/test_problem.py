@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -29,8 +31,7 @@ def test_validate_accepts_good_problem():
 
 
 def test_validate_bad_n():
-    p = _ok_problem()
-    p.n = 0
+    p = dataclasses.replace(_ok_problem(), n=0)
     assert "bad-n" in _codes(p)
 
 
@@ -40,24 +41,20 @@ def test_validate_empty_family():
 
 
 def test_validate_duplicate_labels():
-    p = _ok_problem()
-    p.labels = ("a", "a")
+    p = dataclasses.replace(_ok_problem(), labels=("a", "a"))
     codes = _codes(p)
     assert "dup-label" in codes
 
 
 def test_validate_empty_and_duplicate_outputs():
-    p = _ok_problem()
-    p.outputs = ()
+    p = dataclasses.replace(_ok_problem(), outputs=())
     assert "empty-outputs" in _codes(p)
-    p = _ok_problem()
-    p.outputs = ("0", "0")
+    p = dataclasses.replace(_ok_problem(), outputs=("0", "0"))
     assert "dup-output" in _codes(p)
 
 
 def test_validate_bad_shape_short_circuits():
-    p = _ok_problem()
-    p.unitaries = np.eye(3, dtype=complex)
+    p = dataclasses.replace(_ok_problem(), unitaries=np.eye(3, dtype=complex))
     codes = _codes(p)
     assert codes == {"bad-shape"}
 
@@ -68,7 +65,7 @@ def test_validate_non_finite_short_circuits(value):
     p = _ok_problem()
     bad = p.unitaries.copy()
     bad[1, 0, 1] = value
-    p.unitaries = bad
+    p = dataclasses.replace(p, unitaries=bad)
     rep = validate(p)
     assert {issue["code"] for issue in rep.issues} == {"non-finite"}
     assert "'b'" in rep.issues[0]["message"]
@@ -78,7 +75,7 @@ def test_validate_not_unitary_reports_residual():
     p = _ok_problem()
     bad = p.unitaries.copy()
     bad[1] = 2.0 * bad[1]
-    p.unitaries = bad
+    p = dataclasses.replace(p, unitaries=bad)
     rep = validate(p)
     hits = [i for i in rep.issues if i["code"] == "not-unitary"]
     assert len(hits) == 1
@@ -111,14 +108,11 @@ def test_validate_stacked_checks_keep_label_order():
 
 
 def test_validate_g_issues():
-    p = _ok_problem()
-    p.g = {"a": "0"}
+    p = dataclasses.replace(_ok_problem(), g={"a": "0"})
     assert "g-not-total" in _codes(p)
-    p = _ok_problem()
-    p.g = {"a": "0", "b": "nope"}
+    p = dataclasses.replace(_ok_problem(), g={"a": "0", "b": "nope"})
     assert "g-bad-value" in _codes(p)
-    p = _ok_problem()
-    p.g = {"a": "0", "b": "1", "c": "0"}
+    p = dataclasses.replace(_ok_problem(), g={"a": "0", "b": "1", "c": "0"})
     assert "g-extra-key" in _codes(p)
 
 
@@ -133,10 +127,20 @@ def test_build_omega_block_diagonal_unitary():
 
 
 def test_build_omega_rejects_invalid():
-    p = _ok_problem()
-    p.g = {}
+    p = dataclasses.replace(_ok_problem(), g={})
     with pytest.raises(ValueError):
         build_omega(p)
+    with pytest.raises(ValueError):
+        p.omega
+
+
+def test_problem_is_frozen_and_keeps_its_oracle():
+    p = _ok_problem()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.n = 3
+    assert p.omega is p.omega
+    assert np.array_equal(p.omega, build_omega(p))
+    assert not p.omega.flags.writeable
 
 
 def test_differing_pairs():

@@ -1,8 +1,12 @@
 """Tests for turning feasible chain points back into runnable protocols."""
 
+import sys
+
 import numpy as np
 import pytest
 
+import qqc.reconstruct
+import qqc.simulate
 from qqc.reconstruct import (
     ReconstructionError,
     algorithm_from_dict,
@@ -12,8 +16,7 @@ from qqc.reconstruct import (
     reconstruct_algorithm,
     validate_algorithm,
 )
-from qqc.linalg import partial_trace
-from qqc.problem import build_omega
+from qqc.linalg import align_purifications, partial_trace
 from qqc.programs import ConicFeasibilityProgram, _query_chain, share_maps
 from qqc.solver import verify_point
 from qqc.simulate import run, success_report
@@ -72,7 +75,7 @@ def test_output_sdp_shares(deutsch, cached_solve):
     out = cached_solve("deutsch", "primal", 1, 0.0)
     shares = _shares(deutsch, out.point, 0.0)
     m = sum(shares.values())
-    chain = ConicFeasibilityProgram(*_query_chain(deutsch, 1, build_omega(deutsch)))
+    chain = ConicFeasibilityProgram(*_query_chain(deutsch, 1))
     assert verify_point(chain, dict(out.point, final_gram=m)).max_residual <= 1e-10
     vectors, _ = extract_final_states(deutsch, m, shares, 0.0)
     assert reconstruct_algorithm(deutsch, 1, 0.0).extracted_dim == vectors.shape[1]
@@ -135,6 +138,44 @@ def test_backward_chain_checks_the_program_rows(deutsch, cached_solve):
     finals = extract_final_states(deutsch, point["final_gram"], _shares(deutsch, point, 0.0), 0.0)
     with pytest.raises(ReconstructionError, match="'init'"):
         backward_chain(deutsch, 1, point, finals)
+
+
+def test_reconstruction_runs_no_simulation(deutsch, monkeypatch):
+    # the forward walk is the protocol's run; nothing simulates it again
+    calls = []
+    simulate_run = qqc.simulate.run
+
+    def counted(*args):
+        calls.append(args)
+        return simulate_run(*args)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("qqc") and getattr(mod, "run", None) is simulate_run:
+            monkeypatch.setattr(mod, "run", counted)
+    reconstruct_algorithm(deutsch, 1, 0.0)
+    assert calls == []
+
+
+def test_backward_chain_checks_the_final_gram(deutsch, monkeypatch):
+    # turning the first unitary by 1e-5 between the two query basis states
+    # moves the final Gram matrix by ~3e-5: past the 1e-6 allowance, within
+    # the next aligner's 1e-4 gate
+    calls = []
+
+    def turned(psi, target, dim_a, dim_b):
+        u = align_purifications(psi, target, dim_a, dim_b)
+        if not calls:
+            turn = np.eye(dim_b, dtype=complex)
+            c, s = np.cos(1e-5), np.sin(1e-5)
+            turn[np.ix_([0, dim_b - 1], [0, dim_b - 1])] = [[c, -s], [s, c]]
+            u = turn @ u
+        calls.append(u)
+        return u
+
+    monkeypatch.setattr(qqc.reconstruct, "align_purifications", turned)
+    with pytest.raises(ReconstructionError, match="final Gram matrix misses the chain's"):
+        reconstruct_algorithm(deutsch, 1, 0.0)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("pname,q,eps", FEASIBLE_CELLS)

@@ -130,6 +130,15 @@ def test_parse_rejects_truncated_file(tmp_path):
         parse_sdpa(str(path))
 
 
+@pytest.mark.parametrize("text", ["{ }\n1\n{2}\n1.0\n", "1\n( )\n{2}\n1.0\n"])
+def test_parse_rejects_header_line_of_punctuation(tmp_path, text):
+    # the line has no count once its separators are read as spaces
+    path = tmp_path / "bad.dat-s"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="bad.dat-s"):
+        parse_sdpa(str(path))
+
+
 def test_parse_rejects_off_diagonal_entry_in_diagonal_block(tmp_path):
     # a negative size is a diagonal (LP) block, which has no (1, 2) entry
     path = tmp_path / "bad.dat-s"
