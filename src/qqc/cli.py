@@ -35,7 +35,7 @@ from .reconstruct import (
     reconstruct_algorithm,
     validate_algorithm,
 )
-from .sdpa import export_sdpa
+from .sdpa import _write_in_place, export_sdpa
 from .simulate import PROTOCOL_TOL, _primal_point, run, success_report, trace_to_dict
 from .solver import SolverConfig, solve, verify_point
 
@@ -129,6 +129,10 @@ def cmd_feasible(args) -> tuple[int, str, dict]:
             export_sdpa(prog, args.export_sdpa)
         except ValueError as exc:
             raise _CommandFailure(_EXIT_SEMANTIC, "INVALID", str(exc)) from exc
+        except OSError as exc:
+            raise _CommandFailure(
+                _EXIT_INPUT, "INPUT_ERROR", f"cannot write {args.export_sdpa}: {exc}"
+            ) from exc
         payload["sdpa_path"] = args.export_sdpa
     out = solve(prog, SolverConfig(seed=args.seed))
     payload["iterations"] = out.iterations
@@ -251,9 +255,7 @@ def cmd_reconstruct(args) -> tuple[int, str, dict]:
         raise _CommandFailure(_EXIT_PRECONDITION, "PRECONDITION_FAILED", str(exc)) from exc
     alg = result.algorithm
     try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(algorithm_to_dict(alg), fh, sort_keys=True)
-            fh.write("\n")
+        _write_in_place(args.out, json.dumps(algorithm_to_dict(alg), sort_keys=True) + "\n")
     except OSError as exc:
         raise _CommandFailure(_EXIT_INPUT, "INPUT_ERROR", f"cannot write {args.out}: {exc}") from exc
     payload = {

@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, JSON reports, seed handling."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -248,6 +249,22 @@ def test_reconstruct_writes_protocol(problem_file, tmp_path, capsys):
     assert rep["results"]["success"]["min_success"] >= 1.0 - 1e-6
 
 
+def test_reconstruct_rewrites_a_longer_file_in_place(problem_file, tmp_path, capsys):
+    out, fresh = tmp_path / "alg.json", tmp_path / "fresh.json"
+    out.write_text(json.dumps({"padding": "x" * 100_000}))
+    for path in (out, fresh):
+        argv = ["reconstruct", problem_file("deutsch"), "--q", "1", "--eps", "0", "--out", str(path)]
+        assert main(argv) == 0
+        capsys.readouterr()
+    assert json.loads(out.read_text()) == json.loads(fresh.read_text())
+
+
+def test_reconstruct_to_devnull(problem_file, capsys):
+    argv = ["reconstruct", problem_file("deutsch"), "--q", "1", "--eps", "0", "--out", os.devnull]
+    assert main(argv) == 0
+    assert _report(capsys)["status"] == "OK"
+
+
 def test_reconstruct_infeasible_is_precondition_failure(problem_file, tmp_path, capsys):
     out = tmp_path / "alg.json"
     code = main(
@@ -413,6 +430,9 @@ BAD_INPUTS = {
     "feasible-dual-export": (
         lambda d, t: ["feasible", d, "--q", "1", "--dual", "--export-sdpa", str(t / "p.dat-s")],
         2, "INVALID"),
+    "feasible-export-missing-directory": (
+        lambda d, t: ["feasible", d, "--q", "1", "--export-sdpa", str(t / "no" / "p.dat-s")],
+        1, "INPUT_ERROR"),
     "adversary-1d-gamma": (
         lambda d, t: ["adversary", d, "--gamma", _write_json(t, "g.json", [0.0, 1.0])],
         1, "INPUT_ERROR"),

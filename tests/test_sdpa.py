@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,33 @@ def test_export_matches_reparse_exactly(deutsch, tmp_path):
     d1, d2 = _entries_map(direct), _entries_map(back)
     assert set(d1) == set(d2)
     assert all(abs(d1[k] - d2[k]) <= 1e-15 * max(1.0, abs(d1[k])) for k in d1)
+
+
+def test_export_rewrites_a_longer_file_in_place(const, deutsch, tmp_path, monkeypatch):
+    # a shorter export over a longer one must leave no stale bytes at the end
+    path, fresh = tmp_path / "p.dat-s", tmp_path / "fresh.dat-s"
+    export_sdpa(build_primal(deutsch, 1, 0.1), str(path))
+    inode, size = os.stat(path).st_ino, os.stat(path).st_size
+    flags, real_open = [], os.open
+
+    def recording_open(file, fl, *args):
+        flags.append(fl)
+        return real_open(file, fl, *args)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    small = build_primal(const, 0, 0.0)
+    export_sdpa(small, str(path))
+    monkeypatch.undo()
+    export_sdpa(small, str(fresh))
+    assert path.read_bytes() == fresh.read_bytes()
+    assert os.stat(path).st_size < size
+    assert os.stat(path).st_ino == inode
+    assert flags and not any(fl & os.O_TRUNC for fl in flags)
+
+
+def test_export_to_devnull(deutsch):
+    # /dev/null is not a regular file, so it is written but never truncated
+    assert export_sdpa(build_primal(deutsch, 1, 0.1), os.devnull) == os.devnull
 
 
 def test_export_doubles_hermitian_blocks(deutsch, tmp_path):
