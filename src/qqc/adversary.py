@@ -139,18 +139,18 @@ def _bound(p: QueryProblem, g: np.ndarray, eps: float) -> AdversaryReport:
 def make_dual_witness(p: QueryProblem, gamma, q: int, eps: float) -> dict[str, np.ndarray]:
     """Feasible point of the relaxed witness program for any q below the bound.
 
-    Keyed by the relaxed existence program's rows: the multiplier L_{q-t}
-    of chain row q - t (init, chain_t, final_gram_def) is -K_t, for the step
-    matrices K_t = (gamma - t alpha I) entrywise-scaled by the outer square
-    of the principal eigenvector; at q >= 1 the multiplier of
-    tr rho_0 = 1 is the 1x1 -tr(J K_q), as the program's start face asks:
-    the full row K_{q-1} ⊗ I - Omega (K_q ⊗ I) Omega† >= 0, conjugated by
-    first = Omega (1_s ⊗ I_n), gives first†(K_{q-1} ⊗ I)first >= tr(J K_q) I,
-    and the strict value does not change. Each pair row's multiplier is the
-    2x2 matrix a·[[1, -1], [-1, 1]] on the pair's principal submatrix, with
-    a the step-0 entry of that pair. The result is verified against every
-    program row and returned only if all residuals stay within 1e-8 and the
-    strict row has positive slack.
+    Keyed by the relaxed existence program's rows. With W = gamma∘vvᵀ for
+    the principal eigenvector v, the multiplier of chain row q - t (init,
+    chain_t, final_gram_def) is the step Lap(W) + t alpha diag(v∘v), for
+    the Laplacian Lap(W) = diag(W 1) - W; at q >= 1 the multiplier of
+    tr rho_0 = 1 is the step's 1x1 J-trace q alpha, as the start face asks.
+    Each pair row's multiplier is W_ij·[[1, -1], [-1, 1]] on the pair's
+    principal submatrix; together they read Lap(W) off the final Gram
+    matrix. Step t is -K_t + diag(W 1) for K_t = (gamma - t alpha I)∘vvᵀ,
+    and the block-diagonal oracle leaves that diagonal shift ⊗ I in place.
+    The strict slack is (1 - 2√(eps(1-eps))) lambda - q alpha. The result
+    is returned only if every row and block passes within 1e-8 and the
+    strict slack is positive; otherwise it raises WitnessError.
     """
     _check_eps(eps)
     p.omega  # validates p, which _check_weight reads
@@ -159,23 +159,23 @@ def make_dual_witness(p: QueryProblem, gamma, q: int, eps: float) -> dict[str, n
     if not q < report.bound:
         raise ValueError(f"no witness guaranteed at q = {q}, bound = {report.bound:.6g}")
     v = report.perron_v
-    s = p.size
-    proj = np.outer(v, v)
+    w = g * np.outer(v, v)
+    lap = np.diag(w.sum(axis=1)) - w
     chain = ["init"] + [f"chain_{t}" for t in range(1, q)] + ["final_gram_def"] * (q > 0)
     witness: dict[str, np.ndarray] = {}
     for t in range(q + 1):
-        step = ((g - t * report.alpha * np.eye(s)) * proj).astype(complex)
-        # on the start face K_q is the scalar tr(J K_q)
-        witness[chain[q - t]] = -(np.full((1, 1), step.sum()) if t == q > 0 else step)
+        step = (lap + t * report.alpha * np.diag(v * v)).astype(complex)
+        # on the start face the last step is the scalar tr(J step)
+        witness[chain[q - t]] = np.full((1, 1), step.sum()) if t == q > 0 else step
     for i, j in p.differing_pairs():
-        a = g[i, j] * v[i] * v[j]
-        witness[f"pair_{pair_name(p, (i, j))}"] = a * np.array([[1, -1], [-1, 1]], dtype=complex)
+        witness[f"pair_{pair_name(p, (i, j))}"] = w[i, j] * np.array([[1, -1], [-1, 1]], dtype=complex)
     rep = verify_point(build_dual_relaxed(p, q, eps), witness)
-    if rep.max_residual > _WITNESS_TOL or not (rep.strict_slack and rep.strict_slack > 0):
+    if not (rep.within(_WITNESS_TOL) and rep.strict_slack and rep.strict_slack > 0):
         worst = max(rep.row_residuals, key=rep.row_residuals.get)
         raise WitnessError(
             "witness verification failed: "
             f"worst row {worst!r} residual {rep.row_residuals[worst]:.3e}, "
+            f"least block eigenvalue {rep.min_block_eig:.3e}, "
             f"strict slack {rep.strict_slack}, alpha {report.alpha:.6g}, "
             f"bound {report.bound:.6g}, q {q}"
         )

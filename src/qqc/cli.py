@@ -3,14 +3,15 @@
 Every subcommand prints one JSON report to stdout and exits with 0 when the
 requested question was answered, 1 on unreadable input, 2 on semantically
 invalid input, 3 when the solver could not decide, and 4 when a pipeline
-precondition fails. Reports are deterministic for a fixed seed except for
-the elapsed-time field.
+precondition fails, even if the stdout reader closed early. Reports are
+deterministic for a fixed seed except for the elapsed-time field.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -380,7 +381,12 @@ def main(argv: list[str] | None = None) -> int:
         report["results"] = fail.extra
         code = fail.code
     report["elapsed_s"] = time.perf_counter() - start
-    print(json.dumps(report, sort_keys=True, indent=2))
+    try:
+        print(json.dumps(report, sort_keys=True, indent=2), flush=True)
+    except BrokenPipeError:  # the reader left early: flush into devnull at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -19,10 +19,11 @@ existence programs hold the first joint state on its face J ⊗ rho_0 as one
 n x n block rho_0. The exact program states each input's success row and
 slack as a 1x1 matrix on its diagonal entry, and splits the final Gram
 matrix directly into output shares, with no block of its own; the relaxed
-program keeps a final Gram block, which its 2x2 pair rows read on each
-pair's principal submatrix. At eps = 0 the final states of inputs with
-different outputs are orthogonal, so share G_z vanishes outside class z's
-rows and columns: the exact program holds it on that face, as a c_z x c_z
+program keeps a final Gram block, whose diagonal is 1 at every point (each
+final state has unit norm), so each 2x2 pair row reads its pair's principal
+submatrix through one congruence. At eps = 0 the final states of inputs
+with different outputs are orthogonal, so share G_z vanishes outside class
+z's rows and columns: the exact program holds it on that face, as a c_z x c_z
 block H_z with G_z = E_z H_z E_z† and E_z = I[:, class z].
 
 Each witness program is generated from its existence program by conic
@@ -127,17 +128,6 @@ def _ident(d: int, scale: float = 1.0) -> BlockMap:
 
 def _trace_against(c: np.ndarray, scale: float = 1.0) -> BlockMap:
     return BlockMap("trace_against", d_in=c.shape[0], d_out=1, scale=scale, mat=np.asarray(c, dtype=complex))
-
-def _pair_off_diagonal(s: int, pair: tuple[int, int]) -> list[BlockMap]:
-    """x -> -V∘(E† x E), minus the off-diagonal part of the pair's 2x2 principal
-    submatrix, with E = [e_i e_j]: V∘P = ½(P - Z P Z) for Z = diag(1, -1), so
-    it is the sum of two congruences."""
-    e_adj = np.zeros((2, s))
-    e_adj[0, pair[0]] = e_adj[1, pair[1]] = 1.0
-    return [
-        BlockMap("conj_pt", d_in=s, d_out=2, scale=scale, mat=u, split=(2, 1))
-        for scale, u in ((-0.5, e_adj), (0.5, np.diag([1.0, -1.0]) @ e_adj))
-    ]
 
 
 @dataclass
@@ -267,9 +257,11 @@ def build_primal_relaxed(p: QueryProblem, q: int, eps: float) -> ConicFeasibilit
     Shares the query chain with the exact program, into one final Gram block
     final_gram; the output rows are replaced by one 2x2 row per unordered
     pair of instances with different outputs, on the pair's principal
-    submatrix of the final Gram matrix: the 2x2 slack margin·I + V∘(E† G E)
-    is PSD exactly when the pair's Gram entry has magnitude at most the
-    margin 2√(eps(1-eps)).
+    submatrix E† G E, with E = [e_i e_j]: slack - E† G E = (margin - 1)·I
+    for the margin 2√(eps(1-eps)). Every point has G_ii = 1 (tr rho_0 = 1
+    and each query keeps each input's trace; at q = 0 init sets G = J), so
+    the slack is [[margin, G_ij], [G_ji, margin]], PSD exactly when the
+    pair's Gram entry has magnitude at most the margin.
     """
     _check_q_eps(q, eps)
     s = p.size
@@ -280,9 +272,10 @@ def build_primal_relaxed(p: QueryProblem, q: int, eps: float) -> ConicFeasibilit
     margin = 2.0 * math.sqrt(eps * (1.0 - eps))
     for pr in pairs:
         name = pair_name(p, pr)
-        terms = [(bi["final_gram"], m) for m in _pair_off_diagonal(s, pr)]
-        terms.append((bi[f"pair_slack_{name}"], _ident(2)))
-        rows.append(Row(f"pair_{name}", 2, terms, margin * np.eye(2, dtype=complex)))
+        # x -> -E† x E, with E† = rows i and j of I_s
+        face = BlockMap("conj_pt", d_in=s, d_out=2, scale=-1.0, mat=np.eye(s)[list(pr)], split=(2, 1))
+        terms = [(bi["final_gram"], face), (bi[f"pair_slack_{name}"], _ident(2))]
+        rows.append(Row(f"pair_{name}", 2, terms, (margin - 1.0) * np.eye(2, dtype=complex)))
     return ConicFeasibilityProgram(blocks, rows)
 
 
@@ -341,8 +334,8 @@ def build_dual_relaxed(p: QueryProblem, q: int, eps: float) -> ConicFeasibilityP
 
     Free multipliers L_0..L_q of the chain rows, as in `build_dual`, and
     one 2x2 PSD multiplier D of each pair row. Rows: one per chain block;
-    the final_gram row keeps L_q - sum E (V∘D) E† PSD, and the strict row
-    pairs L_0 with init's right-hand side and each D with margin·I.
+    the final_gram row keeps L_q - sum E D E† PSD, and the strict row pairs
+    L_0 with init's right-hand side and each D with (margin - 1)·I.
     """
     return _farkas_alternative(build_primal_relaxed(p, q, eps))
 

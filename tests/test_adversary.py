@@ -3,8 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import random_valid_gamma
+from conftest import FAMILIES, PROBLEMS, random_valid_gamma
+import qqc.adversary
 from qqc.adversary import (
+    WitnessError,
     check_block_schur_identity,
     make_dual_witness,
     perron_vector,
@@ -126,7 +128,7 @@ def test_make_dual_witness_verifies_on_fixtures(deutsch, ix):
         for q in range(int(np.ceil(rep.bound - 1e-12))):
             witness = make_dual_witness(p, gamma, q, 0.0)
             check = verify_point(build_dual_relaxed(p, q, 0.0), witness)
-            assert check.max_residual <= 1e-8
+            assert check.within(1e-8)
             assert check.strict_slack > 0
 
 
@@ -149,10 +151,11 @@ def test_make_dual_witness_on_a_disconnected_weighting(deutsch):
 
 def test_make_dual_witness_last_step_is_the_j_trace():
     # OR of 17 bits under the promise of at most one 1: the star weighting
-    # bounds it at sqrt(17)/4 > 1, so a witness exists at q = 1. On the start
-    # face its last step K_1 is the 1x1 J-trace of (gamma - q alpha I)∘vvᵀ,
-    # held as init's multiplier -K_1, and the strict slack is that trace,
-    # lambda - alpha; final_gram_def's multiplier is -K_0
+    # bounds it at sqrt(17)/4 > 1, so a witness exists at q = 1. With
+    # W = gamma∘vvᵀ, final_gram_def's multiplier is the Laplacian
+    # diag(W 1) - W; on the start face the last step Lap(W) + alpha diag(v∘v)
+    # is its 1x1 J-trace alpha, held as init's multiplier, and the strict
+    # slack is lambda - alpha
     m = 17
     labels = ("0",) + tuple(f"e{i}" for i in range(m))
     flips = [np.eye(m)] + [np.diag(1.0 - 2.0 * np.eye(m)[i]) for i in range(m)]
@@ -163,16 +166,53 @@ def test_make_dual_witness_last_step_is_the_j_trace():
     rep = spectral_bound(p, gamma, 0.0)
     assert rep.ceil_bound == 2
     witness = make_dual_witness(p, gamma, 1, 0.0)
-    proj = np.outer(rep.perron_v, rep.perron_v)
-    assert np.array_equal(witness["final_gram_def"], -gamma * proj)
-    full = (gamma - rep.alpha * np.eye(m + 1)) * proj
+    w = gamma * np.outer(rep.perron_v, rep.perron_v)
+    assert np.array_equal(witness["final_gram_def"], np.diag(w.sum(axis=1)) - w)
     assert witness["init"].shape == (1, 1)
-    assert witness["init"][0, 0] == pytest.approx(-full.sum(), rel=1e-14)
+    assert witness["init"][0, 0] == pytest.approx(rep.alpha, rel=1e-14)
     check = verify_point(build_dual_relaxed(p, 1, 0.0), witness)
     assert check.max_residual <= 1e-8
     assert check.min_block_eig >= -1e-8
     assert check.strict_slack == pytest.approx(rep.lambda_gamma - rep.alpha, rel=1e-12)
     assert check.strict_slack > 0
+
+
+WEIGHTED = {name: p for name, p in {**PROBLEMS, **FAMILIES}.items() if p.differing_pairs()}
+
+
+@pytest.mark.parametrize("pname", sorted(WEIGHTED))
+@pytest.mark.parametrize("eps", [0.0, 0.1, 0.3])
+def test_witness_strict_slack_in_closed_form(pname, eps):
+    # at every q below the bound the witness's strict slack is
+    # (1 - margin) lambda - q alpha, for random weightings
+    p = WEIGHTED[pname]
+    rng = np.random.default_rng(29)
+    margin = 2.0 * np.sqrt(eps * (1.0 - eps))
+    for _ in range(3):
+        gamma = random_valid_gamma(p, rng)
+        rep = spectral_bound(p, gamma, eps)
+        assert rep.ceil_bound is not None and rep.ceil_bound >= 1
+        for q in range(rep.ceil_bound):
+            check = verify_point(build_dual_relaxed(p, q, eps), make_dual_witness(p, gamma, q, eps))
+            assert check.within(1e-8)
+            want = (1.0 - margin) * rep.lambda_gamma - q * rep.alpha
+            assert check.strict_slack == pytest.approx(want, rel=1e-12), q
+            assert check.strict_slack > 0
+
+
+def test_make_dual_witness_rejects_a_block_that_is_not_psd(deutsch, monkeypatch):
+    # rows within tolerance do not make a witness: a pair multiplier that is
+    # not PSD must raise, and the message names the least block eigenvalue
+    def tampered(prog, point):
+        rep = verify_point(prog, point)
+        name = next(iter(rep.block_min_eigs))
+        rep.block_min_eigs[name] = -1e-3
+        return rep
+
+    monkeypatch.setattr(qqc.adversary, "verify_point", tampered)
+    gamma = random_valid_gamma(deutsch, np.random.default_rng(1))
+    with pytest.raises(WitnessError, match="least block eigenvalue -1.000e-03"):
+        make_dual_witness(deutsch, gamma, 0, 0.0)
 
 
 def test_validate_runs_once_per_problem(deutsch, monkeypatch):

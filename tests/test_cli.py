@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -521,6 +524,19 @@ def test_seed_comes_from_the_option_only(problem_file, capsys, monkeypatch):
     assert "seed" not in rep
     assert rep["parameters"]["seed"] == 3
     assert rep["results"]["iterations"] == plain["results"]["iterations"]
+
+
+def test_reader_closing_early_keeps_the_exit_code(problem_file):
+    # the read end of stdout closes before the child prints its report: the
+    # command still exits with its own code and prints no traceback
+    src = str(Path(qqc.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "qqc.cli", "validate", problem_file("deutsch")]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0, err
+    assert b"Traceback" not in err
 
 
 def test_reports_deterministic_for_fixed_seed(problem_file, tmp_path, capsys):

@@ -26,8 +26,8 @@ def _map_inventory(rng, s, n):
     u = np.linalg.qr(rng.standard_normal((s * n, s * n))
                      + 1j * rng.standard_normal((s * n, s * n)))[0]
     c = random_hermitian(rng, s)
-    # the pair congruences of the relaxed programs: E† = [e_0 e_{s-1}]† and
-    # Z E† with Z = diag(1, -1), as plain congruences with split (2, 1)
+    # plain congruences with split (2, 1): E† = [e_0 e_{s-1}]†, as in the
+    # pair rows of the relaxed programs, and Z E† with Z = diag(1, -1)
     face = np.zeros((2, s))
     face[0, 0] = face[1, s - 1] = 1.0
     # the existence programs' first query, which reads the n x n start state
@@ -91,17 +91,23 @@ def test_block_map_applies_to_stacks():
 
 
 def test_pair_rows_read_the_pair_entry(deutsch):
-    # with a zero slack the pair row reads -[[0, G_ij], [G_ji, 0]] off G, so
-    # the row = margin·I has a PSD slack exactly when |G_ij| <= margin
-    prog = build_primal_relaxed(deutsch, 0, 0.1)
+    # with a zero slack the pair row reads -E† G E, the pair's principal
+    # submatrix; on a G with unit diagonal, as every point of the program
+    # has, the slack rhs - row = [[margin, G_ij], [G_ji, margin]] is PSD
+    # exactly when |G_ij| <= margin
+    eps = 0.1
+    margin = 2.0 * np.sqrt(eps * (1.0 - eps))
+    prog = build_primal_relaxed(deutsch, 0, eps)
     rng = np.random.default_rng(5)
     g = random_hermitian(rng, 4)
+    np.fill_diagonal(g, 1.0)
     point = {b.name: np.zeros((b.dim, b.dim), dtype=complex) for b in prog.blocks}
     point["final_gram"] = g
     for i, j in deutsch.differing_pairs():
         row = next(r for r in prog.rows if r.name == f"pair_{pair_name(deutsch, (i, j))}")
-        want = -np.array([[0.0, g[i, j]], [g[j, i], 0.0]])
-        assert np.max(np.abs(prog.row_value(row, point) - want)) <= 1e-15
+        assert len(row.terms) == 2
+        want = np.array([[margin, g[i, j]], [g[j, i], margin]])
+        assert np.max(np.abs(row.rhs - prog.row_value(row, point) - want)) <= 1e-15
 
 
 def test_success_rows_read_the_share_entry(deutsch):
@@ -190,7 +196,14 @@ def test_primal_relaxed_structure(deutsch):
     for pr in deutsch.differing_pairs():
         row = next(r for r in prog.rows if r.name == f"pair_{pair_name(deutsch, pr)}")
         assert row.dim == 2
-        assert np.array_equal(row.rhs, margin * np.eye(2))
+        assert np.array_equal(row.rhs, (margin - 1.0) * np.eye(2))
+        # one congruence at scale -1 reads G, the identity reads the slack
+        (gi, face), (si, ident) = row.terms
+        assert prog.blocks[gi].name == "final_gram"
+        assert (face.kind, face.scale, face.split) == ("conj_pt", -1.0, (2, 1))
+        assert np.array_equal(face.mat, np.eye(4)[list(pr)])
+        assert prog.blocks[si].name == f"pair_slack_{pair_name(deutsch, pr)}"
+        assert (ident.kind, ident.scale) == ("id", 1.0)
 
 
 def _slack_rows(prog):
@@ -222,8 +235,9 @@ def test_dual_structure(deutsch):
 
 def test_dual_relaxed_structure(deutsch):
     # on the start face the multiplier of tr rho_0 = 1 is a scalar and the
-    # rho_0 row is n x n; the final_gram row reads L_q and every pair
-    # multiplier, and at eps 0 the strict row reads only init
+    # rho_0 row is n x n; the final_gram row reads L_q and each pair
+    # multiplier once, and the strict row reads init and, through its
+    # rhs (margin - 1)·I, nonzero even at eps 0, each pair multiplier
     prog = build_dual_relaxed(deutsch, 1, 0.1)
     pairs = [f"pair_{pair_name(deutsch, pr)}" for pr in deutsch.differing_pairs()]
     assert [(b.name, b.dim, b.psd) for b in prog.blocks] == [
@@ -231,9 +245,9 @@ def test_dual_relaxed_structure(deutsch):
     rows = {r.name: r for r in prog.rows}
     assert [(r.name, r.dim) for r in prog.rows] == [("rho_0", 2), ("final_gram", 4), ("strict", 1)]
     reads = [prog.blocks[bj].name for bj, _ in rows["final_gram"].terms]
-    assert reads == ["final_gram_def"] + [name for name in pairs for _ in range(2)]
+    assert reads == ["final_gram_def"] + pairs
     at_zero = build_dual_relaxed(deutsch, 1, 0.0)
-    assert [at_zero.blocks[bj].name for bj, _ in at_zero.rows[-1].terms] == ["init"]
+    assert [at_zero.blocks[bj].name for bj, _ in at_zero.rows[-1].terms] == ["init"] + pairs
 
 
 @pytest.mark.parametrize("pname", sorted(ALL))
