@@ -38,10 +38,13 @@ point of the row space of A, and for b in the range of A, b^T y = x0^T s
 with x0 = A^T (A A^T)^+ b. The certificate search is then the same relaxed
 alternating projection, on the same pseudo-inverse, between
 {s in range(A^T): x0^T s = -1} and the PSD cone, which is its own dual.
-Both searches run in one loop with no schedule: at the first check a Farkas
-iterate s is seeded once from the primal iterate's displacement from the
-affine set, and every check, the first included, tries the polished point
-first and otherwise advances s by _CHECK_EVERY sweeps and tries the
+Both searches run in one loop, checked at c, 2c, 4c, ... sweeps (c =
+_FIRST_CHECK) and once more at the budget _MAX_ITERS. Between two checks
+the primal iterate and the Farkas iterate s each advance by the gap between
+them, so a cell is decided within twice the sweeps it needs, and B sweeps
+make about log2(B/c) checks. At the first check s is seeded once from the
+primal iterate's displacement from the affine set, and every check, the
+first included, tries the polished point first and otherwise tries the
 certificate y = (A A^T)^+ A s, scaled to pairing -1 and re-verified by
 `verify_point` as a point of the witness program before anything is
 reported.
@@ -85,15 +88,17 @@ __all__ = [
     "verify_point",
 ]
 
-# Primal sweeps between checks, and the Farkas iterate's dual sweeps at each
-# check the polish does not end. The Farkas iterate is seeded from the primal
-# displacement at the first check, so a short interval seeds it cruder: at
-# 10, ix q=1 `build_dual` eps 0.1 seed 0 is still UNDECIDED at 5 000 sweeps
-# (certified at 80-100 for 20-100). At 20 and 50 the benchmark's grid round
-# took +2 % and -9 % of its time at 100 (medians of 3): no clear gain.
-_CHECK_EVERY = 100
-# Primal sweep budget before UNDECIDED: over ten times the 4 300 sweeps of
-# the slowest certificate in the tests (four Haar qubit unitaries, q = 2).
+# Sweeps before the first check; each later check comes at twice the sweeps
+# of the one before. Checked after every sweep (solver seed 0), the feasible
+# cells of the fixtures and families polish at 11-17 sweeps, and their
+# certificates need 1-53 dual sweeps once seeded. A first check earlier than
+# 32 polishes from cruder points: at 8 and 16, const q=1 lands above 1e-12
+# and weyl3 q=1 takes more Gauss-Newton steps and a wider workspace (8 tier-1
+# tests fail), at 24 one const seed lands above 1e-12; 32, 48 and 64 pass.
+_FIRST_CHECK = 32
+# Primal sweep budget before UNDECIDED, and the last check: over ten times
+# the 4 096 sweeps of the slowest certificate in the tests (the rotation
+# I against R(0.28), q = 3, eps 0.1, `build_primal`).
 _MAX_ITERS = 50000
 # Relaxation of both projection steps, in (0, 2); at 2 each step reflects.
 _OVER_RELAXATION = 1.8
@@ -104,11 +109,13 @@ _CERT_TOL = 1e-7
 # Largest multiplier norm per unit of pairing: beyond it _CERT_TOL's room is
 # below the double-precision rounding of the adjoint image (1e-7 / 1e8).
 _CERT_NORM_CAP = 1e8
-# Cone-projected residual at or below which a check tries the face polish: at
-# the first check most feasible fixture cells sit at 0.8-1.5e-2 (weyl3 near
-# 3e-2) and polish there, while certificate cells stay above 0.6 and the
-# Haar-pairs instance near 0.14.
-_POLISH_GATE = 1e-1
+# Cone-projected residual at or below which a check tries the face polish. At
+# the first check the feasible fixture and family cells sit at 7e-4 to
+# 1.2e-2 and all-equal (3 bits) q=1 eps 0.1 at 1.7-2.4e-2, while certificate
+# cells stay above 0.95 and the Haar-pairs instance near 0.23. xor12 (3 bits)
+# q=1 eps 0.1 sits at 0.06-0.07 at 64 sweeps, where Gauss-Newton creeps to
+# its step cap on 6 of 10 seeds; at 128 (3e-2) it lands in 26-34 steps.
+_POLISH_GATE = 5e-2
 # FEASIBLE means polished: reconstruction's 1e-6 Gram check turned a 3e-8
 # unpolished residual into a 2.8e-5 miss.
 _POLISHED_TOL = 1e-10
@@ -124,9 +131,9 @@ _FACE_RES_FACTOR = 10.0
 # take at most 25, so the cap only stops a guess that creeps, and decides
 # how far it gets. A protocol rebuilt from a point loses success roughly in
 # step with the point's residual: on all-equal (3 bits) q=1 eps 0.1, solver
-# seeds 0-19, caps of 40, 60 and 150 leave one seed polished to 3-8e-11,
-# whose protocol succeeds with 0.9 - 1.1e-6 to 0.9 - 1.9e-6; at 100 the
-# worst is 0.9 - 3.7e-7 (seed 4, residual 4e-12).
+# seeds 0-19, the worst seed (3) polishes to 3.9e-11, 2.1e-11, 1.0e-11 and
+# 1.2e-12 at caps of 40, 60, 100 and 150, and its protocol succeeds with 0.9
+# minus 1.1e-6, 8.9e-7, 5.4e-7 and 2.0e-7.
 _GN_MAX_STEPS = 100
 # Relative distance of b from the range of A that makes the program
 # infeasible outright: far above the rounding of the 1e-12-cut Gram
@@ -627,8 +634,11 @@ def _decide(witness: ConicFeasibilityProgram, cfg: SolverConfig) -> FeasibilityO
 
     x = 0.1 * rng.standard_normal(eng.n_cols)
     s = None  # the Farkas iterate, seeded at the first check
-    for it in range(_CHECK_EVERY, _MAX_ITERS + 1, _CHECK_EVERY):
-        x = _run_ap(eng.project_affine, eng.project_cone, x, _CHECK_EVERY)
+    it = 0
+    while it < _MAX_ITERS:
+        gap = min(max(it, _FIRST_CHECK), _MAX_ITERS - it)
+        it += gap
+        x = _run_ap(eng.project_affine, eng.project_cone, x, gap)
         cand = eng.project_cone(x)
         res = residuals(cand)
         if max(res.values(), default=0.0) <= _POLISH_GATE:
@@ -641,7 +651,7 @@ def _decide(witness: ConicFeasibilityProgram, cfg: SolverConfig) -> FeasibilityO
             # v from the affine set to the cone (Bauschke & Borwein 1993), so
             # it sits near the dual cone with pairing b^T w near -|v|^2 < 0.
             s = cand - eng.project_affine(cand)
-        s = _run_ap(eng.project_dual_affine, eng.project_cone, s, _CHECK_EVERY)
+        s = _run_ap(eng.project_dual_affine, eng.project_cone, s, gap)
         cert = _certify(witness, _split(prog.rows, eng._lift.T @ eng.project_cone(s)))
         if cert is not None:
             return FeasibilityOutcome("INFEASIBLE_WITH_CERTIFICATE", None, cert, res, it)

@@ -550,6 +550,51 @@ def test_certificate_for_haar_pairs_at_two_queries():
     assert rep.strict_slack > 0
 
 
+def _rotation(theta):
+    # I against the real rotation R(theta), asked which: q queries succeed at
+    # best with (1 + sin q theta) / 2, so q = 3, eps 0.1 is infeasible for
+    # theta below 0.3091
+    c, s = np.cos(theta), np.sin(theta)
+    return QueryProblem(2, ("i", "r"), np.array([np.eye(2), [[c, -s], [s, c]]], dtype=complex),
+                        ("a", "b"), {"i": "a", "r": "b"})
+
+
+@pytest.mark.parametrize("exist,witness", [(build_primal, build_dual),
+                                           (build_primal_relaxed, build_dual_relaxed)])
+def test_rotation_certificates_come_within_the_budget(exist, witness):
+    # near the boundary a certificate takes thousands of sweeps (4 096 and
+    # 2 048 here), far more than any fixture cell
+    p = _rotation(0.28)
+    out = solve(exist(p, 3, 0.1))
+    assert out.status == "INFEASIBLE_WITH_CERTIFICATE"
+    rep = verify_point(witness(p, 3, 0.1), out.certificate)
+    assert rep.max_residual <= 1e-8
+    assert rep.min_block_eig >= -1e-8
+    assert rep.strict_slack > 0
+
+
+def test_checks_grow_with_the_logarithm_of_the_sweeps(monkeypatch):
+    # checks come at c, 2c, 4c, ... sweeps and on the budget, so a run that
+    # decides nothing in 2 048 sweeps polishes and certifies at most
+    # log2(2048 / c) + 1 times each
+    monkeypatch.setattr(solver, "_MAX_ITERS", 2048)
+    calls = {"_face_polish": 0, "_certify": 0}
+
+    def counting(name, inner):
+        def counted(*args):
+            calls[name] += 1
+            return inner(*args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(solver, name, counting(name, getattr(solver, name)))
+    out = solve(build_primal(_rotation(0.3), 3, 0.1))
+    assert (out.status, out.iterations) == ("UNDECIDED", 2048)
+    most = math.log2(2048 / solver._FIRST_CHECK) + 1
+    assert 0 < calls["_face_polish"] <= most
+    assert 0 < calls["_certify"] <= most
+
+
 def test_two_qubit_pauli_identification_needs_one_query():
     # pauli2: no query succeeds with at most 1/16, so the exact program is
     # certified at q = 0 and both witness programs have a point there, and
@@ -696,8 +741,9 @@ def test_weak_duality_pairing_is_negative_on_certificates(deutsch, cached_solve)
 
 
 def test_certificates_start_at_the_first_check(cached_solve):
-    # the Farkas iterate sweeps from the first check on, so no certificate of
-    # the criterion-01 grid waits 1000 primal sweeps for its search to start
+    # the Farkas iterate sweeps from the first check on, and the checks
+    # double from there, so every certificate of the criterion-01 grid comes
+    # by 64 sweeps; none waits 1000 primal sweeps for its search to start
     late = []
     for cell in itertools.product(PROBLEMS, BUILDERS, (0, 1, 2), (0.0, 0.1)):
         out = cached_solve(*cell)
