@@ -153,12 +153,17 @@ def matrix_to_dict(m: np.ndarray) -> dict:
 
 
 def matrix_from_dict(e: dict) -> np.ndarray:
-    """Inverse of matrix_to_dict; a missing "im" reads as zero."""
+    """Inverse of matrix_to_dict; a missing "im" reads as zero.
+
+    A non-finite part gives a non-finite entry (an infinite "im" a NaN real
+    part, without a warning), which the callers' finiteness checks refuse.
+    """
     re = np.asarray(e["re"], dtype=float)
     im = np.asarray(e.get("im", np.zeros_like(re)), dtype=float)
     if im.shape != re.shape:
         raise ValueError(f'"im" shape {im.shape} differs from "re" shape {re.shape}')
-    return re + 1j * im
+    with np.errstate(invalid="ignore"):
+        return re + 1j * im
 
 
 def problem_to_dict(p: QueryProblem) -> dict:

@@ -52,35 +52,34 @@ class ReconstructionError(RuntimeError):
 def validate_algorithm(alg: QuantumQueryAlgorithm) -> dict[str, float]:
     """Check unitarity and measurement structure; returns the residuals.
 
-    Raises ReconstructionError if any residual exceeds _ALG_TOL.
+    Raises ReconstructionError if any residual exceeds _ALG_TOL or is not a
+    number, as it is when an entry is NaN.
     """
     d = alg.dim
     eye = np.eye(d)
-    res = {"unitarity": 0.0, "projector": 0.0, "orthogonality": 0.0, "completeness": 0.0}
+    norms: dict[str, list[float]] = {"unitarity": [], "projector": [], "orthogonality": [],
+                                     "completeness": []}
     for t, u in enumerate(alg.unitaries):
         if u.shape != (d, d):
             raise ReconstructionError(f"unitary {t} has shape {u.shape}, expected ({d}, {d})")
-        res["unitarity"] = max(res["unitarity"], float(np.linalg.norm(u.conj().T @ u - eye)))
+        norms["unitarity"].append(float(np.linalg.norm(u.conj().T @ u - eye)))
     labels = list(alg.projectors)
     total = np.zeros((d, d), dtype=complex)
     for z in labels:
         pz = alg.projectors[z]
         if pz.shape != (d, d):
             raise ReconstructionError(f"projector {z!r} has shape {pz.shape}, expected ({d}, {d})")
-        res["projector"] = max(
-            res["projector"],
-            float(np.linalg.norm(pz - pz.conj().T)),
-            float(np.linalg.norm(pz @ pz - pz)),
-        )
+        norms["projector"] += [float(np.linalg.norm(pz - pz.conj().T)),
+                               float(np.linalg.norm(pz @ pz - pz))]
         total += pz
     for a in range(len(labels)):
         for b in range(a + 1, len(labels)):
-            res["orthogonality"] = max(
-                res["orthogonality"],
-                float(np.linalg.norm(alg.projectors[labels[a]] @ alg.projectors[labels[b]])),
-            )
-    res["completeness"] = float(np.linalg.norm(total - eye))
-    bad = {k: v for k, v in res.items() if v > _ALG_TOL}
+            norms["orthogonality"].append(
+                float(np.linalg.norm(alg.projectors[labels[a]] @ alg.projectors[labels[b]])))
+    norms["completeness"].append(float(np.linalg.norm(total - eye)))
+    # np.max keeps a NaN, where max(0.0, nan) would drop it
+    res = {k: float(np.max(v, initial=0.0)) for k, v in norms.items()}
+    bad = {k: v for k, v in res.items() if not v <= _ALG_TOL}
     if bad:
         raise ReconstructionError(f"algorithm fails structural checks: {bad}")
     return res
@@ -262,6 +261,10 @@ def algorithm_from_dict(data: dict) -> QuantumQueryAlgorithm:
         raise ValueError(f"malformed algorithm description: {exc}") from exc
     if not unitaries:
         raise ValueError("algorithm must contain at least one unitary")
+    for name, m in [*((f"unitary {t}", u) for t, u in enumerate(unitaries)),
+                    *((f"projector {z!r}", pz) for z, pz in projectors.items())]:
+        if not np.isfinite(m).all():
+            raise ValueError(f"{name} has non-finite entries")
     d = n * w_dim
     for t, u in enumerate(unitaries):
         if u.shape != (d, d):

@@ -52,14 +52,26 @@ reported.
 Near-feasible points are polished by rank-restricted Gauss-Newton: each
 block's rank is guessed from its spectrum with a residual-scaled cut, the
 blocks are refactored as Y Y-adjoint (the Burer-Monteiro factorization),
-and the factors are refined against the equality rows. The Jacobian reads
-the row side of A: on a block each scalar row is tr(C_k X) with C_k =
-unhvec(row k of the block's columns), the SDPA export's constraint
-matrices, built once per polish by `_row_matrices`; the row's rate along a
-factor step Delta is 2 Re tr(Y-adjoint C_k Delta), so the factor's Jacobian
-is 2 [Re, Im](C_k Y) on the rows that read the block. Candidates lie in the
-cone by construction, so success lands equality residuals near 1e-14, which
-downstream extraction steps rely on; failed guesses are discarded. An
+and the factors are refined against the equality rows. The polish works on
+the cone step's packed buffer. The rank guess reads every spectrum through
+the cone step's gather and one stacked `eigh` per dimension; a 1x1 block
+is its own eigenvalue. All factors live in one flat real vector, each
+block's factor a view of its part, so a trial is theta + t * step. A trial
+point writes each Y Y-adjoint into the block's slot of the packed buffer
+(`matmul` with `out=`) and reads the coordinates back through the cone
+step's gather and scatter. The Jacobian is written in place into one array
+per Gauss-Newton run, and reads the row side of A: on a block each scalar
+row is tr(C_k X) with C_k = unhvec(row k of the block's columns), the SDPA
+export's constraint matrices, built once per engine by `_row_matrices`;
+the row's rate along a factor step Delta is 2 Re tr(Y-adjoint C_k Delta),
+so the factor's Jacobian is 2 [Re, Im](C_k Y) on the rows that read the
+block. For all rank-one 1x1 blocks at once, the products and the Jacobian
+columns are written elementwise, with the arithmetic numpy's `matmul` does
+on 1x1 operands. Each step is the per-block polish's arithmetic on the
+same floats, so the polished points are the same bit for bit. Candidates
+lie in the cone by construction, so success lands equality residuals near
+1e-14, which downstream extraction steps rely on; failed guesses are
+discarded. An
 existence program is FEASIBLE only at a polished point; a point the polish
 cannot finish is swept further. A witness program's FEASIBLE point is a
 certificate, so it holds to _CERT_TOL.
@@ -334,6 +346,7 @@ class _Engine:
         self.b = b
         self.block_off = block_off
         self.n_rows, self.n_cols = a.shape
+        self._dims = np.array([blk.dim for blk in blocks], dtype=np.intp)
         # The cone step's packed buffer holds the complex matrices of all
         # blocks, grouped by ascending dimension, so the 1x1 blocks lead. Its
         # float view is filled from x in one gather through unhvec's `_coords`
@@ -341,16 +354,19 @@ class _Engine:
         # through hvec's table shifted to each matrix's place and one scatter;
         # a group of k blocks of dimension d is a zero-copy (k, d, d) slice.
         groups: dict[int, list[int]] = {}
-        for blk, off in zip(blocks, self.block_off):
-            groups.setdefault(blk.dim, []).append(off)
+        for j, blk in enumerate(blocks):
+            groups.setdefault(blk.dim, []).append(j)
         src, inv_scale, diag_imag, at, scale, dst = ([] for _ in range(6))
-        self._cone_slices = []  # (k, d, start, stop) in the buffer, for d > 1
+        self._cone_slices = []  # (k, d, start, stop, blocks) in the buffer, for d > 1
+        self._line_blocks = np.zeros(0, dtype=np.intp)  # the 1x1 blocks, in buffer order
         self._half_line = 0  # float slots of the 1x1 blocks
+        self._pack_at = np.zeros(len(blocks), dtype=np.intp)  # each block's first entry in the buffer
         start = 0
         for d in sorted(groups):
             t = _coords(d)
-            offs = np.array(groups[d])[:, None]
-            k, size = len(offs), d * d
+            js = np.array(groups[d])
+            offs = np.array(block_off)[js][:, None]
+            k, size = len(js), d * d
             place = 2 * (start + size * np.arange(k))[:, None]  # each matrix in the float view
             src.append(offs + t.src)
             inv_scale.append(np.tile(t.inv_scale, k))
@@ -358,11 +374,13 @@ class _Engine:
             at.append(place + t.at)
             scale.append(np.tile(t.scale, k))
             dst.append(offs + np.arange(size))
+            self._pack_at[js] = start + size * np.arange(k)
             if d == 1:
-                self._half_line = 2 * k
+                self._line_blocks, self._half_line = js, 2 * k
             else:
-                self._cone_slices.append((k, d, start, start + k * size))
+                self._cone_slices.append((k, d, start, start + k * size, js))
             start += k * size
+        self._pack_len = start
 
         def flat(parts: list[np.ndarray], dtype=np.intp) -> np.ndarray:
             # 1-D, so that every gather returns a contiguous array
@@ -383,48 +401,47 @@ class _Engine:
     def project_affine(self, x: np.ndarray) -> np.ndarray:
         return x + self._lift @ (self.b - self.a @ x)
 
+    def _pack(self, x: np.ndarray) -> np.ndarray:
+        """The packed buffer's float view, gathered from the coordinates x:
+        the 1x1 blocks lead as (value, 0) pairs, then the `_cone_slices`."""
+        f = x[self._cone_src] * self._cone_inv_scale
+        f[self._cone_diag_imag] = 0.0
+        return f
+
+    def _unpack(self, g: np.ndarray) -> np.ndarray:
+        """The coordinates of the matrices in the packed buffer's float view g."""
+        out = np.empty(self.n_cols)
+        out[self._cone_dst] = g[self._cone_at] * self._cone_scale
+        return out
+
     def project_cone(self, x: np.ndarray) -> np.ndarray:
         """Clip the spectrum of every block: one gather into the packed
         buffer, one stacked eigh per dimension, one gather and scatter back.
         The PSD cone is its own dual, so this is the Farkas cone step too."""
-        f = x[self._cone_src] * self._cone_inv_scale
-        f[self._cone_diag_imag] = 0.0
+        f = self._pack(x)
         packed = f.view(complex)
         g = np.empty_like(f)
         projected = g.view(complex)
         # a 1x1 PSD block is the half-line; its imaginary slot is zero
         np.maximum(f[: self._half_line], 0.0, out=g[: self._half_line])
-        for k, d, lo, hi in self._cone_slices:
+        for k, d, lo, hi, _ in self._cone_slices:
             w, v = np.linalg.eigh(packed[lo:hi].reshape(k, d, d))
             np.maximum(w, 0.0, out=w)
             np.matmul(v * w[..., None, :], v.conj().swapaxes(-1, -2),
                       out=projected[lo:hi].reshape(k, d, d))
-        out = x.copy()
-        out[self._cone_dst] = g[self._cone_at] * self._cone_scale
-        return out
+        return self._unpack(g)
 
     def project_dual_affine(self, s: np.ndarray) -> np.ndarray:
         """Project onto {s in range(A^T): x0^T s = -1}."""
         r = self._lift @ (self.a @ s)
         return r - ((1.0 + self._x0 @ r) / (self._x0 @ self._x0)) * self._x0
 
-
-def _assemble_factors(eng: _Engine, ys: list[np.ndarray]) -> np.ndarray:
-    x = np.zeros(eng.n_cols)
-    for y, b, off in zip(ys, eng.blocks, eng.block_off):
-        x[off : off + b.dim * b.dim] = hvec(y @ y.conj().T)
-    return x
-
-
-def _step_factors(ys: list[np.ndarray], step: np.ndarray) -> list[np.ndarray]:
-    out = []
-    k = 0
-    for y in ys:
-        d, r = y.shape
-        seq = step[k : k + 2 * d * r].reshape(r, d, 2)
-        out.append(y + (seq[..., 0] + 1j * seq[..., 1]).T)
-        k += 2 * d * r
-    return out
+    @functools.cached_property
+    def _row_mats(self) -> list[tuple[np.ndarray, np.ndarray] | None]:
+        """`_row_matrices` of every block of dimension d > 1, built at the
+        first polish; None for a 1x1 block, whose rows read A as it stands."""
+        return [_row_matrices(self.a[:, off : off + b.dim * b.dim], b.dim) if b.dim > 1 else None
+                for b, off in zip(self.blocks, self.block_off)]
 
 
 def _row_matrices(a_blk: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -438,54 +455,130 @@ def _row_matrices(a_blk: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     return touch, unhvec(a_blk[touch], d)
 
 
-def _factor_jacobian(y: np.ndarray, touch: np.ndarray, c: np.ndarray, n_rows: int) -> np.ndarray:
+def _factor_jacobian(y: np.ndarray, touch: np.ndarray, c: np.ndarray, n_rows: int,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """Jacobian of Y -> (tr(C_k Y Y^H))_k for one d x r factor Y.
 
     Row k comes from `_row_matrices` and reads tr(C_k X). Along unit * e_i e_l^T
     it changes at 2 Re(unit * conj((C_k Y)[i, l])), that is 2 Re or 2 Im of
     (C_k Y)[i, l]; columns run over l, then i, then the real and imaginary
-    unit, the order `_step_factors` reads a step in. Rows outside touch are
-    zero.
+    unit, the order of a block's part of the flat factor vector. Rows outside
+    touch are zero: those of `out`, an (n_rows, 2 d r) array that is written
+    in place when given, are left as they are.
     """
     (d, r), t = y.shape, len(touch)
     cy = (c.reshape(t * d, d) @ y).reshape(t, d, r)
-    jac = np.zeros((n_rows, 2 * d * r))
-    jac[touch] = 2.0 * np.ascontiguousarray(cy.swapaxes(1, 2)).view(float).reshape(t, 2 * d * r)
-    return jac
+    if out is None:
+        out = np.zeros((n_rows, 2 * d * r))
+    out[touch] = 2.0 * np.ascontiguousarray(cy.swapaxes(1, 2)).view(float).reshape(t, 2 * d * r)
+    return out
 
 
-def _gauss_newton(eng: _Engine, ys: list[np.ndarray]) -> np.ndarray:
+def _factor_starts(eng: _Engine, ranks: np.ndarray) -> np.ndarray:
+    """Where each block's part of the flat factor vector starts (see `_Factors`)."""
+    sizes = 2 * eng._dims * ranks
+    return np.cumsum(sizes) - sizes
+
+
+def _factor_view(theta: np.ndarray, lo: int, d: int, r: int) -> np.ndarray:
+    """The d x r factor whose part of theta starts at lo, as a view."""
+    return theta[lo : lo + 2 * d * r].view(complex).reshape(r, d).T
+
+
+class _Factors:
+    """Block factors at fixed ranks as views of one flat real vector theta.
+
+    The blocks' parts follow each other in block order. Block j's 2 d r
+    floats hold its d x r factor Y transposed, row-major, with real and
+    imaginary parts side by side: the column order of `_factor_jacobian`, so
+    entry c of theta is column c of the Jacobian, and a step is added to
+    theta as it stands. Rank-zero blocks have no part. A rank-one 1x1
+    block's factor is one number a + ib, which adds a^2 + b^2 to its
+    coordinate and gives its Jacobian columns 2 (c a, c b) for its column c
+    of A, a zero read as +0: the arithmetic of numpy's matmul on 1x1
+    operands, done elementwise for all such blocks at once.
+    """
+
+    def __init__(self, eng: _Engine, ranks: np.ndarray):
+        self.eng = eng
+        dims = eng._dims
+        starts = _factor_starts(eng, ranks)
+        self.size = int(2 * dims @ ranks)
+        line = np.flatnonzero(ranks * (dims == 1))
+        self._pair = np.concatenate([starts[line], starts[line] + 1])
+        self._pair_coef = eng.a[:, np.tile(np.asarray(eng.block_off)[line], 2)]
+        self._line_slots = 2 * eng._pack_at[line]
+        mats = np.flatnonzero(ranks * (dims > 1))
+        # (start in theta, d, r, block) of each block of dimension d > 1
+        self.mats = list(zip(starts[mats].tolist(), dims[mats].tolist(), ranks[mats].tolist(),
+                             mats.tolist()))
+        self._conj = np.empty(self.size)
+        self._yhs = [y.T for y in self.views(self._conj)]  # Y-adjoint, once _conj holds conj(theta)
+        # the packed buffer: slots of rank-zero blocks stay zero
+        self._g = np.zeros(2 * eng._pack_len)
+        packed = self._g.view(complex)
+        self._slots = [packed[at : at + d * d].reshape(d, d)
+                       for at, d in zip(eng._pack_at[mats].tolist(), dims[mats].tolist())]
+
+    def views(self, theta: np.ndarray) -> list[np.ndarray]:
+        """The factors of the blocks of dimension d > 1 as views of theta."""
+        return [_factor_view(theta, lo, d, r) for lo, d, r, _ in self.mats]
+
+    def assemble(self, theta: np.ndarray, ys: list[np.ndarray]) -> np.ndarray:
+        """Coordinates of the blocks Y Y-adjoint, ys being `views(theta)`:
+        each product is written into its slot of the packed buffer and read
+        back through the cone step's gather and scatter."""
+        sq = theta[self._pair]
+        sq *= sq
+        half = len(sq) // 2
+        self._g[self._line_slots] = sq[:half] + sq[half:]
+        np.conjugate(theta.view(complex), out=self._conj.view(complex))
+        for y, yh, slot in zip(ys, self._yhs, self._slots):
+            np.matmul(y, yh, out=slot)
+        return self.eng._unpack(self._g)
+
+    def jacobian(self, theta: np.ndarray, ys: list[np.ndarray], jac: np.ndarray) -> None:
+        """Write the Jacobian at theta into jac, an (n_rows, size) array whose
+        entries outside the rows that read each block are zero."""
+        jac[:, self._pair] = (self._pair_coef * theta[self._pair] + 0.0) * 2.0
+        for y, (lo, d, r, j) in zip(ys, self.mats):
+            touch, c = self.eng._row_mats[j]
+            _factor_jacobian(y, touch, c, self.eng.n_rows, jac[:, lo : lo + 2 * d * r])
+
+
+def _gauss_newton(eng: _Engine, theta: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     """Refine block factors against the equality rows; returns flat coords.
 
     Blocks are parametrized as Y Y-adjoint at fixed rank, so every candidate
     lies in the cone exactly and only the affine residual is minimized.
     Steps come from a least-squares Jacobian solve with backtracking; stalls
-    terminate quietly and the caller keeps whatever was best.
+    terminate quietly and the caller keeps whatever was best. The factors
+    live in theta (see `_Factors`), a trial point in a second vector of the
+    same layout, and the Jacobian in one array written in place.
     """
-    x = _assemble_factors(eng, ys)
+    fac = _Factors(eng, ranks)
+    trial = np.empty_like(theta)
+    ys, trial_ys = fac.views(theta), fac.views(trial)
+    jac = np.zeros((eng.n_rows, fac.size))
+    x = fac.assemble(theta, ys)
     r = eng.a @ x - eng.b
     rn = float(np.linalg.norm(r))
     floor = 1e-15 * max(1.0, float(np.linalg.norm(eng.b)))
-    lin = [_row_matrices(eng.a[:, off : off + b.dim * b.dim], b.dim)
-           for b, off in zip(eng.blocks, eng.block_off)]
     for _ in range(_GN_MAX_STEPS):
-        if rn <= floor:
+        if rn <= floor or not fac.size:
             break
-        jac = np.hstack([np.zeros((eng.n_rows, 0))] + [
-            _factor_jacobian(y, *m, eng.n_rows) for y, m in zip(ys, lin)
-        ])
-        if not jac.shape[1]:
-            break
+        fac.jacobian(theta, ys, jac)
         step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         t = 1.0
         improved = False
         for _ in range(8):
-            trial = _step_factors(ys, t * step)
-            xt = _assemble_factors(eng, trial)
+            np.add(theta, t * step, out=trial)
+            xt = fac.assemble(trial, trial_ys)
             rt = eng.a @ xt - eng.b
             rtn = float(np.linalg.norm(rt))
             if rtn < rn:
-                ys, x, r, rn = trial, xt, rt, rtn
+                theta, trial, ys, trial_ys = trial, theta, trial_ys, ys
+                x, r, rn = xt, rt, rtn
                 improved = True
                 break
             t *= 0.5
@@ -494,7 +587,7 @@ def _gauss_newton(eng: _Engine, ys: list[np.ndarray]) -> np.ndarray:
     return x
 
 
-def _guess_factors(eng: _Engine, x: np.ndarray, extra: int, res: float) -> list[np.ndarray]:
+def _guess_factors(eng: _Engine, x: np.ndarray, extra: int, res: float) -> tuple[np.ndarray, np.ndarray]:
     """Factor each block at the rank its spectrum suggests, plus headroom.
 
     Spurious eigenvalues shrink along with the residual while true ones stay
@@ -502,22 +595,42 @@ def _guess_factors(eng: _Engine, x: np.ndarray, extra: int, res: float) -> list[
     before the iterates themselves converge. `extra` appends that many gently
     seeded directions from just below the cut; refinement can always shrink
     them back to zero, but a missing direction leaves a rank-deficient dead
-    end.
+    end. The spectra come from the cone step's gather, one stacked eigh per
+    dimension; a 1x1 block is its own eigenvalue, with eigenvector 1.
+    Returns the flat factor vector (see `_Factors`) and each block's rank.
     """
-    ys: list[np.ndarray] = []
-    for b, off in zip(eng.blocks, eng.block_off):
-        w, v = np.linalg.eigh(unhvec(x[off : off + b.dim * b.dim], b.dim))
-        cut = max(max(w[-1], 0.0) * _FACE_REL_TOL + _FACE_ABS_FLOOR, _FACE_RES_FACTOR * res)
-        keep = w > cut
-        y = v[:, keep] * np.sqrt(w[keep])
-        if extra:
-            rest = np.flatnonzero(~keep)
-            take = rest[-extra:]
-            if take.size:
-                seed = math.sqrt(max(res, 1e-12))
-                y = np.concatenate([y, v[:, take] * seed], axis=1)
-        ys.append(y)
-    return ys
+
+    def cut(top: np.ndarray) -> np.ndarray:
+        return np.maximum(np.maximum(top, 0.0) * _FACE_REL_TOL + _FACE_ABS_FLOOR,
+                          _FACE_RES_FACTOR * res)
+
+    seed = math.sqrt(max(res, 1e-12))
+    f = eng._pack(x)
+    packed = f.view(complex)
+    spectra = [np.linalg.eigh(packed[lo:hi].reshape(k, d, d)) for k, d, lo, hi, _ in eng._cone_slices]
+    kept = np.zeros(len(eng.blocks), dtype=np.intp)
+    line = eng._line_blocks
+    vals = f[: eng._half_line : 2]
+    on = vals > cut(vals)
+    kept[line] = on
+    for (_, _, _, _, js), (w, _) in zip(eng._cone_slices, spectra):
+        kept[js] = np.count_nonzero(w > cut(w[:, -1])[:, None], axis=1)
+    ranks = np.minimum(kept + extra, eng._dims)
+    starts = _factor_starts(eng, ranks)
+    theta = np.empty(int(2 * eng._dims @ ranks))
+    # a kept 1x1 block is (sqrt value, 0), a padded one (seed, 0)
+    some = ranks[line] > 0
+    at = starts[line][some]
+    theta[at] = np.where(on, np.sqrt(np.where(on, vals, 0.0)), seed)[some]
+    theta[at + 1] = 0.0
+    for (_, d, _, _, js), (w, v) in zip(eng._cone_slices, spectra):
+        for i, j in enumerate(js.tolist()):
+            r, rank = int(kept[j]), int(ranks[j])
+            if rank:
+                y = _factor_view(theta, int(starts[j]), d, rank)
+                y[:, :r] = v[i, :, d - r :] * np.sqrt(w[i, d - r :])
+                y[:, r:] = v[i, :, d - rank : d - r] * seed
+    return theta, ranks
 
 
 def _face_polish(eng: _Engine, x: np.ndarray) -> np.ndarray:
@@ -536,8 +649,7 @@ def _face_polish(eng: _Engine, x: np.ndarray) -> np.ndarray:
     for extra in (0, 1):
         if best_res < 1e-13:
             break
-        ys = _guess_factors(eng, best, extra, best_res)
-        cand = _gauss_newton(eng, ys)
+        cand = _gauss_newton(eng, *_guess_factors(eng, best, extra, best_res))
         res = residual(cand)
         if res < best_res:
             best, best_res = cand, res

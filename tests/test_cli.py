@@ -347,6 +347,20 @@ def test_simulate_rejects_non_projective_protocol(tmp_path, capsys):
     assert "projector" in rep["error"]
 
 
+def test_simulate_non_finite_algorithm_is_input_error(problem_file, tmp_path, capsys):
+    # JSON's NaN literal in a unitary: refused on reading, not a traceback
+    data = algorithm_to_dict(hand_deutsch_algorithm())
+    data["unitaries"][0]["re"][0][0] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(data))
+    assert "NaN" in path.read_text()
+    code = main(["simulate", problem_file("deutsch"), "--alg", str(path), "--eps", "0"])
+    rep = _report(capsys)
+    assert code == 1
+    assert rep["status"] == "INPUT_ERROR"
+    assert "non-finite" in rep["error"]
+
+
 def test_simulate_dimension_mismatch(problem_file, tmp_path, capsys):
     alg = hand_deutsch_algorithm()
     data = algorithm_to_dict(alg)

@@ -278,6 +278,31 @@ def test_algorithm_from_dict_rejects_malformed(mutate):
         algorithm_from_dict(data)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("where", ["unitary", "projector"])
+def test_algorithm_from_dict_rejects_non_finite(value, where):
+    # a NaN read from JSON used to reach the simulation's eigh
+    data = algorithm_to_dict(hand_deutsch_algorithm())
+    entry = data["unitaries"][0] if where == "unitary" else data["projectors"]["1"]
+    entry["im" if where == "unitary" else "re"][0][0] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        algorithm_from_dict(data)
+
+
+@pytest.mark.parametrize("where", ["unitary", "projector"])
+def test_validate_algorithm_fails_non_finite_residuals(where):
+    # max(0.0, nan) is 0.0, so a NaN residual used to pass
+    alg = hand_deutsch_algorithm()
+    if where == "unitary":
+        alg.unitaries[0] = alg.unitaries[0].copy()
+        alg.unitaries[0][0, 0] = np.nan
+    else:
+        alg.projectors["0"] = alg.projectors["0"].copy()
+        alg.projectors["0"][1, 1] = np.nan
+    with pytest.raises(ReconstructionError, match="nan"):
+        validate_algorithm(alg)
+
+
 def test_algorithm_from_dict_real_only_entries():
     data = algorithm_to_dict(hand_deutsch_algorithm())
     for e in data["unitaries"]:

@@ -27,9 +27,14 @@ from qqc.solver import (
     SolverError,
     _Engine,
     _certify,
+    _face_polish,
     _factor_jacobian,
+    _factor_view,
+    _Factors,
+    _gauss_newton,
+    _guess_factors,
     _row_matrices,
-    _step_factors,
+    _run_ap,
     assemble,
     hvec,
     solve,
@@ -398,20 +403,203 @@ def test_factor_jacobian_matches_central_differences(d, source):
         assert np.linalg.norm(jac - fd) <= 1e-7 * np.linalg.norm(fd)
 
 
-def test_factor_jacobian_columns_follow_step_factors():
-    # a step along one Jacobian column, taken by _step_factors, moves
-    # hvec(Y Y^H) along that column to first order
+def test_factor_jacobian_columns_follow_the_factor_vector():
+    # a step along entry c of the flat factor vector, of which the factor is
+    # a view, moves hvec(Y Y^H) along column c of the Jacobian to first order
     rng = np.random.default_rng(2)
     d, r, h = 3, 2, 1e-4
-    y = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
+    theta = rng.standard_normal(2 * d * r)
+    y = _factor_view(theta, 0, d, r)
+    assert y.shape == (d, r) and np.shares_memory(y, theta)
     jac = _factor_jacobian(y, *_row_matrices(np.eye(d * d), d), d * d)
     for c in range(2 * d * r):
         step = np.zeros(2 * d * r)
         step[c] = h
-        (yp,) = _step_factors([y], step)
-        (ym,) = _step_factors([y], -step)
+        yp = _factor_view(theta + step, 0, d, r)
+        ym = _factor_view(theta - step, 0, d, r)
         fd = (_hvec_gram(yp) - _hvec_gram(ym)) / (2 * h)
         assert np.linalg.norm(jac[:, c] - fd) <= 1e-7 * np.linalg.norm(fd)
+
+
+# The face polish as it was written per block, before the factors moved into
+# one flat vector and the trial points into the packed buffer: the reference
+# the polish must meet bit for bit.
+
+def _ref_assemble_factors(eng, ys):
+    x = np.zeros(eng.n_cols)
+    for y, b, off in zip(ys, eng.blocks, eng.block_off):
+        x[off : off + b.dim * b.dim] = hvec(y @ y.conj().T)
+    return x
+
+
+def _ref_step_factors(ys, step):
+    out = []
+    k = 0
+    for y in ys:
+        d, r = y.shape
+        seq = step[k : k + 2 * d * r].reshape(r, d, 2)
+        out.append(y + (seq[..., 0] + 1j * seq[..., 1]).T)
+        k += 2 * d * r
+    return out
+
+
+def _ref_gauss_newton(eng, ys):
+    x = _ref_assemble_factors(eng, ys)
+    r = eng.a @ x - eng.b
+    rn = float(np.linalg.norm(r))
+    floor = 1e-15 * max(1.0, float(np.linalg.norm(eng.b)))
+    lin = [_row_matrices(eng.a[:, off : off + b.dim * b.dim], b.dim)
+           for b, off in zip(eng.blocks, eng.block_off)]
+    for _ in range(solver._GN_MAX_STEPS):
+        if rn <= floor:
+            break
+        jac = np.hstack([np.zeros((eng.n_rows, 0))] + [
+            _factor_jacobian(y, *m, eng.n_rows) for y, m in zip(ys, lin)
+        ])
+        if not jac.shape[1]:
+            break
+        step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
+        t = 1.0
+        improved = False
+        for _ in range(8):
+            trial = _ref_step_factors(ys, t * step)
+            xt = _ref_assemble_factors(eng, trial)
+            rt = eng.a @ xt - eng.b
+            rtn = float(np.linalg.norm(rt))
+            if rtn < rn:
+                ys, x, r, rn = trial, xt, rt, rtn
+                improved = True
+                break
+            t *= 0.5
+        if not improved:
+            break
+    return x
+
+
+def _ref_guess_factors(eng, x, extra, res):
+    ys = []
+    for b, off in zip(eng.blocks, eng.block_off):
+        w, v = np.linalg.eigh(unhvec(x[off : off + b.dim * b.dim], b.dim))
+        cut = max(max(w[-1], 0.0) * solver._FACE_REL_TOL + solver._FACE_ABS_FLOOR,
+                  solver._FACE_RES_FACTOR * res)
+        keep = w > cut
+        y = v[:, keep] * np.sqrt(w[keep])
+        if extra:
+            take = np.flatnonzero(~keep)[-extra:]
+            if take.size:
+                y = np.concatenate([y, v[:, take] * math.sqrt(max(res, 1e-12))], axis=1)
+        ys.append(y)
+    return ys
+
+
+def _ref_face_polish(eng, x):
+    def residual(v):
+        return float(np.linalg.norm(eng.a @ v - eng.b, ord=np.inf))
+
+    best, best_res = x, residual(x)
+    for extra in (0, 1):
+        if best_res < 1e-13:
+            break
+        cand = _ref_gauss_newton(eng, _ref_guess_factors(eng, best, extra, best_res))
+        res = residual(cand)
+        if res < best_res:
+            best, best_res = cand, res
+    return best
+
+
+def _rank_zero_program():
+    # "x" is diag(1, 0) and "k" is 2; "zero" (2x2) is pinned to 0, and "h"
+    # (1x1) too, by a row that reads "x", "h" and "k" with negative
+    # coefficients: both guess rank zero
+    blocks = [Block("x", 2, True), Block("zero", 2, True), Block("h", 1, True), Block("k", 1, True)]
+    z = np.diag([1.0, -1.0]).astype(complex)
+    rows = [
+        _trace_row("tr_x", 0, 2, 1.0),
+        Row("z_x", 1, [(0, BlockMap("trace_against", d_in=2, d_out=1, mat=z))],
+            np.ones((1, 1), dtype=complex)),
+        _trace_row("tr_zero", 1, 2, 0.0),
+        _trace_row("k", 3, 1, 2.0),
+        Row("mix", 1, [(0, BlockMap("trace_against", d_in=2, d_out=1, mat=np.eye(2, dtype=complex))),
+                       (2, _ident(1, -3.0)), (3, _ident(1, -0.5))], np.zeros((1, 1), dtype=complex)),
+    ]
+    return ConicFeasibilityProgram(blocks, rows)
+
+
+def _line_program():
+    # 1x1 blocks only, read with mixed signs
+    blocks = [Block(f"h{i}", 1, True) for i in range(4)]
+    rows = [
+        Row("sum", 1, [(i, _ident(1)) for i in range(4)], np.ones((1, 1), dtype=complex)),
+        Row("diff", 1, [(0, _ident(1)), (1, _ident(1, -2.0))], np.zeros((1, 1), dtype=complex)),
+        Row("last", 1, [(3, _ident(1, 0.5))], np.full((1, 1), 0.1, dtype=complex)),
+    ]
+    return ConicFeasibilityProgram(blocks, rows)
+
+
+_POLISH_CASES = {
+    **{f"{pname}-{kind}-{eps}": (lambda pname=pname, kind=kind, eps=eps:
+                                  BUILDERS[kind]({**PROBLEMS, **FAMILIES}[pname], 1, eps))
+       for pname in ("deutsch", "pauli_id", "weyl3") for kind in ("primal", "primal_relaxed")
+       for eps in (0.0, 0.1)},
+    "rank_zero": _rank_zero_program,
+    "half_lines": _line_program,
+}
+
+
+def _polish_start(prog, seed, sweeps):
+    # the point a check hands the polish: sweeps from the solver's start
+    eng = _Engine(prog.blocks, *assemble(prog.blocks, prog.rows))
+    x = 0.1 * np.random.default_rng(seed).standard_normal(eng.n_cols)
+    return eng, eng.project_cone(_run_ap(eng.project_affine, eng.project_cone, x, sweeps))
+
+
+@pytest.mark.parametrize("case", list(_POLISH_CASES))
+def test_face_polish_matches_per_block_reference_bitwise(case):
+    # the polish on the packed buffer and the flat factor vector returns the
+    # per-block polish's point bit for bit: from a check's point, and for
+    # each rank guess, with and without the padding direction, from there
+    prog = _POLISH_CASES[case]()
+    lean = []
+    for seed, sweeps in ((0, solver._FIRST_CHECK), (1, 4)):
+        eng, x = _polish_start(prog, seed, sweeps)
+        got, want = _face_polish(eng, x), _ref_face_polish(eng, x)
+        assert _same_bits(got, want), (seed, sweeps)
+        res = float(np.linalg.norm(eng.a @ x - eng.b, ord=np.inf))
+        for extra in (0, 1):
+            theta, ranks = _guess_factors(eng, x, extra, res)
+            ref_ys = _ref_guess_factors(eng, x, extra, res)
+            assert ranks.tolist() == [y.shape[1] for y in ref_ys]
+            lean.append(ranks.tolist())
+            assert _same_bits(theta, np.concatenate(
+                [np.zeros(0)] + [np.ascontiguousarray(y.T).view(float).ravel() for y in ref_ys]))
+            assert _same_bits(_gauss_newton(eng, theta, ranks), _ref_gauss_newton(eng, ref_ys))
+    if case == "rank_zero":
+        # the lean guess at the check's point
+        assert lean[0] == [1, 0, 0, 1]
+
+
+@pytest.mark.parametrize("case", ["rank_zero", "half_lines", "pauli_id-primal-0.1"])
+def test_factor_set_matches_per_block_assembly_and_jacobian(case):
+    # at random factors, signed zeros included, and random ranks, zero among
+    # them: the packed assembly and the in-place Jacobian, the 1x1 blocks'
+    # elementwise part included, equal the per-block ones bit for bit
+    prog = _POLISH_CASES[case]()
+    eng = _Engine(prog.blocks, *assemble(prog.blocks, prog.rows))
+    rng = np.random.default_rng(23)
+    for _ in range(4):
+        ranks = rng.integers(0, eng._dims + 1)
+        fac = _Factors(eng, ranks)
+        theta = _with_signed_zeros(rng, fac.size)
+        ys = fac.views(theta)
+        per_block = [_factor_view(theta, int(lo), d, int(r))
+                     for lo, d, r in zip(solver._factor_starts(eng, ranks), eng._dims, ranks)]
+        assert _same_bits(fac.assemble(theta, ys), _ref_assemble_factors(eng, per_block))
+        jac = np.zeros((eng.n_rows, fac.size))
+        fac.jacobian(theta, ys, jac)
+        ref = np.hstack([np.zeros((eng.n_rows, 0))] + [
+            _factor_jacobian(y, *_row_matrices(eng.a[:, off : off + b.dim**2], b.dim), eng.n_rows)
+            for y, b, off in zip(per_block, eng.blocks, eng.block_off)])
+        assert _same_bits(jac, ref)
 
 
 @pytest.mark.parametrize("builder", ["primal", "dual"])
