@@ -71,10 +71,9 @@ on 1x1 operands. Each step is the per-block polish's arithmetic on the
 same floats, so the polished points are the same bit for bit. Candidates
 lie in the cone by construction, so success lands equality residuals near
 1e-14, which downstream extraction steps rely on; failed guesses are
-discarded. An
-existence program is FEASIBLE only at a polished point; a point the polish
-cannot finish is swept further. A witness program's FEASIBLE point is a
-certificate, so it holds to _CERT_TOL.
+discarded. An existence program is FEASIBLE only at a polished point; a
+point the polish cannot finish is swept further. A witness program's
+FEASIBLE point is a certificate, so it holds to _CERT_TOL.
 """
 
 from __future__ import annotations
@@ -409,7 +408,8 @@ class _Engine:
         return f
 
     def _unpack(self, g: np.ndarray) -> np.ndarray:
-        """The coordinates of the matrices in the packed buffer's float view g."""
+        """The coordinates of the matrices in the packed buffer's float view g;
+        every column is some block's, so the scatter writes all of them."""
         out = np.empty(self.n_cols)
         out[self._cone_dst] = g[self._cone_at] * self._cone_scale
         return out

@@ -509,8 +509,8 @@ def _ref_face_polish(eng, x):
 
 def _rank_zero_program():
     # "x" is diag(1, 0) and "k" is 2; "zero" (2x2) is pinned to 0, and "h"
-    # (1x1) too, by a row that reads "x", "h" and "k" with negative
-    # coefficients: both guess rank zero
+    # (1x1) too, by a row that reads "x" and, with negative coefficients,
+    # "h" and "k": both guess rank zero
     blocks = [Block("x", 2, True), Block("zero", 2, True), Block("h", 1, True), Block("k", 1, True)]
     z = np.diag([1.0, -1.0]).astype(complex)
     rows = [
