@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -166,6 +167,14 @@ def matrix_from_dict(e: dict) -> np.ndarray:
         return re + 1j * im
 
 
+def _json_int(data: dict, key: str) -> int:
+    # an integer entry such as n: a float, a string or a bool is refused, not truncated
+    v = data[key]
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+        raise ValueError(f"{key!r} must be an integer, got {v!r}")
+    return int(v)
+
+
 def problem_to_dict(p: QueryProblem) -> dict:
     return {
         "n": p.n,
@@ -180,7 +189,7 @@ def problem_to_dict(p: QueryProblem) -> dict:
 def problem_from_dict(data: dict) -> QueryProblem:
     """Parse the JSON problem format; raises ValueError on malformed input."""
     try:
-        n = int(data["n"])
+        n = _json_int(data, "n")
         entries = data["unitaries"]
         labels = tuple(str(e["label"]) for e in entries)
         mats = [matrix_from_dict(e) for e in entries]

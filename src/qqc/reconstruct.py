@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import align_purifications, hermitize, purify
-from .problem import QueryProblem, matrix_from_dict, matrix_to_dict
+from .problem import QueryProblem, _json_int, matrix_from_dict, matrix_to_dict
 from .programs import ConicFeasibilityProgram, _query_chain, build_primal, share_maps
 from .simulate import PROTOCOL_TOL, QuantumQueryAlgorithm, _query
 from .solver import FeasibilityOutcome, SolverConfig, solve, verify_point
@@ -86,24 +86,22 @@ def validate_algorithm(alg: QuantumQueryAlgorithm) -> dict[str, float]:
 
 
 def extract_final_states(
-    p: QueryProblem,
-    m: np.ndarray,
-    shares: dict[str, np.ndarray],
-    eps: float,
+    p: QueryProblem, shares: dict[str, np.ndarray], eps: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Final vectors and the output that owns each of their coordinates.
 
     Returns (vectors, owner): vectors is an (|S|, d) array whose row for
     input X is the final state, and owner[k] is the index in p.outputs of
-    the share that supplied coordinate k. Each share is factored as
-    G_z = F_z F_z† on its eigenvalues above 1e-8 of m's largest; vectors is
-    [F_z1 | F_z2 | ...], so d is the total share rank. With P_z the
-    diagonal projector on the coordinates z owns, the vectors' Gram matrix
-    is the sum of the shares, which must match m, and P_z's cross-Gram
-    matrix is G_z itself.
+    the share that supplied coordinate k. The final Gram matrix m is the
+    sum of the shares. Each share is factored as G_z = F_z F_z† on its
+    eigenvalues above 1e-8 of m's largest; vectors is [F_z1 | F_z2 | ...],
+    so d is the total share rank, and the vectors' Gram matrix must match
+    m. With P_z the diagonal projector on the coordinates z owns, P_z's
+    cross-Gram matrix is G_z itself.
     """
     s = p.size
-    m = hermitize(np.asarray(m, dtype=complex))
+    shares = {z: hermitize(np.asarray(shares[z], dtype=complex)) for z in p.outputs}
+    m = sum(shares.values())
     if m.shape != (s, s):
         raise ValueError(f"Gram matrix shape {m.shape} != ({s}, {s})")
     top = max(float(np.linalg.eigvalsh(m)[-1]), 0.0)
@@ -111,8 +109,8 @@ def extract_final_states(
     if top <= cut:
         raise ReconstructionError("final Gram matrix is numerically zero")
     factors = []
-    for z in p.outputs:
-        wz, vz = np.linalg.eigh(hermitize(np.asarray(shares[z], dtype=complex)))
+    for g in shares.values():
+        wz, vz = np.linalg.eigh(g)
         keep = wz > cut
         factors.append(vz[:, keep] * np.sqrt(wz[keep]))
     vectors = np.hstack(factors)
@@ -130,53 +128,46 @@ def extract_final_states(
     return vectors, owner
 
 
-def _psd_project(h: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(h)
-    return (v * np.clip(w, 0.0, None)) @ v.conj().T
-
-
 def backward_chain(
-    p: QueryProblem,
-    q: int,
-    chain: dict[str, np.ndarray],
-    finals: tuple[np.ndarray, np.ndarray],
+    p: QueryProblem, q: int, chain: dict[str, np.ndarray], finals: tuple[np.ndarray, np.ndarray]
 ) -> QuantumQueryAlgorithm:
     """Assemble the protocol whose run reproduces a feasible query chain.
 
-    chain holds the blocks of the query chain (rho_0 and state_iq_t at
-    q >= 1) and final_gram, the final Gram matrix; finals is (vectors,
-    owner) from extract_final_states. Every input starts in |0⟩, and the
-    walk runs forward: u_t aligns the state before step t (|0⟩ at t = 0,
-    the state after query t otherwise) to a purification of the chain's
-    next block, which is rho_0 on every input at t = 0 < q, state_iq_t at
-    0 < t < q and the final vectors at t = q. The chain rows make both
+    chain holds the chain states before each query (rho_0 and state_iq_t
+    at q >= 1); finals is (vectors, owner) from extract_final_states. Each
+    state is purified once, as C with C C† its part above 1e-10 of its top
+    eigenvalue, and the chain rows are checked on those C C† closed by the
+    vectors' Gram matrix V V†, the matrices the walk aligns to. Every input
+    starts in |0⟩, and the walk runs forward: u_t aligns the state before
+    step t (|0⟩ at t = 0, the state after query t otherwise) to the next
+    target, which is rho_0's C on every input at t = 0 < q, state_iq_t's C
+    at 0 < t < q and the final vectors at t = q. The chain rows make both
     purifications of the same input-side matrix, so a workspace unitary
     aligns them; at t = 0 the overlap has rank 1 and its polar factor maps
-    |0⟩ to the purification. Each block is purified at its own rank, so
-    w_dim is the largest of those ranks and ⌈d / n⌉, d the vectors' length.
-    P_z is the diagonal projector on the coordinates z owns, and the
-    padding coordinates belong to p.outputs[0].
+    |0⟩ to the purification. w_dim is the widest C and ⌈d / n⌉, d the
+    vectors' length, and the walk's final Gram matrix must match V V†. P_z
+    is the diagonal projector on the coordinates z owns, and the padding
+    coordinates belong to p.outputs[0].
     """
     s, n = p.size, p.n
     prog = ConicFeasibilityProgram(*_query_chain(p, q))
-    cleaned = {}
-    for blk in prog.blocks:
+    vectors, owner = finals
+    coeffs = []
+    for blk in prog.blocks[:q]:
         if blk.name not in chain:
             raise ReconstructionError(f"chain point is missing block {blk.name!r}")
-        cleaned[blk.name] = _psd_project(hermitize(np.asarray(chain[blk.name], dtype=complex)))
-
-    # re-verify the chain rows on the cleaned blocks, at a looser tolerance
-    for name, res in verify_point(prog, cleaned).row_residuals.items():
+        coeffs.append(purify(chain[blk.name]))
+    point = {blk.name: c @ c.conj().T for blk, c in zip(prog.blocks, coeffs)}
+    point["final_gram"] = final_gram = vectors @ vectors.conj().T
+    # the chain rows on the purified states, at a looser tolerance
+    for name, res in verify_point(prog, point).row_residuals.items():
         if res > PROTOCOL_TOL:
             raise ReconstructionError(
-                f"cleaned chain violates row {name!r} by {res:.3e} (allowed {PROTOCOL_TOL:.3e})"
+                f"purified chain violates row {name!r} by {res:.3e} (allowed {PROTOCOL_TOL:.3e})"
             )
 
-    # the chain's first q blocks: the joint states before each query
-    coeffs = [purify(cleaned[blk.name]) for blk in prog.blocks[:q]]
     if q:
         coeffs[0] = np.tile(coeffs[0], (s, 1))
-    vectors, owner = finals
     w_dim = max([c.shape[1] for c in coeffs] + [-(-vectors.shape[1] // n)])
     dim_c = n * w_dim
     # each padded with zero columns to the workspace
@@ -204,9 +195,8 @@ def backward_chain(
     alg = QuantumQueryAlgorithm(n=n, w_dim=w_dim, unitaries=unitaries, projectors=projectors)
     validate_algorithm(alg)
     # the walk is the protocol's run, so psi holds its final states
-    m_final = cleaned["final_gram"]
-    gap = float(np.linalg.norm(psi @ psi.conj().T - m_final))
-    if gap > PROTOCOL_TOL * max(1.0, float(np.linalg.norm(m_final))):
+    gap = float(np.linalg.norm(psi @ psi.conj().T - final_gram))
+    if gap > PROTOCOL_TOL * max(1.0, float(np.linalg.norm(final_gram))):
         raise ReconstructionError(f"simulated final Gram matrix misses the chain's by {gap:.3e}")
     return alg
 
@@ -225,7 +215,7 @@ def reconstruct_algorithm(
 
     Each s x s share is its block read through `share_maps`, the map the
     last chain row applies: E_z H_z E_z† on the eps = 0 class face, the
-    block itself otherwise. The final Gram matrix is the sum of the shares.
+    block itself otherwise.
     """
     prog = build_primal(p, q, eps)
     out = solve(prog, config)
@@ -235,9 +225,8 @@ def reconstruct_algorithm(
         )
     shares = {z: m.apply(np.asarray(out.point[f"output_part_{z}"]))
               for z, m in share_maps(p, eps).items()}
-    final_gram = sum(shares.values())
-    finals = extract_final_states(p, final_gram, shares, eps)
-    alg = backward_chain(p, q, dict(out.point, final_gram=final_gram), finals)
+    finals = extract_final_states(p, shares, eps)
+    alg = backward_chain(p, q, out.point, finals)
     return ReconstructionResult(algorithm=alg, outcome=out, extracted_dim=finals[0].shape[1])
 
 
@@ -253,8 +242,7 @@ def algorithm_to_dict(alg: QuantumQueryAlgorithm) -> dict:
 def algorithm_from_dict(data: dict) -> QuantumQueryAlgorithm:
     """Parse the JSON protocol format; raises ValueError on malformed input."""
     try:
-        n = int(data["n"])
-        w_dim = int(data["w_dim"])
+        n, w_dim = _json_int(data, "n"), _json_int(data, "w_dim")
         unitaries = [matrix_from_dict(e) for e in data["unitaries"]]
         projectors = {str(z): matrix_from_dict(e) for z, e in data["projectors"].items()}
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

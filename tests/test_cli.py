@@ -468,6 +468,10 @@ BAD_INPUTS = {
     "simulate-unmeasured-output": (
         lambda d, t: ["simulate", d, "--alg", _unmeasured_output(t)], 2, "INVALID"),
     "validate-misshaped-im": (lambda d, t: ["validate", _misshaped_im(t, "problem")], 1, "INPUT_ERROR"),
+    # a fractional n is an input error, never truncated to a valid n = 2
+    "validate-fractional-n": (
+        lambda d, t: ["validate", _write_json(t, "n.json", {**problem_to_dict(PROBLEMS["deutsch"]), "n": 2.5})],
+        1, "INPUT_ERROR"),
     "simulate-misshaped-im": (
         lambda d, t: ["simulate", d, "--alg", _misshaped_im(t, "protocol")], 1, "INPUT_ERROR"),
 }

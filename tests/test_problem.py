@@ -193,6 +193,21 @@ def test_problem_from_dict_malformed():
         problem_from_dict({"n": 2})
 
 
+@pytest.mark.parametrize("n", [2.9, 2.5, "2", True], ids=["2.9", "2.5", "str", "bool"])
+def test_problem_from_dict_rejects_non_integer_n(n):
+    # n is never truncated (2.9 to a valid 2) or parsed from a string
+    data = problem_to_dict(phase_query_problem(2, {"00": "0", "11": "0", "01": "1", "10": "1"}))
+    data["n"] = n
+    with pytest.raises(ValueError, match="must be an integer"):
+        problem_from_dict(data)
+
+
+def test_problem_from_dict_accepts_a_numpy_integer_n():
+    data = problem_to_dict(phase_query_problem(2, {"00": "0", "11": "0", "01": "1", "10": "1"}))
+    data["n"] = np.int64(2)
+    assert problem_from_dict(data).n == 2
+
+
 @pytest.mark.parametrize("im", [[[0.5]], [0.0, 0.0], [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]])
 def test_problem_from_dict_rejects_misshaped_imaginary_part(im):
     # numpy would broadcast these over the 2x2 real part

@@ -30,11 +30,6 @@ def _shares(p, point, eps):
     return {z: m.apply(point[f"output_part_{z}"]) for z, m in share_maps(p, eps).items()}
 
 
-def _with_final_gram(p, point, eps):
-    # the point with the sum of its shares as final_gram, the chain's last block
-    return dict(point, final_gram=sum(_shares(p, point, eps).values()))
-
-
 def _projectors(p, owner, dim):
     # P_z is the diagonal projector on the coordinates output z owns; the
     # coordinates past owner are the padding, measured as p.outputs[0]
@@ -77,7 +72,7 @@ def test_output_sdp_shares(deutsch, cached_solve):
     m = sum(shares.values())
     chain = ConicFeasibilityProgram(*_query_chain(deutsch, 1))
     assert verify_point(chain, dict(out.point, final_gram=m)).max_residual <= 1e-10
-    vectors, _ = extract_final_states(deutsch, m, shares, 0.0)
+    vectors, _ = extract_final_states(deutsch, shares, 0.0)
     assert reconstruct_algorithm(deutsch, 1, 0.0).extracted_dim == vectors.shape[1]
 
 
@@ -85,7 +80,7 @@ def test_extract_final_states_contract(deutsch, cached_solve):
     out = cached_solve("deutsch", "primal", 1, 0.0)
     shares = _shares(deutsch, out.point, 0.0)
     m = sum(shares.values())
-    vectors, owner = extract_final_states(deutsch, m, shares, 0.0)
+    vectors, owner = extract_final_states(deutsch, shares, 0.0)
     d = vectors.shape[1]
     assert owner.shape == (d,)
     # every coordinate belongs to one output
@@ -108,7 +103,7 @@ def test_extracted_vectors_factor_every_share(pname, q, eps, cached_solve):
     out = cached_solve(pname, "primal", q, eps)
     shares = _shares(p, out.point, eps)
     m = sum(shares.values())
-    vectors, owner = extract_final_states(p, m, shares, eps)
+    vectors, owner = extract_final_states(p, shares, eps)
     d = vectors.shape[1]
     cut = 1e-8 * np.linalg.eigvalsh(m)[-1]
     assert d == sum(int(np.sum(np.linalg.eigvalsh(g) > cut)) for g in shares.values())
@@ -120,24 +115,48 @@ def test_extracted_vectors_factor_every_share(pname, q, eps, cached_solve):
 def test_extract_rejects_wrong_shape(deutsch):
     shares = {z: np.eye(3, dtype=complex) for z in deutsch.outputs}
     with pytest.raises(ValueError, match="shape"):
-        extract_final_states(deutsch, np.eye(3, dtype=complex), shares, 0.0)
+        extract_final_states(deutsch, shares, 0.0)
 
 
 def test_extract_rejects_zero_gram(deutsch):
     s = deutsch.size
     shares = {z: np.zeros((s, s), dtype=complex) for z in deutsch.outputs}
     with pytest.raises(ReconstructionError, match="zero"):
-        extract_final_states(deutsch, np.zeros((s, s), dtype=complex), shares, 0.0)
+        extract_final_states(deutsch, shares, 0.0)
 
 
 def test_backward_chain_checks_the_program_rows(deutsch, cached_solve):
     # a chain block off its row is caught before any unitary is chosen
     out = cached_solve("deutsch", "primal", 1, 0.0)
     assert out.status == "FEASIBLE"
-    point = _with_final_gram(deutsch, dict(out.point, rho_0=1.01 * out.point["rho_0"]), 0.0)
-    finals = extract_final_states(deutsch, point["final_gram"], _shares(deutsch, point, 0.0), 0.0)
+    point = dict(out.point, rho_0=1.01 * out.point["rho_0"])
+    finals = extract_final_states(deutsch, _shares(deutsch, point, 0.0), 0.0)
     with pytest.raises(ReconstructionError, match="'init'"):
         backward_chain(deutsch, 1, point, finals)
+
+
+def test_backward_chain_closes_the_chain_on_the_final_vectors(deutsch, cached_solve):
+    # the chain needs no final_gram block: the last row reads the vectors'
+    # Gram matrix, so vectors off the chain by 1e-3 fail that row
+    point = cached_solve("deutsch", "primal", 1, 0.0).point
+    assert "final_gram" not in point
+    vectors, owner = extract_final_states(deutsch, _shares(deutsch, point, 0.0), 0.0)
+    with pytest.raises(ReconstructionError, match="'final_gram_def'"):
+        backward_chain(deutsch, 1, point, ((1.0 + 1e-3) * vectors, owner))
+
+
+@pytest.mark.parametrize("pname,q,eps", [("deutsch", 1, 0.0), ("ix", 2, 0.1), ("const", 0, 0.0)])
+def test_backward_chain_rebuilds_the_pipeline_protocol(pname, q, eps, cached_solve):
+    # from the solver's point and its shares alone, backward_chain builds the
+    # protocol reconstruct_algorithm builds
+    p = PROBLEMS[pname]
+    point = cached_solve(pname, "primal", q, eps).point
+    alg = backward_chain(p, q, point, extract_final_states(p, _shares(p, point, eps), eps))
+    ref = reconstruct_algorithm(p, q, eps).algorithm
+    assert alg.w_dim == ref.w_dim
+    for u, v in zip(alg.unitaries, ref.unitaries, strict=True):
+        assert np.array_equal(u, v)
+    assert all(np.array_equal(alg.projectors[z], ref.projectors[z]) for z in p.outputs)
 
 
 def test_reconstruction_runs_no_simulation(deutsch, monkeypatch):
@@ -180,12 +199,12 @@ def test_backward_chain_checks_the_final_gram(deutsch, monkeypatch):
 
 @pytest.mark.parametrize("pname,q,eps", FEASIBLE_CELLS)
 def test_forward_walk_starts_on_the_chain(pname, q, eps, cached_solve):
-    # the first unitary maps |0> to a purification of the cleaned rho_0 (at
+    # the first unitary maps |0> to a purification of rho_0's PSD part (at
     # q = 0, to the common final vector), and the measurement is read off
     # the coordinate owners
     p = PROBLEMS[pname]
-    point = _with_final_gram(p, cached_solve(pname, "primal", q, eps).point, eps)
-    vectors, owner = extract_final_states(p, point["final_gram"], _shares(p, point, eps), eps)
+    point = cached_solve(pname, "primal", q, eps).point
+    vectors, owner = extract_final_states(p, _shares(p, point, eps), eps)
     alg = backward_chain(p, q, point, (vectors, owner))
     start = run(alg, p).states[0, 0]
     if q:
@@ -269,6 +288,10 @@ def test_algorithm_dict_round_trip():
         lambda d: d["unitaries"][0]["re"][0].pop(),
         # a 1x1 "im" must not broadcast over the 4x4 "re"
         lambda d: d["unitaries"][1].update(im=[[0.5]]),
+        # sizes are never truncated or parsed from a string
+        lambda d: d.update(n=2.9),
+        lambda d: d.update(w_dim=1.5),
+        lambda d: d.update(n="2"),
     ],
 )
 def test_algorithm_from_dict_rejects_malformed(mutate):
