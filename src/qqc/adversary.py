@@ -141,13 +141,15 @@ def make_dual_witness(p: QueryProblem, gamma, q: int, eps: float) -> dict[str, n
 
     Keyed by the relaxed existence program's rows. With W = gamma∘vvᵀ for
     the principal eigenvector v, the multiplier of chain row q - t (init,
-    chain_t, final_gram_def) is the step Lap(W) + t alpha diag(v∘v), for
-    the Laplacian Lap(W) = diag(W 1) - W; at q >= 1 the multiplier of
-    tr rho_0 = 1 is the step's 1x1 J-trace q alpha, as the start face asks.
-    Each pair row's multiplier is W_ij·[[1, -1], [-1, 1]] on the pair's
-    principal submatrix; together they read Lap(W) off the final Gram
-    matrix. Step t is -K_t + diag(W 1) for K_t = (gamma - t alpha I)∘vvᵀ,
-    and the block-diagonal oracle leaves that diagonal shift ⊗ I in place.
+    chain_t) is the step Lap(W) + t alpha diag(v∘v), for the Laplacian
+    Lap(W) = diag(W 1) - W, with t = 1..q at q >= 1 and t = 0 at q = 0; at
+    q >= 1 the multiplier of tr rho_0 = 1 is the step's 1x1 J-trace
+    q alpha, as the start face asks. Each pair row's multiplier is
+    W_ij·[[1, -1], [-1, 1]] on the pair's principal submatrix; together
+    they read Lap(W), step 0, off the final Gram matrix, through the last
+    chain block's row at q >= 1. Step t is -K_t + diag(W 1) for
+    K_t = (gamma - t alpha I)∘vvᵀ, and the block-diagonal oracle leaves that
+    diagonal shift ⊗ I in place.
     The strict slack is (1 - 2√(eps(1-eps))) lambda - q alpha. The result
     is returned only if every row and block passes within 1e-8 and the
     strict slack is positive; otherwise it raises WitnessError.
@@ -161,9 +163,9 @@ def make_dual_witness(p: QueryProblem, gamma, q: int, eps: float) -> dict[str, n
     v = report.perron_v
     w = g * np.outer(v, v)
     lap = np.diag(w.sum(axis=1)) - w
-    chain = ["init"] + [f"chain_{t}" for t in range(1, q)] + ["final_gram_def"] * (q > 0)
+    chain = ["init"] + [f"chain_{t}" for t in range(1, q)]
     witness: dict[str, np.ndarray] = {}
-    for t in range(q + 1):
+    for t in range(min(q, 1), q + 1):
         step = (lap + t * report.alpha * np.diag(v * v)).astype(complex)
         # on the start face the last step is the scalar tr(J step)
         witness[chain[q - t]] = np.full((1, 1), step.sum()) if t == q > 0 else step

@@ -19,9 +19,9 @@ existence programs hold the first joint state on its face J ⊗ rho_0 as one
 n x n block rho_0. The exact program states each input's success row and
 slack as a 1x1 matrix on its diagonal entry, and splits the final Gram
 matrix directly into output shares, with no block of its own; the relaxed
-program keeps a final Gram block, whose diagonal is 1 at every point (each
-final state has unit norm), so each 2x2 pair row reads its pair's principal
-submatrix through one congruence. At eps = 0 the final states of inputs
+program has no final Gram matrix either at q >= 1: each 2x2 pair row reads
+its pair's principal submatrix off the last chain state, through the final
+query, with one congruence. At eps = 0 the final states of inputs
 with different outputs are orthogonal, so share G_z vanishes outside class
 z's rows and columns: the exact program holds it on that face, as a c_z x c_z
 block H_z with G_z = E_z H_z E_z† and E_z = I[:, class z].
@@ -178,11 +178,13 @@ def _query_chain(
     default one s x s block final_gram); they come first, so their indices
     are final. Rows: the initial condition (tr rho_0 = 1, or final Gram
     matrix = J at q = 0) and the query-update chain into the final Gram
-    matrix. J ⊗ rho_0 is (1_s ⊗ I_n) rho_0 (1_s ⊗ I_n)†, so the first query
-    reads rho_0 through the (s·n) x n matrix Omega (1_s ⊗ I_n).
+    matrix; an empty `last` at q >= 1 leaves out that last row. J ⊗ rho_0
+    is (1_s ⊗ I_n) rho_0 (1_s ⊗ I_n)†, so the first query reads rho_0
+    through the (s·n) x n matrix Omega (1_s ⊗ I_n) (`_query_read`).
     """
-    s, n, omega = p.size, p.n, p.omega
-    last = last or [(Block("final_gram", s, True), _ident(s))]
+    s, n = p.size, p.n
+    p.omega  # validates p, also at q = 0
+    last = [(Block("final_gram", s, True), _ident(s))] if last is None else last
     blocks = [Block("rho_0", n, True)] * (q > 0)
     blocks += [Block(f"state_iq_{t}", s * n, True) for t in range(1, q)]
     final = [(len(blocks) + k, m) for k, (_, m) in enumerate(last)]
@@ -190,15 +192,19 @@ def _query_chain(
     if q == 0:
         return blocks, [Row("init", s, final, np.ones((s, s), dtype=complex))]
     zeros = np.zeros((s, s), dtype=complex)
-    first = omega @ np.kron(np.ones((s, 1)), np.eye(n))
     rows = [Row("init", 1, [(0, _trace_against(np.eye(n)))], np.ones((1, 1), dtype=complex))]
     for t in range(1, q + 1):
-        prev = (t - 1, _conj_pt(first if t == 1 else omega, s, n, -1.0))
+        prev = (t - 1, _conj_pt(_query_read(p, t), s, n, -1.0))
         if t < q:
             rows.append(Row(f"chain_{t}", s, [(t, _pt_q(s, n)), prev], zeros))
-        else:
+        elif final:
             rows.append(Row("final_gram_def", s, final + [prev], zeros))
     return blocks, rows
+
+
+def _query_read(p: QueryProblem, t: int) -> np.ndarray:
+    """M such that query t maps the chain block X before it to tr_n(M X M†)."""
+    return p.omega if t > 1 else p.omega @ np.kron(np.ones((p.size, 1)), np.eye(p.n))
 
 
 def share_maps(p: QueryProblem, eps: float) -> dict[str, BlockMap]:
@@ -254,27 +260,30 @@ def build_primal(p: QueryProblem, q: int, eps: float) -> ConicFeasibilityProgram
 def build_primal_relaxed(p: QueryProblem, q: int, eps: float) -> ConicFeasibilityProgram:
     """Necessary-condition program: pairwise near-orthogonality at the end.
 
-    Shares the query chain with the exact program, into one final Gram block
-    final_gram; the output rows are replaced by one 2x2 row per unordered
+    Shares the query chain with the exact program, with no final Gram block
+    at q >= 1; the output rows are replaced by one 2x2 row per unordered
     pair of instances with different outputs, on the pair's principal
     submatrix E† G E, with E = [e_i e_j]: slack - E† G E = (margin - 1)·I
-    for the margin 2√(eps(1-eps)). Every point has G_ii = 1 (tr rho_0 = 1
-    and each query keeps each input's trace; at q = 0 init sets G = J), so
+    for the margin 2√(eps(1-eps)). It reads E† G E off the last chain block
+    X as -tr_n((E† ⊗ I_n) M X M† (E ⊗ I_n)) for query q's matrix M, whose
+    rows (E† ⊗ I_n) M are the pair's two row blocks; at q = 0, X is
+    final_gram, set to J by init, with M = I_s and n = 1. Every point has
+    G_ii = 1 (tr rho_0 = 1 and each query keeps each input's trace), so
     the slack is [[margin, G_ij], [G_ji, margin]], PSD exactly when the
     pair's Gram entry has magnitude at most the margin.
     """
     _check_q_eps(q, eps)
     s = p.size
-    blocks, rows = _query_chain(p, q)
+    blocks, rows = _query_chain(p, q, [] if q else None)
+    last, mat, n = (q - 1, _query_read(p, q), p.n) if q else (0, np.eye(s), 1)
     pairs = p.differing_pairs()
     blocks += [Block(f"pair_slack_{pair_name(p, pr)}", 2, True) for pr in pairs]
     bi = {b.name: i for i, b in enumerate(blocks)}
     margin = 2.0 * math.sqrt(eps * (1.0 - eps))
     for pr in pairs:
         name = pair_name(p, pr)
-        # x -> -E† x E, with E† = rows i and j of I_s
-        face = BlockMap("conj_pt", d_in=s, d_out=2, scale=-1.0, mat=np.eye(s)[list(pr)], split=(2, 1))
-        terms = [(bi["final_gram"], face), (bi[f"pair_slack_{name}"], _ident(2))]
+        pick = mat.reshape(s, n, -1)[list(pr)].reshape(2 * n, -1)
+        terms = [(last, _conj_pt(pick, 2, n, -1.0)), (bi[f"pair_slack_{name}"], _ident(2))]
         rows.append(Row(f"pair_{name}", 2, terms, (margin - 1.0) * np.eye(2, dtype=complex)))
     return ConicFeasibilityProgram(blocks, rows)
 
@@ -332,10 +341,11 @@ def build_dual(p: QueryProblem, q: int, eps: float) -> ConicFeasibilityProgram:
 def build_dual_relaxed(p: QueryProblem, q: int, eps: float) -> ConicFeasibilityProgram:
     """Witness program: the Farkas alternative of `build_primal_relaxed`.
 
-    Free multipliers L_0..L_q of the chain rows, as in `build_dual`, and
-    one 2x2 PSD multiplier D of each pair row. Rows: one per chain block;
-    the final_gram row keeps L_q - sum E D E† PSD, and the strict row pairs
-    L_0 with init's right-hand side and each D with (margin - 1)·I.
+    Free multipliers L_0..L_{q-1} of the chain rows (L_0 at q = 0), and one
+    2x2 PSD multiplier D of each pair row. Rows: one per chain block; the
+    last keeps L_{q-1} ⊗ I_n - M† ((sum E D E†) ⊗ I_n) M PSD (L_0 - sum E D E†
+    at q = 0), and the strict row pairs L_0 with init's right-hand side and
+    each D with (margin - 1)·I.
     """
     return _farkas_alternative(build_primal_relaxed(p, q, eps))
 

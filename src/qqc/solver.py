@@ -133,8 +133,6 @@ _POLISHED_TOL = 1e-10
 # Rank guess: eigenvalues below this fraction of a block's largest are
 # taken as spurious.
 _FACE_REL_TOL = 1e-5
-# Absolute floor of that cut, so a block near zero guesses rank zero.
-_FACE_ABS_FLOOR = 1e-7
 # The cut also sits at this multiple of the residual, since spurious
 # eigenvalues shrink with the residual while true ones stay put.
 _FACE_RES_FACTOR = 10.0
@@ -601,8 +599,7 @@ def _guess_factors(eng: _Engine, x: np.ndarray, extra: int, res: float) -> tuple
     """
 
     def cut(top: np.ndarray) -> np.ndarray:
-        return np.maximum(np.maximum(top, 0.0) * _FACE_REL_TOL + _FACE_ABS_FLOOR,
-                          _FACE_RES_FACTOR * res)
+        return np.maximum(np.maximum(top, 0.0) * _FACE_REL_TOL, _FACE_RES_FACTOR * res)
 
     seed = math.sqrt(max(res, 1e-12))
     f = eng._pack(x)

@@ -15,7 +15,7 @@ from qqc.adversary import (
 )
 import qqc.problem
 from qqc.problem import QueryProblem
-from qqc.programs import build_dual_relaxed, build_primal
+from qqc.programs import build_dual_relaxed, build_primal, pair_name
 from qqc.reconstruct import reconstruct_algorithm
 from qqc.simulate import run
 from qqc.solver import verify_point
@@ -152,10 +152,10 @@ def test_make_dual_witness_on_a_disconnected_weighting(deutsch):
 def test_make_dual_witness_last_step_is_the_j_trace():
     # OR of 17 bits under the promise of at most one 1: the star weighting
     # bounds it at sqrt(17)/4 > 1, so a witness exists at q = 1. With
-    # W = gamma∘vvᵀ, final_gram_def's multiplier is the Laplacian
-    # diag(W 1) - W; on the start face the last step Lap(W) + alpha diag(v∘v)
-    # is its 1x1 J-trace alpha, held as init's multiplier, and the strict
-    # slack is lambda - alpha
+    # W = gamma∘vvᵀ, the pair multipliers sum to the Laplacian diag(W 1) - W;
+    # on the start face the last step Lap(W) + alpha diag(v∘v) is its 1x1
+    # J-trace alpha, held as init's multiplier, and the strict slack is
+    # lambda - alpha
     m = 17
     labels = ("0",) + tuple(f"e{i}" for i in range(m))
     flips = [np.eye(m)] + [np.diag(1.0 - 2.0 * np.eye(m)[i]) for i in range(m)]
@@ -167,7 +167,12 @@ def test_make_dual_witness_last_step_is_the_j_trace():
     assert rep.ceil_bound == 2
     witness = make_dual_witness(p, gamma, 1, 0.0)
     w = gamma * np.outer(rep.perron_v, rep.perron_v)
-    assert np.array_equal(witness["final_gram_def"], np.diag(w.sum(axis=1)) - w)
+    pairs = {(i, j): f"pair_{pair_name(p, (i, j))}" for i, j in p.differing_pairs()}
+    assert set(witness) == {"init"} | set(pairs.values())
+    lap = np.zeros((m + 1, m + 1), dtype=complex)
+    for (i, j), name in pairs.items():
+        lap[np.ix_([i, j], [i, j])] += witness[name]
+    assert np.max(np.abs(lap - (np.diag(w.sum(axis=1)) - w))) <= 1e-15
     assert witness["init"].shape == (1, 1)
     assert witness["init"][0, 0] == pytest.approx(rep.alpha, rel=1e-14)
     check = verify_point(build_dual_relaxed(p, 1, 0.0), witness)

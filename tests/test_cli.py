@@ -11,6 +11,8 @@ import pytest
 
 import qqc.cli
 import qqc.simulate
+import qqc.solver
+from qqc.adversary import WitnessError
 from qqc.cli import main
 from qqc.problem import QueryProblem, problem_to_dict
 from qqc.reconstruct import algorithm_to_dict
@@ -180,6 +182,29 @@ def test_adversary_ceiling_and_witness_agree_near_an_integer(tmp_path, capsys):
     assert any(1.0 < b <= 1.0 + 1e-12 for b in bounds)
 
 
+def test_adversary_reports_a_bound_below_one_query(problem_file, capsys):
+    # at eps just below 1/2 the prefactor, and with it the bound, is about
+    # 1e-14: no step count lies below a ceiling of 0, so no witness is made
+    code = main(["adversary", problem_file("deutsch"), "--eps", "0.4999999"])
+    res = _report(capsys)["results"]
+    assert code == 0
+    assert 0.0 < res["bound"] < 1e-12 and res["ceil_bound"] == 0
+    assert res["witness"] == {"q": -1, "checked": False,
+                              "reason": "no nonnegative step count lies below the bound"}
+
+
+def test_adversary_reports_a_failed_witness(problem_file, capsys, monkeypatch):
+    def fail(p, gamma, q, eps):
+        raise WitnessError("worst row 'rho_0' residual 1.000e+00")
+
+    monkeypatch.setattr(qqc.cli, "make_dual_witness", fail)
+    code = main(["adversary", problem_file("deutsch"), "--eps", "0"])
+    res = _report(capsys)["results"]
+    assert code == 0
+    assert res["witness"] == {"q": 0, "checked": True, "ok": False,
+                              "error": "worst row 'rho_0' residual 1.000e+00"}
+
+
 def test_estimate_deutsch(problem_file, capsys):
     code = main(["estimate", problem_file("deutsch"), "--eps", "0", "--qmax", "2"])
     rep = _report(capsys)
@@ -328,6 +353,21 @@ def test_simulate_failing_protocol(problem_file, tmp_path, capsys):
     assert rep["results"]["success"]["min_success"] <= 1e-9
 
 
+def test_reconstruct_reports_an_undecided_solve(tmp_path, capsys, monkeypatch):
+    # I against R(0.3) at q=3, eps 0.1 is decided in neither 64 sweeps
+    c, s = np.cos(0.3), np.sin(0.3)
+    p = QueryProblem(2, ("i", "r"), np.array([np.eye(2), [[c, -s], [s, c]]], dtype=complex),
+                     ("a", "b"), {"i": "a", "r": "b"})
+    monkeypatch.setattr(qqc.solver, "_MAX_ITERS", 64)
+    out = tmp_path / "alg.json"
+    code = main(["reconstruct", _write_json(tmp_path, "rot.json", problem_to_dict(p)),
+                 "--q", "3", "--eps", "0.1", "--out", str(out)])
+    rep = _report(capsys)
+    assert (code, rep["status"]) == (3, "UNDECIDED")
+    assert rep["error"]
+    assert not out.exists()
+
+
 def test_simulate_rejects_non_projective_protocol(tmp_path, capsys):
     # I against a real rotation by 0.3 rad is infeasible at q=1, eps 0.1; a
     # Hermitian "P_a" with a negative eigenvalue would pass the success check
@@ -416,6 +456,12 @@ def _write_json(tmp_path, name, data):
     return str(path)
 
 
+def _misshaped_unitary():
+    data = problem_to_dict(PROBLEMS["deutsch"])
+    data["unitaries"][0] = {"label": "00", "re": np.eye(3).tolist()}
+    return data
+
+
 def _misshaped_im(tmp_path, kind):
     # a 1x1 "im" beside a 2x2 "re" must not broadcast over the matrix
     if kind == "problem":
@@ -474,6 +520,9 @@ BAD_INPUTS = {
         1, "INPUT_ERROR"),
     "simulate-misshaped-im": (
         lambda d, t: ["simulate", d, "--alg", _misshaped_im(t, "protocol")], 1, "INPUT_ERROR"),
+    # a 3x3 unitary where n = 2
+    "validate-misshaped-unitary": (
+        lambda d, t: ["validate", _write_json(t, "u.json", _misshaped_unitary())], 1, "INPUT_ERROR"),
 }
 
 

@@ -9,6 +9,7 @@ from qqc.programs import (
     build_primal_relaxed,
     pair_name,
 )
+from qqc.linalg import partial_trace
 from qqc.solver import assemble, verify_point
 
 from conftest import FAMILIES, PROBLEMS
@@ -188,22 +189,40 @@ def test_primal_q0_constant_hand_point(const):
 
 
 def test_primal_relaxed_structure(deutsch):
-    prog = build_primal_relaxed(deutsch, 1, 0.1)
-    slack_names = {f"pair_slack_{pair_name(deutsch, pr)}" for pr in deutsch.differing_pairs()}
-    assert {b.name for b in prog.blocks} == {"rho_0", "final_gram"} | slack_names
-    assert all(b.dim == 2 for b in prog.blocks if b.name in slack_names)
+    # at q >= 1 there is no final Gram block and no final_gram_def row: each
+    # pair row reads the last chain block X through one congruence at scale
+    # -1 with split (2, n), X -> -tr_n((E† ⊗ I_n) M X M† (E ⊗ I_n)), for
+    # query q's matrix M, and the slack through the identity. At q = 0 it
+    # reads final_gram, pinned to J by init, with M = I_s and n = 1
+    s, n = deutsch.size, deutsch.n
+    pairs = deutsch.differing_pairs()
+    slack_names = {f"pair_slack_{pair_name(deutsch, pr)}" for pr in pairs}
     margin = 2.0 * np.sqrt(0.1 * 0.9)
-    for pr in deutsch.differing_pairs():
-        row = next(r for r in prog.rows if r.name == f"pair_{pair_name(deutsch, pr)}")
-        assert row.dim == 2
-        assert np.array_equal(row.rhs, (margin - 1.0) * np.eye(2))
-        # one congruence at scale -1 reads G, the identity reads the slack
-        (gi, face), (si, ident) = row.terms
-        assert prog.blocks[gi].name == "final_gram"
-        assert (face.kind, face.scale, face.split) == ("conj_pt", -1.0, (2, 1))
-        assert np.array_equal(face.mat, np.eye(4)[list(pr)])
-        assert prog.blocks[si].name == f"pair_slack_{pair_name(deutsch, pr)}"
-        assert (ident.kind, ident.scale) == ("id", 1.0)
+    first = deutsch.omega @ np.kron(np.ones((s, 1)), np.eye(n))
+    rng = np.random.default_rng(2)
+    for q, last, mat, fast in ((0, "final_gram", np.eye(s), 1), (1, "rho_0", first, n),
+                               (2, "state_iq_1", deutsch.omega, n)):
+        prog = build_primal_relaxed(deutsch, q, 0.1)
+        chain = {"rho_0"} | {f"state_iq_{t}" for t in range(1, q)} if q else {"final_gram"}
+        assert {b.name for b in prog.blocks} == chain | slack_names
+        assert all(b.dim == 2 for b in prog.blocks if b.name in slack_names)
+        rows = {r.name: r for r in prog.rows}
+        assert set(rows) == {"init"} | {f"chain_{t}" for t in range(1, q)} | {
+            f"pair_{pair_name(deutsch, pr)}" for pr in pairs}
+        x = random_hermitian(rng, mat.shape[1])
+        gram = partial_trace(mat @ x @ mat.conj().T, (s, fast))
+        for pr in pairs:
+            row = rows[f"pair_{pair_name(deutsch, pr)}"]
+            assert row.dim == 2
+            assert np.array_equal(row.rhs, (margin - 1.0) * np.eye(2))
+            (xi, face), (si, ident) = row.terms
+            assert prog.blocks[xi].name == last
+            assert (face.kind, face.scale, face.split) == ("conj_pt", -1.0, (2, fast))
+            assert np.max(np.abs(face.apply(x) + gram[np.ix_(pr, pr)])) <= 1e-14
+            assert prog.blocks[si].name == f"pair_slack_{pair_name(deutsch, pr)}"
+            assert (ident.kind, ident.scale) == ("id", 1.0)
+            if q == 0:
+                assert np.array_equal(face.mat, np.eye(s)[list(pr)])
 
 
 def _slack_rows(prog):
@@ -235,17 +254,19 @@ def test_dual_structure(deutsch):
 
 def test_dual_relaxed_structure(deutsch):
     # on the start face the multiplier of tr rho_0 = 1 is a scalar and the
-    # rho_0 row is n x n; the final_gram row reads L_q and each pair
-    # multiplier once, and the strict row reads init and, through its
-    # rhs (margin - 1)·I, nonzero even at eps 0, each pair multiplier
+    # rho_0 row is n x n; with no final_gram row, the last chain block's row
+    # reads its chain multiplier and each pair multiplier once, and the
+    # strict row reads init and, through its rhs (margin - 1)·I, nonzero
+    # even at eps 0, each pair multiplier
     prog = build_dual_relaxed(deutsch, 1, 0.1)
     pairs = [f"pair_{pair_name(deutsch, pr)}" for pr in deutsch.differing_pairs()]
     assert [(b.name, b.dim, b.psd) for b in prog.blocks] == [
-        ("init", 1, False), ("final_gram_def", 4, False)] + [(name, 2, True) for name in pairs]
-    rows = {r.name: r for r in prog.rows}
-    assert [(r.name, r.dim) for r in prog.rows] == [("rho_0", 2), ("final_gram", 4), ("strict", 1)]
-    reads = [prog.blocks[bj].name for bj, _ in rows["final_gram"].terms]
-    assert reads == ["final_gram_def"] + pairs
+        ("init", 1, False)] + [(name, 2, True) for name in pairs]
+    assert [(r.name, r.dim) for r in prog.rows] == [("rho_0", 2), ("strict", 1)]
+    assert [prog.blocks[bj].name for bj, _ in prog.rows[0].terms] == ["init"] + pairs
+    at_two = build_dual_relaxed(deutsch, 2, 0.1)
+    assert [(r.name, r.dim) for r in at_two.rows] == [("rho_0", 2), ("state_iq_1", 8), ("strict", 1)]
+    assert [at_two.blocks[bj].name for bj, _ in at_two.rows[1].terms] == ["chain_1"] + pairs
     at_zero = build_dual_relaxed(deutsch, 1, 0.0)
     assert [at_zero.blocks[bj].name for bj, _ in at_zero.rows[-1].terms] == ["init"] + pairs
 

@@ -125,6 +125,23 @@ def test_extract_rejects_zero_gram(deutsch):
         extract_final_states(deutsch, shares, 0.0)
 
 
+def test_extract_rejects_a_share_below_the_success_floor(deutsch):
+    # half of each input's unit norm in either share: every input succeeds
+    # with 1/2, below the floor 0.9 at eps 0.1
+    s = deutsch.size
+    shares = {z: 0.5 * np.eye(s, dtype=complex) for z in deutsch.outputs}
+    with pytest.raises(ReconstructionError, match="below the floor 0.9"):
+        extract_final_states(deutsch, shares, 0.1)
+
+
+def test_backward_chain_names_a_missing_chain_block(deutsch, cached_solve):
+    point = cached_solve("deutsch", "primal", 1, 0.0).point
+    finals = extract_final_states(deutsch, _shares(deutsch, point, 0.0), 0.0)
+    chain = {k: v for k, v in point.items() if k != "rho_0"}
+    with pytest.raises(ReconstructionError, match="missing block 'rho_0'"):
+        backward_chain(deutsch, 1, chain, finals)
+
+
 def test_backward_chain_checks_the_program_rows(deutsch, cached_solve):
     # a chain block off its row is caught before any unitary is chosen
     out = cached_solve("deutsch", "primal", 1, 0.0)

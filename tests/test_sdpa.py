@@ -178,6 +178,19 @@ def test_parse_rejects_off_diagonal_entry_in_diagonal_block(tmp_path):
     assert parse_sdpa(str(path)).block_sizes == [-2]
 
 
+@pytest.mark.parametrize("text, reason", [
+    ("1\n1\n{2}\n", "truncated SDPA file"),  # no rhs line
+    ("1\n1\n{2}\n1.0\n1 1 1 1\n", "malformed entry line"),  # no value
+    ("1\n1\n{2}\n1.0\n2 1 1 1 1.0\n", "indices out of range"),  # constraint 2 of 1
+    ("1\n1\n{2}\n1.0\n1 2 1 1 1.0\n", "indices out of range"),  # block 2 of 1
+])
+def test_parse_rejects_a_malformed_body(tmp_path, text, reason):
+    path = tmp_path / "bad.dat-s"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=reason):
+        parse_sdpa(str(path))
+
+
 def test_parse_rejects_zero_block_size(tmp_path):
     path = tmp_path / "bad.dat-s"
     path.write_text("1\n2\n2 0\n1.0\n1 1 1 1 1.0\n")

@@ -189,18 +189,25 @@ def test_assemble_matches_row_values(pname, builder, q):
             assert np.max(np.abs(image[off : off + blk.dim**2] - hvec(want))) <= 1e-12
 
 
-def _assemble_by_columns(blocks, rows):
-    """Reference assembly: column k of a term is hvec of its map at the
-    basis matrix B_k = unhvec(e_k), one basis matrix at a time."""
+def _assemble_by_basis(blocks, rows, by_rows=False):
+    """Reference assembly, one basis matrix B_k = unhvec(e_k) at a time:
+    column k of a term is hvec of its map at B_k, over the block's basis;
+    with `by_rows`, a term whose row is smaller than its block is built
+    from the row side instead, row k being hvec of the adjoint at B_k over
+    the row's basis, as `assemble` does."""
     block_off = np.cumsum([0] + [blk.dim**2 for blk in blocks])
     row_off = np.cumsum([0] + [r.dim**2 for r in rows])
     a = np.zeros((row_off[-1], block_off[-1]))
     for ri, r in enumerate(rows):
         for bj, m in r.terms:
             d = blocks[bj].dim
-            for k in range(d * d):
-                basis = unhvec(np.eye(d * d)[k], d)
-                a[row_off[ri] : row_off[ri + 1], block_off[bj] + k] += hvec(m.apply(basis))
+            part = a[row_off[ri] : row_off[ri + 1], block_off[bj] : block_off[bj] + d * d]
+            if by_rows and r.dim < d:
+                for k in range(r.dim**2):
+                    part[k] += hvec(m.adjoint().apply(unhvec(np.eye(r.dim**2)[k], r.dim)))
+            else:
+                for k in range(d * d):
+                    part[:, k] += hvec(m.apply(unhvec(np.eye(d * d)[k], d)))
     b = np.concatenate([hvec(r.rhs) for r in rows])
     return a, b
 
@@ -213,20 +220,23 @@ _REFERENCE_CASES = [(pname, builder, q, eps)
 @pytest.mark.parametrize("pname,builder,q,eps", _REFERENCE_CASES)
 def test_assemble_matches_column_reference(pname, builder, q, eps):
     # a term whose row is smaller than its block is built from the row side,
-    # hvec(m-adjoint(B_k)); on the existence programs that gives the same
-    # bits as the column side, on the witness programs' own rows the same
-    # numbers to within two ulps of one (their 1x1 trace rows read all-ones
-    # matrices)
+    # hvec(m-adjoint(B_k)), with the same bits as the one-at-a-time
+    # reference of that side. The two sides agree to within two ulps of
+    # one: on the witness programs' own rows (their 1x1 trace rows read
+    # all-ones matrices), and on the relaxed pair rows, whose congruence
+    # carries the oracle's phases (weyl3's e^{2 pi i/3}); on the exact
+    # existence programs they give the same bits
     p = FAMILIES[pname] if pname in FAMILIES else PROBLEMS[pname]
     prog = BUILDERS[builder](p, q, eps)
     blocks, rows = prog.blocks, prog.rows
     a, b, _ = assemble(blocks, rows)
-    ref_a, ref_b = _assemble_by_columns(blocks, rows)
+    side_a, ref_b = _assemble_by_basis(blocks, rows, by_rows=True)
     assert _same_bits(b, ref_b)
-    if builder.startswith("primal"):
+    assert _same_bits(a, side_a)
+    ref_a, _ = _assemble_by_basis(blocks, rows)
+    assert np.max(np.abs(a - ref_a)) <= 4.4e-16
+    if builder == "primal":
         assert _same_bits(a, ref_a)
-    else:
-        assert np.max(np.abs(a - ref_a)) <= 4.4e-16
 
 
 @pytest.mark.parametrize("pname,builder,q", [("weyl3", "dual", 1), ("pauli_id", "primal", 2),
@@ -257,14 +267,14 @@ def test_assemble_memory_stays_near_its_budget():
     assert peak - a.nbytes <= 20 * 2**20
 
 
-@pytest.mark.parametrize("case", ["deutsch_primal_relaxed", "weyl3_primal"])
+@pytest.mark.parametrize("case", ["deutsch_primal", "weyl3_primal"])
 def test_project_cone_matches_per_block_reference(case):
-    # deutsch at q=2 mixes 2x2, 4x4 and 8x8 blocks; weyl3 at q=2 has a 27x27
-    # state block next to the 3x3 start state, 9x9 shares and 1x1 success
-    # slacks, which take the clipping path
-    if case == "deutsch_primal_relaxed":
-        prog = BUILDERS["primal_relaxed"](PROBLEMS["deutsch"], 2, 0.1)
-        dims = {2, 4, 8}
+    # deutsch at q=2 mixes 2x2, 4x4 and 8x8 blocks with 1x1 success slacks;
+    # weyl3 at q=2 has a 27x27 state block next to the 3x3 start state, 9x9
+    # shares and 1x1 success slacks, which take the clipping path
+    if case == "deutsch_primal":
+        prog = BUILDERS["primal"](PROBLEMS["deutsch"], 2, 0.1)
+        dims = {1, 2, 4, 8}
     else:
         prog = BUILDERS["primal"](FAMILIES["weyl3"], 2, 0.1)
         dims = {1, 3, 9, 27}
@@ -319,7 +329,7 @@ def test_dual_projections_land_in_their_sets(case):
         assert np.max(np.abs(eng.project_cone(c) - c)) <= 1e-12
 
 
-# deutsch at q=2: dims 2, 4, 8; weyl3 at q=2: dims 1, 3, 9, 27; then 1x1
+# deutsch at q=2: dims 2 and 8; weyl3 at q=2: dims 1, 3, 9, 27; then 1x1
 # blocks only
 _PACKED_CASES = {
     "deutsch_primal_relaxed": lambda: BUILDERS["primal_relaxed"](PROBLEMS["deutsch"], 2, 0.1),
@@ -480,8 +490,7 @@ def _ref_guess_factors(eng, x, extra, res):
     ys = []
     for b, off in zip(eng.blocks, eng.block_off):
         w, v = np.linalg.eigh(unhvec(x[off : off + b.dim * b.dim], b.dim))
-        cut = max(max(w[-1], 0.0) * solver._FACE_REL_TOL + solver._FACE_ABS_FLOOR,
-                  solver._FACE_RES_FACTOR * res)
+        cut = max(max(w[-1], 0.0) * solver._FACE_REL_TOL, solver._FACE_RES_FACTOR * res)
         keep = w > cut
         y = v[:, keep] * np.sqrt(w[keep])
         if extra:
@@ -781,6 +790,17 @@ def test_checks_grow_with_the_logarithm_of_the_sweeps(monkeypatch):
     most = math.log2(2048 / solver._FIRST_CHECK) + 1
     assert 0 < calls["_face_polish"] <= most
     assert 0 < calls["_certify"] <= most
+
+
+def test_an_undecided_witness_program_reports_its_existence_rows(monkeypatch):
+    # a witness program decided through its existence program passes an
+    # UNDECIDED answer on as it stands, residuals keyed by the existence rows
+    monkeypatch.setattr(solver, "_MAX_ITERS", 64)
+    prog = build_dual(_rotation(0.3), 3, 0.1)
+    out = solve(prog)
+    assert (out.status, out.iterations) == ("UNDECIDED", 64)
+    assert out.point is None and out.certificate is None
+    assert list(out.residuals) == [r.name for r in prog.existence.rows]
 
 
 def test_two_qubit_pauli_identification_needs_one_query():
