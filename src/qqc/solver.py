@@ -30,6 +30,26 @@ clipped at zero), and one gather and one scatter write the coordinates
 back: the arithmetic of unhvec, eigh and hvec on the same floats, in a
 fixed few numpy calls per step instead of about a dozen per dimension.
 
+A program whose data are real is decided on its real coordinates. `_decide`
+tests the assembled (A, b) once: it splits when no entry of A couples a real
+coordinate (a diagonal or upper real part) to an imaginary one (an upper
+imaginary part) of a block or row, and b has no imaginary row coordinate.
+Complex conjugation negates exactly the imaginary coordinates, so on a split
+program it maps the affine set, the PSD cone and the Farkas conditions onto
+themselves; the mean of a point and its conjugate is then a point with zero
+imaginary parts, and likewise for a certificate (symmetry reduction;
+Gatermann & Parrilo, J. Pure Appl. Algebra 2004). The real rows and columns
+of A alone therefore decide the program. The engine runs on them with each
+block's d(d+1)/2 real symmetric coordinates: a float packed buffer and float
+`eigh` in the cone step, and real d x r factors in the polish, whose
+Jacobian has half the columns. Points and certificates expand back to
+complex blocks with zero imaginary parts, so `verify_point`, `_certify`,
+reconstruction and the SDPA export all read the full program, and a real
+problem's rebuilt protocol is real. Where the real polish stalls within
+_REAL_STALL of a point it cannot finish, the decision restarts on every
+coordinate on the same check schedule. The fixtures split at every q; the
+Pauli and Weyl families split at q = 0 only.
+
 Infeasibility is reported only with a Farkas certificate: one multiplier
 matrix per row whose adjoint image is PSD on every block, and whose pairing
 with the right-hand side is -1; that is a point of the witness program. In
@@ -130,6 +150,16 @@ _POLISH_GATE = 5e-2
 # FEASIBLE means polished: reconstruction's 1e-6 Gram check turned a 3e-8
 # unpolished residual into a 2.8e-5 miss.
 _POLISHED_TOL = 1e-10
+# A real-form polish that lands at or below this, but above _POLISHED_TOL,
+# has stalled near a point it cannot finish, and the decision goes on over
+# every coordinate. all-equal (3 bits) q=1 eps 0.1 sits on its boundary (no
+# Slater point): its real polish stalls at 4e-8 to 7e-7 at most checks on
+# seeds 0-9, and never finishes within 50 000 sweeps on seeds 5 and 8, while
+# the complex polish finishes by 128 sweeps there; a real solution needs a
+# second-order eigenvalue near 2e-8 that a complex one of lower rank holds as
+# a first-order imaginary part. The polish of the infeasible rotations near
+# their boundary (theta 0.28-0.305, q=3, eps 0.1) lands at 1e-3 to 9e-3.
+_REAL_STALL = 1e-5
 # Rank guess: eigenvalues below this fraction of a block's largest are
 # taken as spurious.
 _FACE_REL_TOL = 1e-5
@@ -205,9 +235,10 @@ class _Coords(NamedTuple):
     """Positions and scales between hvec coordinates and a matrix's float view.
 
     The float view of a C-contiguous d x d complex matrix holds Re m[i, j] at
-    2 (i d + j) and Im m[i, j] right after it. hvec gathers the view at `at`
-    and multiplies by `scale`; unhvec gathers the coordinates at `src`,
-    multiplies by `inv_scale` and zeroes the view at `diag_imag`.
+    2 (i d + j) and Im m[i, j] right after it; that of a real matrix holds
+    m[i, j] at i d + j. hvec gathers the view at `at` and multiplies by
+    `scale`; unhvec gathers the coordinates at `src`, multiplies by
+    `inv_scale` and zeroes the view at `diag_imag`.
     """
 
     at: np.ndarray  # view position of each coordinate: diagonal, upper Re, upper Im
@@ -218,28 +249,38 @@ class _Coords(NamedTuple):
 
 
 @functools.lru_cache(maxsize=None)
-def _coords(d: int) -> _Coords:
-    """The coordinate table of d x d matrices, built once per d."""
+def _coords(d: int, real: bool = False) -> _Coords:
+    """The coordinate table of d x d matrices, built once per d: Hermitian,
+    or real symmetric, whose coordinates are the Hermitian ones without the
+    imaginary parts."""
     i, j = np.triu_indices(d, 1)
     k = len(i)
-    diag = 2 * (d + 1) * np.arange(d)
-    up, low = 2 * (i * d + j), 2 * (j * d + i)
+    w = 1 if real else 2  # floats per entry
+    diag = w * (d + 1) * np.arange(d)
+    up, low = w * (i * d + j), w * (j * d + i)
     off = np.arange(d, d + k)
-    at = np.concatenate([diag, up, up + 1])
-    src = np.zeros(2 * d * d, dtype=np.intp)
-    inv_scale = np.zeros(2 * d * d)
+    at = np.concatenate([diag, up] if real else [diag, up, up + 1])
+    src = np.zeros(w * d * d, dtype=np.intp)
+    inv_scale = np.zeros(w * d * d)
     # the reciprocal: a multiply by it rounds each part as numpy's complex
     # division by sqrt 2 does
     r = 1.0 / math.sqrt(2.0)
-    for pos, coord, c in ((diag, np.arange(d), 1.0), (up, off, r), (up + 1, off + k, r),
-                          (low, off, r), (low + 1, off + k, -r)):
+    parts = [(diag, np.arange(d), 1.0), (up, off, r), (low, off, r)]
+    if not real:
+        parts += [(up + 1, off + k, r), (low + 1, off + k, -r)]
+    for pos, coord, c in parts:
         src[pos] = coord
         inv_scale[pos] = c
-    table = _Coords(at, np.concatenate([np.ones(d), np.full(2 * k, math.sqrt(2.0))]),
-                    src, inv_scale, diag + 1)
+    table = _Coords(at, np.concatenate([np.ones(d), np.full(len(at) - d, math.sqrt(2.0))]),
+                    src, inv_scale, np.zeros(0, dtype=np.intp) if real else diag + 1)
     for arr in table:
         arr.flags.writeable = False
     return table
+
+
+def _n_coords(d: int, real: bool = False) -> int:
+    """Coordinates of a d x d Hermitian, or real symmetric, matrix."""
+    return d * (d + 1) // 2 if real else d * d
 
 
 def hvec(m: np.ndarray) -> np.ndarray:
@@ -259,18 +300,23 @@ def hvec(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def unhvec(v: np.ndarray, d: int) -> np.ndarray:
+def unhvec(v: np.ndarray, d: int, real: bool = False) -> np.ndarray:
     """Inverse of hvec, applied along the last axis of v.
 
     One gather of v through the `_coords` table fills the float view of the
-    matrix: (a + ib) / sqrt 2 above the diagonal, its conjugate below.
+    matrix: (a + ib) / sqrt 2 above the diagonal, its conjugate below. With
+    `real`, v holds a real symmetric matrix's coordinates, the leading
+    d(d+1)/2 of hvec's, and the matrix is real.
     """
     v = np.asarray(v, dtype=float)
-    if v.shape[-1:] != (d * d,):
+    n = _n_coords(d, real)
+    if v.shape[-1:] != (n,):
         raise ValueError(f"coordinate vector of shape {v.shape} is not {d}x{d}")
-    t = _coords(d)
+    t = _coords(d, real)
     out = np.take(v, t.src, axis=-1)
     out *= t.inv_scale
+    if real:
+        return out.reshape(v.shape[:-1] + (d, d))
     out[..., t.diag_imag] = 0.0
     return out.view(complex).reshape(v.shape[:-1] + (d, d))
 
@@ -318,34 +364,68 @@ def assemble(blocks: list[Block], rows: list[Row]) -> tuple[np.ndarray, np.ndarr
 # ---------------------------------------------------------------------------
 # Equality-form engine.
 
-def _split(items: list, v: np.ndarray) -> dict[str, np.ndarray]:
-    """Cut coordinates into one Hermitian matrix per block or row, by name."""
-    out = {}
-    offs = itertools.accumulate((it.dim**2 for it in items), initial=0)
-    for it, off in zip(items, offs):
-        out[it.name] = unhvec(v[off : off + it.dim**2], it.dim)
-    return out
+def _offsets(items: list, real: bool = False) -> list[int]:
+    """Where each block's or row's coordinates start, and their total last."""
+    return list(itertools.accumulate((_n_coords(it.dim, real) for it in items), initial=0))
 
 
-def _row_residuals(rows: list[Row], r: np.ndarray) -> dict[str, float]:
+def _split(items: list, v: np.ndarray, real: bool = False) -> dict[str, np.ndarray]:
+    """Cut coordinates into one Hermitian matrix per block or row, by name;
+    real coordinates give complex matrices with zero imaginary parts."""
+    offs = _offsets(items, real)
+    return {it.name: unhvec(v[lo:hi], it.dim, real).astype(complex, copy=False)
+            for it, lo, hi in zip(items, offs, offs[1:])}
+
+
+def _row_residuals(rows: list[Row], r: np.ndarray, real: bool = False) -> dict[str, float]:
     """Norm of each row's slice of the residual A x - b."""
-    offs = itertools.accumulate((row.dim**2 for row in rows), initial=0)
-    return {row.name: float(np.linalg.norm(r[off : off + row.dim**2]))
-            for row, off in zip(rows, offs)}
+    offs = _offsets(rows, real)
+    return {row.name: float(np.linalg.norm(r[lo:hi])) for row, lo, hi in zip(rows, offs, offs[1:])}
+
+
+def _real_form(blocks: list[Block], rows: list[Row], a: np.ndarray,
+               b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Masks of the real row and column coordinates when (A, b) splits.
+
+    It splits when no entry of A couples a real coordinate (diagonal, upper
+    real part) to an imaginary one (upper imaginary part), and b has no
+    imaginary row coordinate; then the real rows and columns alone decide
+    the program (see the module docstring). None otherwise.
+    """
+
+    def real(items: list) -> np.ndarray:
+        offs = _offsets(items)
+        mask = np.zeros(offs[-1], dtype=bool)
+        for it, off in zip(items, offs):
+            mask[off : off + _n_coords(it.dim, True)] = True
+        return mask
+
+    rm, cm = real(rows), real(blocks)
+    if b[~rm].any() or a[np.ix_(rm, ~cm)].any() or a[np.ix_(~rm, cm)].any():
+        return None
+    return rm, cm
 
 
 class _Engine:
-    """Primal and Farkas projections for A x = b over PSD blocks, on one Gram pseudo-inverse."""
+    """Primal and Farkas projections for A x = b over PSD blocks, on one Gram pseudo-inverse.
 
-    def __init__(self, blocks: list[Block], a: np.ndarray, b: np.ndarray, block_off: list[int]):
+    With `real`, the coordinates, A and b are the real form's (see
+    `_real_form`), and the blocks are real symmetric: the packed buffer,
+    the spectra and the polish's factors are real.
+    """
+
+    def __init__(self, blocks: list[Block], a: np.ndarray, b: np.ndarray, block_off: list[int],
+                 real: bool = False):
         self.blocks = blocks
         self.a = a
         self.b = b
         self.block_off = block_off
+        self.real = real
+        self._floats = 1 if real else 2  # per matrix entry in the packed buffer
         self.n_rows, self.n_cols = a.shape
         self._dims = np.array([blk.dim for blk in blocks], dtype=np.intp)
-        # The cone step's packed buffer holds the complex matrices of all
-        # blocks, grouped by ascending dimension, so the 1x1 blocks lead. Its
+        # The cone step's packed buffer holds the matrices of all blocks,
+        # grouped by ascending dimension, so the 1x1 blocks lead. Its
         # float view is filled from x in one gather through unhvec's `_coords`
         # table shifted to each block's columns, and read back in one gather
         # through hvec's table shifted to each matrix's place and one scatter;
@@ -360,20 +440,20 @@ class _Engine:
         self._pack_at = np.zeros(len(blocks), dtype=np.intp)  # each block's first entry in the buffer
         start = 0
         for d in sorted(groups):
-            t = _coords(d)
+            t = _coords(d, real)
             js = np.array(groups[d])
             offs = np.array(block_off)[js][:, None]
             k, size = len(js), d * d
-            place = 2 * (start + size * np.arange(k))[:, None]  # each matrix in the float view
+            place = self._floats * (start + size * np.arange(k))[:, None]  # each matrix in the float view
             src.append(offs + t.src)
             inv_scale.append(np.tile(t.inv_scale, k))
             diag_imag.append(place + t.diag_imag)
             at.append(place + t.at)
             scale.append(np.tile(t.scale, k))
-            dst.append(offs + np.arange(size))
+            dst.append(offs + np.arange(len(t.at)))
             self._pack_at[js] = start + size * np.arange(k)
             if d == 1:
-                self._line_blocks, self._half_line = js, 2 * k
+                self._line_blocks, self._half_line = js, self._floats * k
             else:
                 self._cone_slices.append((k, d, start, start + k * size, js))
             start += k * size
@@ -400,10 +480,15 @@ class _Engine:
 
     def _pack(self, x: np.ndarray) -> np.ndarray:
         """The packed buffer's float view, gathered from the coordinates x:
-        the 1x1 blocks lead as (value, 0) pairs, then the `_cone_slices`."""
+        the 1x1 blocks lead, as (value, 0) pairs when complex, then the
+        `_cone_slices`."""
         f = x[self._cone_src] * self._cone_inv_scale
         f[self._cone_diag_imag] = 0.0
         return f
+
+    def _matrices(self, f: np.ndarray) -> np.ndarray:
+        """The packed buffer's entries behind its float view f."""
+        return f if self.real else f.view(complex)
 
     def _unpack(self, g: np.ndarray) -> np.ndarray:
         """The coordinates of the matrices in the packed buffer's float view g;
@@ -417,10 +502,9 @@ class _Engine:
         buffer, one stacked eigh per dimension, one gather and scatter back.
         The PSD cone is its own dual, so this is the Farkas cone step too."""
         f = self._pack(x)
-        packed = f.view(complex)
         g = np.empty_like(f)
-        projected = g.view(complex)
-        # a 1x1 PSD block is the half-line; its imaginary slot is zero
+        packed, projected = self._matrices(f), self._matrices(g)
+        # a 1x1 PSD block is the half-line; its imaginary slot, if any, is zero
         np.maximum(f[: self._half_line], 0.0, out=g[: self._half_line])
         for k, d, lo, hi, _ in self._cone_slices:
             w, v = np.linalg.eigh(packed[lo:hi].reshape(k, d, d))
@@ -438,19 +522,31 @@ class _Engine:
     def _row_mats(self) -> list[tuple[np.ndarray, np.ndarray] | None]:
         """`_row_matrices` of every block of dimension d > 1, built at the
         first polish; None for a 1x1 block, whose rows read A as it stands."""
-        return [_row_matrices(self.a[:, off : off + b.dim * b.dim], b.dim) if b.dim > 1 else None
-                for b, off in zip(self.blocks, self.block_off)]
+        return [_row_matrices(self.a[:, off : off + _n_coords(b.dim, self.real)], b.dim, self.real)
+                if b.dim > 1 else None for b, off in zip(self.blocks, self.block_off)]
 
 
-def _row_matrices(a_blk: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+def _engine(prog: ConicFeasibilityProgram, real_form: bool = True) -> _Engine:
+    """The engine of an existence program: on the real form when the
+    assembled (A, b) splits and `real_form` allows it, on every coordinate
+    otherwise."""
+    a, b, block_off = assemble(prog.blocks, prog.rows)
+    split = _real_form(prog.blocks, prog.rows, a, b) if real_form else None
+    if split is None:
+        return _Engine(prog.blocks, a, b, block_off)
+    rm, cm = split
+    return _Engine(prog.blocks, a[np.ix_(rm, cm)], b[rm], _offsets(prog.blocks, True)[:-1], real=True)
+
+
+def _row_matrices(a_blk: np.ndarray, d: int, real: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """The rows that read a d x d block, and their constraint matrices on it.
 
     a_blk is A cut to the block's columns. Returns (touch, C): the indices of
     its nonzero rows and, for each, the Hermitian C_k = unhvec(a_blk[k]), so
-    that a_blk[k] . hvec(X) = tr(C_k X).
+    that a_blk[k] . hvec(X) = tr(C_k X); real symmetric with `real`.
     """
     touch = np.flatnonzero(a_blk.any(axis=1))
-    return touch, unhvec(a_blk[touch], d)
+    return touch, unhvec(a_blk[touch], d, real)
 
 
 def _factor_jacobian(y: np.ndarray, touch: np.ndarray, c: np.ndarray, n_rows: int,
@@ -460,26 +556,30 @@ def _factor_jacobian(y: np.ndarray, touch: np.ndarray, c: np.ndarray, n_rows: in
     Row k comes from `_row_matrices` and reads tr(C_k X). Along unit * e_i e_l^T
     it changes at 2 Re(unit * conj((C_k Y)[i, l])), that is 2 Re or 2 Im of
     (C_k Y)[i, l]; columns run over l, then i, then the real and imaginary
-    unit, the order of a block's part of the flat factor vector. Rows outside
-    touch are zero: those of `out`, an (n_rows, 2 d r) array that is written
+    unit, the order of a block's part of the flat factor vector. A real Y
+    (with real C_k) has the real unit only. Rows outside touch are zero:
+    those of `out`, an (n_rows, 2 d r) array (d r when real) that is written
     in place when given, are left as they are.
     """
     (d, r), t = y.shape, len(touch)
+    width = (2 if np.iscomplexobj(y) else 1) * d * r
     cy = (c.reshape(t * d, d) @ y).reshape(t, d, r)
     if out is None:
-        out = np.zeros((n_rows, 2 * d * r))
-    out[touch] = 2.0 * np.ascontiguousarray(cy.swapaxes(1, 2)).view(float).reshape(t, 2 * d * r)
+        out = np.zeros((n_rows, width))
+    out[touch] = 2.0 * np.ascontiguousarray(cy.swapaxes(1, 2)).view(float).reshape(t, width)
     return out
 
 
 def _factor_starts(eng: _Engine, ranks: np.ndarray) -> np.ndarray:
     """Where each block's part of the flat factor vector starts (see `_Factors`)."""
-    sizes = 2 * eng._dims * ranks
+    sizes = eng._floats * eng._dims * ranks
     return np.cumsum(sizes) - sizes
 
 
-def _factor_view(theta: np.ndarray, lo: int, d: int, r: int) -> np.ndarray:
+def _factor_view(theta: np.ndarray, lo: int, d: int, r: int, real: bool = False) -> np.ndarray:
     """The d x r factor whose part of theta starts at lo, as a view."""
+    if real:
+        return theta[lo : lo + d * r].reshape(r, d).T
     return theta[lo : lo + 2 * d * r].view(complex).reshape(r, d).T
 
 
@@ -490,22 +590,23 @@ class _Factors:
     floats hold its d x r factor Y transposed, row-major, with real and
     imaginary parts side by side: the column order of `_factor_jacobian`, so
     entry c of theta is column c of the Jacobian, and a step is added to
-    theta as it stands. Rank-zero blocks have no part. A rank-one 1x1
-    block's factor is one number a + ib, which adds a^2 + b^2 to its
-    coordinate and gives its Jacobian columns 2 (c a, c b) for its column c
-    of A, a zero read as +0: the arithmetic of numpy's matmul on 1x1
-    operands, done elementwise for all such blocks at once.
+    theta as it stands. On a real engine the factors are real, d r floats
+    each. Rank-zero blocks have no part. A rank-one 1x1 block's factor is
+    one number a + ib, which adds a^2 + b^2 to its coordinate and gives its
+    Jacobian columns 2 (c a, c b) for its column c of A, a zero read as +0
+    (a real a adds a^2, with column 2 c a): the arithmetic of numpy's matmul
+    on 1x1 operands, done elementwise for all such blocks at once.
     """
 
     def __init__(self, eng: _Engine, ranks: np.ndarray):
         self.eng = eng
-        dims = eng._dims
+        dims, fl = eng._dims, eng._floats
         starts = _factor_starts(eng, ranks)
-        self.size = int(2 * dims @ ranks)
+        self.size = int(fl * dims @ ranks)
         line = np.flatnonzero(ranks * (dims == 1))
-        self._pair = np.concatenate([starts[line], starts[line] + 1])
-        self._pair_coef = eng.a[:, np.tile(np.asarray(eng.block_off)[line], 2)]
-        self._line_slots = 2 * eng._pack_at[line]
+        self._pair = np.concatenate([starts[line] + i for i in range(fl)])
+        self._pair_coef = eng.a[:, np.tile(np.asarray(eng.block_off)[line], fl)]
+        self._line_slots = fl * eng._pack_at[line]
         mats = np.flatnonzero(ranks * (dims > 1))
         # (start in theta, d, r, block) of each block of dimension d > 1
         self.mats = list(zip(starts[mats].tolist(), dims[mats].tolist(), ranks[mats].tolist(),
@@ -513,14 +614,14 @@ class _Factors:
         self._conj = np.empty(self.size)
         self._yhs = [y.T for y in self.views(self._conj)]  # Y-adjoint, once _conj holds conj(theta)
         # the packed buffer: slots of rank-zero blocks stay zero
-        self._g = np.zeros(2 * eng._pack_len)
-        packed = self._g.view(complex)
+        self._g = np.zeros(fl * eng._pack_len)
+        packed = eng._matrices(self._g)
         self._slots = [packed[at : at + d * d].reshape(d, d)
                        for at, d in zip(eng._pack_at[mats].tolist(), dims[mats].tolist())]
 
     def views(self, theta: np.ndarray) -> list[np.ndarray]:
         """The factors of the blocks of dimension d > 1 as views of theta."""
-        return [_factor_view(theta, lo, d, r) for lo, d, r, _ in self.mats]
+        return [_factor_view(theta, lo, d, r, self.eng.real) for lo, d, r, _ in self.mats]
 
     def assemble(self, theta: np.ndarray, ys: list[np.ndarray]) -> np.ndarray:
         """Coordinates of the blocks Y Y-adjoint, ys being `views(theta)`:
@@ -528,10 +629,15 @@ class _Factors:
         back through the cone step's gather and scatter."""
         sq = theta[self._pair]
         sq *= sq
-        half = len(sq) // 2
-        self._g[self._line_slots] = sq[:half] + sq[half:]
-        np.conjugate(theta.view(complex), out=self._conj.view(complex))
-        for y, yh, slot in zip(ys, self._yhs, self._slots):
+        if self.eng.real:
+            self._g[self._line_slots] = sq
+            yhs = [y.T for y in ys]
+        else:
+            half = len(sq) // 2
+            self._g[self._line_slots] = sq[:half] + sq[half:]
+            np.conjugate(theta.view(complex), out=self._conj.view(complex))
+            yhs = self._yhs
+        for y, yh, slot in zip(ys, yhs, self._slots):
             np.matmul(y, yh, out=slot)
         return self.eng._unpack(self._g)
 
@@ -541,7 +647,7 @@ class _Factors:
         jac[:, self._pair] = (self._pair_coef * theta[self._pair] + 0.0) * 2.0
         for y, (lo, d, r, j) in zip(ys, self.mats):
             touch, c = self.eng._row_mats[j]
-            _factor_jacobian(y, touch, c, self.eng.n_rows, jac[:, lo : lo + 2 * d * r])
+            _factor_jacobian(y, touch, c, self.eng.n_rows, jac[:, lo : lo + self.eng._floats * d * r])
 
 
 def _gauss_newton(eng: _Engine, theta: np.ndarray, ranks: np.ndarray) -> np.ndarray:
@@ -603,28 +709,30 @@ def _guess_factors(eng: _Engine, x: np.ndarray, extra: int, res: float) -> tuple
 
     seed = math.sqrt(max(res, 1e-12))
     f = eng._pack(x)
-    packed = f.view(complex)
+    packed = eng._matrices(f)
     spectra = [np.linalg.eigh(packed[lo:hi].reshape(k, d, d)) for k, d, lo, hi, _ in eng._cone_slices]
     kept = np.zeros(len(eng.blocks), dtype=np.intp)
     line = eng._line_blocks
-    vals = f[: eng._half_line : 2]
+    vals = f[: eng._half_line : eng._floats]
     on = vals > cut(vals)
     kept[line] = on
     for (_, _, _, _, js), (w, _) in zip(eng._cone_slices, spectra):
         kept[js] = np.count_nonzero(w > cut(w[:, -1])[:, None], axis=1)
     ranks = np.minimum(kept + extra, eng._dims)
     starts = _factor_starts(eng, ranks)
-    theta = np.empty(int(2 * eng._dims @ ranks))
-    # a kept 1x1 block is (sqrt value, 0), a padded one (seed, 0)
+    theta = np.empty(int(eng._floats * eng._dims @ ranks))
+    # a kept 1x1 block is (sqrt value, 0), a padded one (seed, 0); a real
+    # engine's lack the 0
     some = ranks[line] > 0
     at = starts[line][some]
     theta[at] = np.where(on, np.sqrt(np.where(on, vals, 0.0)), seed)[some]
-    theta[at + 1] = 0.0
+    if not eng.real:
+        theta[at + 1] = 0.0
     for (_, d, _, _, js), (w, v) in zip(eng._cone_slices, spectra):
         for i, j in enumerate(js.tolist()):
             r, rank = int(kept[j]), int(ranks[j])
             if rank:
-                y = _factor_view(theta, int(starts[j]), d, rank)
+                y = _factor_view(theta, int(starts[j]), d, rank, eng.real)
                 y[:, :r] = v[i, :, d - r :] * np.sqrt(w[i, d - r :])
                 y[:, r:] = v[i, :, d - rank : d - r] * seed
     return theta, ranks
@@ -725,23 +833,22 @@ def _decide(witness: ConicFeasibilityProgram, cfg: SolverConfig) -> FeasibilityO
     """`solve` on the existence program of a witness program, whose points
     check the certificates."""
     prog = witness.existence
-    eng = _Engine(prog.blocks, *assemble(prog.blocks, prog.rows))
-    rng = np.random.default_rng(cfg.seed)
+    eng = _engine(prog)
 
     def residuals(x: np.ndarray) -> dict[str, float]:
-        return _row_residuals(prog.rows, eng.a @ x - eng.b)
+        return _row_residuals(prog.rows, eng.a @ x - eng.b, eng.real)
 
     # Right-hand side off the affine range is already a finished certificate.
     r0 = eng.b - eng.a @ eng._x0
     nr0 = float(np.linalg.norm(r0))
     if nr0 > _RANGE_TOL * max(1.0, float(np.linalg.norm(eng.b))):
-        cert = _certify(witness, _split(prog.rows, -r0 / nr0**2))
+        cert = _certify(witness, _split(prog.rows, -r0 / nr0**2, eng.real))
         if cert is not None:
             return FeasibilityOutcome(
                 "INFEASIBLE_WITH_CERTIFICATE", None, cert, residuals(np.zeros(eng.n_cols)), 0
             )
 
-    x = 0.1 * rng.standard_normal(eng.n_cols)
+    x = 0.1 * np.random.default_rng(cfg.seed).standard_normal(eng.n_cols)
     s = None  # the Farkas iterate, seeded at the first check
     it = 0
     while it < _MAX_ITERS:
@@ -753,15 +860,24 @@ def _decide(witness: ConicFeasibilityProgram, cfg: SolverConfig) -> FeasibilityO
         if max(res.values(), default=0.0) <= _POLISH_GATE:
             polished = _face_polish(eng, cand)
             pres = residuals(polished)
-            if max(pres.values(), default=0.0) <= _POLISHED_TOL:
-                return FeasibilityOutcome("FEASIBLE", _split(prog.blocks, polished), None, pres, it)
+            worst = max(pres.values(), default=0.0)
+            if worst <= _POLISHED_TOL:
+                return FeasibilityOutcome("FEASIBLE", _split(prog.blocks, polished, eng.real), None,
+                                          pres, it)
+            if eng.real and worst <= _REAL_STALL:
+                # restart over every coordinate, from the start a program
+                # that does not split takes, on the same check schedule
+                eng = _engine(prog, real_form=False)
+                x = 0.1 * np.random.default_rng(cfg.seed).standard_normal(eng.n_cols)
+                s = None
+                continue
         if s is None:
             # cand - P_L(cand) = A^T w tends to -v for the minimal gap vector
             # v from the affine set to the cone (Bauschke & Borwein 1993), so
             # it sits near the dual cone with pairing b^T w near -|v|^2 < 0.
             s = cand - eng.project_affine(cand)
         s = _run_ap(eng.project_dual_affine, eng.project_cone, s, gap)
-        cert = _certify(witness, _split(prog.rows, eng._lift.T @ eng.project_cone(s)))
+        cert = _certify(witness, _split(prog.rows, eng._lift.T @ eng.project_cone(s), eng.real))
         if cert is not None:
             return FeasibilityOutcome("INFEASIBLE_WITH_CERTIFICATE", None, cert, res, it)
     return FeasibilityOutcome("UNDECIDED", None, None, residuals(eng.project_cone(x)), _MAX_ITERS)

@@ -57,6 +57,24 @@ def test_reconstruct_with_error_budget(deutsch):
     assert rep.min_success >= 0.9 - 1e-6
 
 
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize("pname", ["const", "deutsch", "ix"])
+def test_real_problems_get_real_protocols(pname, q, eps):
+    # real unitaries make the existence program split, so it is decided on
+    # its real coordinates and the point, and with it every unitary and
+    # projector, has no imaginary part at all
+    p = PROBLEMS[pname]
+    res = reconstruct_algorithm(p, q, eps)
+    assert all(not np.asarray(m).imag.any() for m in res.outcome.point.values())
+    alg = res.algorithm
+    for m in [*alg.unitaries, *alg.projectors.values()]:
+        assert not m.imag.any()
+    rep = success_report(run(alg, p), p, eps)
+    assert rep.passed
+    assert rep.min_success >= 1.0 - eps - 1e-6
+
+
 @pytest.mark.parametrize("pname,q", [("deutsch", 0), ("ix", 0)])
 def test_reconstruct_infeasible_carries_status(pname, q):
     with pytest.raises(ReconstructionError) as info:

@@ -27,12 +27,15 @@ from qqc.solver import (
     SolverError,
     _Engine,
     _certify,
+    _engine,
     _face_polish,
     _factor_jacobian,
     _factor_view,
     _Factors,
     _gauss_newton,
     _guess_factors,
+    _n_coords,
+    _real_form,
     _row_matrices,
     _run_ap,
     assemble,
@@ -161,6 +164,21 @@ def test_coordinate_maps_match_written_out_formula_bitwise(d, lead):
         unhvec(np.zeros(lead + (d * d + 1,)), d)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_real_coordinates_are_the_leading_hermitian_ones(d):
+    # a real symmetric matrix's coordinates are the leading d(d+1)/2 of
+    # hvec's, and unhvec of them is the real part of the Hermitian unhvec
+    # with the imaginary coordinates zero
+    rng = np.random.default_rng(d)
+    n = d * (d + 1) // 2
+    assert _n_coords(d, True) == n and _n_coords(d) == d * d
+    v = _with_signed_zeros(rng, (4, n))
+    full = np.concatenate([v, np.zeros((4, d * d - n))], axis=-1)
+    assert _same_bits(unhvec(v, d, real=True), unhvec(full, d).real.copy())
+    with pytest.raises(ValueError, match="coordinate vector"):
+        unhvec(np.zeros((4, n + 1)), d, real=True)
+
+
 _ASSEMBLY_CASES = [(pname, builder, q) for pname in PROBLEMS for builder in BUILDERS
                    for q in (0, 1, 2)] + [("pauli_id", "primal", 1)]
 
@@ -267,28 +285,34 @@ def test_assemble_memory_stays_near_its_budget():
     assert peak - a.nbytes <= 20 * 2**20
 
 
-@pytest.mark.parametrize("case", ["deutsch_primal", "weyl3_primal"])
+@pytest.mark.parametrize("case", ["deutsch_primal", "weyl3_primal", "deutsch_primal-real"])
 def test_project_cone_matches_per_block_reference(case):
     # deutsch at q=2 mixes 2x2, 4x4 and 8x8 blocks with 1x1 success slacks;
     # weyl3 at q=2 has a 27x27 state block next to the 3x3 start state, 9x9
-    # shares and 1x1 success slacks, which take the clipping path
-    if case == "deutsch_primal":
+    # shares and 1x1 success slacks, which take the clipping path; deutsch
+    # splits, and its real form projects real symmetric blocks
+    if case.startswith("deutsch_primal"):
         prog = BUILDERS["primal"](PROBLEMS["deutsch"], 2, 0.1)
         dims = {1, 2, 4, 8}
     else:
         prog = BUILDERS["primal"](FAMILIES["weyl3"], 2, 0.1)
         dims = {1, 3, 9, 27}
     blocks = prog.blocks
-    eng = _Engine(blocks, *assemble(blocks, prog.rows))
+    real = case.endswith("-real")
+    eng = _engine(prog) if real else _Engine(blocks, *assemble(blocks, prog.rows))
+    assert eng.real == real
     assert {b.dim for b in blocks} == dims
 
     def per_block(x):
-        # from the written-out coordinate formula, not the maps the engine calls
+        # from the written-out coordinate formula, not the maps the engine
+        # calls; a real block's coordinates lead its Hermitian ones, and it
+        # is projected by a float eigh
         out = x.copy()
         for b, off in zip(blocks, eng.block_off):
-            m = _unhvec_reference(x[off : off + b.dim**2], b.dim)
-            w, v = np.linalg.eigh(hermitize(m))
-            out[off : off + b.dim**2] = _hvec_reference((v * np.clip(w, 0.0, None)) @ v.conj().T)
+            n = _n_coords(b.dim, real)
+            m = _unhvec_reference(np.pad(x[off : off + n], (0, b.dim**2 - n)), b.dim)
+            w, v = np.linalg.eigh(m.real if real else hermitize(m))
+            out[off : off + n] = _hvec_reference((v * np.clip(w, 0.0, None)) @ v.conj().T)[:n]
         return out
 
     rng = np.random.default_rng(11)
@@ -340,13 +364,16 @@ _PACKED_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", list(_PACKED_CASES))
+@pytest.mark.parametrize("case", [*_PACKED_CASES, "deutsch_primal_relaxed-real", "half_lines-real"])
 def test_packed_cone_step_matches_grouped_projection_bitwise(case):
     # the grouped projection written out: per dimension, unhvec of the
     # gathered coordinates, one stacked eigh, clipping and hvec scattered
-    # back; the 1x1 blocks on the half-line
-    prog = _PACKED_CASES[case]()
-    eng = _Engine(prog.blocks, *assemble(prog.blocks, prog.rows))
+    # back; the 1x1 blocks on the half-line. On the real form the matrices
+    # are real symmetric and the eigh is a float one.
+    real = case.endswith("-real")
+    prog = _PACKED_CASES[case.removesuffix("-real")]()
+    eng = _engine(prog) if real else _Engine(prog.blocks, *assemble(prog.blocks, prog.rows))
+    assert eng.real == real
     groups = {}
     for blk, off in zip(prog.blocks, eng.block_off):
         groups.setdefault(blk.dim, []).append(off)
@@ -354,13 +381,13 @@ def test_packed_cone_step_matches_grouped_projection_bitwise(case):
     def grouped(x):
         out = x.copy()
         for d, offs in groups.items():
-            idx = np.add.outer(offs, np.arange(d * d))
+            idx = np.add.outer(offs, np.arange(_n_coords(d, real)))
             if d == 1:
                 out[idx] = np.maximum(x[idx], 0.0)
                 continue
-            w, v = np.linalg.eigh(unhvec(x[idx], d))
+            w, v = np.linalg.eigh(unhvec(x[idx], d, real))
             np.clip(w, 0.0, None, out=w)
-            out[idx] = hvec((v * w[..., None, :]) @ v.conj().swapaxes(-1, -2))
+            out[idx] = hvec((v * w[..., None, :]) @ v.conj().swapaxes(-1, -2))[..., : idx.shape[1]]
         return out
 
     rng = np.random.default_rng(17)
@@ -435,18 +462,25 @@ def test_factor_jacobian_columns_follow_the_factor_vector():
 # one flat vector and the trial points into the packed buffer: the reference
 # the polish must meet bit for bit.
 
+# On a real engine the factors are real and the reference runs in floats.
+
 def _ref_assemble_factors(eng, ys):
     x = np.zeros(eng.n_cols)
     for y, b, off in zip(ys, eng.blocks, eng.block_off):
-        x[off : off + b.dim * b.dim] = hvec(y @ y.conj().T)
+        n = _n_coords(b.dim, eng.real)
+        x[off : off + n] = hvec(y @ y.conj().T)[:n]
     return x
 
 
-def _ref_step_factors(ys, step):
+def _ref_step_factors(ys, step, real=False):
     out = []
     k = 0
     for y in ys:
         d, r = y.shape
+        if real:
+            out.append(y + step[k : k + d * r].reshape(r, d).T)
+            k += d * r
+            continue
         seq = step[k : k + 2 * d * r].reshape(r, d, 2)
         out.append(y + (seq[..., 0] + 1j * seq[..., 1]).T)
         k += 2 * d * r
@@ -458,7 +492,7 @@ def _ref_gauss_newton(eng, ys):
     r = eng.a @ x - eng.b
     rn = float(np.linalg.norm(r))
     floor = 1e-15 * max(1.0, float(np.linalg.norm(eng.b)))
-    lin = [_row_matrices(eng.a[:, off : off + b.dim * b.dim], b.dim)
+    lin = [_row_matrices(eng.a[:, off : off + _n_coords(b.dim, eng.real)], b.dim, eng.real)
            for b, off in zip(eng.blocks, eng.block_off)]
     for _ in range(solver._GN_MAX_STEPS):
         if rn <= floor:
@@ -472,7 +506,7 @@ def _ref_gauss_newton(eng, ys):
         t = 1.0
         improved = False
         for _ in range(8):
-            trial = _ref_step_factors(ys, t * step)
+            trial = _ref_step_factors(ys, t * step, eng.real)
             xt = _ref_assemble_factors(eng, trial)
             rt = eng.a @ xt - eng.b
             rtn = float(np.linalg.norm(rt))
@@ -489,7 +523,7 @@ def _ref_gauss_newton(eng, ys):
 def _ref_guess_factors(eng, x, extra, res):
     ys = []
     for b, off in zip(eng.blocks, eng.block_off):
-        w, v = np.linalg.eigh(unhvec(x[off : off + b.dim * b.dim], b.dim))
+        w, v = np.linalg.eigh(unhvec(x[off : off + _n_coords(b.dim, eng.real)], b.dim, eng.real))
         cut = max(max(w[-1], 0.0) * solver._FACE_REL_TOL, solver._FACE_RES_FACTOR * res)
         keep = w > cut
         y = v[:, keep] * np.sqrt(w[keep])
@@ -555,22 +589,34 @@ _POLISH_CASES = {
 }
 
 
-def _polish_start(prog, seed, sweeps):
+# cases that also run on the real form, whose programs all split
+_REAL_POLISH_CASES = ["deutsch-primal-0.1", "deutsch-primal_relaxed-0.0", "rank_zero", "half_lines"]
+
+
+def _case_engine(case):
+    # the engine of a polish case: "<case>-real" is the case's real form
+    real = case.endswith("-real")
+    prog = _POLISH_CASES[case.removesuffix("-real")]()
+    eng = _engine(prog) if real else _Engine(prog.blocks, *assemble(prog.blocks, prog.rows))
+    assert eng.real == real
+    return eng
+
+
+def _polish_start(eng, seed, sweeps):
     # the point a check hands the polish: sweeps from the solver's start
-    eng = _Engine(prog.blocks, *assemble(prog.blocks, prog.rows))
     x = 0.1 * np.random.default_rng(seed).standard_normal(eng.n_cols)
-    return eng, eng.project_cone(_run_ap(eng.project_affine, eng.project_cone, x, sweeps))
+    return eng.project_cone(_run_ap(eng.project_affine, eng.project_cone, x, sweeps))
 
 
-@pytest.mark.parametrize("case", list(_POLISH_CASES))
+@pytest.mark.parametrize("case", [*_POLISH_CASES, *(f"{c}-real" for c in _REAL_POLISH_CASES)])
 def test_face_polish_matches_per_block_reference_bitwise(case):
     # the polish on the packed buffer and the flat factor vector returns the
     # per-block polish's point bit for bit: from a check's point, and for
     # each rank guess, with and without the padding direction, from there
-    prog = _POLISH_CASES[case]()
+    eng = _case_engine(case)
     lean = []
     for seed, sweeps in ((0, solver._FIRST_CHECK), (1, 4)):
-        eng, x = _polish_start(prog, seed, sweeps)
+        x = _polish_start(eng, seed, sweeps)
         got, want = _face_polish(eng, x), _ref_face_polish(eng, x)
         assert _same_bits(got, want), (seed, sweeps)
         res = float(np.linalg.norm(eng.a @ x - eng.b, ord=np.inf))
@@ -582,31 +628,32 @@ def test_face_polish_matches_per_block_reference_bitwise(case):
             assert _same_bits(theta, np.concatenate(
                 [np.zeros(0)] + [np.ascontiguousarray(y.T).view(float).ravel() for y in ref_ys]))
             assert _same_bits(_gauss_newton(eng, theta, ranks), _ref_gauss_newton(eng, ref_ys))
-    if case == "rank_zero":
+    if case.startswith("rank_zero"):
         # the lean guess at the check's point
         assert lean[0] == [1, 0, 0, 1]
 
 
-@pytest.mark.parametrize("case", ["rank_zero", "half_lines", "pauli_id-primal-0.1"])
+@pytest.mark.parametrize("case", ["rank_zero", "half_lines", "pauli_id-primal-0.1", "rank_zero-real",
+                                  "half_lines-real", "deutsch-primal-0.1-real"])
 def test_factor_set_matches_per_block_assembly_and_jacobian(case):
     # at random factors, signed zeros included, and random ranks, zero among
     # them: the packed assembly and the in-place Jacobian, the 1x1 blocks'
     # elementwise part included, equal the per-block ones bit for bit
-    prog = _POLISH_CASES[case]()
-    eng = _Engine(prog.blocks, *assemble(prog.blocks, prog.rows))
+    eng = _case_engine(case)
     rng = np.random.default_rng(23)
     for _ in range(4):
         ranks = rng.integers(0, eng._dims + 1)
         fac = _Factors(eng, ranks)
         theta = _with_signed_zeros(rng, fac.size)
         ys = fac.views(theta)
-        per_block = [_factor_view(theta, int(lo), d, int(r))
+        per_block = [_factor_view(theta, int(lo), d, int(r), eng.real)
                      for lo, d, r in zip(solver._factor_starts(eng, ranks), eng._dims, ranks)]
         assert _same_bits(fac.assemble(theta, ys), _ref_assemble_factors(eng, per_block))
         jac = np.zeros((eng.n_rows, fac.size))
         fac.jacobian(theta, ys, jac)
         ref = np.hstack([np.zeros((eng.n_rows, 0))] + [
-            _factor_jacobian(y, *_row_matrices(eng.a[:, off : off + b.dim**2], b.dim), eng.n_rows)
+            _factor_jacobian(y, *_row_matrices(eng.a[:, off : off + _n_coords(b.dim, eng.real)], b.dim,
+                                               eng.real), eng.n_rows)
             for y, b, off in zip(per_block, eng.blocks, eng.block_off)])
         assert _same_bits(jac, ref)
 
@@ -629,6 +676,43 @@ def test_row_matrices_read_each_block_of_the_rows(builder, q, eps):
         assert np.allclose(traces.imag, 0.0, atol=1e-12)
         assert np.allclose(traces.real, (a_blk @ hvec(x))[touch], rtol=1e-12, atol=1e-12)
         assert not np.delete(a_blk, touch, axis=0).any()
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+@pytest.mark.parametrize("q", [0, 1, 2])
+@pytest.mark.parametrize("pname", [*PROBLEMS, *FAMILIES])
+def test_programs_of_real_problems_take_the_real_form(pname, q, eps):
+    # the fixtures have real unitaries; the Pauli and Weyl families do not,
+    # but at q = 0 no program reads a unitary. A witness program is decided
+    # through its existence program, so it takes that program's form.
+    p = {**PROBLEMS, **FAMILIES}[pname]
+    real = pname in PROBLEMS or q == 0
+    for builder in BUILDERS.values():
+        prog = builder(p, q, eps)
+        prog = prog.existence or prog
+        a, b, _ = assemble(prog.blocks, prog.rows)
+        split = _real_form(prog.blocks, prog.rows, a, b)
+        assert (split is not None) == real, builder.__name__
+        eng = _engine(prog)
+        assert eng.real == real
+        if real:
+            assert eng.a.shape == (sum(_n_coords(r.dim, True) for r in prog.rows),
+                                   sum(_n_coords(blk.dim, True) for blk in prog.blocks))
+            assert eng.block_off == solver._offsets(prog.blocks, True)[:-1]
+        else:
+            assert eng.a.shape == a.shape
+
+
+def test_an_imaginary_right_hand_side_keeps_the_program_complex():
+    # real maps, but a right-hand side with an imaginary off-diagonal entry:
+    # conjugation does not fix the affine set, and its only point is complex
+    rhs = np.array([[1.0, 0.5j], [-0.5j, 1.0]])
+    for want, value in ((False, rhs), (True, rhs.real.astype(complex))):
+        prog = ConicFeasibilityProgram([Block("x", 2, True)], [Row("pin", 2, [(0, _ident(2))], value)])
+        assert _engine(prog).real == want
+        out = solve(prog)
+        assert out.status == "FEASIBLE"
+        assert np.allclose(out.point["x"], value, atol=1e-10)
 
 
 def test_solve_small_feasible_program():

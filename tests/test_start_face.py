@@ -16,6 +16,7 @@ from qqc.problem import phase_query_problem
 from qqc.programs import build_dual, build_primal
 from qqc.reconstruct import reconstruct_algorithm
 from qqc.simulate import run, success_report, trace_to_primal_point
+from qqc import solver
 from qqc.solver import SolverConfig, solve, verify_point
 
 _BITS = ["".join(b) for b in itertools.product("01", repeat=3)]
@@ -56,3 +57,19 @@ def test_all_equal_exact_certificate_lifts_to_a_witness():
     assert rep.max_residual <= 1e-8
     assert rep.min_block_eig >= -1e-8
     assert rep.strict_slack > 0
+
+
+@pytest.mark.parametrize("seed", [5, 8])
+def test_a_stalled_real_polish_goes_on_over_every_coordinate(seed):
+    # all-equal at q=1, eps 0.1 is real and sits on its boundary: at these
+    # seeds the real form's polish stalls within _REAL_STALL of points it
+    # cannot finish, so the decision restarts on every coordinate, on the
+    # same check schedule, and the complex form's point is the answer
+    prog = build_primal(START_FACE_PROBLEMS["all_equal"], 1, 0.1)
+    assert solver._engine(prog).real
+    out = solve(prog, SolverConfig(seed=seed))
+    assert out.status == "FEASIBLE"
+    checks = out.iterations // solver._FIRST_CHECK
+    assert out.iterations % solver._FIRST_CHECK == 0 and checks & (checks - 1) == 0
+    assert any(m.imag.any() for m in out.point.values())
+    assert verify_point(prog, out.point).within(1e-10)
