@@ -23,12 +23,19 @@ the coordinates and the float view of the complex matrix, through a table
 of positions and scales built once per matrix dimension; they act on stacks
 of matrices and vectors along the leading axes. The cone step reads every
 block in one gather, through those tables, into one packed buffer of
-complex matrices grouped by dimension; each group is projected by one
-stacked `eigh` on a zero-copy view of its slice, eigenvalue clipping and a
-product written straight into a second packed buffer (1x1 blocks are
-clipped at zero), and one gather and one scatter write the coordinates
-back: the arithmetic of unhvec, eigh and hvec on the same floats, in a
-fixed few numpy calls per step instead of about a dozen per dimension.
+complex matrices grouped by dimension; each group is projected by one call
+of LAPACK's stacked eigh gufunc (`numpy.linalg._umath_linalg.eigh_lo`, the
+routine `numpy.linalg.eigh` calls) on a zero-copy view of its slice,
+eigenvalue clipping and a product written straight into a second packed
+buffer (1x1 blocks are clipped at zero), and one gather in column order and
+one multiply give the coordinates back: the arithmetic of unhvec, eigh and
+hvec on the same floats, in a fixed few numpy calls per step instead of
+about a dozen per dimension. The gufunc skips the Python wrapper's checks,
+casts and error state on every call. It flags non-convergence as an invalid
+value, so each chunk of sweeps, and each cone step of a check, runs under
+one error state that raises it as LinAlgError, as the wrapper did. It is
+private numpy API: the one name `_eigh` binds it, or `numpy.linalg.eigh`
+on a numpy without it, so the cone step keeps one call site either way.
 
 A program whose data are real is decided on its real coordinates. `_decide`
 tests the assembled (A, b) once: it splits when no entry of A couples a real
@@ -79,7 +86,7 @@ is its own eigenvalue. All factors live in one flat real vector, each
 block's factor a view of its part, so a trial is theta + t * step. A trial
 point writes each Y Y-adjoint into the block's slot of the packed buffer
 (`matmul` with `out=`) and reads the coordinates back through the cone
-step's gather and scatter. The Jacobian is written in place into one array
+step's gather. The Jacobian is written in place into one array
 per Gauss-Newton run, and reads the row side of A: on a block each scalar
 row is tr(C_k X) with C_k = unhvec(row k of the block's columns), the SDPA
 export's constraint matrices, built once per engine by `_row_matrices`;
@@ -109,6 +116,11 @@ import numpy as np
 
 from .linalg import hermitize
 from .programs import Block, ConicFeasibilityProgram, Row, _farkas_alternative
+
+# LAPACK's stacked eigh as numpy's own wrapper calls it, without the
+# wrapper's per-call checks, casts and error state; a numpy without this
+# private gufunc runs the cone step through the wrapper instead
+_eigh = getattr(getattr(np.linalg, "_umath_linalg", None), "eigh_lo", np.linalg.eigh)
 
 __all__ = [
     "SolverConfig",
@@ -428,8 +440,9 @@ class _Engine:
         # grouped by ascending dimension, so the 1x1 blocks lead. Its
         # float view is filled from x in one gather through unhvec's `_coords`
         # table shifted to each block's columns, and read back in one gather
-        # through hvec's table shifted to each matrix's place and one scatter;
-        # a group of k blocks of dimension d is a zero-copy (k, d, d) slice.
+        # through hvec's table shifted to each matrix's place, reordered by
+        # column; a group of k blocks of dimension d is a zero-copy (k, d, d)
+        # slice.
         groups: dict[int, list[int]] = {}
         for j, blk in enumerate(blocks):
             groups.setdefault(blk.dim, []).append(j)
@@ -464,8 +477,11 @@ class _Engine:
             return np.concatenate([np.zeros(0, dtype)] + [part.ravel() for part in parts])
 
         self._cone_src, self._cone_diag_imag = flat(src), flat(diag_imag)
-        self._cone_at, self._cone_dst = flat(at), flat(dst)
-        self._cone_inv_scale, self._cone_scale = flat(inv_scale, float), flat(scale, float)
+        self._cone_inv_scale = flat(inv_scale, float)
+        # every column is some block's coordinate, so the read-back positions
+        # in column order fill the coordinates with no scatter
+        order = np.argsort(flat(dst))
+        self._cone_at, self._cone_scale = flat(at)[order], flat(scale, float)[order]
 
         w, v = np.linalg.eigh(a @ a.T)
         cut = w.max(initial=0.0) * 1e-12 + 1e-300
@@ -483,7 +499,8 @@ class _Engine:
         the 1x1 blocks lead, as (value, 0) pairs when complex, then the
         `_cone_slices`."""
         f = x[self._cone_src] * self._cone_inv_scale
-        f[self._cone_diag_imag] = 0.0
+        if not self.real:
+            f[self._cone_diag_imag] = 0.0
         return f
 
     def _matrices(self, f: np.ndarray) -> np.ndarray:
@@ -491,27 +508,35 @@ class _Engine:
         return f if self.real else f.view(complex)
 
     def _unpack(self, g: np.ndarray) -> np.ndarray:
-        """The coordinates of the matrices in the packed buffer's float view g;
-        every column is some block's, so the scatter writes all of them."""
-        out = np.empty(self.n_cols)
-        out[self._cone_dst] = g[self._cone_at] * self._cone_scale
+        """The coordinates of the matrices in the packed buffer's float view g:
+        one gather in column order and one multiply, since every column is
+        some block's."""
+        out = g[self._cone_at]
+        out *= self._cone_scale
         return out
 
     def project_cone(self, x: np.ndarray) -> np.ndarray:
         """Clip the spectrum of every block: one gather into the packed
-        buffer, one stacked eigh per dimension, one gather and scatter back.
-        The PSD cone is its own dual, so this is the Farkas cone step too."""
+        buffer, one stacked LAPACK eigh per dimension, one gather back.
+        The PSD cone is its own dual, so this is the Farkas cone step too.
+        The eigh gufunc flags non-convergence as an invalid value, so callers
+        run this under `_eigh_errors`."""
         f = self._pack(x)
         g = np.empty_like(f)
         packed, projected = self._matrices(f), self._matrices(g)
         # a 1x1 PSD block is the half-line; its imaginary slot, if any, is zero
         np.maximum(f[: self._half_line], 0.0, out=g[: self._half_line])
         for k, d, lo, hi, _ in self._cone_slices:
-            w, v = np.linalg.eigh(packed[lo:hi].reshape(k, d, d))
+            w, v = _eigh(packed[lo:hi].reshape(k, d, d))
             np.maximum(w, 0.0, out=w)
-            np.matmul(v * w[..., None, :], v.conj().swapaxes(-1, -2),
+            np.matmul(v * w[..., None, :], (v if self.real else v.conj()).swapaxes(-1, -2),
                       out=projected[lo:hi].reshape(k, d, d))
         return self._unpack(g)
+
+    def cone_point(self, x: np.ndarray) -> np.ndarray:
+        """`project_cone` outside a sweep chunk, under its own `_eigh_errors`."""
+        with _eigh_errors():
+            return self.project_cone(x)
 
     def project_dual_affine(self, s: np.ndarray) -> np.ndarray:
         """Project onto {s in range(A^T): x0^T s = -1}."""
@@ -626,7 +651,7 @@ class _Factors:
     def assemble(self, theta: np.ndarray, ys: list[np.ndarray]) -> np.ndarray:
         """Coordinates of the blocks Y Y-adjoint, ys being `views(theta)`:
         each product is written into its slot of the packed buffer and read
-        back through the cone step's gather and scatter."""
+        back through the cone step's gather."""
         sq = theta[self._pair]
         sq *= sq
         if self.eng.real:
@@ -791,10 +816,21 @@ def _certify(
 _Projection = Callable[[np.ndarray], np.ndarray]
 
 
+def _raise_nonconvergence(err: str, flag: int) -> None:
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def _eigh_errors() -> np.errstate:
+    """The error state under which the cone step's eigh gufunc reports
+    non-convergence, its invalid-value flag, as LinAlgError."""
+    return np.errstate(invalid="call", call=_raise_nonconvergence)
+
+
 def _run_ap(affine: _Projection, cone: _Projection, x: np.ndarray, iters: int) -> np.ndarray:
-    for _ in range(iters):
-        y = x + _OVER_RELAXATION * (affine(x) - x)
-        x = y + _OVER_RELAXATION * (cone(y) - y)
+    with _eigh_errors():
+        for _ in range(iters):
+            y = x + _OVER_RELAXATION * (affine(x) - x)
+            x = y + _OVER_RELAXATION * (cone(y) - y)
     return x
 
 
@@ -855,7 +891,7 @@ def _decide(witness: ConicFeasibilityProgram, cfg: SolverConfig) -> FeasibilityO
         gap = min(max(it, _FIRST_CHECK), _MAX_ITERS - it)
         it += gap
         x = _run_ap(eng.project_affine, eng.project_cone, x, gap)
-        cand = eng.project_cone(x)
+        cand = eng.cone_point(x)
         res = residuals(cand)
         if max(res.values(), default=0.0) <= _POLISH_GATE:
             polished = _face_polish(eng, cand)
@@ -877,10 +913,10 @@ def _decide(witness: ConicFeasibilityProgram, cfg: SolverConfig) -> FeasibilityO
             # it sits near the dual cone with pairing b^T w near -|v|^2 < 0.
             s = cand - eng.project_affine(cand)
         s = _run_ap(eng.project_dual_affine, eng.project_cone, s, gap)
-        cert = _certify(witness, _split(prog.rows, eng._lift.T @ eng.project_cone(s), eng.real))
+        cert = _certify(witness, _split(prog.rows, eng._lift.T @ eng.cone_point(s), eng.real))
         if cert is not None:
             return FeasibilityOutcome("INFEASIBLE_WITH_CERTIFICATE", None, cert, res, it)
-    return FeasibilityOutcome("UNDECIDED", None, None, residuals(eng.project_cone(x)), _MAX_ITERS)
+    return FeasibilityOutcome("UNDECIDED", None, None, residuals(eng.cone_point(x)), _MAX_ITERS)
 
 
 def _least_eigs(mats: list[np.ndarray]) -> list[float]:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -364,12 +365,19 @@ _PACKED_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", [*_PACKED_CASES, "deutsch_primal_relaxed-real", "half_lines-real"])
-def test_packed_cone_step_matches_grouped_projection_bitwise(case):
+@pytest.mark.parametrize("case", [*_PACKED_CASES, "deutsch_primal_relaxed-real", "half_lines-real",
+                                  *(f"{c}-fallback" for c in ("deutsch_primal_relaxed", "weyl3_primal",
+                                                              "deutsch_primal_relaxed-real"))])
+def test_packed_cone_step_matches_grouped_projection_bitwise(monkeypatch, case):
     # the grouped projection written out: per dimension, unhvec of the
     # gathered coordinates, one stacked eigh, clipping and hvec scattered
     # back; the 1x1 blocks on the half-line. On the real form the matrices
-    # are real symmetric and the eigh is a float one.
+    # are real symmetric and the eigh is a float one. "-fallback" runs the
+    # cone step through numpy's eigh, the binding of a numpy without the
+    # LAPACK gufunc.
+    if case.endswith("-fallback"):
+        monkeypatch.setattr(solver, "_eigh", np.linalg.eigh)
+    case = case.removesuffix("-fallback")
     real = case.endswith("-real")
     prog = _PACKED_CASES[case.removesuffix("-real")]()
     eng = _engine(prog) if real else _Engine(prog.blocks, *assemble(prog.blocks, prog.rows))
@@ -396,6 +404,29 @@ def test_packed_cone_step_matches_grouped_projection_bitwise(case):
         want = grouped(x)
         got = eng.project_cone(x)
         assert np.array_equal(got, want) and _same_bits(got, want)
+
+
+@pytest.mark.parametrize("real", [False, True])
+@pytest.mark.parametrize("step", ["primal", "farkas", "check"])
+def test_cone_step_nonconvergence_raises(real, step):
+    # a NaN spreads through the affine step to every block, and LAPACK does
+    # not converge on the 4x4 ones: a sweep chunk of either pair, and a
+    # check's own cone step, raise LinAlgError as numpy's eigh does, and
+    # warn of nothing
+    prog = build_primal(PROBLEMS["deutsch"], 1, 0.1)
+    eng = _engine(prog) if real else _Engine(prog.blocks, *assemble(prog.blocks, prog.rows))
+    assert eng.real == real and 4 in {d for _, d, *_ in eng._cone_slices}
+    x = np.zeros(eng.n_cols)
+    x[0] = np.nan
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(np.linalg.LinAlgError):
+            if step == "check":
+                eng.cone_point(eng.project_affine(x))
+            else:
+                affine = eng.project_affine if step == "primal" else eng.project_dual_affine
+                _run_ap(affine, eng.project_cone, x, 4)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def _hvec_gram(y):
