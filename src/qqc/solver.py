@@ -33,7 +33,9 @@ hvec on the same floats, in a fixed few numpy calls per step instead of
 about a dozen per dimension. The gufunc skips the Python wrapper's checks,
 casts and error state on every call. It flags non-convergence as an invalid
 value, so each chunk of sweeps, and each cone step of a check, runs under
-one error state that raises it as LinAlgError, as the wrapper did. It is
+one error state that raises it as LinAlgError, as the wrapper did. LAPACK
+returns NaN eigenvalues for a 2x2 NaN block without the flag, so a check
+whose candidate residual is not finite raises LinAlgError too. It is
 private numpy API: the one name `_eigh` binds it, or `numpy.linalg.eigh`
 on a numpy without it, so the cone step keeps one call site either way.
 
@@ -72,9 +74,16 @@ them, so a cell is decided within twice the sweeps it needs, and B sweeps
 make about log2(B/c) checks. At the first check s is seeded once from the
 primal iterate's displacement from the affine set, and every check, the
 first included, tries the polished point first and otherwise tries the
-certificate y = (A A^T)^+ A s, scaled to pairing -1 and re-verified by
-`verify_point` as a point of the witness program before anything is
-reported.
+certificate y = (A A^T)^+ A P(s), P the cone step, scaled to pairing -1 and
+re-verified by `verify_point` as a point of the witness program before
+anything is reported. The seed is screened before it is swept: when its y
+pairs with b below zero and the adjoint image A^T y lies within
+_POLISHED_TOL |b^T y| of the cone, sweeps would change nothing, so the
+first check tries that y with no Farkas sweep; every infeasible relaxed
+program of the fixtures and families at q = 0 certifies there. Otherwise
+the seed is swept by the gap as at every check. Either way a check tries
+one certificate, and a witness program's answer reuses `_certify`'s report
+of it.
 
 Near-feasible points are polished by rank-restricted Gauss-Newton: each
 block's rank is guessed from its spectrum with a residual-scaled cut, the
@@ -543,6 +552,21 @@ class _Engine:
         r = self._lift @ (self.a @ s)
         return r - ((1.0 + self._x0 @ r) / (self._x0 @ self._x0)) * self._x0
 
+    def multipliers(self, s: np.ndarray) -> np.ndarray:
+        """The multipliers y = (A A^T)^+ A P(s) of the Farkas iterate s, P
+        the cone step: what a check hands `_certify`."""
+        return self._lift.T @ self.cone_point(s)
+
+    def certifies(self, y: np.ndarray) -> bool:
+        """Whether multipliers y are a certificate as exact as a polished
+        point: pairing b^T y < 0, and the adjoint image A^T y within
+        _POLISHED_TOL |b^T y| of the cone."""
+        pairing = float(self.b @ y)
+        if not pairing < 0.0:
+            return False
+        image = self.a.T @ y
+        return float(np.linalg.norm(self.cone_point(image) - image)) <= _POLISHED_TOL * -pairing
+
     @functools.cached_property
     def _row_mats(self) -> list[tuple[np.ndarray, np.ndarray] | None]:
         """`_row_matrices` of every block of dimension d > 1, built at the
@@ -791,14 +815,15 @@ def _face_polish(eng: _Engine, x: np.ndarray) -> np.ndarray:
 
 def _certify(
     witness: ConicFeasibilityProgram, multipliers: dict[str, np.ndarray]
-) -> dict[str, np.ndarray] | None:
+) -> tuple[dict[str, np.ndarray], PointReport] | None:
     """Scale multipliers of the existence program's rows to pairing -1 and
     re-verify them as a point of its witness program.
 
-    Returns the scaled certificate, or None when the pairing with the
-    right-hand side is not negative, a scaled multiplier's norm exceeds
-    _CERT_NORM_CAP, or the certificate misses a row or a block of the
-    witness program by more than _CERT_TOL.
+    Returns the scaled certificate with its `verify_point` report on the
+    witness program, or None when the pairing with the right-hand side is
+    not negative, a scaled multiplier's norm exceeds _CERT_NORM_CAP, or the
+    certificate misses a row or a block of the witness program by more than
+    _CERT_TOL.
     """
     rows = witness.existence.rows
     pairing = sum(float(np.trace(np.asarray(r.rhs) @ multipliers[r.name]).real) for r in rows)
@@ -807,7 +832,8 @@ def _certify(
     cert = {r.name: multipliers[r.name] / -pairing for r in rows}
     if max(float(np.linalg.norm(y)) for y in cert.values()) > _CERT_NORM_CAP:
         return None
-    return cert if verify_point(witness, cert).within(_CERT_TOL) else None
+    report = verify_point(witness, cert)
+    return (cert, report) if report.within(_CERT_TOL) else None
 
 
 # ---------------------------------------------------------------------------
@@ -852,22 +878,23 @@ def solve(prog: ConicFeasibilityProgram, cfg: SolverConfig | None = None) -> Fea
         if any(r.sense != "eq" for r in prog.rows) or not all(b.psd for b in prog.blocks):
             raise SolverError("solve takes equality rows on PSD blocks, or the witness "
                               "program generated from such a program")
-        return _decide(_farkas_alternative(prog), cfg)
-    out = _decide(prog, cfg)
+        return _decide(_farkas_alternative(prog), cfg)[0]
+    out, report = _decide(prog, cfg)
     if out.status == "FEASIBLE":
         cert = {r.name: np.ones((1, 1), dtype=complex) if r.sense == "strict" else -out.point[r.name]
                 for r in prog.rows}
         return FeasibilityOutcome("INFEASIBLE_WITH_CERTIFICATE", None, cert, out.residuals, out.iterations)
     if out.status == "INFEASIBLE_WITH_CERTIFICATE":
-        # `_certify` has checked it as a point of this very program
-        res = verify_point(prog, out.certificate).row_residuals
-        return FeasibilityOutcome("FEASIBLE", out.certificate, None, res, out.iterations)
+        # `_certify` has verified it as a point of this very program
+        return FeasibilityOutcome("FEASIBLE", out.certificate, None, report.row_residuals, out.iterations)
     return out
 
 
-def _decide(witness: ConicFeasibilityProgram, cfg: SolverConfig) -> FeasibilityOutcome:
+def _decide(witness: ConicFeasibilityProgram,
+            cfg: SolverConfig) -> tuple[FeasibilityOutcome, PointReport | None]:
     """`solve` on the existence program of a witness program, whose points
-    check the certificates."""
+    check the certificates; with a certificate, also `_certify`'s report of
+    it as a point of the witness program."""
     prog = witness.existence
     eng = _engine(prog)
 
@@ -878,11 +905,12 @@ def _decide(witness: ConicFeasibilityProgram, cfg: SolverConfig) -> FeasibilityO
     r0 = eng.b - eng.a @ eng._x0
     nr0 = float(np.linalg.norm(r0))
     if nr0 > _RANGE_TOL * max(1.0, float(np.linalg.norm(eng.b))):
-        cert = _certify(witness, _split(prog.rows, -r0 / nr0**2, eng.real))
-        if cert is not None:
+        found = _certify(witness, _split(prog.rows, -r0 / nr0**2, eng.real))
+        if found is not None:
+            cert, report = found
             return FeasibilityOutcome(
                 "INFEASIBLE_WITH_CERTIFICATE", None, cert, residuals(np.zeros(eng.n_cols)), 0
-            )
+            ), report
 
     x = 0.1 * np.random.default_rng(cfg.seed).standard_normal(eng.n_cols)
     s = None  # the Farkas iterate, seeded at the first check
@@ -893,13 +921,17 @@ def _decide(witness: ConicFeasibilityProgram, cfg: SolverConfig) -> FeasibilityO
         x = _run_ap(eng.project_affine, eng.project_cone, x, gap)
         cand = eng.cone_point(x)
         res = residuals(cand)
+        if not math.isfinite(sum(res.values())):
+            # LAPACK flags a NaN 4x4 block as non-convergence, but returns
+            # NaN eigenvalues for a 2x2 one unflagged
+            raise np.linalg.LinAlgError("the iterate is not finite")
         if max(res.values(), default=0.0) <= _POLISH_GATE:
             polished = _face_polish(eng, cand)
             pres = residuals(polished)
             worst = max(pres.values(), default=0.0)
             if worst <= _POLISHED_TOL:
                 return FeasibilityOutcome("FEASIBLE", _split(prog.blocks, polished, eng.real), None,
-                                          pres, it)
+                                          pres, it), None
             if eng.real and worst <= _REAL_STALL:
                 # restart over every coordinate, from the start a program
                 # that does not split takes, on the same check schedule
@@ -907,16 +939,25 @@ def _decide(witness: ConicFeasibilityProgram, cfg: SolverConfig) -> FeasibilityO
                 x = 0.1 * np.random.default_rng(cfg.seed).standard_normal(eng.n_cols)
                 s = None
                 continue
+        y = None
         if s is None:
             # cand - P_L(cand) = A^T w tends to -v for the minimal gap vector
             # v from the affine set to the cone (Bauschke & Borwein 1993), so
             # it sits near the dual cone with pairing b^T w near -|v|^2 < 0.
+            # Where its multipliers already meet the cone as closely as a
+            # polished point meets its rows, sweeps would change nothing and
+            # the check tries them unswept; a seed just off the cone (or2's
+            # relaxed one at q=1, eps 0, by 1.3e-8) is swept as at any check.
             s = cand - eng.project_affine(cand)
-        s = _run_ap(eng.project_dual_affine, eng.project_cone, s, gap)
-        cert = _certify(witness, _split(prog.rows, eng._lift.T @ eng.cone_point(s), eng.real))
-        if cert is not None:
-            return FeasibilityOutcome("INFEASIBLE_WITH_CERTIFICATE", None, cert, res, it)
-    return FeasibilityOutcome("UNDECIDED", None, None, residuals(eng.cone_point(x)), _MAX_ITERS)
+            y = eng.multipliers(s)
+        if y is None or not eng.certifies(y):
+            s = _run_ap(eng.project_dual_affine, eng.project_cone, s, gap)
+            y = eng.multipliers(s)
+        found = _certify(witness, _split(prog.rows, y, eng.real))
+        if found is not None:
+            cert, report = found
+            return FeasibilityOutcome("INFEASIBLE_WITH_CERTIFICATE", None, cert, res, it), report
+    return FeasibilityOutcome("UNDECIDED", None, None, residuals(eng.cone_point(x)), _MAX_ITERS), None
 
 
 def _least_eigs(mats: list[np.ndarray]) -> list[float]:

@@ -832,9 +832,9 @@ def test_certify_rejects_multipliers_over_the_norm_cap():
     big = {"a": np.array([[1e9]], dtype=complex), "b": np.array([[-1e9 - 1]], dtype=complex)}
     assert _certify(_farkas_alternative(prog), big) is None
     small = {"a": np.zeros((1, 1), dtype=complex), "b": -np.ones((1, 1), dtype=complex)}
-    cert = _certify(_farkas_alternative(prog), small)
-    assert cert is not None
-    assert np.allclose(cert["b"], -1.0)
+    found = _certify(_farkas_alternative(prog), small)
+    assert found is not None
+    assert np.allclose(found[0]["b"], -1.0)
 
 
 def _haar_pairs():
@@ -1073,6 +1073,93 @@ def test_certificates_start_at_the_first_check(cached_solve):
         if out.status == "INFEASIBLE_WITH_CERTIFICATE" and out.iterations >= 1000:
             late.append((*cell, out.iterations))
     assert late == []
+
+
+def _count_farkas_sweeps(monkeypatch):
+    sweeps = [0]
+    inner = _Engine.project_dual_affine
+
+    def counted(self, s):
+        sweeps[0] += 1
+        return inner(self, s)
+
+    monkeypatch.setattr(_Engine, "project_dual_affine", counted)
+    return sweeps
+
+
+@pytest.mark.parametrize("pname,q", [("deutsch", 0), ("or2", 0), ("ix", 0), ("or2", 1)])
+@pytest.mark.parametrize("build,seeded", [(build_primal_relaxed, True), (build_primal, False)])
+def test_relaxed_seeds_certify_without_farkas_sweeps(monkeypatch, pname, q, build, seeded):
+    # on the relaxed programs the seed's multipliers are already a
+    # certificate as exact as a polished point, so the first check tries
+    # them with no Farkas sweep; the exact programs' seeds are not, and sweep
+    sweeps = _count_farkas_sweeps(monkeypatch)
+    out = solve(build(PROBLEMS[pname], q, 0.1))
+    assert (out.status, out.iterations) == ("INFEASIBLE_WITH_CERTIFICATE", 32)
+    assert (sweeps[0] == 0) == seeded
+
+
+def test_a_seed_off_the_cone_is_swept(monkeypatch):
+    # the relaxed or2 seed at q=1, eps 0 is 1.3e-8 off the cone: the screen
+    # refuses it, the first check sweeps, and the swept certificate meets
+    # the witness program within 1e-8
+    sweeps = _count_farkas_sweeps(monkeypatch)
+    p = PROBLEMS["or2"]
+    out = solve(build_primal_relaxed(p, 1, 0.0))
+    assert (out.status, out.iterations, sweeps[0]) == ("INFEASIBLE_WITH_CERTIFICATE", 32, 32)
+    rep = verify_point(build_dual_relaxed(p, 1, 0.0), out.certificate)
+    assert rep.max_residual <= 1e-8
+    assert rep.min_block_eig >= -1e-8
+    assert rep.strict_slack > 0
+
+
+@pytest.mark.parametrize("pname,builder,q,eps,iterations", [
+    ("or2", "dual", 1, 0.0, 0),  # right-hand side off the affine range
+    ("or2", "dual_relaxed", 1, 0.1, 32),  # the seed, with no sweep
+    ("deutsch", "dual", 0, 0.1, 32),  # the seed swept
+])
+def test_a_witness_point_is_verified_once(monkeypatch, pname, builder, q, eps, iterations):
+    # a witness point is the certificate `_certify` has verified on the very
+    # same program, and its residuals are that report's, bit for bit
+    calls = [0]
+    inner = solver.verify_point
+
+    def counted(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(solver, "verify_point", counted)
+    prog = BUILDERS[builder](PROBLEMS[pname], q, eps)
+    out = solve(prog)
+    assert (out.status, out.iterations, calls[0]) == ("FEASIBLE", iterations, 1)
+    fresh = inner(prog, out.point).row_residuals
+    assert list(out.residuals) == list(fresh)
+    assert _same_bits(np.array(list(out.residuals.values())), np.array(list(fresh.values())))
+
+
+def test_a_non_finite_start_raises_at_the_first_check(monkeypatch):
+    # every block of deutsch's exact program at q=1, eps 0 with d > 1 is 2x2,
+    # on which LAPACK returns NaN eigenvalues without flagging them: the
+    # first check still raises LinAlgError, as the 4x4 case does, and warns
+    # of nothing
+    prog = build_primal(PROBLEMS["deutsch"], 1, 0.0)
+    assert {d for _, d, *_ in _engine(prog)._cone_slices} == {2}
+    chunks = []
+
+    def poisoned(affine, cone, x, iters):
+        if not chunks:
+            x = x.copy()
+            x[0] = np.nan
+        chunks.append(iters)
+        return _run_ap(affine, cone, x, iters)
+
+    monkeypatch.setattr(solver, "_run_ap", poisoned)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(np.linalg.LinAlgError):
+            solve(prog)
+    assert chunks == [solver._FIRST_CHECK]
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_outcome_shape():
