@@ -7,7 +7,11 @@ at error eps is bounded below by
     (1 - 2 sqrt(eps (1 - eps))) * lambda(gamma) / alpha,
 
 where lambda is the largest eigenvalue, alpha = 2 lambda(gamma (x) I -
-Omega (gamma (x) I) Omega†), and Omega is the block-diagonal oracle. Both
+Omega (gamma (x) I) Omega†), and Omega is the block-diagonal oracle. Block
+(x, y) of that matrix is gamma_xy (I - U_x U_y†), the noncommuting form of
+the classical adversary's gamma∘D_i (Barnum, Saks & Szegedy 2003). So it is
+the blockwise product (gamma (x) J) * D with the problem's cached
+`differences` D, one elementwise product per weighting. Both eigenvalues
 come from the symmetric eigensolver; the principal eigenvector is taken
 entrywise nonnegative, which Perron–Frobenius allows for any nonnegative
 weight matrix. The bound comes with an explicit feasible point of the
@@ -40,12 +44,14 @@ __all__ = [
 _ALPHA_FLOOR = 1e-12
 # search_gamma stops after this many bound evaluations. The ascent has no
 # convergence guarantee; the cap holds the sixteen two-qubit Paulis (s = 16,
-# n = 4) to about 0.1 s on one core, while every test problem's ascent stops
-# by itself within it (or2 takes the most, 121)
+# n = 4) to about 0.03 s (one BLAS thread on an AMD EPYC core), while every
+# test problem's ascent stops by itself within it (or2 takes the most, 121)
 _SEARCH_EVALS = 200
 _WITNESS_TOL = 1e-8
-# A bound within this much above an integer is below it within the rounding
-# of lambda / alpha, so it certifies no further query.
+# lambda / alpha carries a rounding error relative to its size (of order
+# s·n unit roundoffs), so a bound within this fraction of max(1, bound)
+# above an integer may lie below it and certifies no further query. An
+# absolute slack would be less than one ulp of any bound above 4096.
 _CEIL_SLACK = 1e-12
 
 
@@ -115,7 +121,7 @@ def spectral_bound(p: QueryProblem, gamma, eps: float) -> AdversaryReport:
     never decreased by a query; the bound is then reported as infinite with
     ceil_bound = None. Otherwise ceil_bound is the least number of queries
     the bound proves, rounding down a bound that exceeds an integer by no
-    more than _CEIL_SLACK.
+    more than _CEIL_SLACK times max(1, bound).
     """
     _check_eps(eps)
     p.omega  # validates p, which _check_weight reads
@@ -125,15 +131,19 @@ def spectral_bound(p: QueryProblem, gamma, eps: float) -> AdversaryReport:
 def _bound(p: QueryProblem, g: np.ndarray, eps: float) -> AdversaryReport:
     """The bound of a checked weighting g."""
     lam, v = perron_vector(g)
-    wide = np.kron(g, np.eye(p.n))
-    diff = wide - p.omega @ wide @ p.omega.conj().T
-    evals = np.linalg.eigvalsh(diff)
+    wide = np.repeat(np.repeat(g, p.n, axis=0), p.n, axis=1)  # gamma ⊗ J_n
+    evals = np.linalg.eigvalsh(wide * p.differences)
     alpha = 2.0 * float(evals[-1])
     prefactor = 1.0 - 2.0 * math.sqrt(eps * (1.0 - eps))
     if alpha <= _ALPHA_FLOOR:
         return AdversaryReport(lam, v, alpha, math.inf, None)
     bound = prefactor * lam / alpha
-    return AdversaryReport(lam, v, alpha, bound, math.ceil(bound - _CEIL_SLACK))
+    return AdversaryReport(lam, v, alpha, bound, _ceil_bound(bound))
+
+
+def _ceil_bound(bound: float) -> int:
+    """The least number of queries a finite positive bound proves."""
+    return math.ceil(bound - _CEIL_SLACK * max(1.0, bound))
 
 
 def make_dual_witness(p: QueryProblem, gamma, q: int, eps: float) -> dict[str, np.ndarray]:

@@ -19,8 +19,11 @@ __all__ = [
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
-    """Nearest Hermitian matrix, (a + a†) / 2."""
-    return 0.5 * (a + a.conj().T)
+    """Nearest Hermitian matrix, (a + a†) / 2.
+
+    Applies to the last two axes of a, so a stack gives the stack of results.
+    """
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
 def partial_trace(m: np.ndarray, dims: tuple[int, int]) -> np.ndarray:

@@ -4,7 +4,10 @@ An instance holds n x n unitaries, one per label, a list of output labels, and
 the function g assigning an output to every unitary. The block oracle is the
 block-diagonal matrix with the instance unitaries as diagonal blocks, acting on
 (input register, query register) with the query register fast-running. A frozen
-instance validates and builds it once, on first use, as its `omega`.
+instance validates and builds it once, on first use, as its `omega`. Beside it,
+also built once, it keeps `differences`: the s·n x s·n matrix whose block
+(x, y) is I - U_x U_y†, formed as W - Omega W Omega† with W = J_s ⊗ I_n. A
+weighting's adversary matrix is its blockwise scaling (see `qqc.adversary`).
 """
 
 from __future__ import annotations
@@ -45,6 +48,14 @@ class QueryProblem:
         omega = build_omega(self)
         omega.flags.writeable = False
         return omega
+
+    @functools.cached_property
+    def differences(self) -> np.ndarray:
+        """Read-only s·n x s·n matrix with block (x, y) = I - U_x U_y†."""
+        wide = np.kron(np.ones((self.size, self.size)), np.eye(self.n))
+        diff = wide - self.omega @ wide @ self.omega.conj().T
+        diff.flags.writeable = False
+        return diff
 
     @property
     def size(self) -> int:

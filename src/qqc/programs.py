@@ -73,7 +73,9 @@ class BlockMap:
     All kinds scale by `scale`. With split (d_out, 1) the conj kinds are
     plain congruences: a d_out x d_in matrix u gives x -> u x u† and its
     adjoint y -> u† y u. `apply` maps a stack of matrices along the
-    leading axes.
+    leading axes. `mat` may be a stack too, with `scale` an array of shape
+    (k, 1, 1) beside it: the map is then k maps of one kind, the i-th
+    applied to input i of a (k, d_in, d_in) stack.
     """
 
     kind: str
@@ -88,7 +90,7 @@ class BlockMap:
             raise ValueError(f"map expects {self.d_in}x{self.d_in} input, got {x.shape}")
         k = self.kind
         if k == "conj_pt":
-            y = x if self.mat is None else self.mat @ x @ self.mat.conj().T
+            y = x if self.mat is None else self.mat @ x @ self.mat.conj().swapaxes(-1, -2)
             out = partial_trace(y, self.split)
         elif k == "conj_tensor":
             slow, fast = self.split
@@ -96,11 +98,11 @@ class BlockMap:
             wide = x if fast == 1 else (
                 x[..., :, None, :, None] * np.eye(fast)[:, None, :]
             ).reshape(x.shape[:-2] + (slow * fast, slow * fast))
-            out = wide if self.mat is None else self.mat.conj().T @ wide @ self.mat
+            out = wide if self.mat is None else self.mat.conj().swapaxes(-1, -2) @ wide @ self.mat
         elif k == "id":
             out = x
         elif k == "trace_against":
-            out = np.einsum("ij,...ji->...", self.mat, x).real[..., None, None].astype(complex)
+            out = np.einsum("...ij,...ji->...", self.mat, x).real[..., None, None].astype(complex)
         elif k == "const_embed":
             out = x[..., :1, :1].real * self.mat.astype(complex)
         else:
@@ -155,9 +157,27 @@ class ConicFeasibilityProgram:
     existence: ConicFeasibilityProgram | None = None
 
     def row_value(self, row: Row, point: dict[str, np.ndarray]) -> np.ndarray:
-        out = np.zeros((row.dim, row.dim), dtype=complex)
+        """The row's map applied to the point's blocks.
+
+        Terms with one signature (kind, dims, split, mat shape) go through
+        one stacked `BlockMap.apply`: a relaxed witness row reads every
+        pair block through congruences of one shape.
+        """
+        groups: dict[tuple, list[tuple[int, BlockMap]]] = {}
         for bi, m in row.terms:
-            out += m.apply(np.asarray(point[self.blocks[bi].name], dtype=complex))
+            key = (m.kind, m.d_in, m.d_out, m.split, None if m.mat is None else m.mat.shape)
+            groups.setdefault(key, []).append((bi, m))
+        out = np.zeros((row.dim, row.dim), dtype=complex)
+        for terms in groups.values():
+            xs = [np.asarray(point[self.blocks[bi].name], dtype=complex) for bi, _ in terms]
+            if len(terms) == 1:
+                out += terms[0][1].apply(xs[0])
+                continue
+            m = terms[0][1]
+            mats = None if m.mat is None else np.stack([t.mat for _, t in terms])
+            scales = np.array([t.scale for _, t in terms])[:, None, None]
+            stacked = BlockMap(m.kind, m.d_in, m.d_out, scales, mats, m.split)
+            out += stacked.apply(np.stack(xs)).sum(axis=0)
         return out
 
 

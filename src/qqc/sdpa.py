@@ -3,22 +3,23 @@
 A program {A(x) = b, x in PSD product} is written in the SDPA dual
 convention: one scalar constraint tr(F_k Y) = c_k per real coordinate of
 each matrix row, with Y the block-diagonal variable and F_0 = 0 (pure
-feasibility). The F_k come from the solver's dense operator assembly: on
-block j, F_k is unhvec of row k of A restricted to block j's columns. The
-solver's `_row_matrices` builds them for this export and for the face
-polish's Jacobian alike, so the export and the solver see one linear map.
-Complex Hermitian blocks of dimension > 1 are emitted at doubled size
-through the real-symmetric embedding
+feasibility). The F_k come from the solver's dense operator assembly
+`assemble`, the one the solver decides on: on block j, F_k is unhvec of
+row k of A restricted to block j's columns. Complex Hermitian blocks of
+dimension > 1 are emitted at doubled size through the real-symmetric
+embedding
 
     H -> [[Re H, -Im H], [Im H, Re H]] / 2
 
 whose halved entries keep every tr(F_k Y) value unchanged; 1x1 blocks stay
-1x1. The export reads A in one stacked pass per block: `_row_matrices` cuts
-the columns of block j to the rows that read it and returns their
-(rows, d, d) stack of constraint matrices, which is doubled and scanned for
-its upper-triangle nonzeros at once. Entry lines are "k b i j v" with
-i <= j and 17 significant digits, sorted by constraint k, then block, then
-(i, j) row by row, so identical programs produce identical bytes.
+1x1. Each upper-triangle entry of that embedding is one hvec coordinate
+times a fixed scale, or zero, so a table per block dimension (coordinate,
+scale, i, j), derived once from the embedding of two unhvec matrices,
+turns the whole export into one gather of A's columns and one multiply.
+Entry lines are "k b i j v" with i <= j and 17 significant digits, sorted
+by constraint k, then block, then (i, j) row by row: the gathered columns
+run in that order, so `np.nonzero` reads the entries off sorted, and
+identical programs produce identical bytes.
 
 An existing file is rewritten in place: it keeps its inode, its permissions
 and, for a symlink, its target, and is cut to the new text's length after
@@ -29,14 +30,16 @@ a temporary file over it.
 
 from __future__ import annotations
 
+import functools
 import os
 import stat
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .programs import Block, BlockMap, ConicFeasibilityProgram, Row
-from .solver import _row_matrices, assemble
+from .solver import assemble, unhvec
 
 __all__ = ["SdpaData", "export_sdpa", "parse_sdpa", "write_sdpa", "sdpa_to_program"]
 
@@ -63,19 +66,60 @@ def _doubled(h: np.ndarray) -> np.ndarray:
     return 0.5 * np.block([[re, -im], [im, re]])
 
 
+class _Entries(NamedTuple):
+    """Where each upper-triangle entry of a d x d block's SDPA matrix reads
+    the block's hvec coordinates: entry (i[e], j[e]) is coord[e]'s value
+    times scale[e]. Entries that read no coordinate (the diagonal of the
+    doubled form's -Im corner) are left out."""
+
+    coord: np.ndarray
+    scale: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def _entries(d: int) -> _Entries:
+    """The entry table of d x d blocks, built once per d, in row-major
+    (i, j) order.
+
+    Each entry reads one coordinate times a fixed scale, so two SDPA
+    matrices give the table: that of all-ones coordinates holds the scales,
+    and that of coordinates 1, 2, ..., d² holds (coordinate + 1) times them.
+    The d² unit matrices would give it too, in d⁴ floats.
+    """
+    h = unhvec(np.stack([np.ones(d * d), np.arange(1.0, d * d + 1)]), d)
+    f = h.real if d == 1 else _doubled(h)
+    i, j = np.triu_indices(f.shape[-1])
+    scale, label = f[0, i, j], f[1, i, j]
+    keep = scale != 0.0
+    coord = np.rint(label[keep] / scale[keep]).astype(np.intp) - 1
+    table = _Entries(coord, scale[keep], i[keep], j[keep])
+    for arr in table:
+        arr.flags.writeable = False
+    return table
+
+
 def _constraint_matrices(prog: ConicFeasibilityProgram) -> SdpaData:
-    """One SDPA constraint per row of the shared assembly (A, b), one pass per block."""
+    """One SDPA constraint per row of the shared assembly (A, b), in one gather.
+
+    Every upper-triangle entry of every block's matrix is one column of A
+    times a scale (`_entries`), so one gather of A gives each constraint's
+    entries along its row, by block and then row-major (i, j), and
+    `np.nonzero` reads them off in the file's order.
+    """
     a, b, block_off = assemble(prog.blocks, prog.rows)
     sizes = [blk.dim if blk.dim == 1 else 2 * blk.dim for blk in prog.blocks]
-    parts = []
-    for bj, (blk, off) in enumerate(zip(prog.blocks, block_off)):
-        touch, h = _row_matrices(a[:, off : off + blk.dim * blk.dim], blk.dim)
-        f = h.real if blk.dim == 1 else _doubled(h)
-        t, i, j = np.nonzero(np.triu(f) != 0.0)
-        parts.append((touch[t], np.full_like(t, bj), i, j, f[t, i, j]))
-    k, bl, i, j, v = (np.concatenate(c) for c in zip(*parts))
-    order = np.lexsort((j, i, bl, k))  # by constraint, then block, then row-major (i, j)
-    entries = list(zip(*(np.stack([k, bl, i, j])[:, order] + 1).tolist(), v[order].tolist()))
+    tables = [_entries(blk.dim) for blk in prog.blocks]
+    col = np.concatenate([t.coord + off for t, off in zip(tables, block_off)])
+    scale = np.concatenate([t.scale for t in tables])
+    # (block, i, j) of every entry, in the gather's column order
+    pos = np.concatenate([np.stack([np.full_like(t.i, bj), t.i, t.j])
+                          for bj, t in enumerate(tables)], axis=1)
+    f = a[:, col]
+    f *= scale
+    k, e = np.nonzero(f)
+    entries = list(zip(*(np.vstack([k, pos[:, e]]) + 1).tolist(), f[k, e].tolist()))
     return SdpaData(a.shape[0], sizes, b.tolist(), entries)
 
 

@@ -16,8 +16,8 @@ product). `assemble` builds the dense A and b from the program rows, each
 term's part with stacked calls of its map on Hermitian basis matrices: on
 the block's basis (columns) when the row is at least as large as the block,
 on the row's basis through the adjoint (rows) when it is smaller, in chunks
-of at most _ASSEMBLE_BUDGET complex entries. The SDPA export and the polish
-read its row matrices through `_row_matrices`.
+of at most _ASSEMBLE_BUDGET complex entries. The SDPA export reads the same
+(A, b), and the polish reads its row matrices through `_row_matrices`.
 The coordinate maps `hvec`/`unhvec` behind both are one gather each, between
 the coordinates and the float view of the complex matrix, through a table
 of positions and scales built once per matrix dimension; they act on stacks
@@ -98,7 +98,8 @@ point writes each Y Y-adjoint into the block's slot of the packed buffer
 step's gather. The Jacobian is written in place into one array
 per Gauss-Newton run, and reads the row side of A: on a block each scalar
 row is tr(C_k X) with C_k = unhvec(row k of the block's columns), the SDPA
-export's constraint matrices, built once per engine by `_row_matrices`;
+export's constraint matrices, built once per engine by `_row_matrices`
+(the export gathers their entries from A directly);
 the row's rate along a factor step Delta is 2 Re tr(Y-adjoint C_k Delta),
 so the factor's Jacobian is 2 [Re, Im](C_k Y) on the rows that read the
 block. For all rank-one 1x1 blocks at once, the products and the Jacobian
@@ -961,15 +962,17 @@ def _decide(witness: ConicFeasibilityProgram,
 
 
 def _least_eigs(mats: list[np.ndarray]) -> list[float]:
-    """Least eigenvalue of each Hermitian matrix, in order: one stacked
-    `eigh` per matrix dimension. Each matrix meets the same LAPACK routine
-    as alone, so the bits do not depend on the stacking."""
+    """Least eigenvalue of the Hermitian part of each matrix, in order: one
+    stacked `hermitize` and one stacked `eigh` per matrix dimension. Each
+    matrix meets the same arithmetic and LAPACK routine as alone, so the
+    bits do not depend on the stacking."""
     by_dim: dict[int, list[int]] = {}
     for i, m in enumerate(mats):
         by_dim.setdefault(m.shape[-1], []).append(i)
     least = [0.0] * len(mats)
     for idx in by_dim.values():
-        for i, w in zip(idx, np.linalg.eigh(np.stack([mats[i] for i in idx]))[0][:, 0].tolist()):
+        stack = hermitize(np.stack([mats[i] for i in idx]))
+        for i, w in zip(idx, np.linalg.eigh(stack)[0][:, 0].tolist()):
             least[i] = w
     return least
 
@@ -977,8 +980,9 @@ def _least_eigs(mats: list[np.ndarray]) -> list[float]:
 def verify_point(prog: ConicFeasibilityProgram, point: dict[str, np.ndarray]) -> PointReport:
     """Pure re-evaluation of every row and block at the given point.
 
-    The least eigenvalues of the PSD rows and the PSD blocks come from one
-    stacked `eigh` per matrix dimension.
+    The least eigenvalues of the Hermitian parts of the PSD rows and the
+    PSD blocks come from one stacked `hermitize` and `eigh` per matrix
+    dimension.
     """
     vals = {}
     for b in prog.blocks:
@@ -995,12 +999,12 @@ def verify_point(prog: ConicFeasibilityProgram, point: dict[str, np.ndarray]) ->
             row_residuals[r.name] = float(np.linalg.norm(diff))
         elif r.sense == "psd":
             row_residuals[r.name] = 0.0  # keeps the program's row order
-            psd_rows[r.name] = hermitize(diff)
+            psd_rows[r.name] = diff
         elif r.sense == "strict":
             strict_slack = float(-diff[0, 0].real)
         else:
             raise SolverError(f"unknown row sense {r.sense!r}")
-    psd_blocks = {b.name: hermitize(vals[b.name]) for b in prog.blocks if b.psd}
+    psd_blocks = {b.name: vals[b.name] for b in prog.blocks if b.psd}
     least = _least_eigs([*psd_rows.values(), *psd_blocks.values()])
     for name, w in zip(psd_rows, least):
         row_residuals[name] = max(0.0, -w)

@@ -67,6 +67,41 @@ def test_spectral_bound_pauli_pair_value(ix):
     assert not rep.unbounded
 
 
+def _haar_unitary(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("s", [2, 3, 5])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_alpha_from_the_difference_blocks(s, n):
+    # alpha = 2 lambda_max(gamma ⊗ I - Omega (gamma ⊗ I) Omega†), formed densely here
+    rng = np.random.default_rng(10 * s + n)
+    labels = tuple(f"u{i}" for i in range(s))
+    p = QueryProblem(n, labels, np.stack([_haar_unitary(rng, n) for _ in range(s)]),
+                     labels, {lab: lab for lab in labels})
+    diff = p.differences
+    assert not diff.flags.writeable
+    for i in range(s):
+        assert np.max(np.abs(diff[i * n:(i + 1) * n, i * n:(i + 1) * n])) <= 1e-14
+    for _ in range(5):
+        g = random_valid_gamma(p, rng)
+        wide = np.kron(g, np.eye(n))
+        want = 2.0 * np.linalg.eigvalsh(wide - p.omega @ wide @ p.omega.conj().T)[-1]
+        got = qqc.adversary._bound(p, g, 0.0).alpha
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("bound, want", [
+    (0.5, 1),
+    (1.0 + 1e-13, 1),  # within the rounding of 1
+    (4096.0 * (1.0 + 2.0**-50), 4096),  # one ulp is 9.1e-13 here, so the slack is relative
+    (4096.001, 4097),
+])
+def test_ceil_slack_is_relative(bound, want):
+    assert qqc.adversary._ceil_bound(bound) == want
+
+
 def test_spectral_bound_error_rate_prefactor(ix):
     gamma = np.array([[0.0, 1.0], [1.0, 0.0]])
     exact = spectral_bound(ix, gamma, 0.0).bound

@@ -34,6 +34,17 @@ def test_hermitize_projects_and_is_idempotent():
     assert np.allclose(hermitize(h), h)
 
 
+def test_hermitize_acts_on_stacks():
+    # a (2, 3) stack of 4x4 matrices gives the stack of the six results, bit for bit
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((2, 3, 4, 4)) + 1j * rng.standard_normal((2, 3, 4, 4))
+    h = hermitize(a)
+    assert h.shape == a.shape
+    for i in range(2):
+        for j in range(3):
+            assert np.array_equal(h[i, j], hermitize(a[i, j]))
+
+
 def test_kron_right_factor_fast():
     # composite index (i, k) -> i * d_fast + k
     a = np.arange(4.0).reshape(2, 2)

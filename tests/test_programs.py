@@ -318,6 +318,66 @@ def test_row_value_evaluates_terms(deutsch):
     assert np.allclose(prog.row_value(row, point), np.eye(4))
 
 
+def _stacked_inventory(rng, s, n, k):
+    """k maps of each kind, one signature per kind, with their own mats and scales."""
+    def unitary(d):
+        return np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+    return {
+        "conj_pt": [BlockMap("conj_pt", d_in=s * n, d_out=s, scale=rng.uniform(-2, 2),
+                             mat=unitary(s * n), split=(s, n)) for _ in range(k)],
+        "conj_tensor": [BlockMap("conj_tensor", d_in=s, d_out=s * n, scale=rng.uniform(-2, 2),
+                                 mat=unitary(s * n), split=(s, n)) for _ in range(k)],
+        "id": [BlockMap("id", d_in=s, d_out=s, scale=rng.uniform(-2, 2)) for _ in range(k)],
+        "trace_against": [BlockMap("trace_against", d_in=s, d_out=1, scale=rng.uniform(-2, 2),
+                                   mat=random_hermitian(rng, s)) for _ in range(k)],
+        "const_embed": [BlockMap("const_embed", d_in=1, d_out=s, scale=rng.uniform(-2, 2),
+                                 mat=random_hermitian(rng, s)) for _ in range(k)],
+    }
+
+
+def test_block_map_applies_stacked_maps():
+    # k maps of one kind, as one map with a stacked mat and (k, 1, 1) scales,
+    # send a (k, d_in, d_in) stack to the stack of their single images
+    rng = np.random.default_rng(12)
+    k = 4
+    for kind, maps in _stacked_inventory(rng, 3, 2, k).items():
+        m = maps[0]
+        mats = None if m.mat is None else np.stack([t.mat for t in maps])
+        scales = np.array([t.scale for t in maps])[:, None, None]
+        stacked = BlockMap(kind, m.d_in, m.d_out, scales, mats, m.split)
+        xs = np.stack([random_hermitian(rng, m.d_in) for _ in range(k)])
+        out = stacked.apply(xs)
+        assert out.shape == (k, m.d_out, m.d_out), kind
+        for t, x, got in zip(maps, xs, out):
+            assert np.max(np.abs(got - t.apply(x))) <= 1e-13 * max(1.0, np.max(np.abs(got))), kind
+
+
+def _per_term_value(prog, row, point):
+    out = np.zeros((row.dim, row.dim), dtype=complex)
+    for bi, m in row.terms:
+        out += m.apply(np.asarray(point[prog.blocks[bi].name], dtype=complex))
+    return out
+
+
+@pytest.mark.parametrize("pname, build, q", [
+    ("weyl3", build_dual_relaxed, 0),
+    ("weyl3", build_dual_relaxed, 1),
+    ("pauli_id", build_dual, 1),
+])
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+def test_grouped_row_value_matches_a_per_term_loop(pname, build, q, eps):
+    prog = build(ALL[pname], q, eps)
+    # weyl3 has 27 differing pairs, all read by one row
+    widest = max(len(r.terms) for r in prog.rows)
+    assert widest >= (28 if pname == "weyl3" else 2)
+    rng = np.random.default_rng(q)
+    for _ in range(3):
+        point = {b.name: random_hermitian(rng, b.dim) for b in prog.blocks}
+        for row in prog.rows:
+            got, want = prog.row_value(row, point), _per_term_value(prog, row, point)
+            assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want))), row.name
+
+
 def test_pair_name_uses_labels(deutsch):
     assert pair_name(deutsch, (0, 1)) == "00|01"
 

@@ -15,6 +15,7 @@ from qqc.sdpa import (
     SdpaData,
     _constraint_matrices,
     _doubled,
+    _entries,
     export_sdpa,
     parse_sdpa,
     sdpa_to_program,
@@ -240,6 +241,25 @@ def test_export_matches_per_row_reference(name, builder, tmp_path):
             data = _assert_same_export(builder(p, q, eps), tmp_path)
             if name == "pauli_id" and q == 1:
                 _assert_minus_im_corner(builder(p, q, eps), data)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_entry_table_reads_one_coordinate_per_entry(d):
+    # every upper-triangle entry of the doubled form of unhvec(v) is at most
+    # one coordinate of v times a scale, the same floats as the matrix holds
+    t = _entries(d)
+    assert not t.coord.flags.writeable
+    basis = unhvec(np.eye(d * d), d)
+    f = basis.real if d == 1 else _doubled(basis)
+    iu = np.triu_indices(f.shape[-1])
+    reads = np.count_nonzero(f[:, iu[0], iu[1]], axis=0)
+    assert reads.max() == 1
+    assert len(t.coord) == np.count_nonzero(reads) == (1 if d == 1 else 2 * d * d)
+    v = np.random.default_rng(d).standard_normal((4, d * d))
+    h = unhvec(v, d)
+    fv = h.real if d == 1 else _doubled(h)
+    assert np.array_equal(fv[:, t.i, t.j], v[:, t.coord] * t.scale)
+    assert not np.any(np.delete(np.triu(fv).reshape(4, -1), t.i * f.shape[-1] + t.j, axis=1))
 
 
 def _assert_minus_im_corner(prog, data):
