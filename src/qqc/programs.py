@@ -16,22 +16,32 @@ Block layout convention: joint-register blocks live on (input, query) with the
 query register fast-running; the oracle conjugation map uses the instance's
 block-diagonal oracle. Every input starts from the same state, so the
 existence programs hold the first joint state on its face J ⊗ rho_0 as one
-n x n block rho_0. The exact program states each input's success row and
-slack as a 1x1 matrix on its diagonal entry, and splits the final Gram
-matrix directly into output shares, with no block of its own; the relaxed
-program has no final Gram matrix either at q >= 1: each 2x2 pair row reads
-its pair's principal submatrix off the last chain state, through the final
-query, with one congruence. At eps = 0 the final states of inputs
-with different outputs are orthogonal, so share G_z vanishes outside class
-z's rows and columns: the exact program holds it on that face, as a c_z x c_z
-block H_z with G_z = E_z H_z E_z† and E_z = I[:, class z].
+n x n block rho_0. At eps > 0 the exact program states each input's
+success row and slack as a 1x1 matrix on its diagonal entry. It splits the
+final Gram matrix directly into output shares, with no block of its own;
+the relaxed program has no final Gram matrix either at q >= 1: each 2x2
+pair row reads its pair's principal submatrix off the last chain state,
+through the final query, with one congruence.
+
+At eps = 0 the final states of inputs with different outputs are
+orthogonal, so share G_z vanishes outside class z's rows and columns: the
+exact program holds it on that face, as a c_z x c_z block H_z with
+G_z = E_z H_z E_z† and E_z = I[:, class z]. On that face each input's
+diagonal entry of the final Gram matrix, 1, lies in its own class's share,
+so every input already succeeds with certainty, and the exact program has
+no success row and no success slack. The relaxed margin 2√(eps(1-eps)) is
+0, so each pair row is the equality E† G E = I, with no slack. A slack
+that the other rows pin at zero would leave the program with no Slater
+point (Borwein & Wolkowicz 1981); at eps = 0 no program carries one.
 
 Each witness program is generated from its existence program by conic
 duality (`_farkas_alternative`): one multiplier block per existence row,
-one row per existence block, and a slack's row folded into its multiplier.
-A certificate of an existence program is then a witness point as it
-stands, and the witness blocks carry the existence rows' names; the witness
-program keeps its existence program, which the solver decides in its place.
+one row per existence block, and a slack's row folded into its multiplier,
+which is then PSD; a row with no slack, such as an eps-0 pair row, keeps a
+free multiplier. A certificate of an existence program is then a witness
+point as it stands, and the witness blocks carry the existence rows' names;
+the witness program keeps its existence program, which the solver decides
+in its place.
 """
 
 from __future__ import annotations
@@ -248,15 +258,16 @@ def build_primal(p: QueryProblem, q: int, eps: float) -> ConicFeasibilityProgram
 
     Variables: the query chain's states (at q >= 1 the n x n start state
     rho_0 and the joint-register states after t queries, 0 < t < q), one
-    output share block per output label, and one 1x1 success slack per
-    input. The final Gram matrix is the sum of the shares, G = sum_z M_z(H_z)
-    for share z's map M_z of `share_maps`, so the last chain row (init at
-    q = 0) reads it through those maps. Rows: the initial condition, the
-    query-update chain, and one 1x1 success row per input i,
-    slack - tr(E_ii G_{g(i)}) = eps - 1, where E_ii is the unit matrix at
-    (i, i): entry (i, i) of its class's share. At eps = 0 the share blocks
-    sit on their class faces: block z is c_z x c_z, and each success row
-    reads the input's diagonal entry in class coordinates.
+    output share block per output label, and at eps > 0 one 1x1 success
+    slack per input. The final Gram matrix is the sum of the shares,
+    G = sum_z M_z(H_z) for share z's map M_z of `share_maps`, so the last
+    chain row (init at q = 0) reads it through those maps. Rows: the initial
+    condition, the query-update chain, and at eps > 0 one 1x1 success row
+    per input i, slack - tr(E_ii G_{g(i)}) = eps - 1, where E_ii is the unit
+    matrix at (i, i): entry (i, i) of its class's share. At eps = 0 the share
+    blocks sit on their class faces, block z c_z x c_z, where entry (i, i)
+    of the class's share is G_ii = 1: the chain rows already give every
+    input success 1, so there is no success slack and no success row.
     """
     _check_q_eps(q, eps)
     s = p.size
@@ -264,9 +275,11 @@ def build_primal(p: QueryProblem, q: int, eps: float) -> ConicFeasibilityProgram
     maps = share_maps(p, eps)
     shares = [(Block(f"output_part_{z}", m.d_in, True), m) for z, m in maps.items()]
     blocks, rows = _query_chain(p, q, shares)
-    blocks += [Block(f"success_slack_{lab}", 1, True) for lab in p.labels]
+    # at eps = 0 the class faces already give each input success 1
+    labels = p.labels if eps else []
+    blocks += [Block(f"success_slack_{lab}", 1, True) for lab in labels]
     bi = {b.name: i for i, b in enumerate(blocks)}
-    for i, lab in enumerate(p.labels):
+    for i, lab in enumerate(labels):
         # tr(E_ii M(H)) = tr(M†(E_ii) H) for the share map M
         unit = maps[p.g[lab]].adjoint().apply(np.diag(np.eye(s)[i]))
         terms = [
@@ -290,20 +303,25 @@ def build_primal_relaxed(p: QueryProblem, q: int, eps: float) -> ConicFeasibilit
     final_gram, set to J by init, with M = I_s and n = 1. Every point has
     G_ii = 1 (tr rho_0 = 1 and each query keeps each input's trace), so
     the slack is [[margin, G_ij], [G_ji, margin]], PSD exactly when the
-    pair's Gram entry has magnitude at most the margin.
+    pair's Gram entry has magnitude at most the margin. At eps = 0 the
+    margin is 0 and that slack could only be 0: each pair row is the
+    equality -E† G E = -I, with no slack block.
     """
     _check_q_eps(q, eps)
     s = p.size
     blocks, rows = _query_chain(p, q, [] if q else None)
     last, mat, n = (q - 1, _query_read(p, q), p.n) if q else (0, np.eye(s), 1)
     pairs = p.differing_pairs()
-    blocks += [Block(f"pair_slack_{pair_name(p, pr)}", 2, True) for pr in pairs]
+    # at eps = 0 the margin is 0, and each pair row is the equality E† G E = I
+    blocks += [Block(f"pair_slack_{pair_name(p, pr)}", 2, True) for pr in pairs if eps]
     bi = {b.name: i for i, b in enumerate(blocks)}
     margin = 2.0 * math.sqrt(eps * (1.0 - eps))
     for pr in pairs:
         name = pair_name(p, pr)
         pick = mat.reshape(s, n, -1)[list(pr)].reshape(2 * n, -1)
-        terms = [(last, _conj_pt(pick, 2, n, -1.0)), (bi[f"pair_slack_{name}"], _ident(2))]
+        terms = [(last, _conj_pt(pick, 2, n, -1.0))]
+        if eps:
+            terms.append((bi[f"pair_slack_{name}"], _ident(2)))
         rows.append(Row(f"pair_{name}", 2, terms, (margin - 1.0) * np.eye(2, dtype=complex)))
     return ConicFeasibilityProgram(blocks, rows)
 
@@ -349,11 +367,11 @@ def build_dual(p: QueryProblem, q: int, eps: float) -> ConicFeasibilityProgram:
     """Infeasibility-witness program: the Farkas alternative of `build_primal`.
 
     Free multipliers of the chain rows: L_0 of init (a scalar tau at
-    q >= 1, s x s at q = 0) and L_1..L_q; one 1x1 PSD multiplier y_i of each
-    success row. Rows: one per chain block, and one per share,
-    M_z†(L_q - sum over class z of y_i E_ii) PSD (a c_z x c_z row at
-    eps = 0); the strict row pairs L_0 with init's right-hand side and the
-    y_i with eps - 1.
+    q >= 1, s x s at q = 0) and L_1..L_q; at eps > 0 one 1x1 PSD multiplier
+    y_i of each success row. Rows: one per chain block, and one per share,
+    M_z†(L_q - sum over class z of y_i E_ii) PSD; the strict row pairs L_0
+    with init's right-hand side and the y_i with eps - 1. At eps = 0 there
+    are no y_i, and each share row is c_z x c_z, M_z†(L_q) PSD.
     """
     return _farkas_alternative(build_primal(p, q, eps))
 
@@ -362,8 +380,9 @@ def build_dual_relaxed(p: QueryProblem, q: int, eps: float) -> ConicFeasibilityP
     """Witness program: the Farkas alternative of `build_primal_relaxed`.
 
     Free multipliers L_0..L_{q-1} of the chain rows (L_0 at q = 0), and one
-    2x2 PSD multiplier D of each pair row. Rows: one per chain block; the
-    last keeps L_{q-1} ⊗ I_n - M† ((sum E D E†) ⊗ I_n) M PSD (L_0 - sum E D E†
+    2x2 multiplier D of each pair row, PSD at eps > 0 and free at eps = 0,
+    where the pair row has no slack. Rows: one per chain block; the last
+    keeps L_{q-1} ⊗ I_n - M† ((sum E D E†) ⊗ I_n) M PSD (L_0 - sum E D E†
     at q = 0), and the strict row pairs L_0 with init's right-hand side and
     each D with (margin - 1)·I.
     """

@@ -161,7 +161,7 @@ def backward_chain(
     point["final_gram"] = final_gram = vectors @ vectors.conj().T
     # the chain rows on the purified states, at a looser tolerance
     for name, res in verify_point(prog, point).row_residuals.items():
-        if res > PROTOCOL_TOL:
+        if not res <= PROTOCOL_TOL:
             raise ReconstructionError(
                 f"purified chain violates row {name!r} by {res:.3e} (allowed {PROTOCOL_TOL:.3e})"
             )

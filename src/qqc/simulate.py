@@ -168,9 +168,10 @@ def trace_to_primal_point(
     fill the later chain blocks, and the final states' measurement
     cross-Grams fill the output shares, all read from one run (at eps = 0
     each share restricted to its class's rows and columns, the program's
-    face); each input's 1x1 success slack is its share entry minus 1 - eps,
-    so the returned point is feasible exactly when the protocol meets the
-    success floor.
+    face). At eps > 0 each input's 1x1 success slack is its share entry
+    minus 1 - eps, so the returned point is feasible exactly when the
+    protocol meets the success floor; at eps = 0 the program has no success
+    slack, and the point holds exactly `build_primal`'s blocks.
     """
     return _primal_point(run(alg, p), p, alg, eps)
 
@@ -196,7 +197,7 @@ def _primal_point(
         shares[z] = finals @ alg.projectors[z].conj() @ finals.conj().T
         # the block the program holds: at eps = 0, the share's class block
         point[f"output_part_{z}"] = m.adjoint().apply(shares[z])
-    for i, lab in enumerate(p.labels):
+    for i, lab in enumerate(p.labels if eps else []):
         share = shares[p.g[lab]]
         point[f"success_slack_{lab}"] = np.full((1, 1), share[i, i] - (1.0 - eps))
     return point

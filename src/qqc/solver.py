@@ -80,7 +80,8 @@ anything is reported. The seed is screened before it is swept: when its y
 pairs with b below zero and the adjoint image A^T y lies within
 _POLISHED_TOL |b^T y| of the cone, sweeps would change nothing, so the
 first check tries that y with no Farkas sweep; every infeasible relaxed
-program of the fixtures and families at q = 0 certifies there. Otherwise
+program of the fixtures and families at q = 0, eps > 0 certifies there
+(at eps = 0 their right-hand sides lie off the range). Otherwise
 the seed is swept by the gap as at every check. Either way a check tries
 one certificate, and a witness program's answer reuses `_certify`'s report
 of it.
@@ -229,13 +230,15 @@ class PointReport:
     block_min_eigs: dict[str, float]
     strict_slack: float | None
 
+    # np.max and np.min keep a NaN, which Python's max and min drop after a number
     @property
     def max_residual(self) -> float:
-        return max(self.row_residuals.values(), default=0.0)
+        return float(np.max(list(self.row_residuals.values()), initial=0.0))
 
     @property
     def min_block_eig(self) -> float:
-        return min(self.block_min_eigs.values(), default=0.0)
+        eigs = list(self.block_min_eigs.values())
+        return float(np.min(eigs)) if eigs else 0.0
 
     def within(self, tol: float) -> bool:
         return self.max_residual <= tol and self.min_block_eig >= -tol
@@ -947,8 +950,10 @@ def _decide(witness: ConicFeasibilityProgram,
             # it sits near the dual cone with pairing b^T w near -|v|^2 < 0.
             # Where its multipliers already meet the cone as closely as a
             # polished point meets its rows, sweeps would change nothing and
-            # the check tries them unswept; a seed just off the cone (or2's
-            # relaxed one at q=1, eps 0, by 1.3e-8) is swept as at any check.
+            # the check tries them unswept. Every seed the screen refuses on
+            # the fixtures and families sits 4e-6 to 1.2e-3 off the cone per
+            # unit of pairing (or2's relaxed one at q=2, eps 0.1: 1.9e-5),
+            # fails `_certify` unswept, and is swept as at any check.
             s = cand - eng.project_affine(cand)
             y = eng.multipliers(s)
         if y is None or not eng.certifies(y):

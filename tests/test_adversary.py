@@ -243,6 +243,8 @@ def test_witness_strict_slack_in_closed_form(pname, eps):
 def test_make_dual_witness_rejects_a_block_that_is_not_psd(deutsch, monkeypatch):
     # rows within tolerance do not make a witness: a pair multiplier that is
     # not PSD must raise, and the message names the least block eigenvalue
+    # (at eps 0.1: at eps 0 the pair multipliers are free, and q = 0 has no
+    # PSD block left)
     def tampered(prog, point):
         rep = verify_point(prog, point)
         name = next(iter(rep.block_min_eigs))
@@ -252,7 +254,7 @@ def test_make_dual_witness_rejects_a_block_that_is_not_psd(deutsch, monkeypatch)
     monkeypatch.setattr(qqc.adversary, "verify_point", tampered)
     gamma = random_valid_gamma(deutsch, np.random.default_rng(1))
     with pytest.raises(WitnessError, match="least block eigenvalue -1.000e-03"):
-        make_dual_witness(deutsch, gamma, 0, 0.0)
+        make_dual_witness(deutsch, gamma, 0, 0.1)
 
 
 def test_validate_runs_once_per_problem(deutsch, monkeypatch):

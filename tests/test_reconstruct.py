@@ -180,6 +180,18 @@ def test_backward_chain_closes_the_chain_on_the_final_vectors(deutsch, cached_so
         backward_chain(deutsch, 1, point, ((1.0 + 1e-3) * vectors, owner))
 
 
+def test_backward_chain_refuses_a_nan_row(ix, cached_solve):
+    # a NaN residual fails the row check: a NaN in the final vectors spoils
+    # the Gram matrix that the last chain row reads (2x2 here, whose NaN
+    # eigenvalues LAPACK returns unflagged)
+    point = cached_solve("ix", "primal", 1, 0.0).point
+    vectors, owner = extract_final_states(ix, _shares(ix, point, 0.0), 0.0)
+    vectors = vectors.copy()
+    vectors[0, 0] = np.nan
+    with pytest.raises(ReconstructionError, match="'final_gram_def' by nan"):
+        backward_chain(ix, 1, point, (vectors, owner))
+
+
 @pytest.mark.parametrize("pname,q,eps", [("deutsch", 1, 0.0), ("ix", 2, 0.1), ("const", 0, 0.0)])
 def test_backward_chain_rebuilds_the_pipeline_protocol(pname, q, eps, cached_solve):
     # from the solver's point and its shares alone, backward_chain builds the

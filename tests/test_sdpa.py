@@ -106,7 +106,8 @@ def test_export_to_devnull(deutsch):
 
 
 def test_export_doubles_hermitian_blocks(deutsch, tmp_path):
-    prog = build_primal(deutsch, 1, 0.0)
+    # at eps 0.1 the program has one 1x1 success slack per input
+    prog = build_primal(deutsch, 1, 0.1)
     path = str(tmp_path / "dims.dat-s")
     export_sdpa(prog, path)
     data = parse_sdpa(path)

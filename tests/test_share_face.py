@@ -1,17 +1,21 @@
-"""The eps-0 class-support face of the exact existence program.
+"""The eps-0 faces of the existence programs.
 
 At eps = 0 the final states of inputs with different outputs are
 orthogonal, so share z of the final Gram matrix vanishes outside class z's
 rows and columns, and `build_primal` holds it as a c_z x c_z block;
 `build_dual`, its Farkas alternative, reads each output comparison on the
-same face, as a c_z x c_z row. At eps > 0 nothing changes. Face
-certificates are witness points of `build_dual` as they stand.
+same face, as a c_z x c_z row. On that face every input succeeds with
+certainty, and the relaxed pair margin is 0, so neither program carries a
+slack its other rows pin at zero. At eps > 0 nothing changes. Face
+certificates are witness points of the witness programs as they stand.
 """
 
 import numpy as np
 import pytest
 
-from qqc.programs import build_dual, build_primal
+from qqc.programs import (
+    build_dual, build_dual_relaxed, build_primal, build_primal_relaxed, pair_name,
+)
 from qqc.solver import solve, verify_point
 
 from conftest import BUILDERS, FAMILIES, PROBLEMS
@@ -37,25 +41,67 @@ def test_shares_sit_on_their_class_at_eps_zero(pname, q):
 @pytest.mark.parametrize("q", [0, 1])
 def test_only_the_exact_shares_change_with_eps(pname, q):
     # every builder's blocks and rows have the same names, dimensions and
-    # kinds at eps 0 and 0.1, but for build_primal's shares and build_dual's
-    # share rows, which are c_z x c_z at eps 0 and full s x s at eps 0.1
+    # kinds at eps 0 and 0.1, but for the eps-0 differences: build_primal's
+    # shares and build_dual's share rows are c_z x c_z (full s x s at
+    # eps 0.1); build_primal has no success slacks and no success rows, so
+    # build_dual has no success multipliers; build_primal_relaxed has no pair
+    # slacks, so build_dual_relaxed's pair multipliers are free
     p = ALL[pname]
     classes = {f"output_part_{z}": len(p.class_indices(z)) for z in p.outputs}
+    success = {f"success_{lab}" for lab in p.labels}
+    slacks = {f"success_slack_{lab}" for lab in p.labels}
+    pairs = {pair_name(p, pr) for pr in p.differing_pairs()}
+    gone = {  # (blocks, rows) that only eps 0.1 has
+        "primal": (slacks, success),
+        "dual": (success, set()),
+        "primal_relaxed": ({f"pair_slack_{n}" for n in pairs}, set()),
+        "dual_relaxed": (set(), set()),
+    }
+    free = {f"pair_{n}" for n in pairs}
     for name, build in BUILDERS.items():
         (blocks0, rows0), (blocks1, rows1) = _shape(build(p, q, 0.0)), _shape(build(p, q, 0.1))
-        assert [(r[0], r[2]) for r in rows0] == [(r[0], r[2]) for r in rows1], name
-        for (rname, d0, _), (_, d1, _) in zip(rows0, rows1):
-            if name == "dual" and rname in classes:
-                assert (d0, d1) == (classes[rname], p.size)
-            else:
-                assert d0 == d1, (name, rname)
-        assert [b[0] for b in blocks0] == [b[0] for b in blocks1], name
-        for (bname, d0, psd0), (_, d1, psd1) in zip(blocks0, blocks1):
-            assert psd0 == psd1
-            if name == "primal" and bname.startswith("output_part_"):
-                assert d1 == p.size
-            else:
-                assert d0 == d1, (name, bname)
+        gone_blocks, gone_rows = gone[name]
+        assert {b[0] for b in blocks1} - {b[0] for b in blocks0} == gone_blocks, name
+        assert {r[0] for r in rows1} - {r[0] for r in rows0} == gone_rows, name
+        assert blocks0 == [
+            (b, classes.get(b, d) if name == "primal" else d,
+             psd and not (name == "dual_relaxed" and b in free))
+            for b, d, psd in blocks1 if b not in gone_blocks
+        ], name
+        assert rows0 == [
+            (r, classes.get(r, d) if name == "dual" else d, sense)
+            for r, d, sense in rows1 if r not in gone_rows
+        ], name
+
+
+@pytest.mark.parametrize("pname", sorted(ALL))
+@pytest.mark.parametrize("q", [0, 1, 2])
+def test_no_slack_pinned_at_zero_at_eps_zero(pname, q):
+    # at eps 0 the class faces give every input success 1 and the pair
+    # margin is 0, so no program carries a success slack or row, or a pair
+    # slack, and each pair row reads the chain alone
+    p = ALL[pname]
+    for name, build in BUILDERS.items():
+        prog = build(p, q, 0.0)
+        names = [b.name for b in prog.blocks] + [r.name for r in prog.rows]
+        assert not [x for x in names if x.startswith(("success_", "pair_slack_"))], name
+    for row in build_primal_relaxed(p, q, 0.0).rows:
+        if row.name.startswith("pair_"):
+            assert len(row.terms) == 1
+
+
+def test_pair_rows_off_the_range_certify_at_once():
+    # at eps 0 the pair rows pin each differing pair's Gram entry to 0, which
+    # init's J contradicts at q = 0 through the range of A alone: the
+    # certificate comes before any sweep and meets every witness row
+    p = PROBLEMS["deutsch"]
+    out = solve(build_primal_relaxed(p, 0, 0.0))
+    assert out.status == "INFEASIBLE_WITH_CERTIFICATE"
+    assert out.iterations == 0
+    rep = verify_point(build_dual_relaxed(p, 0, 0.0), out.certificate)
+    assert rep.max_residual <= 1e-8
+    assert rep.min_block_eig >= -1e-8
+    assert rep.strict_slack > 0
 
 
 @pytest.mark.parametrize("pname", ["pauli_id", "weyl3"])

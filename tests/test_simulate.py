@@ -150,13 +150,25 @@ def test_trace_to_primal_point_matches_extended_state(deutsch):
 
 def test_trace_to_primal_point_slack_grows_with_eps(deutsch):
     alg = hand_deutsch_algorithm()
-    p0 = trace_to_primal_point(deutsch, alg, 0.0)
+    # at eps 0 the program has no success slack: compare eps 0.1 and 0.2
+    p0 = trace_to_primal_point(deutsch, alg, 0.1)
     p1 = trace_to_primal_point(deutsch, alg, 0.2)
-    # success stays 1, so lowering the floor adds eps to every success slack
+    # success stays 1, so lowering the floor by 0.1 adds 0.1 to every success slack
     for lab in deutsch.labels:
         gap = p1[f"success_slack_{lab}"] - p0[f"success_slack_{lab}"]
         assert gap.shape == (1, 1)
-        assert gap[0, 0].real == pytest.approx(0.2, abs=1e-12)
+        assert gap[0, 0].real == pytest.approx(0.1, abs=1e-12)
+
+
+@pytest.mark.parametrize("q", [0, 1, 2])
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+def test_trace_to_primal_point_has_the_program_blocks(deutsch, q, eps):
+    # the point holds exactly build_primal's blocks, in its order: at eps 0
+    # no success slack
+    hand = hand_deutsch_algorithm()
+    alg = QuantumQueryAlgorithm(2, 1, hand.unitaries[:1] * (q + 1), hand.projectors)
+    point = trace_to_primal_point(deutsch, alg, eps)
+    assert list(point) == [b.name for b in build_primal(deutsch, q, eps).blocks]
 
 
 def test_trace_to_dict_output_shapes(deutsch):

@@ -24,6 +24,7 @@ from qqc.simulate import run, success_report
 from qqc import solver
 from qqc.solver import (
     FeasibilityOutcome,
+    PointReport,
     SolverConfig,
     SolverError,
     _Engine,
@@ -1100,14 +1101,14 @@ def test_relaxed_seeds_certify_without_farkas_sweeps(monkeypatch, pname, q, buil
 
 
 def test_a_seed_off_the_cone_is_swept(monkeypatch):
-    # the relaxed or2 seed at q=1, eps 0 is 1.3e-8 off the cone: the screen
-    # refuses it, the first check sweeps, and the swept certificate meets
-    # the witness program within 1e-8
+    # the relaxed or2 seed at q=2, eps 0.1 is 1.9e-5 off the cone per unit
+    # of pairing: the screen refuses it, the first check sweeps, and the
+    # swept certificate meets the witness program within 1e-8
     sweeps = _count_farkas_sweeps(monkeypatch)
     p = PROBLEMS["or2"]
-    out = solve(build_primal_relaxed(p, 1, 0.0))
+    out = solve(build_primal_relaxed(p, 2, 0.1))
     assert (out.status, out.iterations, sweeps[0]) == ("INFEASIBLE_WITH_CERTIFICATE", 32, 32)
-    rep = verify_point(build_dual_relaxed(p, 1, 0.0), out.certificate)
+    rep = verify_point(build_dual_relaxed(p, 2, 0.1), out.certificate)
     assert rep.max_residual <= 1e-8
     assert rep.min_block_eig >= -1e-8
     assert rep.strict_slack > 0
@@ -1170,3 +1171,30 @@ def test_outcome_shape():
     assert out.certificate is None
     assert out.iterations >= 1
     assert set(out.residuals) == {"trace"}
+
+
+def test_point_report_keeps_a_nan():
+    # Python's max and min skip a NaN that follows a number; the report's
+    # reductions keep it, so no tolerance passes it
+    rep = PointReport({"a": 0.0, "b": math.nan}, {"x": 0.0, "y": math.nan}, None)
+    assert math.isnan(rep.max_residual)
+    assert math.isnan(rep.min_block_eig)
+    assert not rep.within(1e-6)
+    assert not PointReport({"a": 0.0, "b": math.nan}, {"x": 0.0}, None).within(1e-6)
+    # an empty report reads 0.0, and min_block_eig is the true least eigenvalue
+    empty = PointReport({}, {}, None)
+    assert (empty.max_residual, empty.min_block_eig) == (0.0, 0.0)
+    assert PointReport({"a": 0.5}, {"x": 2.0, "y": 3.0}, None).min_block_eig == 2.0
+
+
+def test_verify_point_reports_a_nan_slack():
+    # the zero point of parity's exact program at q=0, eps 0.1 misses init by
+    # |J| = 4; a NaN success slack must not hide behind that number
+    prog = build_primal(PROBLEMS["deutsch"], 0, 0.1)
+    point = {b.name: np.zeros((b.dim, b.dim)) for b in prog.blocks}
+    point["success_slack_11"] = np.full((1, 1), np.nan)
+    rep = verify_point(prog, point)
+    assert rep.row_residuals["init"] == 4.0
+    assert math.isnan(rep.max_residual)
+    assert math.isnan(rep.min_block_eig)
+    assert not rep.within(5.0)
