@@ -152,12 +152,14 @@ def make_dual_witness(p: QueryProblem, gamma, q: int, eps: float) -> dict[str, n
     Keyed by the relaxed existence program's rows. With W = gamma∘vvᵀ for
     the principal eigenvector v, the multiplier of chain row q - t (init,
     chain_t) is the step Lap(W) + t alpha diag(v∘v), for the Laplacian
-    Lap(W) = diag(W 1) - W, with t = 1..q at q >= 1 and t = 0 at q = 0; at
-    q >= 1 the multiplier of tr rho_0 = 1 is the step's 1x1 J-trace
-    q alpha, as the start face asks. Each pair row's multiplier is
-    W_ij·[[1, -1], [-1, 1]] on the pair's principal submatrix; together
-    they read Lap(W), step 0, off the final Gram matrix, through the last
-    chain block's row at q >= 1. Step t is -K_t + diag(W 1) for
+    Lap(W) = diag(W 1) - W, with t = 1..q at q >= 1 and t = 0 at q = 0;
+    the multiplier of init is the step's 1x1 J-trace 1ᵀ step 1, as the
+    start face asks at q >= 1 (tr rho_0 = 1, J-trace q alpha) and the face
+    of J at q = 0 (sum c = s, J-trace 1ᵀ Lap(W) 1 = 0). Each pair row's
+    multiplier is W_ij·[[1, -1], [-1, 1]] on the pair's principal
+    submatrix; together they read Lap(W), step 0, off the final Gram
+    matrix, through the last chain block's row at q >= 1. Step t is
+    -K_t + diag(W 1) for
     K_t = (gamma - t alpha I)∘vvᵀ, and the block-diagonal oracle leaves that
     diagonal shift ⊗ I in place.
     The strict slack is (1 - 2√(eps(1-eps))) lambda - q alpha. The result
@@ -177,8 +179,8 @@ def make_dual_witness(p: QueryProblem, gamma, q: int, eps: float) -> dict[str, n
     witness: dict[str, np.ndarray] = {}
     for t in range(min(q, 1), q + 1):
         step = (lap + t * report.alpha * np.diag(v * v)).astype(complex)
-        # on the start face the last step is the scalar tr(J step)
-        witness[chain[q - t]] = np.full((1, 1), step.sum()) if t == q > 0 else step
+        # on the start face, or the face of J at q = 0, init's step is the scalar tr(J step)
+        witness[chain[q - t]] = np.full((1, 1), step.sum()) if t == q else step
     for i, j in p.differing_pairs():
         witness[f"pair_{pair_name(p, (i, j))}"] = w[i, j] * np.array([[1, -1], [-1, 1]], dtype=complex)
     rep = verify_point(build_dual_relaxed(p, q, eps), witness)

@@ -10,6 +10,7 @@ deterministic for a fixed seed except for the elapsed-time field.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -307,7 +308,10 @@ def cmd_simulate(args) -> tuple[int, str, dict]:
     return _EXIT_SEMANTIC, "FAIL", payload
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process. It holds no command functions:
+    `main` looks up cmd_<subcommand> at call time."""
     parser = _Parser(prog="qqc", description=__doc__)
     parser.add_argument("--version", action="version", version=f"qqc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -320,7 +324,6 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("validate", help="check a problem file")
     common(sp)
-    sp.set_defaults(fn=cmd_validate)
 
     sp = sub.add_parser("feasible", help="decide one existence program")
     common(sp)
@@ -330,20 +333,17 @@ def _build_parser() -> _Parser:
     sp.add_argument("--relaxed", action="store_true", help="use the pairwise relaxation")
     sp.add_argument("--dual", action="store_true", help="solve the witness-side program")
     sp.add_argument("--export-sdpa", default=None, metavar="PATH", help="also write SDPA input")
-    sp.set_defaults(fn=cmd_feasible)
 
     sp = sub.add_parser("adversary", help="spectral lower bound from a weight matrix")
     common(sp)
     sp.add_argument("--eps", type=float, default=0.1, help="allowed error probability")
     sp.add_argument("--gamma", default="auto", help="weight matrix JSON path, or 'auto'")
-    sp.set_defaults(fn=cmd_adversary)
 
     sp = sub.add_parser("estimate", help="scan q upward for the least feasible count")
     common(sp)
     seeded(sp)
     sp.add_argument("--eps", type=float, default=0.1, help="allowed error probability")
     sp.add_argument("--qmax", type=int, default=6, help="largest query count to try")
-    sp.set_defaults(fn=cmd_estimate)
 
     sp = sub.add_parser("reconstruct", help="build an explicit protocol from a feasible point")
     common(sp)
@@ -351,13 +351,11 @@ def _build_parser() -> _Parser:
     sp.add_argument("--q", type=int, required=True, help="number of queries")
     sp.add_argument("--eps", type=float, default=0.1, help="allowed error probability")
     sp.add_argument("--out", default="alg.json", help="output path for the protocol JSON")
-    sp.set_defaults(fn=cmd_reconstruct)
 
     sp = sub.add_parser("simulate", help="run a protocol file against a problem")
     common(sp)
     sp.add_argument("--alg", required=True, help="path to a protocol JSON file")
     sp.add_argument("--eps", type=float, default=0.1, help="allowed error probability")
-    sp.set_defaults(fn=cmd_simulate)
     return parser
 
 
@@ -367,12 +365,10 @@ def main(argv: list[str] | None = None) -> int:
     report = {
         "command": args.command,
         "version": __version__,
-        "parameters": {
-            k: v for k, v in sorted(vars(args).items()) if k not in ("fn", "command")
-        },
+        "parameters": {k: v for k, v in sorted(vars(args).items()) if k != "command"},
     }
     try:
-        code, status, payload = args.fn(args)
+        code, status, payload = globals()[f"cmd_{args.command}"](args)
         report["status"] = status
         report["results"] = payload
     except _CommandFailure as fail:

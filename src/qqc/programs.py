@@ -34,6 +34,17 @@ no success row and no success slack. The relaxed margin 2√(eps(1-eps)) is
 that the other rows pin at zero would leave the program with no Slater
 point (Borwein & Wolkowicz 1981); at eps = 0 no program carries one.
 
+At q = 0 every final state is the start state, so the final Gram matrix is
+the rank-one all-ones J, and every PSD block that holds a part of it is a
+multiple of J: an s x s block there has no interior. Both existence
+programs then hold each such block on the face of J, as a 1x1 block [[c]]
+read through the isometry [[c]] -> c·J/s, and init, J's one coordinate on
+that face, is the 1x1 row sum c = s: the exact program's shares at
+eps > 0 and the relaxed program's final_gram at every eps (facial
+reduction ahead of the solve; Permenter & Parrilo 2018). The eps-0 exact
+program keeps its class-face shares and its s x s init, which its range
+decides at once.
+
 Each witness program is generated from its existence program by conic
 duality (`_farkas_alternative`): one multiplier block per existence row,
 one row per existence block, and a slack's row folded into its multiplier,
@@ -205,10 +216,14 @@ def _query_chain(
     Blocks: at q >= 1 the start state rho_0 on the query register, then the
     joint-register states after t queries (0 < t < q), then the blocks of
     `last`, whose images under their maps sum to the final Gram matrix (by
-    default one s x s block final_gram); they come first, so their indices
-    are final. Rows: the initial condition (tr rho_0 = 1, or final Gram
-    matrix = J at q = 0) and the query-update chain into the final Gram
-    matrix; an empty `last` at q >= 1 leaves out that last row. J ⊗ rho_0
+    default one s x s block final_gram, with which `backward_chain` and
+    `qqc simulate` check a run's final Gram matrix); they come first, so
+    their indices are final. Rows: the initial condition (tr rho_0 = 1, or
+    final Gram matrix = J at q = 0) and the query-update chain into the
+    final Gram matrix; an empty `last` at q >= 1 leaves out that last row.
+    At q = 0, when every map of `last` is the face map [[c]] -> c·J/s, the
+    initial condition is the 1x1 row sum c = s, J's one coordinate on the
+    face; any other map keeps it s x s. J ⊗ rho_0
     is (1_s ⊗ I_n) rho_0 (1_s ⊗ I_n)†, so the first query reads rho_0
     through the (s·n) x n matrix Omega (1_s ⊗ I_n) (`_query_read`).
     """
@@ -220,6 +235,11 @@ def _query_chain(
     final = [(len(blocks) + k, m) for k, (_, m) in enumerate(last)]
     blocks += [b for b, _ in last]
     if q == 0:
+        if all(m.kind == "const_embed" for _, m in final):
+            # each map is the isometry [[c]] -> c·J/s onto the face of J, so
+            # sum_k c_k J/s = J keeps one coordinate: sum_k c_k = s
+            terms = [(bj, _ident(1)) for bj, _ in final]
+            return blocks, [Row("init", 1, terms, np.full((1, 1), s, dtype=complex))]
         return blocks, [Row("init", s, final, np.ones((s, s), dtype=complex))]
     zeros = np.zeros((s, s), dtype=complex)
     rows = [Row("init", 1, [(0, _trace_against(np.eye(n)))], np.ones((1, 1), dtype=complex))]
@@ -237,16 +257,25 @@ def _query_read(p: QueryProblem, t: int) -> np.ndarray:
     return p.omega if t > 1 else p.omega @ np.kron(np.ones((p.size, 1)), np.eye(p.n))
 
 
-def share_maps(p: QueryProblem, eps: float) -> dict[str, BlockMap]:
-    """The map from each output's share block to its s x s share G_z.
+def _face_of_j(s: int) -> BlockMap:
+    """[[c]] -> c·J/s, an isometry onto the face of the all-ones J (||J/s|| = 1)."""
+    return BlockMap("const_embed", d_in=1, d_out=s, mat=np.full((s, s), 1.0 / s, dtype=complex))
+
+
+def share_maps(p: QueryProblem, eps: float, q: int) -> dict[str, BlockMap]:
+    """The map from each output's share block to its s x s share G_z at q queries.
 
     At eps = 0 share z lives on its class's face: the block is c_z x c_z and
     the map is the congruence H -> E_z H E_z† with E_z = I[:, class z]. At
-    eps > 0 the shares are not confined, and each block is the full share.
+    eps > 0 and q = 0 every final state is the start state, so each share
+    is a multiple of J: the block is the 1x1 [[c_z]] and the map the face
+    map [[c]] -> c·J/s, whose adjoint reads c back from a share. At eps > 0
+    and q >= 1 the shares are not confined, and each block is the full
+    share.
     """
     s = p.size
     if eps:
-        return {z: _ident(s) for z in p.outputs}
+        return {z: _ident(s) if q else _face_of_j(s) for z in p.outputs}
     return {
         z: BlockMap("conj_pt", d_in=len(idx), d_out=s, mat=np.eye(s)[:, idx], split=(s, 1))
         for z, idx in ((z, p.class_indices(z)) for z in p.outputs)
@@ -267,12 +296,15 @@ def build_primal(p: QueryProblem, q: int, eps: float) -> ConicFeasibilityProgram
     matrix at (i, i): entry (i, i) of its class's share. At eps = 0 the share
     blocks sit on their class faces, block z c_z x c_z, where entry (i, i)
     of the class's share is G_ii = 1: the chain rows already give every
-    input success 1, so there is no success slack and no success row.
+    input success 1, so there is no success slack and no success row. At
+    q = 0 and eps > 0 the shares sit on the face of J: block z is the 1x1
+    [[c_z]] with G_z = c_z·J/s, init is the 1x1 row sum_z c_z = s, and
+    success row i reads slack - c_{g(i)}/s = eps - 1.
     """
     _check_q_eps(q, eps)
     s = p.size
     p.omega  # validates p, whose g share_maps reads
-    maps = share_maps(p, eps)
+    maps = share_maps(p, eps, q)
     shares = [(Block(f"output_part_{z}", m.d_in, True), m) for z, m in maps.items()]
     blocks, rows = _query_chain(p, q, shares)
     # at eps = 0 the class faces already give each input success 1
@@ -299,8 +331,10 @@ def build_primal_relaxed(p: QueryProblem, q: int, eps: float) -> ConicFeasibilit
     submatrix E† G E, with E = [e_i e_j]: slack - E† G E = (margin - 1)·I
     for the margin 2√(eps(1-eps)). It reads E† G E off the last chain block
     X as -tr_n((E† ⊗ I_n) M X M† (E ⊗ I_n)) for query q's matrix M, whose
-    rows (E† ⊗ I_n) M are the pair's two row blocks; at q = 0, X is
-    final_gram, set to J by init, with M = I_s and n = 1. Every point has
+    rows (E† ⊗ I_n) M are the pair's two row blocks. At q = 0 the final
+    Gram matrix is J, so it is held on the face of J as the 1x1 block
+    final_gram [[c]], G = c·J/s, which the 1x1 init row sets to c = s; each
+    pair row reads E† G E = (c/s)·[[1, 1], [1, 1]] off it. Every point has
     G_ii = 1 (tr rho_0 = 1 and each query keeps each input's trace), so
     the slack is [[margin, G_ij], [G_ji, margin]], PSD exactly when the
     pair's Gram entry has magnitude at most the margin. At eps = 0 the
@@ -308,9 +342,10 @@ def build_primal_relaxed(p: QueryProblem, q: int, eps: float) -> ConicFeasibilit
     equality -E† G E = -I, with no slack block.
     """
     _check_q_eps(q, eps)
-    s = p.size
-    blocks, rows = _query_chain(p, q, [] if q else None)
-    last, mat, n = (q - 1, _query_read(p, q), p.n) if q else (0, np.eye(s), 1)
+    s, n = p.size, p.n
+    face = _face_of_j(s)
+    blocks, rows = _query_chain(p, q, [] if q else [(Block("final_gram", 1, True), face)])
+    mat = _query_read(p, q).reshape(s, n, -1) if q else None
     pairs = p.differing_pairs()
     # at eps = 0 the margin is 0, and each pair row is the equality E† G E = I
     blocks += [Block(f"pair_slack_{pair_name(p, pr)}", 2, True) for pr in pairs if eps]
@@ -318,8 +353,10 @@ def build_primal_relaxed(p: QueryProblem, q: int, eps: float) -> ConicFeasibilit
     margin = 2.0 * math.sqrt(eps * (1.0 - eps))
     for pr in pairs:
         name = pair_name(p, pr)
-        pick = mat.reshape(s, n, -1)[list(pr)].reshape(2 * n, -1)
-        terms = [(last, _conj_pt(pick, 2, n, -1.0))]
+        if q:  # the last chain block, through query q's rows for the pair
+            terms = [(q - 1, _conj_pt(mat[list(pr)].reshape(2 * n, -1), 2, n, -1.0))]
+        else:  # final_gram, block 0, through the pair's entries of the face map
+            terms = [(0, BlockMap("const_embed", 1, 2, -1.0, face.mat[np.ix_(pr, pr)]))]
         if eps:
             terms.append((bi[f"pair_slack_{name}"], _ident(2)))
         rows.append(Row(f"pair_{name}", 2, terms, (margin - 1.0) * np.eye(2, dtype=complex)))
@@ -367,11 +404,14 @@ def build_dual(p: QueryProblem, q: int, eps: float) -> ConicFeasibilityProgram:
     """Infeasibility-witness program: the Farkas alternative of `build_primal`.
 
     Free multipliers of the chain rows: L_0 of init (a scalar tau at
-    q >= 1, s x s at q = 0) and L_1..L_q; at eps > 0 one 1x1 PSD multiplier
-    y_i of each success row. Rows: one per chain block, and one per share,
-    M_z†(L_q - sum over class z of y_i E_ii) PSD; the strict row pairs L_0
-    with init's right-hand side and the y_i with eps - 1. At eps = 0 there
-    are no y_i, and each share row is c_z x c_z, M_z†(L_q) PSD.
+    q >= 1 and on the face of J, s x s at q = 0 and eps = 0) and L_1..L_q;
+    at eps > 0 one 1x1 PSD multiplier y_i of each success row. Rows: one
+    per chain block, and one per share, M_z†(L_q - sum over class z of
+    y_i E_ii) PSD; the strict row pairs L_0 with init's right-hand side and
+    the y_i with eps - 1. At eps = 0 there are no y_i, and each share row
+    is c_z x c_z, M_z†(L_q) PSD. At q = 0 and eps > 0 each share row is the
+    1x1 tau - (sum over class z of y_i)/s >= 0, and the strict row reads
+    s·tau + (eps - 1)·sum_i y_i.
     """
     return _farkas_alternative(build_primal(p, q, eps))
 
@@ -382,9 +422,10 @@ def build_dual_relaxed(p: QueryProblem, q: int, eps: float) -> ConicFeasibilityP
     Free multipliers L_0..L_{q-1} of the chain rows (L_0 at q = 0), and one
     2x2 multiplier D of each pair row, PSD at eps > 0 and free at eps = 0,
     where the pair row has no slack. Rows: one per chain block; the last
-    keeps L_{q-1} ⊗ I_n - M† ((sum E D E†) ⊗ I_n) M PSD (L_0 - sum E D E†
-    at q = 0), and the strict row pairs L_0 with init's right-hand side and
-    each D with (margin - 1)·I.
+    keeps L_{q-1} ⊗ I_n - M† ((sum E D E†) ⊗ I_n) M PSD, and the strict
+    row pairs L_0 with init's right-hand side and each D with
+    (margin - 1)·I. At q = 0, L_0 is the scalar tau of init on the face of
+    J, and final_gram's row is the 1x1 tau - 1ᵀ(sum E D E†)1/s >= 0.
     """
     return _farkas_alternative(build_primal_relaxed(p, q, eps))
 

@@ -214,8 +214,9 @@ def reconstruct_algorithm(
     """End-to-end: solve the existence program and build a protocol from it.
 
     Each s x s share is its block read through `share_maps`, the map the
-    last chain row applies: E_z H_z E_z† on the eps = 0 class face, the
-    block itself otherwise.
+    last chain row applies: E_z H_z E_z† on the eps = 0 class face,
+    c_z·J/s on the face of J at q = 0 and eps > 0, the block itself
+    otherwise.
     """
     prog = build_primal(p, q, eps)
     out = solve(prog, config)
@@ -224,7 +225,7 @@ def reconstruct_algorithm(
             f"existence program at q={q}, eps={eps} is {out.status}", status=out.status
         )
     shares = {z: m.apply(np.asarray(out.point[f"output_part_{z}"]))
-              for z, m in share_maps(p, eps).items()}
+              for z, m in share_maps(p, eps, q).items()}
     finals = extract_final_states(p, shares, eps)
     alg = backward_chain(p, q, out.point, finals)
     return ReconstructionResult(algorithm=alg, outcome=out, extracted_dim=finals[0].shape[1])

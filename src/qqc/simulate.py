@@ -166,12 +166,14 @@ def trace_to_primal_point(
 
     The start state, which all inputs share, fills rho_0; the joint states
     fill the later chain blocks, and the final states' measurement
-    cross-Grams fill the output shares, all read from one run (at eps = 0
-    each share restricted to its class's rows and columns, the program's
-    face). At eps > 0 each input's 1x1 success slack is its share entry
-    minus 1 - eps, so the returned point is feasible exactly when the
-    protocol meets the success floor; at eps = 0 the program has no success
-    slack, and the point holds exactly `build_primal`'s blocks.
+    cross-Grams fill the output shares, all read from one run, each through
+    the adjoint of its `share_maps` map onto the program's face: at eps = 0
+    the share restricted to its class's rows and columns, and at q = 0 and
+    eps > 0 the 1x1 [[c_z]] of the share c_z·J/s. At eps > 0 each input's
+    1x1 success slack is its share entry minus 1 - eps, so the returned
+    point is feasible exactly when the protocol meets the success floor; at
+    eps = 0 the program has no success slack. The point holds exactly
+    `build_primal`'s blocks.
     """
     return _primal_point(run(alg, p), p, alg, eps)
 
@@ -192,10 +194,10 @@ def _primal_point(
         point[f"state_iq_{t}"] = phi @ phi.conj().T
     finals = states[q]
     shares = {}
-    for z, m in share_maps(p, eps).items():
+    for z, m in share_maps(p, eps, q).items():
         # conjugation on the second index, as in the trace's Gram matrices
         shares[z] = finals @ alg.projectors[z].conj() @ finals.conj().T
-        # the block the program holds: at eps = 0, the share's class block
+        # the block the program holds: the share read back off its face
         point[f"output_part_{z}"] = m.adjoint().apply(shares[z])
     for i, lab in enumerate(p.labels if eps else []):
         share = shares[p.g[lab]]

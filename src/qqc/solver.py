@@ -1012,6 +1012,7 @@ def verify_point(prog: ConicFeasibilityProgram, point: dict[str, np.ndarray]) ->
     psd_blocks = {b.name: vals[b.name] for b in prog.blocks if b.psd}
     least = _least_eigs([*psd_rows.values(), *psd_blocks.values()])
     for name, w in zip(psd_rows, least):
-        row_residuals[name] = max(0.0, -w)
+        # max(0.0, -w) would drop a NaN w
+        row_residuals[name] = 0.0 if w >= 0 else -w
     block_min_eigs = dict(zip(psd_blocks, least[len(psd_rows):]))
     return PointReport(row_residuals, block_min_eigs, strict_slack)

@@ -606,6 +606,28 @@ def test_reader_closing_early_keeps_the_exit_code(problem_file):
     assert b"Traceback" not in err
 
 
+def test_one_parser_serves_every_call(problem_file, capsys, monkeypatch):
+    # the parser is built once per process, and a call that fails argument
+    # parsing leaves it as it was: the next call reports what the first did
+    argv = ["estimate", problem_file("deutsch"), "--eps", "0", "--qmax", "1"]
+    assert main(argv) == 0
+    first = _report(capsys)
+    with pytest.raises(SystemExit) as info:
+        main(["estimate", problem_file("deutsch"), "--qmax", "one"])
+    assert info.value.code == 1
+    capsys.readouterr()
+    assert main(argv) == 0
+    second = _report(capsys)
+    first.pop("elapsed_s")
+    second.pop("elapsed_s")
+    assert first == second
+    assert qqc.cli._build_parser() is qqc.cli._build_parser()
+    # each command function is looked up at call time, not when the parser was built
+    monkeypatch.setattr(qqc.cli, "cmd_validate", lambda args: (0, "STUB", {}))
+    assert main(["validate", problem_file("deutsch")]) == 0
+    assert _report(capsys)["status"] == "STUB"
+
+
 def test_reports_deterministic_for_fixed_seed(problem_file, tmp_path, capsys):
     argv = ["feasible", problem_file("deutsch"), "--q", "1", "--eps", "0.1", "--seed", "5"]
     main(argv)

@@ -93,36 +93,39 @@ def test_block_map_applies_to_stacks():
 
 def test_pair_rows_read_the_pair_entry(deutsch):
     # with a zero slack the pair row reads -E† G E, the pair's principal
-    # submatrix; on a G with unit diagonal, as every point of the program
-    # has, the slack rhs - row = [[margin, G_ij], [G_ji, margin]] is PSD
-    # exactly when |G_ij| <= margin
+    # submatrix; at q = 0, G = c·J/s on the face of J, so every entry of
+    # E† G E is c/s. On init's c = s, G = J has unit diagonal, as every point
+    # of the program has, and the slack rhs - row = [[margin, G_ij],
+    # [G_ji, margin]] is [[margin, 1], [1, margin]]
     eps = 0.1
     margin = 2.0 * np.sqrt(eps * (1.0 - eps))
     prog = build_primal_relaxed(deutsch, 0, eps)
-    rng = np.random.default_rng(5)
-    g = random_hermitian(rng, 4)
-    np.fill_diagonal(g, 1.0)
+    s = deutsch.size
     point = {b.name: np.zeros((b.dim, b.dim), dtype=complex) for b in prog.blocks}
-    point["final_gram"] = g
-    for i, j in deutsch.differing_pairs():
-        row = next(r for r in prog.rows if r.name == f"pair_{pair_name(deutsch, (i, j))}")
-        assert len(row.terms) == 2
-        want = np.array([[margin, g[i, j]], [g[j, i], margin]])
-        assert np.max(np.abs(row.rhs - prog.row_value(row, point) - want)) <= 1e-15
+    for c in (s, 2.5):
+        point["final_gram"] = np.full((1, 1), c, dtype=complex)
+        g = c / s
+        for i, j in deutsch.differing_pairs():
+            row = next(r for r in prog.rows if r.name == f"pair_{pair_name(deutsch, (i, j))}")
+            assert len(row.terms) == 2
+            want = np.array([[margin - 1.0 + g, g], [g, margin - 1.0 + g]])
+            assert np.max(np.abs(row.rhs - prog.row_value(row, point) - want)) <= 1e-15
 
 
 def test_success_rows_read_the_share_entry(deutsch):
     # with zero slacks each input's success row reads minus entry (i, i) of
-    # its class's share and nothing else
+    # its class's share and nothing else; at q = 0 share z is c_z·J/s, on
+    # the face of J, so that entry is c_z/s
     prog = build_primal(deutsch, 0, 0.1)
+    s = deutsch.size
     rng = np.random.default_rng(6)
     point = {b.name: np.zeros((b.dim, b.dim), dtype=complex) for b in prog.blocks}
     for z in deutsch.outputs:
-        point[f"output_part_{z}"] = random_hermitian(rng, 4)
+        point[f"output_part_{z}"] = np.full((1, 1), rng.uniform(0.5, 4.0), dtype=complex)
     for i, lab in enumerate(deutsch.labels):
         row = next(r for r in prog.rows if r.name == f"success_{lab}")
         assert row.dim == 1
-        want = -point[f"output_part_{deutsch.g[lab]}"][i, i]
+        want = -point[f"output_part_{deutsch.g[lab]}"][0, 0] / s
         assert abs(prog.row_value(row, point)[0, 0] - want) <= 1e-15
 
 
@@ -177,11 +180,11 @@ def test_primal_q0_pins_final_gram(const):
 
 
 def test_primal_q0_constant_hand_point(const):
-    # all-ones Gram is one full share; every success slack = eps
+    # all-ones Gram is one full share, c = s on the face of J; every
+    # success slack = eps
     eps = 0.25
     prog = build_primal(const, 0, eps)
-    ones = np.ones((4, 4), dtype=complex)
-    point = {"output_part_0": ones}
+    point = {"output_part_0": np.full((1, 1), 4.0, dtype=complex)}
     point.update({f"success_slack_{lab}": np.full((1, 1), eps) for lab in const.labels})
     rep = verify_point(prog, point)
     assert rep.max_residual <= 1e-12
@@ -193,15 +196,17 @@ def test_primal_relaxed_structure(deutsch):
     # pair row reads the last chain block X through one congruence at scale
     # -1 with split (2, n), X -> -tr_n((E† ⊗ I_n) M X M† (E ⊗ I_n)), for
     # query q's matrix M, and the slack through the identity. At q = 0 it
-    # reads final_gram, pinned to J by init, with M = I_s and n = 1
+    # reads the 1x1 final_gram [[c]] on the face of J, G = c·J/s, set to
+    # c = s by the 1x1 init, through one const_embed at scale -1:
+    # [[c]] -> -(c/s)·[[1, 1], [1, 1]]
     s, n = deutsch.size, deutsch.n
     pairs = deutsch.differing_pairs()
     slack_names = {f"pair_slack_{pair_name(deutsch, pr)}" for pr in pairs}
     margin = 2.0 * np.sqrt(0.1 * 0.9)
     first = deutsch.omega @ np.kron(np.ones((s, 1)), np.eye(n))
     rng = np.random.default_rng(2)
-    for q, last, mat, fast in ((0, "final_gram", np.eye(s), 1), (1, "rho_0", first, n),
-                               (2, "state_iq_1", deutsch.omega, n)):
+    for q, last, mat in ((0, "final_gram", None), (1, "rho_0", first),
+                         (2, "state_iq_1", deutsch.omega)):
         prog = build_primal_relaxed(deutsch, q, 0.1)
         chain = {"rho_0"} | {f"state_iq_{t}" for t in range(1, q)} if q else {"final_gram"}
         assert {b.name for b in prog.blocks} == chain | slack_names
@@ -209,20 +214,29 @@ def test_primal_relaxed_structure(deutsch):
         rows = {r.name: r for r in prog.rows}
         assert set(rows) == {"init"} | {f"chain_{t}" for t in range(1, q)} | {
             f"pair_{pair_name(deutsch, pr)}" for pr in pairs}
-        x = random_hermitian(rng, mat.shape[1])
-        gram = partial_trace(mat @ x @ mat.conj().T, (s, fast))
+        if q:
+            x = random_hermitian(rng, mat.shape[1])
+            gram = partial_trace(mat @ x @ mat.conj().T, (s, n))
+        else:
+            assert [b.dim for b in prog.blocks if b.name == last] == [1]
+            assert rows["init"].dim == 1
+            assert np.array_equal(rows["init"].rhs, [[s]])
+            x = np.full((1, 1), rng.uniform(0.5, 4.0), dtype=complex)
+            gram = x[0, 0] * np.ones((s, s)) / s
         for pr in pairs:
             row = rows[f"pair_{pair_name(deutsch, pr)}"]
             assert row.dim == 2
             assert np.array_equal(row.rhs, (margin - 1.0) * np.eye(2))
             (xi, face), (si, ident) = row.terms
             assert prog.blocks[xi].name == last
-            assert (face.kind, face.scale, face.split) == ("conj_pt", -1.0, (2, fast))
+            if q:
+                assert (face.kind, face.scale, face.split) == ("conj_pt", -1.0, (2, n))
+            else:
+                assert (face.kind, face.scale, face.d_in, face.d_out) == ("const_embed", -1.0, 1, 2)
+                assert np.array_equal(face.mat, np.full((2, 2), 1.0 / s))
             assert np.max(np.abs(face.apply(x) + gram[np.ix_(pr, pr)])) <= 1e-14
             assert prog.blocks[si].name == f"pair_slack_{pair_name(deutsch, pr)}"
             assert (ident.kind, ident.scale) == ("id", 1.0)
-            if q == 0:
-                assert np.array_equal(face.mat, np.eye(s)[list(pr)])
 
 
 def _slack_rows(prog):

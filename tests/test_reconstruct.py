@@ -24,10 +24,10 @@ from qqc.simulate import run, success_report
 from conftest import FAMILIES, FEASIBLE_CELLS, PROBLEMS, hand_deutsch_algorithm
 
 
-def _shares(p, point, eps):
+def _shares(p, point, eps, q):
     # each s x s share as the last chain row reads its block: at eps 0 the
-    # block is the share's class block
-    return {z: m.apply(point[f"output_part_{z}"]) for z, m in share_maps(p, eps).items()}
+    # block is the share's class block, at q = 0 and eps > 0 its scalar on J
+    return {z: m.apply(point[f"output_part_{z}"]) for z, m in share_maps(p, eps, q).items()}
 
 
 def _projectors(p, owner, dim):
@@ -86,7 +86,7 @@ def test_output_sdp_shares(deutsch, cached_solve):
     # the point's output_part blocks sum to the final Gram matrix of its
     # query chain, and reconstruct_algorithm factors exactly those shares
     out = cached_solve("deutsch", "primal", 1, 0.0)
-    shares = _shares(deutsch, out.point, 0.0)
+    shares = _shares(deutsch, out.point, 0.0, 1)
     m = sum(shares.values())
     chain = ConicFeasibilityProgram(*_query_chain(deutsch, 1))
     assert verify_point(chain, dict(out.point, final_gram=m)).max_residual <= 1e-10
@@ -96,7 +96,7 @@ def test_output_sdp_shares(deutsch, cached_solve):
 
 def test_extract_final_states_contract(deutsch, cached_solve):
     out = cached_solve("deutsch", "primal", 1, 0.0)
-    shares = _shares(deutsch, out.point, 0.0)
+    shares = _shares(deutsch, out.point, 0.0, 1)
     m = sum(shares.values())
     vectors, owner = extract_final_states(deutsch, shares, 0.0)
     d = vectors.shape[1]
@@ -119,7 +119,7 @@ def test_extracted_vectors_factor_every_share(pname, q, eps, cached_solve):
     # and the vectors give back each share through the simulator's formula
     p = PROBLEMS[pname]
     out = cached_solve(pname, "primal", q, eps)
-    shares = _shares(p, out.point, eps)
+    shares = _shares(p, out.point, eps, q)
     m = sum(shares.values())
     vectors, owner = extract_final_states(p, shares, eps)
     d = vectors.shape[1]
@@ -154,7 +154,7 @@ def test_extract_rejects_a_share_below_the_success_floor(deutsch):
 
 def test_backward_chain_names_a_missing_chain_block(deutsch, cached_solve):
     point = cached_solve("deutsch", "primal", 1, 0.0).point
-    finals = extract_final_states(deutsch, _shares(deutsch, point, 0.0), 0.0)
+    finals = extract_final_states(deutsch, _shares(deutsch, point, 0.0, 1), 0.0)
     chain = {k: v for k, v in point.items() if k != "rho_0"}
     with pytest.raises(ReconstructionError, match="missing block 'rho_0'"):
         backward_chain(deutsch, 1, chain, finals)
@@ -165,7 +165,7 @@ def test_backward_chain_checks_the_program_rows(deutsch, cached_solve):
     out = cached_solve("deutsch", "primal", 1, 0.0)
     assert out.status == "FEASIBLE"
     point = dict(out.point, rho_0=1.01 * out.point["rho_0"])
-    finals = extract_final_states(deutsch, _shares(deutsch, point, 0.0), 0.0)
+    finals = extract_final_states(deutsch, _shares(deutsch, point, 0.0, 1), 0.0)
     with pytest.raises(ReconstructionError, match="'init'"):
         backward_chain(deutsch, 1, point, finals)
 
@@ -175,7 +175,7 @@ def test_backward_chain_closes_the_chain_on_the_final_vectors(deutsch, cached_so
     # Gram matrix, so vectors off the chain by 1e-3 fail that row
     point = cached_solve("deutsch", "primal", 1, 0.0).point
     assert "final_gram" not in point
-    vectors, owner = extract_final_states(deutsch, _shares(deutsch, point, 0.0), 0.0)
+    vectors, owner = extract_final_states(deutsch, _shares(deutsch, point, 0.0, 1), 0.0)
     with pytest.raises(ReconstructionError, match="'final_gram_def'"):
         backward_chain(deutsch, 1, point, ((1.0 + 1e-3) * vectors, owner))
 
@@ -185,7 +185,7 @@ def test_backward_chain_refuses_a_nan_row(ix, cached_solve):
     # the Gram matrix that the last chain row reads (2x2 here, whose NaN
     # eigenvalues LAPACK returns unflagged)
     point = cached_solve("ix", "primal", 1, 0.0).point
-    vectors, owner = extract_final_states(ix, _shares(ix, point, 0.0), 0.0)
+    vectors, owner = extract_final_states(ix, _shares(ix, point, 0.0, 1), 0.0)
     vectors = vectors.copy()
     vectors[0, 0] = np.nan
     with pytest.raises(ReconstructionError, match="'final_gram_def' by nan"):
@@ -198,7 +198,7 @@ def test_backward_chain_rebuilds_the_pipeline_protocol(pname, q, eps, cached_sol
     # protocol reconstruct_algorithm builds
     p = PROBLEMS[pname]
     point = cached_solve(pname, "primal", q, eps).point
-    alg = backward_chain(p, q, point, extract_final_states(p, _shares(p, point, eps), eps))
+    alg = backward_chain(p, q, point, extract_final_states(p, _shares(p, point, eps, q), eps))
     ref = reconstruct_algorithm(p, q, eps).algorithm
     assert alg.w_dim == ref.w_dim
     for u, v in zip(alg.unitaries, ref.unitaries, strict=True):
@@ -251,7 +251,7 @@ def test_forward_walk_starts_on_the_chain(pname, q, eps, cached_solve):
     # the coordinate owners
     p = PROBLEMS[pname]
     point = cached_solve(pname, "primal", q, eps).point
-    vectors, owner = extract_final_states(p, _shares(p, point, eps), eps)
+    vectors, owner = extract_final_states(p, _shares(p, point, eps, q), eps)
     alg = backward_chain(p, q, point, (vectors, owner))
     start = run(alg, p).states[0, 0]
     if q:

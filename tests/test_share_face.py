@@ -43,11 +43,21 @@ def test_only_the_exact_shares_change_with_eps(pname, q):
     # every builder's blocks and rows have the same names, dimensions and
     # kinds at eps 0 and 0.1, but for the eps-0 differences: build_primal's
     # shares and build_dual's share rows are c_z x c_z (full s x s at
-    # eps 0.1); build_primal has no success slacks and no success rows, so
-    # build_dual has no success multipliers; build_primal_relaxed has no pair
-    # slacks, so build_dual_relaxed's pair multipliers are free
+    # eps 0.1 and q >= 1, 1x1 on the face of J at q = 0); at q = 0
+    # build_primal's init row and build_dual's init multiplier are s x s
+    # (1x1 on the face of J at eps 0.1); build_primal has no success slacks
+    # and no success rows, so build_dual has no success multipliers;
+    # build_primal_relaxed has no pair slacks, so build_dual_relaxed's pair
+    # multipliers are free
     p = ALL[pname]
     classes = {f"output_part_{z}": len(p.class_indices(z)) for z in p.outputs}
+    init = {"init": p.size} if q == 0 else {}
+    eps0_dims = {  # (blocks, rows) whose eps-0 dimension is not eps 0.1's
+        "primal": (classes, init),
+        "dual": (init, classes),
+        "primal_relaxed": ({}, {}),
+        "dual_relaxed": ({}, {}),
+    }
     success = {f"success_{lab}" for lab in p.labels}
     slacks = {f"success_slack_{lab}" for lab in p.labels}
     pairs = {pair_name(p, pr) for pr in p.differing_pairs()}
@@ -61,16 +71,15 @@ def test_only_the_exact_shares_change_with_eps(pname, q):
     for name, build in BUILDERS.items():
         (blocks0, rows0), (blocks1, rows1) = _shape(build(p, q, 0.0)), _shape(build(p, q, 0.1))
         gone_blocks, gone_rows = gone[name]
+        block_dims, row_dims = eps0_dims[name]
         assert {b[0] for b in blocks1} - {b[0] for b in blocks0} == gone_blocks, name
         assert {r[0] for r in rows1} - {r[0] for r in rows0} == gone_rows, name
         assert blocks0 == [
-            (b, classes.get(b, d) if name == "primal" else d,
-             psd and not (name == "dual_relaxed" and b in free))
+            (b, block_dims.get(b, d), psd and not (name == "dual_relaxed" and b in free))
             for b, d, psd in blocks1 if b not in gone_blocks
         ], name
         assert rows0 == [
-            (r, classes.get(r, d) if name == "dual" else d, sense)
-            for r, d, sense in rows1 if r not in gone_rows
+            (r, row_dims.get(r, d), sense) for r, d, sense in rows1 if r not in gone_rows
         ], name
 
 

@@ -1188,8 +1188,9 @@ def test_point_report_keeps_a_nan():
 
 
 def test_verify_point_reports_a_nan_slack():
-    # the zero point of parity's exact program at q=0, eps 0.1 misses init by
-    # |J| = 4; a NaN success slack must not hide behind that number
+    # the zero point of parity's exact program at q=0, eps 0.1 misses init,
+    # sum_z c_z = s on the face of J, by s = 4; a NaN success slack must not
+    # hide behind that number
     prog = build_primal(PROBLEMS["deutsch"], 0, 0.1)
     point = {b.name: np.zeros((b.dim, b.dim)) for b in prog.blocks}
     point["success_slack_11"] = np.full((1, 1), np.nan)
@@ -1198,3 +1199,18 @@ def test_verify_point_reports_a_nan_slack():
     assert math.isnan(rep.max_residual)
     assert math.isnan(rep.min_block_eig)
     assert not rep.within(5.0)
+
+
+def test_verify_point_reports_a_nan_psd_row():
+    # a PSD row's residual is its least eigenvalue's negative part, which
+    # must keep a NaN: the zero point of parity's relaxed witness program at
+    # q=1, eps 0.1 meets every row, and a NaN init multiplier spoils rho_0's
+    # row
+    prog = build_dual_relaxed(PROBLEMS["deutsch"], 1, 0.1)
+    point = {b.name: np.zeros((b.dim, b.dim)) for b in prog.blocks}
+    assert verify_point(prog, point).row_residuals == {"rho_0": 0.0}
+    point["init"] = np.full((1, 1), np.nan)
+    rep = verify_point(prog, point)
+    assert math.isnan(rep.row_residuals["rho_0"])
+    assert math.isnan(rep.max_residual)
+    assert not rep.within(1e-6)
