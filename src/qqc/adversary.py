@@ -36,7 +36,6 @@ __all__ = [
     "WitnessError",
     "spectral_bound",
     "make_dual_witness",
-    "check_block_schur_identity",
     "search_gamma",
     "perron_vector",
 ]
@@ -194,26 +193,6 @@ def make_dual_witness(p: QueryProblem, gamma, q: int, eps: float) -> dict[str, n
             f"bound {report.bound:.6g}, q {q}"
         )
     return witness
-
-
-def check_block_schur_identity(z: np.ndarray, m: np.ndarray, x: np.ndarray) -> float:
-    """Deviation of conjugation from commuting with the block-pattern product.
-
-    Measures ||Z†((M (x) E) * X) Z - (M (x) E) * (Z† X Z)||_F, which vanishes
-    when Z is block-diagonal with blocks indexed like M's rows, and is
-    generically positive otherwise.
-    """
-    z = np.asarray(z, dtype=complex)
-    m = np.asarray(m, dtype=complex)
-    x = np.asarray(x, dtype=complex)
-    s = m.shape[0]
-    if z.shape[0] % s != 0:
-        raise ValueError(f"cannot split dim {z.shape[0]} into {s} blocks")
-    n = z.shape[0] // s
-    pattern = np.kron(m, np.ones((n, n)))
-    lhs = z.conj().T @ (pattern * x) @ z
-    rhs = pattern * (z.conj().T @ x @ z)
-    return float(np.linalg.norm(lhs - rhs))
 
 
 def search_gamma(p: QueryProblem, eps: float) -> tuple[np.ndarray, AdversaryReport]:

@@ -54,9 +54,10 @@ block's d(d+1)/2 real symmetric coordinates: a float packed buffer and float
 Jacobian has half the columns. Points and certificates expand back to
 complex blocks with zero imaginary parts, so `verify_point`, `_certify`,
 reconstruction and the SDPA export all read the full program, and a real
-problem's rebuilt protocol is real. Where the real polish stalls within
-_REAL_STALL of a point it cannot finish, the decision restarts on every
-coordinate on the same check schedule. The fixtures split at every q; the
+problem's rebuilt protocol is real. A real problem on its boundary, whose
+real polish stalls within _STALL of a point it cannot finish, is finished
+by the polish padding again on the same coordinates (see `_face_polish`),
+so the decision never leaves them. The fixtures split at every q; the
 Pauli and Weyl families split at q = 0 only.
 
 Infeasibility is reported only with a Farkas certificate: one multiplier
@@ -173,16 +174,16 @@ _POLISH_GATE = 5e-2
 # FEASIBLE means polished: reconstruction's 1e-6 Gram check turned a 3e-8
 # unpolished residual into a 2.8e-5 miss.
 _POLISHED_TOL = 1e-10
-# A real-form polish that lands at or below this, but above _POLISHED_TOL,
-# has stalled near a point it cannot finish, and the decision goes on over
-# every coordinate. all-equal (3 bits) q=1 eps 0.1 sits on its boundary (no
-# Slater point): its real polish stalls at 4e-8 to 7e-7 at most checks on
-# seeds 0-9, and never finishes within 50 000 sweeps on seeds 5 and 8, while
-# the complex polish finishes by 128 sweeps there; a real solution needs a
-# second-order eigenvalue near 2e-8 that a complex one of lower rank holds as
-# a first-order imaginary part. The polish of the infeasible rotations near
-# their boundary (theta 0.28-0.305, q=3, eps 0.1) lands at 1e-3 to 9e-3.
-_REAL_STALL = 1e-5
+# A polish whose lean and padded rungs land at or below this, but above
+# _POLISHED_TOL, has stalled next to a point it cannot finish for want of a
+# factor direction, and pads again (see `_face_polish`). all-equal (3 bits)
+# q=1 eps 0.1 sits on its boundary (no Slater point). Over solver seeds 0-99
+# its real form's padded rung finished 17 polishes, landed at 1.5e-10 to
+# 4.5e-7 in 87 and at 2.5e-4 or above in 80; padding again decides every
+# seed (seed 0 at 128 sweeps: 2.4e-7, then 4.2e-10, then 6.2e-11). The
+# infeasible rotations near their boundary (theta 0.3 and 0.305, q=3, eps
+# 0.1) polish to 6.5e-4 to 3.4e-3, above the window, so they pad no more.
+_STALL = 1e-5
 # Rank guess: eigenvalues below this fraction of a block's largest are
 # taken as spurious.
 _FACE_REL_TOL = 1e-5
@@ -579,12 +580,11 @@ class _Engine:
                 if b.dim > 1 else None for b, off in zip(self.blocks, self.block_off)]
 
 
-def _engine(prog: ConicFeasibilityProgram, real_form: bool = True) -> _Engine:
+def _engine(prog: ConicFeasibilityProgram) -> _Engine:
     """The engine of an existence program: on the real form when the
-    assembled (A, b) splits and `real_form` allows it, on every coordinate
-    otherwise."""
+    assembled (A, b) splits, on every coordinate otherwise."""
     a, b, block_off = assemble(prog.blocks, prog.rows)
-    split = _real_form(prog.blocks, prog.rows, a, b) if real_form else None
+    split = _real_form(prog.blocks, prog.rows, a, b)
     if split is None:
         return _Engine(prog.blocks, a, b, block_off)
     rm, cm = split
@@ -794,23 +794,29 @@ def _guess_factors(eng: _Engine, x: np.ndarray, extra: int, res: float) -> tuple
 def _face_polish(eng: _Engine, x: np.ndarray) -> np.ndarray:
     """Polish a near-feasible point to machine precision at guessed block ranks.
 
-    Two rank guesses, leanest first: the exact guess gives quadratic
+    Rank guesses, leanest first: the exact guess gives quadratic
     convergence, while the one padded by a direction costs more per step but
     avoids the rank-deficient local minima a too-lean factorization can wedge
-    into. A wrong guess is harmless because only improvements are kept.
+    into. A point the padded rung leaves within _STALL, but above
+    _POLISHED_TOL, lacks a further direction: the polish pads again from the
+    improved point while each new rung lowers the residual. A wrong guess is
+    harmless because only improvements are kept.
     """
 
     def residual(v: np.ndarray) -> float:
         return float(np.linalg.norm(eng.a @ v - eng.b, ord=np.inf))
 
     best, best_res = x, residual(x)
-    for extra in (0, 1):
-        if best_res < 1e-13:
-            break
+    extra = 0
+    while best_res >= 1e-13:
         cand = _gauss_newton(eng, *_guess_factors(eng, best, extra, best_res))
         res = residual(cand)
-        if res < best_res:
+        improved = res < best_res
+        if improved:
             best, best_res = cand, res
+        if extra and not (improved and _POLISHED_TOL < best_res <= _STALL):
+            break
+        extra = 1
     return best
 
 
@@ -932,17 +938,9 @@ def _decide(witness: ConicFeasibilityProgram,
         if max(res.values(), default=0.0) <= _POLISH_GATE:
             polished = _face_polish(eng, cand)
             pres = residuals(polished)
-            worst = max(pres.values(), default=0.0)
-            if worst <= _POLISHED_TOL:
+            if max(pres.values(), default=0.0) <= _POLISHED_TOL:
                 return FeasibilityOutcome("FEASIBLE", _split(prog.blocks, polished, eng.real), None,
                                           pres, it), None
-            if eng.real and worst <= _REAL_STALL:
-                # restart over every coordinate, from the start a program
-                # that does not split takes, on the same check schedule
-                eng = _engine(prog, real_form=False)
-                x = 0.1 * np.random.default_rng(cfg.seed).standard_normal(eng.n_cols)
-                s = None
-                continue
         y = None
         if s is None:
             # cand - P_L(cand) = A^T w tends to -v for the minimal gap vector

@@ -1,5 +1,8 @@
 """Shared fixtures: the four reference problems, the three non-commuting
-families and a session-wide solve cache."""
+families, the two start-face problems, a session-wide solve cache and the
+block Schur identity check."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -46,6 +49,15 @@ def _families() -> dict[str, QueryProblem]:
 
 
 FAMILIES = _families()
+
+_BITS = ["".join(b) for b in itertools.product("01", repeat=3)]
+# Two 3-bit phase-query problems on which the start state's face matters:
+# xor12 (g = x1 xor x2) and all-equal (g = 1 exactly when x1 = x2 = x3). They
+# stay out of FAMILIES, so the per-family tests do not grow.
+START_FACE_PROBLEMS = {
+    "xor12": phase_query_problem(3, {x: str(int(x[0]) ^ int(x[1])) for x in _BITS}),
+    "all_equal": phase_query_problem(3, {x: str(int(len(set(x)) == 1)) for x in _BITS}),
+}
 
 BUILDERS = {
     "primal": build_primal,
@@ -119,3 +131,23 @@ def random_valid_gamma(p: QueryProblem, rng: np.random.Generator) -> np.ndarray:
                 w = float(rng.uniform(0.1, 2.0))
                 gam[i, j] = gam[j, i] = w
     return gam
+
+
+def check_block_schur_identity(z: np.ndarray, m: np.ndarray, x: np.ndarray) -> float:
+    """Deviation of conjugation from commuting with the block-pattern product.
+
+    Measures ||Z†((M (x) E) * X) Z - (M (x) E) * (Z† X Z)||_F, which vanishes
+    when Z is block-diagonal with blocks indexed like M's rows, and is
+    generically positive otherwise.
+    """
+    z = np.asarray(z, dtype=complex)
+    m = np.asarray(m, dtype=complex)
+    x = np.asarray(x, dtype=complex)
+    s = m.shape[0]
+    if z.shape[0] % s != 0:
+        raise ValueError(f"cannot split dim {z.shape[0]} into {s} blocks")
+    n = z.shape[0] // s
+    pattern = np.kron(m, np.ones((n, n)))
+    lhs = z.conj().T @ (pattern * x) @ z
+    rhs = pattern * (z.conj().T @ x @ z)
+    return float(np.linalg.norm(lhs - rhs))

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from qqc.adversary import make_dual_witness, spectral_bound
-from qqc.adversary import check_block_schur_identity
 from qqc.cli import main
 from qqc.problem import build_omega, problem_to_dict
 from qqc.programs import build_dual_relaxed, build_primal
@@ -25,6 +24,7 @@ from conftest import (
     BUILDERS,
     FEASIBLE_CELLS,
     PROBLEMS,
+    check_block_schur_identity,
     hand_deutsch_algorithm,
     random_valid_gamma,
 )

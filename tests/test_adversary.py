@@ -3,11 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import FAMILIES, PROBLEMS, random_valid_gamma
+from conftest import FAMILIES, PROBLEMS, check_block_schur_identity, random_valid_gamma
 import qqc.adversary
 from qqc.adversary import (
     WitnessError,
-    check_block_schur_identity,
     make_dual_witness,
     perron_vector,
     search_gamma,

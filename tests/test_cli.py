@@ -19,7 +19,7 @@ from qqc.reconstruct import algorithm_to_dict
 from qqc.simulate import QuantumQueryAlgorithm, run
 from qqc.solver import FeasibilityOutcome
 
-from conftest import PROBLEMS, hand_deutsch_algorithm
+from conftest import PROBLEMS, START_FACE_PROBLEMS, hand_deutsch_algorithm
 
 
 @pytest.fixture
@@ -275,6 +275,22 @@ def test_reconstruct_writes_protocol(problem_file, tmp_path, capsys):
     assert code == 0
     assert rep["status"] == "PASS"
     assert rep["results"]["success"]["min_success"] >= 1.0 - 1e-6
+
+
+def test_reconstruct_writes_a_real_protocol_for_a_real_problem(tmp_path, capsys):
+    # all-equal's program at q=1, eps 0.1 is real and sits on its boundary;
+    # at the default seed its polish stalls on the real form and pads again
+    # there, so the protocol it rebuilds is real
+    prob, out = tmp_path / "all_equal.json", tmp_path / "alg.json"
+    prob.write_text(json.dumps(problem_to_dict(START_FACE_PROBLEMS["all_equal"])))
+    argv = ["reconstruct", str(prob), "--q", "1", "--eps", "0.1", "--seed", "0", "--out", str(out)]
+    assert main(argv) == 0
+    assert _report(capsys)["status"] == "OK"
+    data = json.loads(out.read_text())
+    mats = data["unitaries"] + list(data["projectors"].values())
+    assert all(x == 0 for m in mats for row in m["im"] for x in row)
+    assert main(["simulate", str(prob), "--alg", str(out), "--eps", "0.1"]) == 0
+    assert _report(capsys)["status"] == "PASS"
 
 
 def test_reconstruct_rewrites_a_longer_file_in_place(problem_file, tmp_path, capsys):

@@ -4,26 +4,19 @@ xor12 (g = x1 ⊕ x2) and all-equal (g = 1 exactly when x1 = x2 = x3) are
 feasible at q=1, eps 0.1, and their existence programs must say so at
 solver seeds 0-9, and their exact witness programs must be certified at
 seeds 0-2; all-equal at eps 0 is infeasible, and its certificate must be
-a strictly feasible witness point at s=8, n=3. Both problems stay out of
-the shared FAMILIES, so the per-family tests do not grow.
+a strictly feasible witness point at s=8, n=3. Both problems live in
+conftest's START_FACE_PROBLEMS.
 """
-
-import itertools
 
 import pytest
 
-from qqc.problem import phase_query_problem
 from qqc.programs import build_dual, build_primal
 from qqc.reconstruct import reconstruct_algorithm
 from qqc.simulate import run, success_report, trace_to_primal_point
 from qqc import solver
 from qqc.solver import SolverConfig, solve, verify_point
 
-_BITS = ["".join(b) for b in itertools.product("01", repeat=3)]
-START_FACE_PROBLEMS = {
-    "xor12": phase_query_problem(3, {x: str(int(x[0]) ^ int(x[1])) for x in _BITS}),
-    "all_equal": phase_query_problem(3, {x: str(int(len(set(x)) == 1)) for x in _BITS}),
-}
+from conftest import START_FACE_PROBLEMS
 
 
 @pytest.mark.parametrize("pname", sorted(START_FACE_PROBLEMS))
@@ -59,17 +52,17 @@ def test_all_equal_exact_certificate_lifts_to_a_witness():
     assert rep.strict_slack > 0
 
 
-@pytest.mark.parametrize("seed", [5, 8])
-def test_a_stalled_real_polish_goes_on_over_every_coordinate(seed):
+@pytest.mark.parametrize("seed", [5, 8, 22])
+def test_a_stalled_real_polish_pads_again_on_the_real_form(seed):
     # all-equal at q=1, eps 0.1 is real and sits on its boundary: at these
-    # seeds the real form's polish stalls within _REAL_STALL of points it
-    # cannot finish, so the decision restarts on every coordinate, on the
-    # same check schedule, and the complex form's point is the answer
+    # seeds its padded rung stalls within _STALL of points it cannot finish,
+    # and padding again from there finishes on the real coordinates, at a
+    # check of the usual schedule
     prog = build_primal(START_FACE_PROBLEMS["all_equal"], 1, 0.1)
     assert solver._engine(prog).real
     out = solve(prog, SolverConfig(seed=seed))
     assert out.status == "FEASIBLE"
+    assert not any(m.imag.any() for m in out.point.values())
+    assert verify_point(prog, out.point).within(1e-10)
     checks = out.iterations // solver._FIRST_CHECK
     assert out.iterations % solver._FIRST_CHECK == 0 and checks & (checks - 1) == 0
-    assert any(m.imag.any() for m in out.point.values())
-    assert verify_point(prog, out.point).within(1e-10)
