@@ -22,13 +22,12 @@ from . import __version__
 from .adversary import WitnessError, make_dual_witness, search_gamma, spectral_bound
 from .problem import QueryProblem, problem_from_dict, validate
 from .programs import (
-    ConicFeasibilityProgram,
     _check_q_eps,
-    _query_chain,
     build_dual,
     build_dual_relaxed,
     build_primal,
     build_primal_relaxed,
+    chain_program,
 )
 from .reconstruct import (
     ReconstructionError,
@@ -288,7 +287,7 @@ def cmd_simulate(args) -> tuple[int, str, dict]:
     rep = success_report(trace, p, args.eps)
     # the query chain into the run's own final Gram matrix: how the shares
     # split it is the success floor's question, which rep.passed judges
-    chain = ConicFeasibilityProgram(*_query_chain(p, alg.q))
+    chain = chain_program(p, alg.q)
     point = dict(_primal_point(trace, p, alg, args.eps), final_gram=trace.grams[alg.q])
     check = verify_point(chain, point)
     payload = {

@@ -8,6 +8,9 @@ instance validates and builds it once, on first use, as its `omega`. Beside it,
 also built once, it keeps `differences`: the s·n x s·n matrix whose block
 (x, y) is I - U_x U_y†, formed as W - Omega W Omega† with W = J_s ⊗ I_n. A
 weighting's adversary matrix is its blockwise scaling (see `qqc.adversary`).
+Its third build-once field, `programs`, holds the read-only programs built
+on it, one per (builder, q, eps) (see `qqc.programs`): a copy made with
+`dataclasses.replace` starts with none, and they are freed with the problem.
 """
 
 from __future__ import annotations
@@ -56,6 +59,11 @@ class QueryProblem:
         diff = wide - self.omega @ wide @ self.omega.conj().T
         diff.flags.writeable = False
         return diff
+
+    @functools.cached_property
+    def programs(self) -> dict:
+        """The programs built on this instance, keyed by (builder, q, eps)."""
+        return {}
 
     @property
     def size(self) -> int:

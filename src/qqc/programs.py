@@ -53,12 +53,23 @@ free multiplier. A certificate of an existence program is then a witness
 point as it stands, and the witness blocks carry the existence rows' names;
 the witness program keeps its existence program, which the solver decides
 in its place.
+
+A program is a pure function of (problem, q, eps), so each builder makes
+it once: the first call stores it in the problem's `programs` dict, beside
+`omega` and `differences`, under (builder, q, eps), and every later call
+returns that object (`_built_once`); a witness program's `existence` is
+the cached existence program itself. Callers share programs, so programs
+are read-only: frozen blocks, rows and programs, tuples of blocks, rows
+and terms, and read-only right-hand sides. Only programs are cached, never
+an assembled operator: `solve` and `export_sdpa` assemble on every call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +86,7 @@ __all__ = [
     "build_primal_relaxed",
     "build_dual",
     "build_dual_relaxed",
+    "chain_program",
     "pair_name",
     "share_maps",
 ]
@@ -153,29 +165,41 @@ def _trace_against(c: np.ndarray, scale: float = 1.0) -> BlockMap:
     return BlockMap("trace_against", d_in=c.shape[0], d_out=1, scale=scale, mat=np.asarray(c, dtype=complex))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Block:
     name: str
     dim: int
     psd: bool
 
 
-@dataclass
+@dataclass(frozen=True)
 class Row:
+    """A read-only row: its terms become a tuple and its rhs read-only."""
+
     name: str
     dim: int
-    terms: list[tuple[int, BlockMap]]
+    terms: tuple[tuple[int, BlockMap], ...]
     rhs: np.ndarray
     sense: str = "eq"  # eq | psd | strict
 
+    def __post_init__(self):
+        object.__setattr__(self, "terms", tuple(self.terms))
+        self.rhs.flags.writeable = False
 
-@dataclass
+
+@dataclass(frozen=True)
 class ConicFeasibilityProgram:
-    blocks: list[Block]
-    rows: list[Row]
+    """A read-only program: its blocks and rows become tuples."""
+
+    blocks: tuple[Block, ...]
+    rows: tuple[Row, ...]
     # the existence program this one is the witness program of; only
     # `_farkas_alternative` sets it
     existence: ConicFeasibilityProgram | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "blocks", tuple(self.blocks))
+        object.__setattr__(self, "rows", tuple(self.rows))
 
     def row_value(self, row: Row, point: dict[str, np.ndarray]) -> np.ndarray:
         """The row's map applied to the point's blocks.
@@ -206,6 +230,27 @@ def pair_name(p: QueryProblem, pair: tuple[int, int]) -> str:
     return f"{p.labels[pair[0]]}|{p.labels[pair[1]]}"
 
 
+def _built_once(build):
+    """`build(p, q, *eps)`, validated, made once per problem and shared.
+
+    The call checks (q, eps) with `_check_q_eps` and turns q into an int,
+    so that a numpy integer q builds the same program as the int and
+    shares its entry. It then returns the program stored in `p.programs`
+    under (builder, q, eps), or builds it and stores it there.
+    """
+
+    @functools.wraps(build)
+    def built_once(p: QueryProblem, q: int, *eps: float) -> ConicFeasibilityProgram:
+        _check_q_eps(q, *eps)
+        key = (build.__name__, operator.index(q), *eps)
+        prog = p.programs.get(key)
+        if prog is None:
+            prog = p.programs[key] = build(p, *key[1:])
+        return prog
+
+    return built_once
+
+
 def _query_chain(
     p: QueryProblem, q: int, last: list[tuple[Block, BlockMap]] | None = None
 ) -> tuple[list[Block], list[Row]]:
@@ -216,11 +261,10 @@ def _query_chain(
     Blocks: at q >= 1 the start state rho_0 on the query register, then the
     joint-register states after t queries (0 < t < q), then the blocks of
     `last`, whose images under their maps sum to the final Gram matrix (by
-    default one s x s block final_gram, with which `backward_chain` and
-    `qqc simulate` check a run's final Gram matrix); they come first, so
-    their indices are final. Rows: the initial condition (tr rho_0 = 1, or
-    final Gram matrix = J at q = 0) and the query-update chain into the
-    final Gram matrix; an empty `last` at q >= 1 leaves out that last row.
+    default one s x s block final_gram, as in `chain_program`); they come
+    first, so their indices are final. Rows: the initial condition
+    (tr rho_0 = 1, or final Gram matrix = J at q = 0) and the query-update
+    chain into the final Gram matrix; an empty `last` at q >= 1 leaves out that last row.
     At q = 0, when every map of `last` is the face map [[c]] -> c·J/s, the
     initial condition is the 1x1 row sum c = s, J's one coordinate on the
     face; any other map keeps it s x s. J ⊗ rho_0
@@ -250,6 +294,16 @@ def _query_chain(
         elif final:
             rows.append(Row("final_gram_def", s, final + [prev], zeros))
     return blocks, rows
+
+
+@_built_once
+def chain_program(p: QueryProblem, q: int) -> ConicFeasibilityProgram:
+    """The query chain into one s x s final_gram block, with no output rows.
+
+    `backward_chain` and `qqc simulate` check a run's chain states and its
+    final Gram matrix against it.
+    """
+    return ConicFeasibilityProgram(*_query_chain(p, q))
 
 
 def _query_read(p: QueryProblem, t: int) -> np.ndarray:
@@ -282,6 +336,7 @@ def share_maps(p: QueryProblem, eps: float, q: int) -> dict[str, BlockMap]:
     }
 
 
+@_built_once
 def build_primal(p: QueryProblem, q: int, eps: float) -> ConicFeasibilityProgram:
     """Existence program for a q-query protocol with per-instance success >= 1 - eps.
 
@@ -301,7 +356,6 @@ def build_primal(p: QueryProblem, q: int, eps: float) -> ConicFeasibilityProgram
     [[c_z]] with G_z = c_z·J/s, init is the 1x1 row sum_z c_z = s, and
     success row i reads slack - c_{g(i)}/s = eps - 1.
     """
-    _check_q_eps(q, eps)
     s = p.size
     p.omega  # validates p, whose g share_maps reads
     maps = share_maps(p, eps, q)
@@ -322,6 +376,7 @@ def build_primal(p: QueryProblem, q: int, eps: float) -> ConicFeasibilityProgram
     return ConicFeasibilityProgram(blocks, rows)
 
 
+@_built_once
 def build_primal_relaxed(p: QueryProblem, q: int, eps: float) -> ConicFeasibilityProgram:
     """Necessary-condition program: pairwise near-orthogonality at the end.
 
@@ -341,7 +396,6 @@ def build_primal_relaxed(p: QueryProblem, q: int, eps: float) -> ConicFeasibilit
     margin is 0 and that slack could only be 0: each pair row is the
     equality -E† G E = -I, with no slack block.
     """
-    _check_q_eps(q, eps)
     s, n = p.size, p.n
     face = _face_of_j(s)
     blocks, rows = _query_chain(p, q, [] if q else [(Block("final_gram", 1, True), face)])
@@ -400,6 +454,7 @@ def _farkas_alternative(prog: ConicFeasibilityProgram) -> ConicFeasibilityProgra
     return ConicFeasibilityProgram(blocks, rows, existence=prog)
 
 
+@_built_once
 def build_dual(p: QueryProblem, q: int, eps: float) -> ConicFeasibilityProgram:
     """Infeasibility-witness program: the Farkas alternative of `build_primal`.
 
@@ -416,6 +471,7 @@ def build_dual(p: QueryProblem, q: int, eps: float) -> ConicFeasibilityProgram:
     return _farkas_alternative(build_primal(p, q, eps))
 
 
+@_built_once
 def build_dual_relaxed(p: QueryProblem, q: int, eps: float) -> ConicFeasibilityProgram:
     """Witness program: the Farkas alternative of `build_primal_relaxed`.
 
@@ -430,7 +486,7 @@ def build_dual_relaxed(p: QueryProblem, q: int, eps: float) -> ConicFeasibilityP
     return _farkas_alternative(build_primal_relaxed(p, q, eps))
 
 
-def _check_q_eps(q: int, eps: float) -> None:
+def _check_q_eps(q: int, eps: float = 0.0) -> None:
     if isinstance(q, bool) or not isinstance(q, numbers.Integral) or q < 0:
         raise ValueError(f"query count must be a nonnegative integer, got {q}")
     if not 0.0 <= eps < 1.0:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .linalg import align_purifications, hermitize, purify
 from .problem import QueryProblem, _json_int, matrix_from_dict, matrix_to_dict
-from .programs import ConicFeasibilityProgram, _query_chain, build_primal, share_maps
+from .programs import build_primal, chain_program, share_maps
 from .simulate import PROTOCOL_TOL, QuantumQueryAlgorithm, _query
 from .solver import FeasibilityOutcome, SolverConfig, solve, verify_point
 
@@ -150,7 +150,7 @@ def backward_chain(
     coordinates belong to p.outputs[0].
     """
     s, n = p.size, p.n
-    prog = ConicFeasibilityProgram(*_query_chain(p, q))
+    prog = chain_program(p, q)
     vectors, owner = finals
     coeffs = []
     for blk in prog.blocks[:q]:

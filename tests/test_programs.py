@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,11 @@ from qqc.programs import (
     build_dual_relaxed,
     build_primal,
     build_primal_relaxed,
+    chain_program,
     pair_name,
 )
 from qqc.linalg import partial_trace
+from qqc.sdpa import export_sdpa
 from qqc.solver import assemble, verify_point
 
 from conftest import FAMILIES, PROBLEMS
@@ -416,3 +420,86 @@ def test_certificates_are_witness_points(cached_solve):
                     assert rep.min_block_eig >= -1e-8, case
                     assert rep.strict_slack > 0, case
     assert seen == 20
+
+
+# The program cache: a builder makes each program once per problem, and
+# callers share it read-only.
+_ALL_BUILDS = (build_primal, build_primal_relaxed, build_dual, build_dual_relaxed)
+
+
+@pytest.mark.parametrize("pname", ["deutsch", "pauli_id"])
+@pytest.mark.parametrize("q", [0, 1])
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+@pytest.mark.parametrize("build", _ALL_BUILDS)
+def test_a_builder_returns_one_program_per_question(pname, q, eps, build):
+    p = ALL[pname]
+    prog = build(p, q, eps)
+    assert build(p, q, eps) is prog
+    assert p.programs[(build.__name__, q, eps)] is prog
+
+
+@pytest.mark.parametrize("q", [0, 1, 2])
+def test_chain_program_is_built_once(deutsch, q):
+    prog = chain_program(deutsch, q)
+    assert chain_program(deutsch, q) is prog
+    assert [b.name for b in prog.blocks][-1] == "final_gram"
+
+
+@pytest.mark.parametrize("q", [0, 1])
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+def test_a_witness_program_holds_the_cached_existence_program(q, eps):
+    for p in (ALL["deutsch"], ALL["pauli_id"]):
+        assert build_dual(p, q, eps).existence is build_primal(p, q, eps)
+        assert build_dual_relaxed(p, q, eps).existence is build_primal_relaxed(p, q, eps)
+
+
+@pytest.mark.parametrize("q, eps", [(1.0, 0.1), (1, 1.0)])
+def test_a_rejected_question_leaves_no_entry(deutsch, q, eps):
+    p = dataclasses.replace(deutsch)
+    for build in _ALL_BUILDS:
+        with pytest.raises(ValueError):
+            build(p, q, eps)
+    with pytest.raises(ValueError):
+        chain_program(p, 1.0)
+    assert p.programs == {}
+
+
+@pytest.mark.parametrize("build", _ALL_BUILDS)
+@pytest.mark.parametrize("q", [0, 1, 2])
+def test_a_numpy_integer_q_shares_the_int_program(deutsch, build, q):
+    assert build(deutsch, np.int64(q), 0.1) is build(deutsch, q, 0.1)
+    assert build(deutsch, np.int64(q), 0.0) is build(deutsch, q, 0.0)
+    assert all(type(key[1]) is int for key in deutsch.programs)
+
+
+def test_a_copied_problem_builds_its_own_programs(deutsch, tmp_path):
+    # dataclasses.replace starts the copy with an empty cache; its program
+    # is a new object with the same SDPA bytes
+    prog = build_primal(deutsch, 1, 0.1)
+    copy = dataclasses.replace(deutsch)
+    assert copy.programs == {}
+    other = build_primal(copy, 1, 0.1)
+    assert other is not prog and build_primal(copy, 1, 0.1) is other
+    export_sdpa(prog, str(tmp_path / "a.dat-s"))
+    export_sdpa(other, str(tmp_path / "b.dat-s"))
+    assert (tmp_path / "a.dat-s").read_bytes() == (tmp_path / "b.dat-s").read_bytes()
+
+
+@pytest.mark.parametrize("build", _ALL_BUILDS)
+@pytest.mark.parametrize("q", [0, 1])
+def test_a_cached_program_is_read_only(deutsch, build, q):
+    prog = build(deutsch, q, 0.1)
+    row, block = prog.rows[0], prog.blocks[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        prog.rows = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        row.rhs = np.zeros_like(row.rhs)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        block.dim = 1
+    with pytest.raises(AttributeError):
+        prog.rows.append(row)
+    with pytest.raises(AttributeError):
+        row.terms.append(row.terms[0])
+    for r in prog.rows:
+        with pytest.raises(ValueError, match="read-only"):
+            r.rhs[0, 0] = 7.0

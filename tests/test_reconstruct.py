@@ -17,7 +17,7 @@ from qqc.reconstruct import (
     validate_algorithm,
 )
 from qqc.linalg import align_purifications, partial_trace
-from qqc.programs import ConicFeasibilityProgram, _query_chain, share_maps
+from qqc.programs import chain_program, share_maps
 from qqc.solver import verify_point
 from qqc.simulate import run, success_report
 
@@ -88,7 +88,7 @@ def test_output_sdp_shares(deutsch, cached_solve):
     out = cached_solve("deutsch", "primal", 1, 0.0)
     shares = _shares(deutsch, out.point, 0.0, 1)
     m = sum(shares.values())
-    chain = ConicFeasibilityProgram(*_query_chain(deutsch, 1))
+    chain = chain_program(deutsch, 1)
     assert verify_point(chain, dict(out.point, final_gram=m)).max_residual <= 1e-10
     vectors, _ = extract_final_states(deutsch, shares, 0.0)
     assert reconstruct_algorithm(deutsch, 1, 0.0).extracted_dim == vectors.shape[1]
