@@ -89,7 +89,7 @@ def _check_weight(p: QueryProblem, gamma) -> np.ndarray:
         raise ValueError("weight matrix entries must be nonnegative")
     if not g.any():
         raise ValueError("weight matrix must be nonzero")
-    out = np.array([p.outputs.index(p.g[lab]) for lab in p.labels])
+    out = p.output_index
     bad = np.argwhere((g != 0.0) & (out[:, None] == out[None, :]))
     if len(bad):
         i, j = bad[0]  # row-major, the first offending pair

@@ -11,6 +11,8 @@ weighting's adversary matrix is its blockwise scaling (see `qqc.adversary`).
 Its third build-once field, `programs`, holds the read-only programs built
 on it, one per (builder, q, eps) (see `qqc.programs`): a copy made with
 `dataclasses.replace` starts with none, and they are freed with the problem.
+The fourth, `output_index`, holds the index in `outputs` of each input's
+output, which the weight check and the reconstruction read.
 """
 
 from __future__ import annotations
@@ -59,6 +61,14 @@ class QueryProblem:
         diff = wide - self.omega @ wide @ self.omega.conj().T
         diff.flags.writeable = False
         return diff
+
+    @functools.cached_property
+    def output_index(self) -> np.ndarray:
+        """Read-only index in `outputs` of g(x) for each input x, in label order."""
+        self.omega  # validates self, so that g is total and lands in outputs
+        index = np.array([self.outputs.index(self.g[lab]) for lab in self.labels], dtype=np.intp)
+        index.flags.writeable = False
+        return index
 
     @functools.cached_property
     def programs(self) -> dict:

@@ -60,8 +60,18 @@ it once: the first call stores it in the problem's `programs` dict, beside
 returns that object (`_built_once`); a witness program's `existence` is
 the cached existence program itself. Callers share programs, so programs
 are read-only: frozen blocks, rows and programs, tuples of blocks, rows
-and terms, and read-only right-hand sides. Only programs are cached, never
-an assembled operator: `solve` and `export_sdpa` assemble on every call.
+and terms, and read-only right-hand sides.
+
+What is computed from a program alone is then computed once too, and kept
+in the program's `derived` dict (`_derived`): each row's terms grouped by
+signature, with their mats and scales stacked, which `row_value` applies;
+the witness program `_farkas_alternative` generates, so that `build_dual`
+and a solve of the existence program share one; and, in `qqc.solver`, the
+assembled (A, b) and the projection engine on it, which every solve and
+the SDPA export read. Like `QueryProblem.programs`, `derived` is not a
+field: a copy made with `dataclasses.replace` starts with none of it. A
+witness program and its existence program refer to each other, so their
+derived data go with the cyclic garbage collector once the problem goes.
 """
 
 from __future__ import annotations
@@ -201,29 +211,78 @@ class ConicFeasibilityProgram:
         object.__setattr__(self, "blocks", tuple(self.blocks))
         object.__setattr__(self, "rows", tuple(self.rows))
 
+    @functools.cached_property
+    def derived(self) -> dict:
+        """What is computed from this program alone, by name (see `_derived`)."""
+        return {}
+
     def row_value(self, row: Row, point: dict[str, np.ndarray]) -> np.ndarray:
         """The row's map applied to the point's blocks.
 
         Terms with one signature (kind, dims, split, mat shape) go through
-        one stacked `BlockMap.apply`: a relaxed witness row reads every
-        pair block through congruences of one shape.
+        one stacked `BlockMap.apply`, grouped and stacked once per program
+        (`_row_maps`): a relaxed witness row reads every pair block through
+        congruences of one shape.
         """
-        groups: dict[tuple, list[tuple[int, BlockMap]]] = {}
-        for bi, m in row.terms:
-            key = (m.kind, m.d_in, m.d_out, m.split, None if m.mat is None else m.mat.shape)
-            groups.setdefault(key, []).append((bi, m))
+        groups = _row_maps(self).get(id(row))
+        if groups is None:  # a row the program does not hold
+            groups = _group_terms(self, row)
         out = np.zeros((row.dim, row.dim), dtype=complex)
-        for terms in groups.values():
-            xs = [np.asarray(point[self.blocks[bi].name], dtype=complex) for bi, _ in terms]
-            if len(terms) == 1:
-                out += terms[0][1].apply(xs[0])
-                continue
-            m = terms[0][1]
+        for names, m in groups:
+            if len(names) == 1:
+                out += m.apply(np.asarray(point[names[0]], dtype=complex))
+            else:
+                xs = np.stack([np.asarray(point[name], dtype=complex) for name in names])
+                out += m.apply(xs).sum(axis=0)
+        return out
+
+
+def _derived(make):
+    """`make(prog)`, made once per program and shared.
+
+    The first call stores the result in `prog.derived` under make's name,
+    and every later call returns it. Only what is computed from the
+    read-only program alone goes there.
+    """
+
+    @functools.wraps(make)
+    def derived(prog: ConicFeasibilityProgram):
+        slot = prog.derived
+        if make.__name__ not in slot:
+            slot[make.__name__] = make(prog)
+        return slot[make.__name__]
+
+    return derived
+
+
+def _group_terms(prog: ConicFeasibilityProgram, row: Row) -> tuple[tuple[tuple[str, ...], BlockMap], ...]:
+    """The row's terms grouped by signature: the names of each group's
+    blocks, and its map, stacked when the group holds more than one term
+    (mats and scales stacked along a new leading axis, read-only)."""
+    groups: dict[tuple, list[tuple[int, BlockMap]]] = {}
+    for bi, m in row.terms:
+        key = (m.kind, m.d_in, m.d_out, m.split, None if m.mat is None else m.mat.shape)
+        groups.setdefault(key, []).append((bi, m))
+    out = []
+    for terms in groups.values():
+        names = tuple(prog.blocks[bi].name for bi, _ in terms)
+        m = terms[0][1]
+        if len(terms) > 1:
             mats = None if m.mat is None else np.stack([t.mat for _, t in terms])
             scales = np.array([t.scale for _, t in terms])[:, None, None]
-            stacked = BlockMap(m.kind, m.d_in, m.d_out, scales, mats, m.split)
-            out += stacked.apply(np.stack(xs)).sum(axis=0)
-        return out
+            for arr in (mats, scales):
+                if arr is not None:
+                    arr.flags.writeable = False
+            m = BlockMap(m.kind, m.d_in, m.d_out, scales, mats, m.split)
+        out.append((names, m))
+    return tuple(out)
+
+
+@_derived
+def _row_maps(prog: ConicFeasibilityProgram) -> dict[int, tuple]:
+    """`_group_terms` of every row of the program, keyed by the row's id;
+    the program holds its rows, so the ids stay theirs."""
+    return {id(row): _group_terms(prog, row) for row in prog.rows}
 
 
 def pair_name(p: QueryProblem, pair: tuple[int, int]) -> str:
@@ -417,8 +476,10 @@ def build_primal_relaxed(p: QueryProblem, q: int, eps: float) -> ConicFeasibilit
     return ConicFeasibilityProgram(blocks, rows)
 
 
+@_derived
 def _farkas_alternative(prog: ConicFeasibilityProgram) -> ConicFeasibilityProgram:
-    """The witness program of an existence program whose rows are equalities.
+    """The witness program of an existence program whose rows are equalities,
+    made once per existence program.
 
     The existence program asks for blocks X_j, PSD or free, with
     sum_j A_rj(X_j) = b_r on every row r. The witness asks for multipliers

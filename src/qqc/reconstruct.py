@@ -118,8 +118,8 @@ def extract_final_states(
     if gram_gap > PROTOCOL_TOL * max(1.0, top):
         raise ReconstructionError(f"extracted vectors mismatch the Gram matrix by {gram_gap:.3e}")
     owner = np.concatenate([np.full(f.shape[1], k) for k, f in enumerate(factors)])
-    for i, lab in enumerate(p.labels):
-        succ = float(np.sum(np.abs(vectors[i, owner == p.outputs.index(p.g[lab])]) ** 2))
+    for i, (lab, z) in enumerate(zip(p.labels, p.output_index)):
+        succ = float(np.sum(np.abs(vectors[i, owner == z]) ** 2))
         if succ < 1.0 - eps - PROTOCOL_TOL:
             raise ReconstructionError(
                 f"extracted state for {lab!r} succeeds with probability {succ:.9f}, "

@@ -3,9 +3,9 @@
 A program {A(x) = b, x in PSD product} is written in the SDPA dual
 convention: one scalar constraint tr(F_k Y) = c_k per real coordinate of
 each matrix row, with Y the block-diagonal variable and F_0 = 0 (pure
-feasibility). The F_k come from the solver's dense operator assembly
-`assemble`, the one the solver decides on: on block j, F_k is unhvec of
-row k of A restricted to block j's columns. Complex Hermitian blocks of
+feasibility). The F_k come from the solver's dense operator assembly, the
+one the solver decides on and keeps on the program (`solver._assembly`):
+on block j, F_k is unhvec of row k of A restricted to block j's columns. Complex Hermitian blocks of
 dimension > 1 are emitted at doubled size through the real-symmetric
 embedding
 
@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .programs import Block, BlockMap, ConicFeasibilityProgram, Row
-from .solver import assemble, unhvec
+from .solver import _assembly, unhvec
 
 __all__ = ["SdpaData", "export_sdpa", "parse_sdpa", "write_sdpa", "sdpa_to_program"]
 
@@ -108,7 +108,7 @@ def _constraint_matrices(prog: ConicFeasibilityProgram) -> SdpaData:
     entries along its row, by block and then row-major (i, j), and
     `np.nonzero` reads them off in the file's order.
     """
-    a, b, block_off = assemble(prog.blocks, prog.rows)
+    a, b, block_off = _assembly(prog)
     sizes = [blk.dim if blk.dim == 1 else 2 * blk.dim for blk in prog.blocks]
     tables = [_entries(blk.dim) for blk in prog.blocks]
     col = np.concatenate([t.coord + off for t, off in zip(tables, block_off)])

@@ -16,8 +16,13 @@ product). `assemble` builds the dense A and b from the program rows, each
 term's part with stacked calls of its map on Hermitian basis matrices: on
 the block's basis (columns) when the row is at least as large as the block,
 on the row's basis through the adjoint (rows) when it is smaller, in chunks
-of at most _ASSEMBLE_BUDGET complex entries. The SDPA export reads the same
-(A, b), and the polish reads its row matrices through `_row_matrices`.
+of at most _ASSEMBLE_BUDGET complex entries. A program is read-only, so it
+is assembled once (`_assembly`), and the engine on that assembly is built
+once (`_engine`): both stay in the program's `derived` dict, read-only,
+with its witness program, and every later solve and SDPA export of the
+program reads them. The SDPA export reads the same (A, b), and the polish
+reads its row matrices through `_row_matrices`, built at the first polish
+of the engine.
 The coordinate maps `hvec`/`unhvec` behind both are one gather each, between
 the coordinates and the float view of the complex matrix, through a table
 of positions and scales built once per matrix dimension; they act on stacks
@@ -127,7 +132,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import hermitize
-from .programs import Block, ConicFeasibilityProgram, Row, _farkas_alternative
+from .programs import Block, ConicFeasibilityProgram, Row, _derived, _farkas_alternative
 
 # LAPACK's stacked eigh as numpy's own wrapper calls it, without the
 # wrapper's per-call checks, casts and error state; a numpy without this
@@ -262,12 +267,14 @@ class _Coords(NamedTuple):
 
     The float view of a C-contiguous d x d complex matrix holds Re m[i, j] at
     2 (i d + j) and Im m[i, j] right after it; that of a real matrix holds
-    m[i, j] at i d + j. hvec gathers the view at `at` and multiplies by
-    `scale`; unhvec gathers the coordinates at `src`, multiplies by
-    `inv_scale` and zeroes the view at `diag_imag`.
+    m[i, j] at i d + j. hvec gathers the view at `at`, or that of the
+    transpose at `at_t`, and multiplies by `scale`; unhvec gathers the
+    coordinates at `src`, multiplies by `inv_scale` and zeroes the view at
+    `diag_imag`.
     """
 
     at: np.ndarray  # view position of each coordinate: diagonal, upper Re, upper Im
+    at_t: np.ndarray  # the same entries' positions in the view of the transpose
     scale: np.ndarray  # 1 on the diagonal, sqrt 2 off it
     src: np.ndarray  # the coordinate behind each view position
     inv_scale: np.ndarray  # 1 on the diagonal, 1/sqrt 2 off it, -1/sqrt 2 on lower Im
@@ -286,6 +293,7 @@ def _coords(d: int, real: bool = False) -> _Coords:
     up, low = w * (i * d + j), w * (j * d + i)
     off = np.arange(d, d + k)
     at = np.concatenate([diag, up] if real else [diag, up, up + 1])
+    at_t = np.concatenate([diag, low] if real else [diag, low, low + 1])
     src = np.zeros(w * d * d, dtype=np.intp)
     inv_scale = np.zeros(w * d * d)
     # the reciprocal: a multiply by it rounds each part as numpy's complex
@@ -297,7 +305,7 @@ def _coords(d: int, real: bool = False) -> _Coords:
     for pos, coord, c in parts:
         src[pos] = coord
         inv_scale[pos] = c
-    table = _Coords(at, np.concatenate([np.ones(d), np.full(len(at) - d, math.sqrt(2.0))]),
+    table = _Coords(at, at_t, np.concatenate([np.ones(d), np.full(len(at) - d, math.sqrt(2.0))]),
                     src, inv_scale, np.zeros(0, dtype=np.intp) if real else diag + 1)
     for arr in table:
         arr.flags.writeable = False
@@ -316,12 +324,18 @@ def hvec(m: np.ndarray) -> np.ndarray:
     imaginary parts of the strict upper triangle, row-major: one gather of
     the matrix's float view through the `_coords` table. Applies to the last
     two axes of m, so a stack of matrices gives the stack of their
-    coordinate vectors.
+    coordinate vectors. A transposed stack, such as a conjugate transpose,
+    is read where it lies, through the transpose's positions; any other
+    strided stack is copied first.
     """
-    m = np.ascontiguousarray(m, dtype=complex)
+    m = np.asarray(m, dtype=complex)
     d = m.shape[-1]
     t = _coords(d)
-    out = np.take(m.reshape(m.shape[:-2] + (d * d,)).view(float), t.at, axis=-1)
+    at = t.at
+    if not m.flags.c_contiguous and m.swapaxes(-1, -2).flags.c_contiguous:
+        m, at = m.swapaxes(-1, -2), t.at_t
+    m = np.ascontiguousarray(m)
+    out = np.take(m.reshape(m.shape[:-2] + (d * d,)).view(float), at, axis=-1)
     out *= t.scale
     return out
 
@@ -385,6 +399,15 @@ def assemble(blocks: list[Block], rows: list[Row]) -> tuple[np.ndarray, np.ndarr
                 hi = min(lo + step, dim * dim)
                 part[lo:hi] += hvec(side.apply(unhvec(np.eye(hi - lo, dim * dim, lo), dim)))
     return a, b, block_off[:-1]
+
+
+@_derived
+def _assembly(prog: ConicFeasibilityProgram) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """`assemble` of the program's blocks and rows, made once per program
+    and shared by its engine and the SDPA export, with A and b read-only."""
+    a, b, block_off = assemble(prog.blocks, prog.rows)
+    a.flags.writeable = b.flags.writeable = False
+    return a, b, block_off
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +492,7 @@ class _Engine:
         for d in sorted(groups):
             t = _coords(d, real)
             js = np.array(groups[d])
+            js.flags.writeable = False
             offs = np.array(block_off)[js][:, None]
             k, size = len(js), d * d
             place = self._floats * (start + size * np.arange(k))[:, None]  # each matrix in the float view
@@ -504,6 +528,11 @@ class _Engine:
         self._lift = a.T @ (v * np.where(w > cut, 1.0 / np.where(w > cut, w, 1.0), 0.0)) @ v.T
         # The row-space point whose pairing with A^T y is b^T y.
         self._x0 = self._lift @ b
+        # every solve of the program shares its engine (`_engine`), so what
+        # the engine derives is read-only; a and b are the caller's
+        for key, arr in vars(self).items():
+            if isinstance(arr, np.ndarray) and key not in ("a", "b"):
+                arr.flags.writeable = False
 
     def project_affine(self, x: np.ndarray) -> np.ndarray:
         return x + self._lift @ (self.b - self.a @ x)
@@ -575,20 +604,28 @@ class _Engine:
     @functools.cached_property
     def _row_mats(self) -> list[tuple[np.ndarray, np.ndarray] | None]:
         """`_row_matrices` of every block of dimension d > 1, built at the
-        first polish; None for a 1x1 block, whose rows read A as it stands."""
-        return [_row_matrices(self.a[:, off : off + _n_coords(b.dim, self.real)], b.dim, self.real)
+        first polish, read-only; None for a 1x1 block, whose rows read A as
+        it stands."""
+        mats = [_row_matrices(self.a[:, off : off + _n_coords(b.dim, self.real)], b.dim, self.real)
                 if b.dim > 1 else None for b, off in zip(self.blocks, self.block_off)]
+        for arr in itertools.chain.from_iterable(filter(None, mats)):
+            arr.flags.writeable = False
+        return mats
 
 
+@_derived
 def _engine(prog: ConicFeasibilityProgram) -> _Engine:
-    """The engine of an existence program: on the real form when the
-    assembled (A, b) splits, on every coordinate otherwise."""
-    a, b, block_off = assemble(prog.blocks, prog.rows)
+    """The engine of an existence program, made once per program and
+    shared by its solves: on the real form when the assembled (A, b)
+    splits, with A and b read-only, on the shared assembly otherwise."""
+    a, b, block_off = _assembly(prog)
     split = _real_form(prog.blocks, prog.rows, a, b)
     if split is None:
         return _Engine(prog.blocks, a, b, block_off)
     rm, cm = split
-    return _Engine(prog.blocks, a[np.ix_(rm, cm)], b[rm], _offsets(prog.blocks, True)[:-1], real=True)
+    a, b = a[np.ix_(rm, cm)], b[rm]
+    a.flags.writeable = b.flags.writeable = False
+    return _Engine(prog.blocks, a, b, _offsets(prog.blocks, True)[:-1], real=True)
 
 
 def _row_matrices(a_blk: np.ndarray, d: int, real: bool = False) -> tuple[np.ndarray, np.ndarray]:

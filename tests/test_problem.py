@@ -221,3 +221,15 @@ def test_indexing_helpers():
     p = phase_query_problem(2, {"00": "0", "11": "0", "01": "1", "10": "1"})
     assert p.size == 4
     assert p.class_indices("0") == [0, 3]
+
+
+def test_output_index_is_built_once_and_read_only():
+    p = phase_query_problem(2, {"00": "b", "11": "b", "01": "a", "10": "c"})
+    assert p.outputs == ("a", "b", "c")
+    assert p.output_index.tolist() == [1, 0, 2, 1]
+    assert p.output_index is p.output_index
+    assert not p.output_index.flags.writeable
+    assert dataclasses.replace(p).output_index is not p.output_index
+    # it validates first, as omega does
+    with pytest.raises(ValueError, match="invalid problem"):
+        dataclasses.replace(p, g={**p.g, "00": "z"}).output_index

@@ -11,6 +11,8 @@ from qqc.programs import (
     build_primal_relaxed,
     chain_program,
     pair_name,
+    _farkas_alternative,
+    _row_maps,
 )
 from qqc.linalg import partial_trace
 from qqc.sdpa import export_sdpa
@@ -394,6 +396,76 @@ def test_grouped_row_value_matches_a_per_term_loop(pname, build, q, eps):
         for row in prog.rows:
             got, want = prog.row_value(row, point), _per_term_value(prog, row, point)
             assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want))), row.name
+
+
+def _grouped_per_call(prog, row, point):
+    """`row_value` grouping and stacking the row's terms at each call."""
+    groups = {}
+    for bi, m in row.terms:
+        key = (m.kind, m.d_in, m.d_out, m.split, None if m.mat is None else m.mat.shape)
+        groups.setdefault(key, []).append((bi, m))
+    out = np.zeros((row.dim, row.dim), dtype=complex)
+    for terms in groups.values():
+        xs = [np.asarray(point[prog.blocks[bi].name], dtype=complex) for bi, _ in terms]
+        if len(terms) == 1:
+            out += terms[0][1].apply(xs[0])
+            continue
+        m = terms[0][1]
+        mats = None if m.mat is None else np.stack([t.mat for _, t in terms])
+        scales = np.array([t.scale for _, t in terms])[:, None, None]
+        out += BlockMap(m.kind, m.d_in, m.d_out, scales, mats, m.split).apply(np.stack(xs)).sum(axis=0)
+    return out
+
+
+@pytest.mark.parametrize("pname, build, q", [
+    ("weyl3", build_dual_relaxed, 0),
+    ("weyl3", build_dual_relaxed, 1),
+    ("weyl3", build_dual_relaxed, 2),
+    ("pauli_id", build_dual, 1),
+])
+def test_stored_row_maps_give_the_per_call_bits(pname, build, q):
+    # the groups are stacked once per program, and applying them gives the
+    # bits of grouping and stacking the terms afresh; a per-term loop adds
+    # in another order, within rounding (`..._matches_a_per_term_loop`)
+    prog = build(ALL[pname], q, 0.1)
+    rng = np.random.default_rng(q + 7)
+    point = {b.name: random_hermitian(rng, b.dim) for b in prog.blocks}
+    for row in prog.rows:
+        got, want = prog.row_value(row, point), _grouped_per_call(prog, row, point)
+        assert got.tobytes() == want.tobytes(), row.name
+    assert _row_maps(prog) is _row_maps(prog)
+
+
+def test_stacked_row_maps_refuse_writes():
+    prog = build_dual_relaxed(ALL["weyl3"], 1, 0.1)
+    stacked = [m for groups in _row_maps(prog).values() for names, m in groups if len(names) > 1]
+    # the last chain row reads all 27 pair multipliers through one stack
+    assert max(m.mat.shape[0] for m in stacked) == 27
+    for m in stacked:
+        for arr in (m.mat, m.scale):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+
+def test_a_row_the_program_does_not_hold_is_grouped_afresh(deutsch):
+    prog = build_primal(deutsch, 1, 0.1)
+    row = prog.rows[1]
+    other = dataclasses.replace(row)
+    assert id(other) not in _row_maps(prog)
+    rng = np.random.default_rng(2)
+    point = {b.name: random_hermitian(rng, b.dim) for b in prog.blocks}
+    assert prog.row_value(other, point).tobytes() == prog.row_value(row, point).tobytes()
+
+
+@pytest.mark.parametrize("q", [0, 1])
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+def test_the_witness_program_is_derived_once(deutsch, q, eps):
+    # build_dual and the solver's witness of the existence program are one object
+    for exist, witness in ((build_primal, build_dual), (build_primal_relaxed, build_dual_relaxed)):
+        prog = exist(deutsch, q, eps)
+        assert _farkas_alternative(prog) is witness(deutsch, q, eps)
+        assert prog.derived["_farkas_alternative"] is witness(deutsch, q, eps)
+        assert dataclasses.replace(prog).derived == {}
 
 
 def test_pair_name_uses_labels(deutsch):

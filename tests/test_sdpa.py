@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -8,6 +9,8 @@ from qqc.programs import (
     BlockMap,
     ConicFeasibilityProgram,
     Row,
+    build_dual,
+    build_dual_relaxed,
     build_primal,
     build_primal_relaxed,
 )
@@ -21,7 +24,8 @@ from qqc.sdpa import (
     sdpa_to_program,
     write_sdpa,
 )
-from qqc.solver import assemble, unhvec
+from qqc import solver
+from qqc.solver import assemble, solve, unhvec
 
 from conftest import FAMILIES, PROBLEMS
 
@@ -302,3 +306,31 @@ def test_export_edge_blocks_and_rows(tmp_path):
     back = parse_sdpa(path)
     assert back.block_sizes == [1, 4, 6]
     assert back.entries == data.entries
+
+
+def test_each_program_is_assembled_once(monkeypatch, tmp_path):
+    # the existence solve, the witness solve and the export of each existence
+    # program read one assembly, made on first use; a copy of the problem
+    # starts with nothing cached
+    calls = []
+
+    def counted(blocks, rows):
+        calls.append(tuple(b.name for b in blocks))
+        return assemble(blocks, rows)
+
+    monkeypatch.setattr(solver, "assemble", counted)
+    p = dataclasses.replace(PROBLEMS["deutsch"])
+    cells = [(exist, witness, q, eps)
+             for exist, witness in ((build_primal, build_dual), (build_primal_relaxed, build_dual_relaxed))
+             for q in (0, 1) for eps in (0.0, 0.1)]
+    for _ in range(2):
+        for exist, witness, q, eps in cells:
+            solve(exist(p, q, eps))
+            solve(witness(p, q, eps))
+            export_sdpa(exist(p, q, eps), str(tmp_path / "p.dat-s"))
+    assert len(calls) == len(cells)
+    # the file reads the shared, read-only A
+    a, b, _ = solver._assembly(build_primal(p, 1, 0.1))
+    assert not a.flags.writeable and not b.flags.writeable
+    assert _constraint_matrices(build_primal(p, 1, 0.1)).n_constraints == a.shape[0]
+    assert len(calls) == len(cells)

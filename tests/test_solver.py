@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -28,6 +29,7 @@ from qqc.solver import (
     SolverConfig,
     SolverError,
     _Engine,
+    _assembly,
     _certify,
     _engine,
     _face_polish,
@@ -164,6 +166,28 @@ def test_coordinate_maps_match_written_out_formula_bitwise(d, lead):
         unhvec(v[..., 1:], d)
     with pytest.raises(ValueError, match="coordinate vector"):
         unhvec(np.zeros(lead + (d * d + 1,)), d)
+
+
+@pytest.mark.parametrize("flip", ["transpose", "conjugate transpose"])
+def test_hvec_reads_a_transposed_stack_where_it_lies(flip):
+    # 64 matrices of 16x16: the gather reads the strided view through the
+    # transpose's positions, so it gives the bits of the contiguous copy's
+    # gather and allocates what a contiguous stack's gather does (the
+    # coordinates and a quarter of the stack's bytes in `np.take`), with no
+    # copy of the stack
+    rng = np.random.default_rng(3)
+    m = rng.standard_normal((64, 16, 16)) + 1j * rng.standard_normal((64, 16, 16))
+    x = m.swapaxes(-1, -2) if flip == "transpose" else m.conj().swapaxes(-1, -2)
+    assert not x.flags.c_contiguous
+    want = hvec(np.ascontiguousarray(x))
+    tracemalloc.start()
+    try:
+        got = hvec(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _same_bits(got, want)
+    assert peak < got.nbytes + m.nbytes // 2
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 8])
@@ -803,6 +827,78 @@ def test_solve_is_deterministic():
     assert a.status == b.status == "FEASIBLE"
     assert a.iterations == b.iterations
     assert np.array_equal(a.point["x"], b.point["x"])
+
+
+def _outcome_bytes(out):
+    parts = [out.status.encode(), str(out.iterations).encode()]
+    for blocks in (out.point, out.certificate):
+        for name in sorted(blocks or {}):
+            parts += [name.encode(), np.ascontiguousarray(blocks[name]).tobytes()]
+    return b"|".join(parts)
+
+
+@pytest.mark.parametrize("build", [build_primal, build_dual, build_primal_relaxed, build_dual_relaxed],
+                         ids=lambda b: b.__name__)
+@pytest.mark.parametrize("pname,q,eps", [("deutsch", 1, 0.1), ("or2", 1, 0.0), ("pauli_id", 1, 0.1)])
+def test_a_second_solve_on_the_shared_engine_gives_the_same_bytes(build, pname, q, eps):
+    # a copy of the problem has nothing cached, so the first solve builds
+    # the engine and the second reuses it
+    p = dataclasses.replace({**PROBLEMS, **FAMILIES}[pname])
+    prog = build(p, q, eps)
+    existence = prog.existence or prog
+    assert "_engine" not in existence.derived
+    first = solve(prog, SolverConfig(seed=3))
+    eng = _engine(existence)
+    second = solve(prog, SolverConfig(seed=3))
+    assert _engine(existence) is eng
+    assert _outcome_bytes(second) == _outcome_bytes(first)
+    assert first.status != "UNDECIDED"
+
+
+@pytest.mark.parametrize("pname,q,eps,real", [("deutsch", 1, 0.1, True), ("deutsch", 0, 0.0, True),
+                                              ("pauli_id", 1, 0.1, False)])
+def test_the_shared_assembly_and_engine_refuse_writes(pname, q, eps, real):
+    p = dataclasses.replace({**PROBLEMS, **FAMILIES}[pname])
+    prog = build_primal(p, q, eps)
+    assert solve(prog).status != "UNDECIDED"
+    a, b, _ = _assembly(prog)
+    eng = _engine(prog)
+    assert eng.real is real
+    # a complex engine runs on the assembly itself, the real form on a copy
+    assert (eng.a is a) is not real
+    frozen = [a, b, eng.a, eng.b, eng._lift, eng._x0, eng._dims, eng._pack_at, eng._cone_src,
+              eng._cone_inv_scale, eng._cone_diag_imag, eng._cone_at, eng._cone_scale,
+              eng._line_blocks, *(js for *_, js in eng._cone_slices),
+              *itertools.chain.from_iterable(filter(None, eng._row_mats))]
+    for arr in frozen:
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = arr.flat[0] if arr.size else 0
+
+
+def test_a_copied_program_has_no_engine():
+    # derived data are not a field: dataclasses.replace starts the copy
+    # empty, and its own engine gives the same answer
+    p = dataclasses.replace(PROBLEMS["deutsch"])
+    prog = build_primal(p, 1, 0.1)
+    out = solve(prog)
+    assert set(prog.derived) >= {"_assembly", "_engine", "_farkas_alternative"}
+    copy = dataclasses.replace(prog)
+    assert copy.derived == {}
+    assert copy.rows is prog.rows
+    assert _outcome_bytes(solve(copy)) == _outcome_bytes(out)
+    assert _engine(copy) is not _engine(prog)
+    assert _assembly(copy)[0] is not _assembly(prog)[0]
+
+
+def test_solve_of_an_existence_program_reuses_its_witness_program():
+    p = dataclasses.replace(PROBLEMS["or2"])
+    prog = build_primal(p, 1, 0.1)
+    out = solve(prog)
+    assert out.status == "INFEASIBLE_WITH_CERTIFICATE"
+    witness = prog.derived["_farkas_alternative"]
+    assert witness is build_dual(p, 1, 0.1) and witness.existence is prog
+    solve(prog)
+    assert prog.derived["_farkas_alternative"] is witness
 
 
 @pytest.mark.parametrize("seed", range(10))
