@@ -200,7 +200,9 @@ def search_gamma(p: QueryProblem, eps: float) -> tuple[np.ndarray, AdversaryRepo
 
     Heuristic only: each accepted step multiplies one pair weight by a fixed
     factor and keeps it when the bound improves, for at most _SEARCH_EVALS
-    evaluations. Never returns less than the seed's bound.
+    evaluations. A halving that would undo the doubling just accepted is
+    counted among them but not computed: it is the weighting the doubling
+    beat. Never returns less than the seed's bound.
     """
     p.omega  # validates p, which differing_pairs reads
     pairs = p.differing_pairs()
@@ -229,4 +231,9 @@ def search_gamma(p: QueryProblem, eps: float) -> tuple[np.ndarray, AdversaryRepo
                 if rep.bound > best.bound * (1.0 + 1e-12):
                     gamma, best = cand, rep
                     improved = True
+                    if factor == 2.0:
+                        # halving would give back the weighting this doubling
+                        # beat, bit for bit: it is counted, not evaluated
+                        evals = min(evals + 1, _SEARCH_EVALS)
+                        break
     return gamma, best

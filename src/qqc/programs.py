@@ -68,10 +68,12 @@ signature, with their mats and scales stacked, which `row_value` applies;
 the witness program `_farkas_alternative` generates, so that `build_dual`
 and a solve of the existence program share one; and, in `qqc.solver`, the
 assembled (A, b) and the projection engine on it, which every solve and
-the SDPA export read. Like `QueryProblem.programs`, `derived` is not a
-field: a copy made with `dataclasses.replace` starts with none of it. A
-witness program and its existence program refer to each other, so their
-derived data go with the cyclic garbage collector once the problem goes.
+the SDPA export read, and the decision of each solver seed, which answers
+a solve of either the existence program or its witness program. Like
+`QueryProblem.programs`, `derived` is not a field: a copy made with
+`dataclasses.replace` starts with none of it. A witness program and its
+existence program refer to each other, so their derived data go with the
+cyclic garbage collector once the problem goes.
 """
 
 from __future__ import annotations

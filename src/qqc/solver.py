@@ -7,7 +7,14 @@ decided through that existence program, and the two answers swap: a
 polished existence point X is a certificate of the witness program
 (multiplier -X_B on the row of each block B, and 1 on the strict row), and
 an existence certificate is a witness point as it stands. Any other program
-is rejected with SolverError.
+is rejected with SolverError. The decision is a function of the read-only
+existence program and the solver seed alone, so it is made once per seed:
+`_decided` keeps `_decide`'s answer in the existence program's `derived`
+dict (`_decisions`), with its point and certificate arrays read-only, and
+every later solve of either program at that seed reads it, with no sweep,
+polish or certification. Each solve returns a new outcome with dicts of its
+own, so one caller's edits reach no other; a decision that raises is not
+kept, and raises again when asked again.
 
 The method is relaxed alternating projections between the affine set
 {A x = b} and the product of PSD cones, in a real coordinate system where
@@ -919,22 +926,60 @@ def solve(prog: ConicFeasibilityProgram, cfg: SolverConfig | None = None) -> Fea
     iterations, and the residuals but for a witness point's, are the
     existence solve's. UNDECIDED is returned only once the iteration budget
     is exhausted with neither.
+
+    Each existence program keeps its decision per seed (see `_decided`), so
+    asking either side of a cell again at the same seed decides nothing
+    again: the outcome is new, with dicts of its own, over the kept
+    decision's arrays, which are read-only.
     """
     cfg = cfg or SolverConfig()
     if prog.existence is None:
         if any(r.sense != "eq" for r in prog.rows) or not all(b.psd for b in prog.blocks):
             raise SolverError("solve takes equality rows on PSD blocks, or the witness "
                               "program generated from such a program")
-        return _decide(_farkas_alternative(prog), cfg)[0]
-    out, report = _decide(prog, cfg)
+        out, _ = _decided(_farkas_alternative(prog), cfg)
+        return _fresh(out.status, out.point, out.certificate, out.residuals, out.iterations)
+    out, report = _decided(prog, cfg)
     if out.status == "FEASIBLE":
         cert = {r.name: np.ones((1, 1), dtype=complex) if r.sense == "strict" else -out.point[r.name]
                 for r in prog.rows}
-        return FeasibilityOutcome("INFEASIBLE_WITH_CERTIFICATE", None, cert, out.residuals, out.iterations)
+        return _fresh("INFEASIBLE_WITH_CERTIFICATE", None, cert, out.residuals, out.iterations)
     if out.status == "INFEASIBLE_WITH_CERTIFICATE":
         # `_certify` has verified it as a point of this very program
-        return FeasibilityOutcome("FEASIBLE", out.certificate, None, report.row_residuals, out.iterations)
-    return out
+        return _fresh("FEASIBLE", out.certificate, None, report.row_residuals, out.iterations)
+    return _fresh(out.status, None, None, out.residuals, out.iterations)
+
+
+def _fresh(status: str, point: dict | None, certificate: dict | None, residuals: dict,
+           iterations: int) -> FeasibilityOutcome:
+    """An outcome with dicts of its own over a kept decision's arrays, so
+    that one caller's edits reach no other."""
+    return FeasibilityOutcome(status, None if point is None else dict(point),
+                              None if certificate is None else dict(certificate),
+                              dict(residuals), iterations)
+
+
+@_derived
+def _decisions(prog: ConicFeasibilityProgram) -> dict[int, tuple[FeasibilityOutcome, PointReport | None]]:
+    """`_decide`'s answers on an existence program, by solver seed (see
+    `_decided`)."""
+    return {}
+
+
+def _decided(witness: ConicFeasibilityProgram,
+             cfg: SolverConfig) -> tuple[FeasibilityOutcome, PointReport | None]:
+    """`_decide`, made once per existence program and solver seed and kept
+    in `_decisions`, with its point and certificate arrays read-only: the
+    program is read-only and the decision is a function of it and the seed.
+    A call that raises keeps nothing."""
+    kept = _decisions(witness.existence)
+    if cfg.seed not in kept:
+        out, report = _decide(witness, cfg)
+        for blocks in (out.point, out.certificate):
+            for arr in (blocks or {}).values():
+                arr.flags.writeable = False
+        kept[cfg.seed] = out, report
+    return kept[cfg.seed]
 
 
 def _decide(witness: ConicFeasibilityProgram,

@@ -1,6 +1,14 @@
 """Shared fixtures: the four reference problems, the three non-commuting
-families, the two start-face problems, a session-wide solve cache and the
-block Schur identity check."""
+families, the two start-face problems, a solve by cell name and the block
+Schur identity check.
+
+The problems here are shared by every test, and so are the programs built
+on them, with what they keep: assemblies, engines and each seed's decision.
+A test that patches a solver constant such as `_MAX_ITERS`, or counts the
+calls a decision makes, builds on a copy, `dataclasses.replace(PROBLEMS[...])`,
+which keeps nothing: on a shared program it would read, or leave behind, a
+decision made under other conditions.
+"""
 
 import itertools
 
@@ -77,14 +85,12 @@ FEASIBLE_CELLS = tuple(
 
 @pytest.fixture(scope="session")
 def cached_solve():
-    """Memoized solver outcomes keyed by (problem name, builder name, q, eps)."""
-    cache = {}
+    """The solve of a cell, by (problem name, builder name, q, eps); `solve`
+    keeps each decision on the shared program, so a cell asked again, from
+    either side, is not decided again."""
 
     def go(pname, builder, q, eps):
-        key = (pname, builder, q, eps)
-        if key not in cache:
-            cache[key] = solve(BUILDERS[builder](PROBLEMS[pname], q, eps))
-        return cache[key]
+        return solve(BUILDERS[builder](PROBLEMS[pname], q, eps))
 
     return go
 

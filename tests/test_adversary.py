@@ -19,6 +19,8 @@ from qqc.reconstruct import reconstruct_algorithm
 from qqc.simulate import run
 from qqc.solver import verify_point
 
+from test_solver import _pauli2
+
 
 def test_perron_vector_agrees_with_dense_eig():
     rng = np.random.default_rng(17)
@@ -302,6 +304,55 @@ def test_search_gamma_improves_on_deutsch(deutsch):
     # returned weights must themselves evaluate to the reported bound
     again = spectral_bound(deutsch, gamma, 0.0)
     assert again.bound == pytest.approx(rep.bound, rel=1e-12)
+
+
+def _search_every_candidate(p, eps):
+    # the ascent with every candidate evaluated, the halving that undoes an
+    # accepted doubling included
+    pairs = p.differing_pairs()
+    gamma = np.zeros((p.size, p.size))
+    for i, j in pairs:
+        gamma[i, j] = gamma[j, i] = 1.0
+    best = qqc.adversary._bound(p, gamma, eps)
+    evals = 1
+    improved = True
+    while improved and evals < qqc.adversary._SEARCH_EVALS:
+        improved = False
+        for i, j in pairs:
+            for factor in (2.0, 0.5):
+                if evals >= qqc.adversary._SEARCH_EVALS:
+                    break
+                cand = gamma.copy()
+                cand[i, j] = cand[j, i] = gamma[i, j] * factor
+                rep = qqc.adversary._bound(p, cand, eps)
+                evals += 1
+                if rep.bound > best.bound * (1.0 + 1e-12):
+                    gamma, best = cand, rep
+                    improved = True
+    return gamma, best
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+@pytest.mark.parametrize("pname,evals", [("deutsch", 9), ("or2", 121), ("ix", 3), ("pauli_id", 22),
+                                         ("pauli_class", 71), ("weyl3", 55), ("pauli2", 167)])
+def test_search_gamma_skips_the_halving_that_undoes_a_doubling(monkeypatch, pname, evals, eps):
+    # the skipped halving is the weighting its doubling beat, so the
+    # weighting, bound and Perron vector are those of evaluating it; it
+    # still counts toward the cap, which pauli2's ascent reaches
+    p = _pauli2() if pname == "pauli2" else {**PROBLEMS, **FAMILIES}[pname]
+    want_gamma, want = _search_every_candidate(p, eps)
+    calls = [0]
+    inner = qqc.adversary._bound
+
+    def counted(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(qqc.adversary, "_bound", counted)
+    gamma, rep = search_gamma(p, eps)
+    assert calls[0] == evals
+    assert gamma.tobytes() == want_gamma.tobytes()
+    assert (rep.bound, rep.alpha, rep.perron_v.tobytes()) == (want.bound, want.alpha, want.perron_v.tobytes())
 
 
 def test_search_gamma_rejects_constant_map(const):

@@ -10,6 +10,8 @@ slack its other rows pin at zero. At eps > 0 nothing changes. Face
 certificates are witness points of the witness programs as they stand.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -125,7 +127,7 @@ def test_face_polish_finishes_in_a_few_steps(pname, monkeypatch):
         return lstsq(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "lstsq", counted)
-    out = solve(build_primal(FAMILIES[pname], 1, 0.0))
+    out = solve(build_primal(dataclasses.replace(FAMILIES[pname]), 1, 0.0))
     assert out.status == "FEASIBLE"
     assert len(calls) <= 5
 

@@ -31,6 +31,7 @@ from qqc.solver import (
     _Engine,
     _assembly,
     _certify,
+    _decisions,
     _engine,
     _face_polish,
     _factor_jacobian,
@@ -823,7 +824,8 @@ def test_solve_is_deterministic():
     rows = [_trace_row("trace", 0, 3, 1.0)]
     prog = ConicFeasibilityProgram(blocks, rows)
     a = solve(prog, SolverConfig(seed=7))
-    b = solve(prog, SolverConfig(seed=7))
+    # a copy keeps no decision, so it decides again
+    b = solve(dataclasses.replace(prog), SolverConfig(seed=7))
     assert a.status == b.status == "FEASIBLE"
     assert a.iterations == b.iterations
     assert np.array_equal(a.point["x"], b.point["x"])
@@ -849,6 +851,8 @@ def test_a_second_solve_on_the_shared_engine_gives_the_same_bytes(build, pname, 
     assert "_engine" not in existence.derived
     first = solve(prog, SolverConfig(seed=3))
     eng = _engine(existence)
+    # the kept decision goes, so the second solve decides again
+    del existence.derived["_decisions"]
     second = solve(prog, SolverConfig(seed=3))
     assert _engine(existence) is eng
     assert _outcome_bytes(second) == _outcome_bytes(first)
@@ -899,6 +903,122 @@ def test_solve_of_an_existence_program_reuses_its_witness_program():
     assert witness is build_dual(p, 1, 0.1) and witness.existence is prog
     solve(prog)
     assert prog.derived["_farkas_alternative"] is witness
+
+
+def _count_sweep_chunks(monkeypatch):
+    chunks = [0]
+
+    def counted(*args):
+        chunks[0] += 1
+        return _run_ap(*args)
+
+    monkeypatch.setattr(solver, "_run_ap", counted)
+    return chunks
+
+
+@pytest.mark.parametrize("pname,status", [("deutsch", "FEASIBLE"), ("or2", "INFEASIBLE_WITH_CERTIFICATE")])
+def test_one_decision_answers_both_sides_of_a_cell(monkeypatch, pname, status):
+    # the witness program is decided through its existence program, which
+    # keeps the decision: neither the witness solve nor a repeat sweeps
+    chunks = _count_sweep_chunks(monkeypatch)
+    p = dataclasses.replace(PROBLEMS[pname])
+    exist = solve(build_primal(p, 1, 0.1))
+    assert exist.status == status and exist.iterations > 0 and chunks[0] > 0
+    chunks[0] = 0
+    wit = solve(build_dual(p, 1, 0.1))
+    again = solve(build_primal(p, 1, 0.1))
+    assert chunks[0] == 0
+    assert wit.status != status and wit.iterations == exist.iterations
+    assert _outcome_bytes(again) == _outcome_bytes(exist)
+
+
+def test_a_second_seed_makes_a_decision_of_its_own(monkeypatch):
+    chunks = _count_sweep_chunks(monkeypatch)
+    prog = build_primal(dataclasses.replace(PROBLEMS["deutsch"]), 1, 0.1)
+    first = solve(prog, SolverConfig(seed=0))
+    swept = chunks[0]
+    second = solve(prog, SolverConfig(seed=1))
+    assert chunks[0] > swept > 0
+    assert set(_decisions(prog)) == {0, 1}
+    assert first.status == second.status == "FEASIBLE"
+    assert _outcome_bytes(first) != _outcome_bytes(second)
+
+
+@pytest.mark.parametrize("pname", ["deutsch", "or2"])
+def test_the_kept_arrays_refuse_writes(pname):
+    # deutsch's existence program has a point at q=1, eps 0.1, or2's a
+    # certificate; the outcome hands the kept arrays out as they are
+    prog = build_primal(dataclasses.replace(PROBLEMS[pname]), 1, 0.1)
+    out = solve(prog)
+    (kept, _), = _decisions(prog).values()
+    blocks = kept.point or kept.certificate
+    handed = out.point or out.certificate
+    assert blocks and handed is not blocks
+    assert all(handed[name] is arr for name, arr in blocks.items())
+    for arr in blocks.values():
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("build", [build_primal, build_dual], ids=lambda b: b.__name__)
+@pytest.mark.parametrize("pname", ["deutsch", "or2"])
+def test_an_edit_to_one_outcome_reaches_no_other(build, pname):
+    prog = build(dataclasses.replace(PROBLEMS[pname]), 1, 0.1)
+    first = solve(prog)
+    want = _outcome_bytes(first)
+    residuals = dict(first.residuals)
+    blocks = first.point or first.certificate
+    for name in blocks:
+        blocks[name] = np.full_like(blocks[name], np.nan)
+    for name in first.residuals:
+        first.residuals[name] = math.nan
+    second = solve(prog)
+    assert _outcome_bytes(second) == want
+    assert second.residuals == residuals
+    assert (second.point or second.certificate) is not blocks
+
+
+def test_a_decision_that_raises_is_kept_nowhere(monkeypatch):
+    # a non-finite iterate raises LinAlgError at the first check, on every
+    # call: a failed decision is not kept
+    chunks = []
+
+    def poisoned(affine, cone, x, iters):
+        x = x.copy()
+        x[0] = np.nan
+        chunks.append(iters)
+        return _run_ap(affine, cone, x, iters)
+
+    monkeypatch.setattr(solver, "_run_ap", poisoned)
+    prog = build_primal(dataclasses.replace(PROBLEMS["deutsch"]), 1, 0.1)
+    for _ in range(2):
+        with pytest.raises(np.linalg.LinAlgError):
+            solve(prog)
+    assert chunks == [solver._FIRST_CHECK] * 2
+    assert _decisions(prog) == {}
+
+
+_OTHER_SIDE = {"primal": "dual", "dual": "primal",
+               "primal_relaxed": "dual_relaxed", "dual_relaxed": "primal_relaxed"}
+
+
+@pytest.mark.parametrize("builder", BUILDERS)
+@pytest.mark.parametrize("pname,q,eps", [("deutsch", 1, 0.1), ("or2", 1, 0.0), ("pauli_id", 1, 0.1)])
+def test_a_kept_decision_gives_the_bytes_of_a_fresh_one(builder, pname, q, eps):
+    # a program solved on a fresh problem, against the same program whose
+    # cell the other side has already decided
+    cfg = SolverConfig(seed=3)
+    base = {**PROBLEMS, **FAMILIES}[pname]
+    fresh = solve(BUILDERS[builder](dataclasses.replace(base), q, eps), cfg)
+    p = dataclasses.replace(base)
+    prog = BUILDERS[builder](p, q, eps)
+    solve(BUILDERS[_OTHER_SIDE[builder]](p, q, eps), cfg)
+    assert set(_decisions(prog.existence or prog)) == {3}
+    kept = solve(prog, cfg)
+    assert fresh.status != "UNDECIDED"
+    assert _outcome_bytes(kept) == _outcome_bytes(fresh)
+    assert list(kept.residuals) == list(fresh.residuals)
+    assert _same_bits(np.array(list(kept.residuals.values())), np.array(list(fresh.residuals.values())))
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -1207,7 +1327,7 @@ def test_relaxed_seeds_certify_without_farkas_sweeps(monkeypatch, pname, q, buil
     # certificate as exact as a polished point, so the first check tries
     # them with no Farkas sweep; the exact programs' seeds are not, and sweep
     sweeps = _count_farkas_sweeps(monkeypatch)
-    out = solve(build(PROBLEMS[pname], q, 0.1))
+    out = solve(build(dataclasses.replace(PROBLEMS[pname]), q, 0.1))
     assert (out.status, out.iterations) == ("INFEASIBLE_WITH_CERTIFICATE", 32)
     assert (sweeps[0] == 0) == seeded
 
@@ -1217,7 +1337,7 @@ def test_a_seed_off_the_cone_is_swept(monkeypatch):
     # of pairing: the screen refuses it, the first check sweeps, and the
     # swept certificate meets the witness program within 1e-8
     sweeps = _count_farkas_sweeps(monkeypatch)
-    p = PROBLEMS["or2"]
+    p = dataclasses.replace(PROBLEMS["or2"])
     out = solve(build_primal_relaxed(p, 2, 0.1))
     assert (out.status, out.iterations, sweeps[0]) == ("INFEASIBLE_WITH_CERTIFICATE", 32, 32)
     rep = verify_point(build_dual_relaxed(p, 2, 0.1), out.certificate)
@@ -1242,7 +1362,7 @@ def test_a_witness_point_is_verified_once(monkeypatch, pname, builder, q, eps, i
         return inner(*args)
 
     monkeypatch.setattr(solver, "verify_point", counted)
-    prog = BUILDERS[builder](PROBLEMS[pname], q, eps)
+    prog = BUILDERS[builder](dataclasses.replace(PROBLEMS[pname]), q, eps)
     out = solve(prog)
     assert (out.status, out.iterations, calls[0]) == ("FEASIBLE", iterations, 1)
     fresh = inner(prog, out.point).row_residuals
@@ -1255,7 +1375,7 @@ def test_a_non_finite_start_raises_at_the_first_check(monkeypatch):
     # on which LAPACK returns NaN eigenvalues without flagging them: the
     # first check still raises LinAlgError, as the 4x4 case does, and warns
     # of nothing
-    prog = build_primal(PROBLEMS["deutsch"], 1, 0.0)
+    prog = build_primal(dataclasses.replace(PROBLEMS["deutsch"]), 1, 0.0)
     assert {d for _, d, *_ in _engine(prog)._cone_slices} == {2}
     chunks = []
 
