@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problem import QueryProblem
-from .programs import build_dual_relaxed, pair_name
+from .programs import _check_q_eps, build_dual_relaxed, pair_name
 from .solver import verify_point
 
 __all__ = [
@@ -52,6 +52,9 @@ _WITNESS_TOL = 1e-8
 # above an integer may lie below it and certifies no further query. An
 # absolute slack would be less than one ulp of any bound above 4096.
 _CEIL_SLACK = 1e-12
+# a pair row's multiplier is its weight W_ij times this pattern
+_PAIR_PATTERN = np.array([[1, -1], [-1, 1]], dtype=complex)
+_PAIR_PATTERN.flags.writeable = False
 
 
 class WitnessError(RuntimeError):
@@ -156,15 +159,18 @@ def make_dual_witness(p: QueryProblem, gamma, q: int, eps: float) -> dict[str, n
     start face asks at q >= 1 (tr rho_0 = 1, J-trace q alpha) and the face
     of J at q = 0 (sum c = s, J-trace 1ᵀ Lap(W) 1 = 0). Each pair row's
     multiplier is W_ij·[[1, -1], [-1, 1]] on the pair's principal
-    submatrix; together they read Lap(W), step 0, off the final Gram
-    matrix, through the last chain block's row at q >= 1. Step t is
+    submatrix, all formed in one product; together they read Lap(W),
+    step 0, off the final Gram matrix, through the last chain block's row
+    at q >= 1. Step t is
     -K_t + diag(W 1) for
     K_t = (gamma - t alpha I)∘vvᵀ, and the block-diagonal oracle leaves that
     diagonal shift ⊗ I in place.
     The strict slack is (1 - 2√(eps(1-eps))) lambda - q alpha. The result
     is returned only if every row and block passes within 1e-8 and the
-    strict slack is positive; otherwise it raises WitnessError.
+    strict slack is positive; otherwise it raises WitnessError. q is
+    checked first, as the builders check it, and eps against [0, 1/2).
     """
+    _check_q_eps(q)
     _check_eps(eps)
     p.omega  # validates p, which _check_weight reads
     g = _check_weight(p, gamma)
@@ -180,8 +186,10 @@ def make_dual_witness(p: QueryProblem, gamma, q: int, eps: float) -> dict[str, n
         step = (lap + t * report.alpha * np.diag(v * v)).astype(complex)
         # on the start face, or the face of J at q = 0, init's step is the scalar tr(J step)
         witness[chain[q - t]] = np.full((1, 1), step.sum()) if t == q else step
-    for i, j in p.differing_pairs():
-        witness[f"pair_{pair_name(p, (i, j))}"] = w[i, j] * np.array([[1, -1], [-1, 1]], dtype=complex)
+    pairs = p.differing_pairs()
+    ii, jj = np.array(pairs).T
+    for pair, mult in zip(pairs, w[ii, jj][:, None, None] * _PAIR_PATTERN):
+        witness[f"pair_{pair_name(p, pair)}"] = mult
     rep = verify_point(build_dual_relaxed(p, q, eps), witness)
     if not (rep.within(_WITNESS_TOL) and rep.strict_slack and rep.strict_slack > 0):
         worst = max(rep.row_residuals, key=rep.row_residuals.get)

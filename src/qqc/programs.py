@@ -69,7 +69,8 @@ the witness program `_farkas_alternative` generates, so that `build_dual`
 and a solve of the existence program share one; and, in `qqc.solver`, the
 assembled (A, b) and the projection engine on it, which every solve and
 the SDPA export read, and the decision of each solver seed, which answers
-a solve of either the existence program or its witness program. Like
+a solve of either the existence program or its witness program; and, in
+`qqc.sdpa`, the text of the program's SDPA export. Like
 `QueryProblem.programs`, `derived` is not a field: a copy made with
 `dataclasses.replace` starts with none of it. A witness program and its
 existence program refer to each other, so their derived data go with the

@@ -19,7 +19,15 @@ turns the whole export into one gather of A's columns and one multiply.
 Entry lines are "k b i j v" with i <= j and 17 significant digits, sorted
 by constraint k, then block, then (i, j) row by row: the gathered columns
 run in that order, so `np.nonzero` reads the entries off sorted, and
-identical programs produce identical bytes.
+identical programs produce identical bytes. A value that is not finite has
+no decimal form (the format gives "inf" or "nan"), so the writer refuses it
+with ValueError.
+
+A program is read-only, so its text is formatted once: `_sdpa_text` keeps
+it in the program's `derived` dict, formatted by the same `_text` that
+`write_sdpa` writes, and every later export of the program checks the
+program and writes the kept text. A `dataclasses.replace` copy of the
+program formats its own.
 
 An existing file is rewritten in place: it keeps its inode, its permissions
 and, for a symlink, its target, and is cut to the new text's length after
@@ -31,6 +39,7 @@ a temporary file over it.
 from __future__ import annotations
 
 import functools
+import math
 import os
 import stat
 from dataclasses import dataclass
@@ -38,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .programs import Block, BlockMap, ConicFeasibilityProgram, Row
+from .programs import Block, BlockMap, ConicFeasibilityProgram, Row, _derived
 from .solver import _assembly, unhvec
 
 __all__ = ["SdpaData", "export_sdpa", "parse_sdpa", "write_sdpa", "sdpa_to_program"]
@@ -57,6 +66,9 @@ class SdpaData:
 def _fmt(v: float) -> str:
     s = format(float(v), ".17g")
     if not any(ch in s for ch in ".eE"):
+        # a value formatted with no point and no exponent is an integer or not finite
+        if not math.isfinite(float(v)):
+            raise ValueError(f"SDPA files hold finite numbers only, got {s}")
         s += ".0"
     return s
 
@@ -136,7 +148,8 @@ def _write_in_place(path: str, text: str) -> None:
             fh.truncate()
 
 
-def write_sdpa(data: SdpaData, path: str) -> str:
+def _text(data: SdpaData) -> str:
+    """The file's text; a value that is not finite raises ValueError."""
     lines = [
         str(data.n_constraints),
         str(len(data.block_sizes)),
@@ -145,8 +158,18 @@ def write_sdpa(data: SdpaData, path: str) -> str:
     ]
     for k, b, i, j, v in data.entries:
         lines.append(f"{k} {b} {i} {j} {_fmt(v)}")
-    _write_in_place(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def write_sdpa(data: SdpaData, path: str) -> str:
+    _write_in_place(path, _text(data))
     return path
+
+
+@_derived
+def _sdpa_text(prog: ConicFeasibilityProgram) -> str:
+    """The program's export text, formatted once per read-only program."""
+    return _text(_constraint_matrices(prog))
 
 
 def export_sdpa(prog: ConicFeasibilityProgram, path: str) -> str:
@@ -156,7 +179,8 @@ def export_sdpa(prog: ConicFeasibilityProgram, path: str) -> str:
     for b in prog.blocks:
         if not b.psd:
             raise ValueError("exported programs must have PSD blocks only")
-    return write_sdpa(_constraint_matrices(prog), path)
+    _write_in_place(path, _sdpa_text(prog))
+    return path
 
 
 def _data_tokens(text: str):

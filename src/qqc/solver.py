@@ -1048,14 +1048,24 @@ def _decide(witness: ConicFeasibilityProgram,
 
 def _least_eigs(mats: list[np.ndarray]) -> list[float]:
     """Least eigenvalue of the Hermitian part of each matrix, in order: one
-    stacked `hermitize` and one stacked `eigh` per matrix dimension. Each
-    matrix meets the same arithmetic and LAPACK routine as alone, so the
-    bits do not depend on the stacking."""
+    stacked `hermitize` and one stacked `eigh` per matrix dimension above 1.
+    Each matrix meets the same arithmetic and LAPACK routine as alone, so the
+    bits do not depend on the stacking. A 1x1 matrix x + iy needs neither:
+    its eigenvalue is x - (y - y), which is x, or NaN when y is not finite
+    (the Hermitian part's imaginary part y - y is then NaN): bit for bit
+    what `eigh` returns for its Hermitian part, signed zeros included, and
+    NaN where it returns NaN, for |x| < 2^1023, beyond which the Hermitian
+    part's x + x overflows."""
     by_dim: dict[int, list[int]] = {}
     for i, m in enumerate(mats):
         by_dim.setdefault(m.shape[-1], []).append(i)
     least = [0.0] * len(mats)
-    for idx in by_dim.values():
+    for d, idx in by_dim.items():
+        if d == 1:
+            for i in idx:
+                z = mats[i].item()
+                least[i] = z.real - (z.imag - z.imag)
+            continue
         stack = hermitize(np.stack([mats[i] for i in idx]))
         for i, w in zip(idx, np.linalg.eigh(stack)[0][:, 0].tolist()):
             least[i] = w
@@ -1067,7 +1077,7 @@ def verify_point(prog: ConicFeasibilityProgram, point: dict[str, np.ndarray]) ->
 
     The least eigenvalues of the Hermitian parts of the PSD rows and the
     PSD blocks come from one stacked `hermitize` and `eigh` per matrix
-    dimension.
+    dimension above 1, and of a 1x1 part from its entry (`_least_eigs`).
     """
     vals = {}
     for b in prog.blocks:

@@ -287,6 +287,15 @@ def test_make_dual_witness_rejects_q_at_or_above_bound(ix):
         make_dual_witness(ix, gamma, 1, 0.0)  # bound is 0.25
 
 
+@pytest.mark.parametrize("q", [0.0, -1, False])
+def test_make_dual_witness_checks_q_first(ix, q):
+    # q is checked as the builders check it, before the weighting or the bound
+    with pytest.raises(ValueError, match="query count must be a nonnegative integer"):
+        make_dual_witness(ix, np.array([[0.0, 1.0], [1.0, 0.0]]), q, 0.0)
+    with pytest.raises(ValueError, match="query count must be a nonnegative integer"):
+        make_dual_witness(ix, np.ones((3, 3)), q, 0.7)
+
+
 def test_random_weights_witness_property(deutsch, or2, ix):
     rng = np.random.default_rng(23)
     for p in (deutsch, or2, ix):

@@ -24,7 +24,7 @@ from qqc.sdpa import (
     sdpa_to_program,
     write_sdpa,
 )
-from qqc import solver
+from qqc import sdpa, solver
 from qqc.solver import assemble, solve, unhvec
 
 from conftest import FAMILIES, PROBLEMS
@@ -119,6 +119,54 @@ def test_export_doubles_hermitian_blocks(deutsch, tmp_path):
     assert data.block_sizes == [b.dim if b.dim == 1 else 2 * b.dim for b in prog.blocks]
     assert data.block_sizes.count(1) == deutsch.size
     assert data.n_constraints == sum(r.dim ** 2 for r in prog.rows)
+
+
+@pytest.mark.parametrize("data, shown", [
+    (SdpaData(1, [1], [float("inf")], [(1, 1, 1, 1, 1.0)]), "inf"),
+    (SdpaData(1, [2], [1.0], [(1, 1, 1, 2, -np.inf)]), "-inf"),
+    (SdpaData(1, [2], [1.0], [(1, 1, 1, 1, 0.5), (1, 1, 2, 2, np.nan)]), "nan"),
+])
+def test_write_refuses_values_that_are_not_finite(data, shown, tmp_path):
+    # "inf.0" or "nan.0" would be a file parse_sdpa cannot read; nothing is written
+    path = tmp_path / "bad.dat-s"
+    with pytest.raises(ValueError, match=f"finite numbers only, got {shown}$"):
+        write_sdpa(data, str(path))
+    assert not path.exists()
+
+
+def test_a_program_is_formatted_once(monkeypatch, tmp_path):
+    # a second export writes the kept text with no second gather; a
+    # dataclasses.replace copy of the program formats its own
+    calls = []
+
+    def counted(prog):
+        calls.append(prog)
+        return _constraint_matrices(prog)
+
+    monkeypatch.setattr(sdpa, "_constraint_matrices", counted)
+    prog = dataclasses.replace(build_primal(PROBLEMS["deutsch"], 1, 0.1))
+    copy = dataclasses.replace(prog)
+    paths = [tmp_path / f"{k}.dat-s" for k in range(3)]
+    for target, path in zip((prog, prog, copy), paths):
+        export_sdpa(target, str(path))
+    assert [c is prog for c in calls] == [True, False] and calls[1] is copy
+    assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
+
+
+@pytest.mark.parametrize("builder", [build_primal, build_primal_relaxed])
+@pytest.mark.parametrize("name", [*PROBLEMS, *FAMILIES])
+def test_export_writes_the_bytes_write_sdpa_writes(name, builder, tmp_path):
+    # the kept text is write_sdpa's text of the one gather, on the first
+    # export and on the next
+    p = {**PROBLEMS, **FAMILIES}[name]
+    exported, written = tmp_path / "export.dat-s", tmp_path / "write.dat-s"
+    for q in (0, 1) if name == "weyl3" else (0, 1, 2):
+        for eps in (0.0, 0.1):
+            prog = builder(p, q, eps)
+            write_sdpa(_constraint_matrices(prog), str(written))
+            for _ in range(2):
+                export_sdpa(prog, str(exported))
+                assert exported.read_bytes() == written.read_bytes(), (q, eps)
 
 
 def test_export_rejects_dual_sense_and_free_blocks(tmp_path):

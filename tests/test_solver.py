@@ -1286,6 +1286,26 @@ def test_verify_point_stacks_eigenvalues_in_program_order():
     assert min(rep.row_residuals.values()) > 0.0 and rep.min_block_eig < 0.0
 
 
+def test_least_eig_of_a_1x1_part_is_eighs_bit_for_bit():
+    # a 1x1 part skips hermitize and eigh, and gives the value eigh gives
+    # over magnitudes 1e-300 to 1e300 of both parts, signed zeros,
+    # infinities and NaN in either part, beside a 2x2 part in the same call
+    rng = np.random.default_rng(47)
+    mag = 10.0 ** rng.uniform(-300, 300, size=(2, 4000))
+    sign = rng.choice([-1.0, 1.0], size=(2, 4000))
+    z = sign[0] * mag[0] + 1j * sign[1] * mag[1]
+    z = np.concatenate([z, [0.0, -0.0, 1j, -0.0 - 2j, np.inf, -np.inf, complex(np.nan, 0.0),
+                            complex(0.0, np.nan), complex(np.nan, np.nan), complex(1.0, np.inf)]])
+    mats = [np.full((1, 1), v) for v in z]
+    mats.insert(5, random_hermitian(rng, 2))
+    got = np.array(solver._least_eigs(mats))
+    with np.errstate(invalid="ignore"):  # hermitize's inf - inf
+        want = np.array([np.linalg.eigh(hermitize(m))[0][0] for m in mats])
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan) and nan[-4:].all()
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
 def test_weak_duality_pairing_is_negative_on_certificates(deutsch, cached_solve):
     out = cached_solve("deutsch", "primal", 0, 0.0)
     assert out.status == "INFEASIBLE_WITH_CERTIFICATE"
