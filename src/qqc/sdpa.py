@@ -21,7 +21,8 @@ by constraint k, then block, then (i, j) row by row: the gathered columns
 run in that order, so `np.nonzero` reads the entries off sorted, and
 identical programs produce identical bytes. A value that is not finite has
 no decimal form (the format gives "inf" or "nan"), so the writer refuses it
-with ValueError.
+with ValueError, and the parser refuses it as it does any malformed line:
+with a ValueError that names the file.
 
 A program is read-only, so its text is formatted once: `_sdpa_text` keeps
 it in the program's `derived` dict, formatted by the same `_text` that
@@ -183,41 +184,45 @@ def export_sdpa(prog: ConicFeasibilityProgram, path: str) -> str:
     return path
 
 
-def _data_tokens(text: str):
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith('"') or line.startswith("*"):
-            continue
-        yield line.replace(",", " ").replace("{", " ").replace("}", " ").replace("(", " ").replace(")", " ")
-
-
 def parse_sdpa(path: str) -> SdpaData:
     with open(path) as fh:
-        lines = list(_data_tokens(fh.read()))
+        text = fh.read()
+    try:
+        return _parse(text)
+    except ValueError as err:  # the checks of `_parse`, and a count such as int("1.5")
+        raise ValueError(f"{path}: {err}") from None
+
+
+def _parse(text: str) -> SdpaData:
+    # the data lines, separators read as spaces; blank lines and comments are left out
+    spaced = text.translate(str.maketrans(",{}()", "     ")).splitlines()
+    lines = [line for raw, line in zip(text.splitlines(), spaced) if raw.strip()[:1] not in ("", '"', "*")]
     if len(lines) < 4:
-        raise ValueError(f"{path}: truncated SDPA file")
+        raise ValueError("truncated SDPA file")
     if not (lines[0].split() and lines[1].split()):
-        raise ValueError(f"{path}: SDPA header line without a count")
+        raise ValueError("SDPA header line without a count")
     m = int(lines[0].split()[0])
     nblocks = int(lines[1].split()[0])
     sizes = [int(t) for t in lines[2].split()]
     if len(sizes) != nblocks or 0 in sizes:  # a negative size is a diagonal block
-        raise ValueError(f"{path}: block sizes {sizes} for {nblocks} blocks")
+        raise ValueError(f"block sizes {sizes} for {nblocks} blocks")
     rhs = [float(t) for t in lines[3].split()]
     if len(rhs) != m:
-        raise ValueError(f"{path}: {len(rhs)} rhs values for {m} constraints")
+        raise ValueError(f"{len(rhs)} rhs values for {m} constraints")
     entries = []
     for line in lines[4:]:
         toks = line.split()
         if len(toks) != 5:
-            raise ValueError(f"{path}: malformed entry line {line!r}")
-        k, b, i, j = (int(t) for t in toks[:4])
+            raise ValueError(f"malformed entry line {line!r}")
+        k, b, i, j, v = int(toks[0]), int(toks[1]), int(toks[2]), int(toks[3]), float(toks[4])
         if not (0 <= k <= m and 1 <= b <= nblocks):
-            raise ValueError(f"{path}: entry indices out of range in {line!r}")
+            raise ValueError(f"entry indices out of range in {line!r}")
         d = abs(sizes[b - 1])
         if not (1 <= i <= j <= d) or (sizes[b - 1] < 0 and i != j):
-            raise ValueError(f"{path}: entry position outside block {b} in {line!r}")
-        entries.append((k, b, i, j, float(toks[4])))
+            raise ValueError(f"entry position outside block {b} in {line!r}")
+        entries.append((k, b, i, j, v))
+    if not all(map(math.isfinite, rhs + [e[4] for e in entries])):  # what `write_sdpa` refuses
+        raise ValueError("SDPA files hold finite numbers only")
     return SdpaData(m, sizes, rhs, entries)
 
 

@@ -81,23 +81,23 @@ with x0 = A^T (A A^T)^+ b. The certificate search is then the same relaxed
 alternating projection, on the same pseudo-inverse, between
 {s in range(A^T): x0^T s = -1} and the PSD cone, which is its own dual.
 Both searches run in one loop, checked at c, 2c, 4c, ... sweeps (c =
-_FIRST_CHECK) and once more at the budget _MAX_ITERS. Between two checks
-the primal iterate and the Farkas iterate s each advance by the gap between
-them, so a cell is decided within twice the sweeps it needs, and B sweeps
-make about log2(B/c) checks. At the first check s is seeded once from the
-primal iterate's displacement from the affine set, and every check, the
-first included, tries the polished point first and otherwise tries the
-certificate y = (A A^T)^+ A P(s), P the cone step, scaled to pairing -1 and
-re-verified by `verify_point` as a point of the witness program before
-anything is reported. The seed is screened before it is swept: when its y
-pairs with b below zero and the adjoint image A^T y lies within
-_POLISHED_TOL |b^T y| of the cone, sweeps would change nothing, so the
-first check tries that y with no Farkas sweep; every infeasible relaxed
-program of the fixtures and families at q = 0, eps > 0 certifies there
-(at eps = 0 their right-hand sides lie off the range). Otherwise
-the seed is swept by the gap as at every check. Either way a check tries
-one certificate, and a witness program's answer reuses `_certify`'s report
-of it.
+_FIRST_CHECK) and once more at the budget _MAX_ITERS, so a cell is decided
+within twice the sweeps it needs, and B sweeps make about log2(B/c) checks.
+A check tries the polished point first, then one certificate. The primal
+iterate's displacement from the affine set, d = cand - P_L(cand), tends to
+-v for the minimal gap vector v from the affine set to the cone (Bauschke &
+Borwein 1993), near the dual cone with pairing near -|v|^2 < 0. So every
+check screens d's multipliers y = (A A^T)^+ A P(d), P the cone step: when
+b^T y < 0 and A^T y lies within _POLISHED_TOL |b^T y| of the cone
+(`certifies`), it tries them unswept. Otherwise the Farkas iterate s, seeded from the first
+check's d, advances by the gap between the checks, as the primal iterate
+does, and the check tries y = (A A^T)^+ A P(s). The certificate is scaled to
+pairing -1 and re-verified by `verify_point` as a point of the witness
+program before anything is reported; a witness program's answer reuses that
+report. The infeasible relaxed programs of the fixtures and families at
+q = 0, eps > 0 certify unswept at the first check, and the rotations near
+their boundary at a later one (theta 0.305, q=3, eps 0.1: 4 096 sweeps; the
+Farkas iterate alone does not finish it within the budget).
 
 Near-feasible points are polished by rank-restricted Gauss-Newton: each
 block's rank is guessed from its spectrum with a residual-scaled cut, the
@@ -165,7 +165,7 @@ __all__ = [
 _FIRST_CHECK = 32
 # Primal sweep budget before UNDECIDED, and the last check: over ten times
 # the 4 096 sweeps of the slowest certificate in the tests (the rotation
-# I against R(0.28), q = 3, eps 0.1, `build_primal`).
+# I against R(0.305), q = 3, eps 0.1, `build_primal`).
 _MAX_ITERS = 50000
 # Relaxation of both projection steps, in (0, 2); at 2 each step reflects.
 _OVER_RELAXATION = 1.8
@@ -1005,7 +1005,7 @@ def _decide(witness: ConicFeasibilityProgram,
             ), report
 
     x = 0.1 * np.random.default_rng(cfg.seed).standard_normal(eng.n_cols)
-    s = None  # the Farkas iterate, seeded at the first check
+    s = None  # the Farkas iterate, seeded from the first check's d
     it = 0
     while it < _MAX_ITERS:
         gap = min(max(it, _FIRST_CHECK), _MAX_ITERS - it)
@@ -1023,27 +1023,18 @@ def _decide(witness: ConicFeasibilityProgram,
             if max(pres.values(), default=0.0) <= _POLISHED_TOL:
                 return FeasibilityOutcome("FEASIBLE", _split(prog.blocks, polished, eng.real), None,
                                           pres, it), None
-        y = None
-        if s is None:
-            # cand - P_L(cand) = A^T w tends to -v for the minimal gap vector
-            # v from the affine set to the cone (Bauschke & Borwein 1993), so
-            # it sits near the dual cone with pairing b^T w near -|v|^2 < 0.
-            # Where its multipliers already meet the cone as closely as a
-            # polished point meets its rows, sweeps would change nothing and
-            # the check tries them unswept. Every seed the screen refuses on
-            # the fixtures and families sits 4e-6 to 1.2e-3 off the cone per
-            # unit of pairing (or2's relaxed one at q=2, eps 0.1: 1.9e-5),
-            # fails `_certify` unswept, and is swept as at any check.
-            s = cand - eng.project_affine(cand)
-            y = eng.multipliers(s)
-        if y is None or not eng.certifies(y):
+        d = cand - eng.project_affine(cand)
+        s = d if s is None else s
+        y = eng.multipliers(d)
+        if not eng.certifies(y):
             s = _run_ap(eng.project_dual_affine, eng.project_cone, s, gap)
             y = eng.multipliers(s)
         found = _certify(witness, _split(prog.rows, y, eng.real))
         if found is not None:
             cert, report = found
             return FeasibilityOutcome("INFEASIBLE_WITH_CERTIFICATE", None, cert, res, it), report
-    return FeasibilityOutcome("UNDECIDED", None, None, residuals(eng.cone_point(x)), _MAX_ITERS), None
+    # the last check lands on the budget, and x has not moved since
+    return FeasibilityOutcome("UNDECIDED", None, None, res, _MAX_ITERS), None
 
 
 def _least_eigs(mats: list[np.ndarray]) -> list[float]:

@@ -237,6 +237,14 @@ def test_parse_rejects_off_diagonal_entry_in_diagonal_block(tmp_path):
     ("1\n1\n{2}\n1.0\n1 1 1 1\n", "malformed entry line"),  # no value
     ("1\n1\n{2}\n1.0\n2 1 1 1 1.0\n", "indices out of range"),  # constraint 2 of 1
     ("1\n1\n{2}\n1.0\n1 2 1 1 1.0\n", "indices out of range"),  # block 2 of 1
+    # what `write_sdpa` refuses, and counts that are not integers, are
+    # refused naming the file
+    ("1\n1\n{2}\nnan\n1 1 1 1 1.0\n", "bad.dat-s: SDPA files hold finite numbers only"),
+    ("1\n1\n{2}\n1.0\n1 1 1 1 inf\n", "bad.dat-s: SDPA files hold finite numbers only"),
+    ("1\n1\n{2}\n1.0\n1 1 1 1 -inf\n", "bad.dat-s: SDPA files hold finite numbers only"),
+    ("1.5\n1\n{2}\n1.0\n1 1 1 1 1.0\n", "bad.dat-s: invalid literal for int"),
+    ("1\n1\n{2.5}\n1.0\n1 1 1 1 1.0\n", "bad.dat-s: invalid literal for int"),
+    ("1\n1\n{2}\n1.0\n1 1 1.5 1 1.0\n", "bad.dat-s: invalid literal for int"),
 ])
 def test_parse_rejects_a_malformed_body(tmp_path, text, reason):
     path = tmp_path / "bad.dat-s"

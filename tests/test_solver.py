@@ -1104,25 +1104,32 @@ def _rotation(theta):
                         ("a", "b"), {"i": "a", "r": "b"})
 
 
-@pytest.mark.parametrize("exist,witness", [(build_primal, build_dual),
-                                           (build_primal_relaxed, build_dual_relaxed)])
-def test_rotation_certificates_come_within_the_budget(exist, witness):
-    # near the boundary a certificate takes thousands of sweeps (4 096 and
-    # 2 048 here), far more than any fixture cell
-    p = _rotation(0.28)
-    out = solve(exist(p, 3, 0.1))
-    assert out.status == "INFEASIBLE_WITH_CERTIFICATE"
-    rep = verify_point(witness(p, 3, 0.1), out.certificate)
-    assert rep.max_residual <= 1e-8
-    assert rep.min_block_eig >= -1e-8
-    assert rep.strict_slack > 0
+@pytest.mark.parametrize("exist,witness,most", [
+    pytest.param(build_primal, build_dual, 4096, id="build_primal-build_dual"),
+    pytest.param(build_primal_relaxed, build_dual_relaxed, 2048,
+                 id="build_primal_relaxed-build_dual_relaxed"),
+])
+def test_rotation_certificates_come_within_the_budget(exist, witness, most):
+    # near the boundary a certificate takes thousands of sweeps (at theta
+    # 0.305, 4 096 exact and 2 048 relaxed), far more than any fixture cell;
+    # there the Farkas iterate alone does not finish within the budget, and
+    # a check's displacement from the affine set certifies
+    for theta in (0.28, 0.3, 0.305):
+        p = _rotation(theta)
+        out = solve(exist(p, 3, 0.1))
+        assert out.status == "INFEASIBLE_WITH_CERTIFICATE", theta
+        assert out.iterations <= most, theta
+        rep = verify_point(witness(p, 3, 0.1), out.certificate)
+        assert rep.max_residual <= 1e-8
+        assert rep.min_block_eig >= -1e-8
+        assert rep.strict_slack > 0
 
 
 def test_checks_grow_with_the_logarithm_of_the_sweeps(monkeypatch):
     # checks come at c, 2c, 4c, ... sweeps and on the budget, so a run that
-    # decides nothing in 2 048 sweeps polishes and certifies at most
-    # log2(2048 / c) + 1 times each
-    monkeypatch.setattr(solver, "_MAX_ITERS", 2048)
+    # decides nothing in 1 024 sweeps polishes and certifies at most
+    # log2(1024 / c) + 1 times each; R(0.3) exact is decided at 2 048
+    monkeypatch.setattr(solver, "_MAX_ITERS", 1024)
     calls = {"_face_polish": 0, "_certify": 0}
 
     def counting(name, inner):
@@ -1134,8 +1141,8 @@ def test_checks_grow_with_the_logarithm_of_the_sweeps(monkeypatch):
     for name in calls:
         monkeypatch.setattr(solver, name, counting(name, getattr(solver, name)))
     out = solve(build_primal(_rotation(0.3), 3, 0.1))
-    assert (out.status, out.iterations) == ("UNDECIDED", 2048)
-    most = math.log2(2048 / solver._FIRST_CHECK) + 1
+    assert (out.status, out.iterations) == ("UNDECIDED", 1024)
+    most = math.log2(1024 / solver._FIRST_CHECK) + 1
     assert 0 < calls["_face_polish"] <= most
     assert 0 < calls["_certify"] <= most
 
@@ -1364,6 +1371,15 @@ def test_a_seed_off_the_cone_is_swept(monkeypatch):
     assert rep.max_residual <= 1e-8
     assert rep.min_block_eig >= -1e-8
     assert rep.strict_slack > 0
+
+
+def test_a_later_check_certifies_without_farkas_sweeps(monkeypatch):
+    # R(0.3) relaxed is decided at its sixth check, 1 024 sweeps: the five
+    # checks before it swept the Farkas iterate by their gaps, 512 sweeps in
+    # all, and the deciding check's displacement passed the screen unswept
+    sweeps = _count_farkas_sweeps(monkeypatch)
+    out = solve(build_primal_relaxed(_rotation(0.3), 3, 0.1))
+    assert (out.status, out.iterations, sweeps[0]) == ("INFEASIBLE_WITH_CERTIFICATE", 1024, 512)
 
 
 @pytest.mark.parametrize("pname,builder,q,eps,iterations", [
