@@ -18,17 +18,25 @@ weight matrix. The bound comes with an explicit feasible point of the
 relaxed witness program, assembled from that eigenvector and checked
 row-by-row before it is returned; a failed check raises WitnessError rather
 than returning an unsound witness.
+
+A weighting's spectrum (lambda, the Perron vector and alpha) does not
+depend on eps, and its witnesses are asked for after its bound. So each
+problem keeps the last weighting checked on it, keyed by the shape and bytes
+of its float array, with its spectrum, read-only, in its slot
+`last_weighting`, which only `spectral_bound` and `make_dual_witness` read
+and fill: on a hit they run no weight check and no eigensolver.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .problem import QueryProblem
-from .programs import _check_q_eps, build_dual_relaxed, pair_name
+from .programs import _check_q_eps, build_dual_relaxed
 from .solver import verify_point
 
 __all__ = [
@@ -79,8 +87,27 @@ def _check_eps(eps: float) -> None:
         raise ValueError(f"error tolerance must lie in [0, 1/2), got {eps}")
 
 
-def _check_weight(p: QueryProblem, gamma) -> np.ndarray:
-    g = np.asarray(gamma, dtype=float)
+class _Spectrum(NamedTuple):
+    """What a checked weighting g gives at every eps: the largest eigenvalue
+    lam of g with its nonnegative eigenvector v, and alpha."""
+
+    g: np.ndarray
+    lam: float
+    v: np.ndarray
+    alpha: float
+
+
+def _weight_array(gamma) -> np.ndarray:
+    """gamma as a float array; a nonzero imaginary part is refused, not dropped."""
+    g = np.asarray(gamma)
+    if np.iscomplexobj(g):
+        if np.any(g.imag):
+            raise ValueError("weight matrix entries must be real")
+        g = g.real
+    return np.asarray(g, dtype=float)
+
+
+def _check_weight(p: QueryProblem, g: np.ndarray) -> np.ndarray:
     s = p.size
     if g.shape != (s, s):
         raise ValueError(f"weight matrix shape {g.shape} != ({s}, {s})")
@@ -127,15 +154,34 @@ def spectral_bound(p: QueryProblem, gamma, eps: float) -> AdversaryReport:
     """
     _check_eps(eps)
     p.omega  # validates p, which _check_weight reads
-    return _bound(p, _check_weight(p, gamma), eps)
+    return _report(_checked_spectrum(p, gamma), eps)
 
 
-def _bound(p: QueryProblem, g: np.ndarray, eps: float) -> AdversaryReport:
-    """The bound of a checked weighting g."""
+def _checked_spectrum(p: QueryProblem, gamma) -> _Spectrum:
+    """The spectrum of gamma, checked, from p's slot when gamma has the
+    shape and bytes of the weighting last checked on p; otherwise checked
+    and evaluated, and kept in the slot in place of the last one."""
+    a = _weight_array(gamma)
+    key = (a.shape, a.tobytes())
+    slot = p.last_weighting
+    if slot[0] != key:
+        spectrum = _spectrum(p, _check_weight(p, a))
+        spectrum.g.flags.writeable = spectrum.v.flags.writeable = False
+        slot[:] = key, spectrum
+    return slot[1]
+
+
+def _spectrum(p: QueryProblem, g: np.ndarray) -> _Spectrum:
+    """The spectrum of a checked weighting g."""
     lam, v = perron_vector(g)
     wide = np.repeat(np.repeat(g, p.n, axis=0), p.n, axis=1)  # gamma ⊗ J_n
     evals = np.linalg.eigvalsh(wide * p.differences)
-    alpha = 2.0 * float(evals[-1])
+    return _Spectrum(g, lam, v, 2.0 * float(evals[-1]))
+
+
+def _report(spectrum: _Spectrum, eps: float) -> AdversaryReport:
+    """The bound a weighting's spectrum gives at error eps."""
+    lam, v, alpha = spectrum.lam, spectrum.v, spectrum.alpha
     prefactor = 1.0 - 2.0 * math.sqrt(eps * (1.0 - eps))
     if alpha <= _ALPHA_FLOOR:
         return AdversaryReport(lam, v, alpha, math.inf, None)
@@ -173,12 +219,12 @@ def make_dual_witness(p: QueryProblem, gamma, q: int, eps: float) -> dict[str, n
     _check_q_eps(q)
     _check_eps(eps)
     p.omega  # validates p, which _check_weight reads
-    g = _check_weight(p, gamma)
-    report = _bound(p, g, eps)
+    spectrum = _checked_spectrum(p, gamma)
+    report = _report(spectrum, eps)
     if not q < report.bound:
         raise ValueError(f"no witness guaranteed at q = {q}, bound = {report.bound:.6g}")
-    v = report.perron_v
-    w = g * np.outer(v, v)
+    v = spectrum.v
+    w = spectrum.g * np.outer(v, v)
     lap = np.diag(w.sum(axis=1)) - w
     chain = ["init"] + [f"chain_{t}" for t in range(1, q)]
     witness: dict[str, np.ndarray] = {}
@@ -186,10 +232,8 @@ def make_dual_witness(p: QueryProblem, gamma, q: int, eps: float) -> dict[str, n
         step = (lap + t * report.alpha * np.diag(v * v)).astype(complex)
         # on the start face, or the face of J at q = 0, init's step is the scalar tr(J step)
         witness[chain[q - t]] = np.full((1, 1), step.sum()) if t == q else step
-    pairs = p.differing_pairs()
-    ii, jj = np.array(pairs).T
-    for pair, mult in zip(pairs, w[ii, jj][:, None, None] * _PAIR_PATTERN):
-        witness[f"pair_{pair_name(p, pair)}"] = mult
+    names, ii, jj = p.pair_rows
+    witness.update(zip(names, w[ii, jj][:, None, None] * _PAIR_PATTERN))
     rep = verify_point(build_dual_relaxed(p, q, eps), witness)
     if not (rep.within(_WITNESS_TOL) and rep.strict_slack and rep.strict_slack > 0):
         worst = max(rep.row_residuals, key=rep.row_residuals.get)
@@ -223,7 +267,7 @@ def search_gamma(p: QueryProblem, eps: float) -> tuple[np.ndarray, AdversaryRepo
     gamma = np.zeros((s, s))
     for i, j in pairs:
         gamma[i, j] = gamma[j, i] = 1.0
-    best = _bound(p, gamma, eps)
+    best = _report(_spectrum(p, gamma), eps)
     evals = 1
     improved = True
     while improved and evals < _SEARCH_EVALS:
@@ -234,7 +278,7 @@ def search_gamma(p: QueryProblem, eps: float) -> tuple[np.ndarray, AdversaryRepo
                     break
                 cand = gamma.copy()
                 cand[i, j] = cand[j, i] = gamma[i, j] * factor
-                rep = _bound(p, cand, eps)
+                rep = _report(_spectrum(p, cand), eps)
                 evals += 1
                 if rep.bound > best.bound * (1.0 + 1e-12):
                     gamma, best = cand, rep

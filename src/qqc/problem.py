@@ -12,7 +12,10 @@ Its third build-once field, `programs`, holds the read-only programs built
 on it, one per (builder, q, eps) (see `qqc.programs`): a copy made with
 `dataclasses.replace` starts with none, and they are freed with the problem.
 The fourth, `output_index`, holds the index in `outputs` of each input's
-output, which the weight check and the reconstruction read.
+output, which the weight check and the reconstruction read. `pair_rows`
+holds the keys of an adversary witness's pair multipliers, and
+`last_weighting` the last adversary weighting checked on the instance with
+its spectrum (see `qqc.adversary`).
 """
 
 from __future__ import annotations
@@ -74,6 +77,24 @@ class QueryProblem:
     def programs(self) -> dict:
         """The programs built on this instance, keyed by (builder, q, eps)."""
         return {}
+
+    @functools.cached_property
+    def pair_rows(self) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+        """The relaxed programs' row name `pair_{x}|{y}` of each pair in
+        `differing_pairs()`, in its order, and the pairs' read-only index
+        arrays ii and jj."""
+        pairs = self.differing_pairs()
+        names = tuple(f"pair_{self.labels[i]}|{self.labels[j]}" for i, j in pairs)
+        ii = np.array([i for i, _ in pairs], dtype=np.intp)
+        jj = np.array([j for _, j in pairs], dtype=np.intp)
+        ii.flags.writeable = jj.flags.writeable = False
+        return names, ii, jj
+
+    @functools.cached_property
+    def last_weighting(self) -> list:
+        """One slot, [key, spectrum], for the last weighting checked on this
+        instance; `qqc.adversary` alone reads and fills it."""
+        return [None, None]
 
     @property
     def size(self) -> int:

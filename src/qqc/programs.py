@@ -65,12 +65,14 @@ and terms, and read-only right-hand sides.
 What is computed from a program alone is then computed once too, and kept
 in the program's `derived` dict (`_derived`): each row's terms grouped by
 signature, with their mats and scales stacked, which `row_value` applies;
-the witness program `_farkas_alternative` generates, so that `build_dual`
-and a solve of the existence program share one; and, in `qqc.solver`, the
-assembled (A, b) and the projection engine on it, which every solve and
-the SDPA export read, and the decision of each solver seed, which answers
-a solve of either the existence program or its witness program; and, in
-`qqc.sdpa`, the text of the program's SDPA export. Like
+where each block sits when a point's blocks are stacked by dimension, which
+`qqc.solver.verify_point` gathers every group and PSD block from
+(`_stack_index`); the witness program `_farkas_alternative` generates, so
+that `build_dual` and a solve of the existence program share one; and, in
+`qqc.solver`, the assembled (A, b) and the projection engine on it, which
+every solve and the SDPA export read, and the decision of each solver
+seed, which answers a solve of either the existence program or its witness
+program; and, in `qqc.sdpa`, the text of the program's SDPA export. Like
 `QueryProblem.programs`, `derived` is not a field: a copy made with
 `dataclasses.replace` starts with none of it. A witness program and its
 existence program refer to each other, so their derived data go with the
@@ -84,6 +86,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -230,14 +233,23 @@ class ConicFeasibilityProgram:
         groups = _row_maps(self).get(id(row))
         if groups is None:  # a row the program does not hold
             groups = _group_terms(self, row)
-        out = np.zeros((row.dim, row.dim), dtype=complex)
-        for names, m in groups:
+
+        def gather(names: tuple[str, ...]) -> np.ndarray:
             if len(names) == 1:
-                out += m.apply(np.asarray(point[names[0]], dtype=complex))
-            else:
-                xs = np.stack([np.asarray(point[name], dtype=complex) for name in names])
-                out += m.apply(xs).sum(axis=0)
-        return out
+                return np.asarray(point[names[0]], dtype=complex)
+            return np.stack([np.asarray(point[name], dtype=complex) for name in names])
+
+        return _apply_groups(row.dim, groups, [gather(names) for names, _ in groups])
+
+
+def _apply_groups(dim: int, groups: tuple, xs: list[np.ndarray]) -> np.ndarray:
+    """A row's value from its groups (`_group_terms`) and their inputs: the
+    block's matrix for a one-term group, the stack of its blocks' matrices
+    for a larger one, whose images are summed."""
+    out = np.zeros((dim, dim), dtype=complex)
+    for (names, m), x in zip(groups, xs):
+        out += m.apply(x) if len(names) == 1 else m.apply(x).sum(axis=0)
+    return out
 
 
 def _derived(make):
@@ -286,6 +298,61 @@ def _row_maps(prog: ConicFeasibilityProgram) -> dict[int, tuple]:
     """`_group_terms` of every row of the program, keyed by the row's id;
     the program holds its rows, so the ids stay theirs."""
     return {id(row): _group_terms(prog, row) for row in prog.rows}
+
+
+class _StackIndex(NamedTuple):
+    """Where a point's blocks sit in one (k, d, d) stack per block dimension
+    d, in program order: an int for one block, a slice for a run of
+    consecutive ones, else a read-only index array (`_gather`)."""
+
+    sizes: dict[int, int]  # block dimension -> number of blocks
+    places: tuple[int, ...]  # each block's index in its stack
+    # per row: its groups (`_row_maps`), each with its stack's dimension and index
+    rows: tuple[tuple[tuple, tuple[tuple[int, int | slice | np.ndarray], ...]], ...]
+    psd_names: tuple[str, ...]
+    # block dimension -> its PSD blocks' index in the stack and places in psd_names
+    psd: dict[int, tuple[slice | np.ndarray, tuple[int, ...]]]
+
+
+def _gather(at: list[int]) -> slice | np.ndarray:
+    """A slice for consecutive indices of a stack, else a read-only index array."""
+    if at == list(range(at[0], at[0] + len(at))):
+        return slice(at[0], at[0] + len(at))
+    arr = np.array(at, dtype=np.intp)
+    arr.flags.writeable = False
+    return arr
+
+
+@_derived
+def _stack_index(prog: ConicFeasibilityProgram) -> _StackIndex:
+    """The program's `_StackIndex`. A term whose map does not take its
+    block's dimension raises ValueError, as applying the map would."""
+    sizes: dict[int, int] = {}
+    places = []
+    for b in prog.blocks:
+        places.append(sizes.get(b.dim, 0))
+        sizes[b.dim] = places[-1] + 1
+    place = {b.name: (b.dim, k) for b, k in zip(prog.blocks, places)}
+    maps = _row_maps(prog)
+    rows = []
+    for row in prog.rows:
+        reads = []
+        for names, m in maps[id(row)]:
+            for name in names:
+                if place[name][0] != m.d_in:
+                    raise ValueError(f"row {row.name!r}: map expects {m.d_in}x{m.d_in} input, "
+                                     f"block {name!r} is {place[name][0]}x{place[name][0]}")
+            ks = [place[name][1] for name in names]
+            reads.append((m.d_in, ks[0] if len(ks) == 1 else _gather(ks)))
+        rows.append((maps[id(row)], tuple(reads)))
+    psd_names = tuple(b.name for b in prog.blocks if b.psd)
+    psd: dict[int, tuple[list[int], list[int]]] = {}
+    for k, name in enumerate(psd_names):
+        d, at = place[name]
+        psd.setdefault(d, ([], []))[0].append(at)
+        psd[d][1].append(k)
+    return _StackIndex(sizes, tuple(places), tuple(rows), psd_names,
+                       {d: (_gather(at), tuple(to)) for d, (at, to) in psd.items()})
 
 
 def pair_name(p: QueryProblem, pair: tuple[int, int]) -> str:

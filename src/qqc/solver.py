@@ -139,7 +139,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import hermitize
-from .programs import Block, ConicFeasibilityProgram, Row, _derived, _farkas_alternative
+from .programs import (Block, ConicFeasibilityProgram, Row, _apply_groups, _derived,
+                       _farkas_alternative, _stack_index)
 
 # LAPACK's stacked eigh as numpy's own wrapper calls it, without the
 # wrapper's per-call checks, casts and error state; a numpy without this
@@ -1038,49 +1039,56 @@ def _decide(witness: ConicFeasibilityProgram,
 
 
 def _least_eigs(mats: list[np.ndarray]) -> list[float]:
-    """Least eigenvalue of the Hermitian part of each matrix, in order: one
-    stacked `hermitize` and one stacked `eigh` per matrix dimension above 1.
-    Each matrix meets the same arithmetic and LAPACK routine as alone, so the
+    """Least eigenvalue of the Hermitian part of each matrix, in order, with
+    the matrices of each dimension stacked (`_stack_least_eigs`)."""
+    by_dim: dict[int, list[int]] = {}
+    for i, m in enumerate(mats):
+        by_dim.setdefault(m.shape[-1], []).append(i)
+    least = [0.0] * len(mats)
+    for idx in by_dim.values():
+        for i, w in zip(idx, _stack_least_eigs(np.stack([mats[i] for i in idx]))):
+            least[i] = w
+    return least
+
+
+def _stack_least_eigs(stack: np.ndarray) -> list[float]:
+    """Least eigenvalue of the Hermitian part of each matrix of a (k, d, d)
+    stack, in order: one stacked `hermitize` and `eigh` for d above 1. Each
+    matrix meets the same arithmetic and LAPACK routine as alone, so the
     bits do not depend on the stacking. A 1x1 matrix x + iy needs neither:
     its eigenvalue is x - (y - y), which is x, or NaN when y is not finite
     (the Hermitian part's imaginary part y - y is then NaN): bit for bit
     what `eigh` returns for its Hermitian part, signed zeros included, and
     NaN where it returns NaN, for |x| < 2^1023, beyond which the Hermitian
     part's x + x overflows."""
-    by_dim: dict[int, list[int]] = {}
-    for i, m in enumerate(mats):
-        by_dim.setdefault(m.shape[-1], []).append(i)
-    least = [0.0] * len(mats)
-    for d, idx in by_dim.items():
-        if d == 1:
-            for i in idx:
-                z = mats[i].item()
-                least[i] = z.real - (z.imag - z.imag)
-            continue
-        stack = hermitize(np.stack([mats[i] for i in idx]))
-        for i, w in zip(idx, np.linalg.eigh(stack)[0][:, 0].tolist()):
-            least[i] = w
-    return least
+    if stack.shape[-1] == 1:
+        return [z.real - (z.imag - z.imag) for z in stack[:, 0, 0].tolist()]
+    return np.linalg.eigh(hermitize(stack))[0][:, 0].tolist()
 
 
 def verify_point(prog: ConicFeasibilityProgram, point: dict[str, np.ndarray]) -> PointReport:
     """Pure re-evaluation of every row and block at the given point.
 
-    The least eigenvalues of the Hermitian parts of the PSD rows and the
-    PSD blocks come from one stacked `hermitize` and `eigh` per matrix
-    dimension above 1, and of a 1x1 part from its entry (`_least_eigs`).
+    The point's blocks are stacked once, one complex stack per block
+    dimension; every group of a row's terms and the PSD blocks' check gather
+    their matrices from those stacks (`programs._stack_index`). The least
+    eigenvalues of the Hermitian parts of the PSD rows and the PSD blocks
+    come from one stacked `hermitize` and `eigh` per matrix dimension above
+    1, and of a 1x1 part from its entry (`_stack_least_eigs`).
     """
-    vals = {}
-    for b in prog.blocks:
+    index = _stack_index(prog)
+    stacks = {d: np.empty((k, d, d), dtype=complex) for d, k in index.sizes.items()}
+    for b, k in zip(prog.blocks, index.places):
         v = np.asarray(point[b.name], dtype=complex)
         if v.shape != (b.dim, b.dim):
             raise ValueError(f"block {b.name!r} has shape {v.shape}, expected {(b.dim, b.dim)}")
-        vals[b.name] = v
+        stacks[b.dim][k] = v
     row_residuals = {}
     psd_rows: dict[str, np.ndarray] = {}
     strict_slack = None
-    for r in prog.rows:
-        diff = prog.row_value(r, vals) - np.asarray(r.rhs, dtype=complex)
+    for r, (groups, at) in zip(prog.rows, index.rows):
+        value = _apply_groups(r.dim, groups, [stacks[d][i] for d, i in at])
+        diff = value - np.asarray(r.rhs, dtype=complex)
         if r.sense == "eq":
             row_residuals[r.name] = float(np.linalg.norm(diff))
         elif r.sense == "psd":
@@ -1090,10 +1098,12 @@ def verify_point(prog: ConicFeasibilityProgram, point: dict[str, np.ndarray]) ->
             strict_slack = float(-diff[0, 0].real)
         else:
             raise SolverError(f"unknown row sense {r.sense!r}")
-    psd_blocks = {b.name: vals[b.name] for b in prog.blocks if b.psd}
-    least = _least_eigs([*psd_rows.values(), *psd_blocks.values()])
-    for name, w in zip(psd_rows, least):
+    for name, w in zip(psd_rows, _least_eigs(list(psd_rows.values()))):
         # max(0.0, -w) would drop a NaN w
         row_residuals[name] = 0.0 if w >= 0 else -w
-    block_min_eigs = dict(zip(psd_blocks, least[len(psd_rows):]))
+    least = [0.0] * len(index.psd_names)
+    for d, (at, to) in index.psd.items():
+        for k, w in zip(to, _stack_least_eigs(stacks[d][at])):
+            least[k] = w
+    block_min_eigs = dict(zip(index.psd_names, least))
     return PointReport(row_residuals, block_min_eigs, strict_slack)

@@ -14,7 +14,7 @@ from qqc.adversary import (
 )
 import qqc.problem
 from qqc.problem import QueryProblem
-from qqc.programs import build_dual_relaxed, build_primal, pair_name
+from qqc.programs import build_dual_relaxed, build_primal, build_primal_relaxed, pair_name
 from qqc.reconstruct import reconstruct_algorithm
 from qqc.simulate import run
 from qqc.solver import verify_point
@@ -89,7 +89,7 @@ def test_alpha_from_the_difference_blocks(s, n):
         g = random_valid_gamma(p, rng)
         wide = np.kron(g, np.eye(n))
         want = 2.0 * np.linalg.eigvalsh(wide - p.omega @ wide @ p.omega.conj().T)[-1]
-        got = qqc.adversary._bound(p, g, 0.0).alpha
+        got = qqc.adversary._spectrum(p, g).alpha
         assert abs(got - want) <= 1e-12 * abs(want)
 
 
@@ -130,6 +130,24 @@ def test_spectral_bound_rejects_invalid_weights(deutsch):
     # the first offending pair in row-major order is named
     with pytest.raises(ValueError, match=r"weight at \(00, 11\) must vanish: equal outputs"):
         spectral_bound(deutsch, same_class, 0.0)
+
+
+def test_spectral_bound_rejects_a_complex_weighting(deutsch):
+    # the cast to float would drop the imaginary part and bound another
+    # weighting; a complex array whose imaginary part is zero is the real one
+    p = dataclasses.replace(deutsch)
+    gamma = random_valid_gamma(p, np.random.default_rng(4))
+    skew = np.zeros((4, 4))
+    skew[0, 1], skew[1, 0] = 1.0, -1.0  # Γ + iA is Hermitian
+    for bad in (gamma + 1j * skew, gamma + 1j * np.nan * skew):
+        with pytest.raises(ValueError, match="weight matrix entries must be real"):
+            spectral_bound(p, bad, 0.1)
+        with pytest.raises(ValueError, match="weight matrix entries must be real"):
+            make_dual_witness(p, bad, 0, 0.1)
+    assert p.last_weighting == [None, None]
+    want = spectral_bound(dataclasses.replace(deutsch), gamma, 0.1)
+    got = spectral_bound(p, gamma.astype(complex), 0.1)  # no ComplexWarning either
+    assert (got.bound, got.perron_v.tobytes()) == (want.bound, want.perron_v.tobytes())
 
 
 def test_spectral_bound_validates_the_problem_before_the_weights():
@@ -281,6 +299,126 @@ def test_validate_runs_once_per_problem(deutsch, monkeypatch):
     assert len(calls) == 1 and calls[0] is p
 
 
+def _eigensolver_calls(monkeypatch) -> dict[str, int]:
+    # counts the weight checks and the two eigensolvers of a weighting's spectrum
+    calls = {"check": 0, "perron": 0, "eigvalsh": 0}
+
+    def counted(key, fn):
+        def run(*args):
+            calls[key] += 1
+            return fn(*args)
+        return run
+
+    monkeypatch.setattr(qqc.adversary, "_check_weight", counted("check", qqc.adversary._check_weight))
+    monkeypatch.setattr(qqc.adversary, "perron_vector", counted("perron", qqc.adversary.perron_vector))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    return calls
+
+
+@pytest.mark.parametrize("pname", ["deutsch", "weyl3"])
+def test_a_witness_after_its_bound_runs_no_eigensolver(monkeypatch, pname):
+    # the problem keeps the weighting just bounded with its spectrum, which
+    # does not depend on eps: its witnesses, and its bound at another eps,
+    # neither check it again nor run an eigensolver
+    p = dataclasses.replace(WEIGHTED[pname])
+    gamma = random_valid_gamma(p, np.random.default_rng(7))
+    calls = _eigensolver_calls(monkeypatch)
+    rep = spectral_bound(p, gamma, 0.0)
+    assert calls == {"check": 1, "perron": 1, "eigvalsh": 1}
+    for eps in (0.0, 0.1):
+        for q in range(spectral_bound(p, gamma, eps).ceil_bound):
+            make_dual_witness(p, gamma, q, eps)
+    assert rep.ceil_bound >= 1
+    assert calls == {"check": 1, "perron": 1, "eigvalsh": 1}
+    # an equal weighting in another array hits too; another weighting does not
+    spectral_bound(p, gamma.tolist(), 0.1)
+    assert calls["perron"] == 1
+    spectral_bound(p, 2.0 * gamma, 0.1)
+    assert calls == {"check": 2, "perron": 2, "eigvalsh": 2}
+
+
+def test_a_weighting_changed_in_place_misses_the_slot(or2):
+    p = dataclasses.replace(or2)
+    gamma = random_valid_gamma(p, np.random.default_rng(8))
+    before = spectral_bound(p, gamma, 0.1)
+    i, j = p.differing_pairs()[0]
+    gamma[i, j] = gamma[j, i] = 5.0 * gamma[i, j]
+    witness = make_dual_witness(p, gamma, 0, 0.1)
+    after = spectral_bound(p, gamma, 0.1)
+    fresh = dataclasses.replace(or2)
+    want = spectral_bound(fresh, gamma, 0.1)
+    assert after.bound != before.bound
+    assert (after.bound, after.alpha, after.perron_v.tobytes()) == (want.bound, want.alpha, want.perron_v.tobytes())
+    want_witness = make_dual_witness(fresh, gamma, 0, 0.1)
+    assert list(witness) == list(want_witness)
+    assert all(witness[k].tobytes() == want_witness[k].tobytes() for k in witness)
+
+
+def test_a_weighting_that_fails_its_check_leaves_the_slot(deutsch, monkeypatch):
+    p = dataclasses.replace(deutsch)
+    gamma = random_valid_gamma(p, np.random.default_rng(9))
+    spectral_bound(p, gamma, 0.1)
+    key, kept = p.last_weighting
+    same_class = gamma.copy()
+    same_class[1, 2] = same_class[2, 1] = 1.0  # 01 and 10 share an output
+    negative = -gamma
+    for bad in (same_class, negative, np.ones((3, 3)), gamma + 1j * gamma):
+        with pytest.raises(ValueError):
+            spectral_bound(p, bad, 0.1)
+        with pytest.raises(ValueError):
+            make_dual_witness(p, bad, 0, 0.1)
+        assert p.last_weighting[0] == key and p.last_weighting[1] is kept
+    calls = _eigensolver_calls(monkeypatch)
+    make_dual_witness(p, gamma, 0, 0.1)
+    assert calls == {"check": 0, "perron": 0, "eigvalsh": 0}
+
+
+def test_the_kept_spectrum_refuses_writes(ix):
+    p = dataclasses.replace(ix)
+    gamma = np.array([[0.0, 1.0], [1.0, 0.0]])
+    rep = spectral_bound(p, gamma, 0.0)
+    kept = p.last_weighting[1]
+    for arr in (kept.g, kept.v, rep.perron_v):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 2.0
+    gamma[0, 1] = gamma[1, 0] = 2.0  # the caller's array is not frozen
+    assert spectral_bound(p, gamma, 0.0).lambda_gamma == pytest.approx(2.0, rel=1e-14)
+    names, ii, jj = p.pair_rows
+    assert names == ("pair_i|x",) and not ii.flags.writeable and not jj.flags.writeable
+
+
+@pytest.mark.parametrize("pname", sorted(WEIGHTED))
+def test_a_kept_spectrum_gives_the_bits_of_a_fresh_one(pname):
+    # every report field and witness array, served from the slot, has the
+    # bytes of an evaluation on an empty slot: the all-ones and a random
+    # weighting, at eps 0 and 0.1, at every q below the bound
+    p = dataclasses.replace(WEIGHTED[pname])
+    ones = (p.output_index[:, None] != p.output_index[None, :]).astype(float)
+
+    def fresh(call, *args):
+        p.last_weighting[:] = [None, None]
+        return call(p, *args)
+
+    def report_bits(rep):
+        return (repr(rep.lambda_gamma), rep.perron_v.dtype, rep.perron_v.tobytes(),
+                repr(rep.alpha), repr(rep.bound), rep.ceil_bound)
+
+    for gamma in (ones, random_valid_gamma(p, np.random.default_rng(31))):
+        for eps in (0.0, 0.1):
+            rep = spectral_bound(p, gamma, eps)
+            witnesses = [make_dual_witness(p, gamma, q, eps) for q in range(rep.ceil_bound)]
+            assert witnesses
+            assert report_bits(rep) == report_bits(fresh(spectral_bound, gamma, eps))
+            for q, got in enumerate(witnesses):
+                want = fresh(make_dual_witness, gamma, q, eps)
+                assert list(got) == list(want)
+                for k in want:
+                    assert (got[k].dtype, got[k].shape, got[k].tobytes()) == \
+                        (want[k].dtype, want[k].shape, want[k].tobytes()), (q, k)
+    relaxed = build_primal_relaxed(p, 0, 0.1)
+    assert p.pair_rows[0] == tuple(r.name for r in relaxed.rows if r.name.startswith("pair_"))
+
+
 def test_make_dual_witness_rejects_q_at_or_above_bound(ix):
     gamma = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(ValueError):
@@ -322,7 +460,7 @@ def _search_every_candidate(p, eps):
     gamma = np.zeros((p.size, p.size))
     for i, j in pairs:
         gamma[i, j] = gamma[j, i] = 1.0
-    best = qqc.adversary._bound(p, gamma, eps)
+    best = qqc.adversary._report(qqc.adversary._spectrum(p, gamma), eps)
     evals = 1
     improved = True
     while improved and evals < qqc.adversary._SEARCH_EVALS:
@@ -333,7 +471,7 @@ def _search_every_candidate(p, eps):
                     break
                 cand = gamma.copy()
                 cand[i, j] = cand[j, i] = gamma[i, j] * factor
-                rep = qqc.adversary._bound(p, cand, eps)
+                rep = qqc.adversary._report(qqc.adversary._spectrum(p, cand), eps)
                 evals += 1
                 if rep.bound > best.bound * (1.0 + 1e-12):
                     gamma, best = cand, rep
@@ -351,13 +489,13 @@ def test_search_gamma_skips_the_halving_that_undoes_a_doubling(monkeypatch, pnam
     p = _pauli2() if pname == "pauli2" else {**PROBLEMS, **FAMILIES}[pname]
     want_gamma, want = _search_every_candidate(p, eps)
     calls = [0]
-    inner = qqc.adversary._bound
+    inner = qqc.adversary._spectrum
 
     def counted(*args):
         calls[0] += 1
         return inner(*args)
 
-    monkeypatch.setattr(qqc.adversary, "_bound", counted)
+    monkeypatch.setattr(qqc.adversary, "_spectrum", counted)
     gamma, rep = search_gamma(p, eps)
     assert calls[0] == evals
     assert gamma.tobytes() == want_gamma.tobytes()

@@ -1293,6 +1293,74 @@ def test_verify_point_stacks_eigenvalues_in_program_order():
     assert min(rep.row_residuals.values()) > 0.0 and rep.min_block_eig < 0.0
 
 
+def _verify_row_by_row(prog, point):
+    # verify_point's report from one `row_value` per row and one `eigh` per
+    # matrix, with no stacking
+    def least(m):
+        if m.shape == (1, 1):
+            z = complex(m[0, 0])
+            return z.real - (z.imag - z.imag)
+        return float(np.linalg.eigh(hermitize(m))[0][0])
+
+    residuals, slack = {}, None
+    for r in prog.rows:
+        diff = prog.row_value(r, point) - np.asarray(r.rhs, dtype=complex)
+        if r.sense == "eq":
+            residuals[r.name] = float(np.linalg.norm(diff))
+        elif r.sense == "psd":
+            w = least(diff)
+            residuals[r.name] = 0.0 if w >= 0 else -w
+        else:
+            slack = float(-diff[0, 0].real)
+    eigs = {b.name: least(np.asarray(point[b.name], dtype=complex)) for b in prog.blocks if b.psd}
+    return residuals, eigs, slack
+
+
+@pytest.mark.parametrize("pname", sorted({**PROBLEMS, **FAMILIES}))
+def test_verify_point_gives_the_bits_of_a_row_by_row_evaluation(pname):
+    # the existence and witness programs at q <= 2 (q <= 1 for weyl3) and
+    # eps in {0, 0.1}, at random points, some blocks given as real arrays:
+    # every residual, least eigenvalue and slack keeps its bits and its
+    # place in the program's order
+    p = {**PROBLEMS, **FAMILIES}[pname]
+    rng = np.random.default_rng(53)
+    for build in BUILDERS.values():
+        for q in range(2 if pname == "weyl3" else 3):
+            for eps in (0.0, 0.1):
+                prog = build(p, q, eps)
+                point = {b.name: random_hermitian(rng, b.dim) for b in prog.blocks}
+                for b in prog.blocks[::3]:
+                    point[b.name] = point[b.name].real.copy()
+                rep = verify_point(prog, point)
+                residuals, eigs, slack = _verify_row_by_row(prog, point)
+                assert list(rep.row_residuals) == [r.name for r in prog.rows if r.sense != "strict"]
+                assert list(rep.block_min_eigs) == [b.name for b in prog.blocks if b.psd]
+                assert repr(rep.row_residuals) == repr(residuals)
+                assert repr(rep.block_min_eigs) == repr(eigs)
+                assert repr(rep.strict_slack) == repr(slack)
+
+
+def test_verify_point_names_the_first_bad_block_in_program_order():
+    # blocks of dimension 2, 3, 2: a wrong shape or a missing block is
+    # reported for the first such block of the program, not of its
+    # dimension's stack
+    blocks = [Block("a", 2, True), Block("b", 3, True), Block("c", 2, False)]
+    rows = [Row("sum", 2, [(0, _ident(2)), (2, _ident(2))], np.zeros((2, 2), dtype=complex))]
+    prog = ConicFeasibilityProgram(blocks, rows)
+    good = {"a": np.eye(2), "b": np.eye(3), "c": np.eye(2)}
+    assert verify_point(prog, good).row_residuals == {"sum": float(np.linalg.norm(2 * np.eye(2)))}
+    with pytest.raises(ValueError, match=r"block 'b' has shape \(2, 2\), expected \(3, 3\)"):
+        verify_point(prog, {**good, "b": np.eye(2), "c": np.eye(3)})
+    with pytest.raises(ValueError, match="block 'c' has shape"):
+        verify_point(prog, {**good, "c": np.eye(3)})
+    with pytest.raises(KeyError, match="'b'"):
+        verify_point(prog, {"a": np.eye(2)})
+    # a map that does not take its block's dimension is refused, as applying it would be
+    clash = ConicFeasibilityProgram(blocks, [Row("bad", 2, [(1, _ident(2))], np.zeros((2, 2), dtype=complex))])
+    with pytest.raises(ValueError, match="map expects 2x2 input"):
+        verify_point(clash, good)
+
+
 def test_least_eig_of_a_1x1_part_is_eighs_bit_for_bit():
     # a 1x1 part skips hermitize and eigh, and gives the value eigh gives
     # over magnitudes 1e-300 to 1e300 of both parts, signed zeros,
