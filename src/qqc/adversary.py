@@ -10,21 +10,21 @@ where lambda is the largest eigenvalue, alpha = 2 lambda(gamma (x) I -
 Omega (gamma (x) I) Omega†), and Omega is the block-diagonal oracle. Block
 (x, y) of that matrix is gamma_xy (I - U_x U_y†), the noncommuting form of
 the classical adversary's gamma∘D_i (Barnum, Saks & Szegedy 2003). So it is
-the blockwise product (gamma (x) J) * D with the problem's cached
-`differences` D, one elementwise product per weighting. Both eigenvalues
-come from the symmetric eigensolver; the principal eigenvector is taken
-entrywise nonnegative, which Perron–Frobenius allows for any nonnegative
-weight matrix. The bound comes with an explicit feasible point of the
-relaxed witness program, assembled from that eigenvector and checked
-row-by-row before it is returned; a failed check raises WitnessError rather
-than returning an unsound witness.
+the blockwise product (gamma (x) J) * D with the difference blocks D,
+built once per problem (`_differences`), one elementwise product per
+weighting. Both eigenvalues come from the symmetric eigensolver; the
+principal eigenvector is taken entrywise nonnegative, which
+Perron–Frobenius allows for any nonnegative weight matrix. The bound comes
+with an explicit feasible point of the relaxed witness program, assembled
+from that eigenvector and checked row-by-row before it is returned; a
+failed check raises WitnessError rather than returning an unsound witness.
 
 A weighting's spectrum (lambda, the Perron vector and alpha) does not
 depend on eps, and its witnesses are asked for after its bound. So each
 problem keeps the last weighting checked on it, keyed by the shape and bytes
 of its float array, with its spectrum, read-only, in its slot
-`last_weighting`, which only `spectral_bound` and `make_dual_witness` read
-and fill: on a hit they run no weight check and no eigensolver.
+`_last_weighting(p)`, which only `spectral_bound` and `make_dual_witness`
+read and fill: on a hit they run no weight check and no eigensolver.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .problem import QueryProblem
-from .programs import _check_q_eps, build_dual_relaxed
+from .programs import _check_q_eps, _derived, build_dual_relaxed, pair_name
 from .solver import verify_point
 
 __all__ = [
@@ -157,13 +157,19 @@ def spectral_bound(p: QueryProblem, gamma, eps: float) -> AdversaryReport:
     return _report(_checked_spectrum(p, gamma), eps)
 
 
+@_derived
+def _last_weighting(p: QueryProblem) -> list:
+    """One slot, [key, spectrum], for the last weighting checked on p."""
+    return [None, None]
+
+
 def _checked_spectrum(p: QueryProblem, gamma) -> _Spectrum:
     """The spectrum of gamma, checked, from p's slot when gamma has the
     shape and bytes of the weighting last checked on p; otherwise checked
     and evaluated, and kept in the slot in place of the last one."""
     a = _weight_array(gamma)
     key = (a.shape, a.tobytes())
-    slot = p.last_weighting
+    slot = _last_weighting(p)
     if slot[0] != key:
         spectrum = _spectrum(p, _check_weight(p, a))
         spectrum.g.flags.writeable = spectrum.v.flags.writeable = False
@@ -171,11 +177,21 @@ def _checked_spectrum(p: QueryProblem, gamma) -> _Spectrum:
     return slot[1]
 
 
+@_derived
+def _differences(p: QueryProblem) -> np.ndarray:
+    """Read-only s·n x s·n matrix with block (x, y) = I - U_x U_y†, formed
+    as W - Omega W Omega† with W = J_s ⊗ I_n."""
+    wide = np.kron(np.ones((p.size, p.size)), np.eye(p.n))
+    diff = wide - p.omega @ wide @ p.omega.conj().T
+    diff.flags.writeable = False
+    return diff
+
+
 def _spectrum(p: QueryProblem, g: np.ndarray) -> _Spectrum:
     """The spectrum of a checked weighting g."""
     lam, v = perron_vector(g)
     wide = np.repeat(np.repeat(g, p.n, axis=0), p.n, axis=1)  # gamma ⊗ J_n
-    evals = np.linalg.eigvalsh(wide * p.differences)
+    evals = np.linalg.eigvalsh(wide * _differences(p))
     return _Spectrum(g, lam, v, 2.0 * float(evals[-1]))
 
 
@@ -192,6 +208,19 @@ def _report(spectrum: _Spectrum, eps: float) -> AdversaryReport:
 def _ceil_bound(bound: float) -> int:
     """The least number of queries a finite positive bound proves."""
     return math.ceil(bound - _CEIL_SLACK * max(1.0, bound))
+
+
+@_derived
+def _pair_rows(p: QueryProblem) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """The relaxed programs' row name of each pair in `differing_pairs()`,
+    in its order, and the pairs' read-only index arrays ii and jj: the keys
+    of a witness's pair multipliers."""
+    pairs = p.differing_pairs()
+    names = tuple(f"pair_{pair_name(p, pr)}" for pr in pairs)
+    ii = np.array([i for i, _ in pairs], dtype=np.intp)
+    jj = np.array([j for _, j in pairs], dtype=np.intp)
+    ii.flags.writeable = jj.flags.writeable = False
+    return names, ii, jj
 
 
 def make_dual_witness(p: QueryProblem, gamma, q: int, eps: float) -> dict[str, np.ndarray]:
@@ -232,7 +261,7 @@ def make_dual_witness(p: QueryProblem, gamma, q: int, eps: float) -> dict[str, n
         step = (lap + t * report.alpha * np.diag(v * v)).astype(complex)
         # on the start face, or the face of J at q = 0, init's step is the scalar tr(J step)
         witness[chain[q - t]] = np.full((1, 1), step.sum()) if t == q else step
-    names, ii, jj = p.pair_rows
+    names, ii, jj = _pair_rows(p)
     witness.update(zip(names, w[ii, jj][:, None, None] * _PAIR_PATTERN))
     rep = verify_point(build_dual_relaxed(p, q, eps), witness)
     if not (rep.within(_WITNESS_TOL) and rep.strict_slack and rep.strict_slack > 0):

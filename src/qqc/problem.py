@@ -5,17 +5,11 @@ the function g assigning an output to every unitary. The block oracle is the
 block-diagonal matrix with the instance unitaries as diagonal blocks, acting on
 (input register, query register) with the query register fast-running. A frozen
 instance validates and builds it once, on first use, as its `omega`. Beside it,
-also built once, it keeps `differences`: the s·n x s·n matrix whose block
-(x, y) is I - U_x U_y†, formed as W - Omega W Omega† with W = J_s ⊗ I_n. A
-weighting's adversary matrix is its blockwise scaling (see `qqc.adversary`).
-Its third build-once field, `programs`, holds the read-only programs built
-on it, one per (builder, q, eps) (see `qqc.programs`): a copy made with
-`dataclasses.replace` starts with none, and they are freed with the problem.
-The fourth, `output_index`, holds the index in `outputs` of each input's
-output, which the weight check and the reconstruction read. `pair_rows`
-holds the keys of an adversary witness's pair multipliers, and
-`last_weighting` the last adversary weighting checked on the instance with
-its spectrum (see `qqc.adversary`).
+also built once, `output_index` holds the index in `outputs` of each input's
+output, which the weight check and the reconstruction read. What another
+module builds once on an instance goes in its `derived` dict (see
+`qqc.programs._derived`): a copy made with `dataclasses.replace` starts with
+none of it, and it is freed with the problem.
 """
 
 from __future__ import annotations
@@ -58,14 +52,6 @@ class QueryProblem:
         return omega
 
     @functools.cached_property
-    def differences(self) -> np.ndarray:
-        """Read-only s·n x s·n matrix with block (x, y) = I - U_x U_y†."""
-        wide = np.kron(np.ones((self.size, self.size)), np.eye(self.n))
-        diff = wide - self.omega @ wide @ self.omega.conj().T
-        diff.flags.writeable = False
-        return diff
-
-    @functools.cached_property
     def output_index(self) -> np.ndarray:
         """Read-only index in `outputs` of g(x) for each input x, in label order."""
         self.omega  # validates self, so that g is total and lands in outputs
@@ -74,27 +60,9 @@ class QueryProblem:
         return index
 
     @functools.cached_property
-    def programs(self) -> dict:
-        """The programs built on this instance, keyed by (builder, q, eps)."""
+    def derived(self) -> dict:
+        """What other modules build once on this instance, by name."""
         return {}
-
-    @functools.cached_property
-    def pair_rows(self) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
-        """The relaxed programs' row name `pair_{x}|{y}` of each pair in
-        `differing_pairs()`, in its order, and the pairs' read-only index
-        arrays ii and jj."""
-        pairs = self.differing_pairs()
-        names = tuple(f"pair_{self.labels[i]}|{self.labels[j]}" for i, j in pairs)
-        ii = np.array([i for i, _ in pairs], dtype=np.intp)
-        jj = np.array([j for _, j in pairs], dtype=np.intp)
-        ii.flags.writeable = jj.flags.writeable = False
-        return names, ii, jj
-
-    @functools.cached_property
-    def last_weighting(self) -> list:
-        """One slot, [key, spectrum], for the last weighting checked on this
-        instance; `qqc.adversary` alone reads and fills it."""
-        return [None, None]
 
     @property
     def size(self) -> int:

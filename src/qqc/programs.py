@@ -54,29 +54,35 @@ point as it stands, and the witness blocks carry the existence rows' names;
 the witness program keeps its existence program, which the solver decides
 in its place.
 
-A program is a pure function of (problem, q, eps), so each builder makes
-it once: the first call stores it in the problem's `programs` dict, beside
-`omega` and `differences`, under (builder, q, eps), and every later call
-returns that object (`_built_once`); a witness program's `existence` is
-the cached existence program itself. Callers share programs, so programs
-are read-only: frozen blocks, rows and programs, tuples of blocks, rows
-and terms, and read-only right-hand sides.
+A program is a pure function of (problem, q, eps), so each existence
+builder makes it once: the first call stores it in the problem's
+`_programs` dict under (builder, q, eps), and every later call returns that
+object (`_built_once`). A witness builder returns the witness program kept
+on that cached existence program, whose `existence` it is. Callers share
+programs, so programs are read-only: frozen blocks, rows and programs,
+tuples of blocks, rows and terms, and read-only right-hand sides.
 
-What is computed from a program alone is then computed once too, and kept
-in the program's `derived` dict (`_derived`): each row's terms grouped by
-signature, with their mats and scales stacked, which `row_value` applies;
-where each block sits when a point's blocks are stacked by dimension, which
-`qqc.solver.verify_point` gathers every group and PSD block from
-(`_stack_index`); the witness program `_farkas_alternative` generates, so
-that `build_dual` and a solve of the existence program share one; and, in
-`qqc.solver`, the assembled (A, b) and the projection engine on it, which
-every solve and the SDPA export read, and the decision of each solver
-seed, which answers a solve of either the existence program or its witness
-program; and, in `qqc.sdpa`, the text of the program's SDPA export. Like
-`QueryProblem.programs`, `derived` is not a field: a copy made with
-`dataclasses.replace` starts with none of it. A witness program and its
-existence program refer to each other, so their derived data go with the
-cyclic garbage collector once the problem goes.
+What is computed once from a program alone, or from a problem alone, is
+kept in its `derived` dict through one decorator (`_derived`). Neither dict
+is a field, so a copy made with `dataclasses.replace` starts with none of
+it. On a program, by owning module:
+- here, each row's terms grouped by signature, with their mats and scales
+  stacked, which `row_value` applies (`_row_maps`); where each block sits
+  when a point's blocks are stacked by dimension, which
+  `qqc.solver.verify_point` gathers every group and PSD block from
+  (`_stack_index`); and the witness program (`_farkas_alternative`), so
+  that `build_dual` and a solve of the existence program share one;
+- in `qqc.solver`, the assembled (A, b) and the projection engine on it,
+  which every solve and the SDPA export read, and the decision of each
+  solver seed, which answers a solve of either the existence program or
+  its witness program;
+- in `qqc.sdpa`, the text of the program's SDPA export.
+On a problem:
+- here, the programs built on it (`_programs`);
+- in `qqc.adversary`, the difference blocks, the witness's pair-row keys
+  and the last weighting checked on it, with its spectrum.
+A witness program and its existence program refer to each other, so their
+derived data go with the cyclic garbage collector once the problem goes.
 """
 
 from __future__ import annotations
@@ -253,18 +259,18 @@ def _apply_groups(dim: int, groups: tuple, xs: list[np.ndarray]) -> np.ndarray:
 
 
 def _derived(make):
-    """`make(prog)`, made once per program and shared.
+    """`make(obj)`, made once per program or problem and shared.
 
-    The first call stores the result in `prog.derived` under make's name,
+    The first call stores the result in `obj.derived` under make's name,
     and every later call returns it. Only what is computed from the
-    read-only program alone goes there.
+    read-only program or problem alone goes there.
     """
 
     @functools.wraps(make)
-    def derived(prog: ConicFeasibilityProgram):
-        slot = prog.derived
+    def derived(obj: ConicFeasibilityProgram | QueryProblem):
+        slot = obj.derived
         if make.__name__ not in slot:
-            slot[make.__name__] = make(prog)
+            slot[make.__name__] = make(obj)
         return slot[make.__name__]
 
     return derived
@@ -359,12 +365,18 @@ def pair_name(p: QueryProblem, pair: tuple[int, int]) -> str:
     return f"{p.labels[pair[0]]}|{p.labels[pair[1]]}"
 
 
+@_derived
+def _programs(p: QueryProblem) -> dict:
+    """The programs built on p, keyed by (builder, q, eps)."""
+    return {}
+
+
 def _built_once(build):
     """`build(p, q, *eps)`, validated, made once per problem and shared.
 
     The call checks (q, eps) with `_check_q_eps` and turns q into an int,
     so that a numpy integer q builds the same program as the int and
-    shares its entry. It then returns the program stored in `p.programs`
+    shares its entry. It then returns the program stored in `_programs(p)`
     under (builder, q, eps), or builds it and stores it there.
     """
 
@@ -372,9 +384,10 @@ def _built_once(build):
     def built_once(p: QueryProblem, q: int, *eps: float) -> ConicFeasibilityProgram:
         _check_q_eps(q, *eps)
         key = (build.__name__, operator.index(q), *eps)
-        prog = p.programs.get(key)
+        built = _programs(p)
+        prog = built.get(key)
         if prog is None:
-            prog = p.programs[key] = build(p, *key[1:])
+            prog = built[key] = build(p, *key[1:])
         return prog
 
     return built_once
@@ -585,7 +598,6 @@ def _farkas_alternative(prog: ConicFeasibilityProgram) -> ConicFeasibilityProgra
     return ConicFeasibilityProgram(blocks, rows, existence=prog)
 
 
-@_built_once
 def build_dual(p: QueryProblem, q: int, eps: float) -> ConicFeasibilityProgram:
     """Infeasibility-witness program: the Farkas alternative of `build_primal`.
 
@@ -602,7 +614,6 @@ def build_dual(p: QueryProblem, q: int, eps: float) -> ConicFeasibilityProgram:
     return _farkas_alternative(build_primal(p, q, eps))
 
 
-@_built_once
 def build_dual_relaxed(p: QueryProblem, q: int, eps: float) -> ConicFeasibilityProgram:
     """Witness program: the Farkas alternative of `build_primal_relaxed`.
 

@@ -275,14 +275,12 @@ class _Coords(NamedTuple):
 
     The float view of a C-contiguous d x d complex matrix holds Re m[i, j] at
     2 (i d + j) and Im m[i, j] right after it; that of a real matrix holds
-    m[i, j] at i d + j. hvec gathers the view at `at`, or that of the
-    transpose at `at_t`, and multiplies by `scale`; unhvec gathers the
-    coordinates at `src`, multiplies by `inv_scale` and zeroes the view at
-    `diag_imag`.
+    m[i, j] at i d + j. hvec gathers the view at `at` and multiplies by
+    `scale`; unhvec gathers the coordinates at `src`, multiplies by
+    `inv_scale` and zeroes the view at `diag_imag`.
     """
 
     at: np.ndarray  # view position of each coordinate: diagonal, upper Re, upper Im
-    at_t: np.ndarray  # the same entries' positions in the view of the transpose
     scale: np.ndarray  # 1 on the diagonal, sqrt 2 off it
     src: np.ndarray  # the coordinate behind each view position
     inv_scale: np.ndarray  # 1 on the diagonal, 1/sqrt 2 off it, -1/sqrt 2 on lower Im
@@ -301,7 +299,6 @@ def _coords(d: int, real: bool = False) -> _Coords:
     up, low = w * (i * d + j), w * (j * d + i)
     off = np.arange(d, d + k)
     at = np.concatenate([diag, up] if real else [diag, up, up + 1])
-    at_t = np.concatenate([diag, low] if real else [diag, low, low + 1])
     src = np.zeros(w * d * d, dtype=np.intp)
     inv_scale = np.zeros(w * d * d)
     # the reciprocal: a multiply by it rounds each part as numpy's complex
@@ -313,7 +310,7 @@ def _coords(d: int, real: bool = False) -> _Coords:
     for pos, coord, c in parts:
         src[pos] = coord
         inv_scale[pos] = c
-    table = _Coords(at, at_t, np.concatenate([np.ones(d), np.full(len(at) - d, math.sqrt(2.0))]),
+    table = _Coords(at, np.concatenate([np.ones(d), np.full(len(at) - d, math.sqrt(2.0))]),
                     src, inv_scale, np.zeros(0, dtype=np.intp) if real else diag + 1)
     for arr in table:
         arr.flags.writeable = False
@@ -332,18 +329,12 @@ def hvec(m: np.ndarray) -> np.ndarray:
     imaginary parts of the strict upper triangle, row-major: one gather of
     the matrix's float view through the `_coords` table. Applies to the last
     two axes of m, so a stack of matrices gives the stack of their
-    coordinate vectors. A transposed stack, such as a conjugate transpose,
-    is read where it lies, through the transpose's positions; any other
-    strided stack is copied first.
+    coordinate vectors; any strided stack is copied first.
     """
-    m = np.asarray(m, dtype=complex)
+    m = np.ascontiguousarray(m, dtype=complex)
     d = m.shape[-1]
     t = _coords(d)
-    at = t.at
-    if not m.flags.c_contiguous and m.swapaxes(-1, -2).flags.c_contiguous:
-        m, at = m.swapaxes(-1, -2), t.at_t
-    m = np.ascontiguousarray(m)
-    out = np.take(m.reshape(m.shape[:-2] + (d * d,)).view(float), at, axis=-1)
+    out = np.take(m.reshape(m.shape[:-2] + (d * d,)).view(float), t.at, axis=-1)
     out *= t.scale
     return out
 
@@ -1038,19 +1029,6 @@ def _decide(witness: ConicFeasibilityProgram,
     return FeasibilityOutcome("UNDECIDED", None, None, res, _MAX_ITERS), None
 
 
-def _least_eigs(mats: list[np.ndarray]) -> list[float]:
-    """Least eigenvalue of the Hermitian part of each matrix, in order, with
-    the matrices of each dimension stacked (`_stack_least_eigs`)."""
-    by_dim: dict[int, list[int]] = {}
-    for i, m in enumerate(mats):
-        by_dim.setdefault(m.shape[-1], []).append(i)
-    least = [0.0] * len(mats)
-    for idx in by_dim.values():
-        for i, w in zip(idx, _stack_least_eigs(np.stack([mats[i] for i in idx]))):
-            least[i] = w
-    return least
-
-
 def _stack_least_eigs(stack: np.ndarray) -> list[float]:
     """Least eigenvalue of the Hermitian part of each matrix of a (k, d, d)
     stack, in order: one stacked `hermitize` and `eigh` for d above 1. Each
@@ -1072,9 +1050,10 @@ def verify_point(prog: ConicFeasibilityProgram, point: dict[str, np.ndarray]) ->
     The point's blocks are stacked once, one complex stack per block
     dimension; every group of a row's terms and the PSD blocks' check gather
     their matrices from those stacks (`programs._stack_index`). The least
-    eigenvalues of the Hermitian parts of the PSD rows and the PSD blocks
-    come from one stacked `hermitize` and `eigh` per matrix dimension above
-    1, and of a 1x1 part from its entry (`_stack_least_eigs`).
+    eigenvalue of the Hermitian part of each PSD row comes from its own
+    `_stack_least_eigs` call, and those of the PSD blocks from one call per
+    block dimension: one stacked `hermitize` and `eigh` for a dimension
+    above 1, the entry for a 1x1 part.
     """
     index = _stack_index(prog)
     stacks = {d: np.empty((k, d, d), dtype=complex) for d, k in index.sizes.items()}
@@ -1084,7 +1063,6 @@ def verify_point(prog: ConicFeasibilityProgram, point: dict[str, np.ndarray]) ->
             raise ValueError(f"block {b.name!r} has shape {v.shape}, expected {(b.dim, b.dim)}")
         stacks[b.dim][k] = v
     row_residuals = {}
-    psd_rows: dict[str, np.ndarray] = {}
     strict_slack = None
     for r, (groups, at) in zip(prog.rows, index.rows):
         value = _apply_groups(r.dim, groups, [stacks[d][i] for d, i in at])
@@ -1092,15 +1070,13 @@ def verify_point(prog: ConicFeasibilityProgram, point: dict[str, np.ndarray]) ->
         if r.sense == "eq":
             row_residuals[r.name] = float(np.linalg.norm(diff))
         elif r.sense == "psd":
-            row_residuals[r.name] = 0.0  # keeps the program's row order
-            psd_rows[r.name] = diff
+            (w,) = _stack_least_eigs(diff[None])
+            # max(0.0, -w) would drop a NaN w
+            row_residuals[r.name] = 0.0 if w >= 0 else -w
         elif r.sense == "strict":
             strict_slack = float(-diff[0, 0].real)
         else:
             raise SolverError(f"unknown row sense {r.sense!r}")
-    for name, w in zip(psd_rows, _least_eigs(list(psd_rows.values()))):
-        # max(0.0, -w) would drop a NaN w
-        row_residuals[name] = 0.0 if w >= 0 else -w
     least = [0.0] * len(index.psd_names)
     for d, (at, to) in index.psd.items():
         for k, w in zip(to, _stack_least_eigs(stacks[d][at])):

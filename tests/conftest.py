@@ -6,12 +6,13 @@ The problems here are shared by every test, and so are the programs built
 on them, with what they keep: assemblies, engines and each seed's decision.
 A test that patches a solver constant such as `_MAX_ITERS`, or counts the
 calls a decision makes, builds on a copy, `dataclasses.replace(PROBLEMS[...])`,
-which keeps nothing: on a shared program it would read, or leave behind, a
-decision made under other conditions. The same goes for tests that patch or
-count adversary internals (`_check_weight`, `perron_vector`, the
-eigensolvers): each problem keeps the last weighting checked on it, with its
-spectrum, in its `last_weighting` slot, so on a shared problem a weighting
-another test bounded would be served without the call being counted.
+whose `derived` dict starts empty, so it keeps no program: on a shared
+program it would read, or leave behind, a decision made under other
+conditions. The same goes for tests that patch or count adversary internals
+(`_check_weight`, `perron_vector`, the eigensolvers): each problem keeps the
+last weighting checked on it, with its spectrum, in its `derived` dict
+(`adversary._last_weighting`), so on a shared problem a weighting another
+test bounded would be served without the call being counted.
 """
 
 import itertools

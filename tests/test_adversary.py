@@ -81,7 +81,7 @@ def test_alpha_from_the_difference_blocks(s, n):
     labels = tuple(f"u{i}" for i in range(s))
     p = QueryProblem(n, labels, np.stack([_haar_unitary(rng, n) for _ in range(s)]),
                      labels, {lab: lab for lab in labels})
-    diff = p.differences
+    diff = qqc.adversary._differences(p)
     assert not diff.flags.writeable
     for i in range(s):
         assert np.max(np.abs(diff[i * n:(i + 1) * n, i * n:(i + 1) * n])) <= 1e-14
@@ -144,7 +144,7 @@ def test_spectral_bound_rejects_a_complex_weighting(deutsch):
             spectral_bound(p, bad, 0.1)
         with pytest.raises(ValueError, match="weight matrix entries must be real"):
             make_dual_witness(p, bad, 0, 0.1)
-    assert p.last_weighting == [None, None]
+    assert qqc.adversary._last_weighting(p) == [None, None]
     want = spectral_bound(dataclasses.replace(deutsch), gamma, 0.1)
     got = spectral_bound(p, gamma.astype(complex), 0.1)  # no ComplexWarning either
     assert (got.bound, got.perron_v.tobytes()) == (want.bound, want.perron_v.tobytes())
@@ -358,7 +358,7 @@ def test_a_weighting_that_fails_its_check_leaves_the_slot(deutsch, monkeypatch):
     p = dataclasses.replace(deutsch)
     gamma = random_valid_gamma(p, np.random.default_rng(9))
     spectral_bound(p, gamma, 0.1)
-    key, kept = p.last_weighting
+    key, kept = qqc.adversary._last_weighting(p)
     same_class = gamma.copy()
     same_class[1, 2] = same_class[2, 1] = 1.0  # 01 and 10 share an output
     negative = -gamma
@@ -367,7 +367,8 @@ def test_a_weighting_that_fails_its_check_leaves_the_slot(deutsch, monkeypatch):
             spectral_bound(p, bad, 0.1)
         with pytest.raises(ValueError):
             make_dual_witness(p, bad, 0, 0.1)
-        assert p.last_weighting[0] == key and p.last_weighting[1] is kept
+        slot = qqc.adversary._last_weighting(p)
+        assert slot[0] == key and slot[1] is kept
     calls = _eigensolver_calls(monkeypatch)
     make_dual_witness(p, gamma, 0, 0.1)
     assert calls == {"check": 0, "perron": 0, "eigvalsh": 0}
@@ -377,13 +378,13 @@ def test_the_kept_spectrum_refuses_writes(ix):
     p = dataclasses.replace(ix)
     gamma = np.array([[0.0, 1.0], [1.0, 0.0]])
     rep = spectral_bound(p, gamma, 0.0)
-    kept = p.last_weighting[1]
+    kept = qqc.adversary._last_weighting(p)[1]
     for arr in (kept.g, kept.v, rep.perron_v):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 2.0
     gamma[0, 1] = gamma[1, 0] = 2.0  # the caller's array is not frozen
     assert spectral_bound(p, gamma, 0.0).lambda_gamma == pytest.approx(2.0, rel=1e-14)
-    names, ii, jj = p.pair_rows
+    names, ii, jj = qqc.adversary._pair_rows(p)
     assert names == ("pair_i|x",) and not ii.flags.writeable and not jj.flags.writeable
 
 
@@ -396,7 +397,7 @@ def test_a_kept_spectrum_gives_the_bits_of_a_fresh_one(pname):
     ones = (p.output_index[:, None] != p.output_index[None, :]).astype(float)
 
     def fresh(call, *args):
-        p.last_weighting[:] = [None, None]
+        qqc.adversary._last_weighting(p)[:] = [None, None]
         return call(p, *args)
 
     def report_bits(rep):
@@ -416,7 +417,7 @@ def test_a_kept_spectrum_gives_the_bits_of_a_fresh_one(pname):
                     assert (got[k].dtype, got[k].shape, got[k].tobytes()) == \
                         (want[k].dtype, want[k].shape, want[k].tobytes()), (q, k)
     relaxed = build_primal_relaxed(p, 0, 0.1)
-    assert p.pair_rows[0] == tuple(r.name for r in relaxed.rows if r.name.startswith("pair_"))
+    assert qqc.adversary._pair_rows(p)[0] == tuple(r.name for r in relaxed.rows if r.name.startswith("pair_"))
 
 
 def test_make_dual_witness_rejects_q_at_or_above_bound(ix):

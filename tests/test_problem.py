@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -141,6 +142,17 @@ def test_problem_is_frozen_and_keeps_its_oracle():
     assert p.omega is p.omega
     assert np.array_equal(p.omega, build_omega(p))
     assert not p.omega.flags.writeable
+
+
+def test_a_problem_builds_once_only_its_own_values():
+    # what another module keeps on a problem goes in `derived`
+    # (`qqc.programs._derived`), not in an attribute of its own
+    kept = {name for name, attr in vars(QueryProblem).items()
+            if isinstance(attr, functools.cached_property)}
+    assert kept == {"omega", "output_index", "derived"}
+    p = _ok_problem()
+    assert p.derived == {} and p.derived is p.derived
+    assert dataclasses.replace(p).derived is not p.derived
 
 
 def test_differing_pairs():

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from qqc.adversary import make_dual_witness, spectral_bound
 from qqc.programs import (
     BlockMap,
     build_dual,
@@ -12,6 +13,7 @@ from qqc.programs import (
     chain_program,
     pair_name,
     _farkas_alternative,
+    _programs,
     _row_maps,
 )
 from qqc.linalg import partial_trace
@@ -507,7 +509,11 @@ def test_a_builder_returns_one_program_per_question(pname, q, eps, build):
     p = ALL[pname]
     prog = build(p, q, eps)
     assert build(p, q, eps) is prog
-    assert p.programs[(build.__name__, q, eps)] is prog
+    built = _programs(p)
+    assert not {"build_dual", "build_dual_relaxed"} & {key[0] for key in built}
+    # a witness program is the one kept on its cached existence program
+    existence = prog.existence or prog
+    assert built[(build.__name__.replace("dual", "primal"), q, eps)] is existence
 
 
 @pytest.mark.parametrize("q", [0, 1, 2])
@@ -533,7 +539,7 @@ def test_a_rejected_question_leaves_no_entry(deutsch, q, eps):
             build(p, q, eps)
     with pytest.raises(ValueError):
         chain_program(p, 1.0)
-    assert p.programs == {}
+    assert _programs(p) == {}
 
 
 @pytest.mark.parametrize("build", _ALL_BUILDS)
@@ -541,15 +547,20 @@ def test_a_rejected_question_leaves_no_entry(deutsch, q, eps):
 def test_a_numpy_integer_q_shares_the_int_program(deutsch, build, q):
     assert build(deutsch, np.int64(q), 0.1) is build(deutsch, q, 0.1)
     assert build(deutsch, np.int64(q), 0.0) is build(deutsch, q, 0.0)
-    assert all(type(key[1]) is int for key in deutsch.programs)
+    assert all(type(key[1]) is int for key in _programs(deutsch))
 
 
 def test_a_copied_problem_builds_its_own_programs(deutsch, tmp_path):
-    # dataclasses.replace starts the copy with an empty cache; its program
-    # is a new object with the same SDPA bytes
+    # dataclasses.replace starts the copy with an empty derived dict, after
+    # programs, a bound and a witness were made on the original; its
+    # program is a new object with the same SDPA bytes
     prog = build_primal(deutsch, 1, 0.1)
+    gamma = (deutsch.output_index[:, None] != deutsch.output_index[None, :]).astype(float)
+    spectral_bound(deutsch, gamma, 0.1)
+    make_dual_witness(deutsch, gamma, 0, 0.1)
+    assert {"_programs", "_differences", "_last_weighting", "_pair_rows"} <= set(deutsch.derived)
     copy = dataclasses.replace(deutsch)
-    assert copy.programs == {}
+    assert copy.derived == {}
     other = build_primal(copy, 1, 0.1)
     assert other is not prog and build_primal(copy, 1, 0.1) is other
     export_sdpa(prog, str(tmp_path / "a.dat-s"))
