@@ -47,7 +47,7 @@ casts and error state on every call. It flags non-convergence as an invalid
 value, so each chunk of sweeps, and each cone step of a check, runs under
 one error state that raises it as LinAlgError, as the wrapper did. LAPACK
 returns NaN eigenvalues for a 2x2 NaN block without the flag, so a check
-whose candidate residual is not finite raises LinAlgError too. It is
+whose plain point's residual is not finite raises LinAlgError too. It is
 private numpy API: the one name `_eigh` binds it, or `numpy.linalg.eigh`
 on a numpy without it, so the cone step keeps one call site either way.
 
@@ -80,23 +80,35 @@ point of the row space of A, and for b in the range of A, b^T y = x0^T s
 with x0 = A^T (A A^T)^+ b. The certificate search is then the same relaxed
 alternating projection, on the same pseudo-inverse, between
 {s in range(A^T): x0^T s = -1} and the PSD cone, which is its own dual.
-Both searches run in one loop, checked at c, 2c, 4c, ... sweeps (c =
-_FIRST_CHECK) and once more at the budget _MAX_ITERS, so a cell is decided
-within twice the sweeps it needs, and B sweeps make about log2(B/c) checks.
-A check tries the polished point first, then one certificate. The primal
-iterate's displacement from the affine set, d = cand - P_L(cand), tends to
--v for the minimal gap vector v from the affine set to the cone (Bauschke &
-Borwein 1993), near the dual cone with pairing near -|v|^2 < 0. So every
-check screens d's multipliers y = (A A^T)^+ A P(d), P the cone step: when
-b^T y < 0 and A^T y lies within _POLISHED_TOL |b^T y| of the cone
-(`certifies`), it tries them unswept. Otherwise the Farkas iterate s, seeded from the first
-check's d, advances by the gap between the checks, as the primal iterate
-does, and the check tries y = (A A^T)^+ A P(s). The certificate is scaled to
-pairing -1 and re-verified by `verify_point` as a point of the witness
-program before anything is reported; a witness program's answer reuses that
-report. The infeasible relaxed programs of the fixtures and families at
-q = 0, eps > 0 certify unswept at the first check, and the rotations near
-their boundary at a later one (theta 0.305, q=3, eps 0.1: 4 096 sweeps; the
+Both searches run in one loop, checked at 1, 2, 4, ... sweeps and once more
+at the budget _MAX_ITERS, so a cell is decided within twice the sweeps it
+needs. Each check first takes the plain point p = P_K(P_A x) of the primal
+iterate x, the cone step of its affine projection, and returns it FEASIBLE
+as it stands when |A p - b| <= _POLISHED_TOL, which bounds every row's
+residual. Alternating projections converge linearly on a program with an
+interior (Lewis, Luke & Malick, Found. Comput. Math. 2009): at solver seed
+0 the plain point of every fixture and family cell with one meets its rows
+to 1e-13 within 1-8 sweeps. With no interior they converge sublinearly
+(Drusvyatskiy, Li & Wolkowicz, Math. Program. 2017), and those cells are
+left to the polish. The checks before c = _FIRST_CHECK sweeps try the plain
+point only. From c on each is a full check, which goes on to the cone point
+cand = P_K(x), tries it polished, then one certificate, so B sweeps make
+about log2(B/c) full checks. Sweeps run in chunks leave x as one chunk
+does, so the early checks change no float that a full check reads.
+The primal iterate's displacement from the affine set, d = cand - P_L(cand),
+tends to -v for the minimal gap vector v from the affine set to the cone
+(Bauschke & Borwein 1993), near the dual cone with pairing near -|v|^2 < 0.
+So every full check screens d's multipliers y = (A A^T)^+ A P(d), P the
+cone step: when b^T y < 0 and A^T y lies within _POLISHED_TOL |b^T y| of
+the cone (`certifies`), it tries them unswept. Otherwise the Farkas iterate
+s, seeded from the first full check's d, advances by the sweeps the primal
+iterate made since the last full check, and the check tries
+y = (A A^T)^+ A P(s). The certificate is scaled to pairing -1 and
+re-verified by `verify_point` as a point of the witness program before
+anything is reported; a witness program's answer reuses that report. The
+infeasible relaxed programs of the fixtures and families at q = 0, eps > 0
+certify unswept at the first full check, and the rotations near their
+boundary at a later one (theta 0.305, q=3, eps 0.1: 4 096 sweeps; the
 Farkas iterate alone does not finish it within the budget).
 
 Near-feasible points are polished by rank-restricted Gauss-Newton: each
@@ -122,8 +134,9 @@ on 1x1 operands. Each step is the per-block polish's arithmetic on the
 same floats, so the polished points are the same bit for bit. Candidates
 lie in the cone by construction, so success lands equality residuals near
 1e-14, which downstream extraction steps rely on; failed guesses are
-discarded. An existence program is FEASIBLE only at a polished point; a
-point the polish cannot finish is swept further. A witness program's
+discarded. An existence program is FEASIBLE only at a point that meets
+every row within _POLISHED_TOL, a plain point or a polished one; a point
+the polish cannot finish is swept further. A witness program's
 FEASIBLE point is a certificate, so it holds to _CERT_TOL.
 """
 
@@ -156,13 +169,13 @@ __all__ = [
     "verify_point",
 ]
 
-# Sweeps before the first check; each later check comes at twice the sweeps
-# of the one before. Checked after every sweep (solver seed 0), the feasible
-# cells of the fixtures and families polish at 11-17 sweeps, and their
-# certificates need 1-53 dual sweeps once seeded. A first check earlier than
-# 32 polishes from cruder points: at 8 and 16, const q=1 lands above 1e-12
-# and weyl3 q=1 takes more Gauss-Newton steps and a wider workspace (8 tier-1
-# tests fail), at 24 one const seed lands above 1e-12; 32, 48 and 64 pass.
+# Sweeps before the first full check, which tries the polish and a
+# certificate; the checks before it, at 1, 2, 4, 8 and 16 sweeps, try the
+# plain point only. The cells that reach the polish have no interior: const
+# and deutsch at q=2, deutsch at q=1 eps 0.1, and all-equal and xor12 on 3
+# bits at q=1 eps 0.1. Their cone points are cruder before 32 sweeps: at 16, deutsch at
+# eps 0.1 and all-equal (solver seeds 0-9) sit at 7e-2 to 0.15, above
+# _POLISH_GATE, and at 8 every such cell sits at 0.17 or above.
 _FIRST_CHECK = 32
 # Primal sweep budget before UNDECIDED, and the last check: over ten times
 # the 4 096 sweeps of the slowest certificate in the tests (the rotation
@@ -177,15 +190,17 @@ _CERT_TOL = 1e-7
 # Largest multiplier norm per unit of pairing: beyond it _CERT_TOL's room is
 # below the double-precision rounding of the adjoint image (1e-7 / 1e8).
 _CERT_NORM_CAP = 1e8
-# Cone-projected residual at or below which a check tries the face polish. At
-# the first check the feasible fixture and family cells sit at 7e-4 to
-# 1.2e-2 and all-equal (3 bits) q=1 eps 0.1 at 1.7-2.4e-2, while certificate
-# cells stay above 0.95 and the Haar-pairs instance near 0.23. xor12 (3 bits)
-# q=1 eps 0.1 sits at 0.06-0.07 at 64 sweeps, where Gauss-Newton creeps to
-# its step cap on 6 of 10 seeds; at 128 (3e-2) it lands in 26-34 steps.
+# Cone-projected residual at or below which a full check tries the face
+# polish. At the first full check the feasible fixture cells that the plain
+# point leaves undecided sit at 2.0e-3 to 1.0e-2 and all-equal (3 bits) q=1
+# eps 0.1 at 1.6-2.1e-2 (solver seeds 0-99), while certificate cells stay
+# above 0.95 and the Haar-pairs instance near 0.23. xor12 (3 bits) q=1 eps
+# 0.1 sits at 0.06-0.07 at 64 sweeps, where Gauss-Newton creeps to its step
+# cap on 6 of 10 seeds; at 128 (3e-2) it lands in 26-34 steps.
 _POLISH_GATE = 5e-2
-# FEASIBLE means polished: reconstruction's 1e-6 Gram check turned a 3e-8
-# unpolished residual into a 2.8e-5 miss.
+# FEASIBLE means every row met within this, by the plain point or the
+# polish: reconstruction's 1e-6 Gram check turned a 3e-8 residual into a
+# 2.8e-5 miss.
 _POLISHED_TOL = 1e-10
 # A polish whose lean and padded rungs land at or below this, but above
 # _POLISHED_TOL, has stalled next to a point it cannot finish for want of a
@@ -909,15 +924,15 @@ def _run_ap(affine: _Projection, cone: _Projection, x: np.ndarray, iters: int) -
 def solve(prog: ConicFeasibilityProgram, cfg: SolverConfig | None = None) -> FeasibilityOutcome:
     """Decide feasibility; deterministic for a fixed config seed.
 
-    On an existence program, FEASIBLE comes with a polished point meeting
-    every row within _POLISHED_TOL, and INFEASIBLE_WITH_CERTIFICATE with
-    verified Farkas multipliers keyed by row name. A witness program is
-    decided through its existence program, whose answer swaps sides: its
-    point becomes the multipliers (negated, and 1 on the strict row), and
-    its certificate the witness point, which holds to _CERT_TOL; the
-    iterations, and the residuals but for a witness point's, are the
-    existence solve's. UNDECIDED is returned only once the iteration budget
-    is exhausted with neither.
+    On an existence program, FEASIBLE comes with a point in the cone,
+    plain or polished, meeting every row within _POLISHED_TOL, and
+    INFEASIBLE_WITH_CERTIFICATE with verified Farkas multipliers keyed by
+    row name. A witness program is decided through its existence program,
+    whose answer swaps sides: its point becomes the multipliers (negated,
+    and 1 on the strict row), and its certificate the witness point, which
+    holds to _CERT_TOL; the iterations, and the residuals but for a witness
+    point's, are the existence solve's. UNDECIDED is returned only once the
+    iteration budget is exhausted with neither.
 
     Each existence program keeps its decision per seed (see `_decided`), so
     asking either side of a cell again at the same seed decides nothing
@@ -997,18 +1012,26 @@ def _decide(witness: ConicFeasibilityProgram,
             ), report
 
     x = 0.1 * np.random.default_rng(cfg.seed).standard_normal(eng.n_cols)
-    s = None  # the Farkas iterate, seeded from the first check's d
-    it = 0
+    s = None  # the Farkas iterate, seeded from the first full check's d
+    it = swept = 0  # primal sweeps made, and at the last full check
     while it < _MAX_ITERS:
-        gap = min(max(it, _FIRST_CHECK), _MAX_ITERS - it)
+        gap = min(max(it, 1), _MAX_ITERS - it)
         it += gap
         x = _run_ap(eng.project_affine, eng.project_cone, x, gap)
-        cand = eng.cone_point(x)
-        res = residuals(cand)
-        if not math.isfinite(sum(res.values())):
+        plain = eng.cone_point(eng.project_affine(x))
+        r = eng.a @ plain - eng.b
+        rn = float(np.linalg.norm(r))
+        if not math.isfinite(rn):
             # LAPACK flags a NaN 4x4 block as non-convergence, but returns
             # NaN eigenvalues for a 2x2 one unflagged
             raise np.linalg.LinAlgError("the iterate is not finite")
+        if rn <= _POLISHED_TOL:
+            return FeasibilityOutcome("FEASIBLE", _split(prog.blocks, plain, eng.real), None,
+                                      _row_residuals(prog.rows, r, eng.real), it), None
+        if it < _FIRST_CHECK:
+            continue
+        cand = eng.cone_point(x)
+        res = residuals(cand)
         if max(res.values(), default=0.0) <= _POLISH_GATE:
             polished = _face_polish(eng, cand)
             pres = residuals(polished)
@@ -1019,8 +1042,9 @@ def _decide(witness: ConicFeasibilityProgram,
         s = d if s is None else s
         y = eng.multipliers(d)
         if not eng.certifies(y):
-            s = _run_ap(eng.project_dual_affine, eng.project_cone, s, gap)
+            s = _run_ap(eng.project_dual_affine, eng.project_cone, s, it - swept)
             y = eng.multipliers(s)
+        swept = it
         found = _certify(witness, _split(prog.rows, y, eng.real))
         if found is not None:
             cert, report = found

@@ -968,8 +968,8 @@ def test_an_edit_to_one_outcome_reaches_no_other(build, pname):
 
 
 def test_a_decision_that_raises_is_kept_nowhere(monkeypatch):
-    # a non-finite iterate raises LinAlgError at the first check, on every
-    # call: a failed decision is not kept
+    # a non-finite iterate raises LinAlgError at the first check, after one
+    # sweep, on every call: a failed decision is not kept
     chunks = []
 
     def poisoned(affine, cone, x, iters):
@@ -983,7 +983,7 @@ def test_a_decision_that_raises_is_kept_nowhere(monkeypatch):
     for _ in range(2):
         with pytest.raises(np.linalg.LinAlgError):
             solve(prog)
-    assert chunks == [solver._FIRST_CHECK] * 2
+    assert chunks == [1] * 2
     assert _decisions(prog) == {}
 
 
@@ -1013,9 +1013,10 @@ def test_a_kept_decision_gives_the_bytes_of_a_fresh_one(builder, pname, q, eps):
 @pytest.mark.parametrize("seed", range(10))
 @pytest.mark.parametrize("pname,q,eps", FEASIBLE_CELLS)
 def test_feasible_means_polished_at_every_seed(pname, q, eps, seed):
-    # a FEASIBLE point is polished at every solver seed, and reconstruction
-    # can use it; deutsch q=1 eps=0.1 once stopped unpolished at seeds 4 and 5.
-    # FEASIBLE promises 1e-10; the polish itself lands near 1e-14.
+    # a FEASIBLE point meets every row at every solver seed, and
+    # reconstruction can use it; deutsch q=1 eps=0.1 once stopped unpolished
+    # at seeds 4 and 5. FEASIBLE promises 1e-10; the plain point and the
+    # polish land near 1e-14.
     res = reconstruct_algorithm(PROBLEMS[pname], q, eps, SolverConfig(seed=seed))
     assert max(res.outcome.residuals.values(), default=0.0) <= 1e-12
 
@@ -1145,6 +1146,84 @@ def test_an_undecided_witness_program_reports_its_existence_rows(monkeypatch):
     assert (out.status, out.iterations) == ("UNDECIDED", 64)
     assert out.point is None and out.certificate is None
     assert list(out.residuals) == [r.name for r in prog.existence.rows]
+
+
+def _count_lstsq(monkeypatch):
+    calls = [0]
+    inner = np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    return calls
+
+
+@pytest.mark.parametrize("pname,q,eps", [("pauli_id", 1, 0.1), ("weyl3", 1, 0.1), ("deutsch", 1, 0.0)])
+def test_a_cell_with_an_interior_is_decided_unpolished(monkeypatch, pname, q, eps):
+    # alternating projections converge linearly on a cell with an interior,
+    # so the plain point P_K(P_A x) meets every row at an early check, with
+    # no Gauss-Newton step
+    calls = _count_lstsq(monkeypatch)
+    prog = build_primal(dataclasses.replace({**PROBLEMS, **FAMILIES}[pname]), q, eps)
+    out = solve(prog)
+    assert out.status == "FEASIBLE" and out.iterations < solver._FIRST_CHECK
+    assert calls[0] == 0
+    rep = verify_point(prog, out.point)
+    assert rep.max_residual <= solver._POLISHED_TOL
+    assert rep.min_block_eig >= -1e-12
+
+
+@pytest.mark.parametrize("problem", [PROBLEMS["deutsch"], START_FACE_PROBLEMS["all_equal"]],
+                         ids=["deutsch", "all_equal"])
+def test_a_cell_with_no_interior_still_reaches_the_polish(monkeypatch, problem):
+    # with no interior the plain point converges sublinearly and never meets
+    # the rows, so the first full check hands its cone point to the polish
+    swept, polished_at = [0], []
+
+    def sweeps(affine, cone, x, iters):
+        if affine.__name__ == "project_affine":
+            swept[0] += iters
+        return _run_ap(affine, cone, x, iters)
+
+    def polish(eng, x):
+        polished_at.append(swept[0])
+        return _face_polish(eng, x)
+
+    monkeypatch.setattr(solver, "_run_ap", sweeps)
+    monkeypatch.setattr(solver, "_face_polish", polish)
+    out = solve(build_primal(dataclasses.replace(problem), 1, 0.1))
+    assert out.status == "FEASIBLE"
+    assert polished_at[0] == solver._FIRST_CHECK
+    assert out.iterations >= solver._FIRST_CHECK
+
+
+def test_sweeps_chunked_at_each_doubling_give_one_chunks_bits(monkeypatch):
+    # the early checks cut the first _FIRST_CHECK sweeps into chunks of 1, 1,
+    # 2, 4, 8 and 16, and leave the primal iterate as one chunk does, so every
+    # check from _FIRST_CHECK on reads the same floats
+    prog = build_primal(_rotation(0.3), 3, 0.1)
+    eng = _engine(prog)
+    start = 0.1 * np.random.default_rng(0).standard_normal(eng.n_cols)
+    x = start
+    for iters in (1, 1, 2, 4, 8, 16):
+        x = _run_ap(eng.project_affine, eng.project_cone, x, iters)
+    assert _same_bits(x, _run_ap(eng.project_affine, eng.project_cone, start, solver._FIRST_CHECK))
+    # and those are the chunks a decision sweeps: the primal's, then the
+    # Farkas iterate's gap since the last full check
+    chunks = []
+
+    def counted(affine, cone, x, iters):
+        chunks.append((affine.__name__, iters))
+        return _run_ap(affine, cone, x, iters)
+
+    monkeypatch.setattr(solver, "_run_ap", counted)
+    monkeypatch.setattr(solver, "_MAX_ITERS", 64)
+    solve(build_primal(_rotation(0.3), 3, 0.1))
+    primal = [n for name, n in chunks if name == "project_affine"]
+    dual = [n for name, n in chunks if name == "project_dual_affine"]
+    assert primal == [1, 1, 2, 4, 8, 16, 32] and dual == [32, 32]
 
 
 def test_two_qubit_pauli_identification_needs_one_query():
@@ -1467,8 +1546,8 @@ def test_a_witness_point_is_verified_once(monkeypatch, pname, builder, q, eps, i
 def test_a_non_finite_start_raises_at_the_first_check(monkeypatch):
     # every block of deutsch's exact program at q=1, eps 0 with d > 1 is 2x2,
     # on which LAPACK returns NaN eigenvalues without flagging them: the
-    # first check still raises LinAlgError, as the 4x4 case does, and warns
-    # of nothing
+    # first check, after one sweep, still raises LinAlgError, as the 4x4
+    # case does, and warns of nothing
     prog = build_primal(dataclasses.replace(PROBLEMS["deutsch"]), 1, 0.0)
     assert {d for _, d, *_ in _engine(prog)._cone_slices} == {2}
     chunks = []
@@ -1485,7 +1564,7 @@ def test_a_non_finite_start_raises_at_the_first_check(monkeypatch):
         warnings.simplefilter("always")
         with pytest.raises(np.linalg.LinAlgError):
             solve(prog)
-    assert chunks == [solver._FIRST_CHECK]
+    assert chunks == [1]
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
