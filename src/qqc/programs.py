@@ -45,6 +45,21 @@ reduction ahead of the solve; Permenter & Parrilo 2018). The eps-0 exact
 program keeps its class-face shares and its s x s init, which its range
 decides at once.
 
+At q >= 1 and eps > 0 the shares sit on the face q queries can reach.
+Every final state is a homogeneous degree-q polynomial in the entries of
+U_x (the polynomial method; Beals, Buhrman, Cleve, Mosca & de Wolf, J. ACM
+2001), so the range of the final Gram matrix, and of every share, lies in
+the span of the functions x -> (U_x^{⊗q})_{ab}, with orthonormal basis E
+(s x r, `reachable_span`). On the commuting phase oracles r < s, and an
+s x s share has no interior. There the exact program holds share z as an
+r x r block K_z with G_z = E K_z E†, and its last chain row is the r x r
+E† G E = E† tr_n(M X M†) E, read off the last chain block X through the
+rows (E† ⊗ I_n) M. Every reachable G has its range in span(E), so the
+program is an exact reformulation; where the span is full (ix, the Pauli
+and Weyl families, the rotations) it is the program with full shares, bit
+for bit. The relaxed programs keep their pair rows, and q = 0 and eps = 0
+their own faces.
+
 Each witness program is generated from its existence program by conic
 duality (`_farkas_alternative`): one multiplier block per existence row,
 one row per existence block, and a slack's row folded into its multiplier,
@@ -78,7 +93,8 @@ it. On a program, by owning module:
   its witness program;
 - in `qqc.sdpa`, the text of the program's SDPA export.
 On a problem:
-- here, the programs built on it (`_programs`);
+- here, the programs built on it (`_programs`) and the reachable spans by
+  q (`_spans`);
 - in `qqc.adversary`, the difference blocks, the witness's pair-row keys
   and the last weighting checked on it, with its spectrum.
 A witness program and its existence program refer to each other, so their
@@ -110,6 +126,7 @@ __all__ = [
     "build_dual_relaxed",
     "chain_program",
     "pair_name",
+    "reachable_span",
     "share_maps",
 ]
 
@@ -394,7 +411,8 @@ def _built_once(build):
 
 
 def _query_chain(
-    p: QueryProblem, q: int, last: list[tuple[Block, BlockMap]] | None = None
+    p: QueryProblem, q: int, last: list[tuple[Block, BlockMap]] | None = None,
+    span: np.ndarray | None = None,
 ) -> tuple[list[Block], list[Row]]:
     """Blocks and rows of the query chain that opens both existence programs.
 
@@ -407,6 +425,11 @@ def _query_chain(
     first, so their indices are final. Rows: the initial condition
     (tr rho_0 = 1, or final Gram matrix = J at q = 0) and the query-update
     chain into the final Gram matrix; an empty `last` at q >= 1 leaves out that last row.
+    With a `span` E (s x r, orthonormal columns) that holds the range of
+    every reachable final Gram matrix G (`reachable_span`), the images of
+    `last` sum to E† G E instead, and the last row is the r x r
+    E† G E = E† tr_n(M X M†) E, which reads the last chain block X through
+    the rows (E† ⊗ I_n) M.
     At q = 0, when every map of `last` is the face map [[c]] -> c·J/s, the
     initial condition is the 1x1 row sum c = s, J's one coordinate on the
     face; any other map keeps it s x s. J ⊗ rho_0
@@ -434,7 +457,12 @@ def _query_chain(
         if t < q:
             rows.append(Row(f"chain_{t}", s, [(t, _pt_q(s, n)), prev], zeros))
         elif final:
-            rows.append(Row("final_gram_def", s, final + [prev], zeros))
+            if span is not None:  # E† G E, through the rows (E† ⊗ I_n) M
+                r = span.shape[1]
+                read = np.einsum("ir,ijc->rjc", span.conj(), _query_read(p, t).reshape(s, n, -1))
+                prev = (t - 1, _conj_pt(read.reshape(r * n, -1), r, n, -1.0))
+            d = prev[1].d_out
+            rows.append(Row("final_gram_def", d, final + [prev], np.zeros((d, d), dtype=complex)))
     return blocks, rows
 
 
@@ -458,6 +486,52 @@ def _face_of_j(s: int) -> BlockMap:
     return BlockMap("const_embed", d_in=1, d_out=s, mat=np.full((s, s), 1.0 / s, dtype=complex))
 
 
+@_derived
+def _spans(p: QueryProblem) -> list[np.ndarray]:
+    """The bases `reachable_span` has grown on p, indexed by q."""
+    start = np.full((p.size, 1), 1.0 / math.sqrt(p.size))
+    start.flags.writeable = False
+    return [start]
+
+
+def reachable_span(p: QueryProblem, q: int) -> np.ndarray:
+    """An orthonormal basis E (s x r) of the span of the functions
+    x -> (U_x^{⊗q})_{ab}, read-only, built once per problem and q.
+
+    Every final state of a q-query protocol is a homogeneous degree-q
+    polynomial in the entries of U_x, so each column of the s x d matrix
+    of final states, and with it the range of the final Gram matrix
+    G_xy = ⟨f_y|f_x⟩ and of each output share, lies in this span. The
+    entries stay unconjugated: G's row index carries U_x, its column index
+    the conjugate. The basis at q is the range of the entrywise products of
+    the basis at q - 1 (at q = 0 the constant function) with the entries
+    of U_x, cut at `numpy.linalg.matrix_rank`'s rounding bound; a real
+    problem has a real basis.
+    """
+    spans = _spans(p)
+    p.omega  # validates p
+    entries = p.unitaries.reshape(p.size, -1)
+    if not entries.imag.any():
+        entries = entries.real
+    while len(spans) <= q:
+        prod = (spans[-1][:, :, None] * entries[:, None, :]).reshape(p.size, -1)
+        u, sv, _ = np.linalg.svd(prod, full_matrices=False)
+        rank = np.count_nonzero(sv > sv[0] * max(prod.shape) * np.finfo(float).eps)
+        basis = u[:, :rank].copy()
+        basis.flags.writeable = False
+        spans.append(basis)
+    return spans[q]
+
+
+def _share_span(p: QueryProblem, eps: float, q: int) -> np.ndarray | None:
+    """`reachable_span(p, q)` where the exact program holds its shares on
+    it, at eps > 0 and q >= 1 when the span is proper (r < s); else None."""
+    if not (eps and q):
+        return None
+    span = reachable_span(p, q)
+    return span if span.shape[1] < p.size else None
+
+
 def share_maps(p: QueryProblem, eps: float, q: int) -> dict[str, BlockMap]:
     """The map from each output's share block to its s x s share G_z at q queries.
 
@@ -466,16 +540,22 @@ def share_maps(p: QueryProblem, eps: float, q: int) -> dict[str, BlockMap]:
     eps > 0 and q = 0 every final state is the start state, so each share
     is a multiple of J: the block is the 1x1 [[c_z]] and the map the face
     map [[c]] -> c·J/s, whose adjoint reads c back from a share. At eps > 0
-    and q >= 1 the shares are not confined, and each block is the full
-    share.
+    and q >= 1 every share's range lies in the reachable span E
+    (`reachable_span`): where E is s x r with r < s, the block is r x r and
+    the map the congruence K -> E K E†, else the block is the full share.
     """
     s = p.size
     if eps:
+        span = _share_span(p, eps, q)
+        if span is not None:
+            return {z: _congruence(span) for z in p.outputs}
         return {z: _ident(s) if q else _face_of_j(s) for z in p.outputs}
-    return {
-        z: BlockMap("conj_pt", d_in=len(idx), d_out=s, mat=np.eye(s)[:, idx], split=(s, 1))
-        for z, idx in ((z, p.class_indices(z)) for z in p.outputs)
-    }
+    return {z: _congruence(np.eye(s)[:, p.class_indices(z)]) for z in p.outputs}
+
+
+def _congruence(e: np.ndarray) -> BlockMap:
+    """H -> E H E† for an s x r matrix E."""
+    return BlockMap("conj_pt", d_in=e.shape[1], d_out=e.shape[0], mat=e, split=(e.shape[0], 1))
 
 
 @_built_once
@@ -496,13 +576,20 @@ def build_primal(p: QueryProblem, q: int, eps: float) -> ConicFeasibilityProgram
     input success 1, so there is no success slack and no success row. At
     q = 0 and eps > 0 the shares sit on the face of J: block z is the 1x1
     [[c_z]] with G_z = c_z·J/s, init is the 1x1 row sum_z c_z = s, and
-    success row i reads slack - c_{g(i)}/s = eps - 1.
+    success row i reads slack - c_{g(i)}/s = eps - 1. At q >= 1 and eps > 0,
+    where the reachable span E (s x r) is proper, block z is the r x r K_z
+    with G_z = E K_z E†, the last chain row is the r x r
+    sum_z K_z = E† tr_n(M X M†) E, and success row i reads the unit matrix
+    through E: slack - tr(E† E_ii E K_{g(i)}) = eps - 1.
     """
     s = p.size
     p.omega  # validates p, whose g share_maps reads
     maps = share_maps(p, eps, q)
-    shares = [(Block(f"output_part_{z}", m.d_in, True), m) for z, m in maps.items()]
-    blocks, rows = _query_chain(p, q, shares)
+    span = _share_span(p, eps, q)
+    # on the reachable span the last row reads E† G E, and E† M_z(K) E = K
+    shares = [(Block(f"output_part_{z}", m.d_in, True), m if span is None else _ident(m.d_in))
+              for z, m in maps.items()]
+    blocks, rows = _query_chain(p, q, shares, span)
     # at eps = 0 the class faces already give each input success 1
     labels = p.labels if eps else []
     blocks += [Block(f"success_slack_{lab}", 1, True) for lab in labels]

@@ -215,8 +215,8 @@ def reconstruct_algorithm(
 
     Each s x s share is its block read through `share_maps`, the map the
     last chain row applies: E_z H_z E_z† on the eps = 0 class face,
-    c_z·J/s on the face of J at q = 0 and eps > 0, the block itself
-    otherwise.
+    c_z·J/s on the face of J at q = 0 and eps > 0, E K_z E† on a proper
+    reachable span E at q >= 1 and eps > 0, the block itself otherwise.
     """
     prog = build_primal(p, q, eps)
     out = solve(prog, config)

@@ -168,8 +168,9 @@ def trace_to_primal_point(
     fill the later chain blocks, and the final states' measurement
     cross-Grams fill the output shares, all read from one run, each through
     the adjoint of its `share_maps` map onto the program's face: at eps = 0
-    the share restricted to its class's rows and columns, and at q = 0 and
-    eps > 0 the 1x1 [[c_z]] of the share c_z·J/s. At eps > 0 each input's
+    the share restricted to its class's rows and columns, at q = 0 and
+    eps > 0 the 1x1 [[c_z]] of the share c_z·J/s, and at q >= 1 and eps > 0
+    E† G_z E on a proper reachable span E. At eps > 0 each input's
     1x1 success slack is its share entry minus 1 - eps, so the returned
     point is feasible exactly when the protocol meets the success floor; at
     eps = 0 the program has no success slack. The point holds exactly

@@ -88,9 +88,15 @@ as it stands when |A p - b| <= _POLISHED_TOL, which bounds every row's
 residual. Alternating projections converge linearly on a program with an
 interior (Lewis, Luke & Malick, Found. Comput. Math. 2009): at solver seed
 0 the plain point of every fixture and family cell with one meets its rows
-to 1e-13 within 1-8 sweeps. With no interior they converge sublinearly
-(Drusvyatskiy, Li & Wolkowicz, Math. Program. 2017), and those cells are
-left to the polish. The checks before c = _FIRST_CHECK sweeps try the plain
+to 1e-13 within 1-8 sweeps. Holding the exact program's shares on the span
+q queries reach (`programs.reachable_span`) gives the phase-oracle cells at
+q = 1 an interior: deutsch at eps 0.1 is decided at 4 sweeps and xor12
+(3 bits) at 8, on solver seeds 0-9 and 0-19, with no polish. With no
+interior they converge sublinearly (Drusvyatskiy, Li & Wolkowicz, Math.
+Program. 2017), and those cells are left to the polish: at eps 0.1 the
+exact programs of const, deutsch and xor12 at q=2, whose state blocks have
+none, and all-equal (3 bits) at q=1, which sits on its boundary, and q=2.
+The checks before c = _FIRST_CHECK sweeps try the plain
 point only. From c on each is a full check, which goes on to the cone point
 cand = P_K(x), tries it polished, then one certificate, so B sweeps make
 about log2(B/c) full checks. Sweeps run in chunks leave x as one chunk
@@ -171,11 +177,13 @@ __all__ = [
 
 # Sweeps before the first full check, which tries the polish and a
 # certificate; the checks before it, at 1, 2, 4, 8 and 16 sweeps, try the
-# plain point only. The cells that reach the polish have no interior: const
-# and deutsch at q=2, deutsch at q=1 eps 0.1, and all-equal and xor12 on 3
-# bits at q=1 eps 0.1. Their cone points are cruder before 32 sweeps: at 16, deutsch at
-# eps 0.1 and all-equal (solver seeds 0-9) sit at 7e-2 to 0.15, above
-# _POLISH_GATE, and at 8 every such cell sits at 0.17 or above.
+# plain point only. The cells that reach the polish have no interior: on
+# the fixtures and the 3-bit problems (solver seeds 0-9), const, deutsch,
+# xor12 and all-equal at q=2, xor12 at q=1 eps 0, and all-equal at q=1 eps
+# 0.1. Their cone points are cruder before 32 sweeps: at 16, the exact
+# programs at eps 0.1 of deutsch, xor12 and all-equal at q=2 and of
+# all-equal at q=1 sit at 8.2e-2 to 0.15, above _POLISH_GATE, and at 8
+# every such cell sits at 0.12 or above.
 _FIRST_CHECK = 32
 # Primal sweep budget before UNDECIDED, and the last check: over ten times
 # the 4 096 sweeps of the slowest certificate in the tests (the rotation
@@ -192,11 +200,13 @@ _CERT_TOL = 1e-7
 _CERT_NORM_CAP = 1e8
 # Cone-projected residual at or below which a full check tries the face
 # polish. At the first full check the feasible fixture cells that the plain
-# point leaves undecided sit at 2.0e-3 to 1.0e-2 and all-equal (3 bits) q=1
-# eps 0.1 at 1.6-2.1e-2 (solver seeds 0-99), while certificate cells stay
-# above 0.95 and the Haar-pairs instance near 0.23. xor12 (3 bits) q=1 eps
-# 0.1 sits at 0.06-0.07 at 64 sweeps, where Gauss-Newton creeps to its step
-# cap on 6 of 10 seeds; at 128 (3e-2) it lands in 26-34 steps.
+# point leaves undecided sit at 5.9e-3 to 1.8e-2 (solver seeds 0-9), those
+# of the 3-bit problems at 9.6e-4 to 3.2e-2, and all-equal (3 bits) q=1 eps
+# 0.1 at 9.8e-3 to 1.6e-2 (seeds 0-99), while certificate cells stay above
+# 0.95 and the Haar-pairs instance near 0.23. With its shares as full 8x8
+# blocks, off the span one query reaches, xor12 (3 bits) q=1 eps 0.1 sat at
+# 0.06-0.07 at 64 sweeps, where Gauss-Newton crept to its step cap on 6 of
+# 10 seeds; on the span its plain point meets the rows at 8 sweeps.
 _POLISH_GATE = 5e-2
 # FEASIBLE means every row met within this, by the plain point or the
 # polish: reconstruction's 1e-6 Gram check turned a 3e-8 residual into a
@@ -205,12 +215,16 @@ _POLISHED_TOL = 1e-10
 # A polish whose lean and padded rungs land at or below this, but above
 # _POLISHED_TOL, has stalled next to a point it cannot finish for want of a
 # factor direction, and pads again (see `_face_polish`). all-equal (3 bits)
-# q=1 eps 0.1 sits on its boundary (no Slater point). Over solver seeds 0-99
-# its real form's padded rung finished 17 polishes, landed at 1.5e-10 to
-# 4.5e-7 in 87 and at 2.5e-4 or above in 80; padding again decides every
-# seed (seed 0 at 128 sweeps: 2.4e-7, then 4.2e-10, then 6.2e-11). The
-# infeasible rotations near their boundary (theta 0.3 and 0.305, q=3, eps
-# 0.1) polish to 6.5e-4 to 3.4e-3, above the window, so they pad no more.
+# q=1 eps 0.1 sits on its boundary (no Slater point). With its shares as
+# full 8x8 blocks, over solver seeds 0-99 its real form's padded rung
+# finished 17 polishes, landed at 1.5e-10 to 4.5e-7 in 87 and at 2.5e-4 or
+# above in 80; padding again decided every seed (seed 0 at 128 sweeps:
+# 2.4e-7, then 4.2e-10, then 6.2e-11). On the span one query reaches, its
+# lean rung finishes at the first full check on every seed 0-99, and no
+# solve in the tests, the CI commands or the benchmark pads again; the
+# polish tests reach the window on the full-block form. The infeasible rotations
+# near their boundary (theta 0.3 and 0.305, q=3, eps 0.1) polish to 6.5e-4
+# to 3.4e-3, above the window, so they pad no more.
 _STALL = 1e-5
 # Rank guess: eigenvalues below this fraction of a block's largest are
 # taken as spurious.
@@ -219,12 +233,16 @@ _FACE_REL_TOL = 1e-5
 # eigenvalues shrink with the residual while true ones stay put.
 _FACE_RES_FACTOR = 10.0
 # Gauss-Newton steps per rank guess: converging guesses on the fixture grid
-# take at most 25, so the cap only stops a guess that creeps, and decides
-# how far it gets. A protocol rebuilt from a point loses success roughly in
-# step with the point's residual: on all-equal (3 bits) q=1 eps 0.1, solver
-# seeds 0-19, the worst seed (3) polishes to 3.9e-11, 2.1e-11, 1.0e-11 and
-# 1.2e-12 at caps of 40, 60, 100 and 150, and its protocol succeeds with 0.9
-# minus 1.1e-6, 8.9e-7, 5.4e-7 and 2.0e-7.
+# take at most 22, and on the 3-bit problems at q <= 2 at most 26 (solver
+# seeds 0-9), so the cap only stops a guess that creeps, and decides how far
+# it gets. A protocol rebuilt from a point loses success roughly in step
+# with the point's residual: on all-equal (3 bits) q=1 eps 0.1 with its
+# shares as full 8x8 blocks, solver seeds 0-19, the worst seed (3) polished
+# to 3.9e-11, 2.1e-11, 1.0e-11 and 1.2e-12 at caps of 40, 60, 100 and 150,
+# and its protocol succeeded with 0.9 minus 1.1e-6, 8.9e-7, 5.4e-7 and
+# 2.0e-7. On the span one query reaches the cell polishes in 4 steps to
+# about 1e-15, and its protocols succeed with 0.9 to within 3e-15 on seeds
+# 0-99.
 _GN_MAX_STEPS = 100
 # Relative distance of b from the range of A that makes the program
 # infeasible outright: far above the rounding of the 1e-12-cut Gram

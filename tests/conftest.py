@@ -1,6 +1,7 @@
 """Shared fixtures: the four reference problems, the three non-commuting
-families, the two start-face problems, a solve by cell name and the block
-Schur identity check.
+families, the two start-face problems, a solve by cell name, the block
+Schur identity check, and a copy of a problem whose exact program keeps
+full s x s shares (`full_span_copy`).
 
 The problems here are shared by every test, and so are the programs built
 on them, with what they keep: assemblies, engines and each seed's decision.
@@ -15,11 +16,13 @@ last weighting checked on it, with its spectrum, in its `derived` dict
 test bounded would be served without the call being counted.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
+from qqc import programs
 from qqc.problem import QueryProblem, phase_query_problem
 from qqc.programs import build_dual, build_dual_relaxed, build_primal, build_primal_relaxed
 from qqc.simulate import QuantumQueryAlgorithm
@@ -71,6 +74,24 @@ START_FACE_PROBLEMS = {
     "xor12": phase_query_problem(3, {x: str(int(x[0]) ^ int(x[1])) for x in _BITS}),
     "all_equal": phase_query_problem(3, {x: str(int(len(set(x)) == 1)) for x in _BITS}),
 }
+
+
+
+def full_span_copy(p: QueryProblem, qmax: int = 2) -> QueryProblem:
+    """A copy of p whose reachable span reads as full at every q <= qmax.
+
+    On it `build_primal` holds each share at eps > 0 as a full s x s block,
+    `share_maps` reads it as it stands, and the last chain row is s x s: the
+    exact program with no face at q >= 1, which the span reformulates. The
+    copy's `derived` dict starts empty, so the span is set there before
+    anything is built on it.
+    """
+    copy = dataclasses.replace(p)
+    eye = np.eye(p.size)
+    eye.flags.writeable = False
+    programs._spans(copy).extend([eye] * qmax)
+    return copy
+
 
 BUILDERS = {
     "primal": build_primal,

@@ -155,13 +155,15 @@ def test_block_map_rejects_bad_input_shape():
 
 
 def test_primal_structure(deutsch):
-    # the shares split the final Gram matrix directly: no block of its own
+    # the shares split the final Gram matrix directly: no block of its own;
+    # at q = 2 deutsch's reachable span is 2-dimensional (1 and (-1)^(x1+x2)),
+    # so each share is a 2x2 block on it, and so is the last chain row
     prog = build_primal(deutsch, 2, 0.1)
     names = [b.name for b in prog.blocks]
     slacks = [f"success_slack_{lab}" for lab in deutsch.labels]
     assert names == ["rho_0", "state_iq_1", "output_part_0", "output_part_1"] + slacks
     dims = {b.name: b.dim for b in prog.blocks}
-    assert dims["rho_0"] == 2 and dims["state_iq_1"] == 8 and dims["output_part_0"] == 4
+    assert dims["rho_0"] == 2 and dims["state_iq_1"] == 8 and dims["output_part_0"] == 2
     assert all(dims[name] == 1 for name in slacks)
     assert all(b.psd for b in prog.blocks)
     rows = {r.name: r for r in prog.rows}
@@ -172,6 +174,7 @@ def test_primal_structure(deutsch):
     assert np.array_equal(rows["init"].rhs, [[1.0]])
     final_reads = {prog.blocks[bj].name for bj, _ in rows["final_gram_def"].terms}
     assert final_reads == {"state_iq_1", "output_part_0", "output_part_1"}
+    assert rows["final_gram_def"].dim == 2
     for name in success:
         assert rows[name].dim == 1
         assert rows[name].rhs == pytest.approx(-0.9, abs=1e-15)

@@ -85,7 +85,7 @@ def test_export_matches_reparse_exactly(deutsch, tmp_path):
 def test_export_rewrites_a_longer_file_in_place(const, deutsch, tmp_path, monkeypatch):
     # a shorter export over a longer one must leave no stale bytes at the end
     path, fresh = tmp_path / "p.dat-s", tmp_path / "fresh.dat-s"
-    export_sdpa(build_primal(deutsch, 1, 0.1), str(path))
+    export_sdpa(build_primal(deutsch, 2, 0.1), str(path))
     inode, size = os.stat(path).st_ino, os.stat(path).st_size
     flags, real_open = [], os.open
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import hand_deutsch_algorithm
-from qqc.programs import build_primal
+from qqc.programs import build_primal, share_maps
 from qqc.reconstruct import reconstruct_algorithm
 from qqc.simulate import (
     QuantumQueryAlgorithm,
@@ -142,9 +142,12 @@ def test_trace_to_primal_point_matches_extended_state(deutsch):
     for t in range(1, alg.q):
         rho_iq = extended_state(deutsch, alg, t)[1]
         assert np.max(np.abs(point[f"state_iq_{t}"] - rho_iq)) <= 1e-12
-    # at eps > 0 the shares are full blocks, and they sum to the final Gram matrix
+    # at eps > 0 the shares sit on the 2-dimensional reachable span, and read
+    # back through their maps they sum to the final Gram matrix
     rho_i = extended_state(deutsch, alg, alg.q)[2]
-    final_gram = sum(point[f"output_part_{z}"] for z in deutsch.outputs)
+    maps = share_maps(deutsch, 0.1, alg.q)
+    assert all(point[f"output_part_{z}"].shape == (2, 2) for z in deutsch.outputs)
+    final_gram = sum(m.apply(point[f"output_part_{z}"]) for z, m in maps.items())
     assert np.max(np.abs(final_gram - rho_i)) <= 1e-12
 
 

@@ -18,6 +18,7 @@ from qqc.programs import (
     build_dual_relaxed,
     build_primal,
     build_primal_relaxed,
+    reachable_span,
     _farkas_alternative,
 )
 from qqc.reconstruct import reconstruct_algorithm
@@ -50,7 +51,9 @@ from qqc.solver import (
     verify_point,
 )
 
-from conftest import BUILDERS, FAMILIES, FEASIBLE_CELLS, PROBLEMS, START_FACE_PROBLEMS
+from conftest import (
+    BUILDERS, FAMILIES, FEASIBLE_CELLS, PROBLEMS, START_FACE_PROBLEMS, full_span_copy,
+)
 
 
 def random_hermitian(rng, d):
@@ -258,8 +261,10 @@ def test_assemble_matches_column_reference(pname, builder, q, eps):
     # reference of that side. The two sides agree to within two ulps of
     # one: on the witness programs' own rows (their 1x1 trace rows read
     # all-ones matrices), and on the relaxed pair rows, whose congruence
-    # carries the oracle's phases (weyl3's e^{2 pi i/3}); on the exact
-    # existence programs they give the same bits
+    # carries the oracle's phases (weyl3's e^{2 pi i/3}), and on the success
+    # rows of an exact program whose shares sit on a proper reachable span E,
+    # which read E† E_ii E; on the other exact existence programs they give
+    # the same bits
     p = FAMILIES[pname] if pname in FAMILIES else PROBLEMS[pname]
     prog = BUILDERS[builder](p, q, eps)
     blocks, rows = prog.blocks, prog.rows
@@ -269,7 +274,8 @@ def test_assemble_matches_column_reference(pname, builder, q, eps):
     assert _same_bits(a, side_a)
     ref_a, _ = _assemble_by_basis(blocks, rows)
     assert np.max(np.abs(a - ref_a)) <= 4.4e-16
-    if builder == "primal":
+    on_span = eps and q and reachable_span(p, q).shape[1] < p.size
+    if builder == "primal" and not on_span:
         assert _same_bits(a, ref_a)
 
 
@@ -303,13 +309,14 @@ def test_assemble_memory_stays_near_its_budget():
 
 @pytest.mark.parametrize("case", ["deutsch_primal", "weyl3_primal", "deutsch_primal-real"])
 def test_project_cone_matches_per_block_reference(case):
-    # deutsch at q=2 mixes 2x2, 4x4 and 8x8 blocks with 1x1 success slacks;
-    # weyl3 at q=2 has a 27x27 state block next to the 3x3 start state, 9x9
-    # shares and 1x1 success slacks, which take the clipping path; deutsch
-    # splits, and its real form projects real symmetric blocks
+    # deutsch at q=2 mixes the 2x2 start state and shares (on its reachable
+    # span) with an 8x8 state block and 1x1 success slacks; weyl3 at q=2 has
+    # a 27x27 state block next to the 3x3 start state, 9x9 shares and 1x1
+    # success slacks, which take the clipping path; deutsch splits, and its
+    # real form projects real symmetric blocks
     if case.startswith("deutsch_primal"):
         prog = BUILDERS["primal"](PROBLEMS["deutsch"], 2, 0.1)
-        dims = {1, 2, 4, 8}
+        dims = {1, 2, 8}
     else:
         prog = BUILDERS["primal"](FAMILIES["weyl3"], 2, 0.1)
         dims = {1, 3, 9, 27}
@@ -425,10 +432,10 @@ def test_packed_cone_step_matches_grouped_projection_bitwise(monkeypatch, case):
 @pytest.mark.parametrize("step", ["primal", "farkas", "check"])
 def test_cone_step_nonconvergence_raises(real, step):
     # a NaN spreads through the affine step to every block, and LAPACK does
-    # not converge on the 4x4 ones: a sweep chunk of either pair, and a
-    # check's own cone step, raise LinAlgError as numpy's eigh does, and
-    # warn of nothing
-    prog = build_primal(PROBLEMS["deutsch"], 1, 0.1)
+    # not converge on the 4x4 ones (ix's state block at q=2): a sweep chunk
+    # of either pair, and a check's own cone step, raise LinAlgError as
+    # numpy's eigh does, and warn of nothing
+    prog = build_primal(PROBLEMS["ix"], 2, 0.1)
     eng = _engine(prog) if real else _Engine(prog.blocks, *assemble(prog.blocks, prog.rows))
     assert eng.real == real and 4 in {d for _, d, *_ in eng._cone_slices}
     x = np.zeros(eng.n_cols)
@@ -635,6 +642,9 @@ _POLISH_CASES = {
        for pname in ("deutsch", "pauli_id", "weyl3") for kind in ("primal", "primal_relaxed")
        for eps in (0.0, 0.1)},
     "all_equal-primal-0.1": lambda: build_primal(START_FACE_PROBLEMS["all_equal"], 1, 0.1),
+    # the shares as full 8x8 blocks, off the reachable span
+    "all_equal_full-primal-0.1":
+        lambda: build_primal(full_span_copy(START_FACE_PROBLEMS["all_equal"]), 1, 0.1),
     "rank_zero": _rank_zero_program,
     "half_lines": _line_program,
 }
@@ -642,12 +652,12 @@ _POLISH_CASES = {
 
 # cases that also run on the real form, whose programs all split
 _REAL_POLISH_CASES = ["deutsch-primal-0.1", "deutsch-primal_relaxed-0.0", "all_equal-primal-0.1",
-                      "rank_zero", "half_lines"]
+                      "all_equal_full-primal-0.1", "rank_zero", "half_lines"]
 
-# A check's point, on all-equal's real form, that the lean and padded rungs
-# leave in the stall window: solver seed 0 at 64 sweeps, where the padded rung
-# lands at 2.8e-7 and the polish pads again.
-_STALLED_START = ("all_equal-primal-0.1-real", 0, 2 * solver._FIRST_CHECK)
+# A check's point, on the real form of all-equal's shares as full blocks, that
+# the lean and padded rungs leave in the stall window: solver seed 0 at 64
+# sweeps, where the padded rung lands at 2.8e-7 and the polish pads again.
+_STALLED_START = ("all_equal_full-primal-0.1-real", 0, 2 * solver._FIRST_CHECK)
 
 
 def _case_engine(case):
@@ -1175,11 +1185,14 @@ def test_a_cell_with_an_interior_is_decided_unpolished(monkeypatch, pname, q, ep
     assert rep.min_block_eig >= -1e-12
 
 
-@pytest.mark.parametrize("problem", [PROBLEMS["deutsch"], START_FACE_PROBLEMS["all_equal"]],
+@pytest.mark.parametrize("problem,q", [(PROBLEMS["deutsch"], 2), (START_FACE_PROBLEMS["all_equal"], 1)],
                          ids=["deutsch", "all_equal"])
-def test_a_cell_with_no_interior_still_reaches_the_polish(monkeypatch, problem):
+def test_a_cell_with_no_interior_still_reaches_the_polish(monkeypatch, problem, q):
     # with no interior the plain point converges sublinearly and never meets
-    # the rows, so the first full check hands its cone point to the polish
+    # the rows, so the first full check hands its cone point to the polish:
+    # at eps 0.1 deutsch's state block at q=2 has none, and all-equal at q=1
+    # sits on its boundary (0.9 is the best one query reaches), although
+    # its shares sit on the reachable span
     swept, polished_at = [0], []
 
     def sweeps(affine, cone, x, iters):
@@ -1193,7 +1206,7 @@ def test_a_cell_with_no_interior_still_reaches_the_polish(monkeypatch, problem):
 
     monkeypatch.setattr(solver, "_run_ap", sweeps)
     monkeypatch.setattr(solver, "_face_polish", polish)
-    out = solve(build_primal(dataclasses.replace(problem), 1, 0.1))
+    out = solve(build_primal(dataclasses.replace(problem), q, 0.1))
     assert out.status == "FEASIBLE"
     assert polished_at[0] == solver._FIRST_CHECK
     assert out.iterations >= solver._FIRST_CHECK
