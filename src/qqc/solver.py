@@ -66,11 +66,10 @@ block's d(d+1)/2 real symmetric coordinates: a float packed buffer and float
 Jacobian has half the columns. Points and certificates expand back to
 complex blocks with zero imaginary parts, so `verify_point`, `_certify`,
 reconstruction and the SDPA export all read the full program, and a real
-problem's rebuilt protocol is real. A real problem on its boundary, whose
-real polish stalls within _STALL of a point it cannot finish, is finished
-by the polish padding again on the same coordinates (see `_face_polish`),
-so the decision never leaves them. The fixtures split at every q; the
-Pauli and Weyl families split at q = 0 only.
+problem's rebuilt protocol is real. The polish of a real problem on its
+boundary runs on the same coordinates, so the decision never leaves them.
+The fixtures split at every q; the Pauli and Weyl families split at q = 0
+only.
 
 Infeasibility is reported only with a Farkas certificate: one multiplier
 matrix per row whose adjoint image is PSD on every block, and whose pairing
@@ -117,32 +116,32 @@ certify unswept at the first full check, and the rotations near their
 boundary at a later one (theta 0.305, q=3, eps 0.1: 4 096 sweeps; the
 Farkas iterate alone does not finish it within the budget).
 
-Near-feasible points are polished by rank-restricted Gauss-Newton: each
-block's rank is guessed from its spectrum with a residual-scaled cut, the
-blocks are refactored as Y Y-adjoint (the Burer-Monteiro factorization),
-and the factors are refined against the equality rows. The polish works on
-the cone step's packed buffer. The rank guess reads every spectrum through
-the cone step's gather and one stacked `eigh` per dimension; a 1x1 block
-is its own eigenvalue. All factors live in one flat real vector, each
-block's factor a view of its part, so a trial is theta + t * step. A trial
-point writes each Y Y-adjoint into the block's slot of the packed buffer
-(`matmul` with `out=`) and reads the coordinates back through the cone
-step's gather. The Jacobian is written in place into one array
-per Gauss-Newton run, and reads the row side of A: on a block each scalar
-row is tr(C_k X) with C_k = unhvec(row k of the block's columns), the SDPA
-export's constraint matrices, built once per engine by `_row_matrices`
-(the export gathers their entries from A directly);
-the row's rate along a factor step Delta is 2 Re tr(Y-adjoint C_k Delta),
-so the factor's Jacobian is 2 [Re, Im](C_k Y) on the rows that read the
-block. For all rank-one 1x1 blocks at once, the products and the Jacobian
-columns are written elementwise, with the arithmetic numpy's `matmul` does
-on 1x1 operands. Each step is the per-block polish's arithmetic on the
-same floats, so the polished points are the same bit for bit. Candidates
-lie in the cone by construction, so success lands equality residuals near
-1e-14, which downstream extraction steps rely on; failed guesses are
-discarded. An existence program is FEASIBLE only at a point that meets
-every row within _POLISHED_TOL, a plain point or a polished one; a point
-the polish cannot finish is swept further. A witness program's
+Near-feasible points are polished by one rank-restricted Gauss-Newton run:
+each block's rank is guessed from its spectrum with a residual-scaled cut,
+the blocks are refactored as Y Y-adjoint (the Burer-Monteiro
+factorization), and the factors are refined against the equality rows. The
+polish works on the cone step's packed buffer. The rank guess reads every
+spectrum through the cone step's gather and one stacked `eigh` per
+dimension; a 1x1 block is its own eigenvalue. All factors live in one flat
+real vector, each block's factor a view of its part, so a trial is theta +
+t * step. A trial point writes each Y Y-adjoint into the block's slot of
+the packed buffer (`matmul` with `out=`) and reads the coordinates back
+through the cone step's gather. The Jacobian is written in place into one
+array per Gauss-Newton run, and reads the row side of A: on a block each
+scalar row is tr(C_k X) with C_k = unhvec(row k of the block's columns),
+the SDPA export's constraint matrices, built once per engine by
+`_row_matrices` (the export gathers their entries from A directly); the
+row's rate along a factor step Delta is 2 Re tr(Y-adjoint C_k Delta), so
+the factor's Jacobian is 2 [Re, Im](C_k Y) on the rows that read the block.
+For all rank-one 1x1 blocks at once, the products and the Jacobian columns
+are written elementwise, with the arithmetic numpy's `matmul` does on 1x1
+operands. Each step is the per-block polish's arithmetic on the same
+floats, so the polished points are the same bit for bit. Candidates lie in
+the cone by construction, so success lands equality residuals near 1e-14,
+which downstream extraction steps rely on; a run that does not lower the
+residual is discarded. An existence program is FEASIBLE only at a point
+that meets every row within _POLISHED_TOL, a plain point or a polished one;
+a point the polish cannot finish is swept further. A witness program's
 FEASIBLE point is a certificate, so it holds to _CERT_TOL.
 """
 
@@ -203,46 +202,32 @@ _CERT_NORM_CAP = 1e8
 # point leaves undecided sit at 5.9e-3 to 1.8e-2 (solver seeds 0-9), those
 # of the 3-bit problems at 9.6e-4 to 3.2e-2, and all-equal (3 bits) q=1 eps
 # 0.1 at 9.8e-3 to 1.6e-2 (seeds 0-99), while certificate cells stay above
-# 0.95 and the Haar-pairs instance near 0.23. With its shares as full 8x8
-# blocks, off the span one query reaches, xor12 (3 bits) q=1 eps 0.1 sat at
-# 0.06-0.07 at 64 sweeps, where Gauss-Newton crept to its step cap on 6 of
-# 10 seeds; on the span its plain point meets the rows at 8 sweeps.
+# 0.95 and the Haar-pairs instance near 0.23. The full-block program, which
+# holds xor12 (3 bits) q=1 eps 0.1's shares as 8x8 blocks off the span one
+# query reaches and which no builder makes, sat at 0.06-0.07 at 64 sweeps,
+# where Gauss-Newton crept to its step cap on 6 of 10 seeds.
 _POLISH_GATE = 5e-2
 # FEASIBLE means every row met within this, by the plain point or the
 # polish: reconstruction's 1e-6 Gram check turned a 3e-8 residual into a
 # 2.8e-5 miss.
 _POLISHED_TOL = 1e-10
-# A polish whose lean and padded rungs land at or below this, but above
-# _POLISHED_TOL, has stalled next to a point it cannot finish for want of a
-# factor direction, and pads again (see `_face_polish`). all-equal (3 bits)
-# q=1 eps 0.1 sits on its boundary (no Slater point). With its shares as
-# full 8x8 blocks, over solver seeds 0-99 its real form's padded rung
-# finished 17 polishes, landed at 1.5e-10 to 4.5e-7 in 87 and at 2.5e-4 or
-# above in 80; padding again decided every seed (seed 0 at 128 sweeps:
-# 2.4e-7, then 4.2e-10, then 6.2e-11). On the span one query reaches, its
-# lean rung finishes at the first full check on every seed 0-99, and no
-# solve in the tests, the CI commands or the benchmark pads again; the
-# polish tests reach the window on the full-block form. The infeasible rotations
-# near their boundary (theta 0.3 and 0.305, q=3, eps 0.1) polish to 6.5e-4
-# to 3.4e-3, above the window, so they pad no more.
-_STALL = 1e-5
 # Rank guess: eigenvalues below this fraction of a block's largest are
 # taken as spurious.
 _FACE_REL_TOL = 1e-5
 # The cut also sits at this multiple of the residual, since spurious
 # eigenvalues shrink with the residual while true ones stay put.
 _FACE_RES_FACTOR = 10.0
-# Gauss-Newton steps per rank guess: converging guesses on the fixture grid
-# take at most 22, and on the 3-bit problems at q <= 2 at most 26 (solver
-# seeds 0-9), so the cap only stops a guess that creeps, and decides how far
-# it gets. A protocol rebuilt from a point loses success roughly in step
-# with the point's residual: on all-equal (3 bits) q=1 eps 0.1 with its
-# shares as full 8x8 blocks, solver seeds 0-19, the worst seed (3) polished
-# to 3.9e-11, 2.1e-11, 1.0e-11 and 1.2e-12 at caps of 40, 60, 100 and 150,
-# and its protocol succeeded with 0.9 minus 1.1e-6, 8.9e-7, 5.4e-7 and
-# 2.0e-7. On the span one query reaches the cell polishes in 4 steps to
-# about 1e-15, and its protocols succeed with 0.9 to within 3e-15 on seeds
-# 0-99.
+# Gauss-Newton steps per polish: converging runs on the fixture grid take
+# at most 22, and on the 3-bit problems at q <= 2 at most 26 (solver seeds
+# 0-9), so the cap only stops a run that creeps, and decides how far it
+# gets. A protocol rebuilt from a point loses success roughly in step with
+# the point's residual: on the full-block program of all-equal (3 bits) q=1
+# eps 0.1, its shares as 8x8 blocks (no builder makes it), solver seeds
+# 0-19, the worst seed (3) polished to 3.9e-11, 2.1e-11, 1.0e-11 and
+# 1.2e-12 at caps of 40, 60, 100 and 150, and its protocol succeeded with
+# 0.9 minus 1.1e-6, 8.9e-7, 5.4e-7 and 2.0e-7. On the span one query
+# reaches, as `build_primal` makes it, the cell polishes in 4 steps to about
+# 1e-15, and its protocols succeed with 0.9 to within 3e-15 on seeds 0-99.
 _GN_MAX_STEPS = 100
 # Relative distance of b from the range of A that makes the program
 # infeasible outright: far above the rounding of the 1e-12-cut Gram
@@ -813,80 +798,63 @@ def _gauss_newton(eng: _Engine, theta: np.ndarray, ranks: np.ndarray) -> np.ndar
     return x
 
 
-def _guess_factors(eng: _Engine, x: np.ndarray, extra: int, res: float) -> tuple[np.ndarray, np.ndarray]:
-    """Factor each block at the rank its spectrum suggests, plus headroom.
+def _guess_factors(eng: _Engine, x: np.ndarray, res: float) -> tuple[np.ndarray, np.ndarray]:
+    """Factor each block at the rank its spectrum suggests.
 
     Spurious eigenvalues shrink along with the residual while true ones stay
     put, so a cut at _FACE_RES_FACTOR times the residual separates them long
-    before the iterates themselves converge. `extra` appends that many gently
-    seeded directions from just below the cut; refinement can always shrink
-    them back to zero, but a missing direction leaves a rank-deficient dead
-    end. The spectra come from the cone step's gather, one stacked eigh per
-    dimension; a 1x1 block is its own eigenvalue, with eigenvector 1.
-    Returns the flat factor vector (see `_Factors`) and each block's rank.
+    before the iterates themselves converge. The spectra come from the cone
+    step's gather, one stacked eigh per dimension; a 1x1 block is its own
+    eigenvalue, with eigenvector 1. Returns the flat factor vector (see
+    `_Factors`) and each block's rank.
     """
 
     def cut(top: np.ndarray) -> np.ndarray:
         return np.maximum(np.maximum(top, 0.0) * _FACE_REL_TOL, _FACE_RES_FACTOR * res)
 
-    seed = math.sqrt(max(res, 1e-12))
     f = eng._pack(x)
     packed = eng._matrices(f)
     spectra = [np.linalg.eigh(packed[lo:hi].reshape(k, d, d)) for k, d, lo, hi, _ in eng._cone_slices]
-    kept = np.zeros(len(eng.blocks), dtype=np.intp)
+    ranks = np.zeros(len(eng.blocks), dtype=np.intp)
     line = eng._line_blocks
     vals = f[: eng._half_line : eng._floats]
     on = vals > cut(vals)
-    kept[line] = on
+    ranks[line] = on
     for (_, _, _, _, js), (w, _) in zip(eng._cone_slices, spectra):
-        kept[js] = np.count_nonzero(w > cut(w[:, -1])[:, None], axis=1)
-    ranks = np.minimum(kept + extra, eng._dims)
+        ranks[js] = np.count_nonzero(w > cut(w[:, -1])[:, None], axis=1)
     starts = _factor_starts(eng, ranks)
     theta = np.empty(int(eng._floats * eng._dims @ ranks))
-    # a kept 1x1 block is (sqrt value, 0), a padded one (seed, 0); a real
-    # engine's lack the 0
-    some = ranks[line] > 0
-    at = starts[line][some]
-    theta[at] = np.where(on, np.sqrt(np.where(on, vals, 0.0)), seed)[some]
+    # a kept 1x1 block is (sqrt value, 0); a real engine's lacks the 0
+    at = starts[line][on]
+    theta[at] = np.sqrt(vals[on])
     if not eng.real:
         theta[at + 1] = 0.0
     for (_, d, _, _, js), (w, v) in zip(eng._cone_slices, spectra):
         for i, j in enumerate(js.tolist()):
-            r, rank = int(kept[j]), int(ranks[j])
-            if rank:
-                y = _factor_view(theta, int(starts[j]), d, rank, eng.real)
-                y[:, :r] = v[i, :, d - r :] * np.sqrt(w[i, d - r :])
-                y[:, r:] = v[i, :, d - rank : d - r] * seed
+            r = int(ranks[j])
+            if r:
+                y = _factor_view(theta, int(starts[j]), d, r, eng.real)
+                y[...] = v[i, :, d - r :] * np.sqrt(w[i, d - r :])
     return theta, ranks
 
 
 def _face_polish(eng: _Engine, x: np.ndarray) -> np.ndarray:
     """Polish a near-feasible point to machine precision at guessed block ranks.
 
-    Rank guesses, leanest first: the exact guess gives quadratic
-    convergence, while the one padded by a direction costs more per step but
-    avoids the rank-deficient local minima a too-lean factorization can wedge
-    into. A point the padded rung leaves within _STALL, but above
-    _POLISHED_TOL, lacks a further direction: the polish pads again from the
-    improved point while each new rung lowers the residual. A wrong guess is
-    harmless because only improvements are kept.
+    One Gauss-Newton run from the factors at the ranks the point's spectra
+    suggest (`_guess_factors`): at the exact ranks it converges
+    quadratically. Its point is kept only when it lowers the largest row
+    residual, so a wrong guess is harmless.
     """
 
     def residual(v: np.ndarray) -> float:
         return float(np.linalg.norm(eng.a @ v - eng.b, ord=np.inf))
 
-    best, best_res = x, residual(x)
-    extra = 0
-    while best_res >= 1e-13:
-        cand = _gauss_newton(eng, *_guess_factors(eng, best, extra, best_res))
-        res = residual(cand)
-        improved = res < best_res
-        if improved:
-            best, best_res = cand, res
-        if extra and not (improved and _POLISHED_TOL < best_res <= _STALL):
-            break
-        extra = 1
-    return best
+    res = residual(x)
+    if res < 1e-13:
+        return x
+    cand = _gauss_newton(eng, *_guess_factors(eng, x, res))
+    return cand if residual(cand) < res else x
 
 
 # ---------------------------------------------------------------------------

@@ -279,8 +279,8 @@ def test_reconstruct_writes_protocol(problem_file, tmp_path, capsys):
 
 def test_reconstruct_writes_a_real_protocol_for_a_real_problem(tmp_path, capsys):
     # all-equal's program at q=1, eps 0.1 is real and sits on its boundary;
-    # at the default seed its polish stalls on the real form and pads again
-    # there, so the protocol it rebuilds is real
+    # at the default seed it is polished on the real form, so the protocol
+    # it rebuilds is real
     prob, out = tmp_path / "all_equal.json", tmp_path / "alg.json"
     prob.write_text(json.dumps(problem_to_dict(START_FACE_PROBLEMS["all_equal"])))
     argv = ["reconstruct", str(prob), "--q", "1", "--eps", "0.1", "--seed", "0", "--out", str(out)]

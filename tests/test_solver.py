@@ -573,38 +573,26 @@ def _ref_gauss_newton(eng, ys):
     return x
 
 
-def _ref_guess_factors(eng, x, extra, res):
+def _ref_guess_factors(eng, x, res):
     ys = []
     for b, off in zip(eng.blocks, eng.block_off):
         w, v = np.linalg.eigh(unhvec(x[off : off + _n_coords(b.dim, eng.real)], b.dim, eng.real))
         cut = max(max(w[-1], 0.0) * solver._FACE_REL_TOL, solver._FACE_RES_FACTOR * res)
         keep = w > cut
-        y = v[:, keep] * np.sqrt(w[keep])
-        if extra:
-            take = np.flatnonzero(~keep)[-extra:]
-            if take.size:
-                y = np.concatenate([y, v[:, take] * math.sqrt(max(res, 1e-12))], axis=1)
-        ys.append(y)
+        ys.append(v[:, keep] * np.sqrt(w[keep]))
     return ys
 
 
 def _ref_face_polish(eng, x):
+    # one run from the guessed factors, kept only when it lowers the residual
     def residual(v):
         return float(np.linalg.norm(eng.a @ v - eng.b, ord=np.inf))
 
-    best, best_res = x, residual(x)
-    rungs, improved = 0, False
-    # the lean rung and the padded one, then padded ones again while each
-    # improves on a point that sits in the stall window
-    while best_res >= 1e-13 and (rungs < 2 or improved
-                                 and solver._POLISHED_TOL < best_res <= solver._STALL):
-        cand = _ref_gauss_newton(eng, _ref_guess_factors(eng, best, min(rungs, 1), best_res))
-        res = residual(cand)
-        improved = res < best_res
-        if improved:
-            best, best_res = cand, res
-        rungs += 1
-    return best, rungs
+    res = residual(x)
+    if res < 1e-13:
+        return x
+    cand = _ref_gauss_newton(eng, _ref_guess_factors(eng, x, res))
+    return cand if residual(cand) < res else x
 
 
 def _rank_zero_program():
@@ -654,11 +642,6 @@ _POLISH_CASES = {
 _REAL_POLISH_CASES = ["deutsch-primal-0.1", "deutsch-primal_relaxed-0.0", "all_equal-primal-0.1",
                       "all_equal_full-primal-0.1", "rank_zero", "half_lines"]
 
-# A check's point, on the real form of all-equal's shares as full blocks, that
-# the lean and padded rungs leave in the stall window: solver seed 0 at 64
-# sweeps, where the padded rung lands at 2.8e-7 and the polish pads again.
-_STALLED_START = ("all_equal_full-primal-0.1-real", 0, 2 * solver._FIRST_CHECK)
-
 
 def _case_engine(case):
     # the engine of a polish case: "<case>-real" is the case's real form
@@ -679,30 +662,23 @@ def _polish_start(eng, seed, sweeps):
 def test_face_polish_matches_per_block_reference_bitwise(case):
     # the polish on the packed buffer and the flat factor vector returns the
     # per-block polish's point bit for bit: from a check's point, and for
-    # each rank guess, with and without the padding direction, from there
+    # the rank guess and its Gauss-Newton run from there
     eng = _case_engine(case)
-    lean = []
-    starts = [(0, solver._FIRST_CHECK), (1, 4)]
-    if case == _STALLED_START[0]:
-        starts.append(_STALLED_START[1:])
-    for seed, sweeps in starts:
+    guessed = []
+    for seed, sweeps in [(0, solver._FIRST_CHECK), (1, 4)]:
         x = _polish_start(eng, seed, sweeps)
-        got, (want, rungs) = _face_polish(eng, x), _ref_face_polish(eng, x)
-        assert _same_bits(got, want), (seed, sweeps)
-        if (case, seed, sweeps) == _STALLED_START:
-            assert rungs > 2
+        assert _same_bits(_face_polish(eng, x), _ref_face_polish(eng, x)), (seed, sweeps)
         res = float(np.linalg.norm(eng.a @ x - eng.b, ord=np.inf))
-        for extra in (0, 1):
-            theta, ranks = _guess_factors(eng, x, extra, res)
-            ref_ys = _ref_guess_factors(eng, x, extra, res)
-            assert ranks.tolist() == [y.shape[1] for y in ref_ys]
-            lean.append(ranks.tolist())
-            assert _same_bits(theta, np.concatenate(
-                [np.zeros(0)] + [np.ascontiguousarray(y.T).view(float).ravel() for y in ref_ys]))
-            assert _same_bits(_gauss_newton(eng, theta, ranks), _ref_gauss_newton(eng, ref_ys))
+        theta, ranks = _guess_factors(eng, x, res)
+        ref_ys = _ref_guess_factors(eng, x, res)
+        assert ranks.tolist() == [y.shape[1] for y in ref_ys]
+        guessed.append(ranks.tolist())
+        assert _same_bits(theta, np.concatenate(
+            [np.zeros(0)] + [np.ascontiguousarray(y.T).view(float).ravel() for y in ref_ys]))
+        assert _same_bits(_gauss_newton(eng, theta, ranks), _ref_gauss_newton(eng, ref_ys))
     if case.startswith("rank_zero"):
-        # the lean guess at the check's point
-        assert lean[0] == [1, 0, 0, 1]
+        # the guess at the check's point
+        assert guessed[0] == [1, 0, 0, 1]
 
 
 @pytest.mark.parametrize("case", ["rank_zero", "half_lines", "pauli_id-primal-0.1", "rank_zero-real",
@@ -1145,6 +1121,28 @@ def test_checks_grow_with_the_logarithm_of_the_sweeps(monkeypatch):
     most = math.log2(1024 / solver._FIRST_CHECK) + 1
     assert 0 < calls["_face_polish"] <= most
     assert 0 < calls["_certify"] <= most
+
+
+def test_each_polish_is_one_gauss_newton_run(monkeypatch):
+    # R(0.3) exact sits near its boundary: each full check from 32 sweeps to
+    # its certificate at 2 048 polishes a point the rank guess cannot
+    # finish, with one Gauss-Newton run
+    runs = []
+    gauss_newton, face_polish = solver._gauss_newton, solver._face_polish
+
+    def counted_run(*args):
+        runs[-1] += 1
+        return gauss_newton(*args)
+
+    def counted_polish(*args):
+        runs.append(0)
+        return face_polish(*args)
+
+    monkeypatch.setattr(solver, "_gauss_newton", counted_run)
+    monkeypatch.setattr(solver, "_face_polish", counted_polish)
+    out = solve(build_primal(_rotation(0.3), 3, 0.1))
+    assert (out.status, out.iterations) == ("INFEASIBLE_WITH_CERTIFICATE", 2048)
+    assert runs == [1] * 7
 
 
 def test_an_undecided_witness_program_reports_its_existence_rows(monkeypatch):

@@ -53,11 +53,11 @@ def test_all_equal_exact_certificate_lifts_to_a_witness():
 
 
 @pytest.mark.parametrize("seed", [5, 8, 22])
-def test_a_stalled_real_polish_pads_again_on_the_real_form(seed):
-    # all-equal at q=1, eps 0.1 is real and sits on its boundary: at these
-    # seeds its padded rung stalls within _STALL of points it cannot finish,
-    # and padding again from there finishes on the real coordinates, at a
-    # check of the usual schedule
+def test_a_real_boundary_cell_is_polished_to_a_real_point_at_a_check(seed):
+    # all-equal at q=1, eps 0.1 is real and sits on its boundary: its
+    # FEASIBLE point is polished on the real coordinates, so it has no
+    # imaginary part, meets every row within 1e-10, and comes at a check of
+    # the usual schedule, a doubling of the first full check's sweeps
     prog = build_primal(START_FACE_PROBLEMS["all_equal"], 1, 0.1)
     assert solver._engine(prog).real
     out = solve(prog, SolverConfig(seed=seed))
