@@ -11,10 +11,13 @@ Omega (gamma (x) I) Omega†), and Omega is the block-diagonal oracle. Block
 (x, y) of that matrix is gamma_xy (I - U_x U_y†), the noncommuting form of
 the classical adversary's gamma∘D_i (Barnum, Saks & Szegedy 2003). So it is
 the blockwise product (gamma (x) J) * D with the difference blocks D,
-built once per problem (`_differences`), one elementwise product per
-weighting. Both eigenvalues come from the symmetric eigensolver; the
-principal eigenvector is taken entrywise nonnegative, which
-Perron–Frobenius allows for any nonnegative weight matrix. The bound comes
+built once per problem (`_differences`), one broadcast product per
+weighting. Both eigenvalues come from LAPACK's symmetric eigen gufuncs,
+bound once in `qqc.linalg` and shared with the solver (`_eigh` for the
+principal eigenvector of gamma, `_eigvalsh` for alpha), under the error
+state that raises their non-convergence as LinAlgError; the principal
+eigenvector is taken entrywise nonnegative, which Perron–Frobenius allows
+for any nonnegative weight matrix. The bound comes
 with an explicit feasible point of the relaxed witness program, assembled
 from that eigenvector and checked row-by-row before it is returned; a
 failed check raises WitnessError rather than returning an unsound witness.
@@ -35,6 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .linalg import _eigh, _eigh_errors, _eigvalsh
 from .problem import QueryProblem
 from .programs import _check_q_eps, _derived, build_dual_relaxed, pair_name
 from .solver import verify_point
@@ -119,12 +123,21 @@ def _check_weight(p: QueryProblem, g: np.ndarray) -> np.ndarray:
         raise ValueError("weight matrix entries must be nonnegative")
     if not g.any():
         raise ValueError("weight matrix must be nonzero")
-    out = p.output_index
-    bad = np.argwhere((g != 0.0) & (out[:, None] == out[None, :]))
+    bad = np.argwhere((g != 0.0) & _same_output(p))
     if len(bad):
         i, j = bad[0]  # row-major, the first offending pair
         raise ValueError(f"weight at ({p.labels[i]}, {p.labels[j]}) must vanish: equal outputs")
     return 0.5 * (g + g.T)
+
+
+@_derived
+def _same_output(p: QueryProblem) -> np.ndarray:
+    """Read-only s x s mask of the input pairs with equal outputs, where a
+    weighting must vanish."""
+    out = p.output_index
+    same = out[:, None] == out[None, :]
+    same.flags.writeable = False
+    return same
 
 
 def perron_vector(gamma: np.ndarray) -> tuple[float, np.ndarray]:
@@ -188,11 +201,15 @@ def _differences(p: QueryProblem) -> np.ndarray:
 
 
 def _spectrum(p: QueryProblem, g: np.ndarray) -> _Spectrum:
-    """The spectrum of a checked weighting g."""
-    lam, v = perron_vector(g)
-    wide = np.repeat(np.repeat(g, p.n, axis=0), p.n, axis=1)  # gamma ⊗ J_n
-    evals = np.linalg.eigvalsh(wide * _differences(p))
-    return _Spectrum(g, lam, v, 2.0 * float(evals[-1]))
+    """The spectrum of a float weighting g: `perron_vector`'s lambda and v,
+    and alpha, from the eigen gufuncs the wrappers call."""
+    s, n = p.size, p.n
+    # (gamma ⊗ J_n)∘D, with gamma_xy broadcast over block (x, y) of D
+    weighted = (g[:, None, :, None] * _differences(p).reshape(s, n, s, n)).reshape(s * n, s * n)
+    with _eigh_errors():
+        v = np.abs(_eigh(g)[1][:, -1])
+        evals = _eigvalsh(weighted)
+    return _Spectrum(g, float(v @ g @ v), v, 2.0 * float(evals[-1]))
 
 
 def _report(spectrum: _Spectrum, eps: float) -> AdversaryReport:

@@ -4,6 +4,20 @@ Every tensor pair (slow, fast) is ordered with the right factor fast-running:
 the composite index of (i, k) is i * d_fast + k. Kronecker products, partial
 traces, purifications, and block layouts throughout the package follow this
 convention.
+
+The small eigensolves of the cone step, of `verify_point` and of the
+adversary spectrum call LAPACK's stacked eigen gufuncs
+(`numpy.linalg._umath_linalg.eigh_lo` and `eigvalsh_lo`, the routines
+`numpy.linalg.eigh` and `eigvalsh` call) through the one pair of names
+`_eigh` and `_eigvalsh`. A gufunc skips the Python wrapper's checks, casts
+and error state on every call, on the same floats and with the same LAPACK
+routine, so every bit stays. It flags non-convergence as an invalid value,
+so its callers run it under `_eigh_errors`, which raises that flag as
+LinAlgError, as the wrapper does; their own arithmetic stays outside it.
+LAPACK returns NaN eigenvalues for a 2x2 NaN matrix without the flag, and
+flags a 4x4 one. The gufuncs are private numpy API: on a numpy without
+them each name binds its `numpy.linalg` wrapper, so every caller keeps one
+call site either way.
 """
 
 from __future__ import annotations
@@ -16,6 +30,20 @@ __all__ = [
     "purify",
     "align_purifications",
 ]
+
+_gufuncs = getattr(np.linalg, "_umath_linalg", None)
+_eigh = getattr(_gufuncs, "eigh_lo", np.linalg.eigh)
+_eigvalsh = getattr(_gufuncs, "eigvalsh_lo", np.linalg.eigvalsh)
+
+
+def _raise_nonconvergence(err: str, flag: int) -> None:
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def _eigh_errors() -> np.errstate:
+    """The error state under which `_eigh` and `_eigvalsh` report
+    non-convergence, their invalid-value flag, as LinAlgError."""
+    return np.errstate(invalid="call", call=_raise_nonconvergence)
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:

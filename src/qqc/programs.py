@@ -328,8 +328,7 @@ class _StackIndex(NamedTuple):
     d, in program order: an int for one block, a slice for a run of
     consecutive ones, else a read-only index array (`_gather`)."""
 
-    sizes: dict[int, int]  # block dimension -> number of blocks
-    places: tuple[int, ...]  # each block's index in its stack
+    names: dict[int, tuple[str, ...]]  # block dimension -> its blocks' names, in stack order
     # per row: its groups (`_row_maps`), each with its stack's dimension and index
     rows: tuple[tuple[tuple, tuple[tuple[int, int | slice | np.ndarray], ...]], ...]
     psd_names: tuple[str, ...]
@@ -350,12 +349,12 @@ def _gather(at: list[int]) -> slice | np.ndarray:
 def _stack_index(prog: ConicFeasibilityProgram) -> _StackIndex:
     """The program's `_StackIndex`. A term whose map does not take its
     block's dimension raises ValueError, as applying the map would."""
-    sizes: dict[int, int] = {}
-    places = []
+    stacked: dict[int, list[str]] = {}
+    place = {}
     for b in prog.blocks:
-        places.append(sizes.get(b.dim, 0))
-        sizes[b.dim] = places[-1] + 1
-    place = {b.name: (b.dim, k) for b, k in zip(prog.blocks, places)}
+        stack = stacked.setdefault(b.dim, [])
+        place[b.name] = (b.dim, len(stack))
+        stack.append(b.name)
     maps = _row_maps(prog)
     rows = []
     for row in prog.rows:
@@ -374,7 +373,7 @@ def _stack_index(prog: ConicFeasibilityProgram) -> _StackIndex:
         d, at = place[name]
         psd.setdefault(d, ([], []))[0].append(at)
         psd[d][1].append(k)
-    return _StackIndex(sizes, tuple(places), tuple(rows), psd_names,
+    return _StackIndex({d: tuple(ns) for d, ns in stacked.items()}, tuple(rows), psd_names,
                        {d: (_gather(at), tuple(to)) for d, (at, to) in psd.items()})
 
 

@@ -235,17 +235,13 @@ def sdpa_to_program(data: SdpaData) -> ConicFeasibilityProgram:
             continue  # constant term; zero for feasibility exports
         key = (k, b)
         if key not in mats:
-            mats[key] = np.zeros((abs(data.block_sizes[b - 1]),) * 2)
+            mats[key] = np.zeros((abs(data.block_sizes[b - 1]),) * 2, dtype=complex)
         mats[key][i - 1, j - 1] = v
         mats[key][j - 1, i - 1] = v
-    rows = []
-    for k in range(1, data.n_constraints + 1):
-        terms = []
-        for b in range(1, len(data.block_sizes) + 1):
-            f = mats.get((k, b))
-            if f is not None:
-                terms.append(
-                    (b - 1, BlockMap("trace_against", d_in=f.shape[0], d_out=1, mat=f.astype(complex)))
-                )
-        rows.append(Row(f"c_{k}", 1, terms, np.array([[data.rhs[k - 1]]], dtype=complex)))
-    return ConicFeasibilityProgram(blocks, rows)
+    terms: dict[int, list] = {}
+    for (k, b), f in sorted(mats.items()):
+        terms.setdefault(k, []).append(
+            (b - 1, BlockMap("trace_against", d_in=f.shape[0], d_out=1, mat=f)))
+    return ConicFeasibilityProgram(blocks, [
+        Row(f"c_{k}", 1, terms.get(k, []), np.array([[data.rhs[k - 1]]], dtype=complex))
+        for k in range(1, data.n_constraints + 1)])

@@ -36,20 +36,16 @@ of positions and scales built once per matrix dimension; they act on stacks
 of matrices and vectors along the leading axes. The cone step reads every
 block in one gather, through those tables, into one packed buffer of
 complex matrices grouped by dimension; each group is projected by one call
-of LAPACK's stacked eigh gufunc (`numpy.linalg._umath_linalg.eigh_lo`, the
-routine `numpy.linalg.eigh` calls) on a zero-copy view of its slice,
-eigenvalue clipping and a product written straight into a second packed
-buffer (1x1 blocks are clipped at zero), and one gather in column order and
-one multiply give the coordinates back: the arithmetic of unhvec, eigh and
-hvec on the same floats, in a fixed few numpy calls per step instead of
-about a dozen per dimension. The gufunc skips the Python wrapper's checks,
-casts and error state on every call. It flags non-convergence as an invalid
-value, so each chunk of sweeps, and each cone step of a check, runs under
-one error state that raises it as LinAlgError, as the wrapper did. LAPACK
+of LAPACK's stacked eigh gufunc (`_eigh`, bound in `qqc.linalg`) on a
+zero-copy view of its slice, eigenvalue clipping and a product written
+straight into a second packed buffer (1x1 blocks are clipped at zero), and
+one gather in column order and one multiply give the coordinates back: the
+arithmetic of unhvec, eigh and hvec on the same floats, in a fixed few
+numpy calls per step instead of about a dozen per dimension. Each chunk of
+sweeps, and each cone step of a check, runs under one `_eigh_errors`
+state, which raises the gufunc's non-convergence as LinAlgError. LAPACK
 returns NaN eigenvalues for a 2x2 NaN block without the flag, so a check
-whose plain point's residual is not finite raises LinAlgError too. It is
-private numpy API: the one name `_eigh` binds it, or `numpy.linalg.eigh`
-on a numpy without it, so the cone step keeps one call site either way.
+whose plain point's residual is not finite raises LinAlgError too.
 
 A program whose data are real is decided on its real coordinates. `_decide`
 tests the assembled (A, b) once: it splits when no entry of A couples a real
@@ -156,14 +152,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import hermitize
+from .linalg import _eigh, _eigh_errors, hermitize
 from .programs import (Block, ConicFeasibilityProgram, Row, _apply_groups, _derived,
                        _farkas_alternative, _stack_index)
-
-# LAPACK's stacked eigh as numpy's own wrapper calls it, without the
-# wrapper's per-call checks, casts and error state; a numpy without this
-# private gufunc runs the cone step through the wrapper instead
-_eigh = getattr(getattr(np.linalg, "_umath_linalg", None), "eigh_lo", np.linalg.eigh)
 
 __all__ = [
     "SolverConfig",
@@ -889,16 +880,6 @@ def _certify(
 _Projection = Callable[[np.ndarray], np.ndarray]
 
 
-def _raise_nonconvergence(err: str, flag: int) -> None:
-    raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-
-def _eigh_errors() -> np.errstate:
-    """The error state under which the cone step's eigh gufunc reports
-    non-convergence, its invalid-value flag, as LinAlgError."""
-    return np.errstate(invalid="call", call=_raise_nonconvergence)
-
-
 def _run_ap(affine: _Projection, cone: _Projection, x: np.ndarray, iters: int) -> np.ndarray:
     with _eigh_errors():
         for _ in range(iters):
@@ -1041,9 +1022,10 @@ def _decide(witness: ConicFeasibilityProgram,
 
 def _stack_least_eigs(stack: np.ndarray) -> list[float]:
     """Least eigenvalue of the Hermitian part of each matrix of a (k, d, d)
-    stack, in order: one stacked `hermitize` and `eigh` for d above 1. Each
-    matrix meets the same arithmetic and LAPACK routine as alone, so the
-    bits do not depend on the stacking. A 1x1 matrix x + iy needs neither:
+    stack, in order: one stacked `hermitize` and `_eigh` for d above 1,
+    which raises LinAlgError where LAPACK does not converge. Each matrix
+    meets the same arithmetic and LAPACK routine as alone, so the bits do
+    not depend on the stacking. A 1x1 matrix x + iy needs neither:
     its eigenvalue is x - (y - y), which is x, or NaN when y is not finite
     (the Hermitian part's imaginary part y - y is then NaN): bit for bit
     what `eigh` returns for its Hermitian part, signed zeros included, and
@@ -1051,27 +1033,37 @@ def _stack_least_eigs(stack: np.ndarray) -> list[float]:
     part's x + x overflows."""
     if stack.shape[-1] == 1:
         return [z.real - (z.imag - z.imag) for z in stack[:, 0, 0].tolist()]
-    return np.linalg.eigh(hermitize(stack))[0][:, 0].tolist()
+    h = hermitize(stack)
+    with _eigh_errors():
+        w = _eigh(h)[0]
+    return w[:, 0].tolist()
 
 
 def verify_point(prog: ConicFeasibilityProgram, point: dict[str, np.ndarray]) -> PointReport:
     """Pure re-evaluation of every row and block at the given point.
 
     The point's blocks are stacked once, one complex stack per block
-    dimension; every group of a row's terms and the PSD blocks' check gather
-    their matrices from those stacks (`programs._stack_index`). The least
-    eigenvalue of the Hermitian part of each PSD row comes from its own
-    `_stack_least_eigs` call, and those of the PSD blocks from one call per
-    block dimension: one stacked `hermitize` and `eigh` for a dimension
-    above 1, the entry for a 1x1 part.
+    dimension, each filled by one gather; every group of a row's terms and
+    the PSD blocks' check gather their matrices from those stacks
+    (`programs._stack_index`). A missing or misshapen block is named by a
+    scan in program order, so the first such block of the program is
+    reported, not the first of its dimension. The least eigenvalue of the
+    Hermitian part of each PSD row comes from its own `_stack_least_eigs`
+    call, and those of the PSD blocks from one call per block dimension:
+    one stacked `hermitize` and `_eigh` for a dimension above 1, the entry
+    for a 1x1 part.
     """
     index = _stack_index(prog)
-    stacks = {d: np.empty((k, d, d), dtype=complex) for d, k in index.sizes.items()}
-    for b, k in zip(prog.blocks, index.places):
-        v = np.asarray(point[b.name], dtype=complex)
-        if v.shape != (b.dim, b.dim):
-            raise ValueError(f"block {b.name!r} has shape {v.shape}, expected {(b.dim, b.dim)}")
-        stacks[b.dim][k] = v
+    try:
+        stacks = {d: np.array([point[name] for name in names], dtype=complex)
+                  for d, names in index.names.items()}
+    except (KeyError, TypeError, ValueError):
+        stacks = {}
+    if any(d not in stacks or stacks[d].shape[1:] != (d, d) for d in index.names):
+        for b in prog.blocks:
+            v = np.asarray(point[b.name], dtype=complex)
+            if v.shape != (b.dim, b.dim):
+                raise ValueError(f"block {b.name!r} has shape {v.shape}, expected {(b.dim, b.dim)}")
     row_residuals = {}
     strict_slack = None
     for r, (groups, at) in zip(prog.rows, index.rows):

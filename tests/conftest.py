@@ -10,7 +10,8 @@ calls a decision makes, builds on a copy, `dataclasses.replace(PROBLEMS[...])`,
 whose `derived` dict starts empty, so it keeps no program: on a shared
 program it would read, or leave behind, a decision made under other
 conditions. The same goes for tests that patch or count adversary internals
-(`_check_weight`, `perron_vector`, the eigensolvers): each problem keeps the
+(`_check_weight`, the eigensolver bindings `adversary._eigh` and
+`adversary._eigvalsh`): each problem keeps the
 last weighting checked on it, with its spectrum, in its `derived` dict
 (`adversary._last_weighting`), so on a shared problem a weighting another
 test bounded would be served without the call being counted.

@@ -1,9 +1,11 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
-from conftest import FAMILIES, PROBLEMS, check_block_schur_identity, random_valid_gamma
+from conftest import (FAMILIES, PROBLEMS, START_FACE_PROBLEMS, check_block_schur_identity,
+                      random_valid_gamma)
 import qqc.adversary
 from qqc.adversary import (
     WitnessError,
@@ -300,8 +302,9 @@ def test_validate_runs_once_per_problem(deutsch, monkeypatch):
 
 
 def _eigensolver_calls(monkeypatch) -> dict[str, int]:
-    # counts the weight checks and the two eigensolvers of a weighting's spectrum
-    calls = {"check": 0, "perron": 0, "eigvalsh": 0}
+    # counts the weight checks and the two eigensolver bindings of a
+    # weighting's spectrum: the Perron eigh of gamma and alpha's eigvalsh
+    calls = {"check": 0, "eigh": 0, "eigvalsh": 0}
 
     def counted(key, fn):
         def run(*args):
@@ -310,8 +313,8 @@ def _eigensolver_calls(monkeypatch) -> dict[str, int]:
         return run
 
     monkeypatch.setattr(qqc.adversary, "_check_weight", counted("check", qqc.adversary._check_weight))
-    monkeypatch.setattr(qqc.adversary, "perron_vector", counted("perron", qqc.adversary.perron_vector))
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(qqc.adversary, "_eigh", counted("eigh", qqc.adversary._eigh))
+    monkeypatch.setattr(qqc.adversary, "_eigvalsh", counted("eigvalsh", qqc.adversary._eigvalsh))
     return calls
 
 
@@ -324,17 +327,17 @@ def test_a_witness_after_its_bound_runs_no_eigensolver(monkeypatch, pname):
     gamma = random_valid_gamma(p, np.random.default_rng(7))
     calls = _eigensolver_calls(monkeypatch)
     rep = spectral_bound(p, gamma, 0.0)
-    assert calls == {"check": 1, "perron": 1, "eigvalsh": 1}
+    assert calls == {"check": 1, "eigh": 1, "eigvalsh": 1}
     for eps in (0.0, 0.1):
         for q in range(spectral_bound(p, gamma, eps).ceil_bound):
             make_dual_witness(p, gamma, q, eps)
     assert rep.ceil_bound >= 1
-    assert calls == {"check": 1, "perron": 1, "eigvalsh": 1}
+    assert calls == {"check": 1, "eigh": 1, "eigvalsh": 1}
     # an equal weighting in another array hits too; another weighting does not
     spectral_bound(p, gamma.tolist(), 0.1)
-    assert calls["perron"] == 1
+    assert calls["eigh"] == 1
     spectral_bound(p, 2.0 * gamma, 0.1)
-    assert calls == {"check": 2, "perron": 2, "eigvalsh": 2}
+    assert calls == {"check": 2, "eigh": 2, "eigvalsh": 2}
 
 
 def test_a_weighting_changed_in_place_misses_the_slot(or2):
@@ -371,7 +374,7 @@ def test_a_weighting_that_fails_its_check_leaves_the_slot(deutsch, monkeypatch):
         assert slot[0] == key and slot[1] is kept
     calls = _eigensolver_calls(monkeypatch)
     make_dual_witness(p, gamma, 0, 0.1)
-    assert calls == {"check": 0, "perron": 0, "eigvalsh": 0}
+    assert calls == {"check": 0, "eigh": 0, "eigvalsh": 0}
 
 
 def test_the_kept_spectrum_refuses_writes(ix):
@@ -418,6 +421,55 @@ def test_a_kept_spectrum_gives_the_bits_of_a_fresh_one(pname):
                         (want[k].dtype, want[k].shape, want[k].tobytes()), (q, k)
     relaxed = build_primal_relaxed(p, 0, 0.1)
     assert qqc.adversary._pair_rows(p)[0] == tuple(r.name for r in relaxed.rows if r.name.startswith("pair_"))
+
+
+def _fallback(monkeypatch, case):
+    # "-fallback" binds the eigensolvers of a numpy without LAPACK's gufuncs
+    if case.endswith("-fallback"):
+        monkeypatch.setattr(qqc.adversary, "_eigh", np.linalg.eigh)
+        monkeypatch.setattr(qqc.adversary, "_eigvalsh", np.linalg.eigvalsh)
+    return case.removesuffix("-fallback")
+
+
+_SPECTRUM_PROBLEMS = {**PROBLEMS, **FAMILIES, **START_FACE_PROBLEMS}
+
+
+@pytest.mark.parametrize("case", [*_SPECTRUM_PROBLEMS, "deutsch-fallback", "weyl3-fallback"])
+def test_spectrum_matches_the_wrapper_reference_bitwise(monkeypatch, case):
+    # lambda, alpha and the Perron vector, written out with numpy's eigh and
+    # eigvalsh wrappers and gamma ⊗ J_n as two repeats, on the all-ones
+    # weighting and 5 random ones (all zero for const, which has no pair)
+    p = _SPECTRUM_PROBLEMS[_fallback(monkeypatch, case)]
+    rng = np.random.default_rng(53)
+    for g in [np.ones((p.size, p.size))] + [random_valid_gamma(p, rng) for _ in range(5)]:
+        v = np.abs(np.linalg.eigh(g)[1][:, -1])
+        wide = np.repeat(np.repeat(g, p.n, axis=0), p.n, axis=1)
+        alpha = 2.0 * float(np.linalg.eigvalsh(wide * qqc.adversary._differences(p))[-1])
+        got = qqc.adversary._spectrum(p, g)
+        assert got.g is g
+        assert np.array([got.lam, got.alpha]).tobytes() == np.array([float(v @ g @ v), alpha]).tobytes()
+        assert (got.v.dtype, got.v.tobytes()) == (v.dtype, v.tobytes())
+
+
+@pytest.mark.parametrize("case", ["eigh", "eigvalsh", "spectrum",
+                                  "eigh-fallback", "eigvalsh-fallback", "spectrum-fallback"])
+def test_adversary_nonconvergence_raises(monkeypatch, case):
+    # LAPACK does not converge on a NaN 4x4 matrix: each of the adversary's
+    # bindings, under its error state, and a spectrum of a NaN weighting on
+    # deutsch (gamma 4x4, alpha's matrix 8x8) raise LinAlgError, as numpy's
+    # wrappers do, and warn of nothing
+    case = _fallback(monkeypatch, case)
+    p = dataclasses.replace(PROBLEMS["deutsch"])
+    nan = np.full((4, 4), np.nan)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(np.linalg.LinAlgError):
+            if case == "spectrum":
+                qqc.adversary._spectrum(p, nan)
+            else:
+                with qqc.adversary._eigh_errors():
+                    getattr(qqc.adversary, f"_{case}")(np.stack([np.eye(4), nan]))
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_make_dual_witness_rejects_q_at_or_above_bound(ix):

@@ -451,6 +451,25 @@ def test_cone_step_nonconvergence_raises(real, step):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("case", ["block", "row", "block-fallback", "row-fallback"])
+def test_verify_point_nonconvergence_raises(monkeypatch, case):
+    # a NaN 4x4 PSD block, or a PSD row on a free block whose difference is
+    # one, does not converge in LAPACK: verify_point raises LinAlgError, as
+    # numpy's eigh does ("-fallback" binds it), and warns of nothing
+    if case.endswith("-fallback"):
+        monkeypatch.setattr(solver, "_eigh", np.linalg.eigh)
+    row = case.startswith("row")
+    prog = ConicFeasibilityProgram([Block("a", 4, not row)],
+                                   [Row("r", 4, [(0, _ident(4))], np.zeros((4, 4), dtype=complex),
+                                        "psd" if row else "eq")])
+    nan = np.full((4, 4), complex(np.nan, 0.0))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(np.linalg.LinAlgError):
+            verify_point(prog, {"a": nan})
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 def _hvec_gram(y):
     return hvec(y @ y.conj().T)
 
