@@ -28,6 +28,13 @@ problem keeps the last weighting checked on it, keyed by the shape and bytes
 of its float array, with its spectrum, read-only, in its slot
 `_last_weighting(p)`, which only `spectral_bound` and `make_dual_witness`
 read and fill: on a hit they run no weight check and no eigensolver.
+
+The witness path calls numpy's kernels directly, in place, where a Python
+wrapper would cost more than the arithmetic of these small arrays: the
+weight check takes its norms as `np.linalg.norm` does, one dot product
+each, and runs `np.argwhere` only on a weighting that has an offending
+pair; `make_dual_witness` forms its steps without `np.outer`, `np.diag` or
+`np.full`; every value keeps the bits the wrappers give.
 """
 
 from __future__ import annotations
@@ -104,7 +111,7 @@ class _Spectrum(NamedTuple):
 def _weight_array(gamma) -> np.ndarray:
     """gamma as a float array; a nonzero imaginary part is refused, not dropped."""
     g = np.asarray(gamma)
-    if np.iscomplexobj(g):
+    if g.dtype.kind == "c":
         if np.any(g.imag):
             raise ValueError("weight matrix entries must be real")
         g = g.real
@@ -115,27 +122,34 @@ def _check_weight(p: QueryProblem, g: np.ndarray) -> np.ndarray:
     s = p.size
     if g.shape != (s, s):
         raise ValueError(f"weight matrix shape {g.shape} != ({s}, {s})")
-    if not np.isfinite(g).all():
+    # np.linalg.norm(a) of a real matrix is the root of a.ravel(order="K")
+    # dotted with itself; a finite sum of squares has finite terms, and
+    # one that overflows is checked entry by entry
+    flat = g.ravel(order="K")
+    sq = flat.dot(flat)
+    if not math.isfinite(sq) and not np.isfinite(g).all():
         raise ValueError("weight matrix entries must be finite")
-    if np.linalg.norm(g - g.T) > 1e-12 * (1.0 + np.linalg.norm(g)):
+    asym = (g - g.T).ravel(order="K")
+    if math.sqrt(asym.dot(asym)) > 1e-12 * (1.0 + math.sqrt(sq)):
         raise ValueError("weight matrix must be symmetric")
     if g.min() < 0:
         raise ValueError("weight matrix entries must be nonnegative")
-    if not g.any():
+    if not np.count_nonzero(g):
         raise ValueError("weight matrix must be nonzero")
-    bad = np.argwhere((g != 0.0) & _same_output(p))
-    if len(bad):
-        i, j = bad[0]  # row-major, the first offending pair
+    # g∘mask is nonzero exactly where a finite weight sits on an equal-output pair
+    bad = g * _same_output(p)
+    if np.count_nonzero(bad):
+        i, j = np.argwhere(bad)[0]  # row-major, the first offending pair
         raise ValueError(f"weight at ({p.labels[i]}, {p.labels[j]}) must vanish: equal outputs")
     return 0.5 * (g + g.T)
 
 
 @_derived
 def _same_output(p: QueryProblem) -> np.ndarray:
-    """Read-only s x s mask of the input pairs with equal outputs, where a
-    weighting must vanish."""
+    """Read-only s x s float mask, 1.0 on the input pairs with equal
+    outputs, where a weighting must vanish, and 0.0 elsewhere."""
     out = p.output_index
-    same = out[:, None] == out[None, :]
+    same = (out[:, None] == out[None, :]).astype(float)
     same.flags.writeable = False
     return same
 
@@ -269,15 +283,26 @@ def make_dual_witness(p: QueryProblem, gamma, q: int, eps: float) -> dict[str, n
     report = _report(spectrum, eps)
     if not q < report.bound:
         raise ValueError(f"no witness guaranteed at q = {q}, bound = {report.bound:.6g}")
-    v = spectrum.v
-    w = spectrum.g * np.outer(v, v)
-    lap = np.diag(w.sum(axis=1)) - w
-    chain = ["init"] + [f"chain_{t}" for t in range(1, q)]
+    s, v = p.size, spectrum.v
+    w = spectrum.g * (v[:, None] * v)  # gamma∘vvᵀ, with vvᵀ formed as np.outer forms it
+    # Lap(W) in place, through a strided view of the diagonal. Its
+    # off-diagonal entries are 0.0 - W_ij, never -0.0, so adding the zeros
+    # of diag(t alpha v∘v) there would change no bit: a step adds on the
+    # diagonal only
+    lap = np.zeros((s, s))
+    lap.reshape(-1)[:: s + 1] = np.add.reduce(w, axis=1)
+    lap -= w
     witness: dict[str, np.ndarray] = {}
     for t in range(min(q, 1), q + 1):
-        step = (lap + t * report.alpha * np.diag(v * v)).astype(complex)
-        # on the start face, or the face of J at q = 0, init's step is the scalar tr(J step)
-        witness[chain[q - t]] = np.full((1, 1), step.sum()) if t == q else step
+        step = lap.astype(complex)
+        diagonal = step.reshape(-1)[:: s + 1]
+        diagonal += t * report.alpha * (v * v)
+        if t < q:
+            witness[f"chain_{q - t}"] = step
+        else:
+            # on the start face, or the face of J at q = 0, init's step is the
+            # scalar tr(J step), the sum ndarray.sum takes, kept 1x1
+            witness["init"] = np.add.reduce(step, axis=None, keepdims=True)
     names, ii, jj = _pair_rows(p)
     witness.update(zip(names, w[ii, jj][:, None, None] * _PAIR_PATTERN))
     rep = verify_point(build_dual_relaxed(p, q, eps), witness)

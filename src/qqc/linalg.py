@@ -18,6 +18,12 @@ LAPACK returns NaN eigenvalues for a 2x2 NaN matrix without the flag, and
 flags a 4x4 one. The gufuncs are private numpy API: on a numpy without
 them each name binds its `numpy.linalg` wrapper, so every caller keeps one
 call site either way.
+
+In the same way `_c_einsum` binds `numpy._core.multiarray.c_einsum`, the
+kernel `numpy.einsum` calls when it is not asked to optimize: the same
+contraction on the same operands, without the wrapper's dispatch. The row
+evaluation of `qqc.programs` and `partial_trace` call it; on a numpy
+without it the name binds `numpy.einsum`.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ __all__ = [
 _gufuncs = getattr(np.linalg, "_umath_linalg", None)
 _eigh = getattr(_gufuncs, "eigh_lo", np.linalg.eigh)
 _eigvalsh = getattr(_gufuncs, "eigvalsh_lo", np.linalg.eigvalsh)
+_c_einsum = getattr(getattr(getattr(np, "_core", None), "multiarray", None), "c_einsum", np.einsum)
 
 
 def _raise_nonconvergence(err: str, flag: int) -> None:
@@ -63,7 +70,7 @@ def partial_trace(m: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     d1, d2 = dims
     if m.shape[-2:] != (d1 * d2, d1 * d2):
         raise ValueError(f"matrix shape {m.shape} does not match dims {dims}")
-    return np.einsum("...iaja->...ij", m.reshape(m.shape[:-2] + (d1, d2, d1, d2)))
+    return _c_einsum("...iaja->...ij", m.reshape(m.shape[:-2] + (d1, d2, d1, d2)))
 
 
 def purify(rho: np.ndarray) -> np.ndarray:

@@ -112,7 +112,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import partial_trace
+from .linalg import _c_einsum, partial_trace
 from .problem import QueryProblem
 
 __all__ = [
@@ -145,9 +145,9 @@ class BlockMap:
     All kinds scale by `scale`. With split (d_out, 1) the conj kinds are
     plain congruences: a d_out x d_in matrix u gives x -> u x u† and its
     adjoint y -> u† y u. `apply` maps a stack of matrices along the
-    leading axes. `mat` may be a stack too, with `scale` an array of shape
-    (k, 1, 1) beside it: the map is then k maps of one kind, the i-th
-    applied to input i of a (k, d_in, d_in) stack.
+    leading axes. `mat` may be a stack too, with `scale` a complex array of
+    shape (k, 1, 1) beside it: the map is then k maps of one kind, the i-th
+    applied to input i of a complex (k, d_in, d_in) stack.
     """
 
     kind: str
@@ -174,7 +174,9 @@ class BlockMap:
         elif k == "id":
             out = x
         elif k == "trace_against":
-            out = np.einsum("...ij,...ji->...", self.mat, x).real[..., None, None].astype(complex)
+            # a fresh complex array, so it is scaled in place
+            out = _c_einsum("...ij,...ji->...", self.mat, x).real[..., None, None].astype(complex)
+            return np.multiply(self.scale, out, out=out)
         elif k == "const_embed":
             out = x[..., :1, :1].real * self.mat.astype(complex)
         else:
@@ -268,10 +270,11 @@ class ConicFeasibilityProgram:
 def _apply_groups(dim: int, groups: tuple, xs: list[np.ndarray]) -> np.ndarray:
     """A row's value from its groups (`_group_terms`) and their inputs: the
     block's matrix for a one-term group, the stack of its blocks' matrices
-    for a larger one, whose images are summed."""
+    for a larger one, whose images are summed by `np.add.reduce`, the
+    reduction `ndarray.sum` calls through numpy's Python-level wrapper."""
     out = np.zeros((dim, dim), dtype=complex)
     for (names, m), x in zip(groups, xs):
-        out += m.apply(x) if len(names) == 1 else m.apply(x).sum(axis=0)
+        out += m.apply(x) if len(names) == 1 else np.add.reduce(m.apply(x), axis=0)
     return out
 
 
@@ -296,7 +299,7 @@ def _derived(make):
 def _group_terms(prog: ConicFeasibilityProgram, row: Row) -> tuple[tuple[tuple[str, ...], BlockMap], ...]:
     """The row's terms grouped by signature: the names of each group's
     blocks, and its map, stacked when the group holds more than one term
-    (mats and scales stacked along a new leading axis, read-only)."""
+    (mats and complex scales stacked along a new leading axis, read-only)."""
     groups: dict[tuple, list[tuple[int, BlockMap]]] = {}
     for bi, m in row.terms:
         key = (m.kind, m.d_in, m.d_out, m.split, None if m.mat is None else m.mat.shape)
@@ -307,7 +310,9 @@ def _group_terms(prog: ConicFeasibilityProgram, row: Row) -> tuple[tuple[tuple[s
         m = terms[0][1]
         if len(terms) > 1:
             mats = None if m.mat is None else np.stack([t.mat for _, t in terms])
-            scales = np.array([t.scale for _, t in terms])[:, None, None]
+            # complex like the stacks they scale, so no call casts them; a
+            # float scale x would be cast to this x + 0j, so the bits stay
+            scales = np.array([t.scale for _, t in terms], dtype=complex)[:, None, None]
             for arr in (mats, scales):
                 if arr is not None:
                     arr.flags.writeable = False
@@ -715,7 +720,8 @@ def build_dual_relaxed(p: QueryProblem, q: int, eps: float) -> ConicFeasibilityP
 
 
 def _check_q_eps(q: int, eps: float = 0.0) -> None:
-    if isinstance(q, bool) or not isinstance(q, numbers.Integral) or q < 0:
+    # an int is an Integral and no bool, with no ABC check
+    if (type(q) is not int and (isinstance(q, bool) or not isinstance(q, numbers.Integral))) or q < 0:
         raise ValueError(f"query count must be a nonnegative integer, got {q}")
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"error tolerance must lie in [0, 1), got {eps}")

@@ -253,15 +253,30 @@ class PointReport:
     block_min_eigs: dict[str, float]
     strict_slack: float | None
 
-    # np.max and np.min keep a NaN, which Python's max and min drop after a number
+    # np.max(residuals, initial=0.0) and np.min(eigenvalues), which keep a
+    # NaN where Python's max and min drop it after a number. A loop gives
+    # them where the answer is plain: with no NaN, and no tie between -0.0
+    # and 0.0, whose sign numpy's vector loops settle their own way.
+    # Otherwise numpy's reduction is called.
     @property
     def max_residual(self) -> float:
-        return float(np.max(list(self.row_residuals.values()), initial=0.0))
+        top = 0.0  # stays 0.0 or positive
+        for v in self.row_residuals.values():
+            if v > top:
+                top = v
+            elif not v < top and (v != v or math.copysign(1.0, v) < 0.0):
+                return float(np.max(list(self.row_residuals.values()), initial=0.0))
+        return top
 
     @property
     def min_block_eig(self) -> float:
-        eigs = list(self.block_min_eigs.values())
-        return float(np.min(eigs)) if eigs else 0.0
+        least = math.inf
+        for v in self.block_min_eigs.values():
+            if v < least:
+                least = v
+            elif not v > least and (v != v or math.copysign(1.0, v) != math.copysign(1.0, least)):
+                return float(np.min(list(self.block_min_eigs.values())))
+        return least if self.block_min_eigs else 0.0
 
     def within(self, tol: float) -> bool:
         return self.max_residual <= tol and self.min_block_eig >= -tol
@@ -1032,11 +1047,17 @@ def _stack_least_eigs(stack: np.ndarray) -> list[float]:
     NaN where it returns NaN, for |x| < 2^1023, beyond which the Hermitian
     part's x + x overflows."""
     if stack.shape[-1] == 1:
-        return [z.real - (z.imag - z.imag) for z in stack[:, 0, 0].tolist()]
+        return [_scalar_least_eig(z) for z in stack[:, 0, 0].tolist()]
     h = hermitize(stack)
     with _eigh_errors():
         w = _eigh(h)[0]
     return w[:, 0].tolist()
+
+
+def _scalar_least_eig(z: complex) -> float:
+    """The eigenvalue of the Hermitian part of [[z]], as `eigh` gives it
+    (see `_stack_least_eigs`)."""
+    return z.real - (z.imag - z.imag)
 
 
 def verify_point(prog: ConicFeasibilityProgram, point: dict[str, np.ndarray]) -> PointReport:
@@ -1047,11 +1068,14 @@ def verify_point(prog: ConicFeasibilityProgram, point: dict[str, np.ndarray]) ->
     the PSD blocks' check gather their matrices from those stacks
     (`programs._stack_index`). A missing or misshapen block is named by a
     scan in program order, so the first such block of the program is
-    reported, not the first of its dimension. The least eigenvalue of the
-    Hermitian part of each PSD row comes from its own `_stack_least_eigs`
-    call, and those of the PSD blocks from one call per block dimension:
-    one stacked `hermitize` and `_eigh` for a dimension above 1, the entry
-    for a 1x1 part.
+    reported, not the first of its dimension. Each row's value is formed
+    in a fresh array, from which the row's read-only rhs is subtracted in
+    place. The least eigenvalue of the Hermitian part of a 1x1 PSD row is
+    read off its entry (`_scalar_least_eig`), with no stack and no call
+    into `_stack_least_eigs`; that of a larger PSD row comes from its own
+    `_stack_least_eigs` call, and those of the PSD blocks from one call per
+    block dimension: one stacked `hermitize` and `_eigh` for a dimension
+    above 1, the entry for a 1x1 part.
     """
     index = _stack_index(prog)
     try:
@@ -1067,16 +1091,16 @@ def verify_point(prog: ConicFeasibilityProgram, point: dict[str, np.ndarray]) ->
     row_residuals = {}
     strict_slack = None
     for r, (groups, at) in zip(prog.rows, index.rows):
-        value = _apply_groups(r.dim, groups, [stacks[d][i] for d, i in at])
-        diff = value - np.asarray(r.rhs, dtype=complex)
+        diff = _apply_groups(r.dim, groups, [stacks[d][i] for d, i in at])
+        diff -= r.rhs
         if r.sense == "eq":
             row_residuals[r.name] = float(np.linalg.norm(diff))
         elif r.sense == "psd":
-            (w,) = _stack_least_eigs(diff[None])
+            w = _scalar_least_eig(diff.item()) if r.dim == 1 else _stack_least_eigs(diff[None])[0]
             # max(0.0, -w) would drop a NaN w
             row_residuals[r.name] = 0.0 if w >= 0 else -w
         elif r.sense == "strict":
-            strict_slack = float(-diff[0, 0].real)
+            strict_slack = -diff.item(0).real
         else:
             raise SolverError(f"unknown row sense {r.sense!r}")
     least = [0.0] * len(index.psd_names)

@@ -134,6 +134,59 @@ def test_spectral_bound_rejects_invalid_weights(deutsch):
         spectral_bound(deutsch, same_class, 0.0)
 
 
+def test_the_first_equal_output_pair_is_named_in_row_major_order():
+    # xor12's classes are {000, 001, 110, 111} and {010, 011, 100, 101}; on
+    # top of positive weights on every differing pair, two equal-output
+    # pairs carry weight, (010, 011) set first. Row-major order meets
+    # (000, 111) first; column-major order would name (111, 000).
+    p = START_FACE_PROBLEMS["xor12"]
+    gamma = random_valid_gamma(p, np.random.default_rng(5))
+    gamma[2, 3] = gamma[3, 2] = 0.5
+    gamma[0, 7] = gamma[7, 0] = 0.25
+    match = r"weight at \(000, 111\) must vanish: equal outputs"
+    with pytest.raises(ValueError, match=match):
+        spectral_bound(p, gamma, 0.1)
+    with pytest.raises(ValueError, match=match):
+        make_dual_witness(p, gamma, 0, 0.1)
+    # with that pair cleared, the other is named
+    gamma[0, 7] = gamma[7, 0] = 0.0
+    with pytest.raises(ValueError, match=r"weight at \(010, 011\) must vanish"):
+        spectral_bound(p, gamma, 0.1)
+    # -0.0 on an equal-output pair is no weight
+    gamma[2, 3] = gamma[3, 2] = -0.0
+    assert spectral_bound(p, gamma, 0.1).bound > 0
+
+
+@pytest.mark.parametrize("gap", [0.0, 0.5, 0.9, 1.1, 2.0])
+def test_the_symmetry_check_keeps_the_norms_threshold(deutsch, gap):
+    # the check takes its norms as np.linalg.norm does, so it refuses a
+    # weighting exactly when norm(g - gᵀ) > 1e-12 (1 + norm(g))
+    g = random_valid_gamma(deutsch, np.random.default_rng(3))
+    g[0, 1] += gap * 1e-12 * (1.0 + np.linalg.norm(g)) / np.sqrt(2.0)  # g - gᵀ holds ±the step
+    refused = np.linalg.norm(g - g.T) > 1e-12 * (1.0 + np.linalg.norm(g))
+    assert refused == (gap > 1.0)
+    p = dataclasses.replace(deutsch)
+    if refused:
+        with pytest.raises(ValueError, match="weight matrix must be symmetric"):
+            spectral_bound(p, g, 0.1)
+    else:
+        assert spectral_bound(p, g, 0.1).bound > 0
+
+
+def test_weights_whose_squares_overflow_are_finite():
+    # the sum of squares overflows at weights near 1e200, as np.linalg.norm's
+    # does; the entries are then checked one by one, and the bound is the
+    # unscaled one
+    p = dataclasses.replace(PROBLEMS["deutsch"])
+    g = random_valid_gamma(p, np.random.default_rng(4))
+    with np.errstate(over="ignore"):
+        big = spectral_bound(p, 1e200 * g, 0.1).bound
+        assert big == pytest.approx(spectral_bound(p, g, 0.1).bound, rel=1e-12)
+        g[0, 1] = g[1, 0] = np.inf
+        with pytest.raises(ValueError, match="weight matrix entries must be finite"):
+            spectral_bound(p, 1e200 * g, 0.1)
+
+
 def test_spectral_bound_rejects_a_complex_weighting(deutsch):
     # the cast to float would drop the imaginary part and bound another
     # weighting; a complex array whose imaginary part is zero is the real one
@@ -421,6 +474,61 @@ def test_a_kept_spectrum_gives_the_bits_of_a_fresh_one(pname):
                         (want[k].dtype, want[k].shape, want[k].tobytes()), (q, k)
     relaxed = build_primal_relaxed(p, 0, 0.1)
     assert qqc.adversary._pair_rows(p)[0] == tuple(r.name for r in relaxed.rows if r.name.startswith("pair_"))
+
+
+def _witness_with_wrappers(p, gamma, q, eps):
+    """`make_dual_witness`'s arrays as np.outer, np.diag, np.full and
+    ndarray.sum form them, from the weighting's kept spectrum."""
+    spectrum = qqc.adversary._checked_spectrum(p, gamma)
+    alpha = qqc.adversary._report(spectrum, eps).alpha
+    v = spectrum.v
+    w = spectrum.g * np.outer(v, v)
+    lap = np.diag(w.sum(axis=1)) - w
+    chain = ["init"] + [f"chain_{t}" for t in range(1, q)]
+    witness = {}
+    for t in range(min(q, 1), q + 1):
+        step = (lap + t * alpha * np.diag(v * v)).astype(complex)
+        witness[chain[q - t]] = np.full((1, 1), step.sum()) if t == q else step
+    names, ii, jj = qqc.adversary._pair_rows(p)
+    witness.update(zip(names, w[ii, jj][:, None, None] * np.array([[1, -1], [-1, 1]], dtype=complex)))
+    return witness
+
+
+def _rotations(angles: tuple[float, ...], outputs: str) -> QueryProblem:
+    """Plane rotations by the given angles, the k-th with output outputs[k]."""
+    mats = [[[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]] for t in angles]
+    labels = tuple(f"r{k}" for k in range(len(mats)))
+    return QueryProblem(2, labels, np.array(mats, dtype=complex), tuple(sorted(set(outputs))),
+                        dict(zip(labels, outputs)))
+
+
+# rotations by small angles are bounded above 2 queries, so their witnesses
+# have chain steps; on rot3-two the first and last share an output, so W
+# vanishes off the diagonal there
+_WITNESS_PROBLEMS = {**WEIGHTED, **START_FACE_PROBLEMS,
+                     "rot": _rotations((0.0, 0.1), "ab"),
+                     "rot3": _rotations((0.0, 0.1, 0.2), "abc"),
+                     "rot3-two": _rotations((0.0, 0.1, 0.2), "aba")}
+
+
+@pytest.mark.parametrize("pname", sorted(_WITNESS_PROBLEMS))
+def test_witness_arrays_keep_the_bits_of_numpy_wrappers(pname):
+    # the steps are formed in place on Lap(W), with no np.outer, np.diag or
+    # np.full: every witness array keeps their bytes, at every q below the
+    # bound (up to 3), for the all-ones weighting, the same with -0.0 off
+    # its support, and two random ones
+    p = _WITNESS_PROBLEMS[pname]
+    ones = (p.output_index[:, None] != p.output_index[None, :]).astype(float)
+    rng = np.random.default_rng(41)
+    for gamma in (ones, np.where(ones > 0, ones, -0.0), random_valid_gamma(p, rng), random_valid_gamma(p, rng)):
+        for eps in (0.0, 0.1):
+            bound = spectral_bound(p, gamma, eps).bound
+            for q in range(min(3, int(np.ceil(bound - 1e-12)))):
+                got, want = make_dual_witness(p, gamma, q, eps), _witness_with_wrappers(p, gamma, q, eps)
+                assert list(got) == list(want)
+                for k in want:
+                    assert (got[k].dtype, got[k].shape, got[k].tobytes()) == \
+                        (want[k].dtype, want[k].shape, want[k].tobytes()), (q, k)
 
 
 def _fallback(monkeypatch, case):

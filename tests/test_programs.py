@@ -16,6 +16,8 @@ from qqc.programs import (
     _programs,
     _row_maps,
 )
+import qqc.linalg
+import qqc.programs
 from qqc.linalg import partial_trace
 from qqc.sdpa import export_sdpa
 from qqc.solver import assemble, verify_point
@@ -439,6 +441,71 @@ def test_stored_row_maps_give_the_per_call_bits(pname, build, q):
         got, want = prog.row_value(row, point), _grouped_per_call(prog, row, point)
         assert got.tobytes() == want.tobytes(), row.name
     assert _row_maps(prog) is _row_maps(prog)
+
+
+def _row_value_with_wrappers(prog, row, point):
+    """`row_value` through numpy's Python-level wrappers: a trace term's
+    product by `np.einsum`, made complex and then scaled by its float
+    scale, and a stacked group's images summed by `ndarray.sum`."""
+    groups = {}
+    for bi, m in row.terms:
+        key = (m.kind, m.d_in, m.d_out, m.split, None if m.mat is None else m.mat.shape)
+        groups.setdefault(key, []).append((bi, m))
+    out = np.zeros((row.dim, row.dim), dtype=complex)
+    for terms in groups.values():
+        x = np.stack([np.asarray(point[prog.blocks[bi].name], dtype=complex) for bi, _ in terms])
+        m = terms[0][1]
+        mats = None if m.mat is None else np.stack([t.mat for _, t in terms])
+        scales = np.array([t.scale for _, t in terms])[:, None, None]
+        if m.kind == "trace_against":
+            y = scales * np.einsum("...ij,...ji->...", mats, x).real[..., None, None].astype(complex)
+        else:
+            y = BlockMap(m.kind, m.d_in, m.d_out, scales, mats, m.split).apply(x)
+        out += y.sum(axis=0)
+    return out
+
+
+@pytest.mark.parametrize("pname, build, q", [
+    ("deutsch", build_dual_relaxed, 0),
+    ("deutsch", build_primal, 0),
+    ("ix", build_dual, 1),
+    ("pauli_id", build_dual_relaxed, 0),
+    ("pauli_id", build_dual, 1),
+    ("weyl3", build_dual_relaxed, 0),
+    ("weyl3", build_dual_relaxed, 1),
+])
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+def test_row_values_keep_the_bits_of_numpy_wrappers(pname, build, q, eps):
+    # row_value, and verify_point through the same helper, take trace
+    # products from c_einsum, scale them in place by complex scales and sum
+    # stacked images with np.add.reduce: every value keeps the bits of the
+    # wrapper calls, at random points and at points holding inf, NaN and -0.0
+    prog = build(ALL[pname], q, eps)
+    rng = np.random.default_rng(q + 11)
+    point = {b.name: random_hermitian(rng, b.dim) for b in prog.blocks}
+    points = [point, {k: -v for k, v in point.items()}, {k: np.full_like(v, -0.0) for k, v in point.items()}]
+    for bad in (np.inf, -np.inf, np.nan, complex(0.0, np.inf)):
+        for b in prog.blocks[:: max(1, len(prog.blocks) // 3)]:
+            spoiled = dict(point)
+            spoiled[b.name] = point[b.name].copy()
+            spoiled[b.name][0, 0] = bad
+            points.append(spoiled)
+    with np.errstate(invalid="ignore"):  # inf - inf and 0·inf, in both evaluations
+        for pt in points:
+            for row in prog.rows:
+                got, want = prog.row_value(row, pt), _row_value_with_wrappers(prog, row, pt)
+                assert got.tobytes() == want.tobytes(), row.name
+
+
+def test_row_values_through_the_einsum_fallback(monkeypatch):
+    # on a numpy without c_einsum, _c_einsum binds numpy.einsum: the same bits
+    prog = build_dual_relaxed(ALL["weyl3"], 1, 0.1)
+    rng = np.random.default_rng(12)
+    point = {b.name: random_hermitian(rng, b.dim) for b in prog.blocks}
+    want = [prog.row_value(row, point).tobytes() for row in prog.rows]
+    monkeypatch.setattr(qqc.programs, "_c_einsum", np.einsum)
+    monkeypatch.setattr(qqc.linalg, "_c_einsum", np.einsum)
+    assert [prog.row_value(row, point).tobytes() for row in prog.rows] == want
 
 
 def test_stacked_row_maps_refuse_writes():

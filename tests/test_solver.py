@@ -1622,6 +1622,49 @@ def test_point_report_keeps_a_nan():
     assert PointReport({"a": 0.5}, {"x": 2.0, "y": 3.0}, None).min_block_eig == 2.0
 
 
+def _same_float(a: float, b: float) -> bool:
+    """Equal with the same sign, or both NaN."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+@pytest.mark.parametrize("values", [
+    pytest.param([], id="empty"),
+    pytest.param([math.nan], id="nan-alone"),
+    pytest.param([math.nan, 1.0, -2.0], id="nan-first"),
+    pytest.param([1.0, -2.0, math.nan], id="nan-last"),
+    pytest.param([0.0, math.nan, 0.0], id="nan-between-zeros"),
+    pytest.param([math.inf], id="inf"),
+    pytest.param([-math.inf], id="-inf"),
+    pytest.param([1.0, math.inf, -1.0], id="inf-inside"),
+    pytest.param([-math.inf, 2.0], id="-inf-first"),
+    pytest.param([math.inf, -math.inf, math.nan], id="infs-and-nan"),
+    pytest.param([-0.0], id="-0"),
+    pytest.param([0.0, -0.0], id="0,-0"),
+    pytest.param([-0.0, 0.0], id="-0,0"),
+    pytest.param([-0.0, -0.0, 1e-300], id="-0,-0,tiny"),
+    pytest.param([-1.0, -0.0], id="-1,-0"),
+    pytest.param([0.0, -0.0] * 9, id="0,-0-x9"),
+    pytest.param([-0.0] * 16 + [0.0], id="-0-x16,0"),
+    pytest.param([0.0] + [-0.0] * 40, id="0,-0-x40"),
+    pytest.param([0.0] * 30, id="0-x30"),
+    pytest.param([-0.0] * 30, id="-0-x30"),
+    pytest.param([0.25, 0.5, 0.125, 0.5, 0.0], id="tie"),
+])
+def test_point_report_reductions_match_numpy(values):
+    # the report's loops give what np.max(values, initial=0.0) and
+    # np.min(values) give over the same list, signed zeros and NaN included
+    rep = PointReport({f"r{i}": v for i, v in enumerate(values)},
+                      {f"b{i}": v for i, v in enumerate(values)}, None)
+    top = float(np.max(values, initial=0.0))
+    least = float(np.min(values)) if values else 0.0
+    assert type(rep.max_residual) is float and _same_float(rep.max_residual, top)
+    assert type(rep.min_block_eig) is float and _same_float(rep.min_block_eig, least)
+    for tol in (0.0, 1e-6, 1.0, math.inf, math.nan):
+        assert rep.within(tol) == (top <= tol and least >= -tol)
+
+
 def test_verify_point_reports_a_nan_slack():
     # the zero point of parity's exact program at q=0, eps 0.1 misses init,
     # sum_z c_z = s on the face of J, by s = 4; a NaN success slack must not
