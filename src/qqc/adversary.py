@@ -32,7 +32,8 @@ read and fill: on a hit they run no weight check and no eigensolver.
 The witness path calls numpy's kernels directly, in place, where a Python
 wrapper would cost more than the arithmetic of these small arrays: the
 weight check takes its norms as `np.linalg.norm` does, one dot product
-each, and runs `np.argwhere` only on a weighting that has an offending
+each (on the weighting scaled by a power of two when its sum of squares
+overflows), and runs `np.argwhere` only on a weighting that has an offending
 pair; `make_dual_witness` forms its steps without `np.outer`, `np.diag` or
 `np.full`; every value keeps the bits the wrappers give.
 """
@@ -123,14 +124,21 @@ def _check_weight(p: QueryProblem, g: np.ndarray) -> np.ndarray:
     if g.shape != (s, s):
         raise ValueError(f"weight matrix shape {g.shape} != ({s}, {s})")
     # np.linalg.norm(a) of a real matrix is the root of a.ravel(order="K")
-    # dotted with itself; a finite sum of squares has finite terms, and
-    # one that overflows is checked entry by entry
+    # dotted with itself: np.vdot's bits, with no overflow flagged. A sum of
+    # squares past the float range has its entries checked one by one, and
+    # the norms are then taken exactly, on g scaled by a power of two, unit
     flat = g.ravel(order="K")
-    sq = flat.dot(flat)
-    if not math.isfinite(sq) and not np.isfinite(g).all():
-        raise ValueError("weight matrix entries must be finite")
-    asym = (g - g.T).ravel(order="K")
-    if math.sqrt(asym.dot(asym)) > 1e-12 * (1.0 + math.sqrt(sq)):
+    sq = np.vdot(flat, flat)
+    h, unit = g, 1.0
+    if not math.isfinite(sq):
+        if not np.isfinite(g).all():
+            raise ValueError("weight matrix entries must be finite")
+        unit = 2.0 ** -math.frexp(np.abs(g).max())[1]
+        h = g * unit
+        flat = h.ravel(order="K")
+        sq = np.vdot(flat, flat)
+    asym = (h - h.T).ravel(order="K")
+    if math.sqrt(np.vdot(asym, asym)) > 1e-12 * (unit + math.sqrt(sq)):
         raise ValueError("weight matrix must be symmetric")
     if g.min() < 0:
         raise ValueError("weight matrix entries must be nonnegative")

@@ -91,26 +91,29 @@ interior they converge sublinearly (Drusvyatskiy, Li & Wolkowicz, Math.
 Program. 2017), and those cells are left to the polish: at eps 0.1 the
 exact programs of const, deutsch and xor12 at q=2, whose state blocks have
 none, and all-equal (3 bits) at q=1, which sits on its boundary, and q=2.
-The checks before c = _FIRST_CHECK sweeps try the plain
-point only. From c on each is a full check, which goes on to the cone point
-cand = P_K(x), tries it polished, then one certificate, so B sweeps make
-about log2(B/c) full checks. Sweeps run in chunks leave x as one chunk
-does, so the early checks change no float that a full check reads.
-The primal iterate's displacement from the affine set, d = cand - P_L(cand),
-tends to -v for the minimal gap vector v from the affine set to the cone
-(Bauschke & Borwein 1993), near the dual cone with pairing near -|v|^2 < 0.
-So every full check screens d's multipliers y = (A A^T)^+ A P(d), P the
-cone step: when b^T y < 0 and A^T y lies within _POLISHED_TOL |b^T y| of
-the cone (`certifies`), it tries them unswept. Otherwise the Farkas iterate
-s, seeded from the first full check's d, advances by the sweeps the primal
-iterate made since the last full check, and the check tries
+With no point, the plain point's residual levels off instead, near the gap
+from the affine set to the cone (Bauschke & Borwein 1993), so a check
+before c = _FIRST_CHECK sweeps makes a certificate attempt once it moved by
+at most _LEVELLED of its value since the previous check. From c on each
+check is a full check, which goes on to the cone point cand = P_K(x), tries
+it polished, then a certificate attempt, so B sweeps make about log2(B/c)
+full checks. Sweeps run in chunks leave x as one chunk does, and an attempt
+moves no float of x, so a FEASIBLE answer keeps the bits it has with no
+attempt before c. The displacement d = cand - P_L(cand) tends to -v for the
+minimal gap vector v, near the dual cone with pairing near -|v|^2 < 0. So
+an attempt screens d's multipliers y = (A A^T)^+ A P(d), P the cone step:
+when b^T y < 0 and A^T y lies within _POLISHED_TOL |b^T y| of the cone
+(`certifies`), it tries them unswept. Otherwise the Farkas iterate s,
+seeded from the first attempt's d, advances by the sweeps the primal
+iterate made since the last attempt, and the attempt tries
 y = (A A^T)^+ A P(s). The certificate is scaled to pairing -1 and
 re-verified by `verify_point` as a point of the witness program before
 anything is reported; a witness program's answer reuses that report. The
 infeasible relaxed programs of the fixtures and families at q = 0, eps > 0
-certify unswept at the first full check, and the rotations near their
-boundary at a later one (theta 0.305, q=3, eps 0.1: 4 096 sweeps; the
-Farkas iterate alone does not finish it within the budget).
+certify unswept at 2 sweeps, their exact ones at 2-8 through the Farkas
+iterate (solver seeds 0-9), and the rotations near their boundary at a
+full check (theta 0.305, q=3, eps 0.1: 4 096 sweeps; the Farkas iterate
+alone does not finish it within the budget).
 
 Near-feasible points are polished by one rank-restricted Gauss-Newton run:
 each block's rank is guessed from its spectrum with a residual-scaled cut,
@@ -165,20 +168,26 @@ __all__ = [
     "verify_point",
 ]
 
-# Sweeps before the first full check, which tries the polish and a
-# certificate; the checks before it, at 1, 2, 4, 8 and 16 sweeps, try the
-# plain point only. The cells that reach the polish have no interior: on
-# the fixtures and the 3-bit problems (solver seeds 0-9), const, deutsch,
-# xor12 and all-equal at q=2, xor12 at q=1 eps 0, and all-equal at q=1 eps
-# 0.1. Their cone points are cruder before 32 sweeps: at 16, the exact
-# programs at eps 0.1 of deutsch, xor12 and all-equal at q=2 and of
-# all-equal at q=1 sit at 8.2e-2 to 0.15, above _POLISH_GATE, and at 8
-# every such cell sits at 0.12 or above.
+# Sweeps before the first full check, the first that polishes; the checks
+# before it, at 1, 2, 4, 8 and 16 sweeps, try the plain point and, once it
+# levels off, a certificate. The cells that reach the polish have no
+# interior: on the fixtures and the 3-bit problems (solver seeds 0-9),
+# const, deutsch, xor12 and all-equal at q=2, xor12 at q=1 eps 0, and
+# all-equal at q=1 eps 0.1. Their cone points are cruder before 32 sweeps:
+# at 16, the exact programs at eps 0.1 of deutsch, xor12 and all-equal at
+# q=2 and of all-equal at q=1 sit at 8.2e-2 to 0.15, above _POLISH_GATE,
+# and at 8 every such cell sits at 0.12 or above.
 _FIRST_CHECK = 32
 # Primal sweep budget before UNDECIDED, and the last check: over ten times
 # the 4 096 sweeps of the slowest certificate in the tests (the rotation
 # I against R(0.305), q = 3, eps 0.1, `build_primal`).
 _MAX_ITERS = 50000
+# Relative change of the plain point's residual since the previous check
+# at or below which a check before _FIRST_CHECK tries a certificate. On the
+# fixtures and families (both existence builders, q <= 2, eps 0-0.2, solver
+# seeds 0-9), the 480 infeasible solves that sweep fall within 3.1e-2 by 4
+# sweeps, while 12 of the 370 feasible ones not decided at 1 pay one attempt.
+_LEVELLED = 0.05
 # Relaxation of both projection steps, in (0, 2); at 2 each step reflects.
 _OVER_RELAXATION = 1.8
 # Room a certificate, as a point of the witness program, may leave outside
@@ -994,8 +1003,9 @@ def _decide(witness: ConicFeasibilityProgram,
             ), report
 
     x = 0.1 * np.random.default_rng(cfg.seed).standard_normal(eng.n_cols)
-    s = None  # the Farkas iterate, seeded from the first full check's d
-    it = swept = 0  # primal sweeps made, and at the last full check
+    s = None  # the Farkas iterate, seeded from the first certificate attempt's d
+    it = swept = 0  # primal sweeps made, and at the last certificate attempt
+    prev = None  # the plain point's residual at the previous check
     while it < _MAX_ITERS:
         gap = min(max(it, 1), _MAX_ITERS - it)
         it += gap
@@ -1010,11 +1020,13 @@ def _decide(witness: ConicFeasibilityProgram,
         if rn <= _POLISHED_TOL:
             return FeasibilityOutcome("FEASIBLE", _split(prog.blocks, plain, eng.real), None,
                                       _row_residuals(prog.rows, r, eng.real), it), None
-        if it < _FIRST_CHECK:
+        levelled = prev is not None and abs(rn - prev) <= _LEVELLED * prev
+        prev = rn
+        if it < _FIRST_CHECK and not levelled:
             continue
         cand = eng.cone_point(x)
         res = residuals(cand)
-        if max(res.values(), default=0.0) <= _POLISH_GATE:
+        if it >= _FIRST_CHECK and max(res.values(), default=0.0) <= _POLISH_GATE:
             polished = _face_polish(eng, cand)
             pres = residuals(polished)
             if max(pres.values(), default=0.0) <= _POLISHED_TOL:

@@ -174,17 +174,28 @@ def test_the_symmetry_check_keeps_the_norms_threshold(deutsch, gap):
 
 
 def test_weights_whose_squares_overflow_are_finite():
-    # the sum of squares overflows at weights near 1e200, as np.linalg.norm's
-    # does; the entries are then checked one by one, and the bound is the
-    # unscaled one
+    # the sum of squares of weights near 1e200 overflows, as np.linalg.norm's
+    # does; the check raises no warning (the suite runs with warnings as
+    # errors), takes the norms on the weighting scaled by a power of two,
+    # and the bound is the unscaled one
     p = dataclasses.replace(PROBLEMS["deutsch"])
     g = random_valid_gamma(p, np.random.default_rng(4))
-    with np.errstate(over="ignore"):
-        big = spectral_bound(p, 1e200 * g, 0.1).bound
-        assert big == pytest.approx(spectral_bound(p, g, 0.1).bound, rel=1e-12)
-        g[0, 1] = g[1, 0] = np.inf
-        with pytest.raises(ValueError, match="weight matrix entries must be finite"):
-            spectral_bound(p, 1e200 * g, 0.1)
+    big = spectral_bound(p, 1e200 * g, 0.1).bound
+    assert big == pytest.approx(spectral_bound(p, g, 0.1).bound, rel=1e-12)
+    g[0, 1] = g[1, 0] = np.inf
+    with pytest.raises(ValueError, match="weight matrix entries must be finite"):
+        spectral_bound(p, 1e200 * g, 0.1)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e200, 1e300])
+def test_an_asymmetric_weighting_is_refused_at_any_scale(scale):
+    # past 1e154 both sums of squares of the symmetry check overflow to inf,
+    # and inf > inf would pass the weighting as symmetric
+    p = dataclasses.replace(PROBLEMS["deutsch"])
+    g = random_valid_gamma(p, np.random.default_rng(4))
+    g[0, 1] *= 2.0
+    with pytest.raises(ValueError, match="weight matrix must be symmetric"):
+        spectral_bound(p, scale * g, 0.1)
 
 
 def test_spectral_bound_rejects_a_complex_weighting(deutsch):

@@ -1241,7 +1241,9 @@ def test_sweeps_chunked_at_each_doubling_give_one_chunks_bits(monkeypatch):
         x = _run_ap(eng.project_affine, eng.project_cone, x, iters)
     assert _same_bits(x, _run_ap(eng.project_affine, eng.project_cone, start, solver._FIRST_CHECK))
     # and those are the chunks a decision sweeps: the primal's, then the
-    # Farkas iterate's gap since the last full check
+    # Farkas iterate's gap since the last certificate attempt; R(0.3)'s plain
+    # point does not level off before _FIRST_CHECK, so the first attempt
+    # comes at the first full check
     chunks = []
 
     def counted(affine, cone, x, iters):
@@ -1491,15 +1493,74 @@ def test_weak_duality_pairing_is_negative_on_certificates(deutsch, cached_solve)
 
 
 def test_certificates_start_at_the_first_check(cached_solve):
-    # the Farkas iterate sweeps from the first check on, and the checks
-    # double from there, so every certificate of the criterion-01 grid comes
-    # by 64 sweeps; none waits 1000 primal sweeps for its search to start
+    # the Farkas iterate sweeps from the first certificate attempt on, at
+    # the first full check at the latest, and the checks double from there,
+    # so every certificate of the criterion-01 grid comes by 64 sweeps; none
+    # waits 1000 primal sweeps for its search to start
     late = []
     for cell in itertools.product(PROBLEMS, BUILDERS, (0, 1, 2), (0.0, 0.1)):
         out = cached_solve(*cell)
         if out.status == "INFEASIBLE_WITH_CERTIFICATE" and out.iterations >= 1000:
             late.append((*cell, out.iterations))
     assert late == []
+
+
+def test_grid_certificates_come_before_the_first_full_check(monkeypatch, cached_solve):
+    # every infeasible cell of the criterion-01 grid at eps > 0 that sweeps
+    # levels off at an early check: with the band rejecting every check it
+    # certifies at the first full check, and with it before that
+    cells = [(*cell, cached_solve(*cell))
+             for cell in itertools.product(PROBLEMS, ("primal", "primal_relaxed"), (0, 1, 2), (0.1,))]
+    swept = [(pname, b, q, eps, out.iterations) for pname, b, q, eps, out in cells
+             if out.status == "INFEASIBLE_WITH_CERTIFICATE" and out.iterations > 0]
+    assert len(swept) == 10
+    monkeypatch.setattr(solver, "_LEVELLED", -1.0)
+    for pname, b, q, eps, iterations in swept:
+        late = solve(BUILDERS[b](dataclasses.replace(PROBLEMS[pname]), q, eps))
+        assert (late.status, late.iterations) == ("INFEASIBLE_WITH_CERTIFICATE", solver._FIRST_CHECK)
+        assert iterations < solver._FIRST_CHECK, (pname, b, q)
+
+
+def _decisions_on_seeds(p, build, q, eps, seeds):
+    prog = build(dataclasses.replace(p), q, eps)
+    return [solve(prog, SolverConfig(seed)) for seed in seeds]
+
+
+@pytest.mark.parametrize("pname", [*PROBLEMS, *FAMILIES])
+def test_feasible_answers_keep_their_bits_with_early_attempts(monkeypatch, pname):
+    # a certificate attempt moves no float of the primal iterate, so every
+    # answer keeps its status, and a FEASIBLE one its iterations and point
+    # bits, against the same solve with the band rejecting every check
+    p = {**PROBLEMS, **FAMILIES}[pname]
+    cells = list(itertools.product((build_primal, build_primal_relaxed),
+                                   range(2 if pname == "weyl3" else 3), (0.0, 0.1)))
+    seeds = range(10)
+    early = [_decisions_on_seeds(p, *cell, seeds) for cell in cells]
+    monkeypatch.setattr(solver, "_LEVELLED", -1.0)
+    for cell, outs in zip(cells, early):
+        for seed, out, late in zip(seeds, outs, _decisions_on_seeds(p, *cell, seeds)):
+            assert out.status == late.status, (cell, seed)
+            if out.status == "FEASIBLE":
+                assert out.iterations == late.iterations, (cell, seed)
+                assert list(out.point) == list(late.point)
+                assert all(_same_bits(out.point[k], late.point[k]) for k in out.point), (cell, seed)
+
+
+@pytest.mark.parametrize("pname", ["pauli_id", "weyl3"])
+def test_a_plain_point_decides_before_any_certificate_attempt(monkeypatch, pname):
+    # on a cell with an interior the plain point's residual keeps falling,
+    # so no early check makes a certificate attempt before it decides
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return _certify(*args)
+
+    monkeypatch.setattr(solver, "_certify", counted)
+    sweeps = _count_farkas_sweeps(monkeypatch)
+    out = solve(build_primal(dataclasses.replace(FAMILIES[pname]), 1, 0.1))
+    assert out.status == "FEASIBLE" and out.iterations < solver._FIRST_CHECK
+    assert (calls[0], sweeps[0]) == (0, 0)
 
 
 def _count_farkas_sweeps(monkeypatch):
@@ -1517,23 +1578,29 @@ def _count_farkas_sweeps(monkeypatch):
 @pytest.mark.parametrize("pname,q", [("deutsch", 0), ("or2", 0), ("ix", 0), ("or2", 1)])
 @pytest.mark.parametrize("build,seeded", [(build_primal_relaxed, True), (build_primal, False)])
 def test_relaxed_seeds_certify_without_farkas_sweeps(monkeypatch, pname, q, build, seeded):
-    # on the relaxed programs the seed's multipliers are already a
-    # certificate as exact as a polished point, so the first check tries
-    # them with no Farkas sweep; the exact programs' seeds are not, and sweep
+    # the plain point's residual has levelled off by the second check, 2
+    # sweeps, which makes the first certificate attempt. On the relaxed
+    # programs the seed's multipliers are already a certificate as exact as
+    # a polished point, and certify there with no Farkas sweep; the exact
+    # programs' seeds are not, and the Farkas iterate sweeps by the primal
+    # sweeps made, to a certificate at 2 (ix) or 4 sweeps
     sweeps = _count_farkas_sweeps(monkeypatch)
     out = solve(build(dataclasses.replace(PROBLEMS[pname]), q, 0.1))
-    assert (out.status, out.iterations) == ("INFEASIBLE_WITH_CERTIFICATE", 32)
+    iterations = 2 if seeded or pname == "ix" else 4
+    assert (out.status, out.iterations) == ("INFEASIBLE_WITH_CERTIFICATE", iterations)
     assert (sweeps[0] == 0) == seeded
+    assert sweeps[0] == (0 if seeded else iterations)
 
 
 def test_a_seed_off_the_cone_is_swept(monkeypatch):
     # the relaxed or2 seed at q=2, eps 0.1 is 1.9e-5 off the cone per unit
-    # of pairing: the screen refuses it, the first check sweeps, and the
+    # of pairing: the screen refuses it at each attempt (2, 4 and 16
+    # sweeps), the Farkas iterate sweeps by the primal sweeps made, and the
     # swept certificate meets the witness program within 1e-8
     sweeps = _count_farkas_sweeps(monkeypatch)
     p = dataclasses.replace(PROBLEMS["or2"])
     out = solve(build_primal_relaxed(p, 2, 0.1))
-    assert (out.status, out.iterations, sweeps[0]) == ("INFEASIBLE_WITH_CERTIFICATE", 32, 32)
+    assert (out.status, out.iterations, sweeps[0]) == ("INFEASIBLE_WITH_CERTIFICATE", 16, 16)
     rep = verify_point(build_dual_relaxed(p, 2, 0.1), out.certificate)
     assert rep.max_residual <= 1e-8
     assert rep.min_block_eig >= -1e-8
@@ -1551,8 +1618,8 @@ def test_a_later_check_certifies_without_farkas_sweeps(monkeypatch):
 
 @pytest.mark.parametrize("pname,builder,q,eps,iterations", [
     ("or2", "dual", 1, 0.0, 0),  # right-hand side off the affine range
-    ("or2", "dual_relaxed", 1, 0.1, 32),  # the seed, with no sweep
-    ("deutsch", "dual", 0, 0.1, 32),  # the seed swept
+    ("or2", "dual_relaxed", 1, 0.1, 2),  # the seed, with no sweep
+    ("deutsch", "dual", 0, 0.1, 4),  # the seed swept
 ])
 def test_a_witness_point_is_verified_once(monkeypatch, pname, builder, q, eps, iterations):
     # a witness point is the certificate `_certify` has verified on the very
